@@ -5,7 +5,7 @@ Modules:
   poly        sparse multivariate polynomials, determinants, minors, resultants
   linalg      sparse exact row spaces, float rank and span decisions
   heisenberg  the group H_p, its simple representations and fixed points
-  gradedalg   degreewise ideal pieces, Hilbert series, character series
+  gradedalg   degreewise graded quotients, Hilbert series, character series
   koszul      quadratic duals and the character duality identity
   clifford    symmetric forms, rank profiles, explicit Clifford matrices
   sklyanin2   the order-2 five-generator toolkit (curve C', Q(a,b), strata)

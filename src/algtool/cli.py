@@ -1,9 +1,9 @@
 """Command-line entry point: every computation as a subcommand with
 deterministic text/JSON output.
 
-Exit codes: 0 success, 2 assertion-style check failure, 1 usage or resource
-errors.  JSON output is key-sorted; identical invocations (same seed) give
-byte-identical output regardless of --threads.
+Exit codes: 0 success, 2 assertion-style check failure, 1 usage, input or
+resource errors.  JSON output is key-sorted; identical invocations (same
+seed) give byte-identical output regardless of --threads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import clifford, koszul, selftest, shioda5, sklyanin2
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .cyclotomic import Cyclotomic
-from .errors import AlgtoolError
+from .errors import AlgtoolError, InputError
 from .gradedalg import (character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import SimpleRep, parse_element
@@ -36,12 +36,15 @@ class Parser(argparse.ArgumentParser):
 def parse_scalar(text: str, mode: Optional[str] = None):
     """'3/2' and '2' parse exact, '0.5' parses float; --mode overrides."""
     text = text.strip()
-    if mode == "float":
-        return float(Fraction(text)) if "/" in text else float(text)
-    looks_exact = "/" in text or ("." not in text and "e" not in text.lower())
-    if mode == "exact" or looks_exact:
-        return Fraction(text)
-    return float(text)
+    try:
+        if mode == "float":
+            return float(Fraction(text)) if "/" in text else float(text)
+        looks_exact = "/" in text or ("." not in text and "e" not in text.lower())
+        if mode == "exact" or looks_exact:
+            return Fraction(text)
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"cannot parse {text!r} as a number") from None
 
 
 def parse_params(text: str, mode: Optional[str] = None):
@@ -51,6 +54,8 @@ def parse_params(text: str, mode: Optional[str] = None):
 def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, float):
         return obj
     if isinstance(obj, Fraction):
@@ -120,7 +125,7 @@ def build_algebra(args):
         return make_presentation(kind, *params)
     if kind == "curveCa":
         return make_presentation(kind, *params)
-    raise AlgtoolError(f"unknown algebra kind {kind!r}")
+    raise InputError(f"unknown algebra kind {kind!r}")
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -148,7 +153,7 @@ def cmd_koszul_check(args) -> int:
     pres = build_algebra(args)
     rep = SimpleRep(pres.p, args.rep)
     g = parse_element(pres.p, getattr(args, "cls"))
-    residuals = koszul.koszul_identity_check(pres, rep, g, args.max_degree)
+    residuals = koszul.koszul_identity_check(pres, rep, g, args.max_degree, args.max_cells)
     zero = all(c.is_zero() for c in residuals)
     payload = {"algebra": pres.label(), "class": g.label(), "zero": zero,
                "residuals": [scalar_to_json(c) for c in residuals]}
@@ -286,7 +291,8 @@ def build_parser() -> Parser:
     common.add_argument("--tol-span", type=float, default=None)
     common.add_argument("--tol-residual", type=float, default=None)
     common.add_argument("--max-cells", type=int, default=None,
-                        help="resource cap override (also env ALGTOOL_MAX_CELLS)")
+                        help="cap on the cells of one degree step of the graded engine "
+                             "(default: env ALGTOOL_MAX_CELLS, else 4e6)")
 
     parser = Parser(prog="algtool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -350,9 +356,6 @@ def build_parser() -> Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_cells is not None:
-        import os
-        os.environ["ALGTOOL_MAX_CELLS"] = str(args.max_cells)
     try:
         return args.func(args)
     except AlgtoolError as exc:

@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 
-#: Default cap on estimated working-matrix cells for a degree-n ideal piece.
-#: The estimate for generator count p at degree n is p^(2n-1): p^n columns
-#: times a p^(n-1) row estimate.  With the default cap, p=5 is admitted up to
-#: degree 5 (5^9 ~ 1.95e6) and refused from degree 6 (5^11 ~ 4.9e7).
+#: Default cap on the cells of one degree step of the graded engine: the
+#: rows (sum over relation degrees d of h_{n-d} times the number of degree-d
+#: relations) times the columns (h_{n-1} * p) of the degree-n working matrix.
+#: With this cap the polynomial ring on 5 generators is admitted up to
+#: degree 8 (2100 x 1650 cells) and refused from degree 9.
 DEFAULT_MAX_CELLS = 4_000_000
 
 ENV_MAX_CELLS = "ALGTOOL_MAX_CELLS"
@@ -41,11 +42,12 @@ def max_cells() -> int:
     return value
 
 
-def check_degree_allowed(p: int, n: int, cap: int | None = None) -> None:
-    """Refuse a degree-n piece whose estimated cell count exceeds the cap."""
+def check_degree_allowed(n: int, rows: int, cols: int, cap: int | None = None) -> None:
+    """Refuse a degree-n step whose working matrix has more cells than the cap.
+    A step without rows still lists its columns, so it counts as one row."""
     cap = max_cells() if cap is None else cap
-    estimated = p ** max(2 * n - 1, 0)
-    if estimated > cap:
+    cells = max(rows, 1) * cols
+    if cells > cap:
         raise ResourceLimitError(
-            f"degree {n} over {p} generators needs ~{estimated} cells, cap is {cap}"
+            f"degree {n} needs a {rows} x {cols} working matrix ({cells} cells), cap is {cap}"
         )

@@ -9,6 +9,12 @@ class AlgtoolError(Exception):
     code = "error"
 
 
+class InputError(AlgtoolError, ValueError):
+    """Malformed input: wrong parameter count, unknown name, unparsable value."""
+
+    code = "input"
+
+
 class ModulusError(AlgtoolError, ValueError):
     """Modulus is not an odd prime, or two values live over different primes."""
 

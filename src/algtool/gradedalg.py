@@ -1,15 +1,26 @@
-"""Degreewise computation of graded quotients T(V)/I for Heisenberg-stable
-relation sets: ideal degree pieces, Hilbert coefficients and character series.
+"""Degreewise computation of graded quotients A = T(V)/I for Heisenberg-stable
+relation sets: normal-word bases, Hilbert coefficients and character series.
 
-Words of length n over the p generators are encoded big-endian in base p.
-The degree-n ideal piece is built incrementally,
+The engine works on the quotient side (Polishchuk-Positselski, *Quadratic
+Algebras*, ch. 1-2; Ufnarovski 1995).  With R_d the span of the degree-d
+relations, degree n is built from degree n-1 as
 
-    I_n = V . I_{n-1} + I_{n-1} . V  (+ relations of degree n),
+    A_n = (A_{n-1} (x) V) / im( sum_d A_{n-d} (x) R_d ).
 
-as a sparse reduced row-echelon space.  Since rho(g) is monomial, g acts on
-words by an index shift and a root-of-unity phase, and the trace of g on I_n
-reads off one coefficient per echelon row; the degree-n character of the
-quotient is then chi_V(g)^n - tr(g | I_n).
+Column i*p + j of the working matrix stands for b_i (x) x_j, b_i the i-th
+normal word of degree n-1.  A normal word u of degree n-d and a relation
+sum c_w w of degree d give the row sum c_w NF(u w[:-1]) (x) x_{w[-1]}.  The
+rows are kept as a sparse reduced row-echelon space over h_{n-1}*p columns
+(not p^n): its free columns are the normal words B_n, and reducing a column
+is the normal-form map mu_n : A_{n-1} (x) V -> A_n.  Normal forms of words are
+memoised through NF(u x_j) = mu_n(NF(u) (x) x_j).  Columns follow the
+lexicographic order of words, so B_n is the set of words that are not
+leading words of I_n in that order.
+
+Since rho(g) is monomial, g = e1^a e2^b z^k sends a word w to
+zeta^(i(nk + b sum(w))) (w - a), with w - a the digitwise shift, and
+
+    tr(g | A_n) = sum_{w in B_n} zeta^(i(nk + b sum(w))) [w] NF(w - a).
 """
 
 from __future__ import annotations
@@ -20,9 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import check_degree_allowed
 from .cyclotomic import Cyclotomic, require_odd_prime
-from .errors import ModulusError, StabilityError
+from .errors import InputError, ModulusError, StabilityError
 from .heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
-from .linalg import RowSpace
+from .linalg import RowSpace, SparseVec
 
 Word = Tuple[int, ...]
 Relation = Tuple[Tuple[Word, object], ...]  # sorted ((word, coeff), ...)
@@ -43,12 +54,12 @@ class Presentation:
         require_odd_prime(self.p)
         for rel in self.relations:
             if not rel:
-                raise ValueError("empty relation")
+                raise InputError("empty relation")
             degrees = {len(w) for w, _ in rel}
             if len(degrees) != 1:
-                raise ValueError(f"inhomogeneous relation {rel}")
+                raise InputError(f"inhomogeneous relation {rel}")
             if min(degrees) < 2:
-                raise ValueError("relations must have degree >= 2")
+                raise InputError("relations must have degree >= 2")
 
     def one(self):
         return Fraction(1) if self.field == "QQ" else Cyclotomic.from_rational(self.p, 1)
@@ -58,6 +69,13 @@ class Presentation:
 
     def is_quadratic(self) -> bool:
         return all(len(next(iter(rel))[0]) == 2 for rel in self.relations)
+
+    def relations_by_degree(self) -> List[Tuple[int, List[Relation]]]:
+        """(d, relations of degree d), by ascending degree."""
+        groups: Dict[int, List[Relation]] = {}
+        for rel in self.relations:
+            groups.setdefault(len(rel[0][0]), []).append(rel)
+        return sorted(groups.items())
 
     def label(self) -> str:
         if self.kind == "custom":
@@ -77,7 +95,7 @@ def make_relation(pairs: Sequence[Tuple[Word, object]]) -> Relation:
         elif cur is not None:
             del acc[w]
     if not acc:
-        raise ValueError("relation cancels to zero")
+        raise InputError("relation cancels to zero")
     return tuple(sorted(acc.items()))
 
 
@@ -88,90 +106,136 @@ def word_to_index(word: Word, p: int) -> int:
     return idx
 
 
-def index_digits(idx: int, p: int, n: int) -> Word:
-    digits = [0] * n
-    for pos in range(n - 1, -1, -1):
-        idx, digits[pos] = divmod(idx, p)
-    return tuple(digits)
+def _add_scaled(acc: SparseVec, vec: SparseVec, scale, shift: int = 0, stride: int = 1) -> None:
+    """acc[stride*col + shift] += scale * value for every (col, value) of vec."""
+    for col, v in vec.items():
+        key = col * stride + shift
+        term = scale * v
+        cur = acc.get(key)
+        new = term if cur is None else cur + term
+        if new:
+            acc[key] = new
+        elif cur is not None:
+            del acc[key]
 
 
-@dataclass
-class DegreePiece:
-    degree: int
-    ideal_rank: int
-    quotient_dim: int
-    space: RowSpace
-    p: int
+class GradedEngine:
+    """Normal words and normal forms of one presentation, grown one degree at
+    a time on demand.  Not safe for concurrent use from several threads."""
 
-    def ideal_basis(self):
-        """Rows of the reduced row-echelon basis, (pivot, sparse row) pairs."""
-        return self.space.rref_rows()
+    def __init__(self, pres: Presentation):
+        self.p = pres.p
+        self.one = pres.one()
+        self.relations = pres.relations_by_degree()
+        self.bases: List[List[Word]] = [[()]]           # B_n in lexicographic order
+        self.spaces: List[Optional[RowSpace]] = [None]  # relation rows of degree n
+        self._position: Dict[Word, int] = {(): 0}       # normal word -> index in B_n
+        self._free: List[Dict[int, int]] = [{}]         # free column -> index in B_n
+        self._mu: List[Dict[int, SparseVec]] = [{}]     # memo of mu_n on columns
+        self._normal_forms: Dict[Word, SparseVec] = {}  # memo of NF, non-normal words
 
-    def normal_indices(self) -> List[int]:
-        pivots = set(self.space.rows)
-        return [i for i in range(self.p ** self.degree) if i not in pivots]
+    def grow(self, n: int, cap: Optional[int] = None) -> None:
+        """Make sure degrees up to n exist.  Every step, built or cached, must
+        fit the cell cap: (sum_d h_{m-d} |R_d|) rows times h_{m-1} * p columns."""
+        for m in range(1, n + 1):
+            rows = sum(len(self.bases[m - d]) * len(rels) for d, rels in self.relations if d <= m)
+            cols = len(self.bases[m - 1]) * self.p
+            check_degree_allowed(m, rows, cols, cap)
+            if m == len(self.bases):
+                self._build(m, cols)
+
+    def _build(self, n: int, cols: int) -> None:
+        p = self.p
+        relation_rows = []
+        for d, rels in self.relations:
+            if d > n:
+                break
+            for u in self.bases[n - d]:
+                for rel in rels:
+                    row: SparseVec = {}
+                    for w, c in rel:
+                        _add_scaled(row, self.normal_form(u + w[:-1]), c, w[-1], p)
+                    if row:
+                        relation_rows.append(row)
+        # In descending order of leading column a new pivot mostly lies left of
+        # every stored row's support, so keeping the space reduced seldom
+        # touches older rows; the reduced space itself does not depend on order.
+        relation_rows.sort(key=min, reverse=True)
+        space = RowSpace()
+        for row in relation_rows:
+            space.insert(row)
+        prev = self.bases[n - 1]
+        free = [col for col in range(cols) if col not in space.rows]
+        basis = [prev[col // p] + (col % p,) for col in free]
+        self.bases.append(basis)
+        self.spaces.append(space)
+        self._free.append({col: i for i, col in enumerate(free)})
+        self._mu.append({})
+        self._position.update((w, i) for i, w in enumerate(basis))
+
+    def _mu_column(self, n: int, col: int) -> SparseVec:
+        memo = self._mu[n]
+        image = memo.get(col)
+        if image is None:
+            free = self._free[n]
+            image = {free[c]: v for c, v in self.spaces[n].reduce({col: self.one}).items()}
+            memo[col] = image
+        return image
+
+    def normal_form(self, word: Word) -> SparseVec:
+        """NF(word) on the basis B_len(word); degrees up to len(word) must exist.
+        The returned vector is shared with the memo: do not mutate it."""
+        pos = self._position.get(word)
+        if pos is not None:
+            return {pos: self.one}
+        nf = self._normal_forms.get(word)
+        if nf is None:
+            n, j = len(word), word[-1]
+            nf = {}
+            for i, c in self.normal_form(word[:-1]).items():
+                _add_scaled(nf, self._mu_column(n, i * self.p + j), c)
+            self._normal_forms[word] = nf
+        return nf
+
+    def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int,
+              cap: Optional[int] = None) -> Cyclotomic:
+        """tr(g | A_n), from phase buckets of rational (or Q(w)) sums."""
+        self.grow(n, cap)
+        p, i = self.p, rep.index
+        position = self._position
+        buckets: List[object] = [None] * p
+        for w in self.bases[n]:
+            v = self.normal_form(tuple((x - g.a) % p for x in w)).get(position[w])
+            if v:
+                phase = (i * (n * g.k + g.b * sum(w))) % p
+                cur = buckets[phase]
+                buckets[phase] = v if cur is None else cur + v
+        total = Cyclotomic(p)
+        for phase, s in enumerate(buckets):
+            if s:
+                total = total + Cyclotomic.zeta(p, phase) * s
+        return total
 
 
-_PIECES: Dict[Tuple[Presentation, int], DegreePiece] = {}
-_SHIFT_TABLES: Dict[Tuple[int, int, int], List[int]] = {}
-_DIGITSUM_TABLES: Dict[Tuple[int, int], List[int]] = {}
+_ENGINE_CACHE_SIZE = 8
+_ENGINES: Dict[Presentation, GradedEngine] = {}
 
 
-def clear_cache() -> None:
-    _PIECES.clear()
-    _SHIFT_TABLES.clear()
-    _DIGITSUM_TABLES.clear()
-
-
-def _shift_table(p: int, n: int, a: int) -> List[int]:
-    """Index permutation of words under digitwise +a (mod p)."""
-    key = (p, n, a % p)
-    table = _SHIFT_TABLES.get(key)
-    if table is None:
-        table = [word_to_index(tuple((d + a) % p for d in index_digits(i, p, n)), p)
-                 for i in range(p ** n)]
-        _SHIFT_TABLES[key] = table
-    return table
-
-
-def _digitsum_table(p: int, n: int) -> List[int]:
-    key = (p, n)
-    table = _DIGITSUM_TABLES.get(key)
-    if table is None:
-        table = [sum(index_digits(i, p, n)) % p for i in range(p ** n)]
-        _DIGITSUM_TABLES[key] = table
-    return table
-
-
-def ideal_piece(pres: Presentation, n: int, cap: Optional[int] = None) -> DegreePiece:
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    check_degree_allowed(pres.p, n, cap)
-    key = (pres, n)
-    hit = _PIECES.get(key)
-    if hit is not None:
-        return hit
-    p = pres.p
-    space = RowSpace()
-    if n >= 2:
-        prev = ideal_piece(pres, n - 1, cap)
-        shift = p ** (n - 1)
-        for pivot in sorted(prev.space.rows):
-            row = prev.space.rows[pivot]
-            for g in range(p):
-                space.insert({g * shift + idx: c for idx, c in row.items()})
-            for g in range(p):
-                space.insert({idx * p + g: c for idx, c in row.items()})
-        for rel in pres.relations:
-            if len(next(iter(rel))[0]) == n:
-                space.insert({word_to_index(w, p): c for w, c in rel})
-    piece = DegreePiece(n, space.rank, p ** n - space.rank, space, p)
-    _PIECES[key] = piece
-    return piece
+def graded_engine(pres: Presentation) -> GradedEngine:
+    """The engine of `pres`, kept in a small least-recently-used cache."""
+    engine = _ENGINES.pop(pres, None)
+    if engine is None:
+        engine = GradedEngine(pres)
+        if len(_ENGINES) >= _ENGINE_CACHE_SIZE:
+            del _ENGINES[next(iter(_ENGINES))]
+    _ENGINES[pres] = engine
+    return engine
 
 
 def hilbert(pres: Presentation, max_degree: int, cap: Optional[int] = None) -> List[int]:
-    return [ideal_piece(pres, n, cap).quotient_dim for n in range(max_degree + 1)]
+    engine = graded_engine(pres)
+    engine.grow(max_degree, cap)
+    return [len(basis) for basis in engine.bases[:max_degree + 1]]
 
 
 # -- group action -----------------------------------------------------------------
@@ -181,94 +245,27 @@ def check_stability(pres: Presentation, g: HeisenbergElement, rep: SimpleRep) ->
     """Relations must span a g-stable subspace in their degree."""
     if g.p != pres.p or rep.p != pres.p:
         raise ModulusError("presentation, element and representation must share p")
-    p = pres.p
-    degrees = sorted({len(next(iter(rel))[0]) for rel in pres.relations})
-    for d in degrees:
+    p, i = pres.p, rep.index
+    for d, rels in pres.relations_by_degree():
         rel_space = RowSpace()
-        vecs = []
-        for rel in pres.relations:
-            if len(next(iter(rel))[0]) != d:
-                continue
-            vec = {word_to_index(w, p): c for w, c in rel}
-            vecs.append(vec)
-            rel_space.insert(vec)
-        shift = _shift_table(p, d, -g.a)
-        digitsum = _digitsum_table(p, d)
-        for vec in vecs:
-            image: Dict[int, object] = {}
-            for idx, c in vec.items():
-                phase = (rep.index * (d * g.k + g.b * digitsum[idx])) % p
-                image[shift[idx]] = Cyclotomic.zeta(p, phase) * c
+        for rel in rels:
+            rel_space.insert(dict(rel))
+        for rel in rels:
+            image = {tuple((x - g.a) % p for x in w):
+                     Cyclotomic.zeta(p, i * (d * g.k + g.b * sum(w))) * c
+                     for w, c in rel}
             if not rel_space.contains(image):
                 raise StabilityError(
                     f"relations of {pres.label()} are not stable under {g.label()}"
                 )
 
 
-def ideal_trace(pres: Presentation, g: HeisenbergElement, rep: SimpleRep, n: int,
-                cap: Optional[int] = None) -> Cyclotomic:
-    """Trace of g acting on I_n, read off the echelon basis.
-
-    In reduced echelon form no row contains another row's pivot column, so
-    the coordinate of g.row_c along row_c is just the image's value at c:
-    the row's own value at the a-shifted pivot index times the phase.
-    """
-    p = pres.p
-    piece = ideal_piece(pres, n, cap)
-    if n == 0 or piece.ideal_rank == 0:
-        return Cyclotomic(p)
-    unshift = _shift_table(p, n, g.a)  # preimage of column c under digitwise -a
-    digitsum = _digitsum_table(p, n)
-    total = Cyclotomic(p)
-    i = rep.index
-    for c, row in piece.space.rows.items():
-        src = unshift[c]
-        v = row.get(src)
-        if v:
-            phase = (i * (n * g.k + g.b * digitsum[src])) % p
-            total = total + Cyclotomic.zeta(p, phase) * v
-    return total
-
-
-def quotient_trace(pres: Presentation, g: HeisenbergElement, rep: SimpleRep, n: int,
-                   cap: Optional[int] = None) -> Cyclotomic:
-    """Trace of g on A_n computed on the normal-word basis of the quotient
-    (independent cross-check of chi_V(g)^n - ideal_trace)."""
-    p = pres.p
-    piece = ideal_piece(pres, n, cap)
-    shift_back = _shift_table(p, n, -g.a)
-    digitsum = _digitsum_table(p, n)
-    one = pres.one()
-    total = Cyclotomic(p)
-    i = rep.index
-    for w in piece.normal_indices():
-        src = w  # phase is carried by the original word
-        target = shift_back[w]
-        residue = piece.space.reduce({target: one}) if target in piece.space.rows \
-            else {target: one}
-        v = residue.get(w)
-        if v:
-            phase = (i * (n * g.k + g.b * digitsum[src])) % p
-            total = total + Cyclotomic.zeta(p, phase) * v
-    return total
-
-
 def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
                      max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
     """Coefficients of the character series of g on A = T(V)/I up to t^N."""
     check_stability(pres, g, rep)
-    p = pres.p
-    out = []
-    for n in range(max_degree + 1):
-        if n == 0:
-            out.append(Cyclotomic.from_rational(p, 1))
-            continue
-        if g.is_central():
-            chi_vn = Cyclotomic.zeta(p, rep.index * g.k * n) * Fraction(p) ** n
-        else:
-            chi_vn = Cyclotomic(p)
-        out.append(chi_vn - ideal_trace(pres, g, rep, n, cap))
-    return out
+    engine = graded_engine(pres)
+    return [engine.trace(g, rep, n, cap) for n in range(max_degree + 1)]
 
 
 @dataclass
@@ -325,7 +322,9 @@ def character_table(pres: Presentation, rep: SimpleRep, max_degree: int,
 # -- catalog of presentations ------------------------------------------------------
 
 
-def _coerce_params(values) -> Tuple[object, ...]:
+def _coerce_params(values, count: int, kind: str) -> Tuple[object, ...]:
+    if len(values) != count:
+        raise InputError(f"{kind} needs {count} parameters, got {len(values)}")
     out = []
     for v in values:
         if isinstance(v, Cyclotomic):
@@ -379,7 +378,7 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         (p,) = args or (kwargs.pop("p"),)
         require_odd_prime(p)
         if p < 5:
-            raise ValueError("cycle presentation needs p >= 5")
+            raise InputError("cycle presentation needs p >= 5")
         raw = _commutators(p)
         for i in range(1, (p - 3) // 2 + 1):
             for k in range(p):
@@ -387,7 +386,7 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         return _finalize(p, "QQ", raw, "cycle", (p,))
 
     if kind == "sklyanin3":
-        a, b, c = _coerce_params(args if args else kwargs.pop("params"))
+        a, b, c = _coerce_params(args if args else kwargs.pop("params"), 3, kind)
         raw = []
         for k in range(3):
             # e1-orbit of a x1 x2 + b x2 x1 + c x0^2 (indices shift by -k)
@@ -400,10 +399,9 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
 
     if kind == "cliffordC":
         p = args[0] if args else kwargs.pop("p")
-        avec = _coerce_params(args[1] if len(args) > 1 else kwargs.pop("params"))
         require_odd_prime(p)
-        if len(avec) != (p + 1) // 2:
-            raise ValueError(f"cliffordC over p={p} needs {(p + 1) // 2} parameters")
+        avec = _coerce_params(args[1] if len(args) > 1 else kwargs.pop("params"),
+                              (p + 1) // 2, f"cliffordC over p={p}")
         a0 = avec[0]
         raw = []
         for i in range(1, (p - 1) // 2 + 1):
@@ -416,7 +414,7 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         return _finalize(p, _field_of(avec), raw, "cliffordC", (p,) + avec)
 
     if kind == "sklyanin5":
-        a, b = _coerce_params(args if args else kwargs.pop("params"))
+        a, b = _coerce_params(args if args else kwargs.pop("params"), 2, kind)
         raw = []
         for k in range(5):
             raw.append([
@@ -433,7 +431,7 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         return _finalize(5, _field_of((a, b)), raw, "sklyanin5", (a, b))
 
     if kind == "curveCa":
-        (a,) = _coerce_params(args if args else (kwargs.pop("a"),))
+        (a,) = _coerce_params(args if args else (kwargs.pop("a"),), 1, kind)
         raw = _commutators(5)
         for i in range(5):
             raw.append([
@@ -443,4 +441,4 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
             ])
         return _finalize(5, _field_of((a,)), raw, "curveCa", (a,))
 
-    raise ValueError(f"unknown presentation kind {kind!r}")
+    raise InputError(f"unknown presentation kind {kind!r}")

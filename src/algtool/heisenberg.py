@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from .cyclotomic import Cyclotomic, require_odd_prime
-from .errors import ModulusError
+from .errors import InputError, ModulusError
 from .linalg import nullspace_exact
 
 
@@ -83,7 +83,10 @@ def parse_element(p: int, text: str) -> HeisenbergElement:
     for tok in text.replace("*", " ").split():
         if "^" in tok:
             name, exp = tok.split("^", 1)
-            e = int(exp)
+            try:
+                e = int(exp)
+            except ValueError:
+                raise InputError(f"bad exponent {exp!r} in {text!r}") from None
         else:
             name, e = tok, 1
         if name == "e1":
@@ -93,7 +96,7 @@ def parse_element(p: int, text: str) -> HeisenbergElement:
         elif name == "z":
             k += e
         else:
-            raise ValueError(f"unknown generator {name!r} in {text!r}")
+            raise InputError(f"unknown generator {name!r} in {text!r}")
     return HeisenbergElement(p, a, b, k)
 
 

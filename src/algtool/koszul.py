@@ -15,7 +15,7 @@ generators (reported, not used in the residuals).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from .cyclotomic import Cyclotomic
 from .gradedalg import (Presentation, character_coeffs, make_relation,
@@ -70,11 +70,11 @@ def quadratic_dual(pres: Presentation) -> QuadraticDualPair:
 
 
 def koszul_identity_check(pres: Presentation, rep: SimpleRep, g: HeisenbergElement,
-                          max_degree: int) -> List[Cyclotomic]:
+                          max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
     """Coefficients 1..N of Ch_A(g,t) * Ch_dual(g,-t); all zero for Koszul input."""
     pair = quadratic_dual(pres)
-    ca = character_coeffs(pres, g, rep, max_degree)
-    cb = character_coeffs(pair.dual, g, rep, max_degree)
+    ca = character_coeffs(pres, g, rep, max_degree, cap)
+    cb = character_coeffs(pair.dual, g, rep, max_degree, cap)
     out = []
     for n in range(1, max_degree + 1):
         acc = Cyclotomic(pres.p)

@@ -108,12 +108,33 @@ class TwoTorsionReport:
 
 def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     """Random (x1, x2); roots x0 of the plane sextic
-    x0^4 x1 x2 - x0^2 x1^2 x2^2 - x0 (x1^5 + x2^5) + 2 x1^3 x2^3 give points
-    (x0 : x1 : x2 : x2 : x1) on S15 (all ten minors vanish numerically)."""
+    f = x0^4 x1 x2 - x0^2 x1^2 x2^2 - x0 (x1^5 + x2^5) + 2 x1^3 x2^3 give points
+    (x0 : x1 : x2 : x2 : x1) on S15 (all ten minors vanish numerically).
+
+    On that line every minor is 0 or +-f, so the residual of the normalized
+    point is |f| / M^6 with M its largest coordinate.  The negative control
+    moves the root r of least modulus by m = max(|x1|, |x2|) in the best of
+    the five directions w^j (w = e^(2 pi i / 5)), which is provably off the
+    sextic: f has degree 4 in x0, so on five equally spaced points of a
+    circle of radius rho its largest modulus is at least |c_k| rho^k for every
+    coefficient c_k of its expansion about the centre (a discrete Fourier
+    transform recovers each c_k rho^k as a mean of those five values).
+    Around 0 on |x0| = m that gives |f| >= max(|x1 x2| m^4, |x1^5 + x2^5| m)
+    >= 0.75 m^6; |r|^4 <= |product of the roots| = 2 |x1 x2|^2 gives
+    |r| <= 1.19 m, so around r on |x0 - r| = m some point has
+    |f| >= 0.75 m^6 / sum_{k<5} 2.19^k >= 0.018 m^6, where M <= 2.19 m: a
+    control residual of at least 1.6e-4."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     minors = s15_minors()
+    directions = np.exp(2j * np.pi * np.arange(5) / 5)
+
+    def residual(x0, x1, x2) -> float:
+        point = np.array([x0, x1, x2, x2, x1], dtype=complex)
+        point = point / np.abs(point).max()
+        return max(abs(m.eval(list(point))) for m in minors)
+
     worst = 0.0
     control = float("inf")
     count = 0
@@ -127,15 +148,11 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
         if len(roots) != 4:
             raise SamplingError("quartic lost roots")
         for x0 in roots:
-            point = np.array([x0, x1, x2, x2, x1], dtype=complex)
-            point = point / np.abs(point).max()
-            residual = max(abs(m.eval(list(point))) for m in minors)
-            worst = max(worst, residual)
+            worst = max(worst, residual(x0, x1, x2))
             count += 1
-        # negative control: nudge one root off the sextic
-        bad = np.array([roots[0] + 1e-2, x1, x2, x2, x1], dtype=complex)
-        bad = bad / np.abs(bad).max()
-        control = min(control, max(abs(m.eval(list(bad))) for m in minors))
+        root = min(roots, key=abs)
+        scale = max(abs(x1), abs(x2))
+        control = min(control, max(residual(root + scale * d, x1, x2) for d in directions))
     return TwoTorsionReport(samples, count, worst, control)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -102,3 +103,41 @@ def test_out_file(tmp_path, capsys):
                         "--max-degree", "3", "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["hilbert"] == [1, 3, 6, 10]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--algebra", "sklyanin3", "--params", "1,1", "--max-degree", "3"],
+    ["charseries", "--algebra", "polynomial", "--p", "3", "--class", "e7x",
+     "--max-degree", "2"],
+    ["charseries", "--algebra", "polynomial", "--p", "3", "--class", "e1^x",
+     "--max-degree", "2"],
+    ["hilbert", "--algebra", "sklyanin3", "--params", "1,x,1", "--max-degree", "3"],
+    ["hilbert", "--algebra", "cycle", "--p", "3", "--max-degree", "3"],
+], ids=["wrong-parameter-count", "unknown-generator", "bad-exponent", "unparsable-number",
+        "cycle-below-5"])
+def test_input_error_payload(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "input"
+
+
+def test_max_cells_flag_leaves_no_global_state(capsys):
+    before = dict(os.environ)
+    argv = ("hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "3",
+            "--format", "json")
+    code, out = run_cli(capsys, *argv, "--max-cells", "10")
+    assert code == 1 and json.loads(out)["error"]["code"] == "resource"
+    assert dict(os.environ) == before
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
+    code, out = run_cli(capsys, "koszul-check", "--algebra", "polynomial", "--p", "3",
+                        "--max-degree", "3", "--max-cells", "10", "--format", "json")
+    assert code == 1 and json.loads(out)["error"]["code"] == "resource"
+
+
+def test_selftest_passed_flags_are_json_bools(capsys):
+    code, out = run_cli(capsys, "selftest", "--criteria", "8", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["criteria"][0]["passed"] is True

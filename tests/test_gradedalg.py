@@ -1,14 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import ideal_oracle
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ResourceLimitError, StabilityError
 from algtool.gradedalg import (Presentation, character_coeffs,
-                               character_table, hilbert, ideal_piece,
-                               ideal_trace, make_presentation, make_relation,
-                               quotient_trace, word_to_index)
+                               character_table, graded_engine, hilbert,
+                               make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from algtool.linalg import RowSpace
 
@@ -36,18 +36,23 @@ def brute_force_ideal_rank(pres, n):
 
 def test_ideal_piece_degrees():
     poly3 = make_presentation("polynomial", 3)
-    piece = ideal_piece(poly3, 2)
-    assert piece.ideal_rank == 3 and piece.quotient_dim == 6
-    assert ideal_piece(poly3, 0).quotient_dim == 1
-    assert ideal_piece(poly3, 1).quotient_dim == 3
-    cyc5 = make_presentation("cycle", 5)
-    assert ideal_piece(cyc5, 2).quotient_dim == 10
+    series = hilbert(poly3, 2)
+    assert series == [1, 3, 6]
+    assert 3 ** 2 - series[2] == 3  # the ideal's degree-2 piece: the 3 commutators
+    # commutator leading words are the increasing ones: normal words are not
+    assert graded_engine(poly3).bases[2] == sorted(
+        w for w in itertools.product(range(3), repeat=2) if w[0] >= w[1])
+    assert hilbert(make_presentation("cycle", 5), 2)[2] == 10
 
 
 def test_ideal_basis_is_reduced_row_echelon():
-    piece = ideal_piece(make_presentation("cycle", 5), 3)
-    assert piece.ideal_rank + piece.quotient_dim == 5 ** 3
-    basis = piece.ideal_basis()
+    pres = make_presentation("cycle", 5)
+    engine = graded_engine(pres)
+    engine.grow(3)
+    space = engine.spaces[3]
+    assert space.rank + len(engine.bases[3]) == 5 * len(engine.bases[2])
+    assert ideal_oracle.ideal_piece(pres, 3).rank + len(engine.bases[3]) == 5 ** 3
+    basis = space.rref_rows()
     pivots = {c for c, _ in basis}
     for pivot, row in basis:
         assert row[pivot] == 1
@@ -59,8 +64,9 @@ def test_incremental_matches_brute_force():
                  make_presentation("sklyanin3", 1, 1, -1),
                  make_presentation("cycle", 5)):
         top = 4 if pres.p == 3 else 3
+        series = hilbert(pres, top)
         for n in range(top + 1):
-            assert ideal_piece(pres, n).ideal_rank == brute_force_ideal_rank(pres, n)
+            assert pres.p ** n - series[n] == brute_force_ideal_rank(pres, n)
 
 
 def test_hilbert_fixtures():
@@ -127,10 +133,12 @@ def test_quotient_trace_cross_check():
     pres = make_presentation("sklyanin3", 1, 1, -1)
     for g in (HeisenbergElement(3, 1, 0, 0), HeisenbergElement(3, 1, 2, 1),
               HeisenbergElement(3, 0, 0, 2)):
+        got = character_coeffs(pres, g, rep, 3)
         for n in range(4):
             chi_vn = (Cyclotomic.zeta(3, g.k * n) * Fraction(3) ** n if g.is_central()
                       else Cyclotomic(3)) if n else Cyclotomic.from_rational(3, 1)
-            assert quotient_trace(pres, g, rep, n) == chi_vn - ideal_trace(pres, g, rep, n)
+            assert got[n] == ideal_oracle.quotient_trace(pres, g, rep, n)
+            assert got[n] == chi_vn - ideal_oracle.ideal_trace(pres, g, rep, n)
 
 
 def test_sklyanin3_table_equals_polynomial():
@@ -195,10 +203,14 @@ def test_sklyanin3_commutator_point_is_polynomial_ring():
 
 def test_resource_cap():
     poly5 = make_presentation("polynomial", 5)
+    # degree 6 is a 700 x 630 step, admitted by the default cap
+    assert hilbert(poly5, 6) == [1, 5, 15, 35, 70, 126, 210]
     with pytest.raises(ResourceLimitError):
-        ideal_piece(poly5, 6)  # 5^11 cells above the default cap
+        hilbert(poly5, 9)  # a 3300 x 2475 step, above the default cap
     with pytest.raises(ResourceLimitError):
-        ideal_piece(poly5, 3, cap=10)
+        hilbert(poly5, 3, cap=10)  # refused although degree 3 is already built
+    with pytest.raises(ResourceLimitError):
+        hilbert(Presentation(5, "QQ", ()), 3, cap=100)  # no rows, but 125 columns
 
 
 def test_stability_check_rejects_unstable_relations():

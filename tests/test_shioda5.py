@@ -85,6 +85,14 @@ def test_two_torsion_check():
         two_torsion_check(0)
 
 
+def test_two_torsion_check_passes_on_every_seed():
+    # the negative control's residual is provably >= 1.6e-4 (see the docstring)
+    for seed in range(60):
+        report = two_torsion_check(20, seed=seed)
+        assert report.ok(), (seed, report)
+        assert report.control_residual > 1.6e-4
+
+
 def test_two_torsion_degenerate_point():
     # (x1, x2) = (0, 0) degenerates the sextic; the surviving point is a
     # coordinate point and satisfies the minors exactly
