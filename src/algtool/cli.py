@@ -3,7 +3,7 @@ deterministic text/JSON output.
 
 Exit codes: 0 success, 2 assertion-style check failure, 1 usage, input or
 resource errors.  JSON output is key-sorted; identical invocations (same
-seed) give byte-identical output regardless of --threads.
+seed) give byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import AlgtoolError, InputError
 from .gradedalg import (character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import SimpleRep, parse_element
-from .parallel import pmap
 from .poly import MultiPoly, poly_to_json, scalar_to_json
 
 
@@ -164,7 +163,6 @@ def cmd_clifford_strata(args) -> int:
     form = clifford.to_complex_form(clifford.example_form_dim3(parse_scalar(args.t, "exact")))
     rng = np.random.default_rng(args.seed)
     tol = tolerances(args)
-    records = []
 
     def record(point) -> dict:
         mat = form.specialize(list(point))
@@ -184,7 +182,7 @@ def cmd_clifford_strata(args) -> int:
         generic.append(pt / np.abs(pt).max())
     drops = clifford.sample_rank_drop_points(form, max(2, args.samples // 2),
                                              args.seed + 1, tol.rank)
-    records = pmap(record, generic + drops, args.threads)
+    records = [record(point) for point in generic + drops]
     return emit({"t": args.t, "strata": records}, args)
 
 
@@ -274,7 +272,7 @@ def cmd_shioda5(args) -> int:
 
 def cmd_selftest(args) -> int:
     only = [c.strip() for c in args.criteria.split(",")] if args.criteria else None
-    report = selftest.run_selftest(seed=args.seed, threads=args.threads, only=only)
+    report = selftest.run_selftest(seed=args.seed, only=only)
     return emit(report, args, check_failed=not report["passed"])
 
 
@@ -285,7 +283,6 @@ def build_parser() -> Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--out", default=None, help="write the report to a file")
     common.add_argument("--tol-rank", type=float, default=None)
     common.add_argument("--tol-span", type=float, default=None)

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConditioningError, SamplingError
-from .linalg import rank_float
+from .linalg import _gauss_jordan, rank_float
 from .poly import MultiPoly, PolyMatrix, mat_det, ring_cc, ring_q
 
 
@@ -54,16 +54,9 @@ class SymmetricForm:
         return rows
 
 
-def specialize_form(form: SymmetricForm, point: Sequence):
-    return form.specialize(point)
-
-
 def symmetric_rank(matrix, mode: str = "exact", tol: float = 1e-8) -> int:
     """Rank of a symmetric scalar matrix; exact row reduction or SVD count."""
-    if isinstance(matrix, np.ndarray):
-        rows = [list(r) for r in matrix]
-    else:
-        rows = [list(r) for r in matrix]
+    rows = [list(r) for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("rank of a non-square matrix")
@@ -78,21 +71,8 @@ def symmetric_rank(matrix, mode: str = "exact", tol: float = 1e-8) -> int:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ValueError("matrix is not symmetric")
-    a = [list(r) for r in rows]
-    rank = 0
-    for c in range(n):
-        pr = next((i for i in range(rank, n) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[rank], a[pr] = a[pr], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [v * inv for v in a[rank]]
-        for i in range(n):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+    _reduced, pivots = _gauss_jordan(rows)
+    return len(pivots)
 
 
 # -- representation profiles -----------------------------------------------------
@@ -110,13 +90,6 @@ class FatProfile:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    rank: int
-    simple: SimpleProfile
-    fat: Optional[FatProfile]
-
-
 def simple_profile(k: int, n: int) -> SimpleProfile:
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} out of range for size {n}")
@@ -131,10 +104,6 @@ def fat_profile(k: int) -> FatProfile:
     if k % 2:
         return FatProfile(1, 2 ** ((k - 1) // 2))
     return FatProfile(2, 2 ** (k // 2 - 1))
-
-
-def rank_profile(k: int, n: int) -> RankProfile:
-    return RankProfile(k, simple_profile(k, n), fat_profile(k) if k >= 1 else None)
 
 
 # -- explicit matrix representations -----------------------------------------------

@@ -18,6 +18,7 @@ from math import isqrt
 from typing import Sequence, Union
 
 from .errors import ModulusError
+from .linalg import _gauss_jordan
 
 Scalar = Union[int, Fraction]
 
@@ -148,18 +149,10 @@ class Cyclotomic:
         n = self.p - 1
         # columns: self * w^j on the power basis
         cols = [(self * Cyclotomic.zeta(self.p, j)).coeffs for j in range(n)]
-        aug = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return Cyclotomic(self.p, [aug[r][n] for r in range(n)])
+        aug, _pivots = _gauss_jordan(
+            [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
+             for i in range(n)], n)
+        return Cyclotomic(self.p, [row[n] for row in aug])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -234,26 +227,3 @@ class Cyclotomic:
             parts.append(f"{c}" if k == 0 else (unit if c == 1 else f"{c}*{unit}"))
         return " + ".join(parts)
 
-
-def cyc_normalize(p: int, raw: Sequence[Scalar]) -> Cyclotomic:
-    return Cyclotomic(p, raw)
-
-
-def cyc_arith(kind: str, a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def cyc_conjugate(a: Cyclotomic) -> Cyclotomic:
-    return a.conjugate()
-
-
-def cyc_embed(a: Cyclotomic, k: int = 1) -> complex:
-    return a.embed(k)

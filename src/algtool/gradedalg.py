@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import check_degree_allowed
 from .cyclotomic import Cyclotomic, require_odd_prime
@@ -121,7 +121,7 @@ def _add_scaled(acc: SparseVec, vec: SparseVec, scale, shift: int = 0, stride: i
 
 class GradedEngine:
     """Normal words and normal forms of one presentation, grown one degree at
-    a time on demand.  Not safe for concurrent use from several threads."""
+    a time on demand.  Not safe for concurrent use."""
 
     def __init__(self, pres: Presentation):
         self.p = pres.p
@@ -133,6 +133,7 @@ class GradedEngine:
         self._free: List[Dict[int, int]] = [{}]         # free column -> index in B_n
         self._mu: List[Dict[int, SparseVec]] = [{}]     # memo of mu_n on columns
         self._normal_forms: Dict[Word, SparseVec] = {}  # memo of NF, non-normal words
+        self.stable_reps: Set[int] = set()  # rep indices that passed check_stability
 
     def grow(self, n: int, cap: Optional[int] = None) -> None:
         """Make sure degrees up to n exist.  Every step, built or cached, must
@@ -242,22 +243,32 @@ def hilbert(pres: Presentation, max_degree: int, cap: Optional[int] = None) -> L
 
 
 def check_stability(pres: Presentation, g: HeisenbergElement, rep: SimpleRep) -> None:
-    """Relations must span a g-stable subspace in their degree."""
+    """Relations must span an H_p-stable subspace in their degree.
+
+    Stability under the generators e1 and e2 decides it for every g: z acts
+    on each degree by a scalar, and a subspace stable under the generators
+    is stable under the finite group they generate.  A pass is remembered
+    per presentation and representation index."""
     if g.p != pres.p or rep.p != pres.p:
         raise ModulusError("presentation, element and representation must share p")
+    engine = graded_engine(pres)
+    if rep.index in engine.stable_reps:
+        return
     p, i = pres.p, rep.index
     for d, rels in pres.relations_by_degree():
         rel_space = RowSpace()
         for rel in rels:
             rel_space.insert(dict(rel))
-        for rel in rels:
-            image = {tuple((x - g.a) % p for x in w):
-                     Cyclotomic.zeta(p, i * (d * g.k + g.b * sum(w))) * c
-                     for w, c in rel}
-            if not rel_space.contains(image):
-                raise StabilityError(
-                    f"relations of {pres.label()} are not stable under {g.label()}"
-                )
+        for gen in (HeisenbergElement(p, 1, 0, 0), HeisenbergElement(p, 0, 1, 0)):
+            for rel in rels:
+                image = {tuple((x - gen.a) % p for x in w):
+                         Cyclotomic.zeta(p, i * gen.b * sum(w)) * c
+                         for w, c in rel}
+                if not rel_space.contains(image):
+                    raise StabilityError(
+                        f"relations of {pres.label()} are not stable under {gen.label()}"
+                    )
+    engine.stable_reps.add(i)
 
 
 def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,

@@ -69,10 +69,6 @@ class HeisenbergElement:
         return " ".join(parts) if parts else "1"
 
 
-def h_mul(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
-    return g * h
-
-
 def parse_element(p: int, text: str) -> HeisenbergElement:
     """Parse labels like "e1^2 e2 z^3" (also "1" for the identity)."""
     text = text.strip()

@@ -1,4 +1,4 @@
-"""Sparse exact row reduction and float rank/span decisions.
+"""Sparse and dense exact row reduction and float rank/span decisions.
 
 `RowSpace` is the workhorse behind every degreewise ideal computation: an
 incrementally built reduced row-echelon space of sparse vectors over an
@@ -9,6 +9,10 @@ Invariant maintained throughout: every stored row is normalized to pivot
 coefficient 1 and contains no other pivot column.  Reducing a vector is then
 a single ascending pass over its support, and the residue is the canonical
 normal form modulo the row space (supported on non-pivot columns only).
+
+Dense exact matrices go through one Gauss-Jordan routine, `_gauss_jordan`:
+`solve_exact`, `nullspace_exact`, the exact branch of
+`clifford.symmetric_rank` and `Cyclotomic.inverse` all call it.
 """
 
 from __future__ import annotations
@@ -113,6 +117,40 @@ class RowSpace:
         return True
 
 
+def _gauss_jordan(rows: Sequence[Sequence], ncols: Optional[int] = None
+                  ) -> Tuple[List[list], List[int]]:
+    """Dense exact Gauss-Jordan elimination of a copy of `rows`.
+
+    Pivots are sought in the first `ncols` columns (default: all), taking the
+    first row at or below the current one with a nonzero entry; row
+    operations run over whole rows, so trailing (augmented) columns follow
+    along.  Returns the reduced rows and the pivot columns: row k has pivot
+    1 in column pivots[k], rows from len(pivots) on are zero in the first
+    `ncols` columns.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
 def solve_exact(columns: Sequence[Sequence], target: Sequence) -> Optional[list]:
     """Solve sum_j x_j * columns[j] = target over an exact field.
 
@@ -124,30 +162,13 @@ def solve_exact(columns: Sequence[Sequence], target: Sequence) -> Optional[list]
     for col in columns:
         if len(col) != m:
             raise ValueError("column length mismatch")
-    aug = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
+    aug, pivots = _gauss_jordan(
+        [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)], n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     zero = 0 * target[0] if m else 0
     sol = [zero] * n
-    for row, col in pivots:
+    for row, col in enumerate(pivots):
         sol[col] = aug[row][n]
     return sol
 
@@ -161,34 +182,15 @@ def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
     """
     if not rows:
         return []
-    m, n = len(rows), len(rows[0])
-    a = [list(r) for r in rows]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    n = len(rows[0])
+    a, pivots = _gauss_jordan(rows)
     zero = 0 * rows[0][0]
     one = zero + 1
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [zero] * n
         vec[fc] = one
-        for row, col in pivots:
+        for row, col in enumerate(pivots):
             vec[col] = -a[row][fc]
         basis.append(vec)
     return basis

@@ -72,10 +72,6 @@ def ring_q(variables: Sequence[str]) -> PolyRing:
     return PolyRing(tuple(variables), FIELD_QQ)
 
 
-def ring_qw(variables: Sequence[str], p: int) -> PolyRing:
-    return PolyRing(tuple(variables), FIELD_QW, p)
-
-
 def ring_cc(variables: Sequence[str]) -> PolyRing:
     return PolyRing(tuple(variables), FIELD_CC)
 
@@ -506,27 +502,6 @@ def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
             row[shift + i] = c
         rows.append(row)
     return mat_det(PolyMatrix(size, size, [e for row in rows for e in row]))
-
-
-# -- functional wrappers ------------------------------------------------------------
-
-
-def poly_arith(kind: str, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def poly_eval(f: MultiPoly, point: Sequence):
-    return f.eval(point)
-
-
-def poly_partial(f: MultiPoly, var: int) -> MultiPoly:
-    return f.partial(var)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 and tests/test_acceptance.py both run these.
 
 Each criterion returns a CheckResult whose details are JSON-serializable and
-deterministic for a fixed seed, independent of the worker count.
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .gradedalg import (character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import (HeisenbergElement, SimpleRep, all_irreducibles,
                          conjugacy_classes)
-from .parallel import pmap
 
 # (1:1:-t) for t in {1, 3, 1/2, -2, 5}; the rational degenerate values of
 # the 3-generator family are t in {0, 2, -1}
@@ -55,7 +54,7 @@ def _orthogonality_exact(p: int) -> bool:
     return True
 
 
-def criterion_1_heisenberg(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_1_heisenberg(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
     for p in (3, 5):
@@ -79,7 +78,7 @@ HILBERT_FIXTURES = (
 )
 
 
-def criterion_2_hilbert(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_2_hilbert(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
     for kind, params, n, expected in HILBERT_FIXTURES:
@@ -103,7 +102,7 @@ def _closed_form_table(p: int, hilb: List[int], n: int):
     return rows
 
 
-def criterion_3_charseries(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_3_charseries(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
     rep3, rep5 = SimpleRep(3, 1), SimpleRep(5, 1)
@@ -151,7 +150,7 @@ def criterion_3_charseries(seed: int = 0, threads: int = 1) -> CheckResult:
     return CheckResult("3-character-series-fixtures", ok, details)
 
 
-def criterion_4_koszul(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_4_koszul(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
     poly3 = make_presentation("polynomial", 3)
@@ -170,7 +169,7 @@ def criterion_4_koszul(seed: int = 0, threads: int = 1) -> CheckResult:
     return CheckResult("4-koszul-identity", ok, details)
 
 
-def criterion_5_clifford(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_5_clifford(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
     profile_rows = [
@@ -202,7 +201,7 @@ def criterion_5_clifford(seed: int = 0, threads: int = 1) -> CheckResult:
                     and reps.tuples[0][0].shape == (prof.dim, prof.dim))
         return reps.max_residual, shape_ok
 
-    results = pmap(one, cases, threads)
+    results = [one(case) for case in cases]
     worst = max(r for r, _ in results)
     details["build_reps_worst_residual"] = worst
     details["build_reps_shapes"] = all(s for _, s in results)
@@ -216,7 +215,7 @@ def criterion_5_clifford(seed: int = 0, threads: int = 1) -> CheckResult:
     return CheckResult("5-clifford-profiles", ok, details)
 
 
-def criterion_6_sklyanin2(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_6_sklyanin2(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
     tol = DEFAULT_TOLERANCES
@@ -243,7 +242,7 @@ def criterion_6_sklyanin2(seed: int = 0, threads: int = 1) -> CheckResult:
         sec = sklyanin2.secant_check(cp, tol)
         return pm, strat, ideal, sec
 
-    reports = pmap(per_point, points[:3], threads)
+    reports = [per_point(cp) for cp in points[:3]]
     pm_ok = strat_ok = ideal_ok = sec_ok = True
     for pm, strat, ideal, sec in reports:
         pm_ok &= pm.max_minor_residual < 1e-8 and pm.all_rank_two and pm.orbit_size == 25
@@ -273,7 +272,7 @@ def criterion_6_sklyanin2(seed: int = 0, threads: int = 1) -> CheckResult:
     return CheckResult("6-order2-sklyanin", ok, details)
 
 
-def criterion_7_onedim(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_7_onedim(seed: int = 0) -> CheckResult:
     details = {}
     reps = sklyanin2.onedim_reps(sklyanin2.OrderTwoParams(5, (1, 2, 2)))
     details["count_122"] = len(reps)
@@ -283,14 +282,14 @@ def criterion_7_onedim(seed: int = 0, threads: int = 1) -> CheckResult:
     return CheckResult("7-onedim-reps", ok, details)
 
 
-def criterion_8_shioda(seed: int = 0, threads: int = 1) -> CheckResult:
+def criterion_8_shioda(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
     minors = shioda5.s15_minors()
     details["minor_count"] = len(minors)
     ok &= len(minors) == 10
 
-    orbit_flags = pmap(lambda a: shioda5.ca_orbit_check(a).ok, (1, 2), threads)
+    orbit_flags = [shioda5.ca_orbit_check(a).ok for a in (1, 2)]
     details["ca_orbits"] = all(orbit_flags)
     ok &= all(orbit_flags)
 
@@ -311,25 +310,25 @@ def criterion_8_shioda(seed: int = 0, threads: int = 1) -> CheckResult:
     return CheckResult("8-shioda-s15", ok, details)
 
 
-def criterion_9_determinism(seed: int = 0, threads: int = 1) -> CheckResult:
-    """A representative numeric slice rerun with 1 and 4 workers must agree
-    byte for byte once serialized."""
-    def slice_report(workers: int) -> str:
-        points = sklyanin2.curve_points_on_grid()
-        def per_point(cp):
-            pm = sklyanin2.point_module_check(cp)
-            ideal = sklyanin2.minor_ideal_checks(cp)
-            return {"t": [pm.t.real, pm.t.imag], "worst": pm.max_minor_residual,
-                    "ranks": pm.ranks, "deg6": ideal.deg6, "deg8": ideal.deg8}
-        reports = pmap(per_point, points, workers)
-        return json.dumps(reports, sort_keys=True)
+def criterion_9_determinism(seed: int = 0) -> CheckResult:
+    """A representative numeric slice, run over its points forwards and then
+    backwards, must serialize to the same bytes: no point's report may
+    depend on what ran before it."""
+    points = sklyanin2.curve_points_on_grid()
 
-    one, four = slice_report(1), slice_report(4)
-    ok = one == four
-    return CheckResult("9-determinism", ok, {"bytes": len(one), "identical": ok})
+    def per_point(cp):
+        pm = sklyanin2.point_module_check(cp)
+        ideal = sklyanin2.minor_ideal_checks(cp)
+        return {"t": [pm.t.real, pm.t.imag], "worst": pm.max_minor_residual,
+                "ranks": pm.ranks, "deg6": ideal.deg6, "deg8": ideal.deg8}
+
+    forward = json.dumps([per_point(cp) for cp in points], sort_keys=True)
+    backward = json.dumps([per_point(cp) for cp in reversed(points)][::-1], sort_keys=True)
+    ok = forward == backward
+    return CheckResult("9-determinism", ok, {"bytes": len(forward), "identical": ok})
 
 
-CRITERIA: Dict[str, Callable[[int, int], CheckResult]] = {
+CRITERIA: Dict[str, Callable[[int], CheckResult]] = {
     "1": criterion_1_heisenberg,
     "2": criterion_2_hilbert,
     "3": criterion_3_charseries,
@@ -342,13 +341,12 @@ CRITERIA: Dict[str, Callable[[int, int], CheckResult]] = {
 }
 
 
-def run_selftest(seed: int = 0, threads: int = 1,
-                 only: Optional[List[str]] = None) -> dict:
+def run_selftest(seed: int = 0, only: Optional[List[str]] = None) -> dict:
     results = []
     for key in sorted(CRITERIA):
         if only and key not in only:
             continue
-        results.append(CRITERIA[key](seed, threads))
+        results.append(CRITERIA[key](seed))
     return {
         "passed": all(r.passed for r in results),
         "criteria": [{"name": r.name, "passed": r.passed, "details": r.details}

@@ -24,8 +24,8 @@ from .errors import SamplingError
 from .gradedalg import (Presentation, hilbert, make_presentation,
                         make_relation, word_to_index)
 from .heisenberg import (HeisenbergElement, SimpleRep, apply_element,
-                         normalize_projective, projective_fixed_points,
-                         subgroup_generators)
+                         heisenberg_orbit_points, normalize_projective,
+                         projective_fixed_points, subgroup_generators)
 from .linalg import RowSpace, rank_float
 from .poly import MultiPoly, PolyMatrix, mat_minors, ring_q
 
@@ -61,12 +61,7 @@ def base_orbit(a) -> List[Tuple[Cyclotomic, ...]]:
     """The 25 exact Heisenberg images of O_a = (0 : 1 : a : -a : -1)."""
     a = Fraction(a)
     point = tuple(Cyclotomic.from_rational(5, v) for v in (0, 1, a, -a, -1))
-    orbit = []
-    for aa in range(5):
-        for bb in range(5):
-            g = HeisenbergElement(5, aa, bb, 0)
-            orbit.append(apply_element(_REP, g, point))
-    return orbit
+    return heisenberg_orbit_points(_REP, point)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, PoleError, SamplingError
 from .gradedalg import make_presentation
-from .heisenberg import HeisenbergElement, SimpleRep, apply_element
+from .heisenberg import SimpleRep, heisenberg_orbit_points
 from .linalg import rank_float, span_membership
 from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
                    monomials_of_degree, resultant, ring_cc, ring_q)
@@ -217,13 +217,8 @@ def base_point(t: complex) -> Tuple[complex, ...]:
 def orbit_points(t: complex, dedup_tol: float = 1e-9) -> List[Tuple[complex, ...]]:
     """The 25 Heisenberg-orbit images of (0 : 1 : t : -t : -1) in u-space,
     projectively normalized and deduplicated."""
-    rep = SimpleRep(5, 1)
-    raw = []
-    for aa in range(5):
-        for bb in range(5):
-            raw.append(apply_element(rep, HeisenbergElement(5, aa, bb, 0), base_point(t)))
     seen: List[Tuple[complex, ...]] = []
-    for vec in raw:
+    for vec in heisenberg_orbit_points(SimpleRep(5, 1), base_point(t)):
         lead = next(v for v in vec if abs(v) > dedup_tol)
         norm = tuple(v / lead for v in vec)
         if not any(all(abs(x - y) <= dedup_tol * 10 for x, y in zip(norm, old))

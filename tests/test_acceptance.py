@@ -2,9 +2,11 @@
 conftest hook prints in the terminal summary.
 
 Criteria 1-8 run the importable checks from algtool.selftest; criterion 9
-runs the CLI selftest twice with different worker counts and compares bytes.
+runs the CLI selftest in two cold interpreters with different hash seeds and
+compares bytes.
 """
 
+import os
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ from algtool import selftest
 
 
 def _run(key: str, acceptance_log):
-    result = selftest.CRITERIA[key](0, 1)
+    result = selftest.CRITERIA[key](0)
     acceptance_log.announce(result.name, result.passed)
     assert result.passed, result.details
     return result
@@ -55,11 +57,11 @@ def test_criterion_8_shioda_s15(acceptance_log):
 
 def test_criterion_9_selftest_determinism(acceptance_log):
     outputs = []
-    for threads in ("1", "4"):
+    for hash_seed in ("0", "1"):
         proc = subprocess.run(
-            [sys.executable, "-m", "algtool.cli", "selftest", "--format", "json",
-             "--threads", threads],
-            capture_output=True, text=True, timeout=600)
+            [sys.executable, "-m", "algtool.cli", "selftest", "--format", "json"],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed})
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.append(proc.stdout)
     identical = outputs[0] == outputs[1]

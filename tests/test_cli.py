@@ -66,20 +66,30 @@ def test_shioda_orbit(capsys):
     assert payload["points"] == 25 and payload["relations_ok"]
 
 
-def test_selftest_subset_and_thread_determinism(capsys):
-    code1, out1 = run_cli(capsys, "selftest", "--criteria", "2,7", "--format", "json",
-                          "--threads", "1")
-    code2, out2 = run_cli(capsys, "selftest", "--criteria", "2,7", "--format", "json",
-                          "--threads", "3")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    report = json.loads(out1)
+def test_selftest_subset_determinism():
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "algtool.cli", "selftest", "--criteria", "2,7",
+             "--format", "json"],
+            capture_output=True, text=True, timeout=600,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
     assert report["passed"] and len(report["criteria"]) == 2
 
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
+    assert exc.value.code == 1
+
+
+def test_threads_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--threads", "2"])
     assert exc.value.code == 1
 
 

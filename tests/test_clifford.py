@@ -6,7 +6,7 @@ import pytest
 from algtool.clifford import (FatProfile, SimpleProfile, build_reps,
                               center_data, example_form_dim3, fat_profile,
                               sample_rank_drop_points, simple_profile,
-                              specialize_form, standard_gammas, symmetric_rank,
+                              standard_gammas, symmetric_rank,
                               to_complex_form)
 from algtool.errors import ConditioningError
 from algtool.poly import MultiPoly, PolyMatrix, ring_q
@@ -14,12 +14,12 @@ from algtool.poly import MultiPoly, PolyMatrix, ring_q
 
 def test_specialize_examples():
     form = example_form_dim3(1)
-    got = specialize_form(form, [Fraction(1), Fraction(0), Fraction(0)])
+    got = form.specialize([Fraction(1), Fraction(0), Fraction(0)])
     assert got == [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
-    zero = specialize_form(form, [Fraction(0)] * 3)
+    zero = form.specialize([Fraction(0)] * 3)
     assert all(v == 0 for row in zero for v in row)
     with pytest.raises(ValueError):
-        specialize_form(form, [Fraction(1)])
+        form.specialize([Fraction(1)])
 
 
 def test_symmetric_rank():

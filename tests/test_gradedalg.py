@@ -5,10 +5,11 @@ import ideal_oracle
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.errors import ResourceLimitError, StabilityError
+from algtool.errors import ModulusError, ResourceLimitError, StabilityError
 from algtool.gradedalg import (Presentation, character_coeffs,
-                               character_table, graded_engine, hilbert,
-                               make_presentation, make_relation, word_to_index)
+                               character_table, check_stability, graded_engine,
+                               hilbert, make_presentation, make_relation,
+                               word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from algtool.linalg import RowSpace
 
@@ -218,6 +219,28 @@ def test_stability_check_rejects_unstable_relations():
     pres = Presentation(3, "QQ", (rel,))
     with pytest.raises(StabilityError):
         character_coeffs(pres, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 2)
+
+
+def test_stability_is_checked_for_every_class_and_call():
+    # the e1-orbit of x0 x1 + x0^2 mixes e2-weights 1 and 0: stable under e1,
+    # not under e2, so no class may pass, whichever is asked first
+    pres = Presentation(3, "QQ", tuple(
+        make_relation([((k, (k + 1) % 3), Fraction(1)), ((k, k), Fraction(1))])
+        for k in range(3)))
+    rep = SimpleRep(3, 1)
+    for _ in range(2):
+        with pytest.raises(StabilityError):
+            character_coeffs(pres, HeisenbergElement(3, 1, 1, 0), rep, 2)
+        with pytest.raises(StabilityError):
+            character_table(pres, rep, 2)
+    # a remembered pass does not skip the check that the primes agree
+    poly3 = make_presentation("polynomial", 3)
+    check_stability(poly3, HeisenbergElement(3, 1, 1, 0), rep)
+    for _ in range(2):
+        with pytest.raises(ModulusError):
+            check_stability(poly3, HeisenbergElement(5, 1, 1, 0), rep)
+        with pytest.raises(ModulusError):
+            check_stability(poly3, HeisenbergElement(3, 1, 1, 0), SimpleRep(5, 1))
 
 
 def test_table_json_shape():

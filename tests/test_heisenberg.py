@@ -6,7 +6,7 @@ from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ModulusError
 from algtool.heisenberg import (HeisenbergElement, LinearCharacter, SimpleRep,
                                 all_irreducibles, apply_element, character,
-                                conjugacy_classes, h_mul, parse_element,
+                                conjugacy_classes, parse_element,
                                 projective_fixed_points, rep_matrix,
                                 subgroup_generators)
 from algtool.linalg import mat_mul_exact
@@ -20,8 +20,8 @@ def test_commutation_rule():
     p = 5
     e1 = HeisenbergElement(p, 1, 0, 0)
     e2 = HeisenbergElement(p, 0, 1, 0)
-    assert h_mul(e2, e1) == HeisenbergElement(p, 1, 1, p - 1)  # e2 e1 = e1 e2 z^(p-1)
-    assert h_mul(e1, e2) == HeisenbergElement(p, 1, 1, 0)
+    assert e2 * e1 == HeisenbergElement(p, 1, 1, p - 1)  # e2 e1 = e1 e2 z^(p-1)
+    assert e1 * e2 == HeisenbergElement(p, 1, 1, 0)
 
 
 def test_group_axioms():
