@@ -3,7 +3,7 @@
 Modules:
   cyclotomic  exact Q(w_p) arithmetic on the power basis
   poly        sparse multivariate polynomials, determinants, minors, resultants
-  linalg      sparse exact row spaces, float rank and span decisions
+  linalg      sparse exact row spaces, float rank decisions
   heisenberg  the group H_p, its simple representations and fixed points
   gradedalg   degreewise graded quotients, Hilbert series, character series
   koszul      quadratic duals and the character duality identity

@@ -6,6 +6,15 @@ fixed primitive p-th root of unity.  The reduction rules are w^p = 1 and
 of length p-1 over Q.  All equality here is exact; floats only appear
 through :func:`Cyclotomic.embed`.
 
+Storage follows the FLINT/Antic ``nf_elem`` layout (W. Hart, "ANTIC:
+Algebraic Number Theory in C", 2015): the coefficient vector is
+``num / den`` with ``num`` a tuple of p-1 ints and ``den`` a positive int,
+``gcd(den, *num) == 1``, and zero stored as all-zero ``num`` over ``den ==
+1``.  That form is unique, so equality compares two tuples, and the ring
+operations are integer arithmetic followed by one gcd.  ``coeffs`` is a
+read-only view of the same vector as reduced :class:`fractions.Fraction`
+values, which is what printing and serialization read.
+
 Rational scalars are plain :class:`fractions.Fraction` values (always stored
 reduced, denominator positive), so no separate rational type is needed.
 """
@@ -14,8 +23,8 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import isqrt
-from typing import Sequence, Union
+from math import gcd, isqrt, lcm
+from typing import Dict, Sequence, Tuple, Union
 
 from .errors import ModulusError
 from .linalg import _gauss_jordan
@@ -41,50 +50,83 @@ class Cyclotomic:
     """An element of Q(w), w a primitive p-th root of unity.
 
     ``Cyclotomic(p, raw)`` reduces an arbitrary coefficient sequence
-    (coefficient of w^k at position k, any length) to the canonical
-    length-(p-1) power-basis form.  Instances are immutable.
+    (coefficient of w^k at position k, any length, ints or Fractions) to the
+    canonical length-(p-1) power-basis form.  Instances are immutable.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, raw: Sequence[Scalar] = ()):
         require_odd_prime(p)
-        folded = [Fraction(0)] * p
-        for k, c in enumerate(raw):
-            if c:
-                folded[k % p] += Fraction(c)
+        # ints and Fractions both carry .numerator and .denominator
+        terms = [(k % p, c if isinstance(c, (int, Fraction)) else Fraction(c))
+                 for k, c in enumerate(raw) if c]
+        den = lcm(*(c.denominator for _k, c in terms))
+        folded = [0] * p
+        for k, c in terms:
+            folded[k] += c.numerator * (den // c.denominator)
         # w^(p-1) = -(1 + w + ... + w^(p-2))
         top = folded[p - 1]
-        coeffs = tuple(folded[k] - top for k in range(p - 1))
+        self._store(p, tuple(c - top for c in folded[:-1]), den)
+
+    @classmethod
+    def _raw(cls, p: int, num: Tuple[int, ...], den: int = 1) -> "Cyclotomic":
+        """The element num / den, for an already folded integer tuple of
+        length p-1 and den > 0; skips the prime check and the fold."""
+        self = object.__new__(cls)
+        self._store(p, num, den)
+        return self
+
+    def _store(self, p: int, num: Tuple[int, ...], den: int) -> None:
+        """Set the slots to num / den with the common gcd cancelled."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The power-basis coefficients as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, p: int, value: Scalar) -> "Cyclotomic":
-        return cls(p, (value,))
+        require_odd_prime(p)
+        if isinstance(value, int):
+            return cls._raw(p, (value,) + (0,) * (p - 2))
+        value = Fraction(value)
+        return cls._raw(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
     @classmethod
     def zeta(cls, p: int, k: int = 1) -> "Cyclotomic":
         """w^k."""
-        return cls(p, [0] * (k % p) + [1])
+        key = (p, k % p)
+        value = _ZETA.get(key)
+        if value is None:
+            value = _ZETA[key] = cls(p, [0] * key[1] + [1])
+        return value
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -97,7 +139,7 @@ class Cyclotomic:
                 raise ModulusError(f"mixed moduli {self.p} and {other.p}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.p, (other,))
+            return Cyclotomic.from_rational(self.p, other)
         return NotImplemented  # type: ignore[return-value]
 
     # -- ring operations ---------------------------------------------------
@@ -106,39 +148,55 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple([a + b for a, b in zip(self.num, other.num)])
+        else:
+            num = tuple([a * db + b * da for a, b in zip(self.num, other.num)])
+            da *= db
+        return Cyclotomic._raw(self.p, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.p, [-a for a in self.coeffs])
+        return Cyclotomic._raw(self.p, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return other + -self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             # fast path: scalar multiple needs no reduction
-            return Cyclotomic(self.p, [a * other for a in self.coeffs])
+            return Cyclotomic._raw(self.p, tuple(a * other for a in self.num), self.den)
+        if isinstance(other, Fraction):
+            return Cyclotomic._raw(self.p, tuple(a * other.numerator for a in self.num),
+                                   self.den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = [Fraction(0)] * (2 * self.p)
-        for i, a in enumerate(self.coeffs):
+        p = self.p
+        # integer convolution with w^p = 1 folded in: the product term of
+        # w^(i+j) lands on acc[i + j - p], which for i + j < p is the
+        # negative index of position i + j itself
+        acc = [0] * p
+        onum = other.num
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(onum, i - p):
                     if b:
-                        raw[i + j] += a * b
-        return Cyclotomic(self.p, raw)
+                        acc[j] += a * b
+        # w^(p-1) = -(1 + w + ... + w^(p-2))
+        top = acc[p - 1]
+        return Cyclotomic._raw(p, tuple(c - top for c in acc[:-1]), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -146,13 +204,14 @@ class Cyclotomic:
         """Multiplicative inverse, by solving (mult-by-self) x = 1 over Q."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        n = self.p - 1
-        # columns: self * w^j on the power basis
-        cols = [(self * Cyclotomic.zeta(self.p, j)).coeffs for j in range(n)]
+        p, n = self.p, self.p - 1
+        # columns: num * w^j on the power basis; (num / den)^-1 = den * num^-1
+        numer = Cyclotomic._raw(p, self.num)
+        cols = [(numer * Cyclotomic.zeta(p, j)).num for j in range(n)]
         aug, _pivots = _gauss_jordan(
-            [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
+            [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(1 if i == 0 else 0)]
              for i in range(n)], n)
-        return Cyclotomic(self.p, [row[n] for row in aug])
+        return Cyclotomic(p, [row[n] for row in aug]) * self.den
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -181,25 +240,31 @@ class Cyclotomic:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other and self.is_rational()
+        if isinstance(other, Fraction):
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and self.is_rational())
         if isinstance(other, Cyclotomic):
-            return self.p == other.p and self.coeffs == other.coeffs
+            return self.p == other.p and self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.p, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.p, self.num, self.den))
 
     # -- Galois / numeric views ---------------------------------------------
 
     def conjugate(self) -> "Cyclotomic":
         """Image under w -> w^(p-1) = complex conjugation; an involution."""
-        raw = [Fraction(0)] * self.p
-        for k, c in enumerate(self.coeffs):
-            raw[(-k) % self.p] += c
-        return Cyclotomic(self.p, raw)
+        # w^k -> w^(p-k): position 0 stays, 1 lands on w^(p-1) and folds,
+        # k >= 2 moves to p-k
+        num = self.num
+        top = num[1]
+        return Cyclotomic._raw(self.p, (num[0] - top, -top)
+                               + tuple(num[-k] - top for k in range(1, self.p - 2)),
+                               self.den)
 
     def embed(self, k: int = 1) -> complex:
         """Numeric value under w -> exp(2*pi*i*k/p); needs gcd(k, p) = 1."""
@@ -227,3 +292,6 @@ class Cyclotomic:
             parts.append(f"{c}" if k == 0 else (unit if c == 1 else f"{c}*{unit}"))
         return " + ".join(parts)
 
+
+# w^k by (p, k mod p); the values are immutable, so sharing them is safe
+_ZETA: Dict[Tuple[int, int], Cyclotomic] = {}

@@ -1,4 +1,4 @@
-"""Sparse and dense exact row reduction and float rank/span decisions.
+"""Sparse and dense exact row reduction and float rank decisions.
 
 `RowSpace` is the workhorse behind every degreewise ideal computation: an
 incrementally built reduced row-echelon space of sparse vectors over an
@@ -228,35 +228,3 @@ def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None) -> int:
     if top == 0.0:
         return 0
     return int(np.sum(sv > tol * top))
-
-
-def span_membership(basis: Sequence[Sequence], target: Sequence,
-                    mode: str = "exact", tol: float = 1e-8):
-    """Decide target in span(basis); returns (member, coordinates).
-
-    Exact mode decides by row reduction and returns exact coordinates in the
-    given basis (free variables 0).  Float mode decides by rank comparison
-    with singular values >= tol (relative) treated nonzero, and returns a
-    least-squares coordinate vector.
-    """
-    if any(len(b) != len(target) for b in basis):
-        raise ValueError("vector length mismatch")
-    if mode == "exact":
-        if not basis:
-            return (False, None) if any(target) else (True, [])
-        coords = solve_exact([list(b) for b in basis], list(target))
-        if coords is None:
-            return False, None
-        return True, coords
-    if mode == "float":
-        a = np.asarray([list(b) for b in basis], dtype=complex)
-        t = np.asarray(list(target), dtype=complex)
-        if a.size == 0:
-            return bool(np.allclose(t, 0.0, atol=tol)), []
-        r0 = rank_float(a, tol)
-        r1 = rank_float(np.vstack([a, t]), tol)
-        if r1 > r0:
-            return False, None
-        coords, *_ = np.linalg.lstsq(a.T, t, rcond=None)
-        return True, coords.tolist()
-    raise ValueError(f"unknown mode {mode!r}")

@@ -43,12 +43,15 @@ def _orthogonality_exact(p: int) -> bool:
     classes = conjugacy_classes(p)
     reps = all_irreducibles(p)
     order = p ** 3
+    rows = [[v.character(g) for g, _size in classes] for v in reps]
+    conj_rows = [[c.conjugate() for c in row] for row in rows]
+    sizes = [size for _g, size in classes]
     for i, v in enumerate(reps):
-        for w in reps[i:]:
+        for j in range(i, len(reps)):
             acc = Cyclotomic(p)
-            for g, size in classes:
-                acc = acc + v.character(g) * w.character(g).conjugate() * size
-            expected = order if v == w else 0
+            for chi, psi_bar, size in zip(rows[i], conj_rows[j], sizes):
+                acc = acc + chi * psi_bar * size
+            expected = order if v == reps[j] else 0
             if acc != expected:
                 return False
     return True

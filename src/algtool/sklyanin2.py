@@ -27,7 +27,7 @@ from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, PoleError, SamplingError
 from .gradedalg import make_presentation
 from .heisenberg import SimpleRep, heisenberg_orbit_points
-from .linalg import rank_float, span_membership
+from .linalg import rank_float
 from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
                    monomials_of_degree, resultant, ring_cc, ring_q)
 
@@ -333,9 +333,11 @@ def ct_quadrics(t: complex):
     return out
 
 
-def _mutual_span(vexa: List[list], vexb: List[list], tol: float) -> bool:
-    return (all(span_membership(vexb, v, "float", tol)[0] for v in vexa)
-            and all(span_membership(vexa, v, "float", tol)[0] for v in vexb))
+def _mutual_span(vexa: List[list], vexb: List[list], tol: float) -> Tuple[bool, int, int]:
+    """(span A == span B, rank A, rank B) by float ranks at relative `tol`:
+    the spans are equal exactly when A, B and A stacked on B share one rank."""
+    ra, rb = rank_float(vexa, tol), rank_float(vexb, tol)
+    return ra == rb == rank_float(vexa + vexb, tol), ra, rb
 
 
 @dataclass
@@ -349,10 +351,10 @@ class MinorIdealReport:
     qq_span_dim: int
 
 
-def minor_ideal_checks(point, tol: Tolerances = DEFAULT_TOLERANCES) -> MinorIdealReport:
-    """deg6: span of the 100 cubic 3x3 minors equals span of the 25 products
-    u_j q_i; deg8: span of the 25 quartic 4x4 minors equals span of the 15
-    products q_i q_j."""
+def _degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
+                                   Tuple[List[list], List[list]]]:
+    """t, and the coefficient vectors of (3x3 minors of Q, products u_j q_i)
+    in degree 6 and of (4x4 minors of Q, products q_i q_j) in degree 8."""
     a, b = _as_ab(point)
     t = _require_t(a, b)
     form = q5_form(complex(a), complex(b))
@@ -364,19 +366,22 @@ def minor_ideal_checks(point, tol: Tolerances = DEFAULT_TOLERANCES) -> MinorIdea
     minors3 = [m.coefficient_vector(basis3) for m in mat_minors(form.matrix, 3)]
     products = [(u[j] * q).coefficient_vector(basis3)
                 for q in quadrics for j in range(5)]
-    deg6 = _mutual_span(minors3, products, tol.span)
 
     basis4 = monomials_of_degree(5, 4)
     minors4 = [m.coefficient_vector(basis4) for m in mat_minors(form.matrix, 4)]
     qq = [(quadrics[i] * quadrics[j]).coefficient_vector(basis4)
           for i in range(5) for j in range(i, 5)]
-    deg8 = _mutual_span(minors4, qq, tol.span)
+    return t, (minors3, products), (minors4, qq)
 
-    return MinorIdealReport(
-        t, deg6, deg8,
-        rank_float(minors3, tol.span), rank_float(products, tol.span),
-        rank_float(minors4, tol.span), rank_float(qq, tol.span),
-    )
+
+def minor_ideal_checks(point, tol: Tolerances = DEFAULT_TOLERANCES) -> MinorIdealReport:
+    """deg6: span of the 100 cubic 3x3 minors equals span of the 25 products
+    u_j q_i; deg8: span of the 25 quartic 4x4 minors equals span of the 15
+    products q_i q_j."""
+    t, deg6_pair, deg8_pair = _degree_pieces(point)
+    deg6, minor3_dim, product_dim = _mutual_span(*deg6_pair, tol.span)
+    deg8, minor4_dim, qq_dim = _mutual_span(*deg8_pair, tol.span)
+    return MinorIdealReport(t, deg6, deg8, minor3_dim, product_dim, minor4_dim, qq_dim)
 
 
 # -- secant identity -----------------------------------------------------------------

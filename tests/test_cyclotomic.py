@@ -1,7 +1,12 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ModulusError
@@ -87,3 +92,104 @@ def test_errors():
         Cyclotomic.from_rational(3, 1) / Cyclotomic(3)
     with pytest.raises(ModulusError):
         Cyclotomic.zeta(5).embed(5)
+
+
+# -- the integer-numerator layout against sympy as a test-only oracle ---------------
+
+W = sympy.Symbol("w")
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+primes = st.sampled_from((3, 5, 7))
+fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
+
+
+def phi(p):
+    return sum(W ** k for k in range(p))
+
+
+def reduced(p, expr):
+    """Coefficients of expr mod Phi_p on 1, w, ..., w^(p-2), as Fractions."""
+    rem = sympy.Poly(sympy.rem(sympy.expand(expr), phi(p), W), W, domain="QQ")
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (p - 1 - len(coeffs)))
+
+
+def to_sympy(raw):
+    return sum((sympy.Rational(c.numerator, c.denominator) * W ** k
+                for k, c in enumerate(raw)), sympy.Integer(0))
+
+
+@st.composite
+def operands(draw, count):
+    """p and `count` raw coefficient lists of any length up to 2p, so that
+    the public constructor also folds w^k for k >= p - 1."""
+    p = draw(primes)
+    return p, [draw(st.lists(fractions, max_size=2 * p)) for _ in range(count)]
+
+
+def assert_layout(x):
+    assert isinstance(x.num, tuple) and len(x.num) == x.p - 1
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
+
+
+@seed(20141222)
+@ORACLE_SETTINGS
+@given(args=operands(2), power=st.integers(-3, 4))
+def test_ring_operations_match_sympy(args, power):
+    p, (ra, rb) = args
+    a, b = Cyclotomic(p, ra), Cyclotomic(p, rb)
+    ea, eb = to_sympy(ra), to_sympy(rb)
+    assert a.coeffs == reduced(p, ea)
+    results = {"+": (a + b, ea + eb), "-": (a - b, ea - eb), "*": (a * b, ea * eb),
+               "neg": (-a, -ea), "conj": (a.conjugate(), ea.subs(W, W ** (p - 1)))}
+    if not a.is_zero():
+        inv = sympy.invert(sympy.rem(sympy.expand(ea), phi(p), W), phi(p), W)
+        results["inverse"] = (a.inverse(), inv)
+        results["**"] = (a ** power, ea ** power if power >= 0 else inv ** -power)
+    elif power >= 0:
+        results["**"] = (a ** power, ea ** power)
+    for name, (ours, theirs) in results.items():
+        assert_layout(ours)
+        assert ours.coeffs == reduced(p, theirs), name
+
+
+@seed(20141222)
+@ORACLE_SETTINGS
+@given(args=operands(1), k=st.integers(-20, 20), q=fractions, n=st.integers(-30, 30))
+def test_layout_invariants_and_scalars(args, k, q, n):
+    p, (raw,) = args
+    a = Cyclotomic(p, raw)
+    z = Cyclotomic.zeta(p, k)
+    for x in (a, z, a * q, a * n, q * a, a + q, n - a, a * 0, a - a,
+              Cyclotomic.from_rational(p, q), Cyclotomic.from_rational(p, n)):
+        assert_layout(x)
+    assert z.coeffs == reduced(p, W ** (k % p))
+    assert (a * q).coeffs == reduced(p, to_sympy(raw) * sympy.Rational(q.numerator, q.denominator))
+    assert (a + n).coeffs == reduced(p, to_sympy(raw) + n)
+    assert (a - a).den == 1 and (a * 0).den == 1
+    for value in (q, n, Fraction(n)):
+        r = Cyclotomic.from_rational(p, value)
+        assert hash(r) == hash(value)
+        assert r == value and value == r
+        assert r.rational_value() == value
+        assert r.coeffs[0] == value
+
+
+def test_mixed_moduli_and_immutability():
+    a3, a5 = Cyclotomic.zeta(3), Cyclotomic.zeta(5)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ModulusError):
+            op(a3, a5)
+    assert a3 != a5
+    with pytest.raises(ModulusError):
+        Cyclotomic.from_rational(9, 1)
+    with pytest.raises(ModulusError):
+        Cyclotomic.zeta(15, 2)
+    for name in ("p", "num", "den", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(a5, name, getattr(a5, name))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 
 from algtool.linalg import (RowSpace, mat_mul_exact, nullspace_exact,
-                            rank_float, solve_exact, span_membership)
+                            rank_float, solve_exact)
 
 
 def test_rowspace_reduce_and_rank():
@@ -56,22 +56,6 @@ def test_solve_and_nullspace():
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] + vec[1] == 0 or vec[2] == 1
-
-
-def test_span_membership_exact():
-    basis = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    member, coords = span_membership(basis, basis[0])
-    assert member and coords == [Fraction(1), Fraction(0)]
-    member, coords = span_membership([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)])
-    assert not member and coords is None
-
-
-def test_span_membership_float():
-    basis = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    member, coords = span_membership(basis, [0.5, -2.0, 1e-12], "float", 1e-8)
-    assert member
-    member, _ = span_membership(basis, [0.0, 0.0, 1.0], "float", 1e-8)
-    assert not member
 
 
 def test_rank_float_scale_floor():

@@ -6,9 +6,11 @@ import pytest
 from algtool.clifford import center_data
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, PoleError
+from algtool.config import DEFAULT_TOLERANCES
 from algtool.gradedalg import hilbert, make_presentation
+from algtool.linalg import rank_float
 from algtool.poly import MultiPoly
-from algtool.sklyanin2 import (CurvePoint, OrderTwoParams, cprime_poly,
+from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, OrderTwoParams, cprime_poly,
                                cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
                                minor_ideal_checks, onedim_reps, orbit_points,
@@ -161,6 +163,33 @@ def test_minor_ideal_checks(near_one_point):
     assert report.minor4_span_dim == report.qq_span_dim
     off = minor_ideal_checks((0.0, 1.0))
     assert not off.deg6
+
+
+def in_span_reference(basis, target, tol):
+    """The per-vector float decision `_mutual_span` used to make: target is
+    in span(basis) when stacking it on the basis adds no singular value
+    above tol relative to the largest."""
+    a = np.asarray(basis, dtype=complex)
+    return rank_float(np.vstack([a, np.asarray(target, dtype=complex)]), tol) <= rank_float(a, tol)
+
+
+def test_mutual_span_matches_per_vector_reference():
+    tol = DEFAULT_TOLERANCES.span
+    points = curve_points_on_grid()[:3] + [(0.0, 1.0)]
+    decisions = []
+    for point in points:
+        _t, deg6, deg8 = _degree_pieces(point)
+        for vexa, vexb in (deg6, deg8):
+            reference = (all(in_span_reference(vexb, v, tol) for v in vexa)
+                         and all(in_span_reference(vexa, v, tol) for v in vexb))
+            equal, ra, rb = _mutual_span(vexa, vexb, tol)
+            assert equal == reference
+            assert (ra, rb) == (rank_float(vexa, tol), rank_float(vexb, tol))
+            decisions.append(equal)
+    # the three curve points pass in degrees 6 and 8; the off-curve control
+    # (0, 1) fails in degree 6
+    assert decisions[:6] == [True] * 6
+    assert decisions[6] is False
 
 
 def test_secant_check(near_one_point):
