@@ -27,7 +27,6 @@ from math import gcd, isqrt, lcm
 from typing import Dict, Sequence, Tuple, Union
 
 from .errors import ModulusError
-from .linalg import _gauss_jordan
 
 Scalar = Union[int, Fraction]
 
@@ -201,17 +200,18 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse, by solving (mult-by-self) x = 1 over Q."""
+        """Multiplicative inverse by the Galois norm: for integral y, the
+        product of sigma_k(y) over k = 1 .. p-1 is a rational integer N, so
+        y^-1 is the product over k = 2 .. p-1 divided by N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        p, n = self.p, self.p - 1
-        # columns: num * w^j on the power basis; (num / den)^-1 = den * num^-1
-        numer = Cyclotomic._raw(p, self.num)
-        cols = [(numer * Cyclotomic.zeta(p, j)).num for j in range(n)]
-        aug, _pivots = _gauss_jordan(
-            [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-             for i in range(n)], n)
-        return Cyclotomic(p, [row[n] for row in aug]) * self.den
+        # (num / den)^-1 = den * num^-1
+        numer = Cyclotomic._raw(self.p, self.num)
+        others = numer.galois(2)
+        for k in range(3, self.p):
+            others = others * numer.galois(k)
+        norm = (numer * others).num[0]
+        return others * Fraction(self.den, norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -256,15 +256,21 @@ class Cyclotomic:
 
     # -- Galois / numeric views ---------------------------------------------
 
+    def galois(self, k: int) -> "Cyclotomic":
+        """Image under the automorphism w -> w^k; needs gcd(k, p) = 1."""
+        p = self.p
+        if k % p == 0:
+            raise ModulusError(f"Galois index {k} is 0 mod {p}")
+        acc = [0] * p
+        for i, c in enumerate(self.num):
+            acc[i * k % p] += c
+        # w^(p-1) = -(1 + w + ... + w^(p-2))
+        top = acc[p - 1]
+        return Cyclotomic._raw(p, tuple(c - top for c in acc[:-1]), self.den)
+
     def conjugate(self) -> "Cyclotomic":
         """Image under w -> w^(p-1) = complex conjugation; an involution."""
-        # w^k -> w^(p-k): position 0 stays, 1 lands on w^(p-1) and folds,
-        # k >= 2 moves to p-k
-        num = self.num
-        top = num[1]
-        return Cyclotomic._raw(self.p, (num[0] - top, -top)
-                               + tuple(num[-k] - top for k in range(1, self.p - 2)),
-                               self.den)
+        return self.galois(self.p - 1)
 
     def embed(self, k: int = 1) -> complex:
         """Numeric value under w -> exp(2*pi*i*k/p); needs gcd(k, p) = 1."""

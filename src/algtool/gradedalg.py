@@ -64,9 +64,6 @@ class Presentation:
     def one(self):
         return Fraction(1) if self.field == "QQ" else Cyclotomic.from_rational(self.p, 1)
 
-    def relation_degree(self) -> int:
-        return max(len(next(iter(rel))[0]) for rel in self.relations)
-
     def is_quadratic(self) -> bool:
         return all(len(next(iter(rel))[0]) == 2 for rel in self.relations)
 

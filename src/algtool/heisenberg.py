@@ -156,10 +156,6 @@ def rep_matrix(rep: SimpleRep, g: HeisenbergElement) -> List[List[Cyclotomic]]:
     return mat
 
 
-def character(rep: Rep, g: HeisenbergElement) -> Cyclotomic:
-    return rep.character(g)
-
-
 def conjugacy_classes(p: int) -> List[Tuple[HeisenbergElement, int]]:
     """Representatives with class sizes: p central singletons z^k, then the
     p^2 - 1 size-p classes of e1^a e2^b, (a, b) != (0, 0), in lex order."""

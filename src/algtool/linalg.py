@@ -11,13 +11,12 @@ a single ascending pass over its support, and the residue is the canonical
 normal form modulo the row space (supported on non-pivot columns only).
 
 Dense exact matrices go through one Gauss-Jordan routine, `_gauss_jordan`:
-`solve_exact`, `nullspace_exact`, the exact branch of
-`clifford.symmetric_rank` and `Cyclotomic.inverse` all call it.
+`nullspace_exact` and the exact branch of `clifford.symmetric_rank` call it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +31,6 @@ class RowSpace:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def pivot_cols(self) -> List[int]:
-        return sorted(self.rows)
 
     def reduce(self, vec: SparseVec) -> SparseVec:
         """Canonical residue of vec modulo the row space."""
@@ -92,13 +88,6 @@ class RowSpace:
                 self._col_index.setdefault(col, set()).add(pivot)
         return True
 
-    def extend(self, vecs: Iterable[SparseVec]) -> int:
-        added = 0
-        for v in vecs:
-            if self.insert(v):
-                added += 1
-        return added
-
     def rref_rows(self) -> List[Tuple[int, SparseVec]]:
         """Rows of the (unique) RREF basis, sorted by pivot column."""
         return [(c, dict(self.rows[c])) for c in sorted(self.rows)]
@@ -149,28 +138,6 @@ def _gauss_jordan(rows: Sequence[Sequence], ncols: Optional[int] = None
                 a[i] = [v - f * w for v, w in zip(a[i], a[r])]
         pivots.append(c)
     return a, pivots
-
-
-def solve_exact(columns: Sequence[Sequence], target: Sequence) -> Optional[list]:
-    """Solve sum_j x_j * columns[j] = target over an exact field.
-
-    Returns a solution with free variables set to 0, or None when the system
-    is inconsistent.
-    """
-    m = len(target)
-    n = len(columns)
-    for col in columns:
-        if len(col) != m:
-            raise ValueError("column length mismatch")
-    aug, pivots = _gauss_jordan(
-        [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)], n)
-    if any(row[n] for row in aug[len(pivots):]):
-        return None
-    zero = 0 * target[0] if m else 0
-    sol = [zero] * n
-    for row, col in enumerate(pivots):
-        sol[col] = aug[row][n]
-    return sol
 
 
 def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:

@@ -385,17 +385,6 @@ class PolyMatrix:
     def at(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> List[MultiPoly]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.cols, self.rows,
-                          [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(len(row_idx), len(col_idx),
-                          [self.at(i, j) for i in row_idx for j in col_idx])
-
     def eval(self, point: Sequence) -> List[list]:
         return [[self.at(i, j).eval(point) for j in range(self.cols)]
                 for i in range(self.rows)]
@@ -407,57 +396,34 @@ class PolyMatrix:
                    for i in range(self.rows) for j in range(i + 1, self.cols))
 
 
-def _det_cofactor(m: PolyMatrix) -> MultiPoly:
-    n = m.rows
-    cache: Dict[Tuple[int, Tuple[int, ...]], MultiPoly] = {}
+def _minor_routine(m: PolyMatrix):
+    """minor(rows, cols): the determinant of the submatrix of m on the given
+    row and column index tuples, by Laplace expansion along its first row.
 
-    def rec(r: int, cols: Tuple[int, ...]) -> MultiPoly:
-        if not cols:
-            return MultiPoly.const(m.ring, 1)
-        key = (r, cols)
-        hit = cache.get(key)
+    Results are memoised on (rows, cols), so every minor taken through one
+    routine shares its sub-minors.
+    """
+    one = MultiPoly.const(m.ring, 1)
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], MultiPoly] = {}
+
+    def minor(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> MultiPoly:
+        if not rows:
+            return one
+        key = (rows, cols)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         acc = MultiPoly.zero(m.ring)
         for idx, c in enumerate(cols):
-            entry = m.at(r, c)
+            entry = m.at(rows[0], c)
             if entry.is_zero():
                 continue
-            sub = rec(r + 1, cols[:idx] + cols[idx + 1:])
-            piece = entry * sub
+            piece = entry * minor(rows[1:], cols[:idx] + cols[idx + 1:])
             acc = acc + piece if idx % 2 == 0 else acc - piece
-        cache[key] = acc
+        memo[key] = acc
         return acc
 
-    return rec(0, tuple(range(n)))
-
-
-def _det_bareiss(m: PolyMatrix) -> MultiPoly:
-    n = m.rows
-    a = [[m.at(i, j) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = MultiPoly.const(m.ring, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if swap is None:
-                return MultiPoly.zero(m.ring)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                if k == 0:
-                    a[i][j] = num
-                else:
-                    q = exact_divide(num, prev)
-                    if q is None:
-                        raise ArithmeticError("Bareiss division was not exact")
-                    a[i][j] = q
-            a[i][k] = MultiPoly.zero(m.ring)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return minor
 
 
 def mat_det(m: PolyMatrix) -> MultiPoly:
@@ -465,20 +431,18 @@ def mat_det(m: PolyMatrix) -> MultiPoly:
         raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
     if m.rows > 8:
         raise ValueError("determinants are only supported up to size 8")
-    if m.rows <= 5 or m.ring.field == FIELD_CC:
-        return _det_cofactor(m)
-    return _det_bareiss(m)
+    full = tuple(range(m.rows))
+    return _minor_routine(m)(full, full)
 
 
 def mat_minors(m: PolyMatrix, k: int) -> List[MultiPoly]:
     """All k x k minors, row subsets then column subsets, lexicographic."""
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"minor size {k} out of range for {m.rows}x{m.cols}")
-    out = []
-    for ri in itertools.combinations(range(m.rows), k):
-        for ci in itertools.combinations(range(m.cols), k):
-            out.append(mat_det(m.submatrix(ri, ci)))
-    return out
+    minor = _minor_routine(m)
+    return [minor(ri, ci)
+            for ri in itertools.combinations(range(m.rows), k)
+            for ci in itertools.combinations(range(m.cols), k)]
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:

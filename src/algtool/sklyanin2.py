@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -246,17 +247,19 @@ def point_module_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> PointModu
     a, b = _as_ab(point)
     t = _require_t(a, b)
     form = q5_form(complex(a), complex(b))
-    minors = mat_minors(form.matrix, 3)
+    # the 100 3x3 submatrices, row triples then column triples, lexicographic
+    triples = list(combinations(range(5), 3))
+    rows = np.array([r for r in triples for _c in triples])[:, :, None]
+    cols = np.array([c for _r in triples for c in triples])[:, None, :]
     orbit = orbit_points(t)
     worst = 0.0
     ranks = []
     for pt in orbit:
         scale = max(abs(v) for v in pt)
-        pt_n = [v / scale for v in pt]
-        for m in minors:
-            worst = max(worst, abs(m.eval(pt_n)))
-        ranks.append(symmetric_rank(form.specialize(pt_n), "float", tol.rank))
-    return PointModuleReport(t, len(orbit), len(minors), worst, ranks)
+        q = form.specialize([v / scale for v in pt])
+        worst = max(worst, float(np.abs(np.linalg.det(q[rows, cols])).max()))
+        ranks.append(symmetric_rank(q, "float", tol.rank))
+    return PointModuleReport(t, len(orbit), len(rows), worst, ranks)
 
 
 # -- stratification ------------------------------------------------------------------

@@ -92,6 +92,8 @@ def test_errors():
         Cyclotomic.from_rational(3, 1) / Cyclotomic(3)
     with pytest.raises(ModulusError):
         Cyclotomic.zeta(5).embed(5)
+    with pytest.raises(ModulusError):
+        Cyclotomic.zeta(5).galois(10)
 
 
 # -- the integer-numerator layout against sympy as a test-only oracle ---------------
@@ -178,6 +180,34 @@ def test_layout_invariants_and_scalars(args, k, q, n):
         assert r == value and value == r
         assert r.rational_value() == value
         assert r.coeffs[0] == value
+
+
+@st.composite
+def galois_cases(draw):
+    """p, two elements of Q(w_p) and two Galois indices k, j in 1 .. p-1."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    a, b = (Cyclotomic(p, draw(st.lists(fractions, min_size=p - 1, max_size=p - 1)))
+            for _ in range(2))
+    units = st.integers(1, p - 1)
+    return p, a, b, draw(units), draw(units)
+
+
+@seed(20141222)
+@ORACLE_SETTINGS
+@given(case=galois_cases())
+def test_galois_automorphisms_and_norm_inverse(case):
+    p, a, b, k, j = case
+    image = a.galois(k)
+    assert_layout(image)
+    assert image.coeffs == reduced(p, to_sympy(a.coeffs).subs(W, W ** k))
+    assert image.galois(j) == a.galois(j * k % p)
+    assert (a + b).galois(k) == image + b.galois(k)
+    assert (a * b).galois(k) == image * b.galois(k)
+    assert a.galois(p - 1) == a.conjugate()
+    if not a.is_zero():
+        inv = a.inverse()
+        assert_layout(inv)
+        assert inv * a == 1
 
 
 def test_mixed_moduli_and_immutability():

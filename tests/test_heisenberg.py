@@ -5,9 +5,8 @@ import pytest
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ModulusError
 from algtool.heisenberg import (HeisenbergElement, LinearCharacter, SimpleRep,
-                                all_irreducibles, apply_element, character,
-                                conjugacy_classes, parse_element,
-                                projective_fixed_points, rep_matrix,
+                                all_irreducibles, apply_element, conjugacy_classes,
+                                parse_element, projective_fixed_points, rep_matrix,
                                 subgroup_generators)
 from algtool.linalg import mat_mul_exact
 
@@ -62,11 +61,11 @@ def test_rep_matrix_shapes_and_characters():
     mat = rep_matrix(rep5, g)
     trace = sum((mat[i][i] for i in range(5)), Cyclotomic(5))
     assert trace.is_zero()
-    assert character(rep5, g).is_zero()
+    assert rep5.character(g).is_zero()
 
-    assert character(SimpleRep(3, 1), HeisenbergElement(3, 0, 0, 1)) == Cyclotomic.zeta(3) * 3
-    assert character(SimpleRep(5, 1), HeisenbergElement(5)) == 5
-    assert character(SimpleRep(5, 1), HeisenbergElement(5, 2, 1, 0)).is_zero()
+    assert SimpleRep(3, 1).character(HeisenbergElement(3, 0, 0, 1)) == Cyclotomic.zeta(3) * 3
+    assert SimpleRep(5, 1).character(HeisenbergElement(5)) == 5
+    assert SimpleRep(5, 1).character(HeisenbergElement(5, 2, 1, 0)).is_zero()
 
 
 def test_character_equals_matrix_trace():
@@ -76,7 +75,7 @@ def test_character_equals_matrix_trace():
         g = random_element(rng, 5)
         mat = rep_matrix(rep, g)
         trace = sum((mat[i][i] for i in range(5)), Cyclotomic(5))
-        assert trace == character(rep, g)
+        assert trace == rep.character(g)
 
 
 def test_conjugacy_classes():

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from algtool.linalg import (RowSpace, mat_mul_exact, nullspace_exact,
-                            rank_float, solve_exact)
+from algtool.linalg import RowSpace, mat_mul_exact, nullspace_exact, rank_float
 
 
 def test_rowspace_reduce_and_rank():
@@ -47,11 +46,7 @@ def test_rowspace_same_space_under_insertion_order():
     assert s1.same_space(s2)
 
 
-def test_solve_and_nullspace():
-    cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    sol = solve_exact(cols, [Fraction(3), Fraction(2)])
-    assert sol == [Fraction(1), Fraction(2)]
-    assert solve_exact([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
+def test_nullspace():
     basis = nullspace_exact([[Fraction(1), Fraction(1), Fraction(0)]])
     assert len(basis) == 2
     for vec in basis:

@@ -1,14 +1,16 @@
-"""`poly.resultant`, `poly.mat_det` and `poly.exact_divide` against sympy as
-a test-only oracle, on small random polynomials over QQ."""
+"""`poly.resultant`, `poly.mat_det`, `poly.mat_minors` and `poly.exact_divide`
+against sympy as a test-only oracle, on small random polynomials over QQ."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from algtool.poly import MultiPoly, PolyMatrix, exact_divide, mat_det, resultant, ring_q
+from algtool.poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
+                          resultant, ring_q)
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 RING = ring_q(("x", "y", "z"))
@@ -52,11 +54,15 @@ def test_resultant_matches_sympy(f, g, var):
     assert same(ours, sympy.resultant(to_sympy(f), to_sympy(g), SYMBOLS[var]))
 
 
+def sympy_det(rows):
+    k = len(rows)
+    return DomainMatrix([list(row) for row in rows], (k, k), QQXYZ).det()
+
+
 def check_det(data, n, max_terms=2):
     entries = [data.draw(polys(max_deg=1, max_terms=max_terms)) for _ in range(n * n)]
     ours = mat_det(PolyMatrix(n, n, entries))
-    theirs = DomainMatrix([[to_ring(entries[i * n + j]) for j in range(n)] for i in range(n)],
-                          (n, n), QQXYZ).det()
+    theirs = sympy_det([[to_ring(entries[i * n + j]) for j in range(n)] for i in range(n)])
     assert to_ring(ours) == theirs
 
 
@@ -69,11 +75,28 @@ def test_mat_det_cofactor_matches_sympy(data, n):
 
 @seed(20141222)
 @settings(SETTINGS, max_examples=10)
-@given(data=st.data())
-def test_mat_det_bareiss_matches_sympy(data):
-    # over QQ, sizes from 6 take the fraction-free Bareiss elimination; entries
-    # are single terms or zero, so that zero pivots and row swaps are common
-    check_det(data, 6, max_terms=1)
+@given(data=st.data(), n=st.integers(6, 8))
+def test_mat_det_large_matches_sympy(data, n):
+    # sizes 6 up to the size guard; entries are single terms or zero, so that
+    # zero entries, which the expansion skips, are common
+    check_det(data, n, max_terms=1)
+
+
+@seed(20141222)
+@settings(SETTINGS, max_examples=20)
+@given(data=st.data(), shape=st.sampled_from(((3, 4), (4, 5))))
+def test_mat_minors_match_sympy(data, shape):
+    # every k x k minor, in the documented order: row subsets, then column
+    # subsets, both lexicographic
+    rows, cols = shape
+    entries = [data.draw(polys(max_deg=1, max_terms=2)) for _ in range(rows * cols)]
+    m = PolyMatrix(rows, cols, entries)
+    full = [[to_ring(entries[i * cols + j]) for j in range(cols)] for i in range(rows)]
+    for k in range(1, rows + 1):
+        theirs = [sympy_det([[full[i][j] for j in ci] for i in ri])
+                  for ri in combinations(range(rows), k)
+                  for ci in combinations(range(cols), k)]
+        assert [to_ring(f) for f in mat_minors(m, k)] == theirs
 
 
 @seed(20141222)

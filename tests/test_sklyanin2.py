@@ -9,7 +9,7 @@ from algtool.errors import IndeterminateError, PoleError
 from algtool.config import DEFAULT_TOLERANCES
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
-from algtool.poly import MultiPoly
+from algtool.poly import MultiPoly, mat_minors
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, OrderTwoParams, cprime_poly,
                                cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
@@ -128,6 +128,22 @@ def test_point_module_check(near_one_point):
     assert report.minor_count == 100
     assert report.max_minor_residual < 1e-8
     assert report.all_rank_two
+
+
+def test_point_module_residual_matches_symbolic_minors():
+    # the symbolic reference: all 100 cubic 3x3 minors of Q(a, b), each
+    # evaluated at every normalised orbit point
+    points = [(cp.a, cp.b) for cp in curve_points_on_grid()[:3]] + [(0.0, 1.0)]
+    for a, b in points:
+        report = point_module_check((a, b))
+        minors = mat_minors(q5_form(complex(a), complex(b)).matrix, 3)
+        reference = 0.0
+        for pt in orbit_points(report.t):
+            scale = max(abs(v) for v in pt)
+            pt_n = [v / scale for v in pt]
+            reference = max(reference, max(abs(m.eval(pt_n)) for m in minors))
+        assert report.minor_count == len(minors) == 100
+        assert abs(report.max_minor_residual - reference) <= 1e-12 * max(1.0, reference)
 
 
 def test_point_module_check_rejects_singular_parameter():
