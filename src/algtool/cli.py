@@ -107,7 +107,6 @@ def tolerances(args) -> Tolerances:
     return Tolerances(
         rank=args.tol_rank if args.tol_rank is not None else DEFAULT_TOLERANCES.rank,
         span=args.tol_span if args.tol_span is not None else DEFAULT_TOLERANCES.span,
-        residual=args.tol_residual if args.tol_residual is not None else DEFAULT_TOLERANCES.residual,
     )
 
 
@@ -286,7 +285,6 @@ def build_parser() -> Parser:
     common.add_argument("--out", default=None, help="write the report to a file")
     common.add_argument("--tol-rank", type=float, default=None)
     common.add_argument("--tol-span", type=float, default=None)
-    common.add_argument("--tol-residual", type=float, default=None)
     common.add_argument("--max-cells", type=int, default=None,
                         help="cap on the cells of one degree step of the graded engine "
                              "(default: env ALGTOOL_MAX_CELLS, else 4e6)")

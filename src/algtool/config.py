@@ -23,7 +23,6 @@ class Tolerances:
 
     rank: float = 1e-8
     span: float = 1e-7
-    residual: float = 1e-8
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -34,9 +34,6 @@ class HeisenbergElement:
         object.__setattr__(self, "b", self.b % self.p)
         object.__setattr__(self, "k", self.k % self.p)
 
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.k == 0
-
     def is_central(self) -> bool:
         return self.a == 0 and self.b == 0
 

@@ -7,9 +7,7 @@ R-perp under the pairing (x_i* (x) x_j*)(x_k (x) x_l) = delta_ik delta_jl
     Ch_A(g, t) * Ch_dual(g, -t)
 
 telescopes to 1, where Ch_dual is the character series computed from the
-dual presentation by the same degreewise engine; coefficient conjugation
-turns that series into the character series of the dual algebra on its own
-generators (reported, not used in the residuals).
+dual presentation by the same degreewise engine.
 """
 
 from __future__ import annotations
@@ -86,11 +84,3 @@ def koszul_identity_check(pres: Presentation, rep: SimpleRep, g: HeisenbergEleme
                 acc = acc + term
         out.append(acc)
     return out
-
-
-def dual_algebra_coeffs(pres: Presentation, rep: SimpleRep, g: HeisenbergElement,
-                        max_degree: int) -> List[Cyclotomic]:
-    """Character coefficients of the dual algebra on its own (dual) generators:
-    the engine series of the dual presentation with conjugated coefficients."""
-    pair = quadratic_dual(pres)
-    return [c.conjugate() for c in character_coeffs(pair.dual, g, rep, max_degree)]

@@ -11,11 +11,16 @@ a single ascending pass over its support, and the residue is the canonical
 normal form modulo the row space (supported on non-pivot columns only).
 
 Dense exact matrices go through one Gauss-Jordan routine, `_gauss_jordan`:
-`nullspace_exact` and the exact branch of `clifford.symmetric_rank` call it.
+`nullspace_exact`, the exact branch of `clifford.symmetric_rank` and the
+exact S15 membership test in `shioda5` call it.
+
+Numeric matrices have two numpy routines: `rank_float` (an SVD count) and
+`minors_float` (every k x k minor by one batched determinant).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,10 +93,6 @@ class RowSpace:
                 self._col_index.setdefault(col, set()).add(pivot)
         return True
 
-    def rref_rows(self) -> List[Tuple[int, SparseVec]]:
-        """Rows of the (unique) RREF basis, sorted by pivot column."""
-        return [(c, dict(self.rows[c])) for c in sorted(self.rows)]
-
     def same_space(self, other: "RowSpace") -> bool:
         if self.rank != other.rank or sorted(self.rows) != sorted(other.rows):
             return False
@@ -163,22 +164,6 @@ def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
     return basis
 
 
-def mat_mul_exact(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[list]:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                if a[i][t] and b[t][j]:
-                    term = a[i][t] * b[t][j]
-                    acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else 0 * a[i][0])
-        out.append(row)
-    return out
-
-
 def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None) -> int:
     """Count of singular values above tol relative to the largest one.
 
@@ -195,3 +180,15 @@ def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None) -> int:
     if top == 0.0:
         return 0
     return int(np.sum(sv > tol * top))
+
+
+def minors_float(matrix, k: int) -> np.ndarray:
+    """Every k x k minor of a numeric matrix, in `poly.mat_minors` order (row
+    subsets, then column subsets, lexicographic), by one batched determinant.
+    Leading axes of `matrix` are batch axes: the minors run along the last."""
+    a = np.asarray(matrix, dtype=complex)
+    rows = list(combinations(range(a.shape[-2]), k))
+    cols = list(combinations(range(a.shape[-1]), k))
+    ri = np.array([r for r in rows for _c in cols])[:, :, None]
+    ci = np.array([c for _r in rows for c in cols])[:, None, :]
+    return np.linalg.det(a[..., ri, ci])

@@ -1,10 +1,11 @@
 """Sparse exact multivariate polynomials, polynomial matrices, determinants,
 minors, partial derivatives, Sylvester resultants and exact division.
 
-Coefficient fields: Q (Fraction), Q(w_p) (Cyclotomic) and, for the numeric
-code paths, complex floats.  Terms are kept in a dict keyed by exponent
-tuples; the serialization order is graded lexicographic, highest first, so
-every text/JSON form is bit-stable.
+Coefficient fields: Q (Fraction) and, for the numeric code paths, complex
+floats.  Polynomials over Q evaluate at points of any scalar kind, Cyclotomic
+points included.  Terms are kept in a dict keyed by exponent tuples; the
+serialization order is graded lexicographic, highest first, so every
+text/JSON form is bit-stable.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cyclotomic import Cyclotomic, require_odd_prime
+from .cyclotomic import Cyclotomic
 from .errors import ArityError, RingMismatchError
 
 Exps = Tuple[int, ...]
 
 FIELD_QQ = "QQ"
-FIELD_QW = "QW"  # cyclotomic, needs ring.prime
 FIELD_CC = "CC"
 
 
@@ -28,15 +28,10 @@ FIELD_CC = "CC"
 class PolyRing:
     variables: Tuple[str, ...]
     field: str = FIELD_QQ
-    prime: Optional[int] = None
 
     def __post_init__(self):
-        if self.field not in (FIELD_QQ, FIELD_QW, FIELD_CC):
+        if self.field not in (FIELD_QQ, FIELD_CC):
             raise ValueError(f"unknown field tag {self.field!r}")
-        if self.field == FIELD_QW:
-            if self.prime is None:
-                raise ValueError("cyclotomic ring needs a prime")
-            require_odd_prime(self.prime)
 
     @property
     def nvars(self) -> int:
@@ -49,14 +44,6 @@ class PolyRing:
             if isinstance(c, int):
                 return Fraction(c)
             raise RingMismatchError(f"{c!r} is not a rational coefficient")
-        if self.field == FIELD_QW:
-            if isinstance(c, Cyclotomic):
-                if c.p != self.prime:
-                    raise RingMismatchError("cyclotomic prime mismatch")
-                return c
-            if isinstance(c, (int, Fraction)):
-                return Cyclotomic.from_rational(self.prime, c)
-            raise RingMismatchError(f"{c!r} is not a Q(w) coefficient")
         if isinstance(c, (int, float, complex, Fraction)):
             return complex(c)
         raise RingMismatchError(f"{c!r} is not a complex coefficient")
@@ -152,13 +139,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(e[var] for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.zero_scalar())
 
     def _check_ring(self, other: "MultiPoly"):
         if self.ring != other.ring:
@@ -486,6 +466,6 @@ def scalar_to_json(c):
 def poly_to_json(f: MultiPoly) -> dict:
     return {
         "vars": list(f.ring.variables),
-        "field": f.ring.field if f.ring.field != FIELD_QW else f"QW{f.ring.prime}",
+        "field": f.ring.field,
         "terms": [{"exps": list(e), "coeff": scalar_to_json(c)} for e, c in f.sorted_terms()],
     }

@@ -35,9 +35,6 @@ class CheckResult:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}"
-
 
 def _orthogonality_exact(p: int) -> bool:
     classes = conjugacy_classes(p)

@@ -6,9 +6,16 @@ S15 is cut out of P^4 by the ten 3x3 minors of
     [ x2 x3   x3 x4   x4 x0   x0 x1   x1 x2 ]
     [ x1 x4   x2 x0   x3 x1   x4 x2   x0 x3 ]
 
-(column i holds x_i^2, x_{2+i} x_{3+i}, x_{1+i} x_{4+i}).  All membership
-checks on Heisenberg orbits and fixed points are exact over Q(w_5); floats
-only enter through Jacobian ranks and the 2-torsion sextic's roots.
+(column i holds x_i^2, x_{2+i} x_{3+i}, x_{1+i} x_{4+i}).  A point lies on
+S15 exactly when that matrix has rank <= 2 there, so every check evaluates
+the 15 quadratic entries at the point once and decides from the evaluated
+3x5 matrix.  The ten sextic minors themselves are built only for output
+(`algtool shioda5 minors`) and for the count in criterion 8.
+
+Membership on Heisenberg orbits and fixed points is exact over Q(w_5) (a
+Gauss-Jordan rank).  Floats only enter through the Jacobian ranks (Jacobi's
+formula on the 3x5 matrix and its entrywise partials) and the 2-torsion
+sextic's roots (the ten minors as one batched determinant).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .gradedalg import (Presentation, hilbert, make_presentation,
 from .heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                          heisenberg_orbit_points, normalize_projective,
                          projective_fixed_points, subgroup_generators)
-from .linalg import RowSpace, rank_float
+from .linalg import RowSpace, _gauss_jordan, minors_float, rank_float
 from .poly import MultiPoly, PolyMatrix, mat_minors, ring_q
 
 X_VARS = ("x0", "x1", "x2", "x3", "x4")
@@ -46,6 +53,26 @@ def s15_matrix() -> PolyMatrix:
 def s15_minors() -> List[MultiPoly]:
     """The ten degree-6 minors, in column-set lexicographic order."""
     return mat_minors(s15_matrix(), 3)
+
+
+def _rank_below_3(values) -> bool:
+    """Exact: an evaluated 3x5 S15 matrix has rank <= 2, which holds exactly
+    when all ten minors vanish at the point."""
+    return len(_gauss_jordan(values)[1]) < 3
+
+
+def _minor_jacobian(matrix: PolyMatrix, partials: List[PolyMatrix], point) -> np.ndarray:
+    """The 10x5 Jacobian of the 3x3 minors of `matrix` at a complex point, by
+    Jacobi's formula: d_j det(M_S) is the sum over rows i of det(M_S with
+    row i replaced by row i of (d_j M)_S), where partials[j] = d_j M."""
+    values = np.array(matrix.eval(point), dtype=complex)
+    derivs = np.array([d.eval(point) for d in partials], dtype=complex)
+    jac = np.zeros((5, 10), dtype=complex)
+    for i in range(3):
+        swapped = np.repeat(values[None], 5, axis=0)
+        swapped[:, i, :] = derivs[:, i, :]
+        jac += minors_float(swapped, 3)
+    return jac.T
 
 
 def ca_relations(a) -> List[MultiPoly]:
@@ -80,10 +107,10 @@ def ca_orbit_check(a) -> OrbitReport:
     """Exact check that the whole orbit of O_a satisfies the C_a relations
     and lies on S15."""
     rels = ca_relations(a)
-    minors = s15_minors()
+    matrix = s15_matrix()
     orbit = base_orbit(a)
     rel_ok = all(r.eval(list(pt)).is_zero() for pt in orbit for r in rels)
-    min_ok = all(m.eval(list(pt)).is_zero() for pt in orbit for m in minors)
+    min_ok = all(_rank_below_3(matrix.eval(list(pt))) for pt in orbit)
     return OrbitReport(Fraction(a), len(orbit), rel_ok, min_ok)
 
 
@@ -122,13 +149,13 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    minors = s15_minors()
+    matrix = s15_matrix()
     directions = np.exp(2j * np.pi * np.arange(5) / 5)
 
     def residual(x0, x1, x2) -> float:
         point = np.array([x0, x1, x2, x2, x1], dtype=complex)
         point = point / np.abs(point).max()
-        return max(abs(m.eval(list(point))) for m in minors)
+        return float(np.abs(minors_float(matrix.eval(list(point)), 3)).max())
 
     worst = 0.0
     control = float("inf")
@@ -182,13 +209,13 @@ def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
     """The 30 stabilizer points lie on S15 exactly and the 10x5 Jacobian of
     the minors drops below rank 2 there; at smooth orbit points of C_1 the
     rank is exactly 2 (codimension of the surface)."""
-    minors = s15_minors()
-    partials = [[m.partial(j) for j in range(5)] for m in minors]
+    matrix = s15_matrix()
+    partials = [PolyMatrix(3, 5, [e.partial(j) for e in matrix.entries]) for j in range(5)]
     points = thirty_points()
-    on_surface = all(m.eval(list(pt)).is_zero() for pt in points for m in minors)
+    on_surface = all(_rank_below_3(matrix.eval(list(pt))) for pt in points)
 
     def jac_rank(complex_pt) -> int:
-        jac = [[complex(row[j].eval(complex_pt)) for j in range(5)] for row in partials]
+        jac = _minor_jacobian(matrix, partials, complex_pt)
         # points are normalized and the minors have O(1) coefficients, so a
         # genuinely nonzero Jacobian is O(1); floor the SVD cutoff there
         return rank_float(jac, tol, scale=1.0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -28,7 +27,7 @@ from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, PoleError, SamplingError
 from .gradedalg import make_presentation
 from .heisenberg import SimpleRep, heisenberg_orbit_points
-from .linalg import rank_float
+from .linalg import minors_float, rank_float
 from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
                    monomials_of_degree, resultant, ring_cc, ring_q)
 
@@ -73,12 +72,6 @@ def _is_exact(*values) -> bool:
 def cprime_residual(a: Scalar, b: Scalar) -> Scalar:
     """-a^3 b^3 + a^5 + b^5 + 2 a^2 b^2 - 8 a b."""
     return -(a ** 3) * b ** 3 + a ** 5 + b ** 5 + 2 * a ** 2 * b ** 2 - 8 * a * b
-
-
-def cprime_poly():
-    ring = ring_q(("a", "b"))
-    a, b = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
-    return cprime_residual(a, b)
 
 
 def t_param(a: Scalar, b: Scalar, tol: float = 1e-12) -> Optional[Scalar]:
@@ -136,8 +129,7 @@ def eliminate_t() -> EliminationResult:
     f = -2 * b ** 2 * t ** 3 + 2 * a * b ** 2 * t - 2 * a ** 2
     g = -(a ** 2) * b * t ** 2 - a * b ** 2 * t + 2 * a ** 2
     res = resultant(f, g, 2)
-    cprime = -(a ** 3) * b ** 3 + a ** 5 + b ** 5 + 2 * a ** 2 * b ** 2 - 8 * a * b
-    cof = exact_divide(res, cprime)
+    cof = exact_divide(res, cprime_residual(a, b))
     return EliminationResult(res, cof, cof is not None)
 
 
@@ -153,25 +145,22 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
     for a_exact in grid:
         a = float(a_exact)
 
-        def f(b: float) -> float:
-            return -(a ** 3) * b ** 3 + a ** 5 + b ** 5 + 2 * a ** 2 * b ** 2 - 8 * a * b
-
         def fprime(b: float) -> float:
             return -3 * a ** 3 * b ** 2 + 5 * b ** 4 + 4 * a ** 2 * b - 8 * a
 
         roots = []
         lo = -bracket
-        flo = f(lo)
+        flo = cprime_residual(a, lo)
         b = lo + step
         while b <= bracket + 1e-12:
-            fb = f(b)
+            fb = cprime_residual(a, b)
             if flo == 0.0:
                 roots.append(lo)
             elif flo * fb < 0:
                 x0, x1 = lo, b
                 for _ in range(80):
                     mid = 0.5 * (x0 + x1)
-                    if f(x0) * f(mid) <= 0:
+                    if cprime_residual(a, x0) * cprime_residual(a, mid) <= 0:
                         x1 = mid
                     else:
                         x0 = mid
@@ -180,7 +169,7 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
                     d = fprime(root)
                     if d == 0:
                         break
-                    root -= f(root) / d
+                    root -= cprime_residual(a, root) / d
                 roots.append(root)
             lo, flo = b, fb
             b += step
@@ -247,19 +236,15 @@ def point_module_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> PointModu
     a, b = _as_ab(point)
     t = _require_t(a, b)
     form = q5_form(complex(a), complex(b))
-    # the 100 3x3 submatrices, row triples then column triples, lexicographic
-    triples = list(combinations(range(5), 3))
-    rows = np.array([r for r in triples for _c in triples])[:, :, None]
-    cols = np.array([c for _r in triples for c in triples])[:, None, :]
     orbit = orbit_points(t)
     worst = 0.0
     ranks = []
     for pt in orbit:
         scale = max(abs(v) for v in pt)
         q = form.specialize([v / scale for v in pt])
-        worst = max(worst, float(np.abs(np.linalg.det(q[rows, cols])).max()))
+        worst = max(worst, float(np.abs(minors_float(q, 3)).max()))
         ranks.append(symmetric_rank(q, "float", tol.rank))
-    return PointModuleReport(t, len(orbit), len(rows), worst, ranks)
+    return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
 
 
 # -- stratification ------------------------------------------------------------------
@@ -278,9 +263,6 @@ class Stratum:
 class StratificationReport:
     t: complex
     strata: List[Stratum]
-
-    def by_name(self, name: str) -> Stratum:
-        return next(s for s in self.strata if s.name == name)
 
 
 def stratify(point, samples: int = 6, seed: int = 0,

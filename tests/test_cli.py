@@ -93,6 +93,12 @@ def test_threads_flag_is_a_usage_error():
     assert exc.value.code == 1
 
 
+def test_tol_residual_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["sklyanin2", "minors", "--tol-residual", "1e-8"])
+    assert exc.value.code == 1
+
+
 def test_resource_error_payload(capsys):
     code, out = run_cli(capsys, "hilbert", "--algebra", "polynomial", "--p", "5",
                         "--max-degree", "9", "--format", "json")

@@ -53,7 +53,7 @@ def test_ideal_basis_is_reduced_row_echelon():
     space = engine.spaces[3]
     assert space.rank + len(engine.bases[3]) == 5 * len(engine.bases[2])
     assert ideal_oracle.ideal_piece(pres, 3).rank + len(engine.bases[3]) == 5 ** 3
-    basis = space.rref_rows()
+    basis = sorted(space.rows.items())
     pivots = {c for c, _ in basis}
     for pivot, row in basis:
         assert row[pivot] == 1

@@ -8,7 +8,11 @@ from algtool.heisenberg import (HeisenbergElement, LinearCharacter, SimpleRep,
                                 all_irreducibles, apply_element, conjugacy_classes,
                                 parse_element, projective_fixed_points, rep_matrix,
                                 subgroup_generators)
-from algtool.linalg import mat_mul_exact
+
+
+def mat_mul_exact(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), 0 * a[i][0])
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def random_element(rng, p):

@@ -5,8 +5,7 @@ import pytest
 from algtool.gradedalg import (Presentation, hilbert, make_presentation,
                                make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep
-from algtool.koszul import (dual_algebra_coeffs, koszul_identity_check,
-                            quadratic_dual)
+from algtool.koszul import koszul_identity_check, quadratic_dual
 from algtool.linalg import RowSpace
 
 
@@ -70,16 +69,6 @@ def test_cycle_presentation_informational_report():
     cyc5 = make_presentation("cycle", 5)
     residuals = koszul_identity_check(cyc5, SimpleRep(5, 1), HeisenbergElement(5), 4)
     assert len(residuals) == 4
-
-
-def test_dual_algebra_coeffs_are_conjugated():
-    poly3 = make_presentation("polynomial", 3)
-    rep = SimpleRep(3, 1)
-    g = HeisenbergElement(3, 0, 0, 1)
-    pair = quadratic_dual(poly3)
-    from algtool.gradedalg import character_coeffs
-    engine = character_coeffs(pair.dual, g, rep, 3)
-    assert dual_algebra_coeffs(poly3, rep, g, 3) == [c.conjugate() for c in engine]
 
 
 def test_non_quadratic_rejected():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from algtool.linalg import RowSpace, mat_mul_exact, nullspace_exact, rank_float
+from algtool.linalg import RowSpace, minors_float, nullspace_exact, rank_float
+from algtool.poly import MultiPoly, PolyMatrix, mat_minors, ring_cc
 
 
 def test_rowspace_reduce_and_rank():
@@ -25,7 +27,7 @@ def test_rowspace_rref_rows_contain_no_foreign_pivots():
         if vec:
             space.insert(vec)
     pivots = set(space.rows)
-    for pivot, row in space.rref_rows():
+    for pivot, row in sorted(space.rows.items()):
         assert row[pivot] == 1
         assert all(c == pivot or c not in pivots for c in row)
 
@@ -60,7 +62,16 @@ def test_rank_float_scale_floor():
     assert rank_float(noise, 1e-8, scale=1.0) == 0
 
 
-def test_mat_mul_exact():
-    a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    b = [[Fraction(3)], [Fraction(4)]]
-    assert mat_mul_exact(a, b) == [[Fraction(11)], [Fraction(4)]]
+@pytest.mark.parametrize("shape, k", [((3, 5), 3), ((5, 5), 3), ((4, 3), 2), ((2, 3), 1)])
+def test_minors_float_matches_mat_minors_in_order(shape, k):
+    rng = np.random.default_rng(sum(shape) + k)
+    ring = ring_cc(())
+    for _ in range(5):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        poly = PolyMatrix(*shape, [MultiPoly.const(ring, complex(v)) for v in a.ravel()])
+        expected = [m.terms.get((), 0j) for m in mat_minors(poly, k)]
+        got = minors_float(a, k)
+        assert got.shape == (len(expected),)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+        # leading axes are batch axes
+        assert np.array_equal(minors_float(np.stack([a, 2 * a]), k)[0], got)

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.heisenberg import HeisenbergElement, SimpleRep, apply_element
-from algtool.shioda5 import (base_orbit, ca_orbit_check, ca_relations,
-                             count_cusp_cycles, cycle_fiber_equivalence,
-                             s15_matrix, s15_minors, singular_points_check,
-                             thirty_points, two_torsion_check)
+from algtool.poly import PolyMatrix
+from algtool.shioda5 import (_minor_jacobian, _rank_below_3, base_orbit,
+                             ca_orbit_check, ca_relations, count_cusp_cycles,
+                             cycle_fiber_equivalence, s15_matrix, s15_minors,
+                             singular_points_check, thirty_points,
+                             two_torsion_check)
 
 
 def test_s15_matrix_layout():
@@ -25,7 +28,7 @@ def test_s15_matrix_layout():
 def test_minors_count_degree_and_fixture():
     minors = s15_minors()
     assert len(minors) == 10
-    assert all(m.total_degree() == 6 and m.is_homogeneous() for m in minors)
+    assert all({sum(e) for e in m.terms} == {6} for m in minors)
     assert str(minors[0]) == ("-1 * x0^4 x2^1 x4^1 + 1 * x0^2 x1^1 x3^2 x4^1 "
                               "+ 1 * x0^1 x1^3 x4^2 + 1 * x0^1 x2^4 x3^1 "
                               "+ -1 * x1^3 x2^1 x3^2 + -1 * x1^1 x2^2 x3^1 x4^2")
@@ -108,6 +111,33 @@ def test_singular_points():
     assert all(r < 2 for r in report.singular_ranks)
     assert len(report.control_ranks) == 10
     assert all(r == 2 for r in report.control_ranks)
+
+
+def test_exact_rank_test_agrees_with_symbolic_minors():
+    matrix = s15_matrix()
+    minors = s15_minors()
+    one = Cyclotomic.from_rational(5, 1)
+    on = base_orbit(2) + thirty_points()
+    off = [(pt[0] + one,) + pt[1:] for pt in base_orbit(2)[:5]]
+    off.append(tuple(Cyclotomic.from_rational(5, v) for v in (1, 1, 1, 1, 2)))
+    for pt, expected in [(pt, True) for pt in on] + [(pt, False) for pt in off]:
+        assert all(m.eval(list(pt)).is_zero() for m in minors) == expected
+        assert _rank_below_3(matrix.eval(list(pt))) == expected
+
+
+def test_jacobi_formula_jacobian_matches_symbolic_partials():
+    matrix = s15_matrix()
+    partials = [PolyMatrix(3, 5, [e.partial(j) for e in matrix.entries]) for j in range(5)]
+    symbolic = [[m.partial(j) for j in range(5)] for m in s15_minors()]
+    rng = np.random.default_rng(0)
+    points = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(20)]
+    points += [np.array([c.embed(1) for c in pt]) for pt in thirty_points()]
+    for pt in points:
+        pt = list(pt / np.abs(pt).max())
+        expected = np.array([[complex(d.eval(pt)) for d in row] for row in symbolic])
+        got = _minor_jacobian(matrix, partials, pt)
+        assert got.shape == (10, 5)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 def test_jacobian_rank_at_coordinate_point():
