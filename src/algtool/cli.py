@@ -15,8 +15,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import clifford, koszul, selftest, shioda5, sklyanin2
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .cyclotomic import Cyclotomic
@@ -51,11 +49,10 @@ def parse_params(text: str, mode: Optional[str] = None):
 
 
 def to_jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, float):
+    """JSON-ready form of a payload: a dict, a report dataclass, or any value
+    inside them.  numpy scalars need no branch: np.float64 and np.complex128
+    subclass float and complex."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return [str(obj.numerator), str(obj.denominator)]
@@ -65,14 +62,8 @@ def to_jsonable(obj):
         return scalar_to_json(obj)
     if isinstance(obj, MultiPoly):
         return poly_to_json(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -80,17 +71,19 @@ def to_jsonable(obj):
     return str(obj)
 
 
-def emit(payload: dict, args, check_failed: bool = False) -> int:
+def emit(payload, args, check_failed: bool = False) -> int:
+    """Write a dict or a report dataclass as key-sorted JSON or as one text
+    line per key; the exit code is 2 when `check_failed`."""
+    data = to_jsonable(payload)
     if args.format == "json":
-        text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2)
+        text = json.dumps(data, sort_keys=True, indent=2)
     else:
         lines = []
-        for key, value in payload.items():
+        for key, value in data.items():
             if key == "criteria":
                 for c in value:
                     lines.append(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}")
                 continue
-            value = to_jsonable(value)
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
             lines.append(f"{key}: {value}")
@@ -143,8 +136,7 @@ def cmd_charseries(args) -> int:
         return emit(table.to_json(), args)
     g = parse_element(pres.p, getattr(args, "cls"))
     coeffs = character_coeffs(pres, g, rep, args.max_degree, args.max_cells)
-    return emit({"algebra": pres.label(), "class": g.label(),
-                 "coeffs": [scalar_to_json(c) for c in coeffs]}, args)
+    return emit({"algebra": pres.label(), "class": g.label(), "coeffs": coeffs}, args)
 
 
 def cmd_koszul_check(args) -> int:
@@ -154,95 +146,67 @@ def cmd_koszul_check(args) -> int:
     residuals = koszul.koszul_identity_check(pres, rep, g, args.max_degree, args.max_cells)
     zero = all(c.is_zero() for c in residuals)
     payload = {"algebra": pres.label(), "class": g.label(), "zero": zero,
-               "residuals": [scalar_to_json(c) for c in residuals]}
+               "residuals": residuals}
     return emit(payload, args, check_failed=not zero)
 
 
 def cmd_clifford_strata(args) -> int:
     form = clifford.to_complex_form(clifford.example_form_dim3(parse_scalar(args.t, "exact")))
-    rng = np.random.default_rng(args.seed)
     tol = tolerances(args)
 
     def record(point) -> dict:
         mat = form.specialize(list(point))
-        rank = clifford.symmetric_rank(mat, "float", tol.rank)
-        reps = clifford.build_reps(mat, rank)
+        rank = clifford.symmetric_rank(mat, tol.rank)
         return {
-            "point": [to_jsonable(complex(v)) for v in point],
+            "point": point.tolist(),
             "rank": rank,
-            "simple": dataclasses.asdict(clifford.simple_profile(rank, form.size)),
-            "fat": dataclasses.asdict(clifford.fat_profile(rank)) if rank else None,
-            "residuals": reps.max_residual,
+            "simple": clifford.simple_profile(rank, form.size),
+            "fat": clifford.fat_profile(rank) if rank else None,
+            "residuals": clifford.build_reps(mat, rank).max_residual,
         }
 
-    generic = []
-    for _ in range(args.samples):
-        pt = rng.standard_normal(form.size) + 1j * rng.standard_normal(form.size)
-        generic.append(pt / np.abs(pt).max())
+    generic = clifford.random_points(form.size, args.samples, args.seed)
     drops = clifford.sample_rank_drop_points(form, max(2, args.samples // 2),
                                              args.seed + 1, tol.rank)
-    records = [record(point) for point in generic + drops]
-    return emit({"t": args.t, "strata": records}, args)
-
-
-def _curve_point_args(args):
-    a = parse_scalar(args.a, args.mode)
-    b = parse_scalar(args.b, args.mode)
-    return a, b
+    return emit({"t": args.t, "strata": [record(pt) for pt in generic + drops]}, args)
 
 
 def cmd_sklyanin2(args) -> int:
-    tol = tolerances(args)
     op = args.operation
     if op == "curve":
-        grid = parse_params(args.grid, "exact")
-        points = sklyanin2.curve_points_on_grid(grid)
+        points = sklyanin2.curve_points_on_grid(parse_params(args.grid, "exact"))
         payload = {
             "points": [{"a": cp.a, "b": cp.b, "residual": abs(cp.residual),
-                        "t": to_jsonable(sklyanin2.t_param(cp.a, cp.b))}
-                       for cp in points],
-            "singularity_report": {
-                k: v for k, v in sklyanin2.curve_singularity_report().items()
-            },
+                        "t": sklyanin2.t_param(cp.a, cp.b)} for cp in points],
+            "singularity_report": sklyanin2.curve_singularity_report(),
         }
         return emit(payload, args)
-    if op == "t":
-        a, b = _curve_point_args(args)
-        t = sklyanin2.t_param(a, b)
-        return emit({"a": a, "b": b,
-                     "t": "indeterminate" if t is None else to_jsonable(t)}, args)
     if op == "eliminate":
         res = sklyanin2.eliminate_t()
         payload = {"check": res.check, "cofactor": res.cofactor,
                    "resultant_terms": len(res.resultant.terms)}
         return emit(payload, args, check_failed=not res.check)
-    if op == "minors":
-        a, b = _curve_point_args(args)
-        report = sklyanin2.point_module_check((a, b), tol)
-        ok = report.max_minor_residual < tol.span and report.all_rank_two
-        return emit(dataclasses.asdict(report), args, check_failed=not ok)
-    if op == "ideal":
-        a, b = _curve_point_args(args)
-        report = sklyanin2.minor_ideal_checks((a, b), tol)
-        return emit(dataclasses.asdict(report), args,
-                    check_failed=not (report.deg6 and report.deg8))
-    if op == "secant":
-        a, b = _curve_point_args(args)
-        report = sklyanin2.secant_check((a, b), tol)
-        return emit(dataclasses.asdict(report), args,
-                    check_failed=report.residual >= tol.span)
-    if op == "stratify":
-        a, b = _curve_point_args(args)
-        report = sklyanin2.stratify((a, b), args.samples, args.seed, tol)
-        expected = {"generic": 5, "det-zero": 4, "E-prime": 2}
-        ok = all(all(r == expected[s.name] for r in s.ranks) for s in report.strata)
-        return emit(dataclasses.asdict(report), args, check_failed=not ok)
     if op == "onedim":
         params = sklyanin2.OrderTwoParams(args.p, parse_params(args.params, "exact"))
         reps = sklyanin2.onedim_reps(params)
-        payload = {"count": len(reps),
-                   "reps": [[scalar_to_json(y) for y in tup] for tup in reps]}
-        return emit(payload, args)
+        return emit({"count": len(reps), "reps": reps}, args)
+    a, b = parse_scalar(args.a, args.mode), parse_scalar(args.b, args.mode)
+    if op == "t":
+        t = sklyanin2.t_param(a, b)
+        return emit({"a": a, "b": b, "t": "indeterminate" if t is None else t}, args)
+    tol = tolerances(args)
+    if op == "minors":
+        report = sklyanin2.point_module_check((a, b), tol)
+        return emit(report, args, check_failed=not report.ok(tol.span))
+    if op == "ideal":
+        report = sklyanin2.minor_ideal_checks((a, b), tol)
+        return emit(report, args, check_failed=not report.ok())
+    if op == "secant":
+        report = sklyanin2.secant_check((a, b), tol)
+        return emit(report, args, check_failed=not report.ok(tol.span))
+    if op == "stratify":
+        report = sklyanin2.stratify((a, b), args.samples, args.seed, tol)
+        return emit(report, args, check_failed=not report.ok())
     raise AlgtoolError(f"unknown sklyanin2 operation {op!r}")
 
 
@@ -253,20 +217,15 @@ def cmd_shioda5(args) -> int:
         return emit({"count": len(minors), "minors": minors}, args)
     if op == "orbit":
         report = shioda5.ca_orbit_check(parse_scalar(args.a, "exact"))
-        return emit(dataclasses.asdict(report), args, check_failed=not report.ok)
-    if op == "two-torsion":
+    elif op == "two-torsion":
         report = shioda5.two_torsion_check(args.samples, args.seed)
-        return emit(dataclasses.asdict(report), args, check_failed=not report.ok())
-    if op == "singular":
+    elif op == "singular":
         report = shioda5.singular_points_check(tolerances(args).rank)
-        payload = dataclasses.asdict(report)
-        payload["points"] = [[scalar_to_json(c) for c in pt]
-                             for pt in shioda5.thirty_points()]
-        return emit(payload, args, check_failed=not report.ok())
-    if op == "fiber":
+    elif op == "fiber":
         report = shioda5.cycle_fiber_equivalence()
-        return emit(dataclasses.asdict(report), args, check_failed=not report.ok())
-    raise AlgtoolError(f"unknown shioda5 operation {op!r}")
+    else:
+        raise AlgtoolError(f"unknown shioda5 operation {op!r}")
+    return emit(report, args, check_failed=not report.ok())
 
 
 def cmd_selftest(args) -> int:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConditioningError, SamplingError
-from .linalg import _gauss_jordan, rank_float
+from .linalg import rank_float
 from .poly import MultiPoly, PolyMatrix, mat_det, ring_cc, ring_q
 
 
@@ -54,25 +54,17 @@ class SymmetricForm:
         return rows
 
 
-def symmetric_rank(matrix, mode: str = "exact", tol: float = 1e-8) -> int:
-    """Rank of a symmetric scalar matrix; exact row reduction or SVD count."""
+def symmetric_rank(matrix, tol: float = 1e-8) -> int:
+    """Rank of a complex symmetric matrix: singular values above `tol`
+    relative to the largest."""
     rows = [list(r) for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("rank of a non-square matrix")
-    if mode == "float":
-        a = np.asarray(rows, dtype=complex)
-        if not np.allclose(a, a.T, atol=max(tol, 1e-12) * (np.abs(a).max() + 1.0)):
-            raise ValueError("matrix is not symmetric")
-        return rank_float(a, tol)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("matrix is not symmetric")
-    _reduced, pivots = _gauss_jordan(rows)
-    return len(pivots)
+    a = np.asarray(rows, dtype=complex)
+    if not np.allclose(a, a.T, atol=max(tol, 1e-12) * (np.abs(a).max() + 1.0)):
+        raise ValueError("matrix is not symmetric")
+    return rank_float(a, tol)
 
 
 # -- representation profiles -----------------------------------------------------
@@ -282,6 +274,16 @@ def to_complex_form(form: SymmetricForm, subs: Optional[dict] = None) -> Symmetr
                  for exps, c in e.terms.items()}
         entries.append(MultiPoly(ring, terms))
     return SymmetricForm(ring.variables, PolyMatrix(form.matrix.rows, form.matrix.cols, entries))
+
+
+def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
+    """`count` seeded points of C^n, each scaled to largest modulus 1."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        pt = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        points.append(pt / np.abs(pt).max())
+    return points
 
 
 def sample_rank_drop_points(form_cc: SymmetricForm, count: int, seed: int,

@@ -89,6 +89,11 @@ class Cyclotomic:
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through _raw; the default
+        # protocol would set the slots and trip __setattr__
+        return (Cyclotomic._raw, (self.p, self.num, self.den))
+
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
         """The power-basis coefficients as reduced Fractions."""

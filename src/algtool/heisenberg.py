@@ -106,10 +106,6 @@ class SimpleRep:
             raise ModulusError(f"representation index {self.index} not coprime to {self.p}")
         object.__setattr__(self, "index", self.index % self.p)
 
-    @property
-    def dim(self) -> int:
-        return self.p
-
     def character(self, g: HeisenbergElement) -> Cyclotomic:
         if not g.is_central():
             return Cyclotomic(self.p)
@@ -128,10 +124,6 @@ class LinearCharacter:
         require_odd_prime(self.p)
         object.__setattr__(self, "a", self.a % self.p)
         object.__setattr__(self, "b", self.b % self.p)
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def character(self, g: HeisenbergElement) -> Cyclotomic:
         return Cyclotomic.zeta(self.p, self.a * g.a + self.b * g.b)

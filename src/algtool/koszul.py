@@ -12,7 +12,6 @@ dual presentation by the same degreewise engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .cyclotomic import Cyclotomic
@@ -22,57 +21,30 @@ from .heisenberg import HeisenbergElement, SimpleRep
 from .linalg import nullspace_exact
 
 
-@dataclass
-class QuadraticDualPair:
-    original: Presentation
-    dual: Presentation
-    relation_basis: List[dict]       # original relation vectors (index -> coeff)
-    dual_basis: List[dict]           # dual relation vectors
-    evaluation: List[list]           # pairing matrix, exactly zero
-
-    def pairing_is_zero(self) -> bool:
-        return all(not v for row in self.evaluation for v in row)
-
-
-def quadratic_dual(pres: Presentation) -> QuadraticDualPair:
+def quadratic_dual(pres: Presentation) -> Presentation:
+    """The dual presentation on R-perp; raises ArithmeticError if a dual
+    relation fails to pair to zero with an original one."""
     if not pres.is_quadratic():
         raise ValueError("quadratic dual needs a purely quadratic presentation")
     p = pres.p
     zero = pres.one() - pres.one()
-    rel_vecs = []
-    dense = []
-    for rel in pres.relations:
-        vec = {word_to_index(w, p): c for w, c in rel}
-        rel_vecs.append(vec)
-        dense.append([vec.get(i, zero) for i in range(p * p)])
-    kernel = nullspace_exact(dense)
-    dual_rels = []
-    dual_vecs = []
-    for kvec in kernel:
-        pairs = []
-        vec = {}
-        for idx, c in enumerate(kvec):
-            if c:
-                pairs.append((divmod(idx, p), c))
-                vec[idx] = c
-        dual_rels.append(make_relation(pairs))
-        dual_vecs.append(vec)
-    dual = Presentation(p, pres.field, tuple(dual_rels),
-                        kind=f"dual-{pres.kind}", params=pres.params)
-    evaluation = [[sum((rv[i] * kv[i] for i in rv), zero) for kv in kernel]
-                  for rv in rel_vecs]
-    pair = QuadraticDualPair(pres, dual, rel_vecs, dual_vecs, evaluation)
-    if not pair.pairing_is_zero():
+    rel_vecs = [{word_to_index(w, p): c for w, c in rel} for rel in pres.relations]
+    kernel = nullspace_exact([[vec.get(i, zero) for i in range(p * p)] for vec in rel_vecs])
+    if any(sum((c * kvec[i] for i, c in vec.items()), zero)
+           for vec in rel_vecs for kvec in kernel):
         raise ArithmeticError("dual relation space fails the pairing")
-    return pair
+    dual_rels = [make_relation([(divmod(idx, p), c) for idx, c in enumerate(kvec) if c])
+                 for kvec in kernel]
+    return Presentation(p, pres.field, tuple(dual_rels),
+                        kind=f"dual-{pres.kind}", params=pres.params)
 
 
 def koszul_identity_check(pres: Presentation, rep: SimpleRep, g: HeisenbergElement,
                           max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
     """Coefficients 1..N of Ch_A(g,t) * Ch_dual(g,-t); all zero for Koszul input."""
-    pair = quadratic_dual(pres)
+    dual = quadratic_dual(pres)
     ca = character_coeffs(pres, g, rep, max_degree, cap)
-    cb = character_coeffs(pair.dual, g, rep, max_degree, cap)
+    cb = character_coeffs(dual, g, rep, max_degree, cap)
     out = []
     for n in range(1, max_degree + 1):
         acc = Cyclotomic(pres.p)

@@ -11,8 +11,7 @@ a single ascending pass over its support, and the residue is the canonical
 normal form modulo the row space (supported on non-pivot columns only).
 
 Dense exact matrices go through one Gauss-Jordan routine, `_gauss_jordan`:
-`nullspace_exact`, the exact branch of `clifford.symmetric_rank` and the
-exact S15 membership test in `shioda5` call it.
+`nullspace_exact` and the exact S15 membership test in `shioda5` call it.
 
 Numeric matrices have two numpy routines: `rank_float` (an SVD count) and
 `minors_float` (every k x k minor by one batched determinant).

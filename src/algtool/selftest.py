@@ -162,7 +162,7 @@ def criterion_4_koszul(seed: int = 0) -> CheckResult:
         zero = all(c.is_zero() for c in res)
         details[f"residuals_{label}"] = zero
         ok &= zero
-    dual = koszul.quadratic_dual(poly3).dual
+    dual = koszul.quadratic_dual(poly3)
     dual_hilb = hilbert(dual, 4)
     details["dual_hilbert"] = dual_hilb
     ok &= dual_hilb == [1, 3, 3, 1, 0]
@@ -209,7 +209,7 @@ def criterion_5_clifford(seed: int = 0) -> CheckResult:
 
     form = clifford.to_complex_form(clifford.example_form_dim3(1))
     pts = clifford.sample_rank_drop_points(form, 20, seed + 7)
-    ranks = [clifford.symmetric_rank(form.specialize(list(p)), "float", 1e-8) for p in pts]
+    ranks = [clifford.symmetric_rank(form.specialize(list(p)), 1e-8) for p in pts]
     details["dim3_det_zero_ranks"] = sorted(set(ranks))
     ok &= all(r <= 2 for r in ranks)
     return CheckResult("5-clifford-profiles", ok, details)
@@ -235,26 +235,12 @@ def criterion_6_sklyanin2(seed: int = 0) -> CheckResult:
     details["curve_points"] = [[cp.a, cp.b] for cp in points]
     ok &= len(points) >= 3
 
-    def per_point(cp):
-        pm = sklyanin2.point_module_check(cp, tol)
-        strat = sklyanin2.stratify(cp, samples=5, seed=seed, tol=tol)
-        ideal = sklyanin2.minor_ideal_checks(cp, tol)
-        sec = sklyanin2.secant_check(cp, tol)
-        return pm, strat, ideal, sec
-
-    reports = [per_point(cp) for cp in points[:3]]
     pm_ok = strat_ok = ideal_ok = sec_ok = True
-    for pm, strat, ideal, sec in reports:
-        pm_ok &= pm.max_minor_residual < 1e-8 and pm.all_rank_two and pm.orbit_size == 25
-        expected = {"generic": (5, 2, 4, 1, 4), "det-zero": (4, 1, 4, 2, 2),
-                    "E-prime": (2, 1, 2, 2, 1)}
-        for s in strat.strata:
-            rank, sc, sd, fc, fm = expected[s.name]
-            strat_ok &= all(r == rank for r in s.ranks)
-            strat_ok &= (s.simple.count, s.simple.dim) == (sc, sd)
-            strat_ok &= (s.fat.count, s.fat.multiplicity) == (fc, fm)
-        ideal_ok &= ideal.deg6 and ideal.deg8
-        sec_ok &= sec.residual < 1e-7 and abs(sec.lam) > 1e-12
+    for cp in points[:3]:
+        pm_ok &= sklyanin2.point_module_check(cp, tol).ok(1e-8)
+        strat_ok &= sklyanin2.stratify(cp, samples=5, seed=seed, tol=tol).ok()
+        ideal_ok &= sklyanin2.minor_ideal_checks(cp, tol).ok()
+        sec_ok &= sklyanin2.secant_check(cp, tol).ok(1e-7)
     details["point_modules"] = pm_ok
     details["stratification"] = strat_ok
     details["minor_ideals"] = ideal_ok
@@ -289,7 +275,7 @@ def criterion_8_shioda(seed: int = 0) -> CheckResult:
     details["minor_count"] = len(minors)
     ok &= len(minors) == 10
 
-    orbit_flags = [shioda5.ca_orbit_check(a).ok for a in (1, 2)]
+    orbit_flags = [shioda5.ca_orbit_check(a).ok() for a in (1, 2)]
     details["ca_orbits"] = all(orbit_flags)
     ok &= all(orbit_flags)
 

@@ -98,7 +98,6 @@ class OrbitReport:
     relations_ok: bool
     minors_ok: bool
 
-    @property
     def ok(self) -> bool:
         return self.relations_ok and self.minors_ok
 
@@ -198,6 +197,7 @@ class SingularPointsReport:
     on_surface: bool
     singular_ranks: List[int]
     control_ranks: List[int]
+    points: List[Tuple[Cyclotomic, ...]]  # last, so the text output keeps its key order
 
     def ok(self) -> bool:
         return (self.count == 30 and self.on_surface
@@ -232,27 +232,18 @@ def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
         scale = max(abs(v) for v in cpt)
         control_ranks.append(jac_rank([v / scale for v in cpt]))
 
-    return SingularPointsReport(len(points), on_surface, singular_ranks, control_ranks)
+    return SingularPointsReport(len(points), on_surface, singular_ranks, control_ranks,
+                                points)
 
 
 # -- cusp fiber vs cycle of lines ---------------------------------------------------
 
 
-def _relation_space(pres: Presentation) -> RowSpace:
-    space = RowSpace()
-    for rel in pres.relations:
-        space.insert({word_to_index(w, pres.p): c for w, c in rel})
-    return space
-
-
-def _relabeled_space(pres: Presentation, unit: int) -> RowSpace:
+def _relation_space(pres: Presentation, unit: int = 1) -> RowSpace:
     """Relation span after the index substitution x_i -> x_(unit * i)."""
     space = RowSpace()
     for rel in pres.relations:
-        vec = {}
-        for (i, j), c in rel:
-            vec[word_to_index(((unit * i) % 5, (unit * j) % 5), 5)] = c
-        space.insert(vec)
+        space.insert({word_to_index(tuple(unit * i for i in w), pres.p): c for w, c in rel})
     return space
 
 
@@ -281,7 +272,7 @@ def cycle_fiber_equivalence() -> CycleFiberReport:
 
     # (0:1) fiber: commutators + x_{i+2} x_{i-2}; x_i -> x_{2i} maps it to the cycle
     fiber01 = make_presentation("curveCa", 0)
-    relabeled = _relabeled_space(fiber01, 2).same_space(cycle_space)
+    relabeled = _relation_space(fiber01, 2).same_space(cycle_space)
 
     return CycleFiberReport(direct, relabeled, hilbert(cycle, 3), count_cusp_cycles())
 

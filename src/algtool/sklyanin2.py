@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clifford import (SymmetricForm, fat_profile, sample_rank_drop_points,
-                       simple_profile, symmetric_rank)
+from .clifford import (SymmetricForm, fat_profile, random_points,
+                       sample_rank_drop_points, simple_profile, symmetric_rank)
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, PoleError, SamplingError
@@ -225,9 +225,10 @@ class PointModuleReport:
     max_minor_residual: float
     ranks: List[int]
 
-    @property
-    def all_rank_two(self) -> bool:
-        return all(r == 2 for r in self.ranks)
+    def ok(self, tol: float) -> bool:
+        """Every minor below `tol` on all 25 orbit points, rank 2 at each."""
+        return (self.max_minor_residual < tol and self.orbit_size == 25
+                and all(r == 2 for r in self.ranks))
 
 
 def point_module_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> PointModuleReport:
@@ -243,11 +244,14 @@ def point_module_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> PointModu
         scale = max(abs(v) for v in pt)
         q = form.specialize([v / scale for v in pt])
         worst = max(worst, float(np.abs(minors_float(q, 3)).max()))
-        ranks.append(symmetric_rank(q, "float", tol.rank))
+        ranks.append(symmetric_rank(q, tol.rank))
     return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
 
 
 # -- stratification ------------------------------------------------------------------
+
+# the expected rank of Q on each stratum, in report order
+STRATUM_RANKS = {"generic": 5, "det-zero": 4, "E-prime": 2}
 
 
 @dataclass
@@ -264,6 +268,16 @@ class StratificationReport:
     t: complex
     strata: List[Stratum]
 
+    def ok(self) -> bool:
+        """Every stratum has its expected rank at every point, and the
+        representation profiles of that rank."""
+        for s in self.strata:
+            rank = STRATUM_RANKS[s.name]
+            if not (all(r == rank for r in s.ranks) and s.simple == simple_profile(rank, 5)
+                    and s.fat == fat_profile(rank)):
+                return False
+        return True
+
 
 def stratify(point, samples: int = 6, seed: int = 0,
              tol: Tolerances = DEFAULT_TOLERANCES) -> StratificationReport:
@@ -272,35 +286,22 @@ def stratify(point, samples: int = 6, seed: int = 0,
     a, b = _as_ab(point)
     t = _require_t(a, b)
     form = q5_form(complex(a), complex(b))
-    rng = np.random.default_rng(seed)
 
-    generic_ranks = []
-    for _ in range(samples):
-        pt = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        pt /= np.abs(pt).max()
-        generic_ranks.append(symmetric_rank(form.specialize(list(pt)), "float", tol.rank))
+    def rank(pt) -> int:
+        return symmetric_rank(form.specialize(list(pt)), tol.rank)
 
     det_zero = sample_rank_drop_points(form, max(3, samples // 2), seed + 1, tol.rank)
-    det_ranks = []
-    for pt in det_zero:
-        r = symmetric_rank(form.specialize(list(pt)), "float", tol.rank)
-        if r == 2:  # accidentally hit E'; line roots are generic, retry-free skip
-            continue
-        det_ranks.append(r)
-    if not det_ranks:
+    # a det-zero point that accidentally hit E' (rank 2) is skipped, not retried
+    observed = {
+        "generic": [rank(pt) for pt in random_points(5, samples, seed)],
+        "det-zero": [r for r in map(rank, det_zero) if r != 2],
+        "E-prime": [rank(pt) for pt in orbit_points(t)],
+    }
+    if not observed["det-zero"]:
         raise SamplingError("no det-zero points off E' found")
-
-    orbit_ranks = [symmetric_rank(form.specialize(list(pt)), "float", tol.rank)
-                   for pt in orbit_points(t)]
-
-    strata = [
-        Stratum("generic", len(generic_ranks), generic_ranks,
-                simple_profile(5, 5), fat_profile(5)),
-        Stratum("det-zero", len(det_ranks), det_ranks,
-                simple_profile(4, 5), fat_profile(4)),
-        Stratum("E-prime", len(orbit_ranks), orbit_ranks,
-                simple_profile(2, 5), fat_profile(2)),
-    ]
+    strata = [Stratum(name, len(observed[name]), observed[name],
+                      simple_profile(r, 5), fat_profile(r))
+              for name, r in STRATUM_RANKS.items()]
     return StratificationReport(t, strata)
 
 
@@ -334,6 +335,9 @@ class MinorIdealReport:
     product_span_dim: int
     minor4_span_dim: int
     qq_span_dim: int
+
+    def ok(self) -> bool:
+        return self.deg6 and self.deg8
 
 
 def _degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
@@ -379,6 +383,10 @@ class SecantReport:
     residual: float
     jac_degree: int
     det_degree: int
+
+    def ok(self, tol: float) -> bool:
+        """The determinants agree up to `tol` with a nonzero factor."""
+        return self.residual < tol and abs(self.lam) > 1e-12
 
 
 def secant_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> SecantReport:

@@ -66,6 +66,15 @@ def test_shioda_orbit(capsys):
     assert payload["points"] == 25 and payload["relations_ok"]
 
 
+def test_shioda_singular_points_payload(capsys):
+    from algtool.poly import scalar_to_json
+    from algtool.shioda5 import thirty_points
+    code, out = run_cli(capsys, "shioda5", "singular", "--format", "json")
+    assert code == 0
+    expected = [[scalar_to_json(c) for c in pt] for pt in thirty_points()]
+    assert json.loads(out)["points"] == json.loads(json.dumps(expected))
+
+
 def test_selftest_subset_determinism():
     outputs = []
     for hash_seed in ("0", "1"):

@@ -27,7 +27,7 @@ def test_symmetric_rank():
     assert symmetric_rank(eye) == 5
     outer = [[Fraction((i + 1) * (j + 1)) for j in range(3)] for i in range(3)]
     assert symmetric_rank(outer) == 1
-    assert symmetric_rank(np.eye(4), "float") == 4
+    assert symmetric_rank(np.eye(4)) == 4
     with pytest.raises(ValueError):
         symmetric_rank([[Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]])
 
@@ -112,4 +112,4 @@ def test_det_zero_points_have_small_rank():
     pts = sample_rank_drop_points(form, 20, seed=5)
     assert len(pts) == 20
     for pt in pts:
-        assert symmetric_rank(form.specialize(list(pt)), "float", 1e-8) <= 2
+        assert symmetric_rank(form.specialize(list(pt)), 1e-8) <= 2

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ModulusError
+from algtool.gradedalg import hilbert, make_presentation
 
 
 def frac(n, d=1):
@@ -223,3 +226,16 @@ def test_mixed_moduli_and_immutability():
     for name in ("p", "num", "den", "coeffs"):
         with pytest.raises(AttributeError):
             setattr(a5, name, getattr(a5, name))
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    x = Cyclotomic(5, [Fraction(1, 2), 3, 0, -2])
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x
+        assert (clone.p, clone.num, clone.den) == (x.p, x.num, x.den)
+    # a Q(w) presentation holds Cyclotomic coefficients in its relations
+    pres = make_presentation("curveCa", Cyclotomic(5, [1, 1]))
+    series = hilbert(pres, 4)
+    for clone in (copy.deepcopy(pres), pickle.loads(pickle.dumps(pres))):
+        assert clone == pres
+        assert hilbert(clone, 4) == series

@@ -1,6 +1,6 @@
 """The one dense exact elimination routine against sympy as a test-only
-oracle: `nullspace_exact` and the exact branch of `symmetric_rank` run
-through it.  `Cyclotomic.inverse`, which takes the Galois norm instead, is
+oracle: `nullspace_exact` and the exact S15 rank test run through
+`_gauss_jordan`, whose pivot count is checked here as the rank.  `Cyclotomic.inverse`, which takes the Galois norm instead, is
 checked here against x^-1 * x = 1."""
 
 from fractions import Fraction
@@ -9,9 +9,8 @@ import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from algtool.clifford import symmetric_rank
 from algtool.cyclotomic import Cyclotomic
-from algtool.linalg import nullspace_exact
+from algtool.linalg import _gauss_jordan, nullspace_exact
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 small = st.integers(-3, 3)
@@ -80,7 +79,7 @@ def symmetric_matrices(draw, max_size: int = 5):
 @SETTINGS
 @given(a=symmetric_matrices())
 def test_symmetric_rank_matches_sympy(a):
-    assert symmetric_rank(a, "exact") == to_sympy(a).rank()
+    assert len(_gauss_jordan(a)[1]) == to_sympy(a).rank()
 
 
 @st.composite

@@ -2,7 +2,12 @@
 in `src/algtool`: by name, as an attribute, or as an imported name.  A method
 that overrides one of a base class counts as referenced, since it is called
 through the base.  A `def` that nothing in the library names is dead code,
-so it fails here; tests keep their own helpers in `tests/`."""
+so it fails here; tests keep their own helpers in `tests/`.
+
+Blind spot: names are matched bare, without their class, so a dead method
+passes whenever any other reference uses its name.  `SimpleRep.dim` and
+`LinearCharacter.dim` stayed uncalled for a while because
+`SimpleProfile.dim` is read as `prof.dim`."""
 
 import ast
 import importlib

@@ -66,7 +66,7 @@ def test_ca_orbit_check(a):
 
 def test_ca_orbit_degenerate_fiber():
     report = ca_orbit_check(0)
-    assert report.ok  # relations degenerate to the cusp-cycle monomials
+    assert report.ok()  # relations degenerate to the cusp-cycle monomials
 
 
 def test_orbit_equivariance():

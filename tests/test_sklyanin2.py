@@ -128,7 +128,9 @@ def test_point_module_check(near_one_point):
     assert report.orbit_size == 25
     assert report.minor_count == 100
     assert report.max_minor_residual < 1e-8
-    assert report.all_rank_two
+    assert all(r == 2 for r in report.ranks)
+    assert report.ok(1e-8)
+    assert not report.ok(report.max_minor_residual)  # the residual bound is strict
 
 
 def test_point_module_residual_matches_symbolic_minors():
@@ -214,6 +216,7 @@ def test_secant_check(near_one_point):
     assert report.residual < 1e-7
     assert abs(report.lam) > 1e-12
     assert report.jac_degree == 5 and report.det_degree == 5
+    assert report.ok(1e-7) and not report.ok(report.residual)
 
 
 def test_onedim_reps_122():
@@ -271,3 +274,17 @@ def test_singularity_report_informational():
     report = curve_singularity_report()
     assert report["singular"] is True
     assert all(v == 0 for v in report["partials"])
+
+
+@pytest.mark.parametrize("check", ["minors", "ideal", "secant", "stratify"])
+def test_report_verdicts(near_one_point, check):
+    # each report's ok() passes on the curve and fails at (1.5, 0.7), off it
+    tol = DEFAULT_TOLERANCES
+    verdict = {
+        "minors": lambda pt: point_module_check(pt, tol).ok(tol.span),
+        "ideal": lambda pt: minor_ideal_checks(pt, tol).ok(),
+        "secant": lambda pt: secant_check(pt, tol).ok(tol.span),
+        "stratify": lambda pt: stratify(pt, 6, 0, tol).ok(),
+    }[check]
+    assert verdict(near_one_point) is True
+    assert verdict((1.5, 0.7)) is False
