@@ -16,10 +16,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import clifford, koszul, selftest, shioda5, sklyanin2
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .cyclotomic import Cyclotomic
 from .errors import AlgtoolError, InputError
-from .gradedalg import (character_coeffs, character_table, hilbert,
+from .gradedalg import (OVER_P, character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import SimpleRep, parse_element
 from .poly import MultiPoly, poly_to_json, scalar_to_json
@@ -44,8 +43,9 @@ def parse_scalar(text: str, mode: Optional[str] = None):
         raise InputError(f"cannot parse {text!r} as a number") from None
 
 
-def parse_params(text: str, mode: Optional[str] = None):
-    return tuple(parse_scalar(tok, mode) for tok in text.split(",") if tok.strip())
+def parse_params(text: str):
+    """Comma-separated exact scalars."""
+    return tuple(parse_scalar(tok, "exact") for tok in text.split(",") if tok.strip())
 
 
 def to_jsonable(obj):
@@ -96,27 +96,21 @@ def emit(payload, args, check_failed: bool = False) -> int:
     return 2 if check_failed else 0
 
 
-def tolerances(args) -> Tolerances:
-    return Tolerances(
-        rank=args.tol_rank if args.tol_rank is not None else DEFAULT_TOLERANCES.rank,
-        span=args.tol_span if args.tol_span is not None else DEFAULT_TOLERANCES.span,
-    )
-
-
 def build_algebra(args):
+    """The catalog presentation named by --algebra, from one catalog call:
+    p (--p, default 5) first for the families over a chosen prime, then the
+    --params values.  --p on a family with a fixed prime is an input error,
+    and so, by the catalog's count check, is --params on polynomial or
+    cycle."""
     kind = args.algebra
-    params = parse_params(args.params, "exact") if args.params else ()
-    if kind in ("polynomial", "cycle"):
-        return make_presentation(kind, args.p)
-    if kind == "sklyanin3":
-        return make_presentation(kind, *params)
-    if kind == "cliffordC":
-        return make_presentation(kind, args.p, params)
-    if kind == "sklyanin5":
-        return make_presentation(kind, *params)
-    if kind == "curveCa":
-        return make_presentation(kind, *params)
-    raise InputError(f"unknown algebra kind {kind!r}")
+    if kind in OVER_P:
+        head = (5 if args.p is None else args.p,)
+    elif args.p is None:
+        head = ()
+    else:
+        raise InputError(f"{kind} has a fixed p; --p applies to {', '.join(OVER_P)} only")
+    params = parse_params(args.params) if args.params else ()
+    return make_presentation(kind, *head, *params)
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -151,12 +145,11 @@ def cmd_koszul_check(args) -> int:
 
 
 def cmd_clifford_strata(args) -> int:
-    form = clifford.to_complex_form(clifford.example_form_dim3(parse_scalar(args.t, "exact")))
-    tol = tolerances(args)
+    form = clifford.example_form_dim3(parse_scalar(args.t, "exact"))
 
     def record(point) -> dict:
         mat = form.specialize(list(point))
-        rank = clifford.symmetric_rank(mat, tol.rank)
+        rank = clifford.symmetric_rank(mat, args.tol_rank)
         return {
             "point": point.tolist(),
             "rank": rank,
@@ -167,14 +160,14 @@ def cmd_clifford_strata(args) -> int:
 
     generic = clifford.random_points(form.size, args.samples, args.seed)
     drops = clifford.sample_rank_drop_points(form, max(2, args.samples // 2),
-                                             args.seed + 1, tol.rank)
+                                             args.seed + 1, args.tol_rank)
     return emit({"t": args.t, "strata": [record(pt) for pt in generic + drops]}, args)
 
 
 def cmd_sklyanin2(args) -> int:
     op = args.operation
     if op == "curve":
-        points = sklyanin2.curve_points_on_grid(parse_params(args.grid, "exact"))
+        points = sklyanin2.curve_points_on_grid(parse_params(args.grid))
         payload = {
             "points": [{"a": cp.a, "b": cp.b, "residual": abs(cp.residual),
                         "t": sklyanin2.t_param(cp.a, cp.b)} for cp in points],
@@ -187,25 +180,24 @@ def cmd_sklyanin2(args) -> int:
                    "resultant_terms": len(res.resultant.terms)}
         return emit(payload, args, check_failed=not res.check)
     if op == "onedim":
-        params = sklyanin2.OrderTwoParams(args.p, parse_params(args.params, "exact"))
+        params = sklyanin2.OrderTwoParams(args.p, parse_params(args.params))
         reps = sklyanin2.onedim_reps(params)
         return emit({"count": len(reps), "reps": reps}, args)
     a, b = parse_scalar(args.a, args.mode), parse_scalar(args.b, args.mode)
     if op == "t":
         t = sklyanin2.t_param(a, b)
         return emit({"a": a, "b": b, "t": "indeterminate" if t is None else t}, args)
-    tol = tolerances(args)
     if op == "minors":
-        report = sklyanin2.point_module_check((a, b), tol)
-        return emit(report, args, check_failed=not report.ok(tol.span))
+        report = sklyanin2.point_module_check((a, b), args.tol_rank)
+        return emit(report, args, check_failed=not report.ok(args.tol_span))
     if op == "ideal":
-        report = sklyanin2.minor_ideal_checks((a, b), tol)
+        report = sklyanin2.minor_ideal_checks((a, b), args.tol_span)
         return emit(report, args, check_failed=not report.ok())
     if op == "secant":
-        report = sklyanin2.secant_check((a, b), tol)
-        return emit(report, args, check_failed=not report.ok(tol.span))
+        report = sklyanin2.secant_check((a, b))
+        return emit(report, args, check_failed=not report.ok(args.tol_span))
     if op == "stratify":
-        report = sklyanin2.stratify((a, b), args.samples, args.seed, tol)
+        report = sklyanin2.stratify((a, b), args.samples, args.seed, args.tol_rank)
         return emit(report, args, check_failed=not report.ok())
     raise AlgtoolError(f"unknown sklyanin2 operation {op!r}")
 
@@ -220,7 +212,7 @@ def cmd_shioda5(args) -> int:
     elif op == "two-torsion":
         report = shioda5.two_torsion_check(args.samples, args.seed)
     elif op == "singular":
-        report = shioda5.singular_points_check(tolerances(args).rank)
+        report = shioda5.singular_points_check(args.tol_rank)
     elif op == "fiber":
         report = shioda5.cycle_fiber_equivalence()
     else:
@@ -238,52 +230,59 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="write the report to a file")
-    common.add_argument("--tol-rank", type=float, default=None)
-    common.add_argument("--tol-span", type=float, default=None)
-    common.add_argument("--max-cells", type=int, default=None,
-                        help="cap on the cells of one degree step of the graded engine "
-                             "(default: env ALGTOOL_MAX_CELLS, else 4e6)")
-
-    parser = Parser(prog="algtool", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    """One subparser per subcommand, each with the flags its handler reads."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument("--out", default=None, help="write the report to a file")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    tol_rank = argparse.ArgumentParser(add_help=False)
+    tol_rank.add_argument("--tol-rank", type=float, default=1e-8,
+                          help="relative singular-value cutoff of the float ranks")
 
     algebra = argparse.ArgumentParser(add_help=False)
     algebra.add_argument("--algebra", required=True,
                          choices=("polynomial", "cycle", "sklyanin3", "cliffordC",
                                   "sklyanin5", "curveCa"))
-    algebra.add_argument("--p", type=int, default=5)
+    algebra.add_argument("--p", type=int, default=None,
+                         help=f"the prime of {', '.join(OVER_P)} (default 5)")
     algebra.add_argument("--params", default=None,
                          help="comma-separated exact parameters, e.g. 1,1,-1")
+    algebra.add_argument("--max-cells", type=int, default=None,
+                         help="cap on the cells of one degree step of the graded engine "
+                              "(default: env ALGTOOL_MAX_CELLS, else 4e6)")
 
-    p = sub.add_parser("hilbert", parents=[common, algebra])
+    parser = Parser(prog="algtool", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("hilbert", parents=[output, algebra])
     p.add_argument("--max-degree", type=int, required=True)
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("charseries", parents=[common, algebra])
+    p = sub.add_parser("charseries", parents=[output, algebra])
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--class", dest="cls", default="1")
     p.add_argument("--rep", type=int, default=1)
     p.add_argument("--table", action="store_true", help="all conjugacy classes")
     p.set_defaults(func=cmd_charseries)
 
-    p = sub.add_parser("koszul-check", parents=[common, algebra])
+    p = sub.add_parser("koszul-check", parents=[output, algebra])
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--class", dest="cls", default="1")
     p.add_argument("--rep", type=int, default=1)
     p.set_defaults(func=cmd_koszul_check)
 
-    p = sub.add_parser("clifford-strata", parents=[common])
+    p = sub.add_parser("clifford-strata", parents=[output, seed, tol_rank])
     p.add_argument("--t", default="1", help="parameter of the 3-generator form")
     p.add_argument("--samples", type=int, default=6)
     p.set_defaults(func=cmd_clifford_strata)
 
-    p = sub.add_parser("sklyanin2", parents=[common])
+    p = sub.add_parser("sklyanin2", parents=[output, seed, tol_rank])
     p.add_argument("operation", choices=("curve", "t", "eliminate", "minors",
                                          "ideal", "secant", "onedim", "stratify"))
+    p.add_argument("--tol-span", type=float, default=1e-7,
+                   help="relative cutoff of the span ranks (ideal) and bound on the "
+                        "minor and secant residuals (minors, secant)")
     p.add_argument("--a", default="1")
     p.add_argument("--b", default="1")
     p.add_argument("--mode", choices=("exact", "float"), default=None)
@@ -293,14 +292,14 @@ def build_parser() -> Parser:
     p.add_argument("--params", default="1,2,2")
     p.set_defaults(func=cmd_sklyanin2)
 
-    p = sub.add_parser("shioda5", parents=[common])
+    p = sub.add_parser("shioda5", parents=[output, seed, tol_rank])
     p.add_argument("operation", choices=("minors", "orbit", "two-torsion",
                                          "singular", "fiber"))
     p.add_argument("--a", default="1")
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(func=cmd_shioda5)
 
-    p = sub.add_parser("selftest", parents=[common])
+    p = sub.add_parser("selftest", parents=[output, seed])
     p.add_argument("--criteria", default=None, help="run a subset, e.g. 1,2,9")
     p.set_defaults(func=cmd_selftest)
 

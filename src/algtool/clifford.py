@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -132,9 +132,11 @@ def standard_gammas(k: int) -> List[np.ndarray]:
     return gammas
 
 
-def _symmetric_square_root_factors(m: np.ndarray, rank: int, tol: float) -> np.ndarray:
+def _symmetric_square_root_factors(m: np.ndarray, rank: int) -> np.ndarray:
     """S with m = S S^T (n x rank), by congruence pivoting on directions u
-    with u^T m u != 0; complex symmetric input."""
+    with u^T m u != 0; complex symmetric input.  Pivots below 1e-9 of the
+    largest entry (at least 1) count as zero."""
+    tol = 1e-9
     n = m.shape[0]
     work = m.astype(complex).copy()
     scale = max(np.abs(m).max(), 1.0)
@@ -174,7 +176,7 @@ class CliffordReps:
     max_residual: float
 
 
-def build_reps(matrix, rank: int, tol: float = 1e-9) -> CliffordReps:
+def build_reps(matrix, rank: int) -> CliffordReps:
     """Matrices X_1..X_n with X_i X_j + X_j X_i = M_ij * Id, dimension and
     count per simple_profile(rank); odd rank yields the two inequivalent
     choices (sign flip of the last diagonalized generator)."""
@@ -183,8 +185,7 @@ def build_reps(matrix, rank: int, tol: float = 1e-9) -> CliffordReps:
     if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-10 * (np.abs(m).max() + 1)):
         raise ValueError("build_reps needs a symmetric square matrix")
     profile = simple_profile(rank, n)
-    factor_tol = max(tol, 1e-12)
-    s = _symmetric_square_root_factors(m, rank, factor_tol)
+    s = _symmetric_square_root_factors(m, rank)
     variants = [standard_gammas(rank)]
     if profile.count == 2:
         flipped = [g.copy() for g in standard_gammas(rank)]
@@ -248,32 +249,21 @@ def example_form_dim3(t) -> SymmetricForm:
     return SymmetricForm(ring.variables, PolyMatrix(3, 3, entries))
 
 
-def det_along_line(form_cc: SymmetricForm, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
+def det_along_line(form: SymmetricForm, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
     """det M(base + s * direction) as a numpy polynomial in s."""
     ring = ring_cc(("s",))
     s_var = MultiPoly.var(ring, 0)
     entries = []
-    for e in form_cc.matrix.entries:
+    for e in form.matrix.entries:
         at_base = e.eval([complex(v) for v in base])
         slope = e.eval([complex(v) for v in direction])
         entries.append(MultiPoly.const(ring, at_base) + s_var * slope)
-    det = mat_det(PolyMatrix(form_cc.size, form_cc.size, entries))
+    det = mat_det(PolyMatrix(form.size, form.size, entries))
     deg = det.total_degree()
     coeffs = [0j] * (deg + 1)
     for exps, c in det.terms.items():
         coeffs[deg - exps[0]] = c
     return np.poly1d(coeffs)
-
-
-def to_complex_form(form: SymmetricForm, subs: Optional[dict] = None) -> SymmetricForm:
-    """Clone an exact form over CC (entries linear in the same variables)."""
-    ring = ring_cc(form.variables)
-    entries = []
-    for e in form.matrix.entries:
-        terms = {exps: complex(c) if not hasattr(c, "embed") else c.embed(1)
-                 for exps, c in e.terms.items()}
-        entries.append(MultiPoly(ring, terms))
-    return SymmetricForm(ring.variables, PolyMatrix(form.matrix.rows, form.matrix.cols, entries))
 
 
 def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
@@ -286,20 +276,22 @@ def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
     return points
 
 
-def sample_rank_drop_points(form_cc: SymmetricForm, count: int, seed: int,
-                            tol: float = 1e-8, retries: int = 40) -> List[np.ndarray]:
-    """Points on V(det M) found by root-finding det along random complex lines."""
+def sample_rank_drop_points(form: SymmetricForm, count: int, seed: int,
+                            tol: float = 1e-8) -> List[np.ndarray]:
+    """Points on V(det M) found by root-finding det along random complex
+    lines; a point counts when |det| <= sqrt(tol) there, and SamplingError
+    is raised after 40 lines per requested point."""
     rng = np.random.default_rng(seed)
-    n_vars = len(form_cc.variables)
+    n_vars = len(form.variables)
     out = []
     attempts = 0
     while len(out) < count:
         attempts += 1
-        if attempts > retries * max(count, 1):
+        if attempts > 40 * max(count, 1):
             raise SamplingError("could not locate enough det-zero points")
         base = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
         direction = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
-        poly = det_along_line(form_cc, base, direction)
+        poly = det_along_line(form, base, direction)
         if poly.order < 1:
             continue
         roots = poly.r
@@ -311,7 +303,7 @@ def sample_rank_drop_points(form_cc: SymmetricForm, count: int, seed: int,
         if norm == 0 or not np.isfinite(norm):
             continue
         point = point / norm
-        mat = form_cc.specialize(list(point))
+        mat = form.specialize(list(point))
         if abs(np.linalg.det(mat)) > np.sqrt(tol):
             continue
         out.append(point)

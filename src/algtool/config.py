@@ -1,9 +1,8 @@
-"""Central numeric tolerances and the degreewise resource cap."""
+"""The degreewise resource cap of the graded engine."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 
@@ -15,17 +14,6 @@ from .errors import ResourceLimitError
 DEFAULT_MAX_CELLS = 4_000_000
 
 ENV_MAX_CELLS = "ALGTOOL_MAX_CELLS"
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Float tolerances used by the numeric (non-exact) code paths."""
-
-    rank: float = 1e-8
-    span: float = 1e-7
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 def max_cells() -> int:

@@ -368,22 +368,31 @@ def _commutators(p: int) -> List[List[Tuple[Word, object]]]:
     return rels
 
 
-def make_presentation(kind: str, *args, **kwargs) -> Presentation:
+#: the catalog families over a prime of the caller's choice, p their first argument
+OVER_P = ("polynomial", "cycle", "cliffordC")
+
+
+def make_presentation(kind: str, *args) -> Presentation:
     """Catalog of presentations:
 
     - polynomial(p): commutator relations of C[V].
     - cycle(p), p >= 5: coordinate ring of the cycle of p lines.
     - sklyanin3(a, b, c): a x1 x2 + b x2 x1 + c x0^2 orbit, p = 3.
-    - cliffordC(p, (a0, ..., a_{(p-1)/2})): a0 {x_{i+k}, x_{-i+k}} = a_i x_k^2.
+    - cliffordC(p, a0, ..., a_{(p-1)/2}): a0 {x_{i+k}, x_{-i+k}} = a_i x_k^2.
     - sklyanin5(a, b): {x_{1+k}, x_{4+k}} = a x_k^2, {x_{2+k}, x_{3+k}} = b x_k^2.
     - curveCa(a): quadrics of the elliptic normal curve C_a plus commutators, p = 5.
+
+    A wrong number of arguments raises InputError.
     """
+    if kind in ("polynomial", "cycle") and len(args) != 1:
+        raise InputError(f"{kind} takes p and no parameters, got {len(args)} arguments")
+
     if kind == "polynomial":
-        (p,) = args or (kwargs.pop("p"),)
+        (p,) = args
         return _finalize(p, "QQ", _commutators(p), "polynomial", (p,))
 
     if kind == "cycle":
-        (p,) = args or (kwargs.pop("p"),)
+        (p,) = args
         require_odd_prime(p)
         if p < 5:
             raise InputError("cycle presentation needs p >= 5")
@@ -394,7 +403,7 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         return _finalize(p, "QQ", raw, "cycle", (p,))
 
     if kind == "sklyanin3":
-        a, b, c = _coerce_params(args if args else kwargs.pop("params"), 3, kind)
+        a, b, c = _coerce_params(args, 3, kind)
         raw = []
         for k in range(3):
             # e1-orbit of a x1 x2 + b x2 x1 + c x0^2 (indices shift by -k)
@@ -406,10 +415,11 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         return _finalize(3, _field_of((a, b, c)), raw, "sklyanin3", (a, b, c))
 
     if kind == "cliffordC":
-        p = args[0] if args else kwargs.pop("p")
+        if not args:
+            raise InputError("cliffordC needs p and its parameters, got no arguments")
+        p = args[0]
         require_odd_prime(p)
-        avec = _coerce_params(args[1] if len(args) > 1 else kwargs.pop("params"),
-                              (p + 1) // 2, f"cliffordC over p={p}")
+        avec = _coerce_params(args[1:], (p + 1) // 2, f"cliffordC over p={p}")
         a0 = avec[0]
         raw = []
         for i in range(1, (p - 1) // 2 + 1):
@@ -422,7 +432,7 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         return _finalize(p, _field_of(avec), raw, "cliffordC", (p,) + avec)
 
     if kind == "sklyanin5":
-        a, b = _coerce_params(args if args else kwargs.pop("params"), 2, kind)
+        a, b = _coerce_params(args, 2, kind)
         raw = []
         for k in range(5):
             raw.append([
@@ -439,7 +449,7 @@ def make_presentation(kind: str, *args, **kwargs) -> Presentation:
         return _finalize(5, _field_of((a, b)), raw, "sklyanin5", (a, b))
 
     if kind == "curveCa":
-        (a,) = _coerce_params(args if args else (kwargs.pop("a"),), 1, kind)
+        (a,) = _coerce_params(args, 1, kind)
         raw = _commutators(5)
         for i in range(5):
             raw.append([

@@ -106,23 +106,18 @@ class RowSpace:
         return True
 
 
-def _gauss_jordan(rows: Sequence[Sequence], ncols: Optional[int] = None
-                  ) -> Tuple[List[list], List[int]]:
+def _gauss_jordan(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
     """Dense exact Gauss-Jordan elimination of a copy of `rows`.
 
-    Pivots are sought in the first `ncols` columns (default: all), taking the
-    first row at or below the current one with a nonzero entry; row
-    operations run over whole rows, so trailing (augmented) columns follow
-    along.  Returns the reduced rows and the pivot columns: row k has pivot
-    1 in column pivots[k], rows from len(pivots) on are zero in the first
-    `ncols` columns.
+    Each column in turn takes as pivot the first row at or below the current
+    one with a nonzero entry.  Returns the reduced rows and the pivot
+    columns: row k has pivot 1 in column pivots[k], rows from len(pivots) on
+    are zero.
     """
     a = [list(r) for r in rows]
     m = len(a)
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
     pivots: List[int] = []
-    for c in range(ncols):
+    for c in range(len(a[0]) if a else 0):
         r = len(pivots)
         if r == m:
             break

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import clifford, koszul, shioda5, sklyanin2
-from .config import DEFAULT_TOLERANCES
 from .cyclotomic import Cyclotomic
 from .gradedalg import (character_coeffs, character_table, hilbert,
                         make_presentation)
@@ -69,21 +68,22 @@ def criterion_1_heisenberg(seed: int = 0) -> CheckResult:
     return CheckResult("1-heisenberg-structure", ok, details)
 
 
+# (details key, catalog arguments, top degree, expected Hilbert series)
 HILBERT_FIXTURES = (
-    ("polynomial", (5,), 4, [1, 5, 15, 35, 70]),
-    ("cycle", (5,), 4, [1, 5, 10, 15, 20]),
-    ("sklyanin3", (1, 1, -1), 5, [1, 3, 6, 10, 15, 21]),
-    ("cliffordC", (5, (1, 2, 3)), 4, [1, 5, 15, 35, 70]),
-    ("sklyanin5", (2, 2), 3, [1, 5, 15, 35]),
+    ("polynomial(5,)", ("polynomial", 5), 4, [1, 5, 15, 35, 70]),
+    ("cycle(5,)", ("cycle", 5), 4, [1, 5, 10, 15, 20]),
+    ("sklyanin3(1, 1, -1)", ("sklyanin3", 1, 1, -1), 5, [1, 3, 6, 10, 15, 21]),
+    ("cliffordC(5, (1, 2, 3))", ("cliffordC", 5, 1, 2, 3), 4, [1, 5, 15, 35, 70]),
+    ("sklyanin5(2, 2)", ("sklyanin5", 2, 2), 3, [1, 5, 15, 35]),
 )
 
 
 def criterion_2_hilbert(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
-    for kind, params, n, expected in HILBERT_FIXTURES:
-        got = hilbert(make_presentation(kind, *params), n)
-        details[f"{kind}{params}"] = got
+    for key, catalog_args, n, expected in HILBERT_FIXTURES:
+        got = hilbert(make_presentation(*catalog_args), n)
+        details[key] = got
         ok &= got == expected
     return CheckResult("2-hilbert-fixtures", ok, details)
 
@@ -207,7 +207,7 @@ def criterion_5_clifford(seed: int = 0) -> CheckResult:
     details["build_reps_shapes"] = all(s for _, s in results)
     ok &= worst < 1e-9 and all(s for _, s in results)
 
-    form = clifford.to_complex_form(clifford.example_form_dim3(1))
+    form = clifford.example_form_dim3(1)
     pts = clifford.sample_rank_drop_points(form, 20, seed + 7)
     ranks = [clifford.symmetric_rank(form.specialize(list(p)), 1e-8) for p in pts]
     details["dim3_det_zero_ranks"] = sorted(set(ranks))
@@ -218,7 +218,6 @@ def criterion_5_clifford(seed: int = 0) -> CheckResult:
 def criterion_6_sklyanin2(seed: int = 0) -> CheckResult:
     details = {}
     ok = True
-    tol = DEFAULT_TOLERANCES
 
     elim = sklyanin2.eliminate_t()
     details["eliminate_check"] = elim.check
@@ -237,17 +236,17 @@ def criterion_6_sklyanin2(seed: int = 0) -> CheckResult:
 
     pm_ok = strat_ok = ideal_ok = sec_ok = True
     for cp in points[:3]:
-        pm_ok &= sklyanin2.point_module_check(cp, tol).ok(1e-8)
-        strat_ok &= sklyanin2.stratify(cp, samples=5, seed=seed, tol=tol).ok()
-        ideal_ok &= sklyanin2.minor_ideal_checks(cp, tol).ok()
-        sec_ok &= sklyanin2.secant_check(cp, tol).ok(1e-7)
+        pm_ok &= sklyanin2.point_module_check(cp).ok(1e-8)
+        strat_ok &= sklyanin2.stratify(cp, samples=5, seed=seed).ok()
+        ideal_ok &= sklyanin2.minor_ideal_checks(cp).ok()
+        sec_ok &= sklyanin2.secant_check(cp).ok(1e-7)
     details["point_modules"] = pm_ok
     details["stratification"] = strat_ok
     details["minor_ideals"] = ideal_ok
     details["secant"] = sec_ok
     ok &= pm_ok and strat_ok and ideal_ok and sec_ok
 
-    off = sklyanin2.minor_ideal_checks((0.0, 1.0), tol)
+    off = sklyanin2.minor_ideal_checks((0.0, 1.0))
     details["deg6_off_curve"] = off.deg6
     ok &= not off.deg6
 

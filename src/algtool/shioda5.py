@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .cyclotomic import Cyclotomic
-from .errors import SamplingError
+from .errors import InputError, SamplingError
 from .gradedalg import (Presentation, hilbert, make_presentation,
                         make_relation, word_to_index)
 from .heisenberg import (HeisenbergElement, SimpleRep, apply_element,
@@ -123,8 +123,9 @@ class TwoTorsionReport:
     max_residual: float
     control_residual: float
 
-    def ok(self, tol: float = 1e-7, control_floor: float = 1e-5) -> bool:
-        return self.max_residual < tol and self.control_residual > control_floor
+    def ok(self) -> bool:
+        """Every root on S15 to 1e-7, and the control off it by more than 1e-5."""
+        return self.max_residual < 1e-7 and self.control_residual > 1e-5
 
 
 def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
@@ -146,7 +147,7 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     |f| >= 0.75 m^6 / sum_{k<5} 2.19^k >= 0.018 m^6, where M <= 2.19 m: a
     control residual of at least 1.6e-4."""
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InputError("need at least one sample")
     rng = np.random.default_rng(seed)
     matrix = s15_matrix()
     directions = np.exp(2j * np.pi * np.arange(5) / 5)

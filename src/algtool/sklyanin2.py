@@ -22,9 +22,8 @@ import numpy as np
 
 from .clifford import (SymmetricForm, fat_profile, random_points,
                        sample_rank_drop_points, simple_profile, symmetric_rank)
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .cyclotomic import Cyclotomic
-from .errors import IndeterminateError, PoleError, SamplingError
+from .errors import IndeterminateError, InputError, PoleError, SamplingError
 from .gradedalg import make_presentation
 from .heisenberg import SimpleRep, heisenberg_orbit_points
 from .linalg import minors_float, rank_float
@@ -46,9 +45,9 @@ class OrderTwoParams:
     def __post_init__(self):
         object.__setattr__(self, "avec", tuple(Fraction(v) for v in self.avec))
         if len(self.avec) != (self.p + 1) // 2:
-            raise ValueError(f"need {(self.p + 1) // 2} parameters for p={self.p}")
+            raise InputError(f"need {(self.p + 1) // 2} parameters for p={self.p}")
         if not any(self.avec):
-            raise ValueError("parameter vector must be nonzero")
+            raise InputError("parameter vector must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,10 @@ def cprime_residual(a: Scalar, b: Scalar) -> Scalar:
     return -(a ** 3) * b ** 3 + a ** 5 + b ** 5 + 2 * a ** 2 * b ** 2 - 8 * a * b
 
 
-def t_param(a: Scalar, b: Scalar, tol: float = 1e-12) -> Optional[Scalar]:
-    """t = (a^3 b - b^3 - 2 a^2) / (a^4 - a b^2 - 4 b); None means 0/0."""
+def t_param(a: Scalar, b: Scalar) -> Optional[Scalar]:
+    """t = (a^3 b - b^3 - 2 a^2) / (a^4 - a b^2 - 4 b); None means 0/0.  At
+    a float point, numerator and denominator count as zero below 1e-12
+    times the point's largest coordinate (at least 1) to the fourth."""
     num = a ** 3 * b - b ** 3 - 2 * a ** 2
     den = a ** 4 - a * b ** 2 - 4 * b
     if _is_exact(a, b):
@@ -84,9 +85,9 @@ def t_param(a: Scalar, b: Scalar, tol: float = 1e-12) -> Optional[Scalar]:
                 return None
             raise PoleError(f"t has a pole at ({a}, {b})")
         return Fraction(num) / Fraction(den)
-    scale = max(abs(a), abs(b), 1.0)
-    if abs(den) <= tol * scale ** 4:
-        if abs(num) <= tol * scale ** 4:
+    cutoff = 1e-12 * max(abs(a), abs(b), 1.0) ** 4
+    if abs(den) <= cutoff:
+        if abs(num) <= cutoff:
             return None
         raise PoleError(f"t has a pole at ({a}, {b})")
     return num / den
@@ -136,11 +137,12 @@ def eliminate_t() -> EliminationResult:
 # -- numeric curve points ------------------------------------------------------------
 
 
-def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2), Fraction(1, 2)),
-                         bracket: float = 4.0, step: float = 0.05) -> List[CurvePoint]:
-    """One numeric point of C' per grid value of a: scan [-bracket, bracket]
-    for a sign change of b -> C'(a, b), bisect, then Newton-polish to ~1e-15.
-    Roots with indeterminate or infinite t are skipped."""
+def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+                         ) -> List[CurvePoint]:
+    """One numeric point of C' per grid value of a: scan [-4, 4] in steps of
+    0.05 for a sign change of b -> C'(a, b), bisect, then Newton-polish to
+    ~1e-15.  Roots with indeterminate or infinite t are skipped."""
+    bracket, step = 4.0, 0.05
     points = []
     for a_exact in grid:
         a = float(a_exact)
@@ -204,14 +206,15 @@ def base_point(t: complex) -> Tuple[complex, ...]:
     return (0j, 1 + 0j, t, -t, -1 + 0j)
 
 
-def orbit_points(t: complex, dedup_tol: float = 1e-9) -> List[Tuple[complex, ...]]:
+def orbit_points(t: complex) -> List[Tuple[complex, ...]]:
     """The 25 Heisenberg-orbit images of (0 : 1 : t : -t : -1) in u-space,
-    projectively normalized and deduplicated."""
+    projectively normalized (first coordinate above 1e-9 set to 1) and
+    deduplicated (points within 1e-8 in every coordinate are one)."""
     seen: List[Tuple[complex, ...]] = []
     for vec in heisenberg_orbit_points(SimpleRep(5, 1), base_point(t)):
-        lead = next(v for v in vec if abs(v) > dedup_tol)
+        lead = next(v for v in vec if abs(v) > 1e-9)
         norm = tuple(v / lead for v in vec)
-        if not any(all(abs(x - y) <= dedup_tol * 10 for x, y in zip(norm, old))
+        if not any(all(abs(x - y) <= 1e-8 for x, y in zip(norm, old))
                    for old in seen):
             seen.append(norm)
     return seen
@@ -231,9 +234,10 @@ class PointModuleReport:
                 and all(r == 2 for r in self.ranks))
 
 
-def point_module_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> PointModuleReport:
+def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
     """Every 3x3 minor of Q(a, b) vanishes on the whole orbit of the base
-    point of E', and the rank there is 2."""
+    point of E', and the rank there (singular values above `rank_tol`
+    relative to the largest) is 2."""
     a, b = _as_ab(point)
     t = _require_t(a, b)
     form = q5_form(complex(a), complex(b))
@@ -244,7 +248,7 @@ def point_module_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> PointModu
         scale = max(abs(v) for v in pt)
         q = form.specialize([v / scale for v in pt])
         worst = max(worst, float(np.abs(minors_float(q, 3)).max()))
-        ranks.append(symmetric_rank(q, tol.rank))
+        ranks.append(symmetric_rank(q, rank_tol))
     return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
 
 
@@ -256,6 +260,9 @@ STRATUM_RANKS = {"generic": 5, "det-zero": 4, "E-prime": 2}
 
 @dataclass
 class Stratum:
+    """The observed ranks of one stratum; `simple` and `fat` are the
+    representation profiles of its expected rank, STRATUM_RANKS[name]."""
+
     name: str
     points: int
     ranks: List[int]
@@ -269,18 +276,12 @@ class StratificationReport:
     strata: List[Stratum]
 
     def ok(self) -> bool:
-        """Every stratum has its expected rank at every point, and the
-        representation profiles of that rank."""
-        for s in self.strata:
-            rank = STRATUM_RANKS[s.name]
-            if not (all(r == rank for r in s.ranks) and s.simple == simple_profile(rank, 5)
-                    and s.fat == fat_profile(rank)):
-                return False
-        return True
+        """Every stratum has its expected rank at every point."""
+        return all(r == STRATUM_RANKS[s.name] for s in self.strata for r in s.ranks)
 
 
 def stratify(point, samples: int = 6, seed: int = 0,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> StratificationReport:
+             rank_tol: float = 1e-8) -> StratificationReport:
     """Rank profile of Q over (i) random points of P^4, (ii) points of
     V(det Q) off E', (iii) the E' orbit; expected ranks 5 / 4 / 2."""
     a, b = _as_ab(point)
@@ -288,9 +289,9 @@ def stratify(point, samples: int = 6, seed: int = 0,
     form = q5_form(complex(a), complex(b))
 
     def rank(pt) -> int:
-        return symmetric_rank(form.specialize(list(pt)), tol.rank)
+        return symmetric_rank(form.specialize(list(pt)), rank_tol)
 
-    det_zero = sample_rank_drop_points(form, max(3, samples // 2), seed + 1, tol.rank)
+    det_zero = sample_rank_drop_points(form, max(3, samples // 2), seed + 1, rank_tol)
     # a det-zero point that accidentally hit E' (rank 2) is skipped, not retried
     observed = {
         "generic": [rank(pt) for pt in random_points(5, samples, seed)],
@@ -363,13 +364,13 @@ def _degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
     return t, (minors3, products), (minors4, qq)
 
 
-def minor_ideal_checks(point, tol: Tolerances = DEFAULT_TOLERANCES) -> MinorIdealReport:
+def minor_ideal_checks(point, span_tol: float = 1e-7) -> MinorIdealReport:
     """deg6: span of the 100 cubic 3x3 minors equals span of the 25 products
     u_j q_i; deg8: span of the 25 quartic 4x4 minors equals span of the 15
-    products q_i q_j."""
+    products q_i q_j.  Spans are compared by float ranks at `span_tol`."""
     t, deg6_pair, deg8_pair = _degree_pieces(point)
-    deg6, minor3_dim, product_dim = _mutual_span(*deg6_pair, tol.span)
-    deg8, minor4_dim, qq_dim = _mutual_span(*deg8_pair, tol.span)
+    deg6, minor3_dim, product_dim = _mutual_span(*deg6_pair, span_tol)
+    deg8, minor4_dim, qq_dim = _mutual_span(*deg8_pair, span_tol)
     return MinorIdealReport(t, deg6, deg8, minor3_dim, product_dim, minor4_dim, qq_dim)
 
 
@@ -389,7 +390,7 @@ class SecantReport:
         return self.residual < tol and abs(self.lam) > 1e-12
 
 
-def secant_check(point, tol: Tolerances = DEFAULT_TOLERANCES) -> SecantReport:
+def secant_check(point) -> SecantReport:
     """det(dQ_i/dz_j) of the quadrics Q_i = z_i^2 + t z_{i+1} z_{i+4}
     - (1/t) z_{i+2} z_{i+3} is proportional to det Q(a, b) with u := z."""
     a, b = _as_ab(point)
@@ -424,12 +425,12 @@ def onedim_reps(params: OrderTwoParams) -> List[Tuple[Cyclotomic, ...]]:
     half = (p - 1) // 2
     i0 = next((i for i in range(1, half + 1) if avec[i]), None)
     if i0 is None:
-        raise ValueError("need some a_i != 0 with i >= 1")
+        raise InputError("need some a_i != 0 with i >= 1")
     if avec[0] == 0:
         return []
     c = Cyclotomic.from_rational(p, Fraction(avec[i0], 2 * avec[0]))
     s_base = (c.inverse()) ** half  # c^(-(p-1)/2)
-    pres = make_presentation("cliffordC", p, avec)
+    pres = make_presentation("cliffordC", p, *avec)
     found = []
     for j in range(p):
         s = s_base * Cyclotomic.zeta(p, j)

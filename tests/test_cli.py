@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from algtool.cli import main, parse_scalar
+from algtool.cli import build_parser, main, parse_scalar
 
 
 def run_cli(capsys, *argv):
@@ -138,8 +139,16 @@ def test_out_file(tmp_path, capsys):
      "--max-degree", "2"],
     ["hilbert", "--algebra", "sklyanin3", "--params", "1,x,1", "--max-degree", "3"],
     ["hilbert", "--algebra", "cycle", "--p", "3", "--max-degree", "3"],
+    ["hilbert", "--algebra", "sklyanin3", "--p", "7", "--params", "1,1,-1", "--max-degree", "3"],
+    ["hilbert", "--algebra", "polynomial", "--params", "1,2", "--max-degree", "3"],
+    ["hilbert", "--algebra", "curveCa", "--max-degree", "3"],
+    ["sklyanin2", "onedim", "--params", "1,2"],
+    ["sklyanin2", "onedim", "--params", "1,0,0"],
+    ["shioda5", "two-torsion", "--samples", "0"],
 ], ids=["wrong-parameter-count", "unknown-generator", "bad-exponent", "unparsable-number",
-        "cycle-below-5"])
+        "cycle-below-5", "p-on-fixed-prime-family", "params-on-polynomial",
+        "missing-parameters", "onedim-parameter-count", "onedim-zero-tail",
+        "two-torsion-no-samples"])
 def test_input_error_payload(capsys, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 1
@@ -166,3 +175,89 @@ def test_selftest_passed_flags_are_json_bools(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["criteria"][0]["passed"] is True
+
+
+# polynomial(3) in degree 3 is a 9 x 18 working matrix: 162 cells
+CAP_ARGV = ("hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "3",
+            "--format", "json")
+
+
+def test_max_cells_environment_variable(capsys, monkeypatch):
+    monkeypatch.setenv("ALGTOOL_MAX_CELLS", "161")
+    code, out = run_cli(capsys, *CAP_ARGV)
+    assert code == 1 and json.loads(out)["error"]["code"] == "resource"
+    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "162")
+    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
+    monkeypatch.setenv("ALGTOOL_MAX_CELLS", "162")
+    code, out = run_cli(capsys, *CAP_ARGV)
+    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
+    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "161")
+    assert code == 1 and json.loads(out)["error"]["code"] == "resource"
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_max_cells_environment_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("ALGTOOL_MAX_CELLS", value)
+    code, out = run_cli(capsys, *CAP_ARGV)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "resource" and "ALGTOOL_MAX_CELLS" in error["message"]
+    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "162")
+    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
+
+
+ALGEBRA_FLAGS = {"--algebra", "--p", "--params", "--max-cells"}
+
+# the flags each subcommand accepts: 54 option slots, 20 distinct flags
+OPTION_SURFACE = {
+    "hilbert": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree"},
+    "charseries": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree", "--class", "--rep",
+                   "--table"},
+    "koszul-check": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree", "--class", "--rep"},
+    "clifford-strata": {"--format", "--out", "--seed", "--tol-rank", "--t", "--samples"},
+    "sklyanin2": {"--format", "--out", "--seed", "--tol-rank", "--tol-span", "--a", "--b",
+                  "--mode", "--grid", "--samples", "--p", "--params"},
+    "shioda5": {"--format", "--out", "--seed", "--tol-rank", "--a", "--samples"},
+    "selftest": {"--format", "--out", "--seed", "--criteria"},
+}
+
+
+def test_option_surface():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {flag for action in p._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")}
+               for name, p in sub.choices.items()}
+    assert surface == OPTION_SURFACE
+    assert sum(len(flags) for flags in surface.values()) == 54
+    assert len(set().union(*surface.values())) == 20
+
+
+# a minimal valid invocation of each subcommand, and the flags it does not read
+MINIMAL_ARGV = {
+    "hilbert": ["hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "1"],
+    "charseries": ["charseries", "--algebra", "polynomial", "--p", "3", "--max-degree", "1"],
+    "koszul-check": ["koszul-check", "--algebra", "polynomial", "--p", "3", "--max-degree", "1"],
+    "clifford-strata": ["clifford-strata"],
+    "sklyanin2": ["sklyanin2", "t"],
+    "shioda5": ["shioda5", "minors"],
+    "selftest": ["selftest", "--criteria", "7"],
+}
+DROPPED_SLOTS = [
+    ("hilbert", "--seed"), ("hilbert", "--tol-rank"), ("hilbert", "--tol-span"),
+    ("charseries", "--seed"), ("charseries", "--tol-rank"), ("charseries", "--tol-span"),
+    ("koszul-check", "--seed"), ("koszul-check", "--tol-rank"), ("koszul-check", "--tol-span"),
+    ("clifford-strata", "--tol-span"), ("clifford-strata", "--max-cells"),
+    ("sklyanin2", "--max-cells"),
+    ("shioda5", "--tol-span"), ("shioda5", "--max-cells"),
+    ("selftest", "--tol-rank"), ("selftest", "--tol-span"), ("selftest", "--max-cells"),
+]
+
+
+@pytest.mark.parametrize("command,flag", DROPPED_SLOTS,
+                         ids=[f"{c}{f}" for c, f in DROPPED_SLOTS])
+def test_unread_flag_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(MINIMAL_ARGV[command] + [flag, "1"])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

@@ -6,8 +6,7 @@ import pytest
 from algtool.clifford import (FatProfile, SimpleProfile, build_reps,
                               center_data, example_form_dim3, fat_profile,
                               sample_rank_drop_points, simple_profile,
-                              standard_gammas, symmetric_rank,
-                              to_complex_form)
+                              standard_gammas, symmetric_rank)
 from algtool.errors import ConditioningError
 from algtool.poly import MultiPoly, PolyMatrix, ring_q
 
@@ -108,7 +107,7 @@ def test_center_data():
 
 
 def test_det_zero_points_have_small_rank():
-    form = to_complex_form(example_form_dim3(1))
+    form = example_form_dim3(1)
     pts = sample_rank_drop_points(form, 20, seed=5)
     assert len(pts) == 20
     for pt in pts:

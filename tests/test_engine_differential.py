@@ -21,11 +21,11 @@ CATALOG = (
     (("sklyanin3", 1, 2, -3), 4),
     (("polynomial", 5), 3),
     (("cycle", 5), 3),
-    (("cliffordC", 5, (1, 2, 3)), 3),
+    (("cliffordC", 5, 1, 2, 3), 3),
     (("sklyanin5", 2, 2), 3),
     (("curveCa", 2), 3),
     (("curveCa", Cyclotomic(5, (1, 3))), 3),
-    (("cliffordC", 7, (1, 1, 2, 3)), 2),
+    (("cliffordC", 7, 1, 1, 2, 3), 2),
 )
 
 

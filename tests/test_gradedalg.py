@@ -74,7 +74,7 @@ def test_hilbert_fixtures():
     assert hilbert(make_presentation("polynomial", 5), 4) == [1, 5, 15, 35, 70]
     assert hilbert(make_presentation("cycle", 5), 4) == [1, 5, 10, 15, 20]
     assert hilbert(make_presentation("sklyanin3", 1, 1, -1), 5) == [1, 3, 6, 10, 15, 21]
-    assert hilbert(make_presentation("cliffordC", 5, (1, 2, 3)), 4) == [1, 5, 15, 35, 70]
+    assert hilbert(make_presentation("cliffordC", 5, 1, 2, 3), 4) == [1, 5, 15, 35, 70]
     assert hilbert(make_presentation("sklyanin5", 2, 2), 3) == [1, 5, 15, 35]
     assert hilbert(make_presentation("curveCa", 1), 4) == [1, 5, 10, 15, 20]
 
@@ -173,7 +173,7 @@ def test_make_presentation_counts():
     assert len(make_presentation("polynomial", 5).relations) == 10
     assert len(make_presentation("cycle", 5).relations) == 15
     assert len(make_presentation("sklyanin3", 1, 2, 3).relations) == 3
-    assert len(make_presentation("cliffordC", 5, (1, 2, 3)).relations) == 10
+    assert len(make_presentation("cliffordC", 5, 1, 2, 3).relations) == 10
     assert len(make_presentation("sklyanin5", 1, 2).relations) == 10
     assert len(make_presentation("curveCa", 2).relations) == 15
     with pytest.raises(ValueError):

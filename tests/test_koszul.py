@@ -37,7 +37,7 @@ def test_dual_of_polynomial_is_exterior():
 
 def test_dual_dimension_count():
     for pres in (make_presentation("sklyanin3", 1, 1, -1),
-                 make_presentation("cliffordC", 5, (1, 2, 3)),
+                 make_presentation("cliffordC", 5, 1, 2, 3),
                  make_presentation("cycle", 5)):
         dual = quadratic_dual(pres)
         assert not any(pairing(pres, dual))
@@ -66,9 +66,9 @@ def test_identity_sklyanin3_and_clifford():
         for g in (HeisenbergElement(3), HeisenbergElement(3, 0, 0, 1),
                   HeisenbergElement(3, 2, 1, 0)):
             assert all(c.is_zero() for c in koszul_identity_check(pres, rep3, g, 4))
-    cl3 = make_presentation("cliffordC", 3, (1, 2))
+    cl3 = make_presentation("cliffordC", 3, 1, 2)
     assert all(c.is_zero() for c in koszul_identity_check(cl3, rep3, HeisenbergElement(3, 0, 0, 1), 4))
-    cl5 = make_presentation("cliffordC", 5, (1, 2, 3))
+    cl5 = make_presentation("cliffordC", 5, 1, 2, 3)
     rep5 = SimpleRep(5, 1)
     for g in (HeisenbergElement(5), HeisenbergElement(5, 0, 0, 2),
               HeisenbergElement(5, 1, 1, 0)):

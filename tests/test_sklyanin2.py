@@ -6,7 +6,6 @@ import pytest
 from algtool.clifford import center_data
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, PoleError
-from algtool.config import DEFAULT_TOLERANCES
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
 from algtool.poly import MultiPoly, mat_minors, ring_q
@@ -193,7 +192,7 @@ def in_span_reference(basis, target, tol):
 
 
 def test_mutual_span_matches_per_vector_reference():
-    tol = DEFAULT_TOLERANCES.span
+    tol = 1e-7  # the default span tolerance of minor_ideal_checks
     points = curve_points_on_grid()[:3] + [(0.0, 1.0)]
     decisions = []
     for point in points:
@@ -222,7 +221,7 @@ def test_secant_check(near_one_point):
 def test_onedim_reps_122():
     reps = onedim_reps(OrderTwoParams(5, (1, 2, 2)))
     assert len(reps) == 5
-    pres = make_presentation("cliffordC", 5, (1, 2, 2))
+    pres = make_presentation("cliffordC", 5, 1, 2, 2)
     roots = set()
     for tup in reps:
         assert tup[0] == 1
@@ -266,7 +265,7 @@ def test_clifford_table_matches_polynomial():
     from algtool.heisenberg import SimpleRep
     rep = SimpleRep(5, 1)
     poly_table = character_table(make_presentation("polynomial", 5), rep, 3)
-    cl_table = character_table(make_presentation("cliffordC", 5, (1, 2, 3)), rep, 3)
+    cl_table = character_table(make_presentation("cliffordC", 5, 1, 2, 3), rep, 3)
     assert cl_table.same_series(poly_table)
 
 
@@ -278,13 +277,13 @@ def test_singularity_report_informational():
 
 @pytest.mark.parametrize("check", ["minors", "ideal", "secant", "stratify"])
 def test_report_verdicts(near_one_point, check):
-    # each report's ok() passes on the curve and fails at (1.5, 0.7), off it
-    tol = DEFAULT_TOLERANCES
+    # each report's ok() passes on the curve and fails at (1.5, 0.7), off it,
+    # with the CLI's default tolerances: rank 1e-8, span 1e-7
     verdict = {
-        "minors": lambda pt: point_module_check(pt, tol).ok(tol.span),
-        "ideal": lambda pt: minor_ideal_checks(pt, tol).ok(),
-        "secant": lambda pt: secant_check(pt, tol).ok(tol.span),
-        "stratify": lambda pt: stratify(pt, 6, 0, tol).ok(),
+        "minors": lambda pt: point_module_check(pt, 1e-8).ok(1e-7),
+        "ideal": lambda pt: minor_ideal_checks(pt, 1e-7).ok(),
+        "secant": lambda pt: secant_check(pt).ok(1e-7),
+        "stratify": lambda pt: stratify(pt, 6, 0, 1e-8).ok(),
     }[check]
     assert verdict(near_one_point) is True
     assert verdict((1.5, 0.7)) is False
