@@ -24,15 +24,20 @@ def max_cells() -> int:
         value = int(raw)
     except ValueError as exc:
         raise ResourceLimitError(f"{ENV_MAX_CELLS} must be an integer, got {raw!r}") from exc
+    return _positive(ENV_MAX_CELLS, value)
+
+
+def _positive(name: str, value: int) -> int:
     if value <= 0:
-        raise ResourceLimitError(f"{ENV_MAX_CELLS} must be positive, got {value}")
+        raise ResourceLimitError(f"{name} must be positive, got {value}")
     return value
 
 
 def check_degree_allowed(n: int, rows: int, cols: int, cap: int | None = None) -> None:
-    """Refuse a degree-n step whose working matrix has more cells than the cap.
-    A step without rows still lists its columns, so it counts as one row."""
-    cap = max_cells() if cap is None else cap
+    """Refuse a degree-n step whose working matrix has more cells than the cap:
+    `cap` (the --max-cells value) when given, else `max_cells()`.  A step
+    without rows still lists its columns, so it counts as one row."""
+    cap = max_cells() if cap is None else _positive("--max-cells", cap)
     cells = max(rows, 1) * cols
     if cells > cap:
         raise ResourceLimitError(

@@ -17,6 +17,14 @@ memoised through NF(u x_j) = mu_n(NF(u) (x) x_j).  Columns follow the
 lexicographic order of words, so B_n is the set of words that are not
 leading words of I_n in that order.
 
+Over Q every vector of the engine is integer numerators over one positive
+denominator (`linalg.ScaledVec`): each relation is cleared to integer
+coefficients once, a relation row is built over the least common
+denominator of the normal forms it combines (only its span matters), and
+the mu and normal-form memos hold numerators in lowest terms.  Over Q(w)
+the numerators are Cyclotomic and the denominator stays 1.  Fractions
+appear only where a caller reads a vector by key.
+
 Since rho(g) is monomial, g = e1^a e2^b z^k sends a word w to
 zeta^(i(nk + b sum(w))) (w - a), with w - a the digitwise shift, and
 
@@ -27,13 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import check_degree_allowed
 from .cyclotomic import Cyclotomic, require_odd_prime
 from .errors import InputError, ModulusError, StabilityError
 from .heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
-from .linalg import RowSpace, SparseVec
+from .linalg import RowSpace, ScaledVec, SparseVec, integral
 
 Word = Tuple[int, ...]
 Relation = Tuple[Tuple[Word, object], ...]  # sorted ((word, coeff), ...)
@@ -122,14 +131,17 @@ class GradedEngine:
 
     def __init__(self, pres: Presentation):
         self.p = pres.p
-        self.one = pres.one()
-        self.relations = pres.relations_by_degree()
+        # numerators of 1 and of the relations: ints over Q, Cyclotomic over Q(w)
+        self.unit = 1 if pres.field == "QQ" else pres.one()
+        self.relations = [(d, [tuple(integral(dict(rel))[0].items()) for rel in rels])
+                          for d, rels in pres.relations_by_degree()]
         self.bases: List[List[Word]] = [[()]]           # B_n in lexicographic order
         self.spaces: List[Optional[RowSpace]] = [None]  # relation rows of degree n
         self._position: Dict[Word, int] = {(): 0}       # normal word -> index in B_n
         self._free: List[Dict[int, int]] = [{}]         # free column -> index in B_n
-        self._mu: List[Dict[int, SparseVec]] = [{}]     # memo of mu_n on columns
-        self._normal_forms: Dict[Word, SparseVec] = {}  # memo of NF, non-normal words
+        self._mu: List[Dict[int, ScaledVec]] = [{}]     # memo of mu_n on columns
+        # memo of NF on every word met; a normal word is its own unit vector
+        self._normal_forms: Dict[Word, ScaledVec] = {(): ScaledVec({0: self.unit})}
         self.stable_reps: Set[int] = set()  # rep indices that passed check_stability
 
     def grow(self, n: int, cap: Optional[int] = None) -> None:
@@ -150,9 +162,12 @@ class GradedEngine:
                 break
             for u in self.bases[n - d]:
                 for rel in rels:
+                    forms = [(self.normal_form(u + w[:-1]), c, w[-1]) for w, c in rel]
+                    den = lcm(*[nf.den for nf, _c, _j in forms])
                     row: SparseVec = {}
-                    for w, c in rel:
-                        _add_scaled(row, self.normal_form(u + w[:-1]), c, w[-1], p)
+                    for nf, c, j in forms:
+                        _add_scaled(row, nf.nums, c if nf.den == den else c * (den // nf.den),
+                                    j, p)
                     if row:
                         relation_rows.append(row)
         # In descending order of leading column a new pivot mostly lies left of
@@ -163,55 +178,62 @@ class GradedEngine:
         for row in relation_rows:
             space.insert(row)
         prev = self.bases[n - 1]
-        free = [col for col in range(cols) if col not in space.rows]
+        pivots = space.rows
+        free = [col for col in range(cols) if col not in pivots]
         basis = [prev[col // p] + (col % p,) for col in free]
         self.bases.append(basis)
         self.spaces.append(space)
         self._free.append({col: i for i, col in enumerate(free)})
         self._mu.append({})
         self._position.update((w, i) for i, w in enumerate(basis))
+        self._normal_forms.update((w, ScaledVec({i: self.unit})) for i, w in enumerate(basis))
 
-    def _mu_column(self, n: int, col: int) -> SparseVec:
+    def _mu_column(self, n: int, col: int) -> ScaledVec:
         memo = self._mu[n]
         image = memo.get(col)
         if image is None:
             free = self._free[n]
-            image = {free[c]: v for c, v in self.spaces[n].reduce({col: self.one}).items()}
+            residue = self.spaces[n].reduce({col: self.unit})
+            image = ScaledVec({free[c]: v for c, v in residue.nums.items()}, residue.den)
             memo[col] = image
         return image
 
-    def normal_form(self, word: Word) -> SparseVec:
+    def normal_form(self, word: Word) -> ScaledVec:
         """NF(word) on the basis B_len(word); degrees up to len(word) must exist.
         The returned vector is shared with the memo: do not mutate it."""
-        pos = self._position.get(word)
-        if pos is not None:
-            return {pos: self.one}
         nf = self._normal_forms.get(word)
         if nf is None:
-            n, j = len(word), word[-1]
-            nf = {}
-            for i, c in self.normal_form(word[:-1]).items():
-                _add_scaled(nf, self._mu_column(n, i * self.p + j), c)
-            self._normal_forms[word] = nf
+            n, j, p = len(word), word[-1], self.p
+            prefix = self.normal_form(word[:-1])
+            images = [(self._mu_column(n, i * p + j), c) for i, c in prefix.nums.items()]
+            den = lcm(*[mu.den for mu, _c in images])
+            nums: SparseVec = {}
+            for mu, c in images:
+                _add_scaled(nums, mu.nums, c if mu.den == den else c * (den // mu.den))
+            nf = self._normal_forms[word] = ScaledVec(nums, den * prefix.den)
         return nf
 
     def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int,
               cap: Optional[int] = None) -> Cyclotomic:
-        """tr(g | A_n), from phase buckets of rational (or Q(w)) sums."""
+        """tr(g | A_n), from phase buckets of numerator sums, one per phase and
+        denominator."""
         self.grow(n, cap)
         p, i = self.p, rep.index
         position = self._position
-        buckets: List[object] = [None] * p
+        buckets: List[Dict[int, object]] = [{} for _ in range(p)]
         for w in self.bases[n]:
-            v = self.normal_form(tuple((x - g.a) % p for x in w)).get(position[w])
+            nf = self.normal_form(tuple((x - g.a) % p for x in w))
+            v = nf.nums.get(position[w])
             if v:
-                phase = (i * (n * g.k + g.b * sum(w))) % p
-                cur = buckets[phase]
-                buckets[phase] = v if cur is None else cur + v
+                sums = buckets[(i * (n * g.k + g.b * sum(w))) % p]
+                cur = sums.get(nf.den)
+                sums[nf.den] = v if cur is None else cur + v
         total = Cyclotomic(p)
-        for phase, s in enumerate(buckets):
-            if s:
-                total = total + Cyclotomic.zeta(p, phase) * s
+        for phase, sums in enumerate(buckets):
+            for den, s in sums.items():
+                if s:
+                    value = s if den == 1 else Fraction(s, den)
+                    total = total + Cyclotomic.zeta(p, phase) * value
         return total
 
 

@@ -1,14 +1,27 @@
 """Sparse and dense exact row reduction and float rank decisions.
 
-`RowSpace` is the workhorse behind every degreewise ideal computation: an
-incrementally built reduced row-echelon space of sparse vectors over an
-exact field (Fraction or Cyclotomic coercible values, anything supporting
-+, -, *, / and truthiness-as-nonzero).
+`RowSpace` is the workhorse behind every degreewise computation: an
+incrementally built reduced row-echelon space of sparse vectors over Q or
+Q(w).  Vectors go in as maps from columns to int, Fraction or Cyclotomic
+values.
 
-Invariant maintained throughout: every stored row is normalized to pivot
-coefficient 1 and contains no other pivot column.  Reducing a vector is then
-a single ascending pass over its support, and the residue is the canonical
-normal form modulo the row space (supported on non-pivot columns only).
+Storage follows the recipe of `Cyclotomic` (integer numerators over one
+denominator; W. Hart, "ANTIC", 2015) with fraction-free elimination (E. H.
+Bareiss, Math. Comp. 22, 1968).  A row with rational entries is stored as a
+primitive integer vector: content 1, positive pivot entry.  A row with Q(w)
+entries is stored with pivot entry 1.  No stored row contains another row's
+pivot column.  So each stored row is the reduced row-echelon row of its
+pivot times a positive scalar fixed by the row's field, and the stored rows
+of a space built from vectors of one field do not depend on the insertion
+order.
+
+Reducing a vector is a single ascending pass over its support.  At a pivot
+column where the residue has value v and the row has pivot entry d, the
+residue is multiplied by d/g and (v/g) times the row is subtracted, with
+g = gcd(v, d) over Z and g = 1 for a Q(w) value.  One gcd at the end puts
+the residue in lowest terms.  The residue, a `ScaledVec` of numerators over
+one positive denominator, is the canonical normal form modulo the space,
+supported on non-pivot columns only.
 
 Dense exact matrices go through one Gauss-Jordan routine, `_gauss_jordan`:
 `nullspace_exact` and the exact S15 membership test in `shioda5` call it.
@@ -19,33 +32,153 @@ Numeric matrices have two numpy routines: `rank_float` (an SVD count) and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 SparseVec = Dict[int, object]
 
 
+def _content(values) -> Optional[int]:
+    """gcd of the values over Z; None when one of them is a field element (a
+    Cyclotomic or a Fraction), which divides every other value."""
+    try:
+        return gcd(*values)
+    except TypeError:
+        return None
+
+
+def integral(vec: Dict[Hashable, object]) -> Tuple[Dict[Hashable, object], int]:
+    """(nums, den) with vec = nums / den: Fraction values cleared to ints over
+    their least common denominator, int and Cyclotomic values multiplied by
+    it, zero values dropped."""
+    nums = {c: v for c, v in vec.items() if v}
+    if Fraction not in set(map(type, nums.values())):
+        return nums, 1
+    den = lcm(*[v.denominator for v in nums.values() if type(v) is Fraction])
+    return {c: v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
+            for c, v in nums.items()}, den
+
+
+class ScaledVec(Mapping):
+    """The sparse vector nums / den: int (or Q(w)) numerators over one
+    positive int denominator, with the common gcd of ints cancelled.  Read as
+    a mapping it gives each value as a Fraction, or a Cyclotomic over Q(w).
+    The numerators may be shared with a memo or a row space: do not mutate
+    them."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: SparseVec, den: int = 1):
+        if den != 1:
+            g = _content([den, *nums.values()])
+            if g is not None and g != 1:
+                nums = {c: v // g for c, v in nums.items()}
+                den //= g
+        self.nums, self.den = nums, den
+
+    def __getitem__(self, col: int):
+        v = self.nums[col]
+        if type(v) is int:
+            return Fraction(v, self.den)
+        return v if self.den == 1 else v * Fraction(1, self.den)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+
+class _PivotOneRows(Mapping):
+    """Read-only view of a space's stored rows: pivot column -> row scaled to
+    pivot value 1."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Dict[int, SparseVec]):
+        self._rows = rows
+
+    def __getitem__(self, pivot: int) -> ScaledVec:
+        row = self._rows[pivot]
+        return ScaledVec(row, row[pivot])
+
+    def __contains__(self, pivot) -> bool:
+        return pivot in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _make_primitive(row: SparseVec, pivot: int) -> None:
+    """Scale a nonzero row in place to its stored form: over Z content 1 and a
+    positive pivot entry, with a Q(w) (or Fraction) entry pivot entry 1."""
+    lead = row[pivot]
+    g = _content(row.values())
+    if g is None:
+        inv = Fraction(1) / lead
+        for c, v in row.items():
+            row[c] = v * inv
+        row[pivot] = 1
+        return
+    if lead < 0:
+        g = -g
+    if g != 1:
+        for c, v in row.items():
+            row[c] = v // g
+
+
+def _cofactors(v, d: int) -> Tuple[object, int]:
+    """(v/g, d/g) with g = gcd(v, d) over Z and g = 1 for a field value v:
+    then (d/g) * v == (v/g) * d."""
+    if type(v) is int:
+        g = gcd(v, d)
+        return v // g, d // g
+    return v, d
+
+
 class RowSpace:
+    """A sparse reduced row-echelon space, grown by `insert`."""
+
     def __init__(self):
-        self.rows: Dict[int, SparseVec] = {}  # pivot col -> row
+        self._rows: Dict[int, SparseVec] = {}  # pivot col -> stored row
         self._col_index: Dict[int, set] = {}  # col -> pivot cols of rows using it
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        """Canonical residue of vec modulo the row space."""
-        residue = {c: v for c, v in vec.items() if v}
+    @property
+    def rows(self) -> Mapping:
+        """pivot column -> reduced row-echelon row (pivot value 1), read-only."""
+        return _PivotOneRows(self._rows)
+
+    def _eliminate(self, residue: SparseVec) -> int:
+        """Clear every pivot column from the numerators in place, fraction-free;
+        returns the factor the residue was multiplied by on the way."""
+        rows = self._rows
+        scale = 1
         for c in sorted(residue):
             v = residue.get(c)
-            if not v:
+            if v is None:
                 continue
-            row = self.rows.get(c)
+            row = rows.get(c)
             if row is None:
                 continue
+            d = row[c]
+            if d != 1:
+                v, d = _cofactors(v, d)
+                if d != 1:
+                    scale *= d
+                    for col in residue:
+                        residue[col] *= d
             del residue[c]
             for col, w in row.items():
                 if col == c:
@@ -56,29 +189,41 @@ class RowSpace:
                     residue[col] = new
                 elif cur is not None:
                     del residue[col]
-        return residue
+        return scale
+
+    def reduce(self, vec: SparseVec) -> ScaledVec:
+        """Canonical residue of vec modulo the row space."""
+        residue, den = integral(vec)
+        return ScaledVec(residue, den * self._eliminate(residue))
 
     def contains(self, vec: SparseVec) -> bool:
         return not self.reduce(vec)
 
     def insert(self, vec: SparseVec) -> bool:
         """Add vec to the space; returns True when the rank grew."""
-        residue = self.reduce(vec)
-        if not residue:
+        row, _den = integral(vec)
+        self._eliminate(row)
+        if not row:
             return False
-        pivot = min(residue)
-        inv = 1 / residue[pivot]
-        row = {c: v * inv for c, v in residue.items()}
-        # restore the RREF invariant in older rows
+        pivot = min(row)
+        _make_primitive(row, pivot)
+        lead = row[pivot]
+        # restore the reduced row-echelon form in older rows, fraction-free
         for rc in list(self._col_index.get(pivot, ())):
-            other = self.rows[rc]
-            factor = other.pop(pivot)
+            other = self._rows[rc]
+            f = other.pop(pivot)
             self._col_index[pivot].discard(rc)
+            d = lead
+            if d != 1:
+                f, d = _cofactors(f, d)
+                if d != 1:
+                    for col in other:
+                        other[col] *= d
             for col, w in row.items():
                 if col == pivot:
                     continue
                 cur = other.get(col)
-                new = -factor * w if cur is None else cur - factor * w
+                new = -f * w if cur is None else cur - f * w
                 if new:
                     if cur is None:
                         self._col_index.setdefault(col, set()).add(rc)
@@ -86,24 +231,18 @@ class RowSpace:
                 elif cur is not None:
                     del other[col]
                     self._col_index[col].discard(rc)
-        self.rows[pivot] = row
+            _make_primitive(other, rc)
+        self._rows[pivot] = row
         for col in row:
             if col != pivot:
                 self._col_index.setdefault(col, set()).add(pivot)
         return True
 
     def same_space(self, other: "RowSpace") -> bool:
-        if self.rank != other.rank or sorted(self.rows) != sorted(other.rows):
-            return False
-        for c, row in self.rows.items():
-            orow = other.rows[c]
-            if len(row) != len(orow):
-                return False
-            for col, v in row.items():
-                w = orow.get(col)
-                if w is None or v != w:
-                    return False
-        return True
+        """Equal spaces over one field have equal stored rows; the pivot-1
+        views decide between spaces whose rows are stored over different
+        fields."""
+        return self._rows == other._rows or self.rows == other.rows
 
 
 def _gauss_jordan(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:

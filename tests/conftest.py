@@ -1,4 +1,12 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# Tests that start `python -m algtool.cli` in a subprocess need the package
+# there too: pyproject.toml puts src/ on this process's sys.path only.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 class AcceptanceLog:

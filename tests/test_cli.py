@@ -206,6 +206,15 @@ def test_bad_max_cells_environment_variable(capsys, monkeypatch, value):
     assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
 
 
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_non_positive_max_cells_flag(capsys, value):
+    code, out = run_cli(capsys, "hilbert", "--algebra", "polynomial", "--p", "5",
+                        "--max-degree", "2", "--max-cells", value, "--format", "json")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"code": "resource", "message": f"--max-cells must be positive, got {value}"}
+
+
 ALGEBRA_FLAGS = {"--algebra", "--p", "--params", "--max-cells"}
 
 # the flags each subcommand accepts: 54 option slots, 20 distinct flags

@@ -23,9 +23,11 @@ CATALOG = (
     (("cycle", 5), 3),
     (("cliffordC", 5, 1, 2, 3), 3),
     (("sklyanin5", 2, 2), 3),
+    (("sklyanin5", Fraction(1, 2), Fraction(3, 7)), 3),
     (("curveCa", 2), 3),
     (("curveCa", Cyclotomic(5, (1, 3))), 3),
     (("cliffordC", 7, 1, 1, 2, 3), 2),
+    (("cliffordC", 7, Fraction(2, 3), 1, Fraction(5, 2), 3), 2),
 )
 
 
@@ -48,9 +50,9 @@ def test_catalog_matches_ideal_oracle(args, top):
 
 
 def coefficients(field: str, p: int):
-    small = st.integers(-3, 3).filter(bool)
+    """Nonzero rationals with denominators 1-3 over Q, r + s w over Q(w)."""
     if field == "QQ":
-        return small.map(Fraction)
+        return st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
     pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
     return pairs.map(lambda rs: Cyclotomic(p, rs))
 

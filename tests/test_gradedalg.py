@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import ideal_oracle
@@ -77,6 +78,15 @@ def test_hilbert_fixtures():
     assert hilbert(make_presentation("cliffordC", 5, 1, 2, 3), 4) == [1, 5, 15, 35, 70]
     assert hilbert(make_presentation("sklyanin5", 2, 2), 3) == [1, 5, 15, 35]
     assert hilbert(make_presentation("curveCa", 1), 4) == [1, 5, 10, 15, 20]
+
+
+def test_non_integral_parameters_give_the_closed_form():
+    """Relations with non-integral coefficients, cleared to integers inside the
+    engine: generic parameters give the Hilbert series of a polynomial ring."""
+    sk5 = make_presentation("sklyanin5", Fraction(1, 2), Fraction(3, 7))
+    assert hilbert(sk5, 7) == [math.comb(n + 4, 4) for n in range(8)]
+    cl7 = make_presentation("cliffordC", 7, Fraction(2, 3), 1, Fraction(5, 2), 3)
+    assert hilbert(cl7, 5) == [math.comb(n + 6, 6) for n in range(6)]
 
 
 def test_quotient_growth_bound():

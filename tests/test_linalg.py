@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from algtool.cyclotomic import Cyclotomic
 from algtool.linalg import RowSpace, minors_float, nullspace_exact, rank_float
 from algtool.poly import MultiPoly, PolyMatrix, mat_minors, ring_cc
 
@@ -46,6 +47,25 @@ def test_rowspace_same_space_under_insertion_order():
         if v:
             s2.insert(dict(v))
     assert s1.same_space(s2)
+
+
+def test_rowspace_same_space_across_row_fields():
+    """A rational row of a Q(w) space is stored as an integer row when it is
+    inserted as such, and with pivot entry 1 when Q(w) arithmetic made it:
+    same_space still compares the spaces, not the storage."""
+    w = Cyclotomic.zeta(5)
+    a = {0: Fraction(1), 1: w}
+    b = {1: w, 2: Fraction(1, 2)}
+    r = {0: Fraction(2), 2: Fraction(-1)}  # 2 (a - b)
+    s1, s2 = RowSpace(), RowSpace()
+    for v in (a, b):
+        s1.insert(v)
+    for v in (r, b):
+        s2.insert(v)
+    assert s1.same_space(s2) and s2.same_space(s1)
+    assert s1.rows[0] == s2.rows[0] == {0: 1, 2: Fraction(-1, 2)}
+    s2.insert({3: Fraction(1)})
+    assert not s1.same_space(s2)
 
 
 def test_nullspace():
