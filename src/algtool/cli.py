@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -30,17 +31,19 @@ class Parser(argparse.ArgumentParser):
 
 
 def parse_scalar(text: str, mode: Optional[str] = None):
-    """'3/2' and '2' parse exact, '0.5' parses float; --mode overrides."""
+    """'3/2' and '2' parse exact, '0.5' parses float; mode "exact" parses
+    every number exact.  A float must be finite."""
     text = text.strip()
     try:
-        if mode == "float":
-            return float(Fraction(text)) if "/" in text else float(text)
         looks_exact = "/" in text or ("." not in text and "e" not in text.lower())
         if mode == "exact" or looks_exact:
             return Fraction(text)
-        return float(text)
+        value = float(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse {text!r} as a number") from None
+    if not math.isfinite(value):
+        raise InputError(f"{text!r} is not a finite number")
+    return value
 
 
 def parse_params(text: str):
@@ -183,7 +186,7 @@ def cmd_sklyanin2(args) -> int:
         params = sklyanin2.OrderTwoParams(args.p, parse_params(args.params))
         reps = sklyanin2.onedim_reps(params)
         return emit({"count": len(reps), "reps": reps}, args)
-    a, b = parse_scalar(args.a, args.mode), parse_scalar(args.b, args.mode)
+    a, b = parse_scalar(args.a), parse_scalar(args.b)
     if op == "t":
         t = sklyanin2.t_param(a, b)
         return emit({"a": a, "b": b, "t": "indeterminate" if t is None else t}, args)
@@ -285,7 +288,6 @@ def build_parser() -> Parser:
                         "minor and secant residuals (minors, secant)")
     p.add_argument("--a", default="1")
     p.add_argument("--b", default="1")
-    p.add_argument("--mode", choices=("exact", "float"), default=None)
     p.add_argument("--grid", default="1,3/2,1/2")
     p.add_argument("--samples", type=int, default=6)
     p.add_argument("--p", type=int, default=5)

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import check_degree_allowed
 from .cyclotomic import Cyclotomic, require_odd_prime
@@ -51,7 +52,10 @@ Relation = Tuple[Tuple[Word, object], ...]  # sorted ((word, coeff), ...)
 @dataclass(frozen=True)
 class Presentation:
     """Graded algebra T(V)/(relations), V of dimension p, relations given as
-    homogeneous tensors: maps from words over {0..p-1} to coefficients."""
+    homogeneous tensors: maps from words over {0..p-1} to coefficients.
+
+    Each presentation owns its `engine`, built on first use and freed with
+    the presentation; equal presentations built apart have their own."""
 
     p: int
     field: str  # "QQ" or "QW"
@@ -69,6 +73,10 @@ class Presentation:
                 raise InputError(f"inhomogeneous relation {rel}")
             if min(degrees) < 2:
                 raise InputError("relations must have degree >= 2")
+
+    @cached_property
+    def engine(self) -> "GradedEngine":
+        return GradedEngine(self)
 
     def one(self):
         return Fraction(1) if self.field == "QQ" else Cyclotomic.from_rational(self.p, 1)
@@ -142,7 +150,7 @@ class GradedEngine:
         self._mu: List[Dict[int, ScaledVec]] = [{}]     # memo of mu_n on columns
         # memo of NF on every word met; a normal word is its own unit vector
         self._normal_forms: Dict[Word, ScaledVec] = {(): ScaledVec({0: self.unit})}
-        self.stable_reps: Set[int] = set()  # rep indices that passed check_stability
+        self.stable = False  # check_stability passed
 
     def grow(self, n: int, cap: Optional[int] = None) -> None:
         """Make sure degrees up to n exist.  Every step, built or cached, must
@@ -237,23 +245,14 @@ class GradedEngine:
         return total
 
 
-_ENGINE_CACHE_SIZE = 8
-_ENGINES: Dict[Presentation, GradedEngine] = {}
-
-
-def graded_engine(pres: Presentation) -> GradedEngine:
-    """The engine of `pres`, kept in a small least-recently-used cache."""
-    engine = _ENGINES.pop(pres, None)
-    if engine is None:
-        engine = GradedEngine(pres)
-        if len(_ENGINES) >= _ENGINE_CACHE_SIZE:
-            del _ENGINES[next(iter(_ENGINES))]
-    _ENGINES[pres] = engine
-    return engine
+def _check_max_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise InputError(f"max degree must be non-negative, got {max_degree}")
 
 
 def hilbert(pres: Presentation, max_degree: int, cap: Optional[int] = None) -> List[int]:
-    engine = graded_engine(pres)
+    _check_max_degree(max_degree)
+    engine = pres.engine
     engine.grow(max_degree, cap)
     return [len(basis) for basis in engine.bases[:max_degree + 1]]
 
@@ -266,14 +265,21 @@ def check_stability(pres: Presentation, g: HeisenbergElement, rep: SimpleRep) ->
 
     Stability under the generators e1 and e2 decides it for every g: z acts
     on each degree by a scalar, and a subspace stable under the generators
-    is stable under the finite group they generate.  A pass is remembered
-    per presentation and representation index."""
+    is stable under the finite group they generate.
+
+    The verdict does not depend on the representation V_i, so it is decided
+    once per presentation, at i = 1.  e1 shifts the letters of a word and
+    does not depend on i.  e2 scales a degree-d word w by zeta^(i sum(w)),
+    so on the degree-d piece it acts in V_i as D_i = D_1^i; and D_1 = D_i^j
+    when ij = 1 (mod p).  A span stable under D_1 is stable under its power
+    D_i, and conversely, so it is D_i-stable exactly when it is D_1-stable.
+    A pass is remembered by the presentation's engine."""
     if g.p != pres.p or rep.p != pres.p:
         raise ModulusError("presentation, element and representation must share p")
-    engine = graded_engine(pres)
-    if rep.index in engine.stable_reps:
+    engine = pres.engine
+    if engine.stable:
         return
-    p, i = pres.p, rep.index
+    p = pres.p
     for d, rels in pres.relations_by_degree():
         rel_space = RowSpace()
         for rel in rels:
@@ -281,21 +287,21 @@ def check_stability(pres: Presentation, g: HeisenbergElement, rep: SimpleRep) ->
         for gen in (HeisenbergElement(p, 1, 0, 0), HeisenbergElement(p, 0, 1, 0)):
             for rel in rels:
                 image = {tuple((x - gen.a) % p for x in w):
-                         Cyclotomic.zeta(p, i * gen.b * sum(w)) * c
+                         Cyclotomic.zeta(p, gen.b * sum(w)) * c
                          for w, c in rel}
                 if not rel_space.contains(image):
                     raise StabilityError(
                         f"relations of {pres.label()} are not stable under {gen.label()}"
                     )
-    engine.stable_reps.add(i)
+    engine.stable = True
 
 
 def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
                      max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
     """Coefficients of the character series of g on A = T(V)/I up to t^N."""
+    _check_max_degree(max_degree)
     check_stability(pres, g, rep)
-    engine = graded_engine(pres)
-    return [engine.trace(g, rep, n, cap) for n in range(max_degree + 1)]
+    return [pres.engine.trace(g, rep, n, cap) for n in range(max_degree + 1)]
 
 
 @dataclass

@@ -23,9 +23,6 @@ the residue in lowest terms.  The residue, a `ScaledVec` of numerators over
 one positive denominator, is the canonical normal form modulo the space,
 supported on non-pivot columns only.
 
-Dense exact matrices go through one Gauss-Jordan routine, `_gauss_jordan`:
-`nullspace_exact` and the exact S15 membership test in `shioda5` call it.
-
 Numeric matrices have two numpy routines: `rank_float` (an SVD count) and
 `minors_float` (every k x k minor by one batched determinant).
 """
@@ -245,54 +242,29 @@ class RowSpace:
         return self._rows == other._rows or self.rows == other.rows
 
 
-def _gauss_jordan(rows: Sequence[Sequence]) -> Tuple[List[list], List[int]]:
-    """Dense exact Gauss-Jordan elimination of a copy of `rows`.
-
-    Each column in turn takes as pivot the first row at or below the current
-    one with a nonzero entry.  Returns the reduced rows and the pivot
-    columns: row k has pivot 1 in column pivots[k], rows from len(pivots) on
-    are zero.
-    """
-    a = [list(r) for r in rows]
-    m = len(a)
-    pivots: List[int] = []
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-    return a, pivots
-
-
 def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
-    """Basis of the right nullspace of a dense exact matrix.
+    """Basis of the right nullspace of a dense exact matrix, from the `RowSpace`
+    of its rows.
 
     Returns one vector per free column (RREF convention: free coordinate 1,
-    pivot coordinates filled by back-substitution), in ascending free-column
-    order.
+    pivot coordinates read off the pivot-1 rows), in ascending free-column
+    order.  Fraction and Cyclotomic entries give values of the same type.
     """
     if not rows:
         return []
     n = len(rows[0])
-    a, pivots = _gauss_jordan(rows)
+    space = RowSpace()
+    for row in rows:
+        space.insert({c: v for c, v in enumerate(row) if v})
+    pivots = space.rows
     zero = 0 * rows[0][0]
     one = zero + 1
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         vec = [zero] * n
         vec[fc] = one
-        for row, col in enumerate(pivots):
-            vec[col] = -a[row][fc]
+        for col, row in pivots.items():
+            vec[col] = -row.get(fc, zero)
         basis.append(vec)
     return basis
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import clifford, koszul, shioda5, sklyanin2
 from .cyclotomic import Cyclotomic
+from .errors import InputError
 from .gradedalg import (character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import (HeisenbergElement, SimpleRep, all_irreducibles,
@@ -327,6 +328,12 @@ CRITERIA: Dict[str, Callable[[int], CheckResult]] = {
 
 
 def run_selftest(seed: int = 0, only: Optional[List[str]] = None) -> dict:
+    """Run every criterion, or those keyed in `only`; an unknown key is an
+    input error."""
+    unknown = [key for key in only or () if key not in CRITERIA]
+    if unknown:
+        raise InputError(f"unknown criterion {unknown[0]!r}; the criteria are "
+                         f"{', '.join(sorted(CRITERIA))}")
     results = []
     for key in sorted(CRITERIA):
         if only and key not in only:

@@ -12,10 +12,10 @@ the 15 quadratic entries at the point once and decides from the evaluated
 3x5 matrix.  The ten sextic minors themselves are built only for output
 (`algtool shioda5 minors`) and for the count in criterion 8.
 
-Membership on Heisenberg orbits and fixed points is exact over Q(w_5) (a
-Gauss-Jordan rank).  Floats only enter through the Jacobian ranks (Jacobi's
-formula on the 3x5 matrix and its entrywise partials) and the 2-torsion
-sextic's roots (the ten minors as one batched determinant).
+Membership on Heisenberg orbits and fixed points is exact over Q(w_5) (the
+nullity of the evaluated matrix).  Floats only enter through the Jacobian
+ranks (Jacobi's formula on the 3x5 matrix and its entrywise partials) and
+the 2-torsion sextic's roots (the ten minors as one batched determinant).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .gradedalg import (Presentation, hilbert, make_presentation,
 from .heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                          heisenberg_orbit_points, normalize_projective,
                          projective_fixed_points, subgroup_generators)
-from .linalg import RowSpace, _gauss_jordan, minors_float, rank_float
+from .linalg import RowSpace, minors_float, nullspace_exact, rank_float
 from .poly import MultiPoly, PolyMatrix, mat_minors, ring_q
 
 X_VARS = ("x0", "x1", "x2", "x3", "x4")
@@ -56,9 +56,10 @@ def s15_minors() -> List[MultiPoly]:
 
 
 def _rank_below_3(values) -> bool:
-    """Exact: an evaluated 3x5 S15 matrix has rank <= 2, which holds exactly
-    when all ten minors vanish at the point."""
-    return len(_gauss_jordan(values)[1]) < 3
+    """Exact: an evaluated 3x5 S15 matrix has rank <= 2 (a nullspace of
+    dimension > 2), which holds exactly when all ten minors vanish at the
+    point."""
+    return len(nullspace_exact(values)) > 2
 
 
 def _minor_jacobian(matrix: PolyMatrix, partials: List[PolyMatrix], point) -> np.ndarray:

@@ -20,7 +20,6 @@ def test_parse_scalar_modes():
     assert parse_scalar("3/2") == Fraction(3, 2)
     assert parse_scalar("2") == Fraction(2)
     assert parse_scalar("0.5") == 0.5
-    assert parse_scalar("3/2", "float") == 1.5
     assert parse_scalar("0.5", "exact") == Fraction(1, 2)
 
 
@@ -103,6 +102,14 @@ def test_threads_flag_is_a_usage_error():
     assert exc.value.code == 1
 
 
+def test_mode_flag_is_a_usage_error():
+    # the literal picks exact or float: --a 1/2 is exact, --a 0.5 a float
+    for mode in ("exact", "float"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sklyanin2", "t", "--a", "1/2", "--mode", mode])
+        assert exc.value.code == 1
+
+
 def test_tol_residual_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["sklyanin2", "minors", "--tol-residual", "1e-8"])
@@ -145,14 +152,25 @@ def test_out_file(tmp_path, capsys):
     ["sklyanin2", "onedim", "--params", "1,2"],
     ["sklyanin2", "onedim", "--params", "1,0,0"],
     ["shioda5", "two-torsion", "--samples", "0"],
+    ["selftest", "--criteria", "12"],
+    ["selftest", "--criteria", "1,x"],
+    ["sklyanin2", "minors", "--a", "1e400", "--b", "1"],
+    ["sklyanin2", "t", "--a", "1e400", "--b", "1"],
+    ["hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "-1"],
+    ["charseries", "--algebra", "polynomial", "--p", "3", "--max-degree", "-1", "--table"],
+    ["koszul-check", "--algebra", "polynomial", "--p", "3", "--max-degree", "-2"],
 ], ids=["wrong-parameter-count", "unknown-generator", "bad-exponent", "unparsable-number",
         "cycle-below-5", "p-on-fixed-prime-family", "params-on-polynomial",
         "missing-parameters", "onedim-parameter-count", "onedim-zero-tail",
-        "two-torsion-no-samples"])
+        "two-torsion-no-samples", "unknown-criterion", "unknown-criterion-in-list",
+        "infinite-float-minors", "infinite-float-t", "negative-degree-hilbert",
+        "negative-degree-table", "negative-degree-koszul"])
 def test_input_error_payload(capsys, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "input"
+    if argv[0] == "selftest":
+        assert repr(argv[-1].split(",")[-1]) in json.loads(out)["error"]["message"]
 
 
 def test_max_cells_flag_leaves_no_global_state(capsys):
@@ -217,7 +235,7 @@ def test_non_positive_max_cells_flag(capsys, value):
 
 ALGEBRA_FLAGS = {"--algebra", "--p", "--params", "--max-cells"}
 
-# the flags each subcommand accepts: 54 option slots, 20 distinct flags
+# the flags each subcommand accepts: 53 option slots, 19 distinct flags
 OPTION_SURFACE = {
     "hilbert": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree"},
     "charseries": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree", "--class", "--rep",
@@ -225,7 +243,7 @@ OPTION_SURFACE = {
     "koszul-check": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree", "--class", "--rep"},
     "clifford-strata": {"--format", "--out", "--seed", "--tol-rank", "--t", "--samples"},
     "sklyanin2": {"--format", "--out", "--seed", "--tol-rank", "--tol-span", "--a", "--b",
-                  "--mode", "--grid", "--samples", "--p", "--params"},
+                  "--grid", "--samples", "--p", "--params"},
     "shioda5": {"--format", "--out", "--seed", "--tol-rank", "--a", "--samples"},
     "selftest": {"--format", "--out", "--seed", "--criteria"},
 }
@@ -238,8 +256,8 @@ def test_option_surface():
                       if flag not in ("-h", "--help")}
                for name, p in sub.choices.items()}
     assert surface == OPTION_SURFACE
-    assert sum(len(flags) for flags in surface.values()) == 54
-    assert len(set().union(*surface.values())) == 20
+    assert sum(len(flags) for flags in surface.values()) == 53
+    assert len(set().union(*surface.values())) == 19
 
 
 # a minimal valid invocation of each subcommand, and the flags it does not read

@@ -1,22 +1,26 @@
 """Exact elimination against sympy as a test-only oracle.
 
-The one dense routine: `nullspace_exact` and the exact S15 rank test run
-through `_gauss_jordan`, whose pivot count is checked here as the rank.
-The sparse fraction-free `RowSpace`: rank, pivot columns and pivot-1 rows
-against `sympy.Matrix.rref`, residues against the span, and Q(w) queries
-against a rational space.  `Cyclotomic.inverse`, which takes the Galois
-norm, is checked against x^-1 * x = 1."""
+The one exact elimination is the sparse fraction-free `RowSpace`: rank,
+pivot columns and pivot-1 rows against `sympy.Matrix.rref`, residues
+against the span, and Q(w) queries against a rational space.
+`nullspace_exact`, which reads its basis off a `RowSpace`, is checked
+against sympy's nullspace over Q, its column count minus its nullity (the
+rank behind the exact S15 test) against sympy's rank, and its Q(w) basis
+against the kernel and the rank of the complex embedding.
+`Cyclotomic.inverse`, which takes the Galois norm, is checked against
+x^-1 * x = 1."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import sympy
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.linalg import RowSpace, _gauss_jordan, nullspace_exact
+from algtool.linalg import RowSpace, nullspace_exact
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 small = st.integers(-3, 3)
@@ -85,7 +89,50 @@ def symmetric_matrices(draw, max_size: int = 5):
 @SETTINGS
 @given(a=symmetric_matrices())
 def test_symmetric_rank_matches_sympy(a):
-    assert len(_gauss_jordan(a)[1]) == to_sympy(a).rank()
+    assert len(a[0]) - len(nullspace_exact(a)) == to_sympy(a).rank()
+
+
+@st.composite
+def low_rank_cyclotomic_matrices(draw, p: int = 5, max_size: int = 5):
+    """m x n products of m x k and k x n factors over Q(w_p), entries with
+    small numerators on the power basis, so that ranks below min(m, n) are
+    common."""
+    m, n = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    k = draw(st.integers(0, min(m, n)))
+    zero = Cyclotomic(p)
+
+    def factor(rows, cols):
+        return [[Cyclotomic(p, [draw(small) for _ in range(p - 1)]) for _ in range(cols)]
+                for _ in range(rows)]
+
+    if k == 0:
+        return [[zero] * n for _ in range(m)]
+    left, right = factor(m, k), factor(k, n)
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*right)]
+            for row in left]
+
+
+@seed(20141222)
+@SETTINGS
+@given(a=low_rank_cyclotomic_matrices())
+def test_cyclotomic_nullspace_is_the_reduced_kernel(a):
+    n = len(a[0])
+    ours = nullspace_exact(a)
+    emb = np.array([[v.embed() for v in row] for row in a])
+
+    def rank(cols):
+        return np.linalg.matrix_rank(emb[:, :cols]) if cols else 0
+
+    assert len(ours) == n - rank(n)
+    # the free columns of the reduced row-echelon form: those that do not
+    # raise the rank of the columns left of them
+    free = [c for c in range(n) if rank(c + 1) == rank(c)]
+    assert len(free) == len(ours)
+    for vec, fc in zip(ours, free):
+        assert all(isinstance(v, Cyclotomic) for v in vec)
+        assert [vec[c] for c in free] == [int(c == fc) for c in free]
+        assert all(sum((x * v for x, v in zip(row, vec)), Cyclotomic(5)).is_zero()
+                   for row in a)
 
 
 @st.composite

@@ -1,16 +1,17 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import ideal_oracle
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.errors import ModulusError, ResourceLimitError, StabilityError
+from algtool.errors import InputError, ModulusError, ResourceLimitError, StabilityError
 from algtool.gradedalg import (Presentation, character_coeffs,
-                               character_table, check_stability, graded_engine,
-                               hilbert, make_presentation, make_relation,
-                               word_to_index)
+                               character_table, check_stability, hilbert,
+                               make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from algtool.linalg import RowSpace
 
@@ -42,14 +43,14 @@ def test_ideal_piece_degrees():
     assert series == [1, 3, 6]
     assert 3 ** 2 - series[2] == 3  # the ideal's degree-2 piece: the 3 commutators
     # commutator leading words are the increasing ones: normal words are not
-    assert graded_engine(poly3).bases[2] == sorted(
+    assert poly3.engine.bases[2] == sorted(
         w for w in itertools.product(range(3), repeat=2) if w[0] >= w[1])
     assert hilbert(make_presentation("cycle", 5), 2)[2] == 10
 
 
 def test_ideal_basis_is_reduced_row_echelon():
     pres = make_presentation("cycle", 5)
-    engine = graded_engine(pres)
+    engine = pres.engine
     engine.grow(3)
     space = engine.spaces[3]
     assert space.rank + len(engine.bases[3]) == 5 * len(engine.bases[2])
@@ -251,6 +252,45 @@ def test_stability_is_checked_for_every_class_and_call():
             check_stability(poly3, HeisenbergElement(5, 1, 1, 0), rep)
         with pytest.raises(ModulusError):
             check_stability(poly3, HeisenbergElement(3, 1, 1, 0), SimpleRep(5, 1))
+
+
+def test_stability_is_one_verdict_for_every_representation():
+    # e2 acts in V_i as the i-th power of its action in V_1, so every
+    # representation index gives the verdict of index 1
+    unstable = Presentation(5, "QQ", tuple(
+        make_relation([((k, (k + 1) % 5), Fraction(1)), ((k, k), Fraction(1))])
+        for k in range(5)))
+    stable = make_presentation("curveCa", 2)
+    e2 = HeisenbergElement(5, 0, 1, 0)
+    for i in range(1, 5):
+        with pytest.raises(StabilityError):
+            check_stability(unstable, e2, SimpleRep(5, i))
+        check_stability(stable, e2, SimpleRep(5, i))
+        check_stability(make_presentation("sklyanin5", 2, 3), e2, SimpleRep(5, i))
+
+
+def test_engine_lives_and_dies_with_its_presentation():
+    pres = make_presentation("cycle", 5)
+    series = hilbert(pres, 3)
+    ref = weakref.ref(pres.engine)
+    del pres
+    gc.collect()
+    assert ref() is None
+    # equal presentations built apart do not share an engine
+    first, second = make_presentation("cycle", 5), make_presentation("cycle", 5)
+    assert first == second and first.engine is not second.engine
+    assert hilbert(first, 3) == hilbert(second, 3) == series
+    rep = SimpleRep(5, 1)
+    assert character_table(first, rep, 3).same_series(character_table(second, rep, 3))
+
+
+def test_negative_max_degree_is_an_input_error():
+    pres = make_presentation("polynomial", 3)
+    with pytest.raises(InputError):
+        hilbert(pres, -1)
+    with pytest.raises(InputError):
+        character_coeffs(pres, HeisenbergElement(3, 0, 0, 0), SimpleRep(3, 1), -2)
+    assert hilbert(pres, 0) == [1]
 
 
 def test_table_json_shape():
