@@ -46,6 +46,17 @@ def parse_scalar(text: str, mode: Optional[str] = None):
     return value
 
 
+def float_safe(value, flag: str):
+    """`value` unchanged, once it is known to convert to a finite float: the
+    float paths (clifford-strata, sklyanin2 minors|ideal|secant|stratify)
+    evaluate exact literals as complex numbers."""
+    try:
+        float(value)
+    except OverflowError:
+        raise InputError(f"{flag} is too large to convert to a float") from None
+    return value
+
+
 def parse_params(text: str):
     """Comma-separated exact scalars."""
     return tuple(parse_scalar(tok, "exact") for tok in text.split(",") if tok.strip())
@@ -148,7 +159,7 @@ def cmd_koszul_check(args) -> int:
 
 
 def cmd_clifford_strata(args) -> int:
-    form = clifford.example_form_dim3(parse_scalar(args.t, "exact"))
+    form = clifford.clifford_form(3, (1, float_safe(parse_scalar(args.t, "exact"), "--t")))
 
     def record(point) -> dict:
         mat = form.specialize(list(point))
@@ -183,13 +194,13 @@ def cmd_sklyanin2(args) -> int:
                    "resultant_terms": len(res.resultant.terms)}
         return emit(payload, args, check_failed=not res.check)
     if op == "onedim":
-        params = sklyanin2.OrderTwoParams(args.p, parse_params(args.params))
-        reps = sklyanin2.onedim_reps(params)
+        reps = sklyanin2.onedim_reps(args.p, parse_params(args.params))
         return emit({"count": len(reps), "reps": reps}, args)
     a, b = parse_scalar(args.a), parse_scalar(args.b)
     if op == "t":
         t = sklyanin2.t_param(a, b)
         return emit({"a": a, "b": b, "t": "indeterminate" if t is None else t}, args)
+    a, b = float_safe(a, "--a"), float_safe(b, "--b")
     if op == "minors":
         report = sklyanin2.point_module_check((a, b), args.tol_rank)
         return emit(report, args, check_failed=not report.ok(args.tol_span))
@@ -276,7 +287,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_koszul_check)
 
     p = sub.add_parser("clifford-strata", parents=[output, seed, tol_rank])
-    p.add_argument("--t", default="1", help="parameter of the 3-generator form")
+    p.add_argument("--t", default="1", help="the form of cliffordC(3; 1, t)")
     p.add_argument("--samples", type=int, default=6)
     p.set_defaults(func=cmd_clifford_strata)
 

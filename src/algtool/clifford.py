@@ -2,11 +2,13 @@
 specialization, rank, representation profiles and explicit complex matrices.
 
 The symmetric form M has entries linear in central degree-2 variables
-y_1..y_n, so x-degrees double y-degrees throughout.  Rank at a point decides
-everything: odd rank k gives two simple representations of dimension
-2^((k-1)/2) and one fat point of multiplicity 2^((k-1)/2); even rank k gives
-one simple representation of dimension 2^(k/2) and two fat points of
-multiplicity 2^(k/2 - 1).
+u_0..u_{n-1} (u_k = x_k^2), so x-degrees double u-degrees throughout.  Rank
+at a point decides everything: odd rank k gives two simple representations
+of dimension 2^((k-1)/2) and one fat point of multiplicity 2^((k-1)/2); even
+rank k gives one simple representation of dimension 2^(k/2) and two fat
+points of multiplicity 2^(k/2 - 1).  The forms of the catalog are those of
+cliffordC(p; a_0, ..., a_{(p-1)/2}), built from the parameters alone by
+`clifford_form`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .poly import MultiPoly, PolyMatrix, mat_det, ring_cc, ring_q
 
 @dataclass
 class SymmetricForm:
-    variables: Tuple[str, ...]     # central y-variable names
-    matrix: PolyMatrix             # n x n, symmetric, entries linear in the y's
+    variables: Tuple[str, ...]     # central variable names, u_k = x_k^2
+    matrix: PolyMatrix             # n x n, symmetric, entries linear in the u's
 
     def __post_init__(self):
         n = self.matrix.rows
@@ -235,18 +237,26 @@ def center_data(form: SymmetricForm) -> dict:
 # -- forms of the catalog -----------------------------------------------------------
 
 
-def example_form_dim3(t) -> SymmetricForm:
-    """The 3-generator form [[2y1, t y3, t y2], [t y3, 2y2, t y1],
-    [t y2, t y1, 2y3]] over Q[y1, y2, y3]."""
-    ring = ring_q(("y1", "y2", "y3"))
-    y = [MultiPoly.var(ring, i) for i in range(3)]
-    t = Fraction(t)
-    entries = [
-        2 * y[0], t * y[2], t * y[1],
-        t * y[2], 2 * y[1], t * y[0],
-        t * y[1], t * y[0], 2 * y[2],
-    ]
-    return SymmetricForm(ring.variables, PolyMatrix(3, 3, entries))
+def clifford_form(p: int, avec: Sequence) -> SymmetricForm:
+    """The form of cliffordC(p; a_0, ..., a_{(p-1)/2}), whose relations
+    a_0 {x_{k+i}, x_{k-i}} = a_i x_k^2 make it a graded Clifford algebra over
+    the central u_k = x_k^2: M_kk = 2 u_k and M_{k+i,k-i} = M_{k-i,k+i} =
+    (a_i / a_0) u_k for 1 <= i <= (p-1)/2 (indices mod p), a_0 nonzero.
+    Over Q when every a_i is an int or a Fraction, over C otherwise; the p = 5
+    form is sklyanin2's Q(a, b) = clifford_form(5, (1, a, b))."""
+    names = tuple(f"u{k}" for k in range(p))
+    if all(isinstance(a, (int, Fraction)) for a in avec):
+        ring, avec = ring_q(names), [Fraction(a) for a in avec]
+    else:
+        ring, avec = ring_cc(names), [complex(a) for a in avec]
+    u = [MultiPoly.var(ring, k) for k in range(p)]
+    rows = [[None] * p for _ in range(p)]
+    for k in range(p):
+        rows[k][k] = 2 * u[k]
+        for i in range(1, (p + 1) // 2):
+            entry = avec[i] / avec[0] * u[k]
+            rows[(k + i) % p][(k - i) % p] = rows[(k - i) % p][(k + i) % p] = entry
+    return SymmetricForm(names, PolyMatrix(p, p, [e for row in rows for e in row]))
 
 
 def det_along_line(form: SymmetricForm, base: np.ndarray, direction: np.ndarray) -> np.poly1d:

@@ -33,7 +33,7 @@ zeta^(i(nk + b sum(w))) (w - a), with w - a the digitwise shift, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -407,7 +407,9 @@ def make_presentation(kind: str, *args) -> Presentation:
     - cycle(p), p >= 5: coordinate ring of the cycle of p lines.
     - sklyanin3(a, b, c): a x1 x2 + b x2 x1 + c x0^2 orbit, p = 3.
     - cliffordC(p, a0, ..., a_{(p-1)/2}): a0 {x_{i+k}, x_{-i+k}} = a_i x_k^2.
-    - sklyanin5(a, b): {x_{1+k}, x_{4+k}} = a x_k^2, {x_{2+k}, x_{3+k}} = b x_k^2.
+    - sklyanin5(a, b): the name of cliffordC(5, 1, a, b), with kind
+      "sklyanin5" and params (a, b):
+      {x_{1+k}, x_{4+k}} = a x_k^2, {x_{2+k}, x_{3+k}} = b x_k^2.
     - curveCa(a): quadrics of the elliptic normal curve C_a plus commutators, p = 5.
 
     A wrong number of arguments raises InputError.
@@ -461,20 +463,7 @@ def make_presentation(kind: str, *args) -> Presentation:
 
     if kind == "sklyanin5":
         a, b = _coerce_params(args, 2, kind)
-        raw = []
-        for k in range(5):
-            raw.append([
-                (((1 + k) % 5, (4 + k) % 5), Fraction(1)),
-                (((4 + k) % 5, (1 + k) % 5), Fraction(1)),
-                ((k, k), -a),
-            ])
-        for k in range(5):
-            raw.append([
-                (((2 + k) % 5, (3 + k) % 5), Fraction(1)),
-                (((3 + k) % 5, (2 + k) % 5), Fraction(1)),
-                ((k, k), -b),
-            ])
-        return _finalize(5, _field_of((a, b)), raw, "sklyanin5", (a, b))
+        return replace(make_presentation("cliffordC", 5, 1, a, b), kind=kind, params=(a, b))
 
     if kind == "curveCa":
         (a,) = _coerce_params(args, 1, kind)

@@ -208,7 +208,7 @@ def criterion_5_clifford(seed: int = 0) -> CheckResult:
     details["build_reps_shapes"] = all(s for _, s in results)
     ok &= worst < 1e-9 and all(s for _, s in results)
 
-    form = clifford.example_form_dim3(1)
+    form = clifford.clifford_form(3, (1, 1))
     pts = clifford.sample_rank_drop_points(form, 20, seed + 7)
     ranks = [clifford.symmetric_rank(form.specialize(list(p)), 1e-8) for p in pts]
     details["dim3_det_zero_ranks"] = sorted(set(ranks))
@@ -251,7 +251,7 @@ def criterion_6_sklyanin2(seed: int = 0) -> CheckResult:
     details["deg6_off_curve"] = off.deg6
     ok &= not off.deg6
 
-    centre = clifford.center_data(sklyanin2.q5_form(Fraction(1), Fraction(2)))
+    centre = clifford.center_data(clifford.clifford_form(5, (1, 1, 2)))
     details["detQ_x_degree"] = centre["x_degree"]
     ok &= centre["x_degree"] == 10
 
@@ -260,9 +260,9 @@ def criterion_6_sklyanin2(seed: int = 0) -> CheckResult:
 
 def criterion_7_onedim(seed: int = 0) -> CheckResult:
     details = {}
-    reps = sklyanin2.onedim_reps(sklyanin2.OrderTwoParams(5, (1, 2, 2)))
+    reps = sklyanin2.onedim_reps(5, (1, 2, 2))
     details["count_122"] = len(reps)
-    empty = sklyanin2.onedim_reps(sklyanin2.OrderTwoParams(5, (1, 1, 1)))
+    empty = sklyanin2.onedim_reps(5, (1, 1, 1))
     details["count_111"] = len(empty)
     ok = len(reps) == 5 and len(empty) == 0
     return CheckResult("7-onedim-reps", ok, details)

@@ -85,10 +85,14 @@ def ca_relations(a) -> List[MultiPoly]:
             - x[(i + 2) % 5] * x[(i - 2) % 5] for i in range(5)]
 
 
-def base_orbit(a) -> List[Tuple[Cyclotomic, ...]]:
-    """The 25 exact Heisenberg images of O_a = (0 : 1 : a : -a : -1)."""
-    a = Fraction(a)
-    point = tuple(Cyclotomic.from_rational(5, v) for v in (0, 1, a, -a, -1))
+def base_orbit(t) -> List[tuple]:
+    """The 25 Heisenberg images of (0 : 1 : t : -t : -1), the base point O_a
+    of C_a at t = a and that of sklyanin2's E' at its t: exact over Q(w_5)
+    for an int or Fraction t, complex otherwise."""
+    if isinstance(t, (int, Fraction)):
+        point = tuple(Cyclotomic.from_rational(5, v) for v in (0, 1, t, -t, -1))
+    else:
+        point = tuple(complex(v) for v in (0, 1, t, -t, -1))
     return heisenberg_orbit_points(_REP, point)
 
 

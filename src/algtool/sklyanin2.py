@@ -1,14 +1,16 @@
-"""The order-2 Sklyanin toolkit for p = 5: the quadratic form Q(a, b), the
-parameter curve C', the t-parameter of the quotient elliptic curve, the
-Sylvester elimination, point-module minor checks, rank stratification,
-degree-piece span identities, the secant-variety determinant identity, and
-exact 1-dimensional representation enumeration for Clifford parameters.
+"""The order-2 Sklyanin toolkit for p = 5: the quadratic form Q(a, b) of
+cliffordC(5; 1, a, b) (`clifford.clifford_form`), the parameter curve C',
+the t-parameter of the quotient elliptic curve, the Sylvester elimination,
+point-module minor checks, rank stratification, degree-piece span
+identities, the secant-variety determinant identity, and exact
+1-dimensional representation enumeration for cliffordC parameters.
 
 Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
   * q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} (indices mod 5) are
     the quadrics of the quotient curve E' = C_t in the u-coordinates.
-  * The base point of E' is (0 : 1 : t : -t : -1).
+  * The base point of E' is (0 : 1 : t : -t : -1); its orbit comes from
+    `shioda5.base_orbit`.
 """
 
 from __future__ import annotations
@@ -20,34 +22,19 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clifford import (SymmetricForm, fat_profile, random_points,
+from .clifford import (clifford_form, fat_profile, random_points,
                        sample_rank_drop_points, simple_profile, symmetric_rank)
 from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, InputError, PoleError, SamplingError
 from .gradedalg import make_presentation
-from .heisenberg import SimpleRep, heisenberg_orbit_points
 from .linalg import minors_float, rank_float
 from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
                    monomials_of_degree, resultant, ring_cc, ring_q)
+from .shioda5 import base_orbit
 
 Scalar = Union[int, Fraction, float, complex]
 
 U_VARS = ("u0", "u1", "u2", "u3", "u4")
-
-
-@dataclass(frozen=True)
-class OrderTwoParams:
-    """Projective Clifford parameters (a_0 : ... : a_{(p-1)/2})."""
-
-    p: int
-    avec: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "avec", tuple(Fraction(v) for v in self.avec))
-        if len(self.avec) != (self.p + 1) // 2:
-            raise InputError(f"need {(self.p + 1) // 2} parameters for p={self.p}")
-        if not any(self.avec):
-            raise InputError("parameter vector must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -91,28 +78,6 @@ def t_param(a: Scalar, b: Scalar) -> Optional[Scalar]:
             return None
         raise PoleError(f"t has a pole at ({a}, {b})")
     return num / den
-
-
-def q5_form(a: Scalar, b: Scalar) -> SymmetricForm:
-    """The 5x5 symmetric form: diagonal 2 u_k; {x_{1+k}, x_{4+k}} slots carry
-    a u_k, {x_{2+k}, x_{3+k}} slots carry b u_k."""
-    if _is_exact(a, b):
-        ring = ring_q(U_VARS)
-        a, b = Fraction(a), Fraction(b)
-    else:
-        ring = ring_cc(U_VARS)
-        a, b = complex(a), complex(b)
-    u = [MultiPoly.var(ring, i) for i in range(5)]
-    entries = []
-    for i in range(5):
-        for j in range(5):
-            if i == j:
-                entries.append(2 * u[i])
-            else:
-                d = (j - i) % 5
-                k = (3 * (i + j)) % 5  # midpoint: 2k = i + j mod 5
-                entries.append((a if d in (2, 3) else b) * u[k])
-    return SymmetricForm(U_VARS, PolyMatrix(5, 5, entries))
 
 
 @dataclass
@@ -202,16 +167,12 @@ def _require_t(a: Scalar, b: Scalar) -> complex:
     return complex(t)
 
 
-def base_point(t: complex) -> Tuple[complex, ...]:
-    return (0j, 1 + 0j, t, -t, -1 + 0j)
-
-
 def orbit_points(t: complex) -> List[Tuple[complex, ...]]:
     """The 25 Heisenberg-orbit images of (0 : 1 : t : -t : -1) in u-space,
     projectively normalized (first coordinate above 1e-9 set to 1) and
     deduplicated (points within 1e-8 in every coordinate are one)."""
     seen: List[Tuple[complex, ...]] = []
-    for vec in heisenberg_orbit_points(SimpleRep(5, 1), base_point(t)):
+    for vec in base_orbit(t):
         lead = next(v for v in vec if abs(v) > 1e-9)
         norm = tuple(v / lead for v in vec)
         if not any(all(abs(x - y) <= 1e-8 for x, y in zip(norm, old))
@@ -240,7 +201,7 @@ def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
     relative to the largest) is 2."""
     a, b = _as_ab(point)
     t = _require_t(a, b)
-    form = q5_form(complex(a), complex(b))
+    form = clifford_form(5, (1, complex(a), complex(b)))
     orbit = orbit_points(t)
     worst = 0.0
     ranks = []
@@ -286,7 +247,7 @@ def stratify(point, samples: int = 6, seed: int = 0,
     V(det Q) off E', (iii) the E' orbit; expected ranks 5 / 4 / 2."""
     a, b = _as_ab(point)
     t = _require_t(a, b)
-    form = q5_form(complex(a), complex(b))
+    form = clifford_form(5, (1, complex(a), complex(b)))
 
     def rank(pt) -> int:
         return symmetric_rank(form.specialize(list(pt)), rank_tol)
@@ -347,7 +308,7 @@ def _degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
     in degree 6 and of (4x4 minors of Q, products q_i q_j) in degree 8."""
     a, b = _as_ab(point)
     t = _require_t(a, b)
-    form = q5_form(complex(a), complex(b))
+    form = clifford_form(5, (1, complex(a), complex(b)))
     ring = form.matrix.ring
     u = [MultiPoly.var(ring, i) for i in range(5)]
     quadrics = ct_quadrics(t)
@@ -403,7 +364,7 @@ def secant_check(point) -> SecantReport:
                 - (1.0 / t) * z[(i + 2) % 5] * z[(i + 3) % 5] for i in range(5)]
     jac_entries = [q.partial(j) for q in quadrics for j in range(5)]
     jac_det = mat_det(PolyMatrix(5, 5, jac_entries))
-    det_q = q5_form(complex(a), complex(b)).determinant()
+    det_q = clifford_form(5, (1, complex(a), complex(b))).determinant()
 
     basis = monomials_of_degree(5, 5)
     jv = np.asarray(jac_det.coefficient_vector(basis), dtype=complex)
@@ -416,12 +377,12 @@ def secant_check(point) -> SecantReport:
 # -- 1-dimensional representations ----------------------------------------------------
 
 
-def onedim_reps(params: OrderTwoParams) -> List[Tuple[Cyclotomic, ...]]:
-    """All scalar representations with y_0 = 1 of the Clifford presentation
-    C(a_0 : ... : a_{(p-1)/2}), over Q(w_p); every returned tuple satisfies
-    every defining relation exactly."""
-    p = params.p
-    avec = params.avec
+def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
+    """All scalar representations with y_0 = 1 of cliffordC(p; a_0, ...,
+    a_{(p-1)/2}), over Q(w_p); every returned tuple satisfies every defining
+    relation exactly.  The catalog checks p and the parameter count."""
+    pres = make_presentation("cliffordC", p, *avec)
+    avec = pres.params[1:]
     half = (p - 1) // 2
     i0 = next((i for i in range(1, half + 1) if avec[i]), None)
     if i0 is None:
@@ -430,7 +391,6 @@ def onedim_reps(params: OrderTwoParams) -> List[Tuple[Cyclotomic, ...]]:
         return []
     c = Cyclotomic.from_rational(p, Fraction(avec[i0], 2 * avec[0]))
     s_base = (c.inverse()) ** half  # c^(-(p-1)/2)
-    pres = make_presentation("cliffordC", p, *avec)
     found = []
     for j in range(p):
         s = s_base * Cyclotomic.zeta(p, j)

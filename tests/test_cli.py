@@ -138,6 +138,10 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["hilbert"] == [1, 3, 6, 10]
 
 
+# an exact literal too large for a float
+HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("argv", [
     ["hilbert", "--algebra", "sklyanin3", "--params", "1,1", "--max-degree", "3"],
     ["charseries", "--algebra", "polynomial", "--p", "3", "--class", "e7x",
@@ -159,18 +163,41 @@ def test_out_file(tmp_path, capsys):
     ["hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "-1"],
     ["charseries", "--algebra", "polynomial", "--p", "3", "--max-degree", "-1", "--table"],
     ["koszul-check", "--algebra", "polynomial", "--p", "3", "--max-degree", "-2"],
+    ["sklyanin2", "minors", "--a", HUGE, "--b", "1"],
+    ["sklyanin2", "stratify", "--a", "1", "--b", HUGE],
+    ["clifford-strata", "--t", HUGE],
 ], ids=["wrong-parameter-count", "unknown-generator", "bad-exponent", "unparsable-number",
         "cycle-below-5", "p-on-fixed-prime-family", "params-on-polynomial",
         "missing-parameters", "onedim-parameter-count", "onedim-zero-tail",
         "two-torsion-no-samples", "unknown-criterion", "unknown-criterion-in-list",
         "infinite-float-minors", "infinite-float-t", "negative-degree-hilbert",
-        "negative-degree-table", "negative-degree-koszul"])
+        "negative-degree-table", "negative-degree-koszul", "huge-exact-minors",
+        "huge-exact-stratify", "huge-exact-strata"])
 def test_input_error_payload(capsys, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "input"
     if argv[0] == "selftest":
         assert repr(argv[-1].split(",")[-1]) in json.loads(out)["error"]["message"]
+
+
+def test_huge_exact_literal_stays_exact_in_t(capsys):
+    # `sklyanin2 t` has no float path: the literal reaches t_param exactly
+    code, out = run_cli(capsys, "sklyanin2", "t", "--a", HUGE, "--b", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["a"] == [HUGE, "1"]
+
+
+def test_sklyanin5_is_the_name_of_clifford_c5(capsys):
+    _, named = run_cli(capsys, "charseries", "--algebra", "sklyanin5", "--params", "1/2,3/7",
+                       "--max-degree", "3", "--table", "--format", "json")
+    _, clifford = run_cli(capsys, "charseries", "--algebra", "cliffordC", "--p", "5",
+                          "--params", "1,1/2,3/7", "--max-degree", "3", "--table",
+                          "--format", "json")
+    named, clifford = json.loads(named), json.loads(clifford)
+    assert (named.pop("kind"), named.pop("params")) == ("sklyanin5", ["1/2", "3/7"])
+    assert (clifford.pop("kind"), clifford.pop("params")) == ("cliffordC", ["5", "1", "1/2", "3/7"])
+    assert named == clifford
 
 
 def test_max_cells_flag_leaves_no_global_state(capsys):

@@ -4,21 +4,48 @@ import numpy as np
 import pytest
 
 from algtool.clifford import (FatProfile, SimpleProfile, build_reps,
-                              center_data, example_form_dim3, fat_profile,
+                              center_data, clifford_form, fat_profile,
                               sample_rank_drop_points, simple_profile,
                               standard_gammas, symmetric_rank)
 from algtool.errors import ConditioningError
+from algtool.gradedalg import make_presentation
 from algtool.poly import MultiPoly, PolyMatrix, ring_q
 
 
 def test_specialize_examples():
-    form = example_form_dim3(1)
+    form = clifford_form(3, (1, 1))
     got = form.specialize([Fraction(1), Fraction(0), Fraction(0)])
     assert got == [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
     zero = form.specialize([Fraction(0)] * 3)
     assert all(v == 0 for row in zero for v in row)
     with pytest.raises(ValueError):
         form.specialize([Fraction(1)])
+
+
+@pytest.mark.parametrize("p,avec", [
+    (3, (1, Fraction(2, 3))),
+    (5, (1, 2, 5)),
+    (5, (Fraction(3, 2), Fraction(1, 2), Fraction(3, 7))),
+    (7, (2, 1, Fraction(5, 2), 3)),
+], ids=["p3", "p5", "p5-non-integral", "p7"])
+def test_clifford_form_roundtrip_with_presentation(p, avec):
+    # each anticommutator relation a0 {x_i, x_j} = a_i x_k^2 of cliffordC is
+    # the off-diagonal entry M_ij = (a_i / a0) u_k of the form
+    form = clifford_form(p, avec)
+    u = [MultiPoly.var(form.matrix.ring, k) for k in range(p)]
+    pres = make_presentation("cliffordC", p, *avec)
+    seen = set()
+    for rel in pres.relations:
+        pairs = [(w, c) for w, c in rel if w[0] != w[1]]
+        squares = [(w, c) for w, c in rel if w[0] == w[1]]
+        assert len(pairs) == 2 and len(squares) == 1
+        (i, j), coeff = pairs[0]
+        assert coeff == avec[0]
+        (k, _), square_coeff = squares[0]
+        assert form.matrix.at(i, j) == form.matrix.at(j, i) == (-square_coeff / coeff) * u[k]
+        seen |= {(i, j), (j, i)}
+    assert seen == {(i, j) for i in range(p) for j in range(p) if i != j}
+    assert all(form.matrix.at(k, k) == 2 * u[k] for k in range(p))
 
 
 def test_symmetric_rank():
@@ -90,7 +117,7 @@ def test_build_reps_conditioning_error():
 
 
 def test_center_data():
-    form = example_form_dim3(1)
+    form = clifford_form(3, (1, 1))
     data = center_data(form)
     assert data["x_degree"] == 6
     assert data["parity"] == "odd"
@@ -107,7 +134,7 @@ def test_center_data():
 
 
 def test_det_zero_points_have_small_rank():
-    form = example_form_dim3(1)
+    form = clifford_form(3, (1, 1))
     pts = sample_rank_drop_points(form, 20, seed=5)
     assert len(pts) == 20
     for pt in pts:

@@ -1,8 +1,9 @@
-"""Every function or method defined in `src/algtool` is referenced somewhere
-in `src/algtool`: by name, as an attribute, or as an imported name.  A method
-that overrides one of a base class counts as referenced, since it is called
-through the base.  A `def` that nothing in the library names is dead code,
-so it fails here; tests keep their own helpers in `tests/`.
+"""Every function, method and module-level class defined in `src/algtool`
+is referenced somewhere in `src/algtool`: by name, as an attribute, or as an
+imported name.  A method that overrides one of a base class counts as
+referenced, since it is called through the base.  A `def` or `class` that
+nothing in the library names is dead code, so it fails here; tests keep
+their own helpers in `tests/`.
 
 Blind spot: names are matched bare, without their class, so a dead method
 passes whenever any other reference uses its name.  `SimpleRep.dim` and
@@ -33,6 +34,7 @@ def _scan():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
                 referenced |= _overrides(path.stem, node)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -3,17 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algtool.clifford import center_data
+from algtool.clifford import center_data, clifford_form
 from algtool.cyclotomic import Cyclotomic
-from algtool.errors import IndeterminateError, PoleError
+from algtool.errors import IndeterminateError, InputError, PoleError
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
 from algtool.poly import MultiPoly, mat_minors, ring_q
-from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, OrderTwoParams,
+from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
                                minor_ideal_checks, onedim_reps, orbit_points,
-                               point_module_check, q5_form, secant_check,
+                               point_module_check, secant_check,
                                stratify, t_param)
 
 
@@ -63,7 +63,7 @@ def test_t_param():
 
 def test_q5_form_entries():
     a, b = Fraction(3), Fraction(7)
-    form = q5_form(a, b)
+    form = clifford_form(5, (1, a, b))
     ring = form.matrix.ring
     u = [MultiPoly.var(ring, i) for i in range(5)]
     assert form.matrix.is_symmetric()
@@ -72,28 +72,12 @@ def test_q5_form_entries():
     assert form.matrix.at(0, 2) == a * u[1]
     assert form.matrix.at(0, 3) == a * u[4]
     assert form.matrix.at(0, 4) == b * u[2]
-    assert q5_form(Fraction(0), Fraction(0)).determinant() == \
+    assert clifford_form(5, (1, 0, 0)).determinant() == \
         32 * u[0] * u[1] * u[2] * u[3] * u[4]
 
 
-def test_q5_form_roundtrip_with_presentation():
-    a, b = Fraction(2), Fraction(5)
-    form = q5_form(a, b)
-    ring = form.matrix.ring
-    u = [MultiPoly.var(ring, i) for i in range(5)]
-    pres = make_presentation("sklyanin5", a, b)
-    for rel in pres.relations:
-        pairs = [(w, c) for w, c in rel if w[0] != w[1]]
-        squares = [(w, c) for w, c in rel if w[0] == w[1]]
-        assert len(pairs) == 2 and len(squares) == 1
-        (i, j), coeff = pairs[0]
-        assert coeff == 1
-        (k, _), square_coeff = squares[0]
-        assert form.matrix.at(i, j) == (-square_coeff) * u[k]
-
-
 def test_detq_is_degree_10_in_x_grading():
-    data = center_data(q5_form(Fraction(1), Fraction(2)))
+    data = center_data(clifford_form(5, (1, 1, 2)))
     assert data["x_degree"] == 10
     assert len({sum(e) for e in data["det"].terms}) == 1
 
@@ -138,7 +122,7 @@ def test_point_module_residual_matches_symbolic_minors():
     points = [(cp.a, cp.b) for cp in curve_points_on_grid()[:3]] + [(0.0, 1.0)]
     for a, b in points:
         report = point_module_check((a, b))
-        minors = mat_minors(q5_form(complex(a), complex(b)).matrix, 3)
+        minors = mat_minors(clifford_form(5, (1, complex(a), complex(b))).matrix, 3)
         reference = 0.0
         for pt in orbit_points(report.t):
             scale = max(abs(v) for v in pt)
@@ -219,7 +203,7 @@ def test_secant_check(near_one_point):
 
 
 def test_onedim_reps_122():
-    reps = onedim_reps(OrderTwoParams(5, (1, 2, 2)))
+    reps = onedim_reps(5, (1, 2, 2))
     assert len(reps) == 5
     pres = make_presentation("cliffordC", 5, 1, 2, 2)
     roots = set()
@@ -235,18 +219,18 @@ def test_onedim_reps_122():
 
 
 def test_onedim_reps_111_empty():
-    assert onedim_reps(OrderTwoParams(5, (1, 1, 1))) == []
+    assert onedim_reps(5, (1, 1, 1)) == []
 
 
 def test_onedim_reps_p3():
-    assert len(onedim_reps(OrderTwoParams(3, (1, 2)))) == 3
+    assert len(onedim_reps(3, (1, 2))) == 3
 
 
 def test_onedim_reps_errors():
-    with pytest.raises(ValueError):
-        onedim_reps(OrderTwoParams(5, (1, 0, 0)))
-    with pytest.raises(ValueError):
-        OrderTwoParams(5, (0, 0, 0))
+    # the all-zero vector, a_i = 0 for every i >= 1, and the catalog's count check
+    for p, avec in [(5, (0, 0, 0)), (5, (1, 0, 0)), (5, (1, 2))]:
+        with pytest.raises(InputError):
+            onedim_reps(p, avec)
 
 
 def test_sklyanin5_hilbert_matches_polynomial_at_float_approximants():
