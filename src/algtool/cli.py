@@ -22,6 +22,7 @@ from .errors import AlgtoolError, InputError
 from .gradedalg import (OVER_P, character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import SimpleRep, parse_element
+from .linalg import rank_float
 from .poly import MultiPoly, poly_to_json, scalar_to_json
 
 
@@ -162,17 +163,17 @@ def cmd_clifford_strata(args) -> int:
     form = clifford.clifford_form(3, (1, float_safe(parse_scalar(args.t, "exact"), "--t")))
 
     def record(point) -> dict:
-        mat = form.specialize(list(point))
-        rank = clifford.symmetric_rank(mat, args.tol_rank)
+        mat = form.eval(list(point))
+        rank = rank_float(mat, args.tol_rank)
         return {
             "point": point.tolist(),
             "rank": rank,
-            "simple": clifford.simple_profile(rank, form.size),
+            "simple": clifford.simple_profile(rank, form.rows),
             "fat": clifford.fat_profile(rank) if rank else None,
             "residuals": clifford.build_reps(mat, rank).max_residual,
         }
 
-    generic = clifford.random_points(form.size, args.samples, args.seed)
+    generic = clifford.random_points(form.rows, args.samples, args.seed)
     drops = clifford.sample_rank_drop_points(form, max(2, args.samples // 2),
                                              args.seed + 1, args.tol_rank)
     return emit({"t": args.t, "strata": [record(pt) for pt in generic + drops]}, args)
@@ -264,7 +265,7 @@ def build_parser() -> Parser:
                          help="comma-separated exact parameters, e.g. 1,1,-1")
     algebra.add_argument("--max-cells", type=int, default=None,
                          help="cap on the cells of one degree step of the graded engine "
-                              "(default: env ALGTOOL_MAX_CELLS, else 4e6)")
+                              "(default 4e6)")
 
     parser = Parser(prog="algtool", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -324,13 +325,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OverflowError as exc:  # float arithmetic on a finite but huge input
+        error = InputError(f"input too large for float arithmetic: {exc}")
     except AlgtoolError as exc:
-        payload = {"error": {"code": exc.code, "message": str(exc)}}
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+        error = exc
+    payload = {"error": {"code": error.code, "message": str(error)}}
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(f"error [{error.code}]: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

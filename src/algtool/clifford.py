@@ -1,10 +1,14 @@
-"""Graded Clifford algebras from symmetric forms of central quadrics:
-specialization, rank, representation profiles and explicit complex matrices.
+"""Graded Clifford algebras from symmetric forms of central quadrics: the
+forms of the catalog, representation profiles, explicit complex matrices and
+points where the rank drops.
 
-The symmetric form M has entries linear in central degree-2 variables
-u_0..u_{n-1} (u_k = x_k^2), so x-degrees double u-degrees throughout.  Rank
-at a point decides everything: odd rank k gives two simple representations
-of dimension 2^((k-1)/2) and one fat point of multiplicity 2^((k-1)/2); even
+The symmetric form M is a `PolyMatrix` whose entries are linear in central
+degree-2 variables u_0..u_{n-1} (u_k = x_k^2), so x-degrees double u-degrees
+throughout: `M.eval(point)` specializes it, `linalg.rank_float` ranks the
+result and `poly.mat_det(M)` is its determinant.  Rank at a point decides
+everything (L. Le Bruyn, "Central singularities of quantum spaces", J.
+Algebra 177, 1995): odd rank k gives two simple representations of
+dimension 2^((k-1)/2) and one fat point of multiplicity 2^((k-1)/2); even
 rank k gives one simple representation of dimension 2^(k/2) and two fat
 points of multiplicity 2^(k/2 - 1).  The forms of the catalog are those of
 cliffordC(p; a_0, ..., a_{(p-1)/2}), built from the parameters alone by
@@ -15,58 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 from .errors import ConditioningError, SamplingError
-from .linalg import rank_float
 from .poly import MultiPoly, PolyMatrix, mat_det, ring_cc, ring_q
-
-
-@dataclass
-class SymmetricForm:
-    variables: Tuple[str, ...]     # central variable names, u_k = x_k^2
-    matrix: PolyMatrix             # n x n, symmetric, entries linear in the u's
-
-    def __post_init__(self):
-        n = self.matrix.rows
-        if self.matrix.cols != n:
-            raise ValueError("symmetric form must be square")
-        if not self.matrix.is_symmetric():
-            raise ValueError("matrix is not symmetric")
-        for e in self.matrix.entries:
-            if e.terms and any(sum(exp) != 1 for exp in e.terms):
-                raise ValueError("entries must be linear in the central variables")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.rows
-
-    def determinant(self) -> MultiPoly:
-        return mat_det(self.matrix)
-
-    def specialize(self, point: Sequence):
-        """Entrywise evaluation at central-variable values (exact or complex)."""
-        if len(point) != len(self.variables):
-            raise ValueError(f"need {len(self.variables)} coordinates")
-        rows = self.matrix.eval(point)
-        if isinstance(rows[0][0], complex):
-            return np.array(rows, dtype=complex)
-        return rows
-
-
-def symmetric_rank(matrix, tol: float = 1e-8) -> int:
-    """Rank of a complex symmetric matrix: singular values above `tol`
-    relative to the largest."""
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("rank of a non-square matrix")
-    a = np.asarray(rows, dtype=complex)
-    if not np.allclose(a, a.T, atol=max(tol, 1e-12) * (np.abs(a).max() + 1.0)):
-        raise ValueError("matrix is not symmetric")
-    return rank_float(a, tol)
 
 
 # -- representation profiles -----------------------------------------------------
@@ -218,26 +176,10 @@ def build_reps(matrix, rank: int) -> CliffordReps:
     return CliffordReps(tuples, chirality, residual)
 
 
-# -- center ----------------------------------------------------------------------
-
-
-def center_data(form: SymmetricForm) -> dict:
-    det = form.determinant()
-    n = form.size
-    x_degree = 2 * det.total_degree()
-    if n % 2:
-        desc = (f"C[{', '.join(form.variables)}, g] with deg(g) = {n} "
-                f"and g^2 = det(M)")
-    else:
-        desc = f"C[{', '.join(form.variables)}] (polynomial center)"
-    return {"det": det, "x_degree": x_degree, "parity": "odd" if n % 2 else "even",
-            "center": desc}
-
-
 # -- forms of the catalog -----------------------------------------------------------
 
 
-def clifford_form(p: int, avec: Sequence) -> SymmetricForm:
+def clifford_form(p: int, avec: Sequence) -> PolyMatrix:
     """The form of cliffordC(p; a_0, ..., a_{(p-1)/2}), whose relations
     a_0 {x_{k+i}, x_{k-i}} = a_i x_k^2 make it a graded Clifford algebra over
     the central u_k = x_k^2: M_kk = 2 u_k and M_{k+i,k-i} = M_{k-i,k+i} =
@@ -256,19 +198,19 @@ def clifford_form(p: int, avec: Sequence) -> SymmetricForm:
         for i in range(1, (p + 1) // 2):
             entry = avec[i] / avec[0] * u[k]
             rows[(k + i) % p][(k - i) % p] = rows[(k - i) % p][(k + i) % p] = entry
-    return SymmetricForm(names, PolyMatrix(p, p, [e for row in rows for e in row]))
+    return PolyMatrix(p, p, [e for row in rows for e in row])
 
 
-def det_along_line(form: SymmetricForm, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
+def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
     """det M(base + s * direction) as a numpy polynomial in s."""
     ring = ring_cc(("s",))
     s_var = MultiPoly.var(ring, 0)
     entries = []
-    for e in form.matrix.entries:
+    for e in form.entries:
         at_base = e.eval([complex(v) for v in base])
         slope = e.eval([complex(v) for v in direction])
         entries.append(MultiPoly.const(ring, at_base) + s_var * slope)
-    det = mat_det(PolyMatrix(form.size, form.size, entries))
+    det = mat_det(PolyMatrix(form.rows, form.cols, entries))
     deg = det.total_degree()
     coeffs = [0j] * (deg + 1)
     for exps, c in det.terms.items():
@@ -286,13 +228,14 @@ def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
     return points
 
 
-def sample_rank_drop_points(form: SymmetricForm, count: int, seed: int,
+def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
                             tol: float = 1e-8) -> List[np.ndarray]:
     """Points on V(det M) found by root-finding det along random complex
-    lines; a point counts when |det| <= sqrt(tol) there, and SamplingError
-    is raised after 40 lines per requested point."""
+    lines; a point counts when |det| <= sqrt(tol) there, a line whose det
+    overflows to non-finite coefficients is skipped, and SamplingError is
+    raised after 40 lines per requested point."""
     rng = np.random.default_rng(seed)
-    n_vars = len(form.variables)
+    n_vars = form.ring.nvars
     out = []
     attempts = 0
     while len(out) < count:
@@ -302,7 +245,7 @@ def sample_rank_drop_points(form: SymmetricForm, count: int, seed: int,
         base = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
         direction = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
         poly = det_along_line(form, base, direction)
-        if poly.order < 1:
+        if poly.order < 1 or not np.isfinite(poly.coeffs).all():
             continue
         roots = poly.r
         if len(roots) == 0:
@@ -313,8 +256,7 @@ def sample_rank_drop_points(form: SymmetricForm, count: int, seed: int,
         if norm == 0 or not np.isfinite(norm):
             continue
         point = point / norm
-        mat = form.specialize(list(point))
-        if abs(np.linalg.det(mat)) > np.sqrt(tol):
+        if abs(np.linalg.det(form.eval(list(point)))) > np.sqrt(tol):
             continue
         out.append(point)
     return out

@@ -39,9 +39,8 @@ from functools import cached_property
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .config import check_degree_allowed
 from .cyclotomic import Cyclotomic, require_odd_prime
-from .errors import InputError, ModulusError, StabilityError
+from .errors import InputError, ModulusError, ResourceLimitError, StabilityError
 from .heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from .linalg import RowSpace, ScaledVec, SparseVec, integral
 
@@ -131,6 +130,29 @@ def _add_scaled(acc: SparseVec, vec: SparseVec, scale, shift: int = 0, stride: i
             acc[key] = new
         elif cur is not None:
             del acc[key]
+
+
+#: Default cap on the cells of one degree step of the graded engine: the
+#: rows (sum over relation degrees d of h_{n-d} times the number of degree-d
+#: relations) times the columns (h_{n-1} * p) of the degree-n working matrix.
+#: With this cap the polynomial ring on 5 generators is admitted up to
+#: degree 8 (2100 x 1650 cells) and refused from degree 9.
+DEFAULT_MAX_CELLS = 4_000_000
+
+
+def check_degree_allowed(n: int, rows: int, cols: int, cap: Optional[int] = None) -> None:
+    """Refuse a degree-n step whose working matrix has more cells than the cap:
+    `cap` (the --max-cells value) when given, else DEFAULT_MAX_CELLS.  A step
+    without rows still lists its columns, so it counts as one row."""
+    if cap is None:
+        cap = DEFAULT_MAX_CELLS
+    elif cap <= 0:
+        raise ResourceLimitError(f"--max-cells must be positive, got {cap}")
+    cells = max(rows, 1) * cols
+    if cells > cap:
+        raise ResourceLimitError(
+            f"degree {n} needs a {rows} x {cols} working matrix ({cells} cells), cap is {cap}"
+        )
 
 
 class GradedEngine:

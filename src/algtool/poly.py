@@ -369,12 +369,6 @@ class PolyMatrix:
         return [[self.at(i, j).eval(point) for j in range(self.cols)]
                 for i in range(self.rows)]
 
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.at(i, j) == self.at(j, i)
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
-
 
 def _minor_routine(m: PolyMatrix):
     """minor(rows, cols): the determinant of the submatrix of m on the given

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -187,14 +187,11 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
 
 
 def thirty_points() -> List[Tuple[Cyclotomic, ...]]:
-    """Fixed points of the p+1 projectivized cyclic subgroups, deduplicated;
-    exactly 30 points for p = 5."""
-    seen: Dict[tuple, Tuple[Cyclotomic, ...]] = {}
-    for g in subgroup_generators(5):
-        for pt in projective_fixed_points(_REP, g):
-            key = tuple((c.p,) + c.coeffs for c in pt)
-            seen.setdefault(key, pt)
-    return list(seen.values())
+    """Fixed points of the p+1 projectivized cyclic subgroups, deduplicated
+    in the order first met (normalized points compare exactly); exactly 30
+    points for p = 5."""
+    return list(dict.fromkeys(pt for g in subgroup_generators(5)
+                              for pt in projective_fixed_points(_REP, g)))
 
 
 @dataclass
@@ -294,8 +291,7 @@ def count_cusp_cycles() -> int:
         track = [anchor]
         for _ in range(4):
             track.append(normalize_projective(apply_element(_REP, h, track[-1])))
-        keys = [tuple((c.p,) + c.coeffs for c in pt) for pt in track]
         for step in (1, 2):
-            lines = frozenset(frozenset((keys[j], keys[(j + step) % 5])) for j in range(5))
+            lines = frozenset(frozenset((track[j], track[(j + step) % 5])) for j in range(5))
             cycles.add(lines)
     return len(cycles)

@@ -1,9 +1,11 @@
 """The order-2 Sklyanin toolkit for p = 5: the quadratic form Q(a, b) of
-cliffordC(5; 1, a, b) (`clifford.clifford_form`), the parameter curve C',
-the t-parameter of the quotient elliptic curve, the Sylvester elimination,
-point-module minor checks, rank stratification, degree-piece span
-identities, the secant-variety determinant identity, and exact
-1-dimensional representation enumeration for cliffordC parameters.
+cliffordC(5; 1, a, b) (`clifford.clifford_form`, a `PolyMatrix`), the
+parameter curve C', the t-parameter of the quotient elliptic curve, the
+Sylvester elimination, point-module minor checks, rank stratification,
+degree-piece span identities, the secant-variety determinant identity, and
+exact 1-dimensional representation enumeration for cliffordC parameters.
+The four float checks take a parameter pair (a, b); a `CurvePoint` passes
+as (cp.a, cp.b).
 
 Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
@@ -23,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .clifford import (clifford_form, fat_profile, random_points,
-                       sample_rank_drop_points, simple_profile, symmetric_rank)
+                       sample_rank_drop_points, simple_profile)
 from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, InputError, PoleError, SamplingError
 from .gradedalg import make_presentation
@@ -152,13 +154,6 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
     return points
 
 
-def _as_ab(point) -> Tuple[Scalar, Scalar]:
-    if isinstance(point, CurvePoint):
-        return point.a, point.b
-    a, b = point
-    return a, b
-
-
 def _require_t(a: Scalar, b: Scalar) -> complex:
     t = t_param(a, b)
     if t is None:
@@ -199,7 +194,7 @@ def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
     """Every 3x3 minor of Q(a, b) vanishes on the whole orbit of the base
     point of E', and the rank there (singular values above `rank_tol`
     relative to the largest) is 2."""
-    a, b = _as_ab(point)
+    a, b = point
     t = _require_t(a, b)
     form = clifford_form(5, (1, complex(a), complex(b)))
     orbit = orbit_points(t)
@@ -207,9 +202,9 @@ def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
     ranks = []
     for pt in orbit:
         scale = max(abs(v) for v in pt)
-        q = form.specialize([v / scale for v in pt])
+        q = form.eval([v / scale for v in pt])
         worst = max(worst, float(np.abs(minors_float(q, 3)).max()))
-        ranks.append(symmetric_rank(q, rank_tol))
+        ranks.append(rank_float(q, rank_tol))
     return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
 
 
@@ -245,12 +240,12 @@ def stratify(point, samples: int = 6, seed: int = 0,
              rank_tol: float = 1e-8) -> StratificationReport:
     """Rank profile of Q over (i) random points of P^4, (ii) points of
     V(det Q) off E', (iii) the E' orbit; expected ranks 5 / 4 / 2."""
-    a, b = _as_ab(point)
+    a, b = point
     t = _require_t(a, b)
     form = clifford_form(5, (1, complex(a), complex(b)))
 
     def rank(pt) -> int:
-        return symmetric_rank(form.specialize(list(pt)), rank_tol)
+        return rank_float(form.eval(list(pt)), rank_tol)
 
     det_zero = sample_rank_drop_points(form, max(3, samples // 2), seed + 1, rank_tol)
     # a det-zero point that accidentally hit E' (rank 2) is skipped, not retried
@@ -306,20 +301,20 @@ def _degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
                                    Tuple[List[list], List[list]]]:
     """t, and the coefficient vectors of (3x3 minors of Q, products u_j q_i)
     in degree 6 and of (4x4 minors of Q, products q_i q_j) in degree 8."""
-    a, b = _as_ab(point)
+    a, b = point
     t = _require_t(a, b)
     form = clifford_form(5, (1, complex(a), complex(b)))
-    ring = form.matrix.ring
+    ring = form.ring
     u = [MultiPoly.var(ring, i) for i in range(5)]
     quadrics = ct_quadrics(t)
 
     basis3 = monomials_of_degree(5, 3)
-    minors3 = [m.coefficient_vector(basis3) for m in mat_minors(form.matrix, 3)]
+    minors3 = [m.coefficient_vector(basis3) for m in mat_minors(form, 3)]
     products = [(u[j] * q).coefficient_vector(basis3)
                 for q in quadrics for j in range(5)]
 
     basis4 = monomials_of_degree(5, 4)
-    minors4 = [m.coefficient_vector(basis4) for m in mat_minors(form.matrix, 4)]
+    minors4 = [m.coefficient_vector(basis4) for m in mat_minors(form, 4)]
     qq = [(quadrics[i] * quadrics[j]).coefficient_vector(basis4)
           for i in range(5) for j in range(i, 5)]
     return t, (minors3, products), (minors4, qq)
@@ -354,7 +349,7 @@ class SecantReport:
 def secant_check(point) -> SecantReport:
     """det(dQ_i/dz_j) of the quadrics Q_i = z_i^2 + t z_{i+1} z_{i+4}
     - (1/t) z_{i+2} z_{i+3} is proportional to det Q(a, b) with u := z."""
-    a, b = _as_ab(point)
+    a, b = point
     t = _require_t(a, b)
     if abs(t) < 1e-12:
         raise ZeroDivisionError("secant identity needs t != 0")
@@ -364,7 +359,7 @@ def secant_check(point) -> SecantReport:
                 - (1.0 / t) * z[(i + 2) % 5] * z[(i + 3) % 5] for i in range(5)]
     jac_entries = [q.partial(j) for q in quadrics for j in range(5)]
     jac_det = mat_det(PolyMatrix(5, 5, jac_entries))
-    det_q = clifford_form(5, (1, complex(a), complex(b))).determinant()
+    det_q = mat_det(clifford_form(5, (1, complex(a), complex(b))))
 
     basis = monomials_of_degree(5, 5)
     jv = np.asarray(jac_det.coefficient_vector(basis), dtype=complex)

@@ -166,19 +166,38 @@ HUGE = "1" + "0" * 400
     ["sklyanin2", "minors", "--a", HUGE, "--b", "1"],
     ["sklyanin2", "stratify", "--a", "1", "--b", HUGE],
     ["clifford-strata", "--t", HUGE],
+    ["sklyanin2", "t", "--a", "1e300", "--b", "1"],
+    ["sklyanin2", "minors", "--a", "1e300", "--b", "1"],
+    ["sklyanin2", "ideal", "--a", "1e300", "--b", "1"],
+    ["sklyanin2", "secant", "--a", "1e300", "--b", "1"],
+    ["sklyanin2", "stratify", "--a", "1e300", "--b", "1"],
+    ["sklyanin2", "stratify", "--a", "1", "--b", "1e300"],
+    ["sklyanin2", "minors", "--a", "1e100", "--b", "1"],
+    ["sklyanin2", "curve", "--grid", "1e100"],
 ], ids=["wrong-parameter-count", "unknown-generator", "bad-exponent", "unparsable-number",
         "cycle-below-5", "p-on-fixed-prime-family", "params-on-polynomial",
         "missing-parameters", "onedim-parameter-count", "onedim-zero-tail",
         "two-torsion-no-samples", "unknown-criterion", "unknown-criterion-in-list",
         "infinite-float-minors", "infinite-float-t", "negative-degree-hilbert",
         "negative-degree-table", "negative-degree-koszul", "huge-exact-minors",
-        "huge-exact-stratify", "huge-exact-strata"])
+        "huge-exact-stratify", "huge-exact-strata", "overflow-t", "overflow-minors",
+        "overflow-ideal", "overflow-secant", "overflow-stratify-a", "overflow-stratify-b",
+        "overflow-minors-1e100", "overflow-curve"])
 def test_input_error_payload(capsys, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "input"
     if argv[0] == "selftest":
         assert repr(argv[-1].split(",")[-1]) in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize("t", ["1e100", "1e300"])
+def test_huge_float_strata_end_in_sampling_error(capsys, t):
+    # the determinant along every sampled line overflows, so no det-zero
+    # point is found
+    code, out = run_cli(capsys, "clifford-strata", "--t", t, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "sampling"
 
 
 def test_huge_exact_literal_stays_exact_in_t(capsys):
@@ -227,28 +246,31 @@ CAP_ARGV = ("hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "3
             "--format", "json")
 
 
+# only --max-cells sets the cap; ALGTOOL_MAX_CELLS in the environment is ignored
+
+
 def test_max_cells_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("ALGTOOL_MAX_CELLS", "161")
-    code, out = run_cli(capsys, *CAP_ARGV)
-    assert code == 1 and json.loads(out)["error"]["code"] == "resource"
-    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "162")
-    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
-    monkeypatch.setenv("ALGTOOL_MAX_CELLS", "162")
     code, out = run_cli(capsys, *CAP_ARGV)
     assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
     code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "161")
     assert code == 1 and json.loads(out)["error"]["code"] == "resource"
+    monkeypatch.setenv("ALGTOOL_MAX_CELLS", "162")
+    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "161")
+    assert code == 1 and json.loads(out)["error"]["code"] == "resource"
+    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "162")
+    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_max_cells_environment_variable(capsys, monkeypatch, value):
     monkeypatch.setenv("ALGTOOL_MAX_CELLS", value)
     code, out = run_cli(capsys, *CAP_ARGV)
+    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
+    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "161")
     assert code == 1
     error = json.loads(out)["error"]
-    assert error["code"] == "resource" and "ALGTOOL_MAX_CELLS" in error["message"]
-    code, out = run_cli(capsys, *CAP_ARGV, "--max-cells", "162")
-    assert code == 0 and json.loads(out)["hilbert"] == [1, 3, 6, 10]
+    assert error["code"] == "resource" and "ALGTOOL_MAX_CELLS" not in error["message"]
 
 
 @pytest.mark.parametrize("value", ["-5", "0"])

@@ -3,12 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algtool.clifford import center_data, clifford_form
+from algtool.clifford import clifford_form
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, InputError, PoleError
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
-from algtool.poly import MultiPoly, mat_minors, ring_q
+from algtool.poly import MultiPoly, mat_det, mat_minors, ring_q
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
@@ -30,9 +30,11 @@ def bisect_root(f, lo, hi, iters=80):
 
 @pytest.fixture(scope="module")
 def near_one_point():
-    """The root of C'(1, b) in (0, 0.2), found by an independent bisection."""
+    """(1, b) for the root b of C'(1, b) in (0, 0.2), found by an independent
+    bisection."""
     b = bisect_root(lambda b: b ** 5 - b ** 3 + 2 * b ** 2 - 8 * b + 1, 0.0, 0.2)
-    return CurvePoint(1.0, b, cprime_residual(1.0, b))
+    assert abs(cprime_residual(1.0, b)) <= 1e-10
+    return 1.0, b
 
 
 def test_cprime_values():
@@ -64,22 +66,22 @@ def test_t_param():
 def test_q5_form_entries():
     a, b = Fraction(3), Fraction(7)
     form = clifford_form(5, (1, a, b))
-    ring = form.matrix.ring
-    u = [MultiPoly.var(ring, i) for i in range(5)]
-    assert form.matrix.is_symmetric()
-    assert form.matrix.at(0, 0) == 2 * u[0]
-    assert form.matrix.at(0, 1) == b * u[3]  # first row: 2u0, b u3, a u1, a u4, b u2
-    assert form.matrix.at(0, 2) == a * u[1]
-    assert form.matrix.at(0, 3) == a * u[4]
-    assert form.matrix.at(0, 4) == b * u[2]
-    assert clifford_form(5, (1, 0, 0)).determinant() == \
+    u = [MultiPoly.var(form.ring, i) for i in range(5)]
+    assert all(form.at(i, j) == form.at(j, i) for i in range(5) for j in range(5))
+    assert form.at(0, 0) == 2 * u[0]
+    assert form.at(0, 1) == b * u[3]  # first row: 2u0, b u3, a u1, a u4, b u2
+    assert form.at(0, 2) == a * u[1]
+    assert form.at(0, 3) == a * u[4]
+    assert form.at(0, 4) == b * u[2]
+    assert mat_det(clifford_form(5, (1, 0, 0))) == \
         32 * u[0] * u[1] * u[2] * u[3] * u[4]
 
 
 def test_detq_is_degree_10_in_x_grading():
-    data = center_data(clifford_form(5, (1, 1, 2)))
-    assert data["x_degree"] == 10
-    assert len({sum(e) for e in data["det"].terms}) == 1
+    # u_k = x_k^2, so the x-degree is twice the u-degree
+    det = mat_det(clifford_form(5, (1, 1, 2)))
+    assert 2 * det.total_degree() == 10
+    assert len({sum(e) for e in det.terms}) == 1
 
 
 def test_eliminate_t():
@@ -122,7 +124,7 @@ def test_point_module_residual_matches_symbolic_minors():
     points = [(cp.a, cp.b) for cp in curve_points_on_grid()[:3]] + [(0.0, 1.0)]
     for a, b in points:
         report = point_module_check((a, b))
-        minors = mat_minors(clifford_form(5, (1, complex(a), complex(b))).matrix, 3)
+        minors = mat_minors(clifford_form(5, (1, complex(a), complex(b))), 3)
         reference = 0.0
         for pt in orbit_points(report.t):
             scale = max(abs(v) for v in pt)
@@ -177,7 +179,7 @@ def in_span_reference(basis, target, tol):
 
 def test_mutual_span_matches_per_vector_reference():
     tol = 1e-7  # the default span tolerance of minor_ideal_checks
-    points = curve_points_on_grid()[:3] + [(0.0, 1.0)]
+    points = [(cp.a, cp.b) for cp in curve_points_on_grid()[:3]] + [(0.0, 1.0)]
     decisions = []
     for point in points:
         _t, deg6, deg8 = _degree_pieces(point)
