@@ -28,7 +28,18 @@ appear only where a caller reads a vector by key.
 Since rho(g) is monomial, g = e1^a e2^b z^k sends a word w to
 zeta^(i(nk + b sum(w))) (w - a), with w - a the digitwise shift, and
 
-    tr(g | A_n) = sum_{w in B_n} zeta^(i(nk + b sum(w))) [w] NF(w - a).
+    tr(g | A_n) = sum_{w in B_n} zeta^(i(nk + b sum(w))) [w] NF(w - a)
+                = sum_{s mod p} zeta^(i(nk + b s)) bucket_{n,a}[s],
+
+where the weight bucket bucket_{n,a}[s] sums the diagonal entries [w] NF(w - a)
+over the normal words of e2-weight sum(w) = s (mod p).  The buckets depend on
+neither b, k nor the representation V_i, so one pass over B_n per (n, a)
+serves every class e1^a e2^b z^k of every table.  For a != 0 and p not
+dividing n every bucket is zero, and no normal form is needed: relations
+stable under e2 make I_n a sum of e2-weight spaces, so the reduced echelon
+rows, and with them NF, never mix weights; and w - a has weight
+sum(w) - na, which differs from sum(w) mod p.  So a table costs one pass per
+degree (a = 0) plus, in degrees divisible by p, one per a = 1..p-1.
 """
 
 from __future__ import annotations
@@ -172,6 +183,7 @@ class GradedEngine:
         self._mu: List[Dict[int, ScaledVec]] = [{}]     # memo of mu_n on columns
         # memo of NF on every word met; a normal word is its own unit vector
         self._normal_forms: Dict[Word, ScaledVec] = {(): ScaledVec({0: self.unit})}
+        self._buckets: Dict[Tuple[int, int], List[object]] = {}  # weight buckets by (n, a)
         self.stable = False  # check_stability passed
 
     def grow(self, n: int, cap: Optional[int] = None) -> None:
@@ -243,28 +255,34 @@ class GradedEngine:
             nf = self._normal_forms[word] = ScaledVec(nums, den * prefix.den)
         return nf
 
-    def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int,
-              cap: Optional[int] = None) -> Cyclotomic:
-        """tr(g | A_n), from phase buckets of numerator sums, one per phase and
-        denominator."""
-        self.grow(n, cap)
-        p, i = self.p, rep.index
-        position = self._position
-        buckets: List[Dict[int, object]] = [{} for _ in range(p)]
-        for w in self.bases[n]:
-            nf = self.normal_form(tuple((x - g.a) % p for x in w))
-            v = nf.nums.get(position[w])
-            if v:
-                sums = buckets[(i * (n * g.k + g.b * sum(w))) % p]
-                cur = sums.get(nf.den)
-                sums[nf.den] = v if cur is None else cur + v
-        total = Cyclotomic(p)
-        for phase, sums in enumerate(buckets):
-            for den, s in sums.items():
-                if s:
-                    value = s if den == 1 else Fraction(s, den)
-                    total = total + Cyclotomic.zeta(p, phase) * value
-        return total
+    def _weight_buckets(self, n: int, a: int) -> List[object]:
+        """bucket[s] = sum of [w] NF(w - a) over the w in B_n of weight s: an
+        exact rational over Q, a Cyclotomic over Q(w).  Degree n must exist."""
+        buckets = self._buckets.get((n, a))
+        if buckets is None:
+            p, position = self.p, self._position
+            buckets = self._buckets[n, a] = [0] * p
+            for w in self.bases[n]:
+                nf = self.normal_form(tuple((x - a) % p for x in w))
+                v = nf.nums.get(position[w])
+                if v:
+                    buckets[sum(w) % p] += v if nf.den == 1 else v * Fraction(1, nf.den)
+        return buckets
+
+    def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int) -> Cyclotomic:
+        """tr(g | A_n) as the phase sum of the weight buckets of (n, g.a).
+        Degree n must exist and the relations must be stable: then the entry
+        is 0 when g.a != 0 and p does not divide n (see the module docstring)."""
+        p = self.p
+        if g.a and n % p:
+            return Cyclotomic(p)
+        coeffs = [0] * p  # coefficient of zeta^phase
+        for s, value in enumerate(self._weight_buckets(n, g.a)):
+            coeffs[rep.index * (n * g.k + g.b * s) % p] += value
+        if type(self.unit) is int:
+            return Cyclotomic(p, coeffs)
+        return sum((Cyclotomic.zeta(p, phase) * c for phase, c in enumerate(coeffs) if c),
+                   Cyclotomic(p))
 
 
 def _check_max_degree(max_degree: int) -> None:
@@ -323,7 +341,9 @@ def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
     """Coefficients of the character series of g on A = T(V)/I up to t^N."""
     _check_max_degree(max_degree)
     check_stability(pres, g, rep)
-    return [pres.engine.trace(g, rep, n, cap) for n in range(max_degree + 1)]
+    engine = pres.engine
+    engine.grow(max_degree, cap)
+    return [engine.trace(g, rep, n) for n in range(max_degree + 1)]
 
 
 @dataclass
@@ -352,7 +372,8 @@ class CharacterTable:
                    if la == lb) and len(self.rows) == len(other.rows)
 
     def to_json(self) -> dict:
-        from .poly import scalar_to_json
+        """The table as a payload for `cli.emit`, whose `to_jsonable` turns the
+        Cyclotomic coefficients into JSON in its one walk."""
         return {
             "kind": self.kind,
             "params": [str(x) for x in self.params],
@@ -361,7 +382,7 @@ class CharacterTable:
             "N": self.max_degree,
             "hilbert": self.hilbert_row(),
             "classes": [
-                {"rep": label, "coeffs": [scalar_to_json(c) for c in coeffs]}
+                {"rep": label, "coeffs": coeffs}
                 for label, coeffs in self.rows
             ],
         }

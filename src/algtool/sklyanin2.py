@@ -352,7 +352,8 @@ def secant_check(point) -> SecantReport:
     a, b = point
     t = _require_t(a, b)
     if abs(t) < 1e-12:
-        raise ZeroDivisionError("secant identity needs t != 0")
+        raise PoleError(f"the secant quadrics carry 1/t, and |t| = {abs(t):.3g} "
+                        f"at ({a}, {b})")
     ring = ring_cc(U_VARS)
     z = [MultiPoly.var(ring, i) for i in range(5)]
     quadrics = [z[i] ** 2 + t * z[(i + 1) % 5] * z[(i + 4) % 5]

@@ -200,6 +200,14 @@ def test_huge_float_strata_end_in_sampling_error(capsys, t):
     assert json.loads(out)["error"]["code"] == "sampling"
 
 
+def test_secant_at_vanishing_t_is_a_pole_error(capsys):
+    # t ~ 1/a: the quadrics' 1/t term has a pole
+    code, out = run_cli(capsys, "sklyanin2", "secant", "--a", "1e20", "--b", "1",
+                        "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "pole"
+
+
 def test_huge_exact_literal_stays_exact_in_t(capsys):
     # `sklyanin2 t` has no float path: the literal reaches t_param exactly
     code, out = run_cli(capsys, "sklyanin2", "t", "--a", HUGE, "--b", "1", "--format", "json")

@@ -21,7 +21,8 @@ CATALOG = (
     (("sklyanin3", 1, 2, -3), 4),
     (("polynomial", 5), 3),
     (("cycle", 5), 3),
-    (("cliffordC", 5, 1, 2, 3), 3),
+    # degree p, where the e1 rows stop vanishing: the e1 entry at n = 5 is 1
+    (("cliffordC", 5, 1, 2, 3), 5),
     (("sklyanin5", 2, 2), 3),
     (("sklyanin5", Fraction(1, 2), Fraction(3, 7)), 3),
     (("curveCa", 2), 3),

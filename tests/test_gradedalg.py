@@ -153,6 +153,17 @@ def test_quotient_trace_cross_check():
             assert got[n] == chi_vn - ideal_oracle.ideal_trace(pres, g, rep, n)
 
 
+@pytest.mark.parametrize("args", [("cycle", 5), ("curveCa", 2)])
+def test_vanishing_rows_cost_no_normal_forms(args):
+    # below degree p the rows of e1^a e2^b, a != 0, vanish by e2-weight, so a
+    # table needs no normal form beyond those the growth of the basis needs
+    table_pres, hilbert_pres = make_presentation(*args), make_presentation(*args)
+    p = table_pres.p
+    character_table(table_pres, SimpleRep(p, 1), p - 1)
+    hilbert(hilbert_pres, p - 1)
+    assert table_pres.engine._normal_forms.keys() == hilbert_pres.engine._normal_forms.keys()
+
+
 def test_sklyanin3_table_equals_polynomial():
     rep = SimpleRep(3, 1)
     poly_table = character_table(make_presentation("polynomial", 3), rep, 4)

@@ -1,0 +1,56 @@
+"""Byte contract of character tables: the sha256 of the JSON that
+`charseries --table` prints, and of a library table serialized the way the
+CLI serializes it.  The hashes were taken before the tables were computed
+from weight buckets, so any change of a coefficient, of its canonical form or
+of the serialization shows here."""
+
+import hashlib
+import json
+
+import pytest
+
+from algtool.cli import main, to_jsonable
+from algtool.cyclotomic import Cyclotomic
+from algtool.gradedalg import character_table, make_presentation
+from algtool.heisenberg import SimpleRep
+
+UNCAPPED = ("--max-cells", str(10 ** 12))
+
+TABLES = {
+    "cycle5-5": (("--algebra", "cycle", "--p", "5", "--max-degree", "5"),
+                 "99eab5e1b7027490de5c6adbcac998bd1ebb8dfebd880dc34e8ecd141c6db297"),
+    "curveCa4-5": (("--algebra", "curveCa", "--params", "4", "--max-degree", "5"),
+                   "5b3690b757428e4dfb689573dfe2b734dc8c0eece5ac90516a9f78f16f7b5e61"),
+    "sklyanin3-7": (("--algebra", "sklyanin3", "--params", "1,1,-3", "--max-degree", "7"),
+                    "f9c396cb4bcb52587ee037c317d22cda9fa995c34c383ca08332f11291a9ae6d"),
+    "cliffordC7-7": (("--algebra", "cliffordC", "--p", "7", "--params", "1,2,3,4",
+                      "--max-degree", "7"),
+                     "e62340d5d6c1a59c8794e18638c3073fadddde664a84ffc550498a8f9aff9860"),
+    "sklyanin5-rep3-5": (("--algebra", "sklyanin5", "--params", "1/2,3/7", "--rep", "3",
+                          "--max-degree", "5"),
+                         "7e9be36546015a66819dedf21c95527eb6d69013309445378446d22c2c9690d5"),
+    "resource-error": (("--algebra", "cycle", "--p", "5", "--max-degree", "5",
+                        "--max-cells", "500"),
+                       "c21f871f96ce51fc8d263d27ad631f354767227827111ab8d248a2f144aa888f"),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_table_stdout_bytes(capsys, name):
+    argv, digest = TABLES[name]
+    if "--max-cells" not in argv:
+        argv += UNCAPPED
+    code = main(["charseries", *argv, "--table", "--format", "json"])
+    assert code == (1 if name == "resource-error" else 0)
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def test_library_table_bytes_over_qw():
+    pres = make_presentation("curveCa", Cyclotomic(5, (1, 3)))
+    data = to_jsonable(character_table(pres, SimpleRep(5, 1), 5).to_json())
+    assert (sha256(json.dumps(data, sort_keys=True, indent=2))
+            == "05b08cb284a382c82c1a1fedb3dd9696f626790aca2b225e17aa27973528af0e")
