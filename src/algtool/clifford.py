@@ -23,7 +23,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, SamplingError
+from .errors import ConditioningError, InputError, SamplingError
 from .poly import MultiPoly, PolyMatrix, mat_det, ring_cc, ring_q
 
 
@@ -205,11 +205,10 @@ def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) ->
     """det M(base + s * direction) as a numpy polynomial in s."""
     ring = ring_cc(("s",))
     s_var = MultiPoly.var(ring, 0)
-    entries = []
-    for e in form.entries:
-        at_base = e.eval([complex(v) for v in base])
-        slope = e.eval([complex(v) for v in direction])
-        entries.append(MultiPoly.const(ring, at_base) + s_var * slope)
+    at_base = form.eval([complex(v) for v in base])
+    slope = form.eval([complex(v) for v in direction])
+    entries = [MultiPoly.const(ring, b) + s_var * d
+               for row_b, row_d in zip(at_base, slope) for b, d in zip(row_b, row_d)]
     det = mat_det(PolyMatrix(form.rows, form.cols, entries))
     deg = det.total_degree()
     coeffs = [0j] * (deg + 1)
@@ -219,7 +218,10 @@ def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) ->
 
 
 def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
-    """`count` seeded points of C^n, each scaled to largest modulus 1."""
+    """`count` seeded points of C^n, each scaled to largest modulus 1; a
+    negative count is an input error."""
+    if count < 0:
+        raise InputError(f"sample count must be non-negative, got {count}")
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):

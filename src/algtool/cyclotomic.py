@@ -30,6 +30,10 @@ from .errors import ModulusError
 
 Scalar = Union[int, Fraction]
 
+# bound once: _raw and _store run for every ring operation's result
+_new = object.__new__
+_setattr = object.__setattr__
+
 
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
@@ -72,19 +76,21 @@ class Cyclotomic:
     def _raw(cls, p: int, num: Tuple[int, ...], den: int = 1) -> "Cyclotomic":
         """The element num / den, for an already folded integer tuple of
         length p-1 and den > 0; skips the prime check and the fold."""
-        self = object.__new__(cls)
+        self = _new(cls)
         self._store(p, num, den)
         return self
 
     def _store(self, p: int, num: Tuple[int, ...], den: int) -> None:
-        """Set the slots to num / den with the common gcd cancelled."""
-        g = gcd(den, *num)
-        if g != 1:
-            num = tuple([c // g for c in num])
-            den //= g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        """Set the slots to num / den with the common gcd cancelled; over
+        den == 1 there is none to cancel."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple([c // g for c in num])
+                den //= g
+        _setattr(self, "p", p)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
@@ -149,9 +155,10 @@ class Cyclotomic:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclotomic or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         da, db = self.den, other.den
         if da == db:
             num = tuple([a + b for a, b in zip(self.num, other.num)])
@@ -163,12 +170,13 @@ class Cyclotomic:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._raw(self.p, tuple(-a for a in self.num), self.den)
+        return Cyclotomic._raw(self.p, tuple([-a for a in self.num]), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclotomic or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + -other
 
     def __rsub__(self, other):
@@ -178,16 +186,17 @@ class Cyclotomic:
         return other + -self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            # fast path: scalar multiple needs no reduction
-            return Cyclotomic._raw(self.p, tuple(a * other for a in self.num), self.den)
-        if isinstance(other, Fraction):
-            return Cyclotomic._raw(self.p, tuple(a * other.numerator for a in self.num),
-                                   self.den * other.denominator)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         p = self.p
+        if type(other) is not Cyclotomic or other.p != p:
+            if isinstance(other, int):
+                # a scalar multiple needs no reduction
+                return Cyclotomic._raw(p, tuple([a * other for a in self.num]), self.den)
+            if isinstance(other, Fraction):
+                return Cyclotomic._raw(p, tuple([a * other.numerator for a in self.num]),
+                                       self.den * other.denominator)
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         # integer convolution with w^p = 1 folded in: the product term of
         # w^(i+j) lands on acc[i + j - p], which for i + j < p is the
         # negative index of position i + j itself
@@ -200,7 +209,7 @@ class Cyclotomic:
                         acc[j] += a * b
         # w^(p-1) = -(1 + w + ... + w^(p-2))
         top = acc[p - 1]
-        return Cyclotomic._raw(p, tuple(c - top for c in acc[:-1]), self.den * other.den)
+        return Cyclotomic._raw(p, tuple([c - top for c in acc[:-1]]), self.den * other.den)
 
     __rmul__ = __mul__
 

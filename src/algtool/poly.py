@@ -11,6 +11,7 @@ text/JSON form is bit-stable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,6 +23,9 @@ Exps = Tuple[int, ...]
 
 FIELD_QQ = "QQ"
 FIELD_CC = "CC"
+
+# the scalar kinds a polynomial combines with as a constant
+_SCALARS = (int, Fraction, Cyclotomic, float, complex)
 
 
 @dataclass(frozen=True)
@@ -145,11 +149,17 @@ class MultiPoly:
             raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     # -- arithmetic ----------------------------------------------------------
+    # An operand that is neither a MultiPoly nor a scalar gives
+    # NotImplemented, so that Python raises TypeError.
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, float, complex)):
+        if type(other) is MultiPoly:
+            if other.ring is not self.ring:
+                self._check_ring(other)
+        elif isinstance(other, _SCALARS):
             other = MultiPoly.const(self.ring, other)
-        self._check_ring(other)
+        else:
+            return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
             cur = terms.get(e)
@@ -166,24 +176,33 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, float, complex)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = MultiPoly.const(self.ring, other)
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, float, complex)):
+        if type(other) is MultiPoly:
+            if other.ring is not self.ring:
+                self._check_ring(other)
+        elif isinstance(other, _SCALARS):
             c = self.ring.coerce(other)
             if not c:
                 return MultiPoly.zero(self.ring)
             return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()}, _clean=True)
-        self._check_ring(other)
+        else:
+            return NotImplemented
+        add = operator.add
         terms: Dict[Exps, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 cur = terms.get(e)
                 new = c if cur is None else cur + c
@@ -235,30 +254,7 @@ class MultiPoly:
 
     def eval(self, point: Sequence):
         """Evaluate at a point; scalar kind follows the point entries."""
-        if len(point) != self.ring.nvars:
-            raise ArityError(f"point has {len(point)} coordinates, ring has {self.ring.nvars}")
-        if not self.terms:
-            return 0 * point[0] if point else self.ring.zero_scalar()
-        # power tables per variable
-        maxdeg = [0] * self.ring.nvars
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > maxdeg[i]:
-                    maxdeg[i] = k
-        powers = []
-        for i, x in enumerate(point):
-            row = [1]
-            for _ in range(maxdeg[i]):
-                row.append(row[-1] * x)
-            powers.append(row)
-        acc = None
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * powers[i][k]
-            acc = term if acc is None else acc + term
-        return acc
+        return _eval_all(self.ring, [self], point)[0]
 
     # -- views ------------------------------------------------------------------
 
@@ -308,6 +304,41 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({', '.join(self.ring.variables)}; {self})"
+
+
+def _eval_all(ring: PolyRing, polys: Sequence[MultiPoly], point: Sequence) -> list:
+    """Each of `polys` at a point, from one table of the powers point[i]^k up
+    to the largest exponent of variable i among them.  Each power is the one
+    below it times point[i], so it does not depend on how far its row goes,
+    and each polynomial gets the same value bit for bit whatever it is
+    evaluated together with."""
+    if len(point) != ring.nvars:
+        raise ArityError(f"point has {len(point)} coordinates, ring has {ring.nvars}")
+    maxdeg = [0] * ring.nvars
+    for f in polys:
+        for e in f.terms:
+            for i, k in enumerate(e):
+                if k > maxdeg[i]:
+                    maxdeg[i] = k
+    powers = []
+    for i, x in enumerate(point):
+        row = [1]
+        for _ in range(maxdeg[i]):
+            row.append(row[-1] * x)
+        powers.append(row)
+    values = []
+    for f in polys:
+        acc = None
+        for e, c in f.terms.items():
+            term = c
+            for i, k in enumerate(e):
+                if k:
+                    term = term * powers[i][k]
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = 0 * point[0] if point else ring.zero_scalar()
+        values.append(acc)
+    return values
 
 
 # -- division -------------------------------------------------------------------
@@ -366,11 +397,14 @@ class PolyMatrix:
         return self.entries[i * self.cols + j]
 
     def eval(self, point: Sequence) -> List[list]:
-        return [[self.at(i, j).eval(point) for j in range(self.cols)]
-                for i in range(self.rows)]
+        """The entries at a point, from one power table for all of them;
+        each entry gets the value of `MultiPoly.eval` bit for bit."""
+        values = _eval_all(self.ring, self.entries, point)
+        cols = self.cols
+        return [values[i:i + cols] for i in range(0, len(values), cols)]
 
 
-def _minor_routine(m: PolyMatrix):
+def minor_routine(m: PolyMatrix):
     """minor(rows, cols): the determinant of the submatrix of m on the given
     row and column index tuples, by Laplace expansion along its first row.
 
@@ -406,14 +440,18 @@ def mat_det(m: PolyMatrix) -> MultiPoly:
     if m.rows > 8:
         raise ValueError("determinants are only supported up to size 8")
     full = tuple(range(m.rows))
-    return _minor_routine(m)(full, full)
+    return minor_routine(m)(full, full)
 
 
-def mat_minors(m: PolyMatrix, k: int) -> List[MultiPoly]:
-    """All k x k minors, row subsets then column subsets, lexicographic."""
+def mat_minors(m: PolyMatrix, k: int, minor=None) -> List[MultiPoly]:
+    """All k x k minors, row subsets then column subsets, lexicographic.
+
+    `minor`, a `minor_routine(m)`, lets calls for several sizes share one
+    memo, so the larger minors reuse the smaller ones."""
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"minor size {k} out of range for {m.rows}x{m.cols}")
-    minor = _minor_routine(m)
+    if minor is None:
+        minor = minor_routine(m)
     return [minor(ri, ci)
             for ri in itertools.combinations(range(m.rows), k)
             for ci in itertools.combinations(range(m.cols), k)]

@@ -31,7 +31,7 @@ from .errors import IndeterminateError, InputError, PoleError, SamplingError
 from .gradedalg import make_presentation
 from .linalg import minors_float, rank_float
 from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
-                   monomials_of_degree, resultant, ring_cc, ring_q)
+                   minor_routine, monomials_of_degree, resultant, ring_cc, ring_q)
 from .shioda5 import base_orbit
 
 Scalar = Union[int, Fraction, float, complex]
@@ -247,10 +247,11 @@ def stratify(point, samples: int = 6, seed: int = 0,
     def rank(pt) -> int:
         return rank_float(form.eval(list(pt)), rank_tol)
 
+    generic = random_points(5, samples, seed)
     det_zero = sample_rank_drop_points(form, max(3, samples // 2), seed + 1, rank_tol)
     # a det-zero point that accidentally hit E' (rank 2) is skipped, not retried
     observed = {
-        "generic": [rank(pt) for pt in random_points(5, samples, seed)],
+        "generic": [rank(pt) for pt in generic],
         "det-zero": [r for r in map(rank, det_zero) if r != 2],
         "E-prime": [rank(pt) for pt in orbit_points(t)],
     }
@@ -308,13 +309,15 @@ def _degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
     u = [MultiPoly.var(ring, i) for i in range(5)]
     quadrics = ct_quadrics(t)
 
+    # one memo: each 4x4 minor expands into 3x3 minors taken just before
+    minor = minor_routine(form)
     basis3 = monomials_of_degree(5, 3)
-    minors3 = [m.coefficient_vector(basis3) for m in mat_minors(form, 3)]
+    minors3 = [m.coefficient_vector(basis3) for m in mat_minors(form, 3, minor)]
     products = [(u[j] * q).coefficient_vector(basis3)
                 for q in quadrics for j in range(5)]
 
     basis4 = monomials_of_degree(5, 4)
-    minors4 = [m.coefficient_vector(basis4) for m in mat_minors(form, 4)]
+    minors4 = [m.coefficient_vector(basis4) for m in mat_minors(form, 4, minor)]
     qq = [(quadrics[i] * quadrics[j]).coefficient_vector(basis4)
           for i in range(5) for j in range(i, 5)]
     return t, (minors3, products), (minors4, qq)

@@ -174,6 +174,8 @@ HUGE = "1" + "0" * 400
     ["sklyanin2", "stratify", "--a", "1", "--b", "1e300"],
     ["sklyanin2", "minors", "--a", "1e100", "--b", "1"],
     ["sklyanin2", "curve", "--grid", "1e100"],
+    ["clifford-strata", "--samples", "-5"],
+    ["sklyanin2", "stratify", "--a", "1.0", "--b", "0.12888995128730368", "--samples", "-2"],
 ], ids=["wrong-parameter-count", "unknown-generator", "bad-exponent", "unparsable-number",
         "cycle-below-5", "p-on-fixed-prime-family", "params-on-polynomial",
         "missing-parameters", "onedim-parameter-count", "onedim-zero-tail",
@@ -182,7 +184,8 @@ HUGE = "1" + "0" * 400
         "negative-degree-table", "negative-degree-koszul", "huge-exact-minors",
         "huge-exact-stratify", "huge-exact-strata", "overflow-t", "overflow-minors",
         "overflow-ideal", "overflow-secant", "overflow-stratify-a", "overflow-stratify-b",
-        "overflow-minors-1e100", "overflow-curve"])
+        "overflow-minors-1e100", "overflow-curve", "negative-samples-strata",
+        "negative-samples-stratify"])
 def test_input_error_payload(capsys, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 1

@@ -1,0 +1,52 @@
+"""Byte contract of the float paths: the sha256 of the JSON that the
+selftest, the `shioda5` checks, the README `sklyanin2` checks and
+`clifford-strata` print.  These outputs carry floats computed through
+`Cyclotomic`, `MultiPoly` and `PolyMatrix.eval`, so any change of an
+operation order in those kernels shows here as a changed last bit.  The
+hashes were taken before the kernels' type-exact fast paths went in."""
+
+import hashlib
+
+import pytest
+
+from algtool.cli import main
+
+README = ("--a", "1.0", "--b", "0.12888995128730368")
+
+# name: (argv, exit code, sha256 of stdout)
+OUTPUTS = {
+    "selftest-seed0": (("selftest", "--seed", "0"), 0,
+                       "6d6aee5b8c354e5aa2bfedacae8bbd108af79ad46070eb66d30fa8ac5c4b56a5"),
+    "selftest-seed3": (("selftest", "--seed", "3"), 0,
+                       "68eb7c4e4df67019825a785c43b7dca2564c87da4d65139bb7754402caeea58d"),
+    "shioda5-orbit": (("shioda5", "orbit", "--a", "2", "--seed", "3"), 0,
+                      "667d0542ab0c26639aadd5da797763bb25bd616e234a1987b4ace5c9d40b55d2"),
+    "shioda5-singular": (("shioda5", "singular", "--seed", "3"), 0,
+                         "0064b1141ebe1ddab144483957c1f6ab0eb8805661829ad047d39ee52ff6b9b0"),
+    "shioda5-fiber": (("shioda5", "fiber", "--seed", "3"), 0,
+                      "6618f0d1d5c974b350306acfd470867e3717c92b558b727285a13f5962fc04c5"),
+    "shioda5-two-torsion": (("shioda5", "two-torsion", "--seed", "3"), 0,
+                            "b9851b1a119ebafc3fba86ccf77cd14a9ecf3dfd2d6b643ffdc2b5813d415ca5"),
+    "sklyanin2-minors": (("sklyanin2", "minors", *README), 0,
+                         "c3b4eb401a00149365ff69e14e62f20dbfea5b4ee68ce0f1b2761e7c4912aa5f"),
+    "sklyanin2-ideal": (("sklyanin2", "ideal", *README), 0,
+                        "eb1d788bc755c68e2f21f6412b415ac32e68618a3580d8a28286820039494d71"),
+    "sklyanin2-stratify": (("sklyanin2", "stratify", *README, "--samples", "6"), 0,
+                           "7f5034e641cc5e2a83c27bb0ea5d9a1e2a6cc837c0fd02f95e608e0ce91fae4a"),
+    "sklyanin2-secant": (("sklyanin2", "secant", *README), 0,
+                         "ae25ca685b4378f7c052e2b51623b761803656a51cddb1c8d9bbfa1aa791c3cc"),
+    # at a = 0 the cubic minors span 35 dimensions against the products' 20:
+    # the check runs and reports failure
+    "sklyanin2-ideal-a0": (("sklyanin2", "ideal", "--a", "0.0", "--b", "1.0"), 2,
+                           "2d4c262f2af8735a35e4c959e603f613d04403c4937c7b4a9236054cf2fa126e"),
+    "clifford-strata": (("clifford-strata", "--t", "1", "--samples", "6"), 0,
+                        "fbbeb8393915dc46a7d9f9cc42a942e15e4900d3a0a6e9a8af5f144d3d4e72f2"),
+}
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_float_path_stdout_bytes(capsys, name):
+    argv, code, digest = OUTPUTS[name]
+    assert main([*argv, "--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from algtool.clifford import clifford_form
+from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ArityError, RingMismatchError
 from algtool.poly import (MultiPoly, PolyMatrix, exact_divide, mat_det,
-                          mat_minors, monomials_of_degree, poly_to_json,
-                          resultant, ring_cc, ring_q)
+                          mat_minors, minor_routine, monomials_of_degree,
+                          poly_to_json, resultant, ring_cc, ring_q)
+from algtool.shioda5 import s15_matrix
 
 RXY = ring_q(("x", "y"))
 X, Y = MultiPoly.var(RXY, 0), MultiPoly.var(RXY, 1)
@@ -26,6 +30,106 @@ def test_ring_arithmetic():
     assert ((X + Y) ** 2 - (X ** 2 + 2 * X * Y + Y ** 2)).is_zero()
     with pytest.raises(RingMismatchError):
         X + MultiPoly.var(ring_q(("z",)), 0)
+
+
+def test_equal_but_distinct_rings_mix():
+    ring = ring_q(("x", "y"))
+    assert ring is not RXY
+    x, y = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
+    assert X + y == x + Y
+    assert (X - y) * (x + Y) == X ** 2 - Y ** 2
+    over_cc = MultiPoly.var(ring_cc(("x", "y")), 0)
+    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
+        with pytest.raises(RingMismatchError):
+            op(X, over_cc)
+
+
+@pytest.mark.parametrize("other", ["a", None, [1], object()])
+def test_unsupported_operands_raise_type_error(other):
+    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g,
+               lambda f, g: g + f, lambda f, g: g - f, lambda f, g: g * f):
+        with pytest.raises(TypeError):
+            op(X, other)
+
+
+def exact_values(rows):
+    """Matrix values with their types and reprs, so that == cannot hide a
+    changed last bit or sign of zero."""
+    return [[(type(v), repr(v), v) for v in row] for row in rows]
+
+
+def reference_eval(f, point):
+    """f at point the way `MultiPoly.eval` has always done it: its own table
+    of powers built by repeated multiplication from 1, terms multiplied in
+    variable order and summed in dict order."""
+    if not f.terms:
+        return 0 * point[0]
+    powers = []
+    for i, x in enumerate(point):
+        row = [1]
+        for _ in range(max(e[i] for e in f.terms)):
+            row.append(row[-1] * x)
+        powers.append(row)
+    acc = None
+    for e, c in f.terms.items():
+        for i, k in enumerate(e):
+            if k:
+                c = c * powers[i][k]
+        acc = c if acc is None else acc + c
+    return acc
+
+
+def eval_points(rng, nvars):
+    """Seeded complex, Fraction and Cyclotomic points of C^nvars."""
+    yield [complex(*rng.standard_normal(2)) for _ in range(nvars)]
+    yield list(rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars))
+    yield [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(nvars)]
+    yield [Cyclotomic(5, [int(c) for c in rng.integers(-3, 4, size=4)]) for _ in range(nvars)]
+
+
+def random_cc_matrix(rng, rows, cols, nvars, max_deg):
+    """Entries of up to six terms of degree up to max_deg in each variable,
+    with complex coefficients; one entry is zero."""
+    ring = ring_cc(tuple(f"v{i}" for i in range(nvars)))
+    entries = [MultiPoly.zero(ring)]
+    while len(entries) < rows * cols:
+        terms = {tuple(int(k) for k in rng.integers(0, max_deg + 1, size=nvars)):
+                 complex(*rng.standard_normal(2)) for _ in range(6)}
+        entries.append(MultiPoly(ring, terms))
+    return PolyMatrix(rows, cols, entries)
+
+
+@pytest.mark.parametrize("name", ["clifford3", "clifford5", "clifford7", "clifford5-qq", "s15",
+                                  "random-cc"])
+def test_matrix_eval_equals_entrywise_eval(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "s15":
+        m = s15_matrix()
+    elif name == "random-cc":
+        m = random_cc_matrix(rng, 3, 4, 3, 7)
+    elif name.endswith("qq"):
+        m = clifford_form(5, (1, Fraction(1, 2), 3))
+    else:
+        p = int(name[-1])
+        m = clifford_form(p, [1] + [complex(*rng.standard_normal(2)) for _ in range(p // 2)])
+    for point in eval_points(rng, m.ring.nvars):
+        if m.ring.field == "CC" and isinstance(point[0], Cyclotomic):
+            continue  # complex coefficients do not multiply Q(w) values
+        entrywise = [[m.at(i, j).eval(point) for j in range(m.cols)] for i in range(m.rows)]
+        reference = [[reference_eval(m.at(i, j), point) for j in range(m.cols)]
+                     for i in range(m.rows)]
+        assert exact_values(m.eval(point)) == exact_values(entrywise)
+        assert exact_values(entrywise) == exact_values(reference)
+
+
+def test_matrix_eval_zero_entry_and_arity():
+    ring = ring_cc(("x", "y"))
+    x = MultiPoly.var(ring, 0)
+    m = PolyMatrix(1, 2, [x * x, MultiPoly.zero(ring)])
+    point = [complex(-2.5, 1.0), 3j]
+    assert exact_values(m.eval(point)) == exact_values([[(x * x).eval(point), 0 * point[0]]])
+    with pytest.raises(ArityError):
+        m.eval(point[:1])
 
 
 def test_eval():
@@ -106,6 +210,9 @@ def test_minors():
     m55 = PolyMatrix(5, 5, entries + entries[:10])
     assert len(mat_minors(m55, 3)) == 100
     assert mat_minors(m35, 1) == list(m35.entries)
+    shared = minor_routine(m55)
+    assert (mat_minors(m55, 3, shared) + mat_minors(m55, 4, shared)
+            == mat_minors(m55, 3) + mat_minors(m55, 4))
     with pytest.raises(ValueError):
         mat_minors(m35, 4)
 
