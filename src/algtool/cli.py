@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -24,11 +25,6 @@ from .gradedalg import (OVER_P, character_coeffs, character_table, hilbert,
 from .heisenberg import SimpleRep, parse_element
 from .linalg import rank_float
 from .poly import MultiPoly, poly_to_json, scalar_to_json
-
-
-class Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors are exit code 1, not argparse's 2
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def parse_scalar(text: str, mode: Optional[str] = None):
@@ -211,10 +207,8 @@ def cmd_sklyanin2(args) -> int:
     if op == "secant":
         report = sklyanin2.secant_check((a, b))
         return emit(report, args, check_failed=not report.ok(args.tol_span))
-    if op == "stratify":
-        report = sklyanin2.stratify((a, b), args.samples, args.seed, args.tol_rank)
-        return emit(report, args, check_failed=not report.ok())
-    raise AlgtoolError(f"unknown sklyanin2 operation {op!r}")
+    report = sklyanin2.stratify((a, b), args.samples, args.seed, args.tol_rank)
+    return emit(report, args, check_failed=not report.ok())
 
 
 def cmd_shioda5(args) -> int:
@@ -228,10 +222,8 @@ def cmd_shioda5(args) -> int:
         report = shioda5.two_torsion_check(args.samples, args.seed)
     elif op == "singular":
         report = shioda5.singular_points_check(args.tol_rank)
-    elif op == "fiber":
-        report = shioda5.cycle_fiber_equivalence()
     else:
-        raise AlgtoolError(f"unknown shioda5 operation {op!r}")
+        report = shioda5.cycle_fiber_equivalence()
     return emit(report, args, check_failed=not report.ok())
 
 
@@ -241,90 +233,123 @@ def cmd_selftest(args) -> int:
     return emit(report, args, check_failed=not report["passed"])
 
 
-# -- parser ------------------------------------------------------------------------
+# -- flags and parsers -------------------------------------------------------------
 
 
-def build_parser() -> Parser:
-    """One subparser per subcommand, each with the flags its handler reads."""
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("text", "json"), default="text")
-    output.add_argument("--out", default=None, help="write the report to a file")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
-    tol_rank = argparse.ArgumentParser(add_help=False)
-    tol_rank.add_argument("--tol-rank", type=float, default=1e-8,
-                          help="relative singular-value cutoff of the float ranks")
+def positive_finite(text: str) -> float:
+    """A tolerance: a float above 0 and below infinity (nan is neither)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
-    algebra = argparse.ArgumentParser(add_help=False)
-    algebra.add_argument("--algebra", required=True,
-                         choices=("polynomial", "cycle", "sklyanin3", "cliffordC",
-                                  "sklyanin5", "curveCa"))
-    algebra.add_argument("--p", type=int, default=None,
-                         help=f"the prime of {', '.join(OVER_P)} (default 5)")
-    algebra.add_argument("--params", default=None,
-                         help="comma-separated exact parameters, e.g. 1,1,-1")
-    algebra.add_argument("--max-cells", type=int, default=None,
-                         help="cap on the cells of one degree step of the graded engine "
-                              "(default 4e6)")
 
-    parser = Parser(prog="algtool", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def non_negative_int(text: str) -> int:
+    """A seed: numpy's generators take no negative one."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
-    p = sub.add_parser("hilbert", parents=[output, algebra])
-    p.add_argument("--max-degree", type=int, required=True)
-    p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("charseries", parents=[output, algebra])
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--class", dest="cls", default="1")
-    p.add_argument("--rep", type=int, default=1)
-    p.add_argument("--table", action="store_true", help="all conjugacy classes")
-    p.set_defaults(func=cmd_charseries)
+# every flag once, with its add_argument keywords
+FLAGS = {
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--out": {"help": "write the report to a file"},
+    "--algebra": {"required": True, "choices": ("polynomial", "cycle", "sklyanin3",
+                                                "cliffordC", "sklyanin5", "curveCa")},
+    "--p": {"type": int, "help": f"the prime of {', '.join(OVER_P)} (default 5)"},
+    "--params": {"help": "comma-separated exact parameters, e.g. 1,1,-1"},
+    "--max-cells": {"type": int, "help": "cap on the cells of one degree step of the "
+                                         "graded engine (default 4e6)"},
+    "--max-degree": {"type": int, "required": True},
+    "--class": {"dest": "cls", "default": "1"},
+    "--rep": {"type": int, "default": 1},
+    "--table": {"action": "store_true", "help": "all conjugacy classes"},
+    "--seed": {"type": non_negative_int, "default": 0},
+    "--tol-rank": {"type": positive_finite, "default": 1e-8,
+                   "help": "relative singular-value cutoff of the float ranks"},
+    "--tol-span": {"type": positive_finite, "default": 1e-7,
+                   "help": "relative cutoff of the span ranks (ideal) and bound on the "
+                           "minor and secant residuals (minors, secant)"},
+    "--t": {"default": "1", "help": "the form of cliffordC(3; 1, t)"},
+    "--samples": {"type": int, "default": 6},
+    "--a": {"default": "1"},
+    "--b": {"default": "1"},
+    "--grid": {"default": "1,3/2,1/2"},
+    "--criteria": {"help": "run a subset, e.g. 1,2,9"},
+}
 
-    p = sub.add_parser("koszul-check", parents=[output, algebra])
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--class", dest="cls", default="1")
-    p.add_argument("--rep", type=int, default=1)
-    p.set_defaults(func=cmd_koszul_check)
+ALGEBRA = ("--algebra", "--p", "--params", "--max-cells")
 
-    p = sub.add_parser("clifford-strata", parents=[output, seed, tol_rank])
-    p.add_argument("--t", default="1", help="the form of cliffordC(3; 1, t)")
-    p.add_argument("--samples", type=int, default=6)
-    p.set_defaults(func=cmd_clifford_strata)
+# command -> (handler, leaf), or (handler, {operation: leaf}); a leaf names the
+# flags its handler reads besides --format and --out, each bare or as
+# (flag, keywords that override FLAGS[flag])
+COMMANDS = {
+    "hilbert": (cmd_hilbert, (*ALGEBRA, "--max-degree")),
+    "charseries": (cmd_charseries, (*ALGEBRA, "--max-degree", "--class", "--rep", "--table")),
+    "koszul-check": (cmd_koszul_check, (*ALGEBRA, "--class", "--rep",
+                                        ("--max-degree", {"default": 4, "required": False}))),
+    "clifford-strata": (cmd_clifford_strata, ("--seed", "--tol-rank", "--t", "--samples")),
+    "sklyanin2": (cmd_sklyanin2, {
+        "curve": ("--grid",), "t": ("--a", "--b"), "eliminate": (),
+        "minors": ("--a", "--b", "--tol-rank", "--tol-span"),
+        "ideal": ("--a", "--b", "--tol-span"), "secant": ("--a", "--b", "--tol-span"),
+        "onedim": (("--p", {"default": 5}), ("--params", {"default": "1,2,2"})),
+        "stratify": ("--a", "--b", "--seed", "--tol-rank", "--samples")}),
+    "shioda5": (cmd_shioda5, {
+        "minors": (), "orbit": ("--a",), "two-torsion": ("--seed", ("--samples", {"default": 20})),
+        "singular": ("--tol-rank",), "fiber": ()}),
+    "selftest": (cmd_selftest, ("--seed", "--criteria")),
+}
 
-    p = sub.add_parser("sklyanin2", parents=[output, seed, tol_rank])
-    p.add_argument("operation", choices=("curve", "t", "eliminate", "minors",
-                                         "ideal", "secant", "onedim", "stratify"))
-    p.add_argument("--tol-span", type=float, default=1e-7,
-                   help="relative cutoff of the span ranks (ideal) and bound on the "
-                        "minor and secant residuals (minors, secant)")
-    p.add_argument("--a", default="1")
-    p.add_argument("--b", default="1")
-    p.add_argument("--grid", default="1,3/2,1/2")
-    p.add_argument("--samples", type=int, default=6)
-    p.add_argument("--p", type=int, default=5)
-    p.add_argument("--params", default="1,2,2")
-    p.set_defaults(func=cmd_sklyanin2)
 
-    p = sub.add_parser("shioda5", parents=[output, seed, tol_rank])
-    p.add_argument("operation", choices=("minors", "orbit", "two-torsion",
-                                         "singular", "fiber"))
-    p.add_argument("--a", default="1")
-    p.add_argument("--samples", type=int, default=20)
-    p.set_defaults(func=cmd_shioda5)
+class Parser(argparse.ArgumentParser):
+    """A parser without abbreviations whose usage errors exit 1, not 2, and
+    print the `{code, message}` payload on stdout under --format json.  A
+    token of '-' and a digit, or '-.' and a digit, is a value (`--a -1/2`)."""
 
-    p = sub.add_parser("selftest", parents=[output, seed])
-    p.add_argument("--criteria", default=None, help="run a subset, e.g. 1,2,9")
-    p.set_defaults(func=cmd_selftest)
+    def __init__(self, prog: str, json_errors: bool, description: Optional[str] = None):
+        super().__init__(prog=prog, description=description, allow_abbrev=False)
+        self.json_errors = json_errors
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
+    def error(self, message):
+        if self.json_errors:
+            payload = {"error": {"code": "usage", "message": f"{self.prog}: {message}"}}
+            print(json.dumps(payload, sort_keys=True))
+            self.exit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def choose(argv, parser: Parser, name: str, table: dict) -> str:
+    """The key of `table` that is the first word of argv; `-h` lists them."""
+    parser.add_argument(name, choices=table)
+    return getattr(parser.parse_args(argv[:1]), name)
+
+
+def leaf_parser(prog: str, leaf, json_errors: bool) -> Parser:
+    """The parser of one command or operation: --format, --out and its leaf."""
+    parser = Parser(prog, json_errors)
+    for flag in ("--format", "--out", *leaf):
+        flag, overrides = (flag, {}) if isinstance(flag, str) else flag
+        parser.add_argument(flag, **{**FLAGS[flag], **overrides})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    json_errors = "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:])
+    command = choose(argv, Parser("algtool", json_errors, __doc__), "command", COMMANDS)
+    handler, leaf = COMMANDS[command]
+    prog, rest, operation = f"algtool {command}", argv[1:], None
+    if isinstance(leaf, dict):
+        operation = choose(rest, Parser(prog, json_errors), "operation", leaf)
+        leaf, prog, rest = leaf[operation], f"{prog} {operation}", rest[1:]
+    args = leaf_parser(prog, leaf, json_errors).parse_args(
+        rest, argparse.Namespace(operation=operation))
     try:
-        return args.func(args)
+        return handler(args)
     except OverflowError as exc:  # float arithmetic on a finite but huge input
         error = InputError(f"input too large for float arithmetic: {exc}")
     except AlgtoolError as exc:

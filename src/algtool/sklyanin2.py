@@ -232,8 +232,9 @@ class StratificationReport:
     strata: List[Stratum]
 
     def ok(self) -> bool:
-        """Every stratum has its expected rank at every point."""
-        return all(r == STRATUM_RANKS[s.name] for s in self.strata for r in s.ranks)
+        """Every stratum has points, and its expected rank at each of them."""
+        return all(s.ranks and all(r == STRATUM_RANKS[s.name] for r in s.ranks)
+                   for s in self.strata)
 
 
 def stratify(point, samples: int = 6, seed: int = 0,

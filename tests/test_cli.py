@@ -1,12 +1,14 @@
-import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+import warnings
 
 import pytest
 
-from algtool.cli import build_parser, main, parse_scalar
+from algtool.cli import COMMANDS, FLAGS, leaf_parser, main, parse_scalar
 
 
 def run_cli(capsys, *argv):
@@ -294,40 +296,75 @@ def test_non_positive_max_cells_flag(capsys, value):
 
 
 ALGEBRA_FLAGS = {"--algebra", "--p", "--params", "--max-cells"}
+STRATA_FLAGS = {"--seed", "--tol-rank", "--samples"}
 
-# the flags each subcommand accepts: 53 option slots, 19 distinct flags
+# the flags each command and operation reads besides --format and --out
 OPTION_SURFACE = {
-    "hilbert": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree"},
-    "charseries": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree", "--class", "--rep",
-                   "--table"},
-    "koszul-check": {"--format", "--out", *ALGEBRA_FLAGS, "--max-degree", "--class", "--rep"},
-    "clifford-strata": {"--format", "--out", "--seed", "--tol-rank", "--t", "--samples"},
-    "sklyanin2": {"--format", "--out", "--seed", "--tol-rank", "--tol-span", "--a", "--b",
-                  "--grid", "--samples", "--p", "--params"},
-    "shioda5": {"--format", "--out", "--seed", "--tol-rank", "--a", "--samples"},
-    "selftest": {"--format", "--out", "--seed", "--criteria"},
+    "hilbert": {*ALGEBRA_FLAGS, "--max-degree"},
+    "charseries": {*ALGEBRA_FLAGS, "--max-degree", "--class", "--rep", "--table"},
+    "koszul-check": {*ALGEBRA_FLAGS, "--max-degree", "--class", "--rep"},
+    "clifford-strata": {*STRATA_FLAGS, "--t"},
+    "sklyanin2 curve": {"--grid"},
+    "sklyanin2 t": {"--a", "--b"},
+    "sklyanin2 eliminate": set(),
+    "sklyanin2 minors": {"--a", "--b", "--tol-rank", "--tol-span"},
+    "sklyanin2 ideal": {"--a", "--b", "--tol-span"},
+    "sklyanin2 secant": {"--a", "--b", "--tol-span"},
+    "sklyanin2 onedim": {"--p", "--params"},
+    "sklyanin2 stratify": {*STRATA_FLAGS, "--a", "--b"},
+    "shioda5 minors": set(),
+    "shioda5 orbit": {"--a"},
+    "shioda5 two-torsion": {"--seed", "--samples"},
+    "shioda5 singular": {"--tol-rank"},
+    "shioda5 fiber": set(),
+    "selftest": {"--seed", "--criteria"},
 }
 
 
+def leaves():
+    """(argv words, {flag: argparse action}) of every command and operation
+    in the flag table, from the parser main builds for it."""
+    for command, (_, leaf) in COMMANDS.items():
+        for op, entries in leaf.items() if isinstance(leaf, dict) else [(None, leaf)]:
+            words = [command] if op is None else [command, op]
+            parser = leaf_parser(" ".join(["algtool", *words]), entries, False)
+            yield words, {flag: action for action in parser._actions
+                          for flag in action.option_strings if flag not in ("-h", "--help")}
+
+
 def test_option_surface():
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    surface = {name: {flag for action in p._actions for flag in action.option_strings
-                      if flag not in ("-h", "--help")}
-               for name, p in sub.choices.items()}
-    assert surface == OPTION_SURFACE
-    assert sum(len(flags) for flags in surface.values()) == 53
-    assert len(set().union(*surface.values())) == 19
+    surface = {" ".join(words): set(flags) for words, flags in leaves()}
+    assert surface == {leaf: {"--format", "--out", *flags}
+                       for leaf, flags in OPTION_SURFACE.items()}
+    assert sum(len(flags) for flags in surface.values()) == 86
+    assert len(set().union(*surface.values())) == len(FLAGS) == 19
 
 
-# a minimal valid invocation of each subcommand, and the flags it does not read
+# defaults that differ between leaves sharing a flag
+@pytest.mark.parametrize("leaf,flag,default,required", [
+    ("sklyanin2 onedim", "--p", 5, False), ("hilbert", "--p", None, False),
+    ("sklyanin2 onedim", "--params", "1,2,2", False), ("hilbert", "--params", None, False),
+    ("shioda5 two-torsion", "--samples", 20, False),
+    ("sklyanin2 stratify", "--samples", 6, False), ("clifford-strata", "--samples", 6, False),
+    ("koszul-check", "--max-degree", 4, False), ("hilbert", "--max-degree", None, True),
+])
+def test_leaf_defaults(leaf, flag, default, required):
+    action = next(flags for words, flags in leaves() if " ".join(words) == leaf)[flag]
+    assert (action.default, action.required) == (default, required)
+
+
+# a minimal valid invocation of each subcommand or operation, and the flags it
+# does not read
 MINIMAL_ARGV = {
     "hilbert": ["hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "1"],
     "charseries": ["charseries", "--algebra", "polynomial", "--p", "3", "--max-degree", "1"],
     "koszul-check": ["koszul-check", "--algebra", "polynomial", "--p", "3", "--max-degree", "1"],
     "clifford-strata": ["clifford-strata"],
     "sklyanin2": ["sklyanin2", "t"],
+    "sklyanin2-eliminate": ["sklyanin2", "eliminate"],
+    "sklyanin2-onedim": ["sklyanin2", "onedim"],
     "shioda5": ["shioda5", "minors"],
+    "shioda5-orbit": ["shioda5", "orbit"],
     "selftest": ["selftest", "--criteria", "7"],
 }
 DROPPED_SLOTS = [
@@ -338,6 +375,10 @@ DROPPED_SLOTS = [
     ("sklyanin2", "--max-cells"),
     ("shioda5", "--tol-span"), ("shioda5", "--max-cells"),
     ("selftest", "--tol-rank"), ("selftest", "--tol-span"), ("selftest", "--max-cells"),
+    # operations accept only the flags they read, and no flag is abbreviated
+    ("sklyanin2-eliminate", "--a"), ("sklyanin2", "--seed"),
+    ("sklyanin2-onedim", "--tol-span"), ("shioda5", "--seed"),
+    ("shioda5-orbit", "--tol-rank"), ("hilbert", "--max-deg"),
 ]
 
 
@@ -348,3 +389,162 @@ def test_unread_flag_is_a_usage_error(capsys, command, flag):
         main(MINIMAL_ARGV[command] + [flag, "1"])
     assert exc.value.code == 1
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["sklyanin2", "t", "--a", "-1/2", "--b", "1"],
+     ["sklyanin2", "t", "--a=-1/2", "--b", "1"]),
+    (["hilbert", "--algebra", "sklyanin3", "--params", "-1,1,1", "--max-degree", "3"],
+     ["hilbert", "--algebra", "sklyanin3", "--params=-1,1,1", "--max-degree", "3"]),
+], ids=["fraction", "params"])
+def test_negative_literal_is_a_value(capsys, spaced, joined):
+    code, out = run_cli(capsys, *spaced)
+    assert (code, out) == run_cli(capsys, *joined)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["clifford-strata"], ["sklyanin2", "minors"], ["sklyanin2", "ideal"],
+    ["sklyanin2", "secant"], ["sklyanin2", "stratify"], ["shioda5", "singular"],
+], ids=lambda argv: "-".join(argv))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e400", "x"])
+def test_tolerance_must_be_positive_and_finite(capsys, argv, value):
+    flag = "--tol-span" if argv[-1] in ("ideal", "secant") else "--tol-rank"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={value}", "--format", "json"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "usage" and flag in error["message"]
+
+
+def test_empty_stratum_fails(capsys):
+    code, out = run_cli(capsys, "sklyanin2", "stratify", "--a", "1.0",
+                        "--b", "0.12888995128730368", "--samples", "0", "--format", "json")
+    assert code == 2
+    strata = {s["name"]: s for s in json.loads(out)["strata"]}
+    assert strata["generic"]["points"] == 0 and strata["E-prime"]["points"] == 25
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--algebra", "cycle", "--format", "json"],
+    ["hilbert", "--algebra", "cycle", "--format=json", "--max-degree", "x"],
+    ["sklyanin2", "--format", "json", "t"],
+    ["sklyanin2", "eliminate", "--a", "5", "--format", "json"],
+    ["no-such-command", "--format", "json"],
+    ["clifford-strata", "--seed", "-1", "--format", "json"],
+], ids=["missing-flag", "bad-int", "flag-before-operation", "unread-flag", "unknown-command",
+        "negative-seed"])
+def test_usage_error_payload_under_json(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"]["code"] == "usage"
+
+
+def test_help_exits_zero(capsys):
+    for argv, listed in ((["-h"], "sklyanin2"), (["sklyanin2", "-h"], "stratify"),
+                         (["sklyanin2", "stratify", "-h", "--format", "json"], "--tol-rank")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert listed in capsys.readouterr().out
+
+
+# -- fuzz: argv drawn from the flag table --------------------------------------------
+
+# values earlier fixes dealt with one by one
+HOSTILE = [HUGE, "1e300", "1e400", "1e100", "nan", "inf", "-1", "0", "-1/2", "-1,1,1", "", "x"]
+# plausible values of each flag, beside the hostile pool
+SANE = {
+    "--algebra": ["polynomial", "cycle", "sklyanin3", "cliffordC", "sklyanin5", "curveCa"],
+    "--p": ["3", "5", "7"],
+    "--params": ["1,1,-3", "1,2,2", "1,2,3,4", "1/2,3/7", "2"],
+    "--max-cells": ["100", "1000000"],
+    "--max-degree": ["1", "2", "3"],
+    "--class": ["1", "z", "e1", "e2^2 z", "e1*e2"],
+    "--rep": ["1", "2"],
+    "--seed": ["0", "3"],
+    "--tol-rank": ["1e-8", "0.5"],
+    "--tol-span": ["1e-7", "1"],
+    "--t": ["1", "2/3", "0.5"],
+    "--samples": ["1", "2", "3"],
+    "--a": ["1", "2", "1.0", "3/2"],
+    "--b": ["1", "0.12888995128730368", "2"],
+    "--grid": ["1,3/2,1/2", "2"],
+    "--criteria": ["2", "3", "4", "7", "2,7"],
+}
+# cost bounds: an integer above its bound, or an empty --criteria (all nine
+# criteria), is never drawn
+BOUNDS = {"--max-degree": 3, "--samples": 3}
+
+
+def _cheap(flag, value):
+    if flag == "--criteria":
+        return value != ""
+    try:
+        return int(value) <= BOUNDS.get(flag, int(value))
+    except ValueError:
+        return True
+
+
+def _draw_argv(rng, words, flags, out):
+    """argv for one leaf: a random subset of its flags with sane or hostile
+    values (required flags mostly, --criteria always, so that selftest stays
+    cheap), sometimes with a flag the leaf does not read; also returns that
+    flag, or None."""
+    groups = []
+    for flag, action in flags.items():
+        keep = 1 if flag == "--criteria" else 0.9 if action.required else 0.5
+        if flag == "--format" or rng.random() >= keep:
+            continue
+        if action.nargs == 0:  # --table
+            groups.append([flag])
+            continue
+        if flag == "--out":
+            value = str(out)
+        else:
+            pool = SANE[flag] if rng.random() < 0.6 else HOSTILE
+            value = rng.choice([v for v in pool if _cheap(flag, v)])
+        groups.append([flag, value] if rng.random() < 0.8 else [f"{flag}={value}"])
+    unread = None
+    if rng.random() < 0.15:
+        unread = rng.choice(sorted(set(FLAGS) - set(flags) - {"--table"}))
+        groups.append([unread, rng.choice(SANE[unread])])
+    fmt = rng.choice(["json", "json", "text", None])
+    if fmt:
+        groups.insert(rng.randrange(len(groups) + 1), [f"--format={fmt}"])
+    argv = [*words, *(word for group in groups for word in group)]
+    return argv, unread
+
+
+def test_fuzz_the_flag_table(capsys, tmp_path):
+    rng = random.Random(16)
+    table = list(leaves())
+    start = time.perf_counter()
+    for _ in range(300):
+        words, flags = rng.choice(table)
+        argv, unread = _draw_argv(rng, words, flags, tmp_path / "report")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 1, argv
+                code = 1
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
+        # every value reaches its flag's type, negative literals included
+        assert "expected one argument" not in out + err, argv
+        if unread:
+            assert code == 1, argv
+        if "--format=json" in argv:
+            assert err == "", argv
+            if code == 1 or not any(word.startswith("--out") for word in argv):
+                payload = json.loads(out)
+                assert ("error" in payload) == (code == 1), argv
+    assert time.perf_counter() - start < 4
