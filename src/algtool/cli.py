@@ -100,8 +100,11 @@ def emit(payload, args, check_failed: bool = False) -> int:
             lines.append(f"{key}: {value}")
         text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         print(text)
     return 2 if check_failed else 0

@@ -7,21 +7,22 @@ relations, degree n is built from degree n-1 as
 
     A_n = (A_{n-1} (x) V) / im( sum_d A_{n-d} (x) R_d ).
 
-Column i*p + j of the working matrix stands for b_i (x) x_j, b_i the i-th
-normal word of degree n-1.  A normal word u of degree n-d and a relation
-sum c_w w of degree d give the row sum c_w NF(u w[:-1]) (x) x_{w[-1]}.  The
-rows are kept as a sparse reduced row-echelon space over h_{n-1}*p columns
-(not p^n): its free columns are the normal words B_n, and reducing a column
-is the normal-form map mu_n : A_{n-1} (x) V -> A_n.  Normal forms of words are
-memoised through NF(u x_j) = mu_n(NF(u) (x) x_j).  Columns follow the
-lexicographic order of words, so B_n is the set of words that are not
-leading words of I_n in that order.
+Words are keyed by their base-p index (`word_to_index`, big-endian): column
+c of the working matrix is the word of index c, one of the h_{n-1}*p words
+u x_j with u in B_{n-1} (not all p^n).  A normal word u of degree n-d and a
+relation sum c_w w of degree d give the row sum c_w NF(u w[:-1]) (x) x_{w[-1]}.
+The rows are kept as a sparse reduced row-echelon space: its free columns are
+the normal words B_n, and reducing a column c is the normal-form map mu_n.
+One memo per degree holds NF by word index: unit vectors for B_n, mu_n(c) for
+a column c, and NF(u x_j) = sum_i c_i NF(b_i x_j) for NF(u) = sum_i c_i b_i.
+Indices follow the lexicographic order of words, so B_n is the set of words
+that are not leading words of I_n in that order.
 
 Over Q every vector of the engine is integer numerators over one positive
 denominator (`linalg.ScaledVec`): each relation is cleared to integer
 coefficients once, a relation row is built over the least common
 denominator of the normal forms it combines (only its span matters), and
-the mu and normal-form memos hold numerators in lowest terms.  Over Q(w)
+the normal-form memos hold numerators in lowest terms.  Over Q(w)
 the numerators are Cyclotomic and the denominator stays 1.  Fractions
 appear only where a caller reads a vector by key.
 
@@ -83,6 +84,8 @@ class Presentation:
                 raise InputError(f"inhomogeneous relation {rel}")
             if min(degrees) < 2:
                 raise InputError("relations must have degree >= 2")
+            if any(not 0 <= x < self.p for w, _ in rel for x in w):
+                raise InputError(f"relation {rel} has a letter outside 0..{self.p - 1}")
 
     @cached_property
     def engine(self) -> "GradedEngine":
@@ -130,17 +133,24 @@ def word_to_index(word: Word, p: int) -> int:
     return idx
 
 
-def _add_scaled(acc: SparseVec, vec: SparseVec, scale, shift: int = 0, stride: int = 1) -> None:
-    """acc[stride*col + shift] += scale * value for every (col, value) of vec."""
-    for col, v in vec.items():
-        key = col * stride + shift
-        term = scale * v
-        cur = acc.get(key)
-        new = term if cur is None else cur + term
-        if new:
-            acc[key] = new
-        elif cur is not None:
-            del acc[key]
+def _combine(terms, stride: int = 1) -> Tuple[SparseVec, int]:
+    """(nums, den): sum of scale * vec[col] at column stride*col + shift over the
+    (vec, scale, shift) of terms, den the lcm of the vectors' denominators."""
+    den = lcm(*[vec.den for vec, _scale, _shift in terms])
+    acc: SparseVec = {}
+    for vec, scale, shift in terms:
+        if vec.den != den:
+            scale = scale * (den // vec.den)
+        for col, v in vec.nums.items():
+            key = col * stride + shift
+            term = scale * v
+            cur = acc.get(key)
+            new = term if cur is None else cur + term
+            if new:
+                acc[key] = new
+            elif cur is not None:
+                del acc[key]
+    return acc, den
 
 
 #: Default cap on the cells of one degree step of the graded engine: the
@@ -167,22 +177,21 @@ def check_degree_allowed(n: int, rows: int, cols: int, cap: Optional[int] = None
 
 
 class GradedEngine:
-    """Normal words and normal forms of one presentation, grown one degree at
-    a time on demand.  Not safe for concurrent use."""
+    """Normal words and normal forms of one presentation, by word index, grown
+    one degree at a time on demand.  Not safe for concurrent use."""
 
     def __init__(self, pres: Presentation):
-        self.p = pres.p
+        p = self.p = pres.p
         # numerators of 1 and of the relations: ints over Q, Cyclotomic over Q(w)
         self.unit = 1 if pres.field == "QQ" else pres.one()
-        self.relations = [(d, [tuple(integral(dict(rel))[0].items()) for rel in rels])
+        # each relation term as (index of the word less its last letter, last letter, coeff)
+        self.relations = [(d, [[(word_to_index(w[:-1], p), w[-1], c)
+                                for w, c in integral(dict(rel))[0].items()] for rel in rels])
                           for d, rels in pres.relations_by_degree()]
-        self.bases: List[List[Word]] = [[()]]           # B_n in lexicographic order
+        self.bases: List[List[int]] = [[0]]             # indices of B_n, ascending
         self.spaces: List[Optional[RowSpace]] = [None]  # relation rows of degree n
-        self._position: Dict[Word, int] = {(): 0}       # normal word -> index in B_n
-        self._free: List[Dict[int, int]] = [{}]         # free column -> index in B_n
-        self._mu: List[Dict[int, ScaledVec]] = [{}]     # memo of mu_n on columns
-        # memo of NF on every word met; a normal word is its own unit vector
-        self._normal_forms: Dict[Word, ScaledVec] = {(): ScaledVec({0: self.unit})}
+        # memo of NF per degree, by word index; a normal word is its own unit vector
+        self.forms: List[Dict[int, ScaledVec]] = [{0: ScaledVec({0: self.unit})}]
         self._buckets: Dict[Tuple[int, int], List[object]] = {}  # weight buckets by (n, a)
         self.stable = False  # check_stability passed
 
@@ -194,22 +203,19 @@ class GradedEngine:
             cols = len(self.bases[m - 1]) * self.p
             check_degree_allowed(m, rows, cols, cap)
             if m == len(self.bases):
-                self._build(m, cols)
+                self._build(m)
 
-    def _build(self, n: int, cols: int) -> None:
+    def _build(self, n: int) -> None:
         p = self.p
         relation_rows = []
         for d, rels in self.relations:
             if d > n:
                 break
+            shift = p ** (d - 1)
             for u in self.bases[n - d]:
                 for rel in rels:
-                    forms = [(self.normal_form(u + w[:-1]), c, w[-1]) for w, c in rel]
-                    den = lcm(*[nf.den for nf, _c, _j in forms])
-                    row: SparseVec = {}
-                    for nf, c, j in forms:
-                        _add_scaled(row, nf.nums, c if nf.den == den else c * (den // nf.den),
-                                    j, p)
+                    row, _den = _combine([(self.normal_form(n - 1, u * shift + i), c, j)
+                                          for i, j, c in rel], p)
                     if row:
                         relation_rows.append(row)
         # In descending order of leading column a new pivot mostly lies left of
@@ -219,40 +225,28 @@ class GradedEngine:
         space = RowSpace()
         for row in relation_rows:
             space.insert(row)
-        prev = self.bases[n - 1]
         pivots = space.rows
-        free = [col for col in range(cols) if col not in pivots]
-        basis = [prev[col // p] + (col % p,) for col in free]
+        basis = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p) if c not in pivots]
         self.bases.append(basis)
         self.spaces.append(space)
-        self._free.append({col: i for i, col in enumerate(free)})
-        self._mu.append({})
-        self._position.update((w, i) for i, w in enumerate(basis))
-        self._normal_forms.update((w, ScaledVec({i: self.unit})) for i, w in enumerate(basis))
+        self.forms.append({c: ScaledVec({c: self.unit}) for c in basis})
 
-    def _mu_column(self, n: int, col: int) -> ScaledVec:
-        memo = self._mu[n]
-        image = memo.get(col)
-        if image is None:
-            free = self._free[n]
-            residue = self.spaces[n].reduce({col: self.unit})
-            image = ScaledVec({free[c]: v for c, v in residue.nums.items()}, residue.den)
-            memo[col] = image
-        return image
-
-    def normal_form(self, word: Word) -> ScaledVec:
-        """NF(word) on the basis B_len(word); degrees up to len(word) must exist.
-        The returned vector is shared with the memo: do not mutate it."""
-        nf = self._normal_forms.get(word)
+    def normal_form(self, n: int, index: int) -> ScaledVec:
+        """NF of the degree-n word of base-p index `index`, on the indices of
+        B_n; degrees up to n must exist.  The returned vector is shared with
+        the memo: do not mutate it."""
+        memo = self.forms[n]
+        nf = memo.get(index)
         if nf is None:
-            n, j, p = len(word), word[-1], self.p
-            prefix = self.normal_form(word[:-1])
-            images = [(self._mu_column(n, i * p + j), c) for i, c in prefix.nums.items()]
-            den = lcm(*[mu.den for mu, _c in images])
-            nums: SparseVec = {}
-            for mu, c in images:
-                _add_scaled(nums, mu.nums, c if mu.den == den else c * (den // mu.den))
-            nf = self._normal_forms[word] = ScaledVec(nums, den * prefix.den)
+            prefix_index, j = divmod(index, self.p)
+            prefix = self.normal_form(n - 1, prefix_index)
+            if prefix_index in prefix.nums:  # a normal prefix: the word is a column
+                nf = self.spaces[n].reduce({index: self.unit})
+            else:
+                nums, den = _combine([(self.normal_form(n, i * self.p + j), c, 0)
+                                      for i, c in prefix.nums.items()])
+                nf = ScaledVec(nums, den * prefix.den)
+            memo[index] = nf
         return nf
 
     def _weight_buckets(self, n: int, a: int) -> List[object]:
@@ -260,13 +254,14 @@ class GradedEngine:
         exact rational over Q, a Cyclotomic over Q(w).  Degree n must exist."""
         buckets = self._buckets.get((n, a))
         if buckets is None:
-            p, position = self.p, self._position
+            p = self.p
             buckets = self._buckets[n, a] = [0] * p
             for w in self.bases[n]:
-                nf = self.normal_form(tuple((x - a) % p for x in w))
-                v = nf.nums.get(position[w])
+                digits = [w // p ** e % p for e in range(n)]  # little-endian
+                nf = self.normal_form(n, sum((x - a) % p * p ** e for e, x in enumerate(digits)))
+                v = nf.nums.get(w)
                 if v:
-                    buckets[sum(w) % p] += v if nf.den == 1 else v * Fraction(1, nf.den)
+                    buckets[sum(digits) % p] += v if nf.den == 1 else v * Fraction(1, nf.den)
         return buckets
 
     def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int) -> Cyclotomic:

@@ -140,6 +140,22 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["hilbert"] == [1, 3, 6, 10]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, fmt):
+    target = tmp_path / "missing" / "report"
+    code = main(["hilbert", "--algebra", "polynomial", "--p", "3", "--max-degree", "2",
+                 "--format", fmt, "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1 and not target.exists()
+    if fmt == "json":
+        assert captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "input" and str(target) in error["message"]
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error [input]: ") and str(target) in captured.err
+
+
 # an exact literal too large for a float
 HUGE = "1" + "0" * 400
 
@@ -491,11 +507,11 @@ def _cheap(flag, value):
         return True
 
 
-def _draw_argv(rng, words, flags, out):
+def _draw_argv(rng, words, flags, outs):
     """argv for one leaf: a random subset of its flags with sane or hostile
     values (required flags mostly, --criteria always, so that selftest stays
-    cheap), sometimes with a flag the leaf does not read; also returns that
-    flag, or None."""
+    cheap; --out one of `outs`), sometimes with a flag the leaf does not
+    read; also returns that flag, or None."""
     groups = []
     for flag, action in flags.items():
         keep = 1 if flag == "--criteria" else 0.9 if action.required else 0.5
@@ -505,7 +521,7 @@ def _draw_argv(rng, words, flags, out):
             groups.append([flag])
             continue
         if flag == "--out":
-            value = str(out)
+            value = str(rng.choice(outs))
         else:
             pool = SANE[flag] if rng.random() < 0.6 else HOSTILE
             value = rng.choice([v for v in pool if _cheap(flag, v)])
@@ -524,10 +540,12 @@ def _draw_argv(rng, words, flags, out):
 def test_fuzz_the_flag_table(capsys, tmp_path):
     rng = random.Random(16)
     table = list(leaves())
+    # a writable report, and one under a directory that does not exist
+    outs = [tmp_path / "report", tmp_path / "missing" / "report"]
     start = time.perf_counter()
     for _ in range(300):
         words, flags = rng.choice(table)
-        argv, unread = _draw_argv(rng, words, flags, tmp_path / "report")
+        argv, unread = _draw_argv(rng, words, flags, outs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -540,7 +558,7 @@ def test_fuzz_the_flag_table(capsys, tmp_path):
         assert not caught, (argv, [str(w.message) for w in caught])
         # every value reaches its flag's type, negative literals included
         assert "expected one argument" not in out + err, argv
-        if unread:
+        if unread or any(word.endswith(str(outs[1])) for word in argv):
             assert code == 1, argv
         if "--format=json" in argv:
             assert err == "", argv

@@ -1,6 +1,7 @@
 """The quotient-side engine against the ideal-side reference in
-`ideal_oracle`: Hilbert series and full character tables, on the catalog
-and on random Heisenberg-stable presentations over Q and Q(w)."""
+`ideal_oracle`: Hilbert series, full character tables and the normal forms
+of all words, on the catalog and on random Heisenberg-stable presentations
+over Q and Q(w)."""
 
 import itertools
 from fractions import Fraction
@@ -44,6 +45,25 @@ def assert_matches_oracle(pres: Presentation, top: int, rep_index: int = 1) -> N
             assert all(not c for n, c in enumerate(coeffs) if n % pres.p)
 
 
+def assert_normal_forms_match_oracle(pres: Presentation, top: int) -> None:
+    """The engine's memo against I_n: B_n is the set of non-pivot indices of
+    I_n, and the normal form of every word index of degree n is its residue
+    modulo I_n."""
+    p, one, engine = pres.p, pres.one(), pres.engine
+    engine.grow(top)
+    for n in range(top + 1):
+        piece = ideal_oracle.ideal_piece(pres, n)
+        assert engine.bases[n] == [w for w in range(p ** n) if w not in piece.rows]
+        for w in range(p ** n):
+            assert dict(engine.normal_form(n, w)) == dict(piece.reduce({w: one})), (n, w)
+
+
+@pytest.mark.parametrize("args,top", [(("polynomial", 3), 4), (("sklyanin3", 1, 1, -3), 4),
+                                      (("cycle", 5), 3), (("curveCa", 2), 3)])
+def test_normal_forms_match_ideal_oracle(args, top):
+    assert_normal_forms_match_oracle(make_presentation(*args), top)
+
+
 @pytest.mark.parametrize("args,top", CATALOG,
                          ids=[make_presentation(*args).label() for args, _ in CATALOG])
 def test_catalog_matches_ideal_oracle(args, top):
@@ -83,4 +103,6 @@ def orbit_presentations(draw):
 @settings(max_examples=30, deadline=None, database=None)
 @given(pres=orbit_presentations(), rep_index=st.integers(1, 2))
 def test_random_orbit_presentations_match_ideal_oracle(pres, rep_index):
-    assert_matches_oracle(pres, 4 if pres.p == 3 else 3, rep_index)
+    top = 4 if pres.p == 3 else 3
+    assert_matches_oracle(pres, top, rep_index)
+    assert_normal_forms_match_oracle(pres, top)

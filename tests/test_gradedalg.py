@@ -44,7 +44,7 @@ def test_ideal_piece_degrees():
     assert 3 ** 2 - series[2] == 3  # the ideal's degree-2 piece: the 3 commutators
     # commutator leading words are the increasing ones: normal words are not
     assert poly3.engine.bases[2] == sorted(
-        w for w in itertools.product(range(3), repeat=2) if w[0] >= w[1])
+        word_to_index(w, 3) for w in itertools.product(range(3), repeat=2) if w[0] >= w[1])
     assert hilbert(make_presentation("cycle", 5), 2)[2] == 10
 
 
@@ -161,7 +161,9 @@ def test_vanishing_rows_cost_no_normal_forms(args):
     p = table_pres.p
     character_table(table_pres, SimpleRep(p, 1), p - 1)
     hilbert(hilbert_pres, p - 1)
-    assert table_pres.engine._normal_forms.keys() == hilbert_pres.engine._normal_forms.keys()
+    # the memo holds every normal form met, columns (mu_n) included, per degree
+    assert ([forms.keys() for forms in table_pres.engine.forms]
+            == [forms.keys() for forms in hilbert_pres.engine.forms])
 
 
 def test_sklyanin3_table_equals_polynomial():
@@ -234,6 +236,14 @@ def test_resource_cap():
         hilbert(poly5, 3, cap=10)  # refused although degree 3 is already built
     with pytest.raises(ResourceLimitError):
         hilbert(Presentation(5, "QQ", ()), 3, cap=100)  # no rows, but 125 columns
+
+
+@pytest.mark.parametrize("letter", [-1, 3])
+def test_letters_outside_the_alphabet_are_input_errors(letter):
+    # a word index would silently read -1 as 2 and 3 as 0
+    rel = make_relation([((0, letter), Fraction(1))])
+    with pytest.raises(InputError):
+        Presentation(3, "QQ", (rel,))
 
 
 def test_stability_check_rejects_unstable_relations():
