@@ -54,9 +54,19 @@ def float_safe(value, flag: str):
     return value
 
 
-def parse_params(text: str):
+def list_fields(text: str, flag: str):
+    """The comma-separated fields of a list flag, stripped; an empty list or
+    an empty field is an input error."""
+    fields = [tok.strip() for tok in text.split(",")]
+    if "" in fields:
+        what = "is empty" if fields == [""] else f"has an empty field in {text!r}"
+        raise InputError(f"{flag} {what}")
+    return fields
+
+
+def parse_params(text: str, flag: str):
     """Comma-separated exact scalars."""
-    return tuple(parse_scalar(tok, "exact") for tok in text.split(",") if tok.strip())
+    return tuple(parse_scalar(tok, "exact") for tok in list_fields(text, flag))
 
 
 def to_jsonable(obj):
@@ -123,7 +133,7 @@ def build_algebra(args):
         head = ()
     else:
         raise InputError(f"{kind} has a fixed p; --p applies to {', '.join(OVER_P)} only")
-    params = parse_params(args.params) if args.params else ()
+    params = () if args.params is None else parse_params(args.params, "--params")
     return make_presentation(kind, *head, *params)
 
 
@@ -181,7 +191,7 @@ def cmd_clifford_strata(args) -> int:
 def cmd_sklyanin2(args) -> int:
     op = args.operation
     if op == "curve":
-        points = sklyanin2.curve_points_on_grid(parse_params(args.grid))
+        points = sklyanin2.curve_points_on_grid(parse_params(args.grid, "--grid"))
         payload = {
             "points": [{"a": cp.a, "b": cp.b, "residual": abs(cp.residual),
                         "t": sklyanin2.t_param(cp.a, cp.b)} for cp in points],
@@ -194,7 +204,7 @@ def cmd_sklyanin2(args) -> int:
                    "resultant_terms": len(res.resultant.terms)}
         return emit(payload, args, check_failed=not res.check)
     if op == "onedim":
-        reps = sklyanin2.onedim_reps(args.p, parse_params(args.params))
+        reps = sklyanin2.onedim_reps(args.p, parse_params(args.params, "--params"))
         return emit({"count": len(reps), "reps": reps}, args)
     a, b = parse_scalar(args.a), parse_scalar(args.b)
     if op == "t":
@@ -231,7 +241,7 @@ def cmd_shioda5(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    only = [c.strip() for c in args.criteria.split(",")] if args.criteria else None
+    only = None if args.criteria is None else list_fields(args.criteria, "--criteria")
     report = selftest.run_selftest(seed=args.seed, only=only)
     return emit(report, args, check_failed=not report["passed"])
 

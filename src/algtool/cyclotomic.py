@@ -271,7 +271,8 @@ class Cyclotomic:
     # -- Galois / numeric views ---------------------------------------------
 
     def galois(self, k: int) -> "Cyclotomic":
-        """Image under the automorphism w -> w^k; needs gcd(k, p) = 1."""
+        """Image under the automorphism w -> w^k; needs gcd(k, p) = 1.  k = p - 1
+        is complex conjugation."""
         p = self.p
         if k % p == 0:
             raise ModulusError(f"Galois index {k} is 0 mod {p}")
@@ -281,10 +282,6 @@ class Cyclotomic:
         # w^(p-1) = -(1 + w + ... + w^(p-2))
         top = acc[p - 1]
         return Cyclotomic._raw(p, tuple(c - top for c in acc[:-1]), self.den)
-
-    def conjugate(self) -> "Cyclotomic":
-        """Image under w -> w^(p-1) = complex conjugation; an involution."""
-        return self.galois(self.p - 1)
 
     def embed(self, k: int = 1) -> complex:
         """Numeric value under w -> exp(2*pi*i*k/p); needs gcd(k, p) = 1."""

@@ -23,7 +23,8 @@ the residue in lowest terms.  The residue, a `ScaledVec` of numerators over
 one positive denominator, is the canonical normal form modulo the space,
 supported on non-pivot columns only.
 
-Numeric matrices have two numpy routines: `rank_float` (an SVD count) and
+Numeric matrices have two numpy routines, each taking a single matrix or a
+stack of them: `rank_float` (an SVD count, one SVD call per stack) and
 `minors_float` (every k x k minor by one batched determinant).
 """
 
@@ -269,22 +270,29 @@ def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
     return basis
 
 
-def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None) -> int:
+def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None):
     """Count of singular values above tol relative to the largest one.
 
     An all-noise matrix has no meaningful relative scale; passing `scale`
     floors the threshold at tol * scale (used when the inputs are normalized
-    so that genuine nonzero data is O(scale))."""
+    so that genuine nonzero data is O(scale)).  An all-zero or empty matrix
+    has rank 0.
+
+    Leading axes of `matrix` are batch axes, as in `minors_float`: a stack
+    of matrices is ranked by one SVD call, each by its own threshold, and
+    the ranks come back as an int array of the batch shape.  A single
+    matrix gives an int."""
     a = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if a.size == 0:
-        return 0
-    sv = np.linalg.svd(a, compute_uv=False)
-    top = sv[0] if len(sv) else 0.0
-    if scale is not None:
-        top = max(top, scale)
-    if top == 0.0:
-        return 0
-    return int(np.sum(sv > tol * top))
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+    else:
+        sv = np.linalg.svd(a, compute_uv=False)
+        top = sv[..., :1]
+        if scale is not None:
+            top = np.maximum(top, scale)
+        # with top == 0 every singular value is 0 and none is counted
+        ranks = np.count_nonzero(sv > tol * top, axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def minors_float(matrix, k: int) -> np.ndarray:

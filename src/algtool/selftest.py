@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,22 +38,54 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _orthogonality_exact(p: int) -> bool:
-    classes = conjugacy_classes(p)
-    reps = all_irreducibles(p)
-    order = p ** 3
-    rows = [[v.character(g) for g, _size in classes] for v in reps]
-    conj_rows = [[c.conjugate() for c in row] for row in rows]
-    sizes = [size for _g, size in classes]
-    for i, v in enumerate(reps):
-        for j in range(i, len(reps)):
-            acc = Cyclotomic(p)
-            for chi, psi_bar, size in zip(rows[i], conj_rows[j], sizes):
-                acc = acc + chi * psi_bar * size
-            expected = order if v == reps[j] else 0
-            if acc != expected:
+def _lift(value: Cyclotomic) -> List[Tuple[int, int]]:
+    """An algebraic integer of Q(w) as (k, c) terms of sum c w^k, lifted to
+    Z[x]/(x^p - 1): the power-basis numerators with a 0 at w^(p-1), less their
+    most common coordinate, so that w^k is the one term (k, 1).  A value with
+    a denominator other than 1 is not an algebraic integer, and raises."""
+    if value.den != 1:
+        raise ValueError(f"{value} is not an algebraic integer: its denominator "
+                         f"is {value.den}")
+    coords = (*value.num, 0)
+    mode = max(coords, key=coords.count)
+    return [(k, c - mode) for k, c in enumerate(coords) if c != mode]
+
+
+def orthogonal_rows(rows: Sequence[Sequence[Cyclotomic]], sizes: Sequence[int],
+                    order: int) -> bool:
+    """Whether sum_g |g| chi_i(g) conj(chi_j(g)) over the classes is `order`
+    for i == j and 0 otherwise, for every pair of rows of a character table
+    over Z[w], decided exactly in integers.
+
+    Each value is lifted once (`_lift`); conjugation maps w^k to w^-k, so a
+    pair's class sum collects into p integer buckets b_0..b_{p-1} of the
+    powers of w.  1 + w + ... + w^(p-1) = 0 is the only relation among those
+    powers, so the sum equals N exactly when b_0 - N equals every other
+    bucket."""
+    p = rows[0][0].p
+    lifted = [[_lift(v) for v in row] for row in rows]
+    for i, row in enumerate(lifted):
+        weighted = [[(k, c * size) for k, c in terms] for terms, size in zip(row, sizes)]
+        for j in range(i, len(lifted)):
+            buckets = [0] * p
+            for chi, psi in zip(weighted, lifted[j]):
+                for k, c in chi:
+                    for m, d in psi:
+                        buckets[(k - m) % p] += c * d
+            if i == j:
+                buckets[0] -= order
+            if buckets.count(buckets[0]) != p:
                 return False
     return True
+
+
+def _orthogonality_exact(p: int) -> bool:
+    """Row orthogonality of the character table of the Heisenberg group of
+    order p^3, each row built once from `all_irreducibles` over the
+    `conjugacy_classes` and checked by `orthogonal_rows`."""
+    classes = conjugacy_classes(p)
+    rows = [[v.character(g) for g, _size in classes] for v in all_irreducibles(p)]
+    return orthogonal_rows(rows, [size for _g, size in classes], p ** 3)
 
 
 def criterion_1_heisenberg(seed: int = 0) -> CheckResult:
@@ -212,7 +244,7 @@ def criterion_5_clifford(seed: int = 0) -> CheckResult:
 
     form = clifford.clifford_form(3, (1, 1))
     pts = clifford.sample_rank_drop_points(form, 20, seed + 7)
-    ranks = [rank_float(form.eval(list(p)), 1e-8) for p in pts]
+    ranks = rank_float([form.eval(list(p)) for p in pts], 1e-8).tolist()
     details["dim3_det_zero_ranks"] = sorted(set(ranks))
     ok &= all(r <= 2 for r in ranks)
     return CheckResult("5-clifford-profiles", ok, details)

@@ -217,26 +217,18 @@ def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
     points = thirty_points()
     on_surface = all(_rank_below_3(matrix.eval(list(pt))) for pt in points)
 
-    def jac_rank(complex_pt) -> int:
-        jac = _minor_jacobian(matrix, partials, complex_pt)
+    def jac_ranks(exact_points) -> List[int]:
+        jacs = []
+        for pt in exact_points:
+            cpt = [c.embed(1) for c in pt]
+            scale = max(abs(v) for v in cpt)
+            jacs.append(_minor_jacobian(matrix, partials, [v / scale for v in cpt]))
         # points are normalized and the minors have O(1) coefficients, so a
         # genuinely nonzero Jacobian is O(1); floor the SVD cutoff there
-        return rank_float(jac, tol, scale=1.0)
+        return rank_float(jacs, tol, scale=1.0).tolist()
 
-    singular_ranks = []
-    for pt in points:
-        cpt = [c.embed(1) for c in pt]
-        scale = max(abs(v) for v in cpt)
-        singular_ranks.append(jac_rank([v / scale for v in cpt]))
-
-    control_ranks = []
-    for pt in base_orbit(1)[:10]:
-        cpt = [c.embed(1) for c in pt]
-        scale = max(abs(v) for v in cpt)
-        control_ranks.append(jac_rank([v / scale for v in cpt]))
-
-    return SingularPointsReport(len(points), on_surface, singular_ranks, control_ranks,
-                                points)
+    return SingularPointsReport(len(points), on_surface, jac_ranks(points),
+                                jac_ranks(base_orbit(1)[:10]), points)
 
 
 # -- cusp fiber vs cycle of lines ---------------------------------------------------

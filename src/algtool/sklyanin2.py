@@ -190,21 +190,29 @@ class PointModuleReport:
                 and all(r == 2 for r in self.ranks))
 
 
+def _eval_stack(form: PolyMatrix, points) -> np.ndarray:
+    """Q at each point, as one complex array of shape (len(points), 5, 5)."""
+    values = [form.eval(list(pt)) for pt in points]
+    return np.asarray(values, dtype=complex).reshape(-1, form.rows, form.cols)
+
+
 def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
     """Every 3x3 minor of Q(a, b) vanishes on the whole orbit of the base
     point of E', and the rank there (singular values above `rank_tol`
-    relative to the largest) is 2."""
+    relative to the largest) is 2.  Q is evaluated at each orbit point scaled
+    to largest modulus 1, into one stack: one `minors_float` call takes the
+    minors of all of them and one `rank_float` call their ranks."""
     a, b = point
     t = _require_t(a, b)
     form = clifford_form(5, (1, complex(a), complex(b)))
     orbit = orbit_points(t)
-    worst = 0.0
-    ranks = []
+    scaled = []
     for pt in orbit:
         scale = max(abs(v) for v in pt)
-        q = form.eval([v / scale for v in pt])
-        worst = max(worst, float(np.abs(minors_float(q, 3)).max()))
-        ranks.append(rank_float(q, rank_tol))
+        scaled.append([v / scale for v in pt])
+    stack = _eval_stack(form, scaled)
+    worst = float(np.abs(minors_float(stack, 3)).max())
+    ranks = rank_float(stack, rank_tol).tolist()
     return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
 
 
@@ -240,21 +248,22 @@ class StratificationReport:
 def stratify(point, samples: int = 6, seed: int = 0,
              rank_tol: float = 1e-8) -> StratificationReport:
     """Rank profile of Q over (i) random points of P^4, (ii) points of
-    V(det Q) off E', (iii) the E' orbit; expected ranks 5 / 4 / 2."""
+    V(det Q) off E', (iii) the E' orbit; expected ranks 5 / 4 / 2.  Each
+    stratum's points are ranked by one `rank_float` call."""
     a, b = point
     t = _require_t(a, b)
     form = clifford_form(5, (1, complex(a), complex(b)))
 
-    def rank(pt) -> int:
-        return rank_float(form.eval(list(pt)), rank_tol)
+    def ranks(points) -> List[int]:
+        return rank_float(_eval_stack(form, points), rank_tol).tolist()
 
     generic = random_points(5, samples, seed)
     det_zero = sample_rank_drop_points(form, max(3, samples // 2), seed + 1, rank_tol)
     # a det-zero point that accidentally hit E' (rank 2) is skipped, not retried
     observed = {
-        "generic": [rank(pt) for pt in generic],
-        "det-zero": [r for r in map(rank, det_zero) if r != 2],
-        "E-prime": [rank(pt) for pt in orbit_points(t)],
+        "generic": ranks(generic),
+        "det-zero": [r for r in ranks(det_zero) if r != 2],
+        "E-prime": ranks(orbit_points(t)),
     }
     if not observed["det-zero"]:
         raise SamplingError("no det-zero points off E' found")

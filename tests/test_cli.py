@@ -212,6 +212,27 @@ def test_input_error_payload(capsys, argv):
         assert repr(argv[-1].split(",")[-1]) in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sklyanin2", "onedim", "--params", "1,,2,2"], "--params"),
+    (["sklyanin2", "onedim", "--params", "1,2,2,"], "--params"),
+    (["hilbert", "--algebra", "cycle", "--p", "5", "--params", "", "--max-degree", "2"],
+     "--params"),
+    (["hilbert", "--algebra", "sklyanin3", "--params", "1, ,-1", "--max-degree", "2"],
+     "--params"),
+    (["sklyanin2", "curve", "--grid", ""], "--grid"),
+    (["sklyanin2", "curve", "--grid", ",1"], "--grid"),
+    (["selftest", "--criteria", ""], "--criteria"),
+    (["selftest", "--criteria", "7,,2"], "--criteria"),
+], ids=["params-inner", "params-trailing", "params-empty-on-cycle", "params-blank",
+        "grid-empty", "grid-leading", "criteria-empty", "criteria-inner"])
+def test_empty_list_field_is_an_input_error(capsys, argv, flag):
+    # an empty field is not skipped: 1,,2,2 is not 1,2,2, and an empty
+    # --criteria does not run every criterion
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "input" and error["message"].startswith(flag)
+
+
 @pytest.mark.parametrize("t", ["1e100", "1e300"])
 def test_huge_float_strata_end_in_sampling_error(capsys, t):
     # the determinant along every sampled line overflows, so no det-zero
@@ -473,7 +494,8 @@ def test_help_exits_zero(capsys):
 # -- fuzz: argv drawn from the flag table --------------------------------------------
 
 # values earlier fixes dealt with one by one
-HOSTILE = [HUGE, "1e300", "1e400", "1e100", "nan", "inf", "-1", "0", "-1/2", "-1,1,1", "", "x"]
+HOSTILE = [HUGE, "1e300", "1e400", "1e100", "nan", "inf", "-1", "0", "-1/2", "-1,1,1", "", "x",
+           "1,,2", "1,2,"]
 # plausible values of each flag, beside the hostile pool
 SANE = {
     "--algebra": ["polynomial", "cycle", "sklyanin3", "cliffordC", "sklyanin5", "curveCa"],
@@ -493,14 +515,13 @@ SANE = {
     "--grid": ["1,3/2,1/2", "2"],
     "--criteria": ["2", "3", "4", "7", "2,7"],
 }
-# cost bounds: an integer above its bound, or an empty --criteria (all nine
-# criteria), is never drawn
+# cost bounds: an integer above its bound is never drawn
 BOUNDS = {"--max-degree": 3, "--samples": 3}
+# the comma-list flags: an empty list or an empty field in one is an input error
+LISTS = ("--params", "--grid", "--criteria")
 
 
 def _cheap(flag, value):
-    if flag == "--criteria":
-        return value != ""
     try:
         return int(value) <= BOUNDS.get(flag, int(value))
     except ValueError:
@@ -511,8 +532,10 @@ def _draw_argv(rng, words, flags, outs):
     """argv for one leaf: a random subset of its flags with sane or hostile
     values (required flags mostly, --criteria always, so that selftest stays
     cheap; --out one of `outs`), sometimes with a flag the leaf does not
-    read; also returns that flag, or None."""
+    read; also returns that flag, or None, and whether a comma-list flag got
+    an empty field."""
     groups = []
+    empty_field = False
     for flag, action in flags.items():
         keep = 1 if flag == "--criteria" else 0.9 if action.required else 0.5
         if flag == "--format" or rng.random() >= keep:
@@ -525,6 +548,7 @@ def _draw_argv(rng, words, flags, outs):
         else:
             pool = SANE[flag] if rng.random() < 0.6 else HOSTILE
             value = rng.choice([v for v in pool if _cheap(flag, v)])
+            empty_field |= flag in LISTS and "" in value.split(",")
         groups.append([flag, value] if rng.random() < 0.8 else [f"{flag}={value}"])
     unread = None
     if rng.random() < 0.15:
@@ -534,7 +558,7 @@ def _draw_argv(rng, words, flags, outs):
     if fmt:
         groups.insert(rng.randrange(len(groups) + 1), [f"--format={fmt}"])
     argv = [*words, *(word for group in groups for word in group)]
-    return argv, unread
+    return argv, unread, empty_field
 
 
 def test_fuzz_the_flag_table(capsys, tmp_path):
@@ -545,7 +569,7 @@ def test_fuzz_the_flag_table(capsys, tmp_path):
     start = time.perf_counter()
     for _ in range(300):
         words, flags = rng.choice(table)
-        argv, unread = _draw_argv(rng, words, flags, outs)
+        argv, unread, empty_field = _draw_argv(rng, words, flags, outs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -558,7 +582,7 @@ def test_fuzz_the_flag_table(capsys, tmp_path):
         assert not caught, (argv, [str(w.message) for w in caught])
         # every value reaches its flag's type, negative literals included
         assert "expected one argument" not in out + err, argv
-        if unread or any(word.endswith(str(outs[1])) for word in argv):
+        if unread or empty_field or any(word.endswith(str(outs[1])) for word in argv):
             assert code == 1, argv
         if "--format=json" in argv:
             assert err == "", argv

@@ -8,6 +8,7 @@ from algtool.heisenberg import (HeisenbergElement, LinearCharacter, SimpleRep,
                                 all_irreducibles, apply_element, conjugacy_classes,
                                 parse_element, projective_fixed_points, rep_matrix,
                                 subgroup_generators)
+from algtool.selftest import orthogonal_rows
 
 
 def mat_mul_exact(a, b):
@@ -102,8 +103,93 @@ def test_character_table_orthogonality_p3():
         for w in reps:
             acc = Cyclotomic(p)
             for g, size in classes:
-                acc = acc + v.character(g) * w.character(g).conjugate() * size
+                acc = acc + v.character(g) * w.character(g).galois(p - 1) * size
             assert acc == (p ** 3 if v == w else 0)
+
+
+def heisenberg_table(p):
+    """(rows, class sizes) of the character table of H_p."""
+    classes = conjugacy_classes(p)
+    rows = [[v.character(g) for g, _size in classes] for v in all_irreducibles(p)]
+    return rows, [size for _g, size in classes]
+
+
+def orthogonal_reference(rows, sizes, order):
+    """The Cyclotomic loop of the test above on a given table: every pair's
+    class sum in Q(w), compared with `order` on the diagonal and 0 off it."""
+    p = rows[0][0].p
+    for i, chi in enumerate(rows):
+        for j, psi in enumerate(rows):
+            acc = Cyclotomic(p)
+            for x, y, size in zip(chi, psi, sizes):
+                acc = acc + x * y.galois(p - 1) * size
+            if acc != (order if i == j else 0):
+                return False
+    return True
+
+
+def perturbed_tables(p, rng):
+    """The table of H_p with one nonzero value changed, each with a label:
+    times w, times w^-1, negated, replaced by a random element of Z[w],
+    swapped with its row neighbour; and with one class size changed."""
+    rows, sizes = heisenberg_table(p)
+    w = Cyclotomic.zeta(p)
+    nonzero = [(i, c) for i, row in enumerate(rows) for c, v in enumerate(row) if v]
+    for label, change in (("times-w", lambda v: v * w), ("times-w^-1", lambda v: v * w ** (p - 1)),
+                          ("negated", lambda v: -v),
+                          ("random", lambda v: Cyclotomic(p, [rng.randint(-2, 2) for _ in range(p)]))):
+        i, c = rng.choice(nonzero)
+        changed = [list(row) for row in rows]
+        changed[i][c] = change(rows[i][c])
+        yield label, changed, sizes
+    i, c = rng.choice([(i, c) for i, c in nonzero if c + 1 < len(sizes)])
+    changed = [list(row) for row in rows]
+    changed[i][c], changed[i][c + 1] = rows[i][c + 1], rows[i][c]
+    yield "swapped", changed, sizes
+    c = rng.randrange(len(sizes))
+    yield "size", rows, [s + (1 if k == c else 0) for k, s in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_orthogonal_rows_matches_cyclotomic_loop(p):
+    rows, sizes = heisenberg_table(p)
+    assert orthogonal_rows(rows, sizes, p ** 3) and orthogonal_reference(rows, sizes, p ** 3)
+    rng = random.Random(p)
+    verdicts = {}
+    for _ in range(3):
+        for label, rows, sizes in perturbed_tables(p, rng):
+            got = orthogonal_rows(rows, sizes, p ** 3)
+            assert got == orthogonal_reference(rows, sizes, p ** 3), label
+            verdicts.setdefault(label, set()).add(got)
+    # times w, times w^-1, negating a nonzero value or a size change always
+    # break the table
+    assert all(verdicts[k] == {False} for k in ("times-w", "times-w^-1", "negated", "size"))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("row, col", [(0, 0), (0, -1), (-1, 0), (-1, 1), (1, 3)])
+def test_one_value_times_zeta_fails(p, row, col):
+    rows, sizes = heisenberg_table(p)
+    rows[row][col] = rows[row][col] * Cyclotomic.zeta(p)
+    # a zero value stays zero; every other one breaks orthogonality
+    assert orthogonal_rows(rows, sizes, p ** 3) == rows[row][col].is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("col", [0, 1, -1])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_one_class_size_changed_fails(p, col, delta):
+    rows, sizes = heisenberg_table(p)
+    sizes[col] += delta
+    assert not orthogonal_rows(rows, sizes, p ** 3)
+
+
+def test_non_integral_value_raises():
+    from fractions import Fraction
+    rows, sizes = heisenberg_table(3)
+    rows[2][4] = rows[2][4] * Fraction(1, 2)
+    with pytest.raises(ValueError, match="not an algebraic integer"):
+        orthogonal_rows(rows, sizes, 27)
 
 
 def test_linear_characters():

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.linalg import RowSpace, minors_float, nullspace_exact, rank_float
 from algtool.poly import MultiPoly, PolyMatrix, mat_minors, ring_cc
+from rank_reference import rank_one
 
 
 def test_rowspace_reduce_and_rank():
@@ -80,6 +83,48 @@ def test_rank_float_scale_floor():
     noise = 1e-14 * rng.standard_normal((3, 3))
     assert rank_float(noise, 1e-8) == 3  # relative rank of pure noise
     assert rank_float(noise, 1e-8, scale=1.0) == 0
+
+
+def test_rank_float_shapes():
+    assert rank_float(np.eye(3)) == 3 and type(rank_float(np.eye(3))) is int
+    assert rank_float([]) == 0 and rank_float(np.zeros((3, 0))) == 0
+    assert rank_float([1, 0, 2]) == 1  # a vector is one row
+    stack = np.stack([np.eye(4), np.diag([1.0, 1.0, 0.0, 0.0]), np.zeros((4, 4))])
+    assert rank_float(stack).tolist() == [4, 2, 0]
+    assert rank_float(stack.reshape(3, 1, 4, 4)).shape == (3, 1)
+    assert rank_float(np.zeros((0, 4, 4))).shape == (0,)
+
+
+def planted(rng, rows, cols, rank, magnitude):
+    """A complex rows x cols matrix of rank `rank` (all zero at rank 0), with
+    entries of about `magnitude`."""
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    return magnitude * (left @ right)
+
+
+@seed(20141222)
+@settings(max_examples=80, deadline=None, database=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6)),
+       draws=st.lists(st.tuples(st.integers(0, 6), st.sampled_from([1.0, 1e3, 1e-14])),
+                      min_size=4, max_size=4),
+       tol=st.sampled_from([1e-8, 1e-3]), scale=st.sampled_from([None, 1.0]),
+       rng_seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_rank_matches_per_matrix_reference(shape, draws, tol, scale, rng_seed):
+    # each matrix of the stack is ranked against its own largest singular
+    # value, floored at `scale`: a 1e-14 matrix is full-rank noise without
+    # the floor and rank 0 with it, whatever the other matrices hold
+    batch, rows, cols = shape
+    rng = np.random.default_rng(rng_seed)
+    ranks = [min(r, rows, cols) for r, _mag in draws[:batch]]
+    stack = np.stack([planted(rng, rows, cols, r, mag)
+                      for r, (_r, mag) in zip(ranks, draws)])
+    got = rank_float(stack, tol, scale)
+    assert got.shape == (batch,)
+    assert got.tolist() == [rank_one(m, tol, scale) for m in stack]
+    for r, (_r, mag), g in zip(ranks, draws, got):
+        if tol == 1e-8:
+            assert g == (0 if scale and mag < 1 else r)
 
 
 @pytest.mark.parametrize("shape, k", [((3, 5), 3), ((5, 5), 3), ((4, 3), 2), ((2, 3), 1)])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algtool.clifford import clifford_form
+from algtool.clifford import clifford_form, random_points, sample_rank_drop_points
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, InputError, PoleError
 from algtool.gradedalg import hilbert, make_presentation
@@ -15,6 +15,7 @@ from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                minor_ideal_checks, onedim_reps, orbit_points,
                                point_module_check, secant_check,
                                stratify, t_param)
+from rank_reference import point_module_one_by_one, rank_one
 
 
 def bisect_root(f, lo, hi, iters=80):
@@ -132,6 +133,33 @@ def test_point_module_residual_matches_symbolic_minors():
             reference = max(reference, max(abs(m.eval(pt_n)) for m in minors))
         assert report.minor_count == len(minors) == 100
         assert abs(report.max_minor_residual - reference) <= 1e-12 * max(1.0, reference)
+
+
+# criterion 6's three curve points, and the point of the README examples
+BATCH_POINTS = [(cp.a, cp.b) for cp in curve_points_on_grid()[:3]] + [(1.0, 0.12888995128730368)]
+
+
+@pytest.mark.parametrize("point", BATCH_POINTS, ids=lambda ab: f"a={ab[0]}")
+def test_point_module_stack_matches_one_by_one(point):
+    # one stack, one minors call and one SVD call give the per-matrix
+    # residual bit for bit and the same ranks
+    report = point_module_check(point)
+    worst, ranks = point_module_one_by_one(point)
+    assert report.max_minor_residual.hex() == worst.hex()
+    assert report.ranks == ranks and all(type(r) is int for r in report.ranks)
+
+
+@pytest.mark.parametrize("point", BATCH_POINTS[::3], ids=lambda ab: f"a={ab[0]}")
+def test_stratify_ranks_match_one_by_one(point):
+    a, b = point
+    form = clifford_form(5, (1, complex(a), complex(b)))
+    generic = [rank_one(form.eval(list(pt))) for pt in random_points(5, 5, 7)]
+    det_zero = [rank_one(form.eval(list(pt)))
+                for pt in sample_rank_drop_points(form, 3, 8, 1e-8)]
+    orbit = [rank_one(form.eval(list(pt))) for pt in orbit_points(complex(t_param(a, b)))]
+    strata = {s.name: s.ranks for s in stratify(point, samples=5, seed=7).strata}
+    assert strata == {"generic": generic, "det-zero": [r for r in det_zero if r != 2],
+                      "E-prime": orbit}
 
 
 def test_point_module_check_rejects_singular_parameter():
