@@ -9,6 +9,9 @@ representation V_i acts on basis vectors x_0 ... x_{p-1} by
 with w the fixed primitive p-th root of unity of the cyclotomic kernel.
 One-dimensional characters chi_{a,b} are the degenerate (dimension-1)
 variant used by the character-table orthogonality checks.
+
+Every operation refuses mixed primes with `ModulusError`.  Eigenlines are
+read off a closed-form recurrence, so no linear algebra is imported.
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ from typing import List, Sequence, Tuple, Union
 
 from .cyclotomic import Cyclotomic, require_odd_prime
 from .errors import InputError, ModulusError
-from .linalg import nullspace_exact
+
+
+def _same_prime(p: int, q: int) -> None:
+    if p != q:
+        raise ModulusError(f"mixed primes {p} and {q}")
 
 
 @dataclass(frozen=True)
@@ -38,8 +45,7 @@ class HeisenbergElement:
         return self.a == 0 and self.b == 0
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        if self.p != other.p:
-            raise ModulusError(f"mixed primes {self.p} and {other.p}")
+        _same_prime(self.p, other.p)
         # e2^b e1^c = z^(-b c) e1^c e2^b
         return HeisenbergElement(self.p, self.a + other.a, self.b + other.b,
                                  self.k + other.k - self.b * other.a)
@@ -107,6 +113,7 @@ class SimpleRep:
         object.__setattr__(self, "index", self.index % self.p)
 
     def character(self, g: HeisenbergElement) -> Cyclotomic:
+        _same_prime(self.p, g.p)
         if not g.is_central():
             return Cyclotomic(self.p)
         return Cyclotomic.zeta(self.p, self.index * g.k) * self.p
@@ -126,23 +133,11 @@ class LinearCharacter:
         object.__setattr__(self, "b", self.b % self.p)
 
     def character(self, g: HeisenbergElement) -> Cyclotomic:
+        _same_prime(self.p, g.p)
         return Cyclotomic.zeta(self.p, self.a * g.a + self.b * g.b)
 
 
 Rep = Union[SimpleRep, LinearCharacter]
-
-
-def rep_matrix(rep: SimpleRep, g: HeisenbergElement) -> List[List[Cyclotomic]]:
-    """The monomial matrix of g on V_index: column c maps to row (c - a)."""
-    p = rep.p
-    if g.p != p:
-        raise ModulusError("element and representation over different primes")
-    zero = Cyclotomic(p)
-    mat = [[zero] * p for _ in range(p)]
-    for c in range(p):
-        r = (c - g.a) % p
-        mat[r][c] = Cyclotomic.zeta(p, rep.index * (g.k + g.b * c))
-    return mat
 
 
 def conjugacy_classes(p: int) -> List[Tuple[HeisenbergElement, int]]:
@@ -163,30 +158,30 @@ def all_irreducibles(p: int) -> List[Rep]:
     return reps
 
 
-def normalize_projective(vec: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
-    """Scale so the first nonzero coordinate is 1 (deterministic dedup key)."""
-    lead = next((v for v in vec if v), None)
-    if lead is None:
-        raise ValueError("zero vector has no projective normalization")
-    inv = lead.inverse()
-    return tuple(v * inv for v in vec)
-
-
 def projective_fixed_points(rep: SimpleRep, g: HeisenbergElement) -> List[Tuple[Cyclotomic, ...]]:
-    """The p eigenlines of rep_matrix(rep, g), normalized; these are exactly
-    the fixed points of the non-central g acting on P(V)."""
+    """The p eigenlines of rho(g) on V_index, that of eigenvalue w^m at
+    position m, first nonzero coordinate 1: the fixed points of the
+    non-central g = e1^a e2^b z^k on P(V).  rho(g) v = w^m v reads
+    v[c+a] = w^(m - i(k + b(c+a))) v[c] (i = index): for a != 0 a p-step
+    recurrence from v[0] = 1 that closes up for every m, as the phases
+    around the cycle multiply to w^(-i b p(p-1)/2) = 1.  For a = 0 the line
+    of w^m is the coordinate line of the one c with i(k + bc) = m mod p."""
+    _same_prime(rep.p, g.p)
     if g.is_central():
         raise ValueError("central elements fix all of projective space")
-    p = rep.p
-    mat = rep_matrix(rep, g)
+    p, i = rep.p, rep.index
+    if g.a == 0:
+        zero, one = Cyclotomic(p), Cyclotomic.zeta(p, 0)
+        lines = {i * (g.k + g.b * c) % p: tuple(one if r == c else zero for r in range(p))
+                 for c in range(p)}
+        return [lines[m] for m in range(p)]
     points = []
     for m in range(p):
-        lam = Cyclotomic.zeta(p, m)
-        shifted = [[mat[r][c] - (lam if r == c else 0) for c in range(p)] for r in range(p)]
-        kernel = nullspace_exact(shifted)
-        if len(kernel) != 1:
-            raise ArithmeticError(f"eigenvalue w^{m} of {g.label()} is not simple")
-        points.append(normalize_projective(kernel[0]))
+        exps, c = [0] * p, 0
+        for _ in range(p - 1):
+            prev, c = c, (c + g.a) % p
+            exps[c] = exps[prev] + m - i * (g.k + g.b * c)
+        points.append(tuple(Cyclotomic.zeta(p, e) for e in exps))
     return points
 
 
@@ -202,8 +197,6 @@ def heisenberg_orbit_points(rep: SimpleRep, point: Sequence) -> List[tuple]:
     """All p^2 images rho(e1)^a rho(e2)^b . point (coordinates in the given
     scalar kind; works for exact cyclotomic and complex entries alike)."""
     p = rep.p
-    if len(point) != p:
-        raise ValueError(f"point needs {p} coordinates")
     out = []
     for a in range(p):
         for b in range(p):
@@ -218,7 +211,10 @@ def apply_element(rep: SimpleRep, g: HeisenbergElement, point: Sequence) -> tupl
     Exact entries pick up Cyclotomic phases; complex entries pick up
     exp(2 pi i / p) phases.
     """
+    _same_prime(rep.p, g.p)
     p = rep.p
+    if len(point) != p:
+        raise ValueError(f"point needs {p} coordinates")
     exact = not isinstance(point[0], complex)
     if exact:
         phases = [Cyclotomic.zeta(p, rep.index * (g.k + g.b * c)) for c in range(p)]

@@ -12,10 +12,11 @@ the 15 quadratic entries at the point once and decides from the evaluated
 3x5 matrix.  The ten sextic minors themselves are built only for output
 (`algtool shioda5 minors`) and for the count in criterion 8.
 
-Membership on Heisenberg orbits and fixed points is exact over Q(w_5) (the
-nullity of the evaluated matrix).  Floats only enter through the Jacobian
-ranks (Jacobi's formula on the 3x5 matrix and its entrywise partials) and
-the 2-torsion sextic's roots (the ten minors as one batched determinant).
+Membership on Heisenberg orbits and fixed points is exact over Q(w_5) (a
+`RowSpace` rank of the evaluated rows).  Floats only enter through the
+Jacobian ranks (Jacobi's formula on the 3x5 matrix and its entrywise
+partials) and the 2-torsion sextic's roots (the ten minors as one batched
+determinant).
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .cyclotomic import Cyclotomic
 from .errors import InputError, SamplingError
 from .gradedalg import (Presentation, hilbert, make_presentation,
                         make_relation, word_to_index)
-from .heisenberg import (HeisenbergElement, SimpleRep, apply_element,
-                         heisenberg_orbit_points, normalize_projective,
+from .heisenberg import (SimpleRep, heisenberg_orbit_points,
                          projective_fixed_points, subgroup_generators)
-from .linalg import RowSpace, minors_float, nullspace_exact, rank_float
+from .linalg import RowSpace, minors_float, rank_float
 from .poly import MultiPoly, PolyMatrix, mat_minors, ring_q
 
 X_VARS = ("x0", "x1", "x2", "x3", "x4")
@@ -56,10 +56,12 @@ def s15_minors() -> List[MultiPoly]:
 
 
 def _rank_below_3(values) -> bool:
-    """Exact: an evaluated 3x5 S15 matrix has rank <= 2 (a nullspace of
-    dimension > 2), which holds exactly when all ten minors vanish at the
-    point."""
-    return len(nullspace_exact(values)) > 2
+    """Exact: an evaluated 3x5 S15 matrix has rank <= 2, which holds exactly
+    when all ten minors vanish at the point."""
+    space = RowSpace()
+    for row in values:
+        space.insert(dict(enumerate(row)))
+    return space.rank < 3
 
 
 def _minor_jacobian(matrix: PolyMatrix, partials: List[PolyMatrix], point) -> np.ndarray:
@@ -269,21 +271,17 @@ def cycle_fiber_equivalence() -> CycleFiberReport:
     fiber01 = make_presentation("curveCa", 0)
     relabeled = _relation_space(fiber01, 2).same_space(cycle_space)
 
-    return CycleFiberReport(direct, relabeled, hilbert(cycle, 3), count_cusp_cycles())
+    return CycleFiberReport(direct, relabeled, hilbert(cycle, 3), len(cusp_cycles()))
 
 
-def count_cusp_cycles() -> int:
-    """Distinct H_5-orbits of line cycles through the fixed points of the six
-    projectivized subgroups, one cycle per step k in {1, 2}."""
+def cusp_cycles() -> set:
+    """The distinct H_5-orbits of line cycles through the fixed points of the
+    six projectivized subgroups, steps 1 and 2 in eigenvalue order: a
+    complement of <g> walks the 5 points at a constant stride s != 0, and
+    steps s and 2s of that walk are steps +-1 and +-2 of this order."""
     cycles = set()
     for g in subgroup_generators(5):
-        # a complement h moves the 5 fixed points of g in a single orbit
-        h = HeisenbergElement(5, 0, 1, 0) if g.a else HeisenbergElement(5, 1, 0, 0)
-        anchor = projective_fixed_points(_REP, g)[0]
-        track = [anchor]
-        for _ in range(4):
-            track.append(normalize_projective(apply_element(_REP, h, track[-1])))
+        track = projective_fixed_points(_REP, g)
         for step in (1, 2):
-            lines = frozenset(frozenset((track[j], track[(j + step) % 5])) for j in range(5))
-            cycles.add(lines)
-    return len(cycles)
+            cycles.add(frozenset(frozenset((track[j], track[(j + step) % 5])) for j in range(5)))
+    return cycles

@@ -1,0 +1,42 @@
+"""Test-only reference: the matrix of a Heisenberg element on V_index, and
+its eigenlines as exact nullspaces over Q(w), as `heisenberg` computed them
+before it read the lines off their recurrence."""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+from algtool.cyclotomic import Cyclotomic
+from algtool.heisenberg import HeisenbergElement, SimpleRep
+from algtool.linalg import nullspace_exact
+
+
+def rep_matrix(rep: SimpleRep, g: HeisenbergElement) -> List[List[Cyclotomic]]:
+    """The monomial matrix of g on V_index: column c maps to row (c - a)."""
+    p = rep.p
+    zero = Cyclotomic(p)
+    mat = [[zero] * p for _ in range(p)]
+    for c in range(p):
+        mat[(c - g.a) % p][c] = Cyclotomic.zeta(p, rep.index * (g.k + g.b * c))
+    return mat
+
+
+def normalize_projective(vec: Sequence[Cyclotomic]) -> Tuple[Cyclotomic, ...]:
+    """Scale so the first nonzero coordinate is 1."""
+    inv = next(v for v in vec if v).inverse()
+    return tuple(v * inv for v in vec)
+
+
+def nullspace_eigenlines(rep: SimpleRep, g: HeisenbergElement) -> List[Tuple[Cyclotomic, ...]]:
+    """The kernel of rep_matrix(rep, g) - w^m for m = 0 .. p-1, each a single
+    line for a non-central g, normalized."""
+    p = rep.p
+    mat = rep_matrix(rep, g)
+    lines = []
+    for m in range(p):
+        lam = Cyclotomic.zeta(p, m)
+        shifted = [[mat[r][c] - (lam if r == c else 0) for c in range(p)] for r in range(p)]
+        kernel = nullspace_exact(shifted)
+        assert len(kernel) == 1, (g, m)
+        lines.append(normalize_projective(kernel[0]))
+    return lines

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,9 +8,10 @@ from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ModulusError
 from algtool.heisenberg import (HeisenbergElement, LinearCharacter, SimpleRep,
                                 all_irreducibles, apply_element, conjugacy_classes,
-                                parse_element, projective_fixed_points, rep_matrix,
-                                subgroup_generators)
+                                heisenberg_orbit_points, parse_element,
+                                projective_fixed_points, subgroup_generators)
 from algtool.selftest import orthogonal_rows
+from heisenberg_reference import nullspace_eigenlines, rep_matrix
 
 
 def mat_mul_exact(a, b):
@@ -258,3 +261,76 @@ def test_apply_element_matches_matrix():
     expected = [sum((mat[r][c] * point[c] for c in range(5)), Cyclotomic(5))
                 for r in range(5)]
     assert list(apply_element(rep, g, point)) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_eigenlines_equal_the_nullspace_route(p):
+    """The closed form against the nullspace reference for every index i,
+    every non-central (a, b) and every k, and rho(g) v = w^m v exactly.
+
+    The reference runs once per (a, b), on V_1 at k = 0, and is carried to
+    the rest exactly: the Galois map w -> w^i takes rho_1(g) to rho_i(g), so
+    it takes the line of w^m on V_1 to the line of w^(im) on V_i; and
+    rho_i(g z^k) = w^(ik) rho_i(g) moves the line of w^m to w^(m+ik)."""
+    for a in range(p):
+        for b in range(p):
+            if (a, b) == (0, 0):
+                continue
+            base = nullspace_eigenlines(SimpleRep(p, 1), HeisenbergElement(p, a, b, 0))
+            for i in range(1, p):
+                rep = SimpleRep(p, i)
+                on_v_i = [tuple(v.galois(i) for v in line) for line in base]
+                for k in range(p):
+                    g = HeisenbergElement(p, a, b, k)
+                    expected = [on_v_i[(m - i * k) * pow(i, -1, p) % p] for m in range(p)]
+                    lines = projective_fixed_points(rep, g)
+                    assert lines == expected, (i, a, b, k)
+                    # rho(g) is monomial: one nonzero entry per row
+                    entries = [(c, x) for row in rep_matrix(rep, g)
+                               for c, x in enumerate(row) if x]
+                    for m, v in enumerate(lines):
+                        image = [x * v[c] for c, x in entries]
+                        assert image == [Cyclotomic.zeta(p, m) * x for x in v], (i, a, b, k, m)
+
+
+def test_heisenberg_imports_no_linear_algebra():
+    """heisenberg stands on the cyclotomic field and the error types alone."""
+    path = Path(__file__).resolve().parent.parent / "src" / "algtool" / "heisenberg.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("algtool"):
+            imported.add(node.module.split(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.split(".", 1)[-1] for a in node.names
+                         if a.name.startswith("algtool")}
+    assert imported <= {"cyclotomic", "errors"}, imported
+
+
+_POINT5 = tuple(Cyclotomic.from_rational(5, v) for v in (1, 2, 0, -1, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apply_element(SimpleRep(5, 1), HeisenbergElement(3, 1, 1, 0), _POINT5),
+    lambda: SimpleRep(5).character(HeisenbergElement(7, 1, 0, 0)),
+    lambda: SimpleRep(5).character(HeisenbergElement(3, 0, 0, 1)),
+    lambda: LinearCharacter(5, 1, 2).character(HeisenbergElement(3, 1, 0, 0)),
+    lambda: projective_fixed_points(SimpleRep(5, 1), HeisenbergElement(7, 1, 0, 0)),
+    lambda: HeisenbergElement(5, 1, 0, 0) * HeisenbergElement(3, 1, 0, 0),
+], ids=["apply_element", "simple-noncentral", "simple-central", "linear",
+        "fixed-points", "multiply"])
+def test_mixed_primes_raise(call):
+    with pytest.raises(ModulusError, match="mixed primes"):
+        call()
+
+
+@pytest.mark.parametrize("length", [0, 4, 6])
+def test_wrong_length_point_raises(length):
+    rep = SimpleRep(5, 1)
+    pt = tuple(Cyclotomic.from_rational(5, 1) for _ in range(length))
+    with pytest.raises(ValueError, match="point needs 5 coordinates"):
+        apply_element(rep, HeisenbergElement(5, 1, 0, 0), pt)
+    with pytest.raises(ValueError, match="point needs 5 coordinates"):
+        heisenberg_orbit_points(rep, pt)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.heisenberg import HeisenbergElement, SimpleRep, apply_element
+from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
+                                projective_fixed_points, subgroup_generators)
 from algtool.poly import PolyMatrix
 from algtool.shioda5 import (_minor_jacobian, _rank_below_3, base_orbit,
-                             ca_orbit_check, ca_relations, count_cusp_cycles,
+                             ca_orbit_check, ca_relations, cusp_cycles,
                              cycle_fiber_equivalence, s15_matrix, s15_minors,
                              singular_points_check, thirty_points,
                              two_torsion_check)
+from heisenberg_reference import normalize_projective
 
 
 def test_s15_matrix_layout():
@@ -159,4 +161,20 @@ def test_cycle_fiber_equivalence():
 
 def test_cusp_cycle_count_matches_formula():
     p = 5
-    assert count_cusp_cycles() == (p + 1) * (p - 1) // 2
+    assert len(cusp_cycles()) == (p + 1) * (p - 1) // 2
+
+
+def test_cusp_cycles_equal_the_complement_walk():
+    """The cycles read off eigenvalue order are those of a walk that moves
+    one fixed point of g by a complement h of <g>, step 1 and step 2."""
+    rep = SimpleRep(5, 1)
+    walked = set()
+    for g in subgroup_generators(5):
+        h = HeisenbergElement(5, 0, 1, 0) if g.a else HeisenbergElement(5, 1, 0, 0)
+        track = [projective_fixed_points(rep, g)[0]]
+        for _ in range(4):
+            track.append(normalize_projective(apply_element(rep, h, track[-1])))
+        for step in (1, 2):
+            walked.add(frozenset(frozenset((track[j], track[(j + step) % 5])) for j in range(5)))
+    assert cusp_cycles() == walked
+    assert len(walked) == 12
