@@ -92,12 +92,56 @@ def to_jsonable(obj):
     return str(obj)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_leaf = json.JSONEncoder().encode
+
+
+def _write_json(value, parts: list, newline: str, head: str = "") -> None:
+    """Append `head` and then `value` as `json.dumps(value, sort_keys=True,
+    indent=2)` writes it at the line start `newline`.  With an indent json
+    encodes every node in Python; here only containers are laid out in
+    Python, and every leaf goes through json's own C encoder."""
+    if type(value) is str:
+        parts.append(head + _encode_str(value))
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            parts.append(head + "{}")
+            return
+        sep = head + "{" + inner
+        for key, item in sorted(value.items()):
+            _write_json(item, parts, inner, sep + _encode_str(key) + ": ")
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append(head + "[]")
+            return
+        sep = head + "[" + inner
+        for item in value:
+            _write_json(item, parts, inner, sep)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(head + _encode_leaf(value))
+
+
+def json_text(data) -> str:
+    """`json.dumps(data, sort_keys=True, indent=2)`, byte for byte, for data
+    built of str-keyed dicts, lists, tuples, str, int, float, bool and None
+    (subclasses included), as `to_jsonable` returns it."""
+    parts: list = []
+    _write_json(data, parts, "\n")
+    return "".join(parts)
+
+
 def emit(payload, args, check_failed: bool = False) -> int:
     """Write a dict or a report dataclass as key-sorted JSON or as one text
     line per key; the exit code is 2 when `check_failed`."""
     data = to_jsonable(payload)
     if args.format == "json":
-        text = json.dumps(data, sort_keys=True, indent=2)
+        text = json_text(data)
     else:
         lines = []
         for key, value in data.items():

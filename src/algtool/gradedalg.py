@@ -18,6 +18,23 @@ a column c, and NF(u x_j) = sum_i c_i NF(b_i x_j) for NF(u) = sum_i c_i b_i.
 Indices follow the lexicographic order of words, so B_n is the set of words
 that are not leading words of I_n in that order.
 
+The pivot columns of degree d whose suffix of length d-1 is in B_{d-1}
+(the prefix is, by construction) are the *obstructions* of degree d: the
+leading words of the reduced Groebner basis of I in that order, with NF_d(o)
+the tail of the rule o -> NF_d(o).  Let D be the largest degree with an
+obstruction.  Once every degree below n >= 2D has been eliminated and n is
+above every relation degree, degrees D+1 .. 2D-1, which hold every overlap
+of two leading words of length <= D, brought no new obstruction, so every
+ambiguity of the rules resolves and they are the whole Groebner basis (the
+diamond lemma: G. Bergman, Adv. Math. 29, 1978; T. Mora, Theor. Comput.
+Sci. 134, 1994).  This certificate is read off the engine's own B_d.  From
+then on a degree builds no relation rows: B_n is the set of words u x_j,
+u in B_{n-1}, with no obstruction as a suffix, and a word head.o with o an
+obstruction of degree d has NF = sum_t c_t NF(head.t) over the terms c_t t
+of NF_d(o).  Every tail word t has a larger index than o, so the rewriting
+ends.  Presentations whose obstructions never stop (cycle(p) gets some in
+every degree) are eliminated in every degree.
+
 Over Q every vector of the engine is integer numerators over one positive
 denominator (`linalg.ScaledVec`): each relation is cleared to integer
 coefficients once, a relation row is built over the least common
@@ -188,8 +205,12 @@ class GradedEngine:
         self.relations = [(d, [[(word_to_index(w[:-1], p), w[-1], c)
                                 for w, c in integral(dict(rel))[0].items()] for rel in rels])
                           for d, rels in pres.relations_by_degree()]
+        self.top_relation = max((d for d, _rels in self.relations), default=0)
         self.bases: List[List[int]] = [[0]]             # indices of B_n, ascending
-        self.spaces: List[Optional[RowSpace]] = [None]  # relation rows of degree n
+        # relation rows of degree n; None in the rewriting degrees
+        self.spaces: List[Optional[RowSpace]] = [None]
+        # (d, p**d, obstructions of degree d) for each eliminated degree d that has some
+        self.rules: List[Tuple[int, int, frozenset]] = []
         # memo of NF per degree, by word index; a normal word is its own unit vector
         self.forms: List[Dict[int, ScaledVec]] = [{0: ScaledVec({0: self.unit})}]
         self._buckets: Dict[Tuple[int, int], List[object]] = {}  # weight buckets by (n, a)
@@ -206,6 +227,28 @@ class GradedEngine:
                 self._build(m)
 
     def _build(self, n: int) -> None:
+        p = self.p
+        columns = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p)]
+        if n > self.top_relation and n >= 2 * (self.rules[-1][0] if self.rules else 0):
+            # the rules are a Groebner basis (module docstring): B_n are the
+            # columns with no obstruction as a suffix, and no rows are built
+            space = None
+            basis = [c for c in columns
+                     if not any(c % q in obstructions for _d, q, obstructions in self.rules)]
+        else:
+            space = self._eliminate(n)
+            pivots = space.rows
+            basis = [c for c in columns if c not in pivots]
+            suffixes, q = set(self.bases[n - 1]), p ** (n - 1)
+            obstructions = frozenset(c for c in pivots if c % q in suffixes)
+            if obstructions:
+                self.rules.append((n, q * p, obstructions))
+        self.bases.append(basis)
+        self.spaces.append(space)
+        self.forms.append({c: ScaledVec({c: self.unit}) for c in basis})
+
+    def _eliminate(self, n: int) -> RowSpace:
+        """The reduced span of the degree-n relation rows."""
         p = self.p
         relation_rows = []
         for d, rels in self.relations:
@@ -225,11 +268,7 @@ class GradedEngine:
         space = RowSpace()
         for row in relation_rows:
             space.insert(row)
-        pivots = space.rows
-        basis = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p) if c not in pivots]
-        self.bases.append(basis)
-        self.spaces.append(space)
-        self.forms.append({c: ScaledVec({c: self.unit}) for c in basis})
+        return space
 
     def normal_form(self, n: int, index: int) -> ScaledVec:
         """NF of the degree-n word of base-p index `index`, on the indices of
@@ -240,12 +279,19 @@ class GradedEngine:
         if nf is None:
             prefix_index, j = divmod(index, self.p)
             prefix = self.normal_form(n - 1, prefix_index)
-            if prefix_index in prefix.nums:  # a normal prefix: the word is a column
-                nf = self.spaces[n].reduce({index: self.unit})
-            else:
+            if prefix_index not in prefix.nums:
                 nums, den = _combine([(self.normal_form(n, i * self.p + j), c, 0)
                                       for i, c in prefix.nums.items()])
                 nf = ScaledVec(nums, den * prefix.den)
+            elif self.spaces[n] is not None:  # a normal prefix: the word is a column
+                nf = self.spaces[n].reduce({index: self.unit})
+            else:  # head.o with o an obstruction of degree d: rewrite o by NF_d(o)
+                d, o = next((d, index % q) for d, q, obstructions in self.rules
+                            if index % q in obstructions)
+                rule = self.normal_form(d, o)
+                nums, den = _combine([(self.normal_form(n, index - o + t), c, 0)
+                                      for t, c in rule.nums.items()])
+                nf = ScaledVec(nums, den * rule.den)
             memo[index] = nf
         return nf
 

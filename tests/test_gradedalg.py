@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -320,3 +321,76 @@ def test_table_json_shape():
     assert js["hilbert"] == [1, 3, 6]
     assert len(js["classes"]) == 11
     assert js["classes"][0]["rep"] == "1"
+
+
+def obstruction_counts(pres, top):
+    """Per degree 2..top, the words outside B_d whose prefix and suffix of
+    length d-1 lie in B_{d-1}, read off the bases alone."""
+    p, bases = pres.p, pres.engine.bases
+    counts = []
+    for d in range(2, top + 1):
+        prev, cur, q = set(bases[d - 1]), set(bases[d]), p ** (d - 1)
+        counts.append(sum(1 for u in prev for c in range(u * p, u * p + p)
+                          if c not in cur and c % q in prev))
+    return counts
+
+
+# (presentation, top, obstructions in degrees 2..top, first rewriting degree 2D)
+OBSTRUCTIONS = (
+    (("polynomial", 3), 8, [3, 0, 0, 0, 0, 0, 0], 4),
+    (("polynomial", 5), 6, [10, 0, 0, 0, 0], 4),
+    (("curveCa", 1), 6, [15, 0, 0, 0, 0], 4),
+    (("curveCa", 2), 6, [15, 0, 0, 0, 0], 4),
+    (("cliffordC", 5, 0, 1, 1), 6, [5, 0, 0, 0, 0], 4),
+    (("sklyanin3", 1, 1, -3), 8, [3, 2, 0, 0, 0, 0, 0], 6),
+    (("cliffordC", 5, 1, 2, 3), 7, [10, 5, 0, 0, 0, 0], 6),
+    (("sklyanin5", 2, 2), 7, [10, 5, 0, 0, 0, 0], 6),
+    (("cliffordC", 7, 1, 2, 3, 4), 6, [21, 8, 0, 0, 0], 6),
+    (("cycle", 5), 7, [15, 3, 3, 3, 3, 3], None),
+)
+
+
+@pytest.mark.parametrize("args,top,counts,rewrite_from", OBSTRUCTIONS,
+                         ids=[make_presentation(*o[0]).label() for o in OBSTRUCTIONS])
+def test_obstructions_and_the_rewriting_degrees(args, top, counts, rewrite_from):
+    pres = make_presentation(*args)
+    engine = pres.engine
+    engine.grow(top, 10 ** 12)
+    assert obstruction_counts(pres, top) == counts
+    # the engine records the same obstructions in the degrees it eliminates
+    assert {d: len(obs) for d, _q, obs in engine.rules} == {
+        d: c for d, c in enumerate(counts, 2) if c}
+    # relation rows are built below 2D only, and in every degree of cycle(5)
+    assert [n for n in range(1, top + 1) if engine.spaces[n] is None] == (
+        [] if rewrite_from is None else list(range(rewrite_from, top + 1)))
+
+
+def test_a_relation_above_2D_keeps_elimination_until_past_it():
+    # commutators (D = 2) plus x_k^5: degree 5 brings three more obstructions,
+    # so rewriting may start only at degree 10
+    relations = make_presentation("polynomial", 3).relations + tuple(
+        make_relation([((k,) * 5, Fraction(1))]) for k in range(3))
+    truncated = [sum(1 for e in itertools.product(range(5), repeat=3) if sum(e) == n)
+                 for n in range(15)]
+    assert truncated[:10] == [1, 3, 6, 10, 15, 18, 19, 18, 15, 10]
+    pres = Presentation(3, "QQ", relations)
+    assert hilbert(pres, 14) == truncated
+    assert [d for d, _q, _obs in pres.engine.rules] == [2, 5]
+    assert [n for n in range(1, 15) if pres.engine.spaces[n] is None] == list(range(10, 15))
+    # control: a guard "n above every relation degree" that saw only the
+    # commutators would rewrite from 2D = 4 on and miss x_k^5
+    unguarded = Presentation(3, "QQ", relations)
+    unguarded.engine.top_relation = 2
+    assert hilbert(unguarded, 5) == [1, 3, 6, 10, 15, 21] != truncated[:6]
+
+
+@pytest.mark.parametrize("args,top,series", [
+    (("sklyanin3", 1, 1, -3), 24, [math.comb(n + 2, 2) for n in range(25)]),
+    (("curveCa", 2), 20, [1] + [5 * n for n in range(1, 21)]),
+], ids=["sklyanin3-24", "curveCa-20"])
+def test_deep_tables_fit_the_default_recursion_limit(args, top, series):
+    # the rewriting step recurses through the normal-form memo; its depth
+    # must stay far below the interpreter's default limit
+    assert sys.getrecursionlimit() <= 1000
+    pres = make_presentation(*args)
+    assert character_table(pres, SimpleRep(pres.p, 1), top).hilbert_row() == series
