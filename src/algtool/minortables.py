@@ -1,0 +1,103 @@
+"""Integer coefficient tables for the degree-piece checks of `sklyanin2`.
+
+Every entry of Q(a, b) = clifford_form(5, (1, a, b)) is 2 u_k, a u_k or
+b u_k, so each of its minors is a polynomial in u_0..u_4 whose coefficients
+are integer polynomials in (a, b); likewise the products u_j q_i and
+q_i q_j of the quadrics q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3}
+have integer coefficients in t.  `minor_tables` expands them once per
+process and keeps only the sparse integer tables; evaluating a table at a
+point is one scatter-add.  `sklyanin2` imports this module where it first
+needs it, so CLI start-up does not compile it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cache
+from math import prod
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from .clifford import clifford_form
+from .poly import (MultiPoly, PolyMatrix, mat_minors, minor_routine, monomials_of_degree,
+                   ring_cc)
+from .sklyanin2 import U_VARS
+
+
+def ct_quadrics() -> List[MultiPoly]:
+    """q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} over CC[u0..u4, t]."""
+    ring = ring_cc(U_VARS + ("t",))
+    u = [MultiPoly.var(ring, i) for i in range(5)]
+    t = MultiPoly.var(ring, 5)
+    return [t * u[i] ** 2 + t * t * u[(i + 1) % 5] * u[(i + 4) % 5]
+            - u[(i + 2) % 5] * u[(i + 3) % 5] for i in range(5)]
+
+
+def _generic_form() -> PolyMatrix:
+    """Q(a, b) over CC[u0..u4, a, b], a and b variables.  Q is linear in
+    (a, b), so it is Q(0, 0) + a (Q(1, 0) - Q(0, 0)) + b (Q(0, 1) - Q(0, 0)),
+    each term from `clifford.clifford_form`."""
+    ring = ring_cc(U_VARS + ("a", "b"))
+    q0, qa, qb = ([MultiPoly(ring, {e + (0, 0): c for e, c in f.terms.items()})
+                   for f in clifford_form(5, (1, *ab)).entries]
+                  for ab in ((0, 0), (1, 0), (0, 1)))
+    a, b = MultiPoly.var(ring, 5), MultiPoly.var(ring, 6)
+    return PolyMatrix(5, 5, [z + a * (x - z) + b * (y - z) for z, x, y in zip(q0, qa, qb)])
+
+
+@dataclass(frozen=True)
+class CoefficientTable:
+    """Polynomials of one degree in u_0..u_4 whose coefficients are integer
+    polynomials in some parameters, stored sparsely: `entries` holds one
+    (polynomial, u-monomial, parameter monomial, integer coefficient) index
+    row per non-zero term, against the u-monomials `basis` and the parameter
+    exponent tuples `params`."""
+
+    size: int
+    basis: Tuple[Tuple[int, ...], ...]
+    params: Tuple[Tuple[int, ...], ...]
+    entries: np.ndarray
+
+    @classmethod
+    def of(cls, polys: Sequence[MultiPoly], degree: int) -> "CoefficientTable":
+        """The table of `polys`, over a ring whose first five variables are
+        u_0..u_4 and the rest the parameters, homogeneous of `degree` in u.
+        Their coefficients are small integers, which complex floats hold
+        exactly."""
+        basis = tuple(monomials_of_degree(5, degree))
+        column = {e: i for i, e in enumerate(basis)}
+        params = tuple(sorted({e[5:] for f in polys for e in f.terms}))
+        param = {e: i for i, e in enumerate(params)}
+        rows = [(row, column[e[:5]], param[e[5:]], int(c.real))
+                for row, f in enumerate(polys) for e, c in f.terms.items()]
+        entries = np.array(rows, dtype=np.int64)
+        entries.setflags(write=False)
+        return cls(len(polys), basis, params, entries)
+
+    def at(self, values: Sequence[complex]) -> np.ndarray:
+        """The coefficient vectors against `basis` at the parameter values,
+        one row per polynomial: one scatter-add of the terms."""
+        monomials = np.array([prod(v ** k for v, k in zip(values, exps))
+                              for exps in self.params], dtype=complex)
+        row, col, param, coeff = self.entries.T
+        out = np.zeros((self.size, len(self.basis)), dtype=complex)
+        np.add.at(out, (row, col), coeff * monomials[param])
+        return out
+
+
+@cache
+def minor_tables() -> Tuple[CoefficientTable, ...]:
+    """Built once per process: the 100 cubic 3x3 minors of Q(a, b) and the
+    25 products u_j q_i (degree 6 in x), then the 25 quartic 4x4 minors and
+    the 15 products q_i q_j (degree 8 in x).  The minors are tabled over
+    Z[u, a, b], in `mat_minors` order, the products over Z[u, t]."""
+    form = _generic_form()
+    minor = minor_routine(form)  # the 4x4 minors expand into the 3x3 ones
+    quadrics = ct_quadrics()
+    u = [MultiPoly.var(quadrics[0].ring, i) for i in range(5)]
+    return (CoefficientTable.of(mat_minors(form, 3, minor), 3),
+            CoefficientTable.of([u[j] * q for q in quadrics for j in range(5)], 3),
+            CoefficientTable.of(mat_minors(form, 4, minor), 4),
+            CoefficientTable.of([quadrics[i] * quadrics[j]
+                                 for i in range(5) for j in range(i, 5)], 4))

@@ -253,8 +253,9 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: c for e, c in terms.items() if c}, _clean=True)
 
     def eval(self, point: Sequence):
-        """Evaluate at a point; scalar kind follows the point entries."""
-        return _eval_all(self.ring, [self], point)[0]
+        """Evaluate at a point; scalar kind follows the point entries.  The
+        plan of `_eval_all` is built for this one call."""
+        return _eval_all(self.ring, _eval_plan([self]), point)[0]
 
     # -- views ------------------------------------------------------------------
 
@@ -306,34 +307,41 @@ class MultiPoly:
         return f"MultiPoly({', '.join(self.ring.variables)}; {self})"
 
 
-def _eval_all(ring: PolyRing, polys: Sequence[MultiPoly], point: Sequence) -> list:
-    """Each of `polys` at a point, from one table of the powers point[i]^k up
-    to the largest exponent of variable i among them.  Each power is the one
-    below it times point[i], so it does not depend on how far its row goes,
-    and each polynomial gets the same value bit for bit whatever it is
-    evaluated together with."""
+def _eval_plan(polys: Sequence[MultiPoly]) -> tuple:
+    """What `_eval_all` needs of `polys`: the largest exponent of each
+    variable among them, and each polynomial's terms as (coefficient,
+    [(variable, power), ...]) over its non-zero powers, in dict order."""
+    exps = [e for f in polys for e in f.terms]
+    maxdeg = [max(col) for col in zip(*exps)]
+    plans = [[(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in f.terms.items()]
+             for f in polys]
+    return maxdeg, plans
+
+
+def _eval_all(ring: PolyRing, plan: tuple, point: Sequence) -> list:
+    """Each polynomial of an `_eval_plan` at a point, from one table of the
+    powers point[i]^k up to the largest exponent of variable i among them.
+    Each power is the one below it times point[i], so it does not depend on
+    how far its row goes; each term is its coefficient times its powers in
+    variable order, and the terms are summed in dict order.  So each
+    polynomial gets the same value bit for bit whatever it is evaluated
+    together with, and whether or not its plan was built before."""
     if len(point) != ring.nvars:
         raise ArityError(f"point has {len(point)} coordinates, ring has {ring.nvars}")
-    maxdeg = [0] * ring.nvars
-    for f in polys:
-        for e in f.terms:
-            for i, k in enumerate(e):
-                if k > maxdeg[i]:
-                    maxdeg[i] = k
+    maxdeg, plans = plan
     powers = []
-    for i, x in enumerate(point):
+    for x, top in zip(point, maxdeg):
         row = [1]
-        for _ in range(maxdeg[i]):
+        for _ in range(top):
             row.append(row[-1] * x)
         powers.append(row)
     values = []
-    for f in polys:
+    for terms in plans:
         acc = None
-        for e, c in f.terms.items():
+        for c, factors in terms:
             term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * powers[i][k]
+            for i, k in factors:
+                term = term * powers[i][k]
             acc = term if acc is None else acc + term
         if acc is None:
             acc = 0 * point[0] if point else ring.zero_scalar()
@@ -379,7 +387,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
 
 
 class PolyMatrix:
-    __slots__ = ("rows", "cols", "entries", "ring")
+    __slots__ = ("rows", "cols", "entries", "ring", "_plan")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[MultiPoly]):
         if rows <= 0 or cols <= 0:
@@ -392,14 +400,20 @@ class PolyMatrix:
             if e.ring != ring:
                 raise RingMismatchError("matrix entries over mixed rings")
         self.rows, self.cols, self.entries, self.ring = rows, cols, entries, ring
+        self._plan = None
 
     def at(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.cols + j]
 
     def eval(self, point: Sequence) -> List[list]:
         """The entries at a point, from one power table for all of them;
-        each entry gets the value of `MultiPoly.eval` bit for bit."""
-        values = _eval_all(self.ring, self.entries, point)
+        each entry gets the value of `MultiPoly.eval` bit for bit.  The
+        evaluation plan of the entries is built on the first call and kept,
+        so later calls only multiply and add (and the entries must not be
+        replaced after it)."""
+        if self._plan is None:
+            self._plan = _eval_plan(self.entries)
+        values = _eval_all(self.ring, self._plan, point)
         cols = self.cols
         return [values[i:i + cols] for i in range(0, len(values), cols)]
 
@@ -409,29 +423,35 @@ def minor_routine(m: PolyMatrix):
     row and column index tuples, by Laplace expansion along its first row.
 
     Results are memoised on (rows, cols), so every minor taken through one
-    routine shares its sub-minors.
+    routine shares its sub-minors.  The recursion goes through
+    `_laplace_minor`, not through the routine itself, so the routine holds
+    no reference to itself and its memo is freed as soon as the routine is.
     """
-    one = MultiPoly.const(m.ring, 1)
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], MultiPoly] = {}
+    memo = {((), ()): MultiPoly.const(m.ring, 1)}
 
     def minor(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> MultiPoly:
-        if not rows:
-            return one
-        key = (rows, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = MultiPoly.zero(m.ring)
-        for idx, c in enumerate(cols):
-            entry = m.at(rows[0], c)
-            if entry.is_zero():
-                continue
-            piece = entry * minor(rows[1:], cols[:idx] + cols[idx + 1:])
-            acc = acc + piece if idx % 2 == 0 else acc - piece
-        memo[key] = acc
-        return acc
+        return _laplace_minor(m, memo, rows, cols)
 
     return minor
+
+
+def _laplace_minor(m: PolyMatrix, memo: dict, rows: Tuple[int, ...],
+                   cols: Tuple[int, ...]) -> MultiPoly:
+    """The minor of `minor_routine`, memoised in `memo`, which holds the
+    empty minor 1."""
+    key = (rows, cols)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    acc = MultiPoly.zero(m.ring)
+    for idx, c in enumerate(cols):
+        entry = m.at(rows[0], c)
+        if entry.is_zero():
+            continue
+        piece = entry * _laplace_minor(m, memo, rows[1:], cols[:idx] + cols[idx + 1:])
+        acc = acc + piece if idx % 2 == 0 else acc - piece
+    memo[key] = acc
+    return acc
 
 
 def mat_det(m: PolyMatrix) -> MultiPoly:

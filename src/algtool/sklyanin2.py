@@ -5,7 +5,11 @@ Sylvester elimination, point-module minor checks, rank stratification,
 degree-piece span identities, the secant-variety determinant identity, and
 exact 1-dimensional representation enumeration for cliffordC parameters.
 The four float checks take a parameter pair (a, b); a `CurvePoint` passes
-as (cp.a, cp.b).
+as (cp.a, cp.b).  The degree-piece checks do not expand minors at each
+point: they evaluate `minortables.minor_tables`, the 3x3 and 4x4 minors of
+Q(a, b) over Z[u, a, b] and the products of the q_i over Z[u, t] as sparse
+integer coefficient tables built once per process; the spans are still
+compared by float ranks.
 
 Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
@@ -30,8 +34,8 @@ from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, InputError, PoleError, SamplingError
 from .gradedalg import make_presentation
 from .linalg import minors_float, rank_float
-from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
-                   minor_routine, monomials_of_degree, resultant, ring_cc, ring_q)
+from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, monomials_of_degree,
+                   resultant, ring_cc, ring_q)
 from .shioda5 import base_orbit
 
 Scalar = Union[int, Fraction, float, complex]
@@ -276,22 +280,11 @@ def stratify(point, samples: int = 6, seed: int = 0,
 # -- degree-piece ideal checks --------------------------------------------------------
 
 
-def ct_quadrics(t: complex):
-    """q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} over CC."""
-    ring = ring_cc(U_VARS)
-    u = [MultiPoly.var(ring, i) for i in range(5)]
-    out = []
-    for i in range(5):
-        out.append(t * u[i] ** 2 + t * t * u[(i + 1) % 5] * u[(i + 4) % 5]
-                   - u[(i + 2) % 5] * u[(i + 3) % 5])
-    return out
-
-
-def _mutual_span(vexa: List[list], vexb: List[list], tol: float) -> Tuple[bool, int, int]:
+def _mutual_span(vexa, vexb, tol: float) -> Tuple[bool, int, int]:
     """(span A == span B, rank A, rank B) by float ranks at relative `tol`:
     the spans are equal exactly when A, B and A stacked on B share one rank."""
     ra, rb = rank_float(vexa, tol), rank_float(vexb, tol)
-    return ra == rb == rank_float(vexa + vexb, tol), ra, rb
+    return ra == rb == rank_float(np.vstack([vexa, vexb]), tol), ra, rb
 
 
 @dataclass
@@ -308,35 +301,26 @@ class MinorIdealReport:
         return self.deg6 and self.deg8
 
 
-def _degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
-                                   Tuple[List[list], List[list]]]:
+def _degree_pieces(point) -> Tuple[complex, Tuple[np.ndarray, np.ndarray],
+                                   Tuple[np.ndarray, np.ndarray]]:
     """t, and the coefficient vectors of (3x3 minors of Q, products u_j q_i)
-    in degree 6 and of (4x4 minors of Q, products q_i q_j) in degree 8."""
+    in degree 6 and of (4x4 minors of Q, products q_i q_j) in degree 8, from
+    `minortables.minor_tables` at (a, b) and at t."""
+    from .minortables import minor_tables  # the tables' code is compiled only when used
+
     a, b = point
     t = _require_t(a, b)
-    form = clifford_form(5, (1, complex(a), complex(b)))
-    ring = form.ring
-    u = [MultiPoly.var(ring, i) for i in range(5)]
-    quadrics = ct_quadrics(t)
-
-    # one memo: each 4x4 minor expands into 3x3 minors taken just before
-    minor = minor_routine(form)
-    basis3 = monomials_of_degree(5, 3)
-    minors3 = [m.coefficient_vector(basis3) for m in mat_minors(form, 3, minor)]
-    products = [(u[j] * q).coefficient_vector(basis3)
-                for q in quadrics for j in range(5)]
-
-    basis4 = monomials_of_degree(5, 4)
-    minors4 = [m.coefficient_vector(basis4) for m in mat_minors(form, 4, minor)]
-    qq = [(quadrics[i] * quadrics[j]).coefficient_vector(basis4)
-          for i in range(5) for j in range(i, 5)]
-    return t, (minors3, products), (minors4, qq)
+    minors3, products, minors4, qq = minor_tables()
+    ab = (complex(a), complex(b))
+    return t, (minors3.at(ab), products.at((t,))), (minors4.at(ab), qq.at((t,)))
 
 
 def minor_ideal_checks(point, span_tol: float = 1e-7) -> MinorIdealReport:
     """deg6: span of the 100 cubic 3x3 minors equals span of the 25 products
     u_j q_i; deg8: span of the 25 quartic 4x4 minors equals span of the 15
-    products q_i q_j.  Spans are compared by float ranks at `span_tol`."""
+    products q_i q_j.  The minors and products come from
+    `minortables.minor_tables`, built once per process and evaluated at the
+    point; the spans are still compared by float ranks at `span_tol`."""
     t, deg6_pair, deg8_pair = _degree_pieces(point)
     deg6, minor3_dim, product_dim = _mutual_span(*deg6_pair, span_tol)
     deg8, minor4_dim, qq_dim = _mutual_span(*deg8_pair, span_tol)

@@ -1,13 +1,18 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from algtool import poly
 from algtool.clifford import clifford_form
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ArityError, RingMismatchError
-from algtool.poly import (MultiPoly, PolyMatrix, exact_divide, mat_det,
+from algtool.poly import (FIELD_CC, FIELD_QQ, MultiPoly, PolyMatrix, exact_divide, mat_det,
                           mat_minors, minor_routine, monomials_of_degree,
                           poly_to_json, resultant, ring_cc, ring_q)
 from algtool.shioda5 import s15_matrix
@@ -130,6 +135,77 @@ def test_matrix_eval_zero_entry_and_arity():
     assert exact_values(m.eval(point)) == exact_values([[(x * x).eval(point), 0 * point[0]]])
     with pytest.raises(ArityError):
         m.eval(point[:1])
+
+
+@st.composite
+def matrices_and_points(draw):
+    """A matrix over Q or C with zero entries allowed, constant at times,
+    and a point of Fraction or complex coordinates."""
+    field = draw(st.sampled_from((FIELD_QQ, FIELD_CC)))
+    nvars = draw(st.integers(1, 3))
+    ring = ring_q(("x", "y", "z")[:nvars]) if field == FIELD_QQ else ring_cc(("x", "y", "z")[:nvars])
+    top = draw(st.sampled_from((0, 1, 4)))  # 0: a constant matrix
+    small = st.integers(-6, 6)
+    if field == FIELD_QQ:
+        coeffs = st.builds(Fraction, small, st.integers(1, 5))
+    else:
+        coeffs = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+    exps = st.tuples(*[st.integers(0, top)] * nvars)
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = [MultiPoly(ring, draw(st.dictionaries(exps, coeffs, max_size=4)))
+               for _ in range(rows * cols)]
+    if field == FIELD_QQ and draw(st.booleans()):
+        coords = st.builds(Fraction, small, st.integers(1, 7))
+    else:
+        coords = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+    point = [draw(coords) for _ in range(nvars)]
+    return PolyMatrix(rows, cols, entries), point
+
+
+@seed(20141222)
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=matrices_and_points())
+def test_matrix_eval_is_entrywise_eval_bit_for_bit(case):
+    m, point = case
+    entrywise = [[m.at(i, j).eval(point) for j in range(m.cols)] for i in range(m.rows)]
+    reference = [[reference_eval(m.at(i, j), point) for j in range(m.cols)]
+                 for i in range(m.rows)]
+    assert exact_values(entrywise) == exact_values(reference)
+    assert exact_values(m.eval(point)) == exact_values(entrywise)
+    # the second call runs on the kept plan
+    assert exact_values(m.eval(point)) == exact_values(entrywise)
+
+
+def test_matrix_eval_builds_its_plan_once(monkeypatch):
+    plans = []
+    real = poly._eval_plan
+
+    def counted(polys):
+        plans.append(len(polys))
+        return real(polys)
+
+    monkeypatch.setattr(poly, "_eval_plan", counted)
+    m = clifford_form(5, (1, Fraction(1, 2), 3))
+    point = [Fraction(k, 3) for k in range(5)]
+    assert m.eval(point) == m.eval(point)
+    assert plans == [25]
+
+
+def test_minor_routine_is_freed_without_the_cycle_collector():
+    form = clifford_form(5, (1, 2, 3))
+    full = tuple(range(5))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        minor = minor_routine(form)
+        det = minor(full, full)
+        routine = weakref.ref(minor)
+        del minor
+        assert routine() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert det == mat_det(form)
 
 
 def test_eval():

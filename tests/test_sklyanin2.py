@@ -1,14 +1,22 @@
+import dataclasses
+import itertools
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
+from algtool import minortables, sklyanin2
 from algtool.clifford import clifford_form, random_points, sample_rank_drop_points
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, InputError, PoleError
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
+from algtool.minortables import minor_tables
 from algtool.poly import MultiPoly, mat_det, mat_minors, ring_q
+from algtool.selftest import criterion_9_determinism
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
@@ -16,6 +24,7 @@ from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                point_module_check, secant_check,
                                stratify, t_param)
 from rank_reference import point_module_one_by_one, rank_one
+from sklyanin2_reference import degree_pieces, quadrics_at
 
 
 def bisect_root(f, lo, hi, iters=80):
@@ -222,6 +231,91 @@ def test_mutual_span_matches_per_vector_reference():
     # (0, 1) fails in degree 6
     assert decisions[:6] == [True] * 6
     assert decisions[6] is False
+
+
+def exact_table(table, values):
+    """The table at exact parameter values, summed term by term in Fractions."""
+    rows = [[Fraction(0)] * len(table.basis) for _ in range(table.size)]
+    for row, col, param, coeff in table.entries.tolist():
+        rows[row][col] += coeff * prod(v ** k for v, k in zip(values, table.params[param]))
+    return rows
+
+
+@pytest.mark.parametrize("ab", [(Fraction(3, 2), Fraction(-2, 5)), (Fraction(1), Fraction(7, 3))],
+                         ids=str)
+def test_minor_tables_equal_exact_minors_and_products(ab):
+    a, b = ab
+    minors3, products, minors4, qq = minor_tables()
+    form = clifford_form(5, (1, a, b))
+    for table, k in ((minors3, 3), (minors4, 4)):
+        expected = [m.coefficient_vector(table.basis) for m in mat_minors(form, k)]
+        assert exact_table(table, (a, b)) == expected
+    t = t_param(a, b)
+    u = [MultiPoly.var(form.ring, i) for i in range(5)]
+    quadrics = quadrics_at(form.ring, t)
+    expected = [(u[j] * q).coefficient_vector(products.basis) for q in quadrics for j in range(5)]
+    assert exact_table(products, (t,)) == expected
+    expected = [(quadrics[i] * quadrics[j]).coefficient_vector(qq.basis)
+                for i in range(5) for j in range(i, 5)]
+    assert exact_table(qq, (t,)) == expected
+
+
+@pytest.mark.parametrize("point", BATCH_POINTS[:3] + [(0.0, 1.0)], ids=lambda ab: f"a={ab[0]}")
+def test_degree_pieces_match_the_per_point_route(point):
+    t, *pieces = _degree_pieces(point)
+    ref_t, *ref_pieces = degree_pieces(point)
+    assert t == ref_t
+    for pair, ref_pair in zip(pieces, ref_pieces):
+        for ours, ref in zip(pair, ref_pair):
+            ref = np.asarray(ref, dtype=complex)
+            assert ours.shape == ref.shape
+            assert np.abs(ours - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_one_changed_table_coefficient_breaks_deg6(monkeypatch):
+    point = BATCH_POINTS[0]
+    minors3, *rest = minor_tables()
+    assert minor_ideal_checks(point).deg6
+    entries = minors3.entries.copy()
+    entries[0, 3] += 1
+    broken = dataclasses.replace(minors3, entries=entries)
+    monkeypatch.setattr(minortables, "minor_tables", lambda: (broken, *rest))
+    assert not minor_ideal_checks(point).deg6
+
+
+def test_criterion_9_fails_on_an_order_dependent_report(monkeypatch):
+    assert criterion_9_determinism(0).passed
+    calls = itertools.count()
+    real = sklyanin2.point_module_check
+
+    def drifting(ab):
+        report = real(ab)
+        return dataclasses.replace(report, ranks=report.ranks + [next(calls)])
+
+    monkeypatch.setattr(sklyanin2, "point_module_check", drifting)
+    assert not criterion_9_determinism(0).passed
+
+
+def test_minor_tables_are_built_once_through_mat_minors(monkeypatch):
+    minor_tables.cache_clear()
+    sizes = []
+    real = minortables.mat_minors
+
+    def counted(m, k, minor=None):
+        sizes.append(k)
+        return real(m, k, minor)
+
+    monkeypatch.setattr(minortables, "mat_minors", counted)
+    assert criterion_9_determinism(0).passed
+    assert sizes == [3, 4]
+    assert minor_tables.cache_info().misses == 1
+
+
+def test_cli_start_up_does_not_import_the_tables():
+    code = "import sys, algtool.cli; print('algtool.minortables' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_secant_check(near_one_point):
