@@ -24,7 +24,7 @@ from .gradedalg import (OVER_P, character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import SimpleRep, parse_element
 from .linalg import rank_float
-from .poly import MultiPoly, poly_to_json, scalar_to_json
+from .poly import MultiPoly
 
 
 def parse_scalar(text: str, mode: Optional[str] = None):
@@ -71,8 +71,11 @@ def parse_params(text: str, flag: str):
 
 def to_jsonable(obj):
     """JSON-ready form of a payload: a dict, a report dataclass, or any value
-    inside them.  numpy scalars need no branch: np.float64 and np.complex128
-    subclass float and complex."""
+    inside them.  The one JSON encoding of the library's values: a Fraction
+    is [num, den] as strings, a complex [re, im], a Cyclotomic its prime and
+    power-basis coefficients, a MultiPoly its variables, field and terms in
+    `sorted_terms` order.  numpy scalars need no branch: np.float64 and
+    np.complex128 subclass float and complex."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -80,9 +83,12 @@ def to_jsonable(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, Cyclotomic):
-        return scalar_to_json(obj)
+        return {"p": obj.p,
+                "coeffs": [[str(q.numerator), str(q.denominator)] for q in obj.coeffs]}
     if isinstance(obj, MultiPoly):
-        return poly_to_json(obj)
+        return {"vars": list(obj.ring.variables), "field": obj.ring.field,
+                "terms": [{"exps": list(e), "coeff": to_jsonable(c)}
+                          for e, c in obj.sorted_terms()]}
     if dataclasses.is_dataclass(obj):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

@@ -11,29 +11,36 @@ Words are keyed by their base-p index (`word_to_index`, big-endian): column
 c of the working matrix is the word of index c, one of the h_{n-1}*p words
 u x_j with u in B_{n-1} (not all p^n).  A normal word u of degree n-d and a
 relation sum c_w w of degree d give the row sum c_w NF(u w[:-1]) (x) x_{w[-1]}.
-The rows are kept as a sparse reduced row-echelon space: its free columns are
-the normal words B_n, and reducing a column c is the normal-form map mu_n.
-One memo per degree holds NF by word index: unit vectors for B_n, mu_n(c) for
-a column c, and NF(u x_j) = sum_i c_i NF(b_i x_j) for NF(u) = sum_i c_i b_i.
-Indices follow the lexicographic order of words, so B_n is the set of words
-that are not leading words of I_n in that order.
+The rows are reduced to a sparse reduced row-echelon space that lives only
+inside `_build`: its free columns are the normal words B_n.  Indices follow
+the lexicographic order of words, so B_n is the set of words that are not
+leading words of I_n in that order.  The pivot columns of degree d whose
+suffix of length d-1 is in B_{d-1} (the prefix is, by construction) are the
+*obstructions* of degree d: the leading words of the reduced Groebner basis
+of I in that order.  `_build` keeps B_d and the tail NF_d(o) of each rule
+o -> NF_d(o), the residue of o modulo the space, and drops the space.
 
-The pivot columns of degree d whose suffix of length d-1 is in B_{d-1}
-(the prefix is, by construction) are the *obstructions* of degree d: the
-leading words of the reduced Groebner basis of I in that order, with NF_d(o)
-the tail of the rule o -> NF_d(o).  Let D be the largest degree with an
-obstruction.  Once every degree below n >= 2D has been eliminated and n is
-above every relation degree, degrees D+1 .. 2D-1, which hold every overlap
-of two leading words of length <= D, brought no new obstruction, so every
-ambiguity of the rules resolves and they are the whole Groebner basis (the
-diamond lemma: G. Bergman, Adv. Math. 29, 1978; T. Mora, Theor. Comput.
-Sci. 134, 1994).  This certificate is read off the engine's own B_d.  From
-then on a degree builds no relation rows: B_n is the set of words u x_j,
-u in B_{n-1}, with no obstruction as a suffix, and a word head.o with o an
-obstruction of degree d has NF = sum_t c_t NF(head.t) over the terms c_t t
-of NF_d(o).  Every tail word t has a larger index than o, so the rewriting
-ends.  Presentations whose obstructions never stop (cycle(p) gets some in
-every degree) are eliminated in every degree.
+One memo per degree holds NF by word index.  A word u x_j with u not
+normal has NF(u x_j) = sum_i c_i NF(b_i x_j) for NF(u) = sum_i c_i b_i.  A
+word with a normal prefix that is not normal ends in an obstruction o of
+some degree d <= n (leading words are closed under extension, so its
+suffix of length n-1 is either normal, and the word an obstruction, or
+again a leading word with a normal prefix).  Then NF(head.o) =
+sum_t c_t NF(head.t) over the terms c_t t of NF_d(o), since head.(o -
+NF_d(o)) lies in I_n and the residue modulo I_n is unique.  Every tail word
+t has a larger index than o, so the rewriting ends.  This one rule serves
+every degree, eliminated or not.
+
+Let D be the largest degree with an obstruction.  Once every degree below
+n >= 2D has been eliminated and n is above every relation degree, degrees
+D+1 .. 2D-1, which hold every overlap of two leading words of length <= D,
+brought no new obstruction, so every ambiguity of the rules resolves and
+they are the whole Groebner basis (the diamond lemma: G. Bergman, Adv.
+Math. 29, 1978; T. Mora, Theor. Comput. Sci. 134, 1994).  This certificate
+is read off the engine's own B_d.  From then on a degree builds no
+relation rows: B_n is the set of words u x_j, u in B_{n-1}, with no
+obstruction as a suffix.  Presentations whose obstructions never stop
+(cycle(p) gets some in every degree) are eliminated in every degree.
 
 Over Q every vector of the engine is integer numerators over one positive
 denominator (`linalg.ScaledVec`): each relation is cleared to integer
@@ -207,11 +214,10 @@ class GradedEngine:
                           for d, rels in pres.relations_by_degree()]
         self.top_relation = max((d for d, _rels in self.relations), default=0)
         self.bases: List[List[int]] = [[0]]             # indices of B_n, ascending
-        # relation rows of degree n; None in the rewriting degrees
-        self.spaces: List[Optional[RowSpace]] = [None]
         # (d, p**d, obstructions of degree d) for each eliminated degree d that has some
         self.rules: List[Tuple[int, int, frozenset]] = []
-        # memo of NF per degree, by word index; a normal word is its own unit vector
+        # memo of NF per degree, by word index: a normal word is its own unit
+        # vector, and an obstruction o of degree n starts out as the tail NF_n(o)
         self.forms: List[Dict[int, ScaledVec]] = [{0: ScaledVec({0: self.unit})}]
         self._buckets: Dict[Tuple[int, int], List[object]] = {}  # weight buckets by (n, a)
         self.stable = False  # check_stability passed
@@ -229,13 +235,15 @@ class GradedEngine:
     def _build(self, n: int) -> None:
         p = self.p
         columns = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p)]
+        tails = {}
         if n > self.top_relation and n >= 2 * (self.rules[-1][0] if self.rules else 0):
             # the rules are a Groebner basis (module docstring): B_n are the
             # columns with no obstruction as a suffix, and no rows are built
-            space = None
             basis = [c for c in columns
                      if not any(c % q in obstructions for _d, q, obstructions in self.rules)]
         else:
+            # the space lives for this step only: it gives B_n and the tails
+            # of the new obstructions, and every other word rewrites
             space = self._eliminate(n)
             pivots = space.rows
             basis = [c for c in columns if c not in pivots]
@@ -243,9 +251,9 @@ class GradedEngine:
             obstructions = frozenset(c for c in pivots if c % q in suffixes)
             if obstructions:
                 self.rules.append((n, q * p, obstructions))
+                tails = {o: space.reduce({o: self.unit}) for o in obstructions}
         self.bases.append(basis)
-        self.spaces.append(space)
-        self.forms.append({c: ScaledVec({c: self.unit}) for c in basis})
+        self.forms.append({c: ScaledVec({c: self.unit}) for c in basis} | tails)
 
     def _eliminate(self, n: int) -> RowSpace:
         """The reduced span of the degree-n relation rows."""
@@ -283,12 +291,10 @@ class GradedEngine:
                 nums, den = _combine([(self.normal_form(n, i * self.p + j), c, 0)
                                       for i, c in prefix.nums.items()])
                 nf = ScaledVec(nums, den * prefix.den)
-            elif self.spaces[n] is not None:  # a normal prefix: the word is a column
-                nf = self.spaces[n].reduce({index: self.unit})
-            else:  # head.o with o an obstruction of degree d: rewrite o by NF_d(o)
+            else:  # a normal prefix: head.o, o an obstruction of degree d <= n
                 d, o = next((d, index % q) for d, q, obstructions in self.rules
                             if index % q in obstructions)
-                rule = self.normal_form(d, o)
+                rule = self.forms[d][o]
                 nums, den = _combine([(self.normal_form(n, index - o + t), c, 0)
                                       for t, c in rule.nums.items()])
                 nf = ScaledVec(nums, den * rule.den)

@@ -2,7 +2,14 @@
 
 The dual of T(V)/(R) is taken on the dual generators with relation space
 R-perp under the pairing (x_i* (x) x_j*)(x_k (x) x_l) = delta_ik delta_jl
-(no transposition twist).  For a Koszul algebra the product
+(no transposition twist).  R-perp is the dual of A_2 = V (x) V / R
+(Polishchuk-Positselski, *Quadratic Algebras*, ch. 1), and the graded
+engine already holds A_2 as the normal forms NF_2 on the normal words B_2:
+the coordinate functional of b in B_2 pulled back to V (x) V is the dual
+relation sum_w [b]NF_2(w) w*.  These are the reduced-echelon kernel vectors
+of the relation matrix, one per free column b, in ascending order.
+
+For a Koszul algebra the product
 
     Ch_A(g, t) * Ch_dual(g, -t)
 
@@ -12,29 +19,36 @@ dual presentation by the same degreewise engine.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from .cyclotomic import Cyclotomic
-from .gradedalg import (Presentation, character_coeffs, make_relation,
-                        word_to_index)
+from .gradedalg import Presentation, character_coeffs, make_relation
 from .heisenberg import HeisenbergElement, SimpleRep
-from .linalg import nullspace_exact
 
 
 def quadratic_dual(pres: Presentation) -> Presentation:
-    """The dual presentation on R-perp; raises ArithmeticError if a dual
-    relation fails to pair to zero with an original one."""
+    """The dual presentation on R-perp, read off NF_2 of `pres`'s engine;
+    raises ArithmeticError if a dual relation fails to pair to zero with an
+    original one."""
     if not pres.is_quadratic():
         raise ValueError("quadratic dual needs a purely quadratic presentation")
     p = pres.p
+    engine = pres.engine
+    # the dual needs degree 2 whatever the cell cap; a caller's later `grow`
+    # still checks its own cap against this step
+    engine.grow(2, math.inf)
+    dual_pairs = {b: [] for b in engine.bases[2]}
+    for w in range(p * p):
+        nf = engine.normal_form(2, w)
+        for b in nf:
+            dual_pairs[b].append((divmod(w, p), nf[b]))
+    dual_rels = [make_relation(pairs) for pairs in dual_pairs.values()]
     zero = pres.one() - pres.one()
-    rel_vecs = [{word_to_index(w, p): c for w, c in rel} for rel in pres.relations]
-    kernel = nullspace_exact([[vec.get(i, zero) for i in range(p * p)] for vec in rel_vecs])
-    if any(sum((c * kvec[i] for i, c in vec.items()), zero)
-           for vec in rel_vecs for kvec in kernel):
+    rel_vecs = [dict(rel) for rel in pres.relations]
+    if any(sum((vec[w] * c for w, c in drel if w in vec), zero)
+           for vec in rel_vecs for drel in dual_rels):
         raise ArithmeticError("dual relation space fails the pairing")
-    dual_rels = [make_relation([(divmod(idx, p), c) for idx, c in enumerate(kvec) if c])
-                 for kvec in kernel]
     return Presentation(p, pres.field, tuple(dual_rels),
                         kind=f"dual-{pres.kind}", params=pres.params)
 

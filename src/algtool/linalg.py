@@ -1,9 +1,11 @@
-"""Sparse and dense exact row reduction and float rank decisions.
+"""Sparse exact row reduction and float rank decisions.
 
-`RowSpace` is the workhorse behind every degreewise computation: an
-incrementally built reduced row-echelon space of sparse vectors over Q or
-Q(w).  Vectors go in as maps from columns to int, Fraction or Cyclotomic
-values.
+`RowSpace` is the one exact elimination: an incrementally built reduced
+row-echelon space of sparse vectors over Q or Q(w).  Vectors go in as maps
+from columns to int, Fraction or Cyclotomic values.  The graded engine
+builds one per eliminated degree and keeps only what it reads off it (the
+normal words and the obstruction tails); a kernel, such as the quadratic
+dual's R-perp, is read off the engine's normal forms instead.
 
 Storage follows the recipe of `Cyclotomic` (integer numerators over one
 denominator; W. Hart, "ANTIC", 2015) with fraction-free elimination (E. H.
@@ -34,7 +36,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -241,33 +243,6 @@ class RowSpace:
         views decide between spaces whose rows are stored over different
         fields."""
         return self._rows == other._rows or self.rows == other.rows
-
-
-def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
-    """Basis of the right nullspace of a dense exact matrix, from the `RowSpace`
-    of its rows.
-
-    Returns one vector per free column (RREF convention: free coordinate 1,
-    pivot coordinates read off the pivot-1 rows), in ascending free-column
-    order.  Fraction and Cyclotomic entries give values of the same type.
-    """
-    if not rows:
-        return []
-    n = len(rows[0])
-    space = RowSpace()
-    for row in rows:
-        space.insert({c: v for c, v in enumerate(row) if v})
-    pivots = space.rows
-    zero = 0 * rows[0][0]
-    one = zero + 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [zero] * n
-        vec[fc] = one
-        for col, row in pivots.items():
-            vec[col] = -row.get(fc, zero)
-        basis.append(vec)
-    return basis
 
 
 def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None):

@@ -22,12 +22,12 @@ import numpy as np
 from .clifford import clifford_form
 from .poly import (MultiPoly, PolyMatrix, mat_minors, minor_routine, monomials_of_degree,
                    ring_cc)
-from .sklyanin2 import U_VARS
 
 
-def ct_quadrics() -> List[MultiPoly]:
-    """q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} over CC[u0..u4, t]."""
-    ring = ring_cc(U_VARS + ("t",))
+def ct_quadrics(u_names: Tuple[str, ...]) -> List[MultiPoly]:
+    """q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} over CC[u, t],
+    u_0..u_4 named `u_names`."""
+    ring = ring_cc(u_names + ("t",))
     u = [MultiPoly.var(ring, i) for i in range(5)]
     t = MultiPoly.var(ring, 5)
     return [t * u[i] ** 2 + t * t * u[(i + 1) % 5] * u[(i + 4) % 5]
@@ -35,13 +35,13 @@ def ct_quadrics() -> List[MultiPoly]:
 
 
 def _generic_form() -> PolyMatrix:
-    """Q(a, b) over CC[u0..u4, a, b], a and b variables.  Q is linear in
-    (a, b), so it is Q(0, 0) + a (Q(1, 0) - Q(0, 0)) + b (Q(0, 1) - Q(0, 0)),
-    each term from `clifford.clifford_form`."""
-    ring = ring_cc(U_VARS + ("a", "b"))
+    """Q(a, b) over CC[u0..u4, a, b], a and b variables, the u named as in
+    the ring of `clifford.clifford_form`.  Q is linear in (a, b), so it is
+    Q(0, 0) + a (Q(1, 0) - Q(0, 0)) + b (Q(0, 1) - Q(0, 0))."""
+    forms = [clifford_form(5, (1, *ab)) for ab in ((0, 0), (1, 0), (0, 1))]
+    ring = ring_cc(forms[0].ring.variables + ("a", "b"))
     q0, qa, qb = ([MultiPoly(ring, {e + (0, 0): c for e, c in f.terms.items()})
-                   for f in clifford_form(5, (1, *ab)).entries]
-                  for ab in ((0, 0), (1, 0), (0, 1)))
+                   for f in form.entries] for form in forms)
     a, b = MultiPoly.var(ring, 5), MultiPoly.var(ring, 6)
     return PolyMatrix(5, 5, [z + a * (x - z) + b * (y - z) for z, x, y in zip(q0, qa, qb)])
 
@@ -94,7 +94,7 @@ def minor_tables() -> Tuple[CoefficientTable, ...]:
     Z[u, a, b], in `mat_minors` order, the products over Z[u, t]."""
     form = _generic_form()
     minor = minor_routine(form)  # the 4x4 minors expand into the 3x3 ones
-    quadrics = ct_quadrics()
+    quadrics = ct_quadrics(form.ring.variables[:5])
     u = [MultiPoly.var(quadrics[0].ring, i) for i in range(5)]
     return (CoefficientTable.of(mat_minors(form, 3, minor), 3),
             CoefficientTable.of([u[j] * q for q in quadrics for j in range(5)], 3),

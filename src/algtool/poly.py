@@ -3,9 +3,9 @@ minors, partial derivatives, Sylvester resultants and exact division.
 
 Coefficient fields: Q (Fraction) and, for the numeric code paths, complex
 floats.  Polynomials over Q evaluate at points of any scalar kind, Cyclotomic
-points included.  Terms are kept in a dict keyed by exponent tuples; the
-serialization order is graded lexicographic, highest first, so every
-text/JSON form is bit-stable.
+points included.  Terms are kept in a dict keyed by exponent tuples;
+`sorted_terms` lists them graded lexicographic, highest first, so every
+text form, and the JSON form `cli.to_jsonable` writes, is bit-stable.
 """
 
 from __future__ import annotations
@@ -498,26 +498,3 @@ def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
             row[shift + i] = c
         rows.append(row)
     return mat_det(PolyMatrix(size, size, [e for row in rows for e in row]))
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def scalar_to_json(c):
-    if isinstance(c, Fraction):
-        return [str(c.numerator), str(c.denominator)]
-    if isinstance(c, Cyclotomic):
-        return {"p": c.p, "coeffs": [[str(q.numerator), str(q.denominator)] for q in c.coeffs]}
-    if isinstance(c, complex):
-        return [c.real, c.imag]
-    if isinstance(c, int):
-        return [str(c), "1"]
-    raise TypeError(f"cannot serialize scalar {c!r}")
-
-
-def poly_to_json(f: MultiPoly) -> dict:
-    return {
-        "vars": list(f.ring.variables),
-        "field": f.ring.field,
-        "terms": [{"exps": list(e), "coeff": scalar_to_json(c)} for e, c in f.sorted_terms()],
-    }

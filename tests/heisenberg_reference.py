@@ -1,6 +1,7 @@
 """Test-only reference: the matrix of a Heisenberg element on V_index, and
 its eigenlines as exact nullspaces over Q(w), as `heisenberg` computed them
-before it read the lines off their recurrence."""
+before it read the lines off their recurrence; and the dense exact kernel
+they use, as `koszul` computed R-perp before it read it off NF_2."""
 
 from __future__ import annotations
 
@@ -8,7 +9,34 @@ from typing import List, Sequence, Tuple
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.heisenberg import HeisenbergElement, SimpleRep
-from algtool.linalg import nullspace_exact
+from algtool.linalg import RowSpace
+
+
+def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
+    """Basis of the right nullspace of a dense exact matrix, from the `RowSpace`
+    of its rows.
+
+    Returns one vector per free column (RREF convention: free coordinate 1,
+    pivot coordinates read off the pivot-1 rows), in ascending free-column
+    order.  Fraction and Cyclotomic entries give values of the same type.
+    """
+    if not rows:
+        return []
+    n = len(rows[0])
+    space = RowSpace()
+    for row in rows:
+        space.insert({c: v for c, v in enumerate(row) if v})
+    pivots = space.rows
+    zero = 0 * rows[0][0]
+    one = zero + 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [zero] * n
+        vec[fc] = one
+        for col, row in pivots.items():
+            vec[col] = -row.get(fc, zero)
+        basis.append(vec)
+    return basis
 
 
 def rep_matrix(rep: SimpleRep, g: HeisenbergElement) -> List[List[Cyclotomic]]:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from algtool.cli import COMMANDS, FLAGS, json_text, leaf_parser, main, parse_scalar
+from algtool.cli import (COMMANDS, FLAGS, json_text, leaf_parser, main, parse_scalar,
+                         to_jsonable)
 
 
 def run_cli(capsys, *argv):
@@ -73,11 +74,10 @@ def test_shioda_orbit(capsys):
 
 
 def test_shioda_singular_points_payload(capsys):
-    from algtool.poly import scalar_to_json
     from algtool.shioda5 import thirty_points
     code, out = run_cli(capsys, "shioda5", "singular", "--format", "json")
     assert code == 0
-    expected = [[scalar_to_json(c) for c in pt] for pt in thirty_points()]
+    expected = [[to_jsonable(c) for c in pt] for pt in thirty_points()]
     assert json.loads(out)["points"] == json.loads(json.dumps(expected))
 
 

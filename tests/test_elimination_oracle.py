@@ -3,7 +3,9 @@
 The one exact elimination is the sparse fraction-free `RowSpace`: rank,
 pivot columns and pivot-1 rows against `sympy.Matrix.rref`, residues
 against the span, and Q(w) queries against a rational space.
-`nullspace_exact`, which reads its basis off a `RowSpace`, is checked
+The test-side kernel `heisenberg_reference.nullspace_exact`, which reads
+its basis off a `RowSpace` and is the reference for the Heisenberg
+eigenlines and the quadratic dual, is checked
 against sympy's nullspace over Q, its column count minus its nullity (the
 rank behind the exact S15 test) against sympy's rank, and its Q(w) basis
 against the kernel and the rank of the complex embedding.
@@ -20,7 +22,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.linalg import RowSpace, nullspace_exact
+from algtool.linalg import RowSpace
+from heisenberg_reference import nullspace_exact
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 small = st.integers(-3, 3)

@@ -81,10 +81,10 @@ REWRITING = (
 
 @pytest.mark.parametrize("args,top", REWRITING,
                          ids=[make_presentation(*args).label() for args, _ in REWRITING])
-def test_rewriting_degrees_match_ideal_oracle(args, top):
+def test_rewriting_degrees_match_ideal_oracle(args, top, eliminations):
     pres = make_presentation(*args)
     pres.engine.grow(top)
-    assert pres.engine.spaces[top] is None
+    assert top not in eliminations.degrees(pres.engine)
     assert_normal_forms_match_oracle(pres, top)
 
 
@@ -119,11 +119,12 @@ BEYOND_ORACLE = (
 
 @pytest.mark.parametrize("args,top", BEYOND_ORACLE,
                          ids=[make_presentation(*args).label() for args, _ in BEYOND_ORACLE])
-def test_rewriting_matches_elimination_beyond_the_oracle(args, top):
+def test_rewriting_matches_elimination_beyond_the_oracle(args, top, eliminations):
     pres = make_presentation(*args)
     reference = eliminating_engine(pres)
     assert_columns_match(pres.engine, reference, top)
-    assert pres.engine.spaces[top] is None and reference.spaces[top] is not None
+    assert top not in eliminations.degrees(pres.engine)
+    assert eliminations.degrees(reference) == list(range(1, top + 1))
 
 
 def test_a_dropped_obstruction_is_caught():
@@ -135,7 +136,9 @@ def test_a_dropped_obstruction_is_caught():
     d, q, obstructions = engine.rules[1]
     assert (d, len(obstructions)) == (3, 2)
     engine.rules[1] = (d, q, obstructions - {min(obstructions)})
-    with pytest.raises(AssertionError):
+    # a word whose only obstruction suffix was dropped finds no rule at all
+    # (StopIteration); otherwise a basis or a normal form is wrong
+    with pytest.raises((AssertionError, StopIteration)):
         assert_normal_forms_match_oracle(pres, 6)
 
 

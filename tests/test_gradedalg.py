@@ -53,7 +53,7 @@ def test_ideal_basis_is_reduced_row_echelon():
     pres = make_presentation("cycle", 5)
     engine = pres.engine
     engine.grow(3)
-    space = engine.spaces[3]
+    space = engine._eliminate(3)  # the engine keeps no row space: rebuild it
     assert space.rank + len(engine.bases[3]) == 5 * len(engine.bases[2])
     assert ideal_oracle.ideal_piece(pres, 3).rank + len(engine.bases[3]) == 5 ** 3
     basis = sorted(space.rows.items())
@@ -352,7 +352,7 @@ OBSTRUCTIONS = (
 
 @pytest.mark.parametrize("args,top,counts,rewrite_from", OBSTRUCTIONS,
                          ids=[make_presentation(*o[0]).label() for o in OBSTRUCTIONS])
-def test_obstructions_and_the_rewriting_degrees(args, top, counts, rewrite_from):
+def test_obstructions_and_the_rewriting_degrees(args, top, counts, rewrite_from, eliminations):
     pres = make_presentation(*args)
     engine = pres.engine
     engine.grow(top, 10 ** 12)
@@ -361,11 +361,11 @@ def test_obstructions_and_the_rewriting_degrees(args, top, counts, rewrite_from)
     assert {d: len(obs) for d, _q, obs in engine.rules} == {
         d: c for d, c in enumerate(counts, 2) if c}
     # relation rows are built below 2D only, and in every degree of cycle(5)
-    assert [n for n in range(1, top + 1) if engine.spaces[n] is None] == (
-        [] if rewrite_from is None else list(range(rewrite_from, top + 1)))
+    assert eliminations.degrees(engine) == list(range(1, top + 1 if rewrite_from is None
+                                                      else rewrite_from))
 
 
-def test_a_relation_above_2D_keeps_elimination_until_past_it():
+def test_a_relation_above_2D_keeps_elimination_until_past_it(eliminations):
     # commutators (D = 2) plus x_k^5: degree 5 brings three more obstructions,
     # so rewriting may start only at degree 10
     relations = make_presentation("polynomial", 3).relations + tuple(
@@ -376,7 +376,7 @@ def test_a_relation_above_2D_keeps_elimination_until_past_it():
     pres = Presentation(3, "QQ", relations)
     assert hilbert(pres, 14) == truncated
     assert [d for d, _q, _obs in pres.engine.rules] == [2, 5]
-    assert [n for n in range(1, 15) if pres.engine.spaces[n] is None] == list(range(10, 15))
+    assert eliminations.degrees(pres.engine) == list(range(1, 10))
     # control: a guard "n above every relation degree" that saw only the
     # commutators would rewrite from 2D = 4 on and miss x_k^5
     unguarded = Presentation(3, "QQ", relations)
@@ -387,10 +387,25 @@ def test_a_relation_above_2D_keeps_elimination_until_past_it():
 @pytest.mark.parametrize("args,top,series", [
     (("sklyanin3", 1, 1, -3), 24, [math.comb(n + 2, 2) for n in range(25)]),
     (("curveCa", 2), 20, [1] + [5 * n for n in range(1, 21)]),
-], ids=["sklyanin3-24", "curveCa-20"])
+    # engines that eliminate every degree, and still rewrite every non-normal column
+    (("cycle", 5), 12, [1] + [5 * n for n in range(1, 13)]),
+    (("sklyanin3", 1, 2, -3), 12, [math.comb(n + 2, 2) for n in range(13)]),
+], ids=["sklyanin3-24", "curveCa-20", "cycle5-12", "sklyanin3-1,2,-3-12"])
 def test_deep_tables_fit_the_default_recursion_limit(args, top, series):
-    # the rewriting step recurses through the normal-form memo; its depth
-    # must stay far below the interpreter's default limit
+    # normal forms recurse through the memo, in eliminated degrees too; the
+    # depth must stay far below the interpreter's default limit
     assert sys.getrecursionlimit() <= 1000
     pres = make_presentation(*args)
     assert character_table(pres, SimpleRep(pres.p, 1), top).hilbert_row() == series
+
+
+def test_no_row_space_outlives_grow(eliminations):
+    # sklyanin3(1, 2, -3) eliminates every degree
+    pres = make_presentation("sklyanin3", 1, 2, -3)
+    hilbert(pres, 6)
+    gc.collect()
+    assert eliminations.degrees(pres.engine) == list(range(1, 7))
+    assert all(space() is None for _engine, _n, space in eliminations.calls)
+    # control: a space somebody holds is seen alive
+    kept = pres.engine._eliminate(3)
+    assert eliminations.calls[-1][2]() is kept

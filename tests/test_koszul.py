@@ -1,12 +1,17 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from heisenberg_reference import nullspace_exact
+from hypothesis import given, seed, settings
+from test_engine_differential import CATALOG, orbit_presentations
 
 from algtool.gradedalg import (Presentation, hilbert, make_presentation,
                                make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep
 from algtool.koszul import koszul_identity_check, quadratic_dual
-from algtool.linalg import RowSpace
+from algtool.linalg import RowSpace, ScaledVec
 
 
 def relation_span(pres):
@@ -42,6 +47,14 @@ def test_dual_dimension_count():
         dual = quadratic_dual(pres)
         assert not any(pairing(pres, dual))
         assert relation_span(dual).rank == pres.p ** 2 - relation_span(pres).rank
+
+
+def test_dual_of_the_free_algebra_has_every_monomial():
+    # R = 0, so R-perp is all of V* (x) V*: the dual is k + V*
+    dual = quadratic_dual(Presentation(3, "QQ", ()))
+    assert [w for rel in dual.relations for w, _c in rel] == [
+        divmod(i, 3) for i in range(9)]
+    assert hilbert(dual, 3) == [1, 3, 0, 0]
 
 
 def test_dual_of_dual_is_original_span():
@@ -90,9 +103,60 @@ def test_non_quadratic_rejected():
         quadratic_dual(pres)
 
 
-def test_pairing_failure_raises(monkeypatch):
-    # a "kernel" vector that pairs to 1 with the commutator x0 x1 - x1 x0
-    bad = [[Fraction(int(i == 1)) for i in range(9)]]
-    monkeypatch.setattr("algtool.koszul.nullspace_exact", lambda rows: bad)
+def test_pairing_failure_raises():
+    # control: NF_2(x0 x1) = x1 x0 modulo the commutators; doubled, it gives
+    # the "dual relation" 2 (x0 x1)* + (x1 x0)*, which pairs to 1 with
+    # x0 x1 - x1 x0
+    pres = make_presentation("polynomial", 3)
+    pres.engine.grow(2)
+    forms = pres.engine.forms[2]
+    assert (forms[1].nums, forms[1].den) == ({3: 1}, 1)
+    forms[1] = ScaledVec({3: 2})
     with pytest.raises(ArithmeticError):
-        quadratic_dual(make_presentation("polynomial", 3))
+        quadratic_dual(pres)
+
+
+def kernel_dual_relations(pres):
+    """R-perp as the reduced-echelon kernel of the dense p^2-column relation
+    matrix, one relation per free column in ascending order.  With no
+    relations the matrix is one zero row: R-perp is all of V* (x) V*."""
+    p = pres.p
+    zero = pres.one() - pres.one()
+    rel_vecs = [{word_to_index(w, p): c for w, c in rel} for rel in pres.relations] or [{}]
+    kernel = nullspace_exact([[vec.get(i, zero) for i in range(p * p)] for vec in rel_vecs])
+    return tuple(make_relation([(divmod(i, p), c) for i, c in enumerate(vec) if c])
+                 for vec in kernel)
+
+
+@pytest.mark.parametrize("args", [args for args, _top in CATALOG],
+                         ids=[make_presentation(*args).label() for args, _top in CATALOG])
+def test_dual_matches_the_dense_kernel_on_the_catalog(args):
+    pres = make_presentation(*args)
+    # the same vectors in the same order, down to the type of each value
+    assert repr(quadratic_dual(pres).relations) == repr(kernel_dual_relations(pres))
+
+
+@seed(20141222)
+@settings(max_examples=30, deadline=None, database=None)
+@given(pres=orbit_presentations().filter(Presentation.is_quadratic))
+def test_dual_matches_the_dense_kernel_on_random_orbit_presentations(pres):
+    dual = quadratic_dual(pres)
+    assert repr(dual.relations) == repr(kernel_dual_relations(pres))
+    # relations that span V (x) V have a dual with none, whose dual is V* (x) V*
+    assert repr(quadratic_dual(dual).relations) == repr(kernel_dual_relations(dual))
+
+
+def test_koszul_imports_no_linear_algebra():
+    """The dual is read off the graded engine's normal forms: `koszul` needs
+    no kernel routine of its own."""
+    path = Path(__file__).resolve().parent.parent / "src" / "algtool" / "koszul.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("algtool"):
+            imported.add(node.module.split(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.split(".", 1)[-1] for a in node.names
+                         if a.name.startswith("algtool")}
+    assert "linalg" not in imported, imported

@@ -7,8 +7,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.linalg import RowSpace, minors_float, nullspace_exact, rank_float
+from algtool.linalg import RowSpace, minors_float, rank_float
 from algtool.poly import MultiPoly, PolyMatrix, mat_minors, ring_cc
+from heisenberg_reference import nullspace_exact
 from rank_reference import rank_one
 
 

@@ -9,12 +9,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool import poly
+from algtool.cli import to_jsonable
 from algtool.clifford import clifford_form
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ArityError, RingMismatchError
 from algtool.poly import (FIELD_CC, FIELD_QQ, MultiPoly, PolyMatrix, exact_divide, mat_det,
                           mat_minors, minor_routine, monomials_of_degree,
-                          poly_to_json, resultant, ring_cc, ring_q)
+                          resultant, ring_cc, ring_q)
 from algtool.shioda5 import s15_matrix
 
 RXY = ring_q(("x", "y"))
@@ -348,7 +349,7 @@ def test_serialization_fixture():
     a, b = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
     cprime = -(a ** 3) * b ** 3 + a ** 5 + b ** 5 + 2 * a ** 2 * b ** 2 - 8 * a * b
     assert str(cprime) == "-1 * a^3 b^3 + 1 * a^5 + 1 * b^5 + 2 * a^2 b^2 + -8 * a^1 b^1"
-    js = poly_to_json(cprime)
+    js = to_jsonable(cprime)
     assert js["vars"] == ["a", "b"]
     assert [t["exps"] for t in js["terms"]] == [[3, 3], [5, 0], [0, 5], [2, 2], [1, 1]]
 

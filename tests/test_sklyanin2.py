@@ -318,6 +318,14 @@ def test_cli_start_up_does_not_import_the_tables():
     assert out.strip() == "False"
 
 
+def test_the_tables_do_not_import_sklyanin2():
+    # sklyanin2 imports minortables where it first needs it; no import cycle back
+    code = "import sys, algtool.minortables; print('algtool.sklyanin2' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_secant_check(near_one_point):
     report = secant_check(near_one_point)
     assert report.residual < 1e-7
