@@ -1,5 +1,5 @@
-"""Degreewise computation of graded quotients A = T(V)/I for Heisenberg-stable
-relation sets: normal-word bases, Hilbert coefficients and character series.
+"""Degreewise computation of graded quotients A = T(V)/I by H_p-stable ideals
+I: normal-word bases, Hilbert coefficients and character series.
 
 The engine works on the quotient side (Polishchuk-Positselski, *Quadratic
 Algebras*, ch. 1-2; Ufnarovski 1995).  With R_d the span of the degree-d
@@ -60,11 +60,17 @@ where the weight bucket bucket_{n,a}[s] sums the diagonal entries [w] NF(w - a)
 over the normal words of e2-weight sum(w) = s (mod p).  The buckets depend on
 neither b, k nor the representation V_i, so one pass over B_n per (n, a)
 serves every class e1^a e2^b z^k of every table.  For a != 0 and p not
-dividing n every bucket is zero, and no normal form is needed: relations
-stable under e2 make I_n a sum of e2-weight spaces, so the reduced echelon
-rows, and with them NF, never mix weights; and w - a has weight
-sum(w) - na, which differs from sum(w) mod p.  So a table costs one pass per
-degree (a = 0) plus, in degrees divisible by p, one per a = 1..p-1.
+dividing n every bucket is zero, and no normal form is needed: an ideal
+stable under e2 makes I_n a sum of e2-weight spaces, so NF never mixes
+weights; and w - a has weight sum(w) - na, which differs from sum(w) mod p.
+So a table costs one pass per degree (a = 0) plus, in degrees divisible by
+p, one per a = 1..p-1.
+
+H_p acts on A exactly when g(r) lies in I for each relation r and g = e1,
+e2; `check_stability` reads this off the engine's normal forms, so it
+judges the algebra, not the presentation.  Catalog relations are
+commutators (they span the alternating tensors, which GL(V) preserves) and
+e1-orbits of seeds of one e2-weight: H_p-stable by construction.
 """
 
 from __future__ import annotations
@@ -301,6 +307,13 @@ class GradedEngine:
             memo[index] = nf
         return nf
 
+    def residue(self, n: int, terms) -> ScaledVec:
+        """NF of the degree-n tensor sum c w over the (word index, c) of terms:
+        zero exactly when the tensor lies in I_n.  Degree n must exist."""
+        coeffs, den = integral(dict(terms))
+        nums, nf_den = _combine([(self.normal_form(n, i), c, 0) for i, c in coeffs.items()])
+        return ScaledVec(nums, den * nf_den)
+
     def _weight_buckets(self, n: int, a: int) -> List[object]:
         """bucket[s] = sum of [w] NF(w - a) over the w in B_n of weight s: an
         exact rational over Q, a Cyclotomic over Q(w).  Degree n must exist."""
@@ -318,8 +331,8 @@ class GradedEngine:
 
     def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int) -> Cyclotomic:
         """tr(g | A_n) as the phase sum of the weight buckets of (n, g.a).
-        Degree n must exist and the relations must be stable: then the entry
-        is 0 when g.a != 0 and p does not divide n (see the module docstring)."""
+        Degree n must exist and I be H_p-stable: then the entry is 0 when
+        g.a != 0 and p does not divide n (see the module docstring)."""
         p = self.p
         if g.a and n % p:
             return Cyclotomic(p)
@@ -347,36 +360,35 @@ def hilbert(pres: Presentation, max_degree: int, cap: Optional[int] = None) -> L
 # -- group action -----------------------------------------------------------------
 
 
-def check_stability(pres: Presentation, g: HeisenbergElement, rep: SimpleRep) -> None:
-    """Relations must span an H_p-stable subspace in their degree.
+def check_stability(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
+                    cap: Optional[int] = None) -> None:
+    """H_p must act on A = T(V)/I: for each relation r of degree d and each
+    generator g = e1, e2, g(r) must lie in I_d, that is have normal form 0.
+    Each g is an algebra automorphism of T(V), so then g(I) lies in I; z
+    scales each degree, and the generators generate the finite group.  The
+    engine is grown to the top relation degree under the cell cap first, so
+    a presentation over the cap there ends in a resource error.
 
-    Stability under the generators e1 and e2 decides it for every g: z acts
-    on each degree by a scalar, and a subspace stable under the generators
-    is stable under the finite group they generate.
-
-    The verdict does not depend on the representation V_i, so it is decided
-    once per presentation, at i = 1.  e1 shifts the letters of a word and
-    does not depend on i.  e2 scales a degree-d word w by zeta^(i sum(w)),
-    so on the degree-d piece it acts in V_i as D_i = D_1^i; and D_1 = D_i^j
-    when ij = 1 (mod p).  A span stable under D_1 is stable under its power
-    D_i, and conversely, so it is D_i-stable exactly when it is D_1-stable.
-    A pass is remembered by the presentation's engine."""
+    The verdict does not depend on V_i, so it is decided once, at i = 1: e1
+    shifts letters whatever i, and e2 acts on T(V)_d in V_i as D_i = D_1^i,
+    with D_1 = D_i^j for ij = 1 (mod p), so an ideal is D_i-stable exactly
+    when it is D_1-stable.  A pass is remembered by the presentation's
+    engine."""
     if g.p != pres.p or rep.p != pres.p:
         raise ModulusError("presentation, element and representation must share p")
     engine = pres.engine
     if engine.stable:
         return
     p = pres.p
+    engine.grow(engine.top_relation, cap)
     for d, rels in pres.relations_by_degree():
-        rel_space = RowSpace()
-        for rel in rels:
-            rel_space.insert(dict(rel))
         for gen in (HeisenbergElement(p, 1, 0, 0), HeisenbergElement(p, 0, 1, 0)):
             for rel in rels:
-                image = {tuple((x - gen.a) % p for x in w):
-                         Cyclotomic.zeta(p, gen.b * sum(w)) * c
-                         for w, c in rel}
-                if not rel_space.contains(image):
+                # e1 sends w to w - 1 with phase 1; e2 fixes w with phase zeta^sum(w)
+                image = ([(word_to_index([x - 1 for x in w], p), c) for w, c in rel] if gen.a
+                         else [(word_to_index(w, p), Cyclotomic.zeta(p, sum(w)) * c)
+                               for w, c in rel])
+                if engine.residue(d, image):
                     raise StabilityError(
                         f"relations of {pres.label()} are not stable under {gen.label()}"
                     )
@@ -387,7 +399,7 @@ def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
                      max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
     """Coefficients of the character series of g on A = T(V)/I up to t^N."""
     _check_max_degree(max_degree)
-    check_stability(pres, g, rep)
+    check_stability(pres, g, rep, cap)
     engine = pres.engine
     engine.grow(max_degree, cap)
     return [engine.trace(g, rep, n) for n in range(max_degree + 1)]
@@ -413,10 +425,9 @@ class CharacterTable:
         return [int(c.rational_value()) for c in coeffs]
 
     def same_series(self, other: "CharacterTable") -> bool:
-        if (self.p, self.rep_index, self.max_degree) != (other.p, other.rep_index, other.max_degree):
-            return False
-        return all(a == b for (la, a), (lb, b) in zip(self.rows, other.rows)
-                   if la == lb) and len(self.rows) == len(other.rows)
+        """Equal p, representation, degree and labelled rows in one order."""
+        return ((self.p, self.rep_index, self.max_degree, self.rows)
+                == (other.p, other.rep_index, other.max_degree, other.rows))
 
     def to_json(self) -> dict:
         """The table as a payload for `cli.emit`, whose `to_jsonable` turns the
@@ -486,21 +497,32 @@ def _commutators(p: int) -> List[List[Tuple[Word, object]]]:
     return rels
 
 
+def _e1_orbits(p: int, seeds) -> List[List[Tuple[Word, object]]]:
+    """The e1-orbit of each seed, (word, coeff) pairs: its letters shifted by
+    k mod p, k = 0..p-1.  A seed whose words share one e2-weight sum(w) mod
+    p is an e2-eigenvector, so the orbits span an H_p-stable space."""
+    return [[(tuple((x + k) % p for x in w), c) for w, c in seed]
+            for seed in seeds for k in range(p)]
+
+
 #: the catalog families over a prime of the caller's choice, p their first argument
 OVER_P = ("polynomial", "cycle", "cliffordC")
 
 
 def make_presentation(kind: str, *args) -> Presentation:
-    """Catalog of presentations:
+    """Catalog of presentations: commutators and e1-orbits (`_e1_orbits`, k
+    over Z/p) of seeds of e2-weight 0.
 
     - polynomial(p): commutator relations of C[V].
-    - cycle(p), p >= 5: coordinate ring of the cycle of p lines.
-    - sklyanin3(a, b, c): a x1 x2 + b x2 x1 + c x0^2 orbit, p = 3.
+    - cycle(p), p >= 5: coordinate ring of the cycle of p lines; commutators
+      and x_{i+k} x_{-i+k}, 1 <= i <= (p-3)/2.
+    - sklyanin3(a, b, c), p = 3: a x_{1+k} x_{2+k} + b x_{2+k} x_{1+k} + c x_k^2.
     - cliffordC(p, a0, ..., a_{(p-1)/2}): a0 {x_{i+k}, x_{-i+k}} = a_i x_k^2.
     - sklyanin5(a, b): the name of cliffordC(5, 1, a, b), with kind
       "sklyanin5" and params (a, b):
       {x_{1+k}, x_{4+k}} = a x_k^2, {x_{2+k}, x_{3+k}} = b x_k^2.
-    - curveCa(a): quadrics of the elliptic normal curve C_a plus commutators, p = 5.
+    - curveCa(a), p = 5: commutators and the quadrics of the elliptic normal
+      curve C_a, a x_k^2 + a^2 x_{1+k} x_{-1+k} - x_{2+k} x_{-2+k}.
 
     A wrong number of arguments raises InputError.
     """
@@ -516,22 +538,12 @@ def make_presentation(kind: str, *args) -> Presentation:
         require_odd_prime(p)
         if p < 5:
             raise InputError("cycle presentation needs p >= 5")
-        raw = _commutators(p)
-        for i in range(1, (p - 3) // 2 + 1):
-            for k in range(p):
-                raw.append([(((i + k) % p, (-i + k) % p), Fraction(1))])
-        return _finalize(p, "QQ", raw, "cycle", (p,))
+        seeds = [[((i, -i), Fraction(1))] for i in range(1, (p - 3) // 2 + 1)]
+        return _finalize(p, "QQ", _commutators(p) + _e1_orbits(p, seeds), "cycle", (p,))
 
     if kind == "sklyanin3":
         a, b, c = _coerce_params(args, 3, kind)
-        raw = []
-        for k in range(3):
-            # e1-orbit of a x1 x2 + b x2 x1 + c x0^2 (indices shift by -k)
-            raw.append([
-                (((1 - k) % 3, (2 - k) % 3), a),
-                (((2 - k) % 3, (1 - k) % 3), b),
-                (((0 - k) % 3, (0 - k) % 3), c),
-            ])
+        raw = _e1_orbits(3, [[((1, 2), a), ((2, 1), b), ((0, 0), c)]])
         return _finalize(3, _field_of((a, b, c)), raw, "sklyanin3", (a, b, c))
 
     if kind == "cliffordC":
@@ -541,15 +553,9 @@ def make_presentation(kind: str, *args) -> Presentation:
         require_odd_prime(p)
         avec = _coerce_params(args[1:], (p + 1) // 2, f"cliffordC over p={p}")
         a0 = avec[0]
-        raw = []
-        for i in range(1, (p - 1) // 2 + 1):
-            for k in range(p):
-                raw.append([
-                    (((i + k) % p, (-i + k) % p), a0),
-                    (((-i + k) % p, (i + k) % p), a0),
-                    ((k, k), -avec[i]),
-                ])
-        return _finalize(p, _field_of(avec), raw, "cliffordC", (p,) + avec)
+        seeds = [[((i, -i), a0), ((-i, i), a0), ((0, 0), -avec[i])]
+                 for i in range(1, (p - 1) // 2 + 1)]
+        return _finalize(p, _field_of(avec), _e1_orbits(p, seeds), "cliffordC", (p,) + avec)
 
     if kind == "sklyanin5":
         a, b = _coerce_params(args, 2, kind)
@@ -557,13 +563,8 @@ def make_presentation(kind: str, *args) -> Presentation:
 
     if kind == "curveCa":
         (a,) = _coerce_params(args, 1, kind)
-        raw = _commutators(5)
-        for i in range(5):
-            raw.append([
-                ((i, i), a),
-                (((i + 1) % 5, (i - 1) % 5), a * a),
-                (((i + 2) % 5, (i - 2) % 5), Fraction(-1)),
-            ])
-        return _finalize(5, _field_of((a,)), raw, "curveCa", (a,))
+        seed = [((0, 0), a), ((1, -1), a * a), ((2, -2), Fraction(-1))]
+        return _finalize(5, _field_of((a,)), _commutators(5) + _e1_orbits(5, [seed]),
+                         "curveCa", (a,))
 
     raise InputError(f"unknown presentation kind {kind!r}")

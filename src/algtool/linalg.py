@@ -5,7 +5,7 @@ row-echelon space of sparse vectors over Q or Q(w).  Vectors go in as maps
 from columns to int, Fraction or Cyclotomic values.  The graded engine
 builds one per eliminated degree and keeps only what it reads off it (the
 normal words and the obstruction tails); a kernel, such as the quadratic
-dual's R-perp, is read off the engine's normal forms instead.
+dual's R-perp, and membership in an ideal are read off its normal forms.
 
 Storage follows the recipe of `Cyclotomic` (integer numerators over one
 denominator; W. Hart, "ANTIC", 2015) with fraction-free elimination (E. H.
@@ -196,9 +196,6 @@ class RowSpace:
         residue, den = integral(vec)
         return ScaledVec(residue, den * self._eliminate(residue))
 
-    def contains(self, vec: SparseVec) -> bool:
-        return not self.reduce(vec)
-
     def insert(self, vec: SparseVec) -> bool:
         """Add vec to the space; returns True when the rank grew."""
         row, _den = integral(vec)
@@ -237,12 +234,6 @@ class RowSpace:
             if col != pivot:
                 self._col_index.setdefault(col, set()).add(pivot)
         return True
-
-    def same_space(self, other: "RowSpace") -> bool:
-        """Equal spaces over one field have equal stored rows; the pivot-1
-        views decide between spaces whose rows are stored over different
-        fields."""
-        return self._rows == other._rows or self.rows == other.rows
 
 
 def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None):

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import ideal_oracle
@@ -224,7 +225,7 @@ def test_sklyanin3_commutator_point_is_polynomial_ring():
             space.insert({word_to_index(w, 3): c for w, c in rel})
         return space
 
-    assert span(sk).same_space(span(poly))
+    assert span(sk).rows == span(poly).rows
 
 
 def test_resource_cap():
@@ -289,6 +290,63 @@ def test_stability_is_one_verdict_for_every_representation():
             check_stability(unstable, e2, SimpleRep(5, i))
         check_stability(stable, e2, SimpleRep(5, i))
         check_stability(make_presentation("sklyanin5", 2, 3), e2, SimpleRep(5, i))
+
+
+def _polynomial3_plus(*pairs):
+    """polynomial(3) with one more relation, given as (word, coeff) pairs."""
+    poly3 = make_presentation("polynomial", 3)
+    return Presentation(3, "QQ", poly3.relations + (make_relation(pairs),))
+
+
+def test_stability_is_decided_on_the_algebra():
+    # x0 x1 x2 spans no e1-stable R_3, but its e1-images x2 x0 x1 and x1 x2 x0
+    # equal it modulo the commutators: I is stable, and the table is the
+    # ideal-side oracle's
+    pres = _polynomial3_plus(((0, 1, 2), Fraction(1)))
+    for i in (1, 2):
+        rep = SimpleRep(3, i)
+        assert character_table(pres, rep, 5).rows == ideal_oracle.character_rows(pres, rep, 5)
+
+
+def test_a_relation_already_in_the_ideal_changes_nothing():
+    pres = _polynomial3_plus(((0, 1, 2), Fraction(1)), ((0, 2, 1), Fraction(-1)))
+    rep = SimpleRep(3, 1)
+    assert character_table(pres, rep, 6).same_series(
+        character_table(make_presentation("polynomial", 3), rep, 6))
+
+
+def test_a_relation_outside_every_stable_ideal_is_refused():
+    # e1 sends x0^2 x1 to x2^2 x0, which is not in (commutators, x0^2 x1)
+    pres = _polynomial3_plus(((0, 0, 1), Fraction(1)))
+    with pytest.raises(StabilityError):
+        character_table(pres, SimpleRep(3, 1), 2)
+
+
+def test_the_cap_is_checked_before_the_stability_verdict():
+    # the verdict needs the engine up to the top relation degree: an unstable
+    # presentation over the cap there is a resource error first
+    pres = Presentation(3, "QQ", (make_relation([((0, 1), Fraction(1))]),))
+    with pytest.raises(ResourceLimitError):
+        character_coeffs(pres, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 1, cap=5)
+    with pytest.raises(StabilityError):
+        character_coeffs(pres, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 1)
+
+
+def test_same_series_compares_rows_whose_labels_differ():
+    rep = SimpleRep(5, 1)
+    cycle = character_table(make_presentation("cycle", 5), rep, 3)
+    poly = character_table(make_presentation("polynomial", 5), rep, 3)
+    renamed = replace(poly, rows=tuple((f"{label}'", coeffs) for label, coeffs in poly.rows))
+    assert not cycle.same_series(renamed) and not renamed.same_series(cycle)
+    # the presentation's name is not part of the series
+    assert cycle.same_series(replace(cycle, kind="other"))
+
+
+def test_same_series_keeps_the_class_order():
+    cycle = character_table(make_presentation("cycle", 5), SimpleRep(5, 1), 3)
+    rows = list(cycle.rows)
+    rows[0], rows[1] = rows[1], rows[0]
+    assert not cycle.same_series(replace(cycle, rows=tuple(rows)))
 
 
 def test_engine_lives_and_dies_with_its_presentation():

@@ -60,7 +60,7 @@ def test_dual_of_the_free_algebra_has_every_monomial():
 def test_dual_of_dual_is_original_span():
     pres = make_presentation("sklyanin3", 1, 2, -3)
     double = quadratic_dual(quadratic_dual(pres))
-    assert relation_span(double).same_space(relation_span(pres))
+    assert relation_span(double).rows == relation_span(pres).rows
 
 
 def test_identity_polynomial_p3():

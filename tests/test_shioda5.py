@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
+from algtool.gradedalg import make_presentation
 from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                                 projective_fixed_points, subgroup_generators)
 from algtool.poly import PolyMatrix
-from algtool.shioda5 import (_minor_jacobian, _rank_below_3, base_orbit,
+from algtool.shioda5 import (_minor_jacobian, _rank_below_3, _within, base_orbit,
                              ca_orbit_check, ca_relations, cusp_cycles,
                              cycle_fiber_equivalence, s15_matrix, s15_minors,
                              singular_points_check, thirty_points,
@@ -157,6 +158,17 @@ def test_cycle_fiber_equivalence():
     assert report.hilbert == [1, 5, 10, 15]
     assert report.cusp_cycles == 12
     assert report.ok()
+
+
+def test_fiber_ideals_are_compared_both_ways():
+    cycle = make_presentation("cycle", 5)
+    fiber01 = make_presentation("curveCa", 0)
+    assert _within(fiber01, 2, cycle) and _within(cycle, 3, fiber01)
+    # without the relabeling the (0:1) fiber cuts out other lines
+    assert not _within(fiber01, 1, cycle) and not _within(cycle, 1, fiber01)
+    # the commutators alone lie in the cycle's ideal, not the other way round
+    poly5 = make_presentation("polynomial", 5)
+    assert _within(poly5, 1, cycle) and not _within(cycle, 1, poly5)
 
 
 def test_cusp_cycle_count_matches_formula():
