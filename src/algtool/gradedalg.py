@@ -66,9 +66,10 @@ weights; and w - a has weight sum(w) - na, which differs from sum(w) mod p.
 So a table costs one pass per degree (a = 0) plus, in degrees divisible by
 p, one per a = 1..p-1.
 
-H_p acts on A exactly when g(r) lies in I for each relation r and g = e1,
-e2; `check_stability` reads this off the engine's normal forms, so it
-judges the algebra, not the presentation.  Catalog relations are
+`in_ideal` is the one membership query: a tensor lies in I exactly when
+its normal form is zero.  H_p acts on A exactly when g(r) lies in I for
+each relation r and g = e1, e2, so `check_stability` takes the presentation
+alone and judges the algebra, not the relation span.  Catalog relations are
 commutators (they span the alternating tensors, which GL(V) preserves) and
 e1-orbits of seeds of one e2-weight: H_p-stable by construction.
 """
@@ -95,17 +96,21 @@ class Presentation:
     """Graded algebra T(V)/(relations), V of dimension p, relations given as
     homogeneous tensors: maps from words over {0..p-1} to coefficients.
 
+    A coefficient is an int, a Fraction or a Cyclotomic over Q(w_p).  With
+    one Cyclotomic among them the presentation is over Q(w), and every
+    rational coefficient is coerced into Q(w); else it is over Q.
+
     Each presentation owns its `engine`, built on first use and freed with
     the presentation; equal presentations built apart have their own."""
 
     p: int
-    field: str  # "QQ" or "QW"
     relations: Tuple[Relation, ...]
     kind: str = "custom"
     params: Tuple = ()
 
     def __post_init__(self):
-        require_odd_prime(self.p)
+        p = self.p
+        require_odd_prime(p)
         for rel in self.relations:
             if not rel:
                 raise InputError("empty relation")
@@ -114,15 +119,29 @@ class Presentation:
                 raise InputError(f"inhomogeneous relation {rel}")
             if min(degrees) < 2:
                 raise InputError("relations must have degree >= 2")
-            if any(not 0 <= x < self.p for w, _ in rel for x in w):
-                raise InputError(f"relation {rel} has a letter outside 0..{self.p - 1}")
+            if any(not 0 <= x < p for w, _ in rel for x in w):
+                raise InputError(f"relation {rel} has a letter outside 0..{p - 1}")
+        coeffs = [c for rel in self.relations for _w, c in rel]
+        kinds = set(map(type, coeffs))
+        if not kinds <= {int, Fraction, Cyclotomic}:
+            names = sorted(k.__name__ for k in kinds - {int, Fraction, Cyclotomic})
+            raise InputError(f"coefficients of type {', '.join(names)} are not in Q or Q(w_{p})")
+        if Cyclotomic in kinds:
+            if {c.p for c in coeffs if type(c) is Cyclotomic} != {p}:
+                raise ModulusError(f"a Cyclotomic coefficient lies outside Q(w_{p})")
+            object.__setattr__(self, "relations", tuple(
+                tuple((w, c if type(c) is Cyclotomic else Cyclotomic.from_rational(p, c))
+                      for w, c in rel) for rel in self.relations))
 
     @cached_property
     def engine(self) -> "GradedEngine":
         return GradedEngine(self)
 
     def one(self):
-        return Fraction(1) if self.field == "QQ" else Cyclotomic.from_rational(self.p, 1)
+        """1 in the field of the coefficients, read off the first of them."""
+        if self.relations and isinstance(self.relations[0][0][1], Cyclotomic):
+            return Cyclotomic.from_rational(self.p, 1)
+        return Fraction(1)
 
     def is_quadratic(self) -> bool:
         return all(len(next(iter(rel))[0]) == 2 for rel in self.relations)
@@ -213,7 +232,7 @@ class GradedEngine:
     def __init__(self, pres: Presentation):
         p = self.p = pres.p
         # numerators of 1 and of the relations: ints over Q, Cyclotomic over Q(w)
-        self.unit = 1 if pres.field == "QQ" else pres.one()
+        self.unit = pres.one() if isinstance(pres.one(), Cyclotomic) else 1
         # each relation term as (index of the word less its last letter, last letter, coeff)
         self.relations = [(d, [[(word_to_index(w[:-1], p), w[-1], c)
                                 for w, c in integral(dict(rel))[0].items()] for rel in rels])
@@ -307,13 +326,6 @@ class GradedEngine:
             memo[index] = nf
         return nf
 
-    def residue(self, n: int, terms) -> ScaledVec:
-        """NF of the degree-n tensor sum c w over the (word index, c) of terms:
-        zero exactly when the tensor lies in I_n.  Degree n must exist."""
-        coeffs, den = integral(dict(terms))
-        nums, nf_den = _combine([(self.normal_form(n, i), c, 0) for i, c in coeffs.items()])
-        return ScaledVec(nums, den * nf_den)
-
     def _weight_buckets(self, n: int, a: int) -> List[object]:
         """bucket[s] = sum of [w] NF(w - a) over the w in B_n of weight s: an
         exact rational over Q, a Cyclotomic over Q(w).  Degree n must exist."""
@@ -360,38 +372,41 @@ def hilbert(pres: Presentation, max_degree: int, cap: Optional[int] = None) -> L
 # -- group action -----------------------------------------------------------------
 
 
-def check_stability(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
-                    cap: Optional[int] = None) -> None:
-    """H_p must act on A = T(V)/I: for each relation r of degree d and each
-    generator g = e1, e2, g(r) must lie in I_d, that is have normal form 0.
-    Each g is an algebra automorphism of T(V), so then g(I) lies in I; z
-    scales each degree, and the generators generate the finite group.  The
-    engine is grown to the top relation degree under the cell cap first, so
-    a presentation over the cap there ends in a resource error.
+def in_ideal(pres: Presentation, tensors: Sequence[Sequence[Tuple[Word, object]]],
+             cap: Optional[int] = None) -> bool:
+    """Whether every tensor lies in I.  A tensor is a list of (word, coeff)
+    pairs of one degree.  The engine is grown to the tensors' top degree
+    under the cell cap, and each tensor's normal form must be zero."""
+    engine = pres.engine
+    engine.grow(max((len(tensor[0][0]) for tensor in tensors if tensor), default=0), cap)
+    return not any(_combine([(engine.normal_form(len(w), word_to_index(w, pres.p)), c, 0)
+                             for w, c in tensor])[0] for tensor in tensors)
 
-    The verdict does not depend on V_i, so it is decided once, at i = 1: e1
+
+def check_stability(pres: Presentation, cap: Optional[int] = None) -> None:
+    """H_p must act on A = T(V)/I: for each generator g = e1, e2 and each
+    relation r, g(r) must lie in I (`in_ideal`, which grows the engine to the
+    top relation degree under the cell cap first, so a presentation over the
+    cap there ends in a resource error).  Each g is an algebra automorphism
+    of T(V), so then g(I) lies in I; z scales each degree, and the
+    generators generate the finite group.
+
+    The verdict needs neither an element nor a representation V_i: e1
     shifts letters whatever i, and e2 acts on T(V)_d in V_i as D_i = D_1^i,
     with D_1 = D_i^j for ij = 1 (mod p), so an ideal is D_i-stable exactly
-    when it is D_1-stable.  A pass is remembered by the presentation's
-    engine."""
-    if g.p != pres.p or rep.p != pres.p:
-        raise ModulusError("presentation, element and representation must share p")
+    when it is D_1-stable.  It is decided at i = 1, and a pass is remembered
+    by the presentation's engine."""
     engine = pres.engine
     if engine.stable:
         return
     p = pres.p
-    engine.grow(engine.top_relation, cap)
-    for d, rels in pres.relations_by_degree():
-        for gen in (HeisenbergElement(p, 1, 0, 0), HeisenbergElement(p, 0, 1, 0)):
-            for rel in rels:
-                # e1 sends w to w - 1 with phase 1; e2 fixes w with phase zeta^sum(w)
-                image = ([(word_to_index([x - 1 for x in w], p), c) for w, c in rel] if gen.a
-                         else [(word_to_index(w, p), Cyclotomic.zeta(p, sum(w)) * c)
-                               for w, c in rel])
-                if engine.residue(d, image):
-                    raise StabilityError(
-                        f"relations of {pres.label()} are not stable under {gen.label()}"
-                    )
+    for gen in (HeisenbergElement(p, 1, 0, 0), HeisenbergElement(p, 0, 1, 0)):
+        # e1 sends w to w - 1 with phase 1; e2 fixes w with phase zeta^sum(w)
+        images = [[(tuple(x - 1 for x in w), c) if gen.a
+                   else (w, Cyclotomic.zeta(p, sum(w)) * c) for w, c in rel]
+                  for rel in pres.relations]
+        if not in_ideal(pres, images, cap):
+            raise StabilityError(f"relations of {pres.label()} are not stable under {gen.label()}")
     engine.stable = True
 
 
@@ -399,7 +414,9 @@ def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
                      max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
     """Coefficients of the character series of g on A = T(V)/I up to t^N."""
     _check_max_degree(max_degree)
-    check_stability(pres, g, rep, cap)
+    if g.p != pres.p or rep.p != pres.p:
+        raise ModulusError("presentation, element and representation must share p")
+    check_stability(pres, cap)
     engine = pres.engine
     engine.grow(max_degree, cap)
     return [engine.trace(g, rep, n) for n in range(max_degree + 1)]
@@ -471,22 +488,9 @@ def _coerce_params(values, count: int, kind: str) -> Tuple[object, ...]:
     return tuple(out)
 
 
-def _field_of(params: Tuple) -> str:
-    return "QW" if any(isinstance(v, Cyclotomic) for v in params) else "QQ"
-
-
-def _finalize(p: int, field: str, raw: List[List[Tuple[Word, object]]],
-              kind: str, params: Tuple) -> Presentation:
-    """Coerce every relation coefficient into the presentation's field."""
-    rels = []
-    for pairs in raw:
-        coerced = []
-        for w, c in pairs:
-            if field == "QW" and not isinstance(c, Cyclotomic):
-                c = Cyclotomic.from_rational(p, c)
-            coerced.append((w, c))
-        rels.append(make_relation(coerced))
-    return Presentation(p, field, tuple(rels), kind, params)
+def _finalize(p: int, raw: List[List[Tuple[Word, object]]], kind: str,
+              params: Tuple) -> Presentation:
+    return Presentation(p, tuple(make_relation(pairs) for pairs in raw), kind, params)
 
 
 def _commutators(p: int) -> List[List[Tuple[Word, object]]]:
@@ -503,6 +507,15 @@ def _e1_orbits(p: int, seeds) -> List[List[Tuple[Word, object]]]:
     p is an e2-eigenvector, so the orbits span an H_p-stable space."""
     return [[(tuple((x + k) % p for x in w), c) for w, c in seed]
             for seed in seeds for k in range(p)]
+
+
+def curve_fiber(A, B) -> Presentation:
+    """The fiber (A:B) of the pencil of quadrics on p = 5 letters: the
+    commutators and the e1-orbit of the homogeneous seed
+    A B x_k^2 + A^2 x_{1+k} x_{-1+k} - B^2 x_{2+k} x_{-2+k}.  (a:1) is
+    curveCa(a); the cusp fibers (1:0) and (0:1) are cycles of five lines."""
+    seed = [((0, 0), A * B), ((1, -1), A * A), ((2, -2), -B * B)]
+    return _finalize(5, _commutators(5) + _e1_orbits(5, [seed]), "fiber", (A, B))
 
 
 #: the catalog families over a prime of the caller's choice, p their first argument
@@ -522,7 +535,8 @@ def make_presentation(kind: str, *args) -> Presentation:
       "sklyanin5" and params (a, b):
       {x_{1+k}, x_{4+k}} = a x_k^2, {x_{2+k}, x_{3+k}} = b x_k^2.
     - curveCa(a), p = 5: commutators and the quadrics of the elliptic normal
-      curve C_a, a x_k^2 + a^2 x_{1+k} x_{-1+k} - x_{2+k} x_{-2+k}.
+      curve C_a, a x_k^2 + a^2 x_{1+k} x_{-1+k} - x_{2+k} x_{-2+k}: the fiber
+      (a:1) of `curve_fiber`.
 
     A wrong number of arguments raises InputError.
     """
@@ -531,7 +545,7 @@ def make_presentation(kind: str, *args) -> Presentation:
 
     if kind == "polynomial":
         (p,) = args
-        return _finalize(p, "QQ", _commutators(p), "polynomial", (p,))
+        return _finalize(p, _commutators(p), "polynomial", (p,))
 
     if kind == "cycle":
         (p,) = args
@@ -539,12 +553,12 @@ def make_presentation(kind: str, *args) -> Presentation:
         if p < 5:
             raise InputError("cycle presentation needs p >= 5")
         seeds = [[((i, -i), Fraction(1))] for i in range(1, (p - 3) // 2 + 1)]
-        return _finalize(p, "QQ", _commutators(p) + _e1_orbits(p, seeds), "cycle", (p,))
+        return _finalize(p, _commutators(p) + _e1_orbits(p, seeds), "cycle", (p,))
 
     if kind == "sklyanin3":
         a, b, c = _coerce_params(args, 3, kind)
         raw = _e1_orbits(3, [[((1, 2), a), ((2, 1), b), ((0, 0), c)]])
-        return _finalize(3, _field_of((a, b, c)), raw, "sklyanin3", (a, b, c))
+        return _finalize(3, raw, "sklyanin3", (a, b, c))
 
     if kind == "cliffordC":
         if not args:
@@ -555,7 +569,7 @@ def make_presentation(kind: str, *args) -> Presentation:
         a0 = avec[0]
         seeds = [[((i, -i), a0), ((-i, i), a0), ((0, 0), -avec[i])]
                  for i in range(1, (p - 1) // 2 + 1)]
-        return _finalize(p, _field_of(avec), _e1_orbits(p, seeds), "cliffordC", (p,) + avec)
+        return _finalize(p, _e1_orbits(p, seeds), "cliffordC", (p,) + avec)
 
     if kind == "sklyanin5":
         a, b = _coerce_params(args, 2, kind)
@@ -563,8 +577,6 @@ def make_presentation(kind: str, *args) -> Presentation:
 
     if kind == "curveCa":
         (a,) = _coerce_params(args, 1, kind)
-        seed = [((0, 0), a), ((1, -1), a * a), ((2, -2), Fraction(-1))]
-        return _finalize(5, _field_of((a,)), _commutators(5) + _e1_orbits(5, [seed]),
-                         "curveCa", (a,))
+        return replace(curve_fiber(a, Fraction(1)), kind=kind, params=(a,))
 
     raise InputError(f"unknown presentation kind {kind!r}")

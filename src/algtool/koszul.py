@@ -49,7 +49,7 @@ def quadratic_dual(pres: Presentation) -> Presentation:
     if any(sum((vec[w] * c for w, c in drel if w in vec), zero)
            for vec in rel_vecs for drel in dual_rels):
         raise ArithmeticError("dual relation space fails the pairing")
-    return Presentation(p, pres.field, tuple(dual_rels),
+    return Presentation(p, tuple(dual_rels),
                         kind=f"dual-{pres.kind}", params=pres.params)
 
 

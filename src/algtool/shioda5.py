@@ -29,8 +29,7 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic
 from .errors import InputError, SamplingError
-from .gradedalg import (Presentation, hilbert, make_presentation,
-                        make_relation, word_to_index)
+from .gradedalg import Presentation, curve_fiber, hilbert, in_ideal, make_presentation
 from .heisenberg import (SimpleRep, heisenberg_orbit_points,
                          projective_fixed_points, subgroup_generators)
 from .linalg import RowSpace, minors_float, rank_float
@@ -238,13 +237,9 @@ def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
 
 def _within(pres: Presentation, unit: int, other: Presentation) -> bool:
     """Whether every relation of `pres`, after x_i -> x_(unit * i), lies in
-    the ideal of `other`: its normal form in `other`'s engine is zero."""
-    engine = other.engine
-    engine.grow(engine.top_relation)
-    return not any(engine.residue(len(rel[0][0]),
-                                  [(word_to_index([unit * i for i in w], other.p), c)
-                                   for w, c in rel])
-                   for rel in pres.relations)
+    the ideal of `other`."""
+    return in_ideal(other, [[(tuple(unit * i for i in w), c) for w, c in rel]
+                            for rel in pres.relations])
 
 
 @dataclass
@@ -260,19 +255,13 @@ class CycleFiberReport:
 
 
 def cycle_fiber_equivalence() -> CycleFiberReport:
+    """The cusp fibers of curveCa's pencil cut out the cycle of lines: (1:0) as
+    it is, (0:1) after x_i -> x_{2i}; each pair of ideals compared both ways."""
     cycle = make_presentation("cycle", 5)
-
-    # (1:0) fiber: commutators + x_{i+1} x_{i-1}
-    raw = [make_relation([((i, j), Fraction(1)), ((j, i), Fraction(-1))])
-           for i in range(5) for j in range(i + 1, 5)]
-    raw += [make_relation([(((i + 1) % 5, (i - 1) % 5), Fraction(1))]) for i in range(5)]
-    fiber10 = Presentation(5, "QQ", tuple(raw), "fiber", (Fraction(1), Fraction(0)))
+    fiber10 = curve_fiber(Fraction(1), Fraction(0))
     direct = _within(fiber10, 1, cycle) and _within(cycle, 1, fiber10)
-
-    # (0:1) fiber: commutators + x_{i+2} x_{i-2}; x_i -> x_{2i} maps it to the cycle
-    fiber01 = make_presentation("curveCa", 0)
+    fiber01 = curve_fiber(Fraction(0), Fraction(1))
     relabeled = _within(fiber01, 2, cycle) and _within(cycle, 3, fiber01)  # 3 = 1/2 mod 5
-
     return CycleFiberReport(direct, relabeled, hilbert(cycle, 3), len(cusp_cycles()))
 
 

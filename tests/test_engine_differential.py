@@ -174,7 +174,7 @@ def orbit_presentations(draw):
         for k in range(p):
             relations.append(make_relation(
                 [(tuple((x + k) % p for x in w), c) for w, c in zip(chosen, coeffs)]))
-    return Presentation(p, field, tuple(relations))
+    return Presentation(p, tuple(relations))
 
 
 @seed(20141222)

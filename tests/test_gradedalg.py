@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 import sys
 import weakref
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import InputError, ModulusError, ResourceLimitError, StabilityError
 from algtool.gradedalg import (Presentation, character_coeffs,
-                               character_table, check_stability, hilbert,
+                               character_table, check_stability, hilbert, in_ideal,
                                make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from algtool.linalg import RowSpace
@@ -237,7 +238,7 @@ def test_resource_cap():
     with pytest.raises(ResourceLimitError):
         hilbert(poly5, 3, cap=10)  # refused although degree 3 is already built
     with pytest.raises(ResourceLimitError):
-        hilbert(Presentation(5, "QQ", ()), 3, cap=100)  # no rows, but 125 columns
+        hilbert(Presentation(5, ()), 3, cap=100)  # no rows, but 125 columns
 
 
 @pytest.mark.parametrize("letter", [-1, 3])
@@ -245,12 +246,12 @@ def test_letters_outside_the_alphabet_are_input_errors(letter):
     # a word index would silently read -1 as 2 and 3 as 0
     rel = make_relation([((0, letter), Fraction(1))])
     with pytest.raises(InputError):
-        Presentation(3, "QQ", (rel,))
+        Presentation(3, (rel,))
 
 
 def test_stability_check_rejects_unstable_relations():
     rel = make_relation([((0, 1), Fraction(1))])  # single monomial, not an orbit
-    pres = Presentation(3, "QQ", (rel,))
+    pres = Presentation(3, (rel,))
     with pytest.raises(StabilityError):
         character_coeffs(pres, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 2)
 
@@ -258,7 +259,7 @@ def test_stability_check_rejects_unstable_relations():
 def test_stability_is_checked_for_every_class_and_call():
     # the e1-orbit of x0 x1 + x0^2 mixes e2-weights 1 and 0: stable under e1,
     # not under e2, so no class may pass, whichever is asked first
-    pres = Presentation(3, "QQ", tuple(
+    pres = Presentation(3, tuple(
         make_relation([((k, (k + 1) % 3), Fraction(1)), ((k, k), Fraction(1))])
         for k in range(3)))
     rep = SimpleRep(3, 1)
@@ -267,35 +268,130 @@ def test_stability_is_checked_for_every_class_and_call():
             character_coeffs(pres, HeisenbergElement(3, 1, 1, 0), rep, 2)
         with pytest.raises(StabilityError):
             character_table(pres, rep, 2)
-    # a remembered pass does not skip the check that the primes agree
+    # a remembered pass does not skip the check that the primes agree, which
+    # is made where the element and the representation are used
     poly3 = make_presentation("polynomial", 3)
-    check_stability(poly3, HeisenbergElement(3, 1, 1, 0), rep)
+    check_stability(poly3)
     for _ in range(2):
         with pytest.raises(ModulusError):
-            check_stability(poly3, HeisenbergElement(5, 1, 1, 0), rep)
+            character_coeffs(poly3, HeisenbergElement(5, 1, 1, 0), rep, 2)
         with pytest.raises(ModulusError):
-            check_stability(poly3, HeisenbergElement(3, 1, 1, 0), SimpleRep(5, 1))
+            character_coeffs(poly3, HeisenbergElement(3, 1, 1, 0), SimpleRep(5, 1), 2)
 
 
 def test_stability_is_one_verdict_for_every_representation():
     # e2 acts in V_i as the i-th power of its action in V_1, so every
-    # representation index gives the verdict of index 1
-    unstable = Presentation(5, "QQ", tuple(
-        make_relation([((k, (k + 1) % 5), Fraction(1)), ((k, k), Fraction(1))])
-        for k in range(5)))
-    stable = make_presentation("curveCa", 2)
+    # representation index gives the verdict of index 1; each V_i asks a
+    # fresh presentation, so no remembered pass decides for it
+    def unstable():
+        return Presentation(5, tuple(
+            make_relation([((k, (k + 1) % 5), Fraction(1)), ((k, k), Fraction(1))])
+            for k in range(5)))
+
     e2 = HeisenbergElement(5, 0, 1, 0)
     for i in range(1, 5):
         with pytest.raises(StabilityError):
-            check_stability(unstable, e2, SimpleRep(5, i))
-        check_stability(stable, e2, SimpleRep(5, i))
-        check_stability(make_presentation("sklyanin5", 2, 3), e2, SimpleRep(5, i))
+            character_coeffs(unstable(), e2, SimpleRep(5, i), 2)
+        character_coeffs(make_presentation("curveCa", 2), e2, SimpleRep(5, i), 2)
+        character_coeffs(make_presentation("sklyanin5", 2, 3), e2, SimpleRep(5, i), 2)
+    # the check itself takes the presentation alone
+    with pytest.raises(StabilityError):
+        check_stability(unstable())
+    check_stability(make_presentation("curveCa", 2))
+
+
+def test_the_field_is_read_off_the_coefficients():
+    qw = make_presentation("cliffordC", 5, 1, Cyclotomic.zeta(5), 2)
+    assert isinstance(qw.one(), Cyclotomic)
+    assert type(make_presentation("cliffordC", 5, 1, 1, 2).one()) is Fraction
+    # the catalog's Q(w) relations, rebuilt without a field, give its table
+    rep = SimpleRep(5, 1)
+    custom = Presentation(5, qw.relations)
+    assert character_table(custom, rep, 3).same_series(character_table(qw, rep, 3))
+    # rational coefficients beside a Cyclotomic are coerced into Q(w)
+    mixed = tuple(tuple((w, c.rational_value() if c.is_rational() else c) for w, c in rel)
+                  for rel in qw.relations)
+    assert any(isinstance(c, Fraction) for rel in mixed for _w, c in rel)
+    coerced = Presentation(5, mixed)
+    assert coerced.relations == qw.relations
+    assert all(isinstance(c, Cyclotomic) for rel in coerced.relations for _w, c in rel)
+    assert type(Presentation(5, ()).one()) is Fraction
+
+
+def _polynomial3_plus_cubic_orbit(c):
+    """polynomial(3) plus the e1-orbit of c (x_k^3 - 2 x_{k+1}^3)."""
+    return make_presentation("polynomial", 3).relations + tuple(
+        make_relation([((k,) * 3, c), (((k + 1) % 3,) * 3, -2 * c)]) for k in range(3))
+
+
+@pytest.mark.parametrize("c", [1 / 3, complex(1, 1), "1/3"], ids=["float", "complex", "str"])
+def test_coefficients_outside_q_and_qw_are_input_errors(c):
+    with pytest.raises(InputError):
+        Presentation(3, _polynomial3_plus_cubic_orbit(c))
+
+
+def test_a_cyclotomic_over_another_prime_is_a_modulus_error():
+    with pytest.raises(ModulusError):
+        Presentation(3, _polynomial3_plus_cubic_orbit(Cyclotomic.zeta(7)))
+    with pytest.raises(ModulusError):
+        make_presentation("curveCa", Cyclotomic.zeta(7))
+    # control: the same orbit over Q, or with a Cyclotomic over p = 3, builds
+    assert hilbert(Presentation(3, _polynomial3_plus_cubic_orbit(Fraction(1, 3))), 3) == \
+        [1, 3, 6, 7]
+    assert isinstance(Presentation(3, _polynomial3_plus_cubic_orbit(Cyclotomic.zeta(3))).one(),
+                      Cyclotomic)
+
+
+IDEAL_CASES = [("polynomial", 3), ("cycle", 5), ("sklyanin3", 1, 2, -3),
+               ("cliffordC", 5, 1, 2, 3), ("curveCa", Cyclotomic(5, [1, 3]))]
+
+
+@pytest.mark.parametrize("args", IDEAL_CASES,
+                         ids=[make_presentation(*args).label() for args in IDEAL_CASES])
+def test_in_ideal_agrees_with_the_ideal_oracle(args):
+    # members are sums of u r v, non-members random words; the oracle reduces
+    # over all p^n words, and a perturbed member flips both verdicts
+    pres = make_presentation(*args)
+    p, one = pres.p, pres.one()
+    rng = random.Random(20141222)
+
+    def oracle(tensor, n):
+        vec = {}
+        for w, c in tensor:
+            i = word_to_index(w, p)
+            vec[i] = vec.get(i, 0 * one) + c
+        return not ideal_oracle.ideal_piece(pres, n).reduce(vec)
+
+    def word(n):
+        return tuple(rng.randrange(p) for _ in range(n))
+
+    members = []
+    for n in range(2, 5):
+        member = []
+        for _ in range(3):
+            rel = rng.choice(pres.relations)
+            left = rng.randrange(n - 1)
+            u, v = word(left), word(n - 2 - left)
+            scale = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+            member += [(u + w + v, scale * c) for w, c in rel]
+        assert oracle(member, n) and in_ideal(pres, [member])
+        members.append(member)
+        for _ in range(12):
+            tensor = [(word(n), one)]
+            assert in_ideal(pres, [tensor]) == oracle(tensor, n)
+        outside = [(next(w for w in itertools.product(range(p), repeat=n)
+                         if not oracle([(w, one)], n)), one)]
+        perturbed = member + outside
+        assert not oracle(perturbed, n) and not in_ideal(pres, [perturbed])
+    # one query over several degrees: every tensor must lie in I
+    assert in_ideal(pres, members) and in_ideal(pres, [])
+    assert not in_ideal(pres, members + [perturbed])
 
 
 def _polynomial3_plus(*pairs):
     """polynomial(3) with one more relation, given as (word, coeff) pairs."""
     poly3 = make_presentation("polynomial", 3)
-    return Presentation(3, "QQ", poly3.relations + (make_relation(pairs),))
+    return Presentation(3, poly3.relations + (make_relation(pairs),))
 
 
 def test_stability_is_decided_on_the_algebra():
@@ -325,7 +421,7 @@ def test_a_relation_outside_every_stable_ideal_is_refused():
 def test_the_cap_is_checked_before_the_stability_verdict():
     # the verdict needs the engine up to the top relation degree: an unstable
     # presentation over the cap there is a resource error first
-    pres = Presentation(3, "QQ", (make_relation([((0, 1), Fraction(1))]),))
+    pres = Presentation(3, (make_relation([((0, 1), Fraction(1))]),))
     with pytest.raises(ResourceLimitError):
         character_coeffs(pres, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 1, cap=5)
     with pytest.raises(StabilityError):
@@ -431,13 +527,13 @@ def test_a_relation_above_2D_keeps_elimination_until_past_it(eliminations):
     truncated = [sum(1 for e in itertools.product(range(5), repeat=3) if sum(e) == n)
                  for n in range(15)]
     assert truncated[:10] == [1, 3, 6, 10, 15, 18, 19, 18, 15, 10]
-    pres = Presentation(3, "QQ", relations)
+    pres = Presentation(3, relations)
     assert hilbert(pres, 14) == truncated
     assert [d for d, _q, _obs in pres.engine.rules] == [2, 5]
     assert eliminations.degrees(pres.engine) == list(range(1, 10))
     # control: a guard "n above every relation degree" that saw only the
     # commutators would rewrite from 2D = 4 on and miss x_k^5
-    unguarded = Presentation(3, "QQ", relations)
+    unguarded = Presentation(3, relations)
     unguarded.engine.top_relation = 2
     assert hilbert(unguarded, 5) == [1, 3, 6, 10, 15, 21] != truncated[:6]
 

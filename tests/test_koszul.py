@@ -51,7 +51,7 @@ def test_dual_dimension_count():
 
 def test_dual_of_the_free_algebra_has_every_monomial():
     # R = 0, so R-perp is all of V* (x) V*: the dual is k + V*
-    dual = quadratic_dual(Presentation(3, "QQ", ()))
+    dual = quadratic_dual(Presentation(3, ()))
     assert [w for rel in dual.relations for w, _c in rel] == [
         divmod(i, 3) for i in range(9)]
     assert hilbert(dual, 3) == [1, 3, 0, 0]
@@ -98,7 +98,7 @@ def test_cycle_presentation_informational_report():
 
 def test_non_quadratic_rejected():
     cubic = make_relation([((0, 1, 2), Fraction(1))])
-    pres = Presentation(3, "QQ", (cubic,))
+    pres = Presentation(3, (cubic,))
     with pytest.raises(ValueError):
         quadratic_dual(pres)
 

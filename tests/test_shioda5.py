@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.gradedalg import make_presentation
+from algtool import shioda5
+from algtool.gradedalg import Presentation, curve_fiber, make_presentation, make_relation
 from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                                 projective_fixed_points, subgroup_generators)
 from algtool.poly import PolyMatrix
@@ -169,6 +170,24 @@ def test_fiber_ideals_are_compared_both_ways():
     # the commutators alone lie in the cycle's ideal, not the other way round
     poly5 = make_presentation("polynomial", 5)
     assert _within(poly5, 1, cycle) and not _within(cycle, 1, poly5)
+
+
+def _swapped_pencil(A, B):
+    """`curve_fiber` with its A^2 and B^2 words swapped."""
+    return Presentation(5, make_presentation("polynomial", 5).relations + tuple(
+        make_relation([((k, k), A * B), (((2 + k) % 5, (k - 2) % 5), A * A),
+                       (((1 + k) % 5, (k - 1) % 5), -B * B)]) for k in range(5)))
+
+
+def test_the_fibers_come_from_the_catalog_pencil(monkeypatch):
+    # (a:1) of the pencil is the catalog's curveCa(a)
+    for a in (Fraction(2), Fraction(-1, 3), Fraction(0), Cyclotomic(5, [1, 3])):
+        assert curve_fiber(a, Fraction(1)).relations == make_presentation("curveCa", a).relations
+    # control: with the A^2 and B^2 words swapped, neither cusp fiber is the cycle
+    monkeypatch.setattr(shioda5, "curve_fiber", _swapped_pencil)
+    report = cycle_fiber_equivalence()
+    assert not report.span_equal_direct and not report.span_equal_relabeled
+    assert not report.ok()
 
 
 def test_cusp_cycle_count_matches_formula():
