@@ -31,16 +31,44 @@ NF_d(o)) lies in I_n and the residue modulo I_n is unique.  Every tail word
 t has a larger index than o, so the rewriting ends.  This one rule serves
 every degree, eliminated or not.
 
-Let D be the largest degree with an obstruction.  Once every degree below
-n >= 2D has been eliminated and n is above every relation degree, degrees
-D+1 .. 2D-1, which hold every overlap of two leading words of length <= D,
-brought no new obstruction, so every ambiguity of the rules resolves and
-they are the whole Groebner basis (the diamond lemma: G. Bergman, Adv.
-Math. 29, 1978; T. Mora, Theor. Comput. Sci. 134, 1994).  This certificate
-is read off the engine's own B_d.  From then on a degree builds no
-relation rows: B_n is the set of words u x_j, u in B_{n-1}, with no
-obstruction as a suffix.  Presentations whose obstructions never stop
-(cycle(p) gets some in every degree) are eliminated in every degree.
+Degree n is built from the candidates: the words u x_j, u in B_{n-1}, with
+no obstruction as a suffix; every other column rewrites by the rules below
+n.  Each degree-n relation, and each overlap w = a c b of obstructions
+o1 = a c and o2 = c b (c, a and b non-empty), is an ambiguity that the
+rules below n may leave unresolved.  By the diamond lemma (G. Bergman,
+Adv. Math. 29, 1978; T. Mora, Theor. Comput. Sci. 134, 1994) they are the
+only ones: I_n meets the span of the candidates in the span of the
+overlap rows NF(tail(o1) b) - NF(a tail(o2)) and the NF of the degree-n
+relations, each reduced by the rules below n with the candidates taken as
+provisional normal words.  So a degree with no relation and no overlap
+row builds no rows: B_n is the candidates.  Presentations whose
+obstructions stop at degree D have none from 2D on, and those whose
+obstructions never stop (cycle(p) gets some in every degree) resolve a
+few overlaps per degree.
+
+An overlap needs no row when both tails are zero (the row is zero), or
+when its middle, w less its first and last letter, is not normal (the
+chain criterion; Mora 1994).  Then a third obstruction o3 lies in w
+touching neither end, and each of the ambiguities (o1, o3) and (o3, o2)
+is disjoint or an overlap of lower degree, which the rules below n
+resolve.  The middle test is one set lookup in B_{n-2}.
+
+Degree n has two row sources, and both give the same space on the
+candidates, hence the same B_n, rules and tails:
+
+- the overlap rows above (`_resolve`), whose pivots are exactly the new
+  obstructions; and
+- the relation multiples u r, u in B_{n-d}, on all columns (`_eliminate`),
+  which also pivot on every column that is not a candidate.
+
+Each step takes the source that combines fewer terms: the overlap rows
+when OVERLAP_WEIGHT times the terms of their tails and of the degree-n
+relations is below sum_d h_{n-d} times the terms of the degree-d
+relations.  Overlap rows left-multiply long tails, a tail(o2), which costs
+more per term than the relation multiples' right-multiplication by one
+letter.  sklyanin3(1, 2, -3), whose tails grow dense, takes relation
+multiples in every degree; cycle(p) takes overlap rows from degree 3 on,
+and the Clifford algebras on 7 and 11 letters from degree 4 on.
 
 Over Q every vector of the engine is integer numerators over one positive
 denominator (`linalg.ScaledVec`): each relation is cleared to integer
@@ -64,7 +92,17 @@ dividing n every bucket is zero, and no normal form is needed: an ideal
 stable under e2 makes I_n a sum of e2-weight spaces, so NF never mixes
 weights; and w - a has weight sum(w) - na, which differs from sum(w) mod p.
 So a table costs one pass per degree (a = 0) plus, in degrees divisible by
-p, one per a = 1..p-1.
+p, one per a = 1..p-1 over Q(w), and one in all over Q.
+
+Over Q the passes for a = 2..p-1 are the pass for a = 1.  Let p divide n.
+Then w - a has the weight of w, so e1^a preserves each weight space
+A_{n,s}, and there it is a rational matrix (e1 permutes words, and NF has
+rational coefficients) of order dividing p.  Its characteristic polynomial
+is (t - 1)^m0 Phi_p(t)^m1, so bucket_{n,a}[s] = tr(e1^a | A_{n,s}) =
+m0 + m1 (zeta + ... + zeta^(p-1)) = m0 - m1 for every a != 0: e1^a has the
+eigenvalues of e1, the primitive ones permuted.  Over Q(w) the matrix has
+Q(w) entries, its characteristic polynomial need not be rational, and
+every a keeps its own pass.
 
 `in_ideal` is the one membership query: a tensor lies in I exactly when
 its normal form is zero.  H_p acts on A exactly when g(r) lies in I for
@@ -202,9 +240,27 @@ def _combine(terms, stride: int = 1) -> Tuple[SparseVec, int]:
     return acc, den
 
 
+def _span(rows: List[SparseVec]) -> RowSpace:
+    """The reduced row-echelon space of the non-zero rows."""
+    # In descending order of leading column a new pivot mostly lies left of
+    # every stored row's support, so keeping the space reduced seldom
+    # touches older rows; the reduced space itself does not depend on order.
+    space = RowSpace()
+    for row in sorted(filter(None, rows), key=min, reverse=True):
+        space.insert(row)
+    return space
+
+
+#: The overlap rows are chosen when this many times their terms is fewer
+#: than the terms of the relation multiples (module docstring): per-degree
+#: timings of both sources on the catalog break even near this ratio.
+OVERLAP_WEIGHT = 2.5
+
+
 #: Default cap on the cells of one degree step of the graded engine: the
 #: rows (sum over relation degrees d of h_{n-d} times the number of degree-d
-#: relations) times the columns (h_{n-1} * p) of the degree-n working matrix.
+#: relations) times the columns (h_{n-1} * p) of the degree-n matrix of
+#: relation multiples, counted whichever row source the step takes.
 #: With this cap the polynomial ring on 5 generators is admitted up to
 #: degree 8 (2100 x 1650 cells) and refused from degree 9.
 DEFAULT_MAX_CELLS = 4_000_000
@@ -237,7 +293,6 @@ class GradedEngine:
         self.relations = [(d, [[(word_to_index(w[:-1], p), w[-1], c)
                                 for w, c in integral(dict(rel))[0].items()] for rel in rels])
                           for d, rels in pres.relations_by_degree()]
-        self.top_relation = max((d for d, _rels in self.relations), default=0)
         self.bases: List[List[int]] = [[0]]             # indices of B_n, ascending
         # (d, p**d, obstructions of degree d) for each eliminated degree d that has some
         self.rules: List[Tuple[int, int, frozenset]] = []
@@ -258,30 +313,96 @@ class GradedEngine:
                 self._build(m)
 
     def _build(self, n: int) -> None:
-        p = self.p
-        columns = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p)]
+        p, q = self.p, self.p ** (n - 1)
+        # the words u x_j, u in B_{n-1}, with no obstruction as a suffix: every
+        # other column rewrites by the rules below n
+        suffixes = set(self.bases[n - 1])
+        candidates = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p)
+                      if c % q in suffixes]
+        overlaps = self._overlaps(n)
+        relations = next((rels for d, rels in self.relations if d == n), [])
         tails = {}
-        if n > self.top_relation and n >= 2 * (self.rules[-1][0] if self.rules else 0):
-            # the rules are a Groebner basis (module docstring): B_n are the
-            # columns with no obstruction as a suffix, and no rows are built
-            basis = [c for c in columns
-                     if not any(c % q in obstructions for _d, q, obstructions in self.rules)]
-        else:
-            # the space lives for this step only: it gives B_n and the tails
-            # of the new obstructions, and every other word rewrites
-            space = self._eliminate(n)
+        if overlaps or relations:
+            # choose the row source that combines fewer terms (module docstring);
+            # the space lives for this step only: it gives B_n and the tails of
+            # the new obstructions, its pivots among the candidates
+            overlap_terms = sum(len(rel) for rel in relations) + sum(
+                len(self.forms[d1][o1]) + len(self.forms[d2][o2]) for d1, o1, d2, o2 in overlaps)
+            multiple_terms = sum(len(self.bases[n - d]) * sum(map(len, rels))
+                                 for d, rels in self.relations if d <= n)
+            if OVERLAP_WEIGHT * overlap_terms < multiple_terms:
+                space = self._resolve(n, candidates, overlaps, relations)
+            else:
+                space = self._eliminate(n)
             pivots = space.rows
-            basis = [c for c in columns if c not in pivots]
-            suffixes, q = set(self.bases[n - 1]), p ** (n - 1)
-            obstructions = frozenset(c for c in pivots if c % q in suffixes)
+            basis = [c for c in candidates if c not in pivots]
+            obstructions = frozenset(c for c in candidates if c in pivots)
             if obstructions:
                 self.rules.append((n, q * p, obstructions))
                 tails = {o: space.reduce({o: self.unit}) for o in obstructions}
+        else:
+            # every ambiguity of the rules resolves (diamond lemma): B_n are the
+            # candidates, and no rows are built
+            basis = candidates
         self.bases.append(basis)
         self.forms.append({c: ScaledVec({c: self.unit}) for c in basis} | tails)
 
+    def _overlaps(self, n: int) -> List[Tuple[int, int, int, int]]:
+        """(d1, o1, d2, o2) for each overlap w = a c b of degree n of the
+        obstructions o1 = a c of degree d1 and o2 = c b of degree d2 (c, a and
+        b non-empty) whose row can be non-zero and is not implied by lower
+        degrees: a tail is non-zero, and the middle of w (w less its first and
+        last letter) is a normal word (the chain criterion)."""
+        rules = [rule for rule in self.rules if rule[0] < n]
+        p, q = self.p, self.p ** (n - 1)
+        middles = set(self.bases[n - 2])
+        found = []
+        for d1, _q1, firsts in rules:
+            for d2, _q2, seconds in rules:
+                k = d1 + d2 - n  # |c|
+                if k < 1:
+                    continue
+                lift = p ** (n - d1)  # p^|b|
+                by_prefix: Dict[int, List[Tuple[int, bool]]] = {}
+                for o2 in seconds:
+                    by_prefix.setdefault(o2 // lift, []).append((o2, bool(self.forms[d2][o2].nums)))
+                shared = p ** k
+                for o1 in firsts:
+                    tail1 = bool(self.forms[d1][o1].nums)
+                    for o2, tail2 in by_prefix.get(o1 % shared, ()):
+                        if (tail1 or tail2) and (o1 * lift + o2 % lift) % q // p in middles:
+                            found.append((d1, o1, d2, o2))
+        return found
+
+    def _resolve(self, n: int, candidates: List[int], overlaps, relations) -> RowSpace:
+        """The reduced span of the overlap rows NF(tail(o1) b) - NF(a tail(o2))
+        and the degree-n relations, all reduced by the rules below n with the
+        candidates taken as normal words."""
+        p, unit = self.p, self.unit
+        # the memo of degree n for this step only: each candidate is its own NF
+        self.forms.append({c: ScaledVec({c: unit}) for c in candidates})
+        try:
+            rows = []
+            for d1, o1, d2, o2 in overlaps:
+                first, second = self.forms[d1][o1], self.forms[d2][o2]
+                lift, b = p ** (n - d1), o2 % p ** (n - d1)
+                head = o1 // p ** (d1 + d2 - n) * p ** d2  # a, shifted past o2
+                den = lcm(first.den, second.den)
+                terms = ([(self.normal_form(n, t * lift + b), c * (den // first.den), 0)
+                          for t, c in first.nums.items()]
+                         + [(self.normal_form(n, head + t), -c * (den // second.den), 0)
+                            for t, c in second.nums.items()])
+                rows.append(_combine(terms)[0])
+            for rel in relations:
+                rows.append(_combine([(self.normal_form(n, i * p + j), c, 0)
+                                      for i, j, c in rel])[0])
+        finally:
+            self.forms.pop()
+        return _span(rows)
+
     def _eliminate(self, n: int) -> RowSpace:
-        """The reduced span of the degree-n relation rows."""
+        """The reduced span of the degree-n relation rows: every relation
+        multiple u r, u in B_{n-d}, on the columns u x_j."""
         p = self.p
         relation_rows = []
         for d, rels in self.relations:
@@ -290,18 +411,9 @@ class GradedEngine:
             shift = p ** (d - 1)
             for u in self.bases[n - d]:
                 for rel in rels:
-                    row, _den = _combine([(self.normal_form(n - 1, u * shift + i), c, j)
-                                          for i, j, c in rel], p)
-                    if row:
-                        relation_rows.append(row)
-        # In descending order of leading column a new pivot mostly lies left of
-        # every stored row's support, so keeping the space reduced seldom
-        # touches older rows; the reduced space itself does not depend on order.
-        relation_rows.sort(key=min, reverse=True)
-        space = RowSpace()
-        for row in relation_rows:
-            space.insert(row)
-        return space
+                    relation_rows.append(_combine([(self.normal_form(n - 1, u * shift + i), c, j)
+                                                   for i, j, c in rel], p)[0])
+        return _span(relation_rows)
 
     def normal_form(self, n: int, index: int) -> ScaledVec:
         """NF of the degree-n word of base-p index `index`, on the indices of
@@ -328,7 +440,10 @@ class GradedEngine:
 
     def _weight_buckets(self, n: int, a: int) -> List[object]:
         """bucket[s] = sum of [w] NF(w - a) over the w in B_n of weight s: an
-        exact rational over Q, a Cyclotomic over Q(w).  Degree n must exist."""
+        exact rational over Q, a Cyclotomic over Q(w).  Degree n must exist.
+        Over Q every a != 0 has the buckets of a = 1 (module docstring)."""
+        if a > 1 and type(self.unit) is int:
+            return self._weight_buckets(n, 1)
         buckets = self._buckets.get((n, a))
         if buckets is None:
             p = self.p

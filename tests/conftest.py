@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from algtool.gradedalg import GradedEngine
+from algtool.linalg import RowSpace
 
 # Tests that start `python -m algtool.cli` in a subprocess need the package
 # there too: pyproject.toml puts src/ on this process's sys.path only.
@@ -12,30 +13,51 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
-class EliminationLog:
-    """Every `GradedEngine._eliminate` call, in order, as (engine, degree,
-    weak reference to the RowSpace it returned)."""
+class RowSourceLog:
+    """Every call of a `GradedEngine` row source, in order, as (engine, degree,
+    source, RowSpace.insert calls it made, weak reference to the RowSpace it
+    returned).  The sources are "relations" (`_eliminate`, the relation
+    multiples) and "overlaps" (`_resolve`, the overlap rows); a degree built
+    with neither builds no rows."""
 
     def __init__(self):
         self.calls = []
 
+    def sources(self, engine: GradedEngine) -> dict:
+        """Degree -> row source, over the degrees in which `engine` built rows."""
+        return {n: source for e, n, source, _inserts, _space in self.calls if e is engine}
+
     def degrees(self, engine: GradedEngine) -> list:
-        """The degrees in which `engine` eliminated."""
-        return [n for e, n, _space in self.calls if e is engine]
+        """The degrees in which `engine` built rows."""
+        return list(self.sources(engine))
+
+    def inserts(self, engine: GradedEngine) -> int:
+        """`RowSpace.insert` calls made by the row sources of `engine`."""
+        return sum(inserts for e, _n, _source, inserts, _space in self.calls if e is engine)
 
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """An `EliminationLog` of the `_eliminate` calls of every engine from here on."""
-    log = EliminationLog()
-    eliminate = GradedEngine._eliminate
+    """A `RowSourceLog` of the row sources of every engine from here on."""
+    log = RowSourceLog()
+    inserts = [0]
+    insert = RowSpace.insert
 
-    def recording(engine, n):
-        space = eliminate(engine, n)
-        log.calls.append((engine, n, weakref.ref(space)))
-        return space
+    def counting(space, vec):
+        inserts[0] += 1
+        return insert(space, vec)
 
-    monkeypatch.setattr(GradedEngine, "_eliminate", recording)
+    def recording(method, source):
+        def call(engine, n, *args):
+            before = inserts[0]
+            space = method(engine, n, *args)
+            log.calls.append((engine, n, source, inserts[0] - before, weakref.ref(space)))
+            return space
+        return call
+
+    monkeypatch.setattr(RowSpace, "insert", counting)
+    monkeypatch.setattr(GradedEngine, "_eliminate", recording(GradedEngine._eliminate, "relations"))
+    monkeypatch.setattr(GradedEngine, "_resolve", recording(GradedEngine._resolve, "overlaps"))
     return log
 
 

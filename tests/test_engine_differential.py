@@ -1,11 +1,11 @@
 """The quotient-side engine against the ideal-side reference in
 `ideal_oracle`: Hilbert series, full character tables and the normal forms
 of all words, on the catalog and on random Heisenberg-stable presentations
-over Q and Q(w), in eliminated and in rewriting degrees.  Where p^n is too
-large for the reference, rewriting is checked against elimination."""
+over Q and Q(w), in degrees with and without rows.  Where p^n is too large
+for the reference, the engine, from either row source, is checked against
+one that takes relation multiples in every degree."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import ideal_oracle
@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from algtool import gradedalg
 from algtool.cyclotomic import Cyclotomic
 from algtool.gradedalg import (GradedEngine, Presentation, character_table, hilbert,
                                make_presentation, make_relation)
 from algtool.heisenberg import SimpleRep, conjugacy_classes
+from algtool.linalg import ScaledVec
 
 CATALOG = (
     (("polynomial", 3), 4),
@@ -88,12 +90,34 @@ def test_rewriting_degrees_match_ideal_oracle(args, top, eliminations):
     assert_normal_forms_match_oracle(pres, top)
 
 
+class EliminatingEngine(GradedEngine):
+    """The engine with relation multiples in every degree: no overlap rows,
+    and no degree that builds none.  B_n are the non-pivot columns u x_j,
+    and the new obstructions the pivots with a normal suffix."""
+
+    def _build(self, n: int) -> None:
+        p, q = self.p, self.p ** (n - 1)
+        space = self._eliminate(n)
+        pivots, suffixes = space.rows, set(self.bases[n - 1])
+        basis = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p) if c not in pivots]
+        obstructions = frozenset(c for c in pivots if c % q in suffixes)
+        if obstructions:
+            self.rules.append((n, q * p, obstructions))
+        self.bases.append(basis)
+        self.forms.append({c: ScaledVec({c: self.unit}) for c in basis}
+                          | {o: space.reduce({o: self.unit}) for o in obstructions})
+
+
 def eliminating_engine(pres: Presentation) -> GradedEngine:
-    """An engine that never meets its certificate's degree guard, so it
-    eliminates every degree."""
-    engine = GradedEngine(pres)
-    engine.top_relation = math.inf
-    return engine
+    """A reference engine that takes relation multiples in every degree."""
+    return EliminatingEngine(pres)
+
+
+def overlap_engine(pres: Presentation, monkeypatch) -> GradedEngine:
+    """An engine that takes overlap rows in every degree that builds rows,
+    whatever they cost: OVERLAP_WEIGHT is 0 from here on."""
+    monkeypatch.setattr(gradedalg, "OVERLAP_WEIGHT", 0)
+    return GradedEngine(pres)
 
 
 def assert_columns_match(engine: GradedEngine, reference: GradedEngine, top: int) -> None:
@@ -114,17 +138,27 @@ BEYOND_ORACLE = (
     (("sklyanin5", Fraction(1, 2), Fraction(3, 7)), 7),
     (("cliffordC", 7, 1, 1, 2, 3), 6),
     (("cliffordC", 7, Fraction(2, 3), 1, Fraction(5, 2), 3), 6),
+    # new obstructions in every degree
+    (("cycle", 5), 16),
+    (("sklyanin3", 1, 2, -3), 13),
 )
 
 
 @pytest.mark.parametrize("args,top", BEYOND_ORACLE,
                          ids=[make_presentation(*args).label() for args, _ in BEYOND_ORACLE])
-def test_rewriting_matches_elimination_beyond_the_oracle(args, top, eliminations):
+def test_rewriting_matches_elimination_beyond_the_oracle(args, top, eliminations, monkeypatch):
     pres = make_presentation(*args)
     reference = eliminating_engine(pres)
     assert_columns_match(pres.engine, reference, top)
-    assert top not in eliminations.degrees(pres.engine)
-    assert eliminations.degrees(reference) == list(range(1, top + 1))
+    assert eliminations.sources(reference) == dict.fromkeys(range(1, top + 1), "relations")
+    # the overlap rows alone give the same engine, in every degree with rows
+    overlaps = overlap_engine(pres, monkeypatch)
+    assert_columns_match(overlaps, reference, top)
+    built = eliminations.sources(overlaps)
+    assert set(built.values()) == {"overlaps"} and set(built) <= set(range(2, top + 1))
+    # no rows from 2D on where the obstructions stop
+    if 2 * pres.engine.rules[-1][0] <= top:
+        assert top not in eliminations.degrees(pres.engine)
 
 
 def test_a_dropped_obstruction_is_caught():
@@ -185,3 +219,60 @@ def test_random_orbit_presentations_match_ideal_oracle(pres, rep_index):
     assert_matches_oracle(pres, top, rep_index)
     # about half of the p = 3 draws rewrite by degree 6
     assert_normal_forms_match_oracle(pres, 6 if pres.p == 3 else 4)
+
+
+@seed(20261019)
+@settings(max_examples=20, deadline=None, database=None)
+@given(pres=orbit_presentations())
+def test_random_orbit_presentations_match_elimination_from_either_source(pres):
+    # Q(w) coefficients and relations of degree 3 through both row sources
+    top = 6 if pres.p == 3 else 4
+    reference = eliminating_engine(pres)
+    assert_columns_match(GradedEngine(pres), reference, top)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_columns_match(overlap_engine(pres, monkeypatch), reference, top)
+
+
+def per_a_buckets(engine: GradedEngine, n: int, a: int) -> list:
+    """The weight buckets of (n, a) by their own pass over B_n: the sum of
+    [w] NF(w - a) over the normal words w of each e2-weight."""
+    p = engine.p
+    buckets = [0] * p
+    for w in engine.bases[n]:
+        digits = [w // p ** e % p for e in range(n)]
+        nf = engine.normal_form(n, sum((x - a) % p * p ** e for e, x in enumerate(digits)))
+        buckets[sum(digits) % p] += nf.get(w, 0)
+    return buckets
+
+
+def assert_buckets_match_their_passes(pres: Presentation, degrees) -> None:
+    engine = pres.engine
+    engine.grow(max(degrees), 10 ** 12)
+    for n in degrees:
+        for a in range(pres.p):
+            assert engine._weight_buckets(n, a) == per_a_buckets(engine, n, a), (n, a)
+
+
+@pytest.mark.parametrize("args,top", CATALOG,
+                         ids=[make_presentation(*args).label() for args, _ in CATALOG])
+def test_weight_buckets_match_a_pass_per_a(args, top):
+    # over Q the a > 1 buckets are the a = 1 pass (module docstring)
+    pres = make_presentation(*args)
+    assert_buckets_match_their_passes(pres, [n for n in (pres.p, 2 * pres.p) if n <= max(top, pres.p)])
+
+
+@seed(20261019)
+@settings(max_examples=20, deadline=None, database=None)
+@given(pres=orbit_presentations())
+def test_random_weight_buckets_match_a_pass_per_a(pres):
+    assert_buckets_match_their_passes(pres, [pres.p, 2 * pres.p] if pres.p == 3 else [pres.p])
+
+
+def test_only_qw_keeps_a_pass_per_a():
+    # p divides n = 0 and n = 5: a pass per a over Q(w), and a = 0, 1 over Q
+    for args, passes in ((("curveCa", Cyclotomic(5, (1, 3))), range(5)),
+                         (("curveCa", 2), range(2)), (("cliffordC", 5, 1, 2, 3), range(2))):
+        pres = make_presentation(*args)
+        character_table(pres, SimpleRep(5, 1), 5)
+        assert sorted(pres.engine._buckets) == sorted(
+            [(n, 0) for n in range(6)] + [(n, a) for n in (0, 5) for a in passes if a])

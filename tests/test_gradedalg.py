@@ -489,39 +489,46 @@ def obstruction_counts(pres, top):
     return counts
 
 
-# (presentation, top, obstructions in degrees 2..top, first rewriting degree 2D)
+R, O = "relations", "overlaps"
+# (presentation, top, obstructions in degrees 2..top, row source of each
+# degree that builds rows; every other degree builds none and rewrites)
 OBSTRUCTIONS = (
-    (("polynomial", 3), 8, [3, 0, 0, 0, 0, 0, 0], 4),
-    (("polynomial", 5), 6, [10, 0, 0, 0, 0], 4),
-    (("curveCa", 1), 6, [15, 0, 0, 0, 0], 4),
-    (("curveCa", 2), 6, [15, 0, 0, 0, 0], 4),
-    (("cliffordC", 5, 0, 1, 1), 6, [5, 0, 0, 0, 0], 4),
-    (("sklyanin3", 1, 1, -3), 8, [3, 2, 0, 0, 0, 0, 0], 6),
-    (("cliffordC", 5, 1, 2, 3), 7, [10, 5, 0, 0, 0, 0], 6),
-    (("sklyanin5", 2, 2), 7, [10, 5, 0, 0, 0, 0], 6),
-    (("cliffordC", 7, 1, 2, 3, 4), 6, [21, 8, 0, 0, 0], 6),
-    (("cycle", 5), 7, [15, 3, 3, 3, 3, 3], None),
+    (("polynomial", 3), 8, [3, 0, 0, 0, 0, 0, 0], {2: R, 3: O}),
+    (("polynomial", 5), 6, [10, 0, 0, 0, 0], {2: R, 3: O}),
+    (("curveCa", 1), 6, [15, 0, 0, 0, 0], {2: R, 3: R}),
+    (("curveCa", 2), 6, [15, 0, 0, 0, 0], {2: R, 3: R}),
+    # monomial relations x_k^2: every overlap row is zero
+    (("cliffordC", 5, 0, 1, 1), 6, [5, 0, 0, 0, 0], {2: R}),
+    (("sklyanin3", 1, 1, -3), 8, [3, 2, 0, 0, 0, 0, 0], {2: R, 3: R, 4: O}),
+    (("cliffordC", 5, 1, 2, 3), 7, [10, 5, 0, 0, 0, 0], {2: R, 3: R, 4: O, 5: O}),
+    (("sklyanin5", 2, 2), 7, [10, 5, 0, 0, 0, 0], {2: R, 3: R, 4: O, 5: O}),
+    (("cliffordC", 7, 1, 2, 3, 4), 6, [21, 8, 0, 0, 0], {2: R, 3: R, 4: O, 5: O}),
+    (("cycle", 5), 7, [15, 3, 3, 3, 3, 3], {2: R, 3: O, 4: O, 5: O, 6: O, 7: O}),
 )
 
 
-@pytest.mark.parametrize("args,top,counts,rewrite_from", OBSTRUCTIONS,
+@pytest.mark.parametrize("args,top,counts,sources", OBSTRUCTIONS,
                          ids=[make_presentation(*o[0]).label() for o in OBSTRUCTIONS])
-def test_obstructions_and_the_rewriting_degrees(args, top, counts, rewrite_from, eliminations):
+def test_obstructions_and_the_rewriting_degrees(args, top, counts, sources, eliminations):
     pres = make_presentation(*args)
     engine = pres.engine
     engine.grow(top, 10 ** 12)
     assert obstruction_counts(pres, top) == counts
-    # the engine records the same obstructions in the degrees it eliminates
+    # the engine records the same obstructions in the degrees that build rows
     assert {d: len(obs) for d, _q, obs in engine.rules} == {
         d: c for d, c in enumerate(counts, 2) if c}
-    # relation rows are built below 2D only, and in every degree of cycle(5)
-    assert eliminations.degrees(engine) == list(range(1, top + 1 if rewrite_from is None
-                                                      else rewrite_from))
+    # rows only where a relation or an overlap row needs them (none from 2D
+    # on, but in every degree of cycle(5)), from the pinned source
+    assert eliminations.sources(engine) == sources
+    # every degree without rows takes its candidates as B_n: no overlap row
+    for n in set(range(3, top + 1)) - set(sources):
+        assert engine._overlaps(n) == []
 
 
 def test_a_relation_above_2D_keeps_elimination_until_past_it(eliminations):
     # commutators (D = 2) plus x_k^5: degree 5 brings three more obstructions,
-    # so rewriting may start only at degree 10
+    # whose overlaps with the commutators need rows in degree 6; the overlaps
+    # of x_k^5 with itself have zero tails and need none
     relations = make_presentation("polynomial", 3).relations + tuple(
         make_relation([((k,) * 5, Fraction(1))]) for k in range(3))
     truncated = [sum(1 for e in itertools.product(range(5), repeat=3) if sum(e) == n)
@@ -530,12 +537,15 @@ def test_a_relation_above_2D_keeps_elimination_until_past_it(eliminations):
     pres = Presentation(3, relations)
     assert hilbert(pres, 14) == truncated
     assert [d for d, _q, _obs in pres.engine.rules] == [2, 5]
-    assert eliminations.degrees(pres.engine) == list(range(1, 10))
-    # control: a guard "n above every relation degree" that saw only the
-    # commutators would rewrite from 2D = 4 on and miss x_k^5
-    unguarded = Presentation(3, relations)
-    unguarded.engine.top_relation = 2
-    assert hilbert(unguarded, 5) == [1, 3, 6, 10, 15, 21] != truncated[:6]
+    assert eliminations.degrees(pres.engine) == [2, 3, 5, 6]
+    # degree 5 has no overlap row: its relations alone make it build rows
+    assert pres.engine._overlaps(5) == []
+    # control: an engine blind to the degree-5 relations in its "no rows"
+    # test takes the candidates as B_5 and misses x_k^5
+    blind = Presentation(3, relations).engine
+    blind.relations = [(d, rels) for d, rels in blind.relations if d < 5]
+    blind.grow(5)
+    assert [len(basis) for basis in blind.bases] == [1, 3, 6, 10, 15, 21] != truncated[:6]
 
 
 @pytest.mark.parametrize("args,top,series", [
@@ -554,12 +564,35 @@ def test_deep_tables_fit_the_default_recursion_limit(args, top, series):
 
 
 def test_no_row_space_outlives_grow(eliminations):
-    # sklyanin3(1, 2, -3) eliminates every degree
-    pres = make_presentation("sklyanin3", 1, 2, -3)
-    hilbert(pres, 6)
+    # sklyanin3(1, 2, -3) takes relation multiples in every degree from 2,
+    # cycle(5) overlap rows in every degree from 3
+    relations, overlaps = make_presentation("sklyanin3", 1, 2, -3), make_presentation("cycle", 5)
+    hilbert(relations, 6)
+    hilbert(overlaps, 6, 10 ** 12)
     gc.collect()
-    assert eliminations.degrees(pres.engine) == list(range(1, 7))
-    assert all(space() is None for _engine, _n, space in eliminations.calls)
-    # control: a space somebody holds is seen alive
-    kept = pres.engine._eliminate(3)
-    assert eliminations.calls[-1][2]() is kept
+    assert eliminations.sources(relations.engine) == dict.fromkeys(range(2, 7), "relations")
+    assert eliminations.sources(overlaps.engine) == {2: "relations"} | dict.fromkeys(
+        range(3, 7), "overlaps")
+    assert all(space() is None for *_call, space in eliminations.calls)
+    # control: a space somebody holds is seen alive, from either source
+    kept = relations.engine._eliminate(3)
+    assert eliminations.calls[-1][-1]() is kept
+    engine = overlaps.engine
+    kept = engine._resolve(3, engine.bases[3], engine._overlaps(3), [])
+    assert eliminations.calls[-1][-1]() is kept
+
+
+@pytest.mark.parametrize("args,top,sources,bound", [
+    # overlap rows from degree 4 on; relation multiples in degrees 4 and 5
+    # would insert up to 19,360 rows
+    (("cliffordC", 11, 1, 2, 3, 4, 5, 6), 5, {2: R, 3: R, 4: O, 5: O}, 700),
+    # dense tails: relation multiples in every degree
+    (("sklyanin3", 1, 2, -3), 13, dict.fromkeys(range(2, 14), R), 1100),
+], ids=["cliffordC11-5", "sklyanin3-1,2,-3-13"])
+def test_row_sources_and_their_work_are_pinned(args, top, sources, bound, eliminations):
+    # a deterministic work guard: a step that silently takes the other row
+    # source changes the sources, and the RowSpace.insert count with them
+    pres = make_presentation(*args)
+    pres.engine.grow(top, 10 ** 12)
+    assert eliminations.sources(pres.engine) == sources
+    assert eliminations.inserts(pres.engine) <= bound
