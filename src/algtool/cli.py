@@ -69,32 +69,43 @@ def parse_params(text: str, flag: str):
     return tuple(parse_scalar(tok, "exact") for tok in list_fields(text, flag))
 
 
-def to_jsonable(obj):
+def to_jsonable(obj, shared: Optional[dict] = None):
     """JSON-ready form of a payload: a dict, a report dataclass, or any value
     inside them.  The one JSON encoding of the library's values: a Fraction
     is [num, den] as strings, a complex [re, im], a Cyclotomic its prime and
     power-basis coefficients, a MultiPoly its variables, field and terms in
     `sorted_terms` order.  numpy scalars need no branch: np.float64 and
-    np.complex128 subclass float and complex."""
+    np.complex128 subclass float and complex.
+
+    Equal Cyclotomic values share one JSON dict (`shared` maps each value
+    met so far to it; a fresh map when not given), which `json_text`
+    writes once per indentation."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
+    if shared is None:
+        shared = {}
     if isinstance(obj, Fraction):
         return [str(obj.numerator), str(obj.denominator)]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, Cyclotomic):
-        return {"p": obj.p,
+        data = shared.get(obj)
+        if data is None:
+            data = shared[obj] = {
+                "p": obj.p,
                 "coeffs": [[str(q.numerator), str(q.denominator)] for q in obj.coeffs]}
+        return data
     if isinstance(obj, MultiPoly):
         return {"vars": list(obj.ring.variables), "field": obj.ring.field,
-                "terms": [{"exps": list(e), "coeff": to_jsonable(c)}
+                "terms": [{"exps": list(e), "coeff": to_jsonable(c, shared)}
                           for e, c in obj.sorted_terms()]}
     if dataclasses.is_dataclass(obj):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: to_jsonable(getattr(obj, f.name), shared)
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): to_jsonable(v, shared) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return [to_jsonable(v, shared) for v in obj]
     return str(obj)
 
 
@@ -102,43 +113,51 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_leaf = json.JSONEncoder().encode
 
 
-def _write_json(value, parts: list, newline: str, head: str = "") -> None:
+def _write_json(value, parts: list, newline: str, texts: dict, head: str = "") -> None:
     """Append `head` and then `value` as `json.dumps(value, sort_keys=True,
     indent=2)` writes it at the line start `newline`.  With an indent json
     encodes every node in Python; here only containers are laid out in
-    Python, and every leaf goes through json's own C encoder."""
+    Python, and every leaf goes through json's own C encoder.  `texts` holds
+    the text of each container written so far, by its id and line start, so
+    a container met again at the same indentation is copied, not laid out."""
     if type(value) is str:
         parts.append(head + _encode_str(value))
         return
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            parts.append(head + "{}")
-            return
-        sep = head + "{" + inner
-        for key, item in sorted(value.items()):
-            _write_json(item, parts, inner, sep + _encode_str(key) + ": ")
-            sep = "," + inner
-        parts.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append(head + "[]")
-            return
-        sep = head + "[" + inner
-        for item in value:
-            _write_json(item, parts, inner, sep)
-            sep = "," + inner
-        parts.append(newline + "]")
-    else:
+    if not isinstance(value, (dict, list, tuple)):
         parts.append(head + _encode_leaf(value))
+        return
+    if not value:
+        parts.append(head + ("{}" if isinstance(value, dict) else "[]"))
+        return
+    key = (id(value), newline)
+    text = texts.get(key)
+    if text is None:
+        start = len(parts)
+        inner = newline + "  "
+        if isinstance(value, dict):
+            sep = "{" + inner
+            for name, item in sorted(value.items()):
+                _write_json(item, parts, inner, texts, sep + _encode_str(name) + ": ")
+                sep = "," + inner
+            parts.append(newline + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                _write_json(item, parts, inner, texts, sep)
+                sep = "," + inner
+            parts.append(newline + "]")
+        text = texts[key] = "".join(parts[start:])
+        del parts[start:]
+    parts.append(head + text)
 
 
 def json_text(data) -> str:
     """`json.dumps(data, sort_keys=True, indent=2)`, byte for byte, for data
     built of str-keyed dicts, lists, tuples, str, int, float, bool and None
-    (subclasses included), as `to_jsonable` returns it."""
+    (subclasses included), as `to_jsonable` returns it.  An object may occur
+    more than once, as long as it does not contain itself."""
     parts: list = []
-    _write_json(data, parts, "\n")
+    _write_json(data, parts, "\n", {})
     return "".join(parts)
 
 

@@ -117,6 +117,15 @@ class Cyclotomic:
         return cls._raw(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
     @classmethod
+    def from_integers(cls, p: int, raw: Sequence[int]) -> "Cyclotomic":
+        """sum_k raw[k] w^k for p ints raw[0..p-1]: the fold of ``Cyclotomic(p,
+        raw)`` with no Fractions and no prime check, for callers that hold p
+        already checked."""
+        # w^(p-1) = -(1 + w + ... + w^(p-2))
+        top = raw[p - 1]
+        return cls._raw(p, tuple([c - top for c in raw[:-1]]))
+
+    @classmethod
     def zeta(cls, p: int, k: int = 1) -> "Cyclotomic":
         """w^k."""
         key = (p, k % p)
@@ -254,17 +263,20 @@ class Cyclotomic:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic):
+            return self.p == other.p and self.den == other.den and self.num == other.num
         if isinstance(other, int):
             return self.den == 1 and self.num[0] == other and self.is_rational()
         if isinstance(other, Fraction):
             return (self.den == other.denominator and self.num[0] == other.numerator
                     and self.is_rational())
-        if isinstance(other, Cyclotomic):
-            return self.p == other.p and self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
+        # equal to the hash of an equal int or Fraction, as __eq__ needs
         if self.is_rational():
+            if self.den == 1:
+                return hash(self.num[0])
             return hash(Fraction(self.num[0], self.den))
         return hash((self.p, self.num, self.den))
 

@@ -87,12 +87,19 @@ zeta^(i(nk + b sum(w))) (w - a), with w - a the digitwise shift, and
 where the weight bucket bucket_{n,a}[s] sums the diagonal entries [w] NF(w - a)
 over the normal words of e2-weight sum(w) = s (mod p).  The buckets depend on
 neither b, k nor the representation V_i, so one pass over B_n per (n, a)
-serves every class e1^a e2^b z^k of every table.  For a != 0 and p not
+serves every class e1^a e2^b z^k of every table.  For a = 0 a normal word
+is its own NF, so bucket_{n,0}[s] is the number of words of weight s in
+B_n: a histogram, with no normal form looked up.  For a != 0 and p not
 dividing n every bucket is zero, and no normal form is needed: an ideal
 stable under e2 makes I_n a sum of e2-weight spaces, so NF never mixes
 weights; and w - a has weight sum(w) - na, which differs from sum(w) mod p.
-So a table costs one pass per degree (a = 0) plus, in degrees divisible by
-p, one per a = 1..p-1 over Q(w), and one in all over Q.
+So a table costs one histogram per degree plus, in degrees divisible by p,
+one pass per a = 1..p-1 over Q(w), and one in all over Q.
+
+Neither the weight of w nor the index of w - a needs the digits of w: the
+prefix u of a normal word w = u x_j is normal, so per-degree maps on B_n
+(`_word_map`) give both from the map of degree n-1, weight(u x_j) =
+weight(u) + j and shift(u x_j) = shift(u) p + (j - a) mod p.
 
 Over Q the passes for a = 2..p-1 are the pass for a = 1.  Let p divide n.
 Then w - a has the weight of w, so e1^a preserves each weight space
@@ -102,7 +109,9 @@ is (t - 1)^m0 Phi_p(t)^m1, so bucket_{n,a}[s] = tr(e1^a | A_{n,s}) =
 m0 + m1 (zeta + ... + zeta^(p-1)) = m0 - m1 for every a != 0: e1^a has the
 eigenvalues of e1, the primitive ones permuted.  Over Q(w) the matrix has
 Q(w) entries, its characteristic polynomial need not be rational, and
-every a keeps its own pass.
+every a keeps its own pass.  So every bucket over Q, and every bucket of
+a = 0 over Q(w), is an integer, and `trace` folds the phase sum of such
+buckets into the power basis in integers.
 
 `in_ideal` is the one membership query: a tensor lies in I exactly when
 its normal form is zero.  H_p acts on A exactly when g(r) lies in I for
@@ -299,7 +308,16 @@ class GradedEngine:
         # memo of NF per degree, by word index: a normal word is its own unit
         # vector, and an obstruction o of degree n starts out as the tail NF_n(o)
         self.forms: List[Dict[int, ScaledVec]] = [{0: ScaledVec({0: self.unit})}]
+        # the obstructions by each proper prefix and suffix, keyed (length, index),
+        # as (degree, rank in the rule's order, obstruction, tail is non-zero)
+        self._prefixes: Dict[Tuple[int, int], List[Tuple[int, int, int, bool]]] = {}
+        self._suffixes: Dict[Tuple[int, int], List[Tuple[int, int, int, bool]]] = {}
+        # overlaps by the degree they live in, each (d1, d2, rank1, rank2, o1, o2)
+        self._pending: Dict[int, List[Tuple[int, int, int, int, int, int]]] = {}
         self._buckets: Dict[Tuple[int, int], List[object]] = {}  # weight buckets by (n, a)
+        # per a, per degree: the e2-weight mod p (a = 0), else the index of w - a,
+        # of each w in B_n
+        self._word_maps: Dict[int, List[Dict[int, int]]] = {}
         self.stable = False  # check_stability passed
 
     def grow(self, n: int, cap: Optional[int] = None) -> None:
@@ -346,32 +364,48 @@ class GradedEngine:
             basis = candidates
         self.bases.append(basis)
         self.forms.append({c: ScaledVec({c: self.unit}) for c in basis} | tails)
+        if tails:
+            self._file_overlaps(n, tails)
+
+    def _file_overlaps(self, d: int, tails: Dict[int, ScaledVec]) -> None:
+        """Index the new obstructions of degree d by their proper prefixes and
+        suffixes, and file each overlap a c b they make with themselves or
+        with older obstructions under its degree d1 + d2 - |c|.  An overlap
+        of two zero tails is never filed: its row is zero."""
+        p, prefixes, suffixes = self.p, self._prefixes, self._suffixes
+        # rank: the place of o in the rule's order, the iteration order of its obstructions
+        new = [(d, rank, o, bool(tail.nums)) for rank, (o, tail) in enumerate(tails.items())]
+        for entry in new:
+            o = entry[2]
+            for k in range(1, d):
+                prefixes.setdefault((k, o // p ** (d - k)), []).append(entry)
+                suffixes.setdefault((k, o % p ** k), []).append(entry)
+        # (o1, o2, |c|): o1 new and o2 new or old, then o1 old and o2 new
+        found = [(first, second, k) for first in new for k in range(1, d)
+                 for second in prefixes.get((k, first[2] % p ** k), ())]
+        found += [(first, second, k) for second in new for k in range(1, d)
+                  for first in suffixes.get((k, second[2] // p ** (d - k)), ()) if first[0] < d]
+        for (d1, rank1, o1, tail1), (d2, rank2, o2, tail2), k in found:
+            if tail1 or tail2:
+                self._pending.setdefault(d1 + d2 - k, []).append((d1, d2, rank1, rank2, o1, o2))
 
     def _overlaps(self, n: int) -> List[Tuple[int, int, int, int]]:
         """(d1, o1, d2, o2) for each overlap w = a c b of degree n of the
         obstructions o1 = a c of degree d1 and o2 = c b of degree d2 (c, a and
         b non-empty) whose row can be non-zero and is not implied by lower
         degrees: a tail is non-zero, and the middle of w (w less its first and
-        last letter) is a normal word (the chain criterion)."""
-        rules = [rule for rule in self.rules if rule[0] < n]
+        last letter) is a normal word (the chain criterion).  They come by
+        degree d1, then d2, then each rule's order of o1, then of o2."""
+        pending = self._pending.pop(n, None)
+        if not pending:
+            return []
         p, q = self.p, self.p ** (n - 1)
         middles = set(self.bases[n - 2])
         found = []
-        for d1, _q1, firsts in rules:
-            for d2, _q2, seconds in rules:
-                k = d1 + d2 - n  # |c|
-                if k < 1:
-                    continue
-                lift = p ** (n - d1)  # p^|b|
-                by_prefix: Dict[int, List[Tuple[int, bool]]] = {}
-                for o2 in seconds:
-                    by_prefix.setdefault(o2 // lift, []).append((o2, bool(self.forms[d2][o2].nums)))
-                shared = p ** k
-                for o1 in firsts:
-                    tail1 = bool(self.forms[d1][o1].nums)
-                    for o2, tail2 in by_prefix.get(o1 % shared, ()):
-                        if (tail1 or tail2) and (o1 * lift + o2 % lift) % q // p in middles:
-                            found.append((d1, o1, d2, o2))
+        for d1, d2, _rank1, _rank2, o1, o2 in sorted(pending):
+            lift = p ** (n - d1)  # p^|b|
+            if (o1 * lift + o2 % lift) % q // p in middles:
+                found.append((d1, o1, d2, o2))
         return found
 
     def _resolve(self, n: int, candidates: List[int], overlaps, relations) -> RowSpace:
@@ -438,22 +472,48 @@ class GradedEngine:
             memo[index] = nf
         return nf
 
+    def _word_map(self, n: int, a: int) -> Dict[int, int]:
+        """For each w in B_n: its e2-weight mod p when a = 0, else the index of
+        w - a.  Each degree is read off the map of the one below, since the
+        prefix u of w = u x_j is in B_{n-1}: weight(u x_j) = weight(u) + j
+        and shift(u x_j) = shift(u) p + (j - a) mod p.  Degree n must exist."""
+        maps = self._word_maps.setdefault(a, [{0: 0}])
+        p = self.p
+        for m in range(len(maps), n + 1):
+            prev = maps[m - 1]
+            if a:
+                maps.append({w: prev[w // p] * p + (w % p - a) % p for w in self.bases[m]})
+            else:
+                maps.append({w: (prev[w // p] + w % p) % p for w in self.bases[m]})
+        return maps[n]
+
     def _weight_buckets(self, n: int, a: int) -> List[object]:
-        """bucket[s] = sum of [w] NF(w - a) over the w in B_n of weight s: an
-        exact rational over Q, a Cyclotomic over Q(w).  Degree n must exist.
-        Over Q every a != 0 has the buckets of a = 1 (module docstring)."""
+        """bucket[s] = sum of [w] NF(w - a) over the w in B_n of weight s.  For
+        a = 0 that is the number of normal words of weight s, since a normal
+        word is its own NF.  Over Q every a != 0 has the buckets of a = 1,
+        integers (module docstring); over Q(w) they are Cyclotomic.  Degree n
+        must exist."""
         if a > 1 and type(self.unit) is int:
             return self._weight_buckets(n, 1)
         buckets = self._buckets.get((n, a))
         if buckets is None:
-            p = self.p
-            buckets = self._buckets[n, a] = [0] * p
-            for w in self.bases[n]:
-                digits = [w // p ** e % p for e in range(n)]  # little-endian
-                nf = self.normal_form(n, sum((x - a) % p * p ** e for e, x in enumerate(digits)))
-                v = nf.nums.get(w)
-                if v:
-                    buckets[sum(digits) % p] += v if nf.den == 1 else v * Fraction(1, nf.den)
+            buckets = [0] * self.p
+            weights = self._word_map(n, 0)
+            if a:
+                shifts = self._word_map(n, a)
+                for w, s in weights.items():
+                    nf = self.normal_form(n, shifts[w])
+                    v = nf.nums.get(w)
+                    if v:
+                        buckets[s] += v if nf.den == 1 else Fraction(v, nf.den)
+                if type(self.unit) is int:
+                    if any(b.denominator != 1 for b in buckets):
+                        raise ArithmeticError(f"degree {n} has a trace of e1 that is not an integer")
+                    buckets = [b.numerator for b in buckets]
+            else:
+                for s in weights.values():
+                    buckets[s] += 1
+            self._buckets[n, a] = buckets
         return buckets
 
     def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int) -> Cyclotomic:
@@ -461,13 +521,13 @@ class GradedEngine:
         Degree n must exist and I be H_p-stable: then the entry is 0 when
         g.a != 0 and p does not divide n (see the module docstring)."""
         p = self.p
-        if g.a and n % p:
-            return Cyclotomic(p)
         coeffs = [0] * p  # coefficient of zeta^phase
+        if g.a and n % p:
+            return Cyclotomic.from_integers(p, coeffs)  # zero
         for s, value in enumerate(self._weight_buckets(n, g.a)):
             coeffs[rep.index * (n * g.k + g.b * s) % p] += value
-        if type(self.unit) is int:
-            return Cyclotomic(p, coeffs)
+        if not g.a or type(self.unit) is int:
+            return Cyclotomic.from_integers(p, coeffs)
         return sum((Cyclotomic.zeta(p, phase) * c for phase, c in enumerate(coeffs) if c),
                    Cyclotomic(p))
 
@@ -525,15 +585,23 @@ def check_stability(pres: Presentation, cap: Optional[int] = None) -> None:
     engine.stable = True
 
 
-def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
-                     max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
-    """Coefficients of the character series of g on A = T(V)/I up to t^N."""
+def _engine_for_traces(pres: Presentation, elements: Sequence[HeisenbergElement],
+                   rep: SimpleRep, max_degree: int, cap: Optional[int]) -> GradedEngine:
+    """The engine of `pres` grown to max_degree under the cell cap, once the
+    degree, the primes of the elements and of rep, and H_p-stability pass."""
     _check_max_degree(max_degree)
-    if g.p != pres.p or rep.p != pres.p:
+    if rep.p != pres.p or any(g.p != pres.p for g in elements):
         raise ModulusError("presentation, element and representation must share p")
     check_stability(pres, cap)
     engine = pres.engine
     engine.grow(max_degree, cap)
+    return engine
+
+
+def character_coeffs(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
+                     max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
+    """Coefficients of the character series of g on A = T(V)/I up to t^N."""
+    engine = _engine_for_traces(pres, [g], rep, max_degree, cap)
     return [engine.trace(g, rep, n) for n in range(max_degree + 1)]
 
 
@@ -580,12 +648,13 @@ class CharacterTable:
 
 def character_table(pres: Presentation, rep: SimpleRep, max_degree: int,
                     cap: Optional[int] = None) -> CharacterTable:
-    rows = []
-    for g, _size in conjugacy_classes(pres.p):
-        coeffs = character_coeffs(pres, g, rep, max_degree, cap)
-        rows.append((g.label(), tuple(coeffs)))
-    return CharacterTable(pres.p, rep.index, max_degree, tuple(rows),
-                          pres.kind, pres.params)
+    """The character series of every conjugacy class, after one round of the
+    checks of `character_coeffs` for the whole table."""
+    classes = [g for g, _size in conjugacy_classes(pres.p)]
+    engine = _engine_for_traces(pres, classes, rep, max_degree, cap)
+    rows = tuple((g.label(), tuple(engine.trace(g, rep, n) for n in range(max_degree + 1)))
+                 for g in classes)
+    return CharacterTable(pres.p, rep.index, max_degree, rows, pres.kind, pres.params)
 
 
 # -- catalog of presentations ------------------------------------------------------

@@ -622,3 +622,28 @@ def test_json_text_is_json_dumps_byte_for_byte(data):
     # nested empty containers, non-ASCII text, NaN and +-inf, bools, and
     # float subclasses whose own repr json does not use
     assert json_text(data) == json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_json_text_writes_shared_objects_as_json_dumps_does():
+    # one list and one dict object at one depth, and at two depths, where a
+    # text kept for the wrong indentation would show
+    pair, table = ["1", "2"], {"k": [1, 2.5, None], "e": []}
+    for data in ({"a": pair, "b": pair, "c": table, "d": table},
+                 {"a": pair, "b": [pair, {"c": pair}], "d": table, "e": [[table], table]},
+                 [pair, [pair], [[pair, table]], table, (table,)]):
+        assert json_text(data) == json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_to_jsonable_shares_one_dict_per_equal_cyclotomic():
+    from fractions import Fraction
+
+    from algtool.cyclotomic import Cyclotomic
+    a, b = Cyclotomic(5, (1, Fraction(2, 3))), Cyclotomic(5, (1, Fraction(2, 3)))
+    one3, one5 = Cyclotomic.from_rational(3, 1), Cyclotomic.from_rational(5, 1)
+    data = to_jsonable({"x": [a, b], "y": (a, one3, one5), "z": Fraction(1)})
+    assert data["x"][0] is data["x"][1] is data["y"][0]
+    assert data["y"][1] == {"p": 3, "coeffs": [["1", "1"], ["0", "1"]]}
+    assert data["y"][2]["p"] == 5 and data["z"] == ["1", "1"]
+    # one argument, one value: a fresh map each call
+    assert to_jsonable(a) == data["x"][0] and to_jsonable(a) is not to_jsonable(a)
+    assert to_jsonable(a) == {"p": 5, "coeffs": [["1", "1"], ["2", "3"], ["0", "1"], ["0", "1"]]}

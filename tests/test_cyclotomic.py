@@ -241,3 +241,26 @@ def test_copy_deepcopy_and_pickle_round_trip():
     for clone in (copy.deepcopy(pres), pickle.loads(pickle.dumps(pres))):
         assert clone == pres
         assert hilbert(clone, 4) == series
+
+
+def test_hash_agrees_with_equality():
+    # rationals over den 1 and den > 1, reached directly, by cancellation and
+    # by arithmetic, beside ints, Fractions and irrational values
+    pool = [0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 3)]
+    for p in (3, 5, 7):
+        w = Cyclotomic.zeta(p)
+        pool += [Cyclotomic(p), Cyclotomic.from_rational(p, 1), Cyclotomic.from_rational(p, -2),
+                 Cyclotomic.from_rational(p, Fraction(1, 2)), Cyclotomic(p, [Fraction(3, 2)]) * 2,
+                 Cyclotomic(p, [Fraction(-3, 8)]) * 2, w * w ** (p - 1),
+                 -sum((w ** k for k in range(1, p)), Cyclotomic(p)) * 3, w, w + Fraction(1, 2),
+                 Cyclotomic(p, [1, 1]) * Fraction(1, 2)]
+    equal = [(x, y) for x in pool for y in pool if x == y and x is not y]
+    assert all(y == x for x, y in equal)
+    assert all(hash(x) == hash(y) for x, y in equal)
+    # each rational Cyclotomic equals an int or a Fraction of the pool, or
+    # another Cyclotomic over its prime
+    assert all(any(y is not x and y == x for y in pool) for x in pool
+               if isinstance(x, Cyclotomic) and x.is_rational())
+    # equal rationals over two primes equal one int, not each other
+    one3, one5 = Cyclotomic.from_rational(3, 1), Cyclotomic.from_rational(5, 1)
+    assert one3 == 1 == one5 and one3 != one5

@@ -245,11 +245,13 @@ def per_a_buckets(engine: GradedEngine, n: int, a: int) -> list:
     return buckets
 
 
-def assert_buckets_match_their_passes(pres: Presentation, degrees) -> None:
+def assert_buckets_match_their_passes(pres: Presentation, top: int) -> None:
+    """The buckets of a = 0, a histogram of B_n, in every degree up to top,
+    and those of every a in the degrees divisible by p, against a pass each."""
     engine = pres.engine
-    engine.grow(max(degrees), 10 ** 12)
-    for n in degrees:
-        for a in range(pres.p):
+    engine.grow(top, 10 ** 12)
+    for n in range(top + 1):
+        for a in range(pres.p if n % pres.p == 0 else 1):
             assert engine._weight_buckets(n, a) == per_a_buckets(engine, n, a), (n, a)
 
 
@@ -258,14 +260,63 @@ def assert_buckets_match_their_passes(pres: Presentation, degrees) -> None:
 def test_weight_buckets_match_a_pass_per_a(args, top):
     # over Q the a > 1 buckets are the a = 1 pass (module docstring)
     pres = make_presentation(*args)
-    assert_buckets_match_their_passes(pres, [n for n in (pres.p, 2 * pres.p) if n <= max(top, pres.p)])
+    assert_buckets_match_their_passes(pres, max(top, pres.p))
 
 
 @seed(20261019)
 @settings(max_examples=20, deadline=None, database=None)
 @given(pres=orbit_presentations())
 def test_random_weight_buckets_match_a_pass_per_a(pres):
-    assert_buckets_match_their_passes(pres, [pres.p, 2 * pres.p] if pres.p == 3 else [pres.p])
+    assert_buckets_match_their_passes(pres, 2 * pres.p if pres.p == 3 else pres.p)
+
+
+def test_a_histogram_one_word_off_is_caught(monkeypatch):
+    # control: the weights of B_4 of cycle(5), p not dividing 4, less one word
+    word_map = GradedEngine._word_map
+
+    def short(engine, n, a):
+        weights = word_map(engine, n, a)
+        return dict(list(weights.items())[1:]) if (n, a) == (4, 0) else weights
+
+    monkeypatch.setattr(GradedEngine, "_word_map", short)
+    with pytest.raises(AssertionError):
+        assert_buckets_match_their_passes(make_presentation("cycle", 5), 4)
+
+
+def scanned_overlaps(engine: GradedEngine, n: int) -> list:
+    """The overlaps of degree n that `GradedEngine._overlaps` must return, by
+    a scan of every pair of obstructions of every pair of rule degrees below
+    n, in its order: by d1, then d2, then each rule's own order."""
+    p, q = engine.p, engine.p ** (n - 1)
+    middles = set(engine.bases[n - 2])
+    found = []
+    for d1, _q1, firsts in engine.rules:
+        for d2, _q2, seconds in engine.rules:
+            k, lift = d1 + d2 - n, p ** (n - d1)  # |c|, p^|b|
+            found += [(d1, o1, d2, o2) for o1 in firsts for o2 in seconds
+                      if 0 < k < min(d1, d2) and o1 % p ** k == o2 // lift
+                      and (engine.forms[d1][o1].nums or engine.forms[d2][o2].nums)
+                      and (o1 * lift + o2 % lift) % q // p in middles]
+    return found
+
+
+FILED = BEYOND_ORACLE + ((("cliffordC", 11, 1, 1, 2, 3, 4, 5), 4),)
+
+
+@pytest.mark.parametrize("args,top", FILED,
+                         ids=[make_presentation(*args).label() for args, _ in FILED])
+def test_filed_overlaps_are_the_scanned_ones_in_order(args, top, monkeypatch):
+    overlaps, counts = GradedEngine._overlaps, {}
+
+    def checked(engine, n):
+        found = overlaps(engine, n)
+        assert found == scanned_overlaps(engine, n), n
+        counts[n] = len(found)
+        return found
+
+    monkeypatch.setattr(GradedEngine, "_overlaps", checked)
+    make_presentation(*args).engine.grow(top, 10 ** 12)
+    assert sorted(counts) == list(range(1, top + 1)) and sum(counts.values()) > 0
 
 
 def test_only_qw_keeps_a_pass_per_a():

@@ -279,6 +279,44 @@ def test_stability_is_checked_for_every_class_and_call():
             character_coeffs(poly3, HeisenbergElement(3, 1, 1, 0), SimpleRep(5, 1), 2)
 
 
+def test_a_table_checks_and_grows_once(monkeypatch):
+    from algtool import gradedalg
+    calls = []
+    for name in ("check_stability", "_check_max_degree"):
+        def spy(*args, _f=getattr(gradedalg, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(gradedalg, name, spy)
+    grow = gradedalg.GradedEngine.grow
+    monkeypatch.setattr(gradedalg.GradedEngine, "grow",
+                        lambda engine, n, cap=None: calls.append("grow") or grow(engine, n, cap))
+    pres, rep = make_presentation("cycle", 5), SimpleRep(5, 2)
+    check_stability(pres)
+    calls.clear()
+    table = character_table(pres, rep, 5)
+    assert sorted(calls) == ["_check_max_degree", "check_stability", "grow"]
+    # the rows are the series of each class on its own
+    assert table.rows == tuple((g.label(), tuple(character_coeffs(pres, g, rep, 5)))
+                               for g, _size in conjugacy_classes(5))
+    with pytest.raises(ModulusError):
+        character_table(pres, SimpleRep(3, 1), 5)
+    with pytest.raises(InputError):
+        character_table(pres, rep, -1)
+
+
+def test_a_fractional_e1_trace_over_q_is_an_error():
+    # off a stable ideal the a = 1 pass need not sum to integers, and the
+    # engine refuses to fold such a bucket; a table stops at the check first
+    pres = Presentation(3, (make_relation([((1, 0), Fraction(3, 2)), ((2, 2), Fraction(1))]),
+                            make_relation([((0, 2), Fraction(2, 3)), ((2, 0), Fraction(1))]),
+                            make_relation([((1, 0), Fraction(1)), ((1, 1), Fraction(2, 3))])))
+    pres.engine.grow(3)
+    with pytest.raises(ArithmeticError):
+        pres.engine._weight_buckets(3, 1)
+    with pytest.raises(StabilityError):
+        character_table(pres, SimpleRep(3, 1), 3)
+
+
 def test_stability_is_one_verdict_for_every_representation():
     # e2 acts in V_i as the i-th power of its action in V_1, so every
     # representation index gives the verdict of index 1; each V_i asks a
