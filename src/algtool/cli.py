@@ -4,17 +4,20 @@ deterministic text/JSON output.
 Exit codes: 0 success, 2 assertion-style check failure, 1 usage, input or
 resource errors.  JSON output is key-sorted; identical invocations (same
 seed) give byte-identical output.
+
+Flags are `--flag value` or `--flag=value`, never abbreviated, and the last
+occurrence wins; `-h` at any level lists the commands, the operations or
+the flags.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from . import clifford, koszul, selftest, shioda5, sklyanin2
@@ -315,14 +318,26 @@ def cmd_selftest(args) -> int:
     return emit(report, args, check_failed=not report["passed"])
 
 
-# -- flags and parsers -------------------------------------------------------------
+# -- flags and argv ----------------------------------------------------------------
+#
+# argv is read from one table: COMMANDS names each command's handler and the
+# flags it reads (per operation for sklyanin2 and shioda5), FLAGS holds every
+# flag once, and `resolve` merges the two into the `Flag`s of one command or
+# operation, which parsing, the -h screens and the tests read.  The rules and
+# usage-error messages are those of Python's argparse without abbreviations;
+# argparse itself is not used, since its start-up (gettext, locale and its
+# regexes) costs a cold process more than a small computation does.
+
+
+class UsageError(Exception):
+    """A usage error; `parse_argv` prints it after `{prog}: error: `."""
 
 
 def positive_finite(text: str) -> float:
     """A tolerance: a float above 0 and below infinity (nan is neither)."""
     value = float(text)
     if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+        raise UsageError(f"must be a positive finite number, got {text!r}")
     return value
 
 
@@ -330,11 +345,11 @@ def non_negative_int(text: str) -> int:
     """A seed: numpy's generators take no negative one."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+        raise UsageError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
-# every flag once, with its add_argument keywords
+# every flag once, with its `Flag` keywords
 FLAGS = {
     "--format": {"choices": ("text", "json"), "default": "text"},
     "--out": {"help": "write the report to a file"},
@@ -347,7 +362,7 @@ FLAGS = {
     "--max-degree": {"type": int, "required": True},
     "--class": {"dest": "cls", "default": "1"},
     "--rep": {"type": int, "default": 1},
-    "--table": {"action": "store_true", "help": "all conjugacy classes"},
+    "--table": {"store_true": True, "help": "all conjugacy classes"},
     "--seed": {"type": non_negative_int, "default": 0},
     "--tol-rank": {"type": positive_finite, "default": 1e-8,
                    "help": "relative singular-value cutoff of the float ranks"},
@@ -385,51 +400,197 @@ COMMANDS = {
     "selftest": (cmd_selftest, ("--seed", "--criteria")),
 }
 
+HELP = ("-h", "--help")
 
-class Parser(argparse.ArgumentParser):
-    """A parser without abbreviations whose usage errors exit 1, not 2, and
-    print the `{code, message}` payload on stdout under --format json.  A
-    token of '-' and a digit, or '-.' and a digit, is a value (`--a -1/2`)."""
 
-    def __init__(self, prog: str, json_errors: bool, description: Optional[str] = None):
-        super().__init__(prog=prog, description=description, allow_abbrev=False)
-        self.json_errors = json_errors
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+class Flag:
+    """One flag of one command or operation: FLAGS[name] merged with the
+    leaf's overrides.  It takes one value, converted by `type` and checked
+    against `choices`, or none when `store_true`; the last occurrence wins."""
 
-    def error(self, message):
-        if self.json_errors:
-            payload = {"error": {"code": "usage", "message": f"{self.prog}: {message}"}}
+    __slots__ = ("name", "dest", "type", "default", "required", "choices", "store_true",
+                 "help")
+
+    def __init__(self, name: str, dest: Optional[str] = None, type=None, default=None,
+                 required: bool = False, choices=None, store_true: bool = False,
+                 help: str = ""):
+        self.name, self.dest = name, dest or name[2:].replace("-", "_")
+        self.type, self.required, self.choices = type, required, choices
+        self.default = False if store_true else default
+        self.store_true, self.help = store_true, help
+
+    def value(self, text: str):
+        """`text` converted and checked; a bad one is a usage error."""
+        value = text
+        if self.type is not None:
+            try:
+                value = self.type(text)
+            except UsageError as exc:
+                raise UsageError(f"argument {self.name}: {exc}") from None
+            except (TypeError, ValueError):
+                raise UsageError(f"argument {self.name}: invalid {self.type.__name__} "
+                                 f"value: {text!r}") from None
+        _check_choice(self.name, value, self.choices)
+        return value
+
+
+def _check_choice(name: str, value, choices) -> None:
+    if choices is not None and value not in choices:
+        raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+
+
+def resolve(leaf) -> dict:
+    """The flags of one command or operation by name: --format, --out and
+    the leaf's, each FLAGS[name] merged with the leaf's overrides."""
+    flags = {}
+    for entry in ("--format", "--out", *leaf):
+        name, overrides = (entry, {}) if isinstance(entry, str) else entry
+        flags[name] = Flag(name, **{**FLAGS[name], **overrides})
+    return flags
+
+
+def _reading(word: str, flags: dict):
+    """What one word of argv is: None for a value, else (flag, text joined
+    to it by '=' or None), the flag None when it is not one of `flags` or
+    HELP.  A word of '-' and a digit, or '-.' and a digit, is a value
+    (`--a -1/2`), and so is one with a space; a single-dash word that starts
+    with -h is -h with the rest joined (`-hh` is -h twice)."""
+    if not word.startswith("-"):
+        return None
+    if word in flags or word in HELP:
+        return word, None
+    if len(word) == 1:
+        return None
+    head, eq, joined = word.partition("=")
+    if eq and (head in flags or head in HELP):
+        return head, joined
+    if word[1] != "-" and word.startswith("-h"):
+        return "-h", word[2:]
+    digit = word[2:3] if word.startswith("-.") else word[1:2]
+    if digit.isdecimal() or " " in word:
+        return None
+    return None, None
+
+
+def _no_value(name: str, joined: Optional[str]) -> None:
+    """A flag that takes no value refuses text joined to it, except that -h
+    reads each further 'h' of `-hh...` as one more -h."""
+    if joined is None or (name == "-h" and joined and not joined.lstrip("h")):
+        return
+    rest = joined.lstrip("h") if name == "-h" else joined
+    label = "/".join(HELP) if name in HELP else name
+    raise UsageError(f"argument {label}: ignored explicit argument {rest!r}")
+
+
+def _help(usage: str, title: str, rows, description: str = "") -> None:
+    """Print a help screen that lists `rows` (name, text) under `title`, and
+    exit 0."""
+    lines = [f"usage: {usage}", ""]
+    if description:
+        lines += [description.strip(), ""]
+    lines.append(f"{title}:")
+    lines += [f"  {name:<22}  {text}".rstrip() for name, text in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
+    sys.exit(0)
+
+
+def choose(prog: str, argv, name: str, table: dict, description: str = "") -> str:
+    """The key of `table` that is the first word of argv; -h lists them."""
+    reading = _reading(argv[0], {}) if argv else (None, None)
+    if reading is None:
+        _check_choice(name, argv[0], table)
+        return argv[0]
+    if reading[0] is not None:  # -h
+        _no_value(*reading)
+        _help(f"{prog} [-h] <{name}> ...", f"{name}s", [(key, "") for key in table],
+              description)
+    raise UsageError(f"the following arguments are required: {name}")
+
+
+def _flag_rows(flags: dict):
+    """(flag and value, help, then the default or 'required') of each flag."""
+    yield "-h, --help", "show this help and exit"
+    for flag in flags.values():
+        if flag.store_true:
+            usage = flag.name
+        elif flag.choices:
+            usage = f"{flag.name} {{{','.join(flag.choices)}}}"
+        else:
+            usage = f"{flag.name} {flag.dest.upper()}"
+        if flag.required:
+            note = "(required)"
+        else:
+            note = "" if flag.default is None or flag.store_true else f"(default {flag.default})"
+        yield usage, " ".join(filter(None, (flag.help, note)))
+
+
+def parse_flags(prog: str, argv, flags: dict, namespace: SimpleNamespace) -> SimpleNamespace:
+    """Read the flags of one command or operation from argv into
+    `namespace`, over the defaults: `--flag value` or `--flag=value`, no
+    abbreviations, the last occurrence wins.  Every word after '--' is a
+    value, and any value no flag takes is an unrecognized argument."""
+    for flag in flags.values():
+        setattr(namespace, flag.dest, flag.default)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    readings = [_reading(word, flags) for word in argv[:cut]] + [None] * (len(argv) - cut)
+    extras, seen, i = [], set(), 0
+    while i < len(argv):
+        reading, word = readings[i], argv[i]
+        i += 1
+        if reading is None or reading[0] is None:
+            extras.append(word)
+            continue
+        name, joined = reading
+        flag = flags.get(name)
+        if flag is None or flag.store_true:
+            _no_value(name, joined)
+            if flag is None:
+                _help(f"{prog} [--flag VALUE ...]", "flags", _flag_rows(flags))
+            value = True
+        else:
+            if joined is None:
+                if i == len(argv) or readings[i] is not None or argv[i] == "--":
+                    raise UsageError(f"argument {name}: expected one argument")
+                joined, i = argv[i], i + 1
+            value = flag.value(joined)
+        setattr(namespace, flag.dest, value)
+        seen.add(name)
+    missing = [name for name, flag in flags.items() if flag.required and name not in seen]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return namespace
+
+
+def parse_argv(argv):
+    """(handler, args) of an argv: the command, the operation of sklyanin2
+    and shioda5, then the leaf's flags.  A usage error exits 1 after the
+    `{prog}: error: ...` line on stderr, or with the `{code, message}`
+    payload on stdout when argv has `--format json` anywhere."""
+    prog = "algtool"
+    try:
+        command = choose(prog, argv, "command", COMMANDS, __doc__)
+        handler, leaf = COMMANDS[command]
+        prog, rest, operation = f"algtool {command}", argv[1:], None
+        if isinstance(leaf, dict):
+            operation = choose(prog, rest, "operation", leaf)
+            leaf, prog, rest = leaf[operation], f"{prog} {operation}", rest[1:]
+        args = parse_flags(prog, rest, resolve(leaf), SimpleNamespace(operation=operation))
+    except UsageError as exc:
+        if "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:]):
+            payload = {"error": {"code": "usage", "message": f"{prog}: {exc}"}}
             print(json.dumps(payload, sort_keys=True))
-            self.exit(1)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def choose(argv, parser: Parser, name: str, table: dict) -> str:
-    """The key of `table` that is the first word of argv; `-h` lists them."""
-    parser.add_argument(name, choices=table)
-    return getattr(parser.parse_args(argv[:1]), name)
-
-
-def leaf_parser(prog: str, leaf, json_errors: bool) -> Parser:
-    """The parser of one command or operation: --format, --out and its leaf."""
-    parser = Parser(prog, json_errors)
-    for flag in ("--format", "--out", *leaf):
-        flag, overrides = (flag, {}) if isinstance(flag, str) else flag
-        parser.add_argument(flag, **{**FLAGS[flag], **overrides})
-    return parser
+        else:
+            sys.stderr.write(f"{prog}: error: {exc}\n")
+        sys.exit(1)
+    return handler, args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    json_errors = "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:])
-    command = choose(argv, Parser("algtool", json_errors, __doc__), "command", COMMANDS)
-    handler, leaf = COMMANDS[command]
-    prog, rest, operation = f"algtool {command}", argv[1:], None
-    if isinstance(leaf, dict):
-        operation = choose(rest, Parser(prog, json_errors), "operation", leaf)
-        leaf, prog, rest = leaf[operation], f"{prog} {operation}", rest[1:]
-    args = leaf_parser(prog, leaf, json_errors).parse_args(
-        rest, argparse.Namespace(operation=operation))
+    handler, args = parse_argv(argv)
     try:
         return handler(args)
     except OverflowError as exc:  # float arithmetic on a finite but huge input

@@ -337,9 +337,11 @@ class GradedEngine:
         suffixes = set(self.bases[n - 1])
         candidates = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p)
                       if c % q in suffixes]
+        # each candidate as its own unit vector: the memo of degree n keeps
+        # those of B_n, beside the tails of the new obstructions
+        units = {c: ScaledVec({c: self.unit}) for c in candidates}
         overlaps = self._overlaps(n)
         relations = next((rels for d, rels in self.relations if d == n), [])
-        tails = {}
         if overlaps or relations:
             # choose the row source that combines fewer terms (module docstring);
             # the space lives for this step only: it gives B_n and the tails of
@@ -349,23 +351,25 @@ class GradedEngine:
             multiple_terms = sum(len(self.bases[n - d]) * sum(map(len, rels))
                                  for d, rels in self.relations if d <= n)
             if OVERLAP_WEIGHT * overlap_terms < multiple_terms:
-                space = self._resolve(n, candidates, overlaps, relations)
+                space = self._resolve(n, units, overlaps, relations)
             else:
                 space = self._eliminate(n)
             pivots = space.rows
-            basis = [c for c in candidates if c not in pivots]
             obstructions = frozenset(c for c in candidates if c in pivots)
             if obstructions:
                 self.rules.append((n, q * p, obstructions))
                 tails = {o: space.reduce({o: self.unit}) for o in obstructions}
-        else:
-            # every ambiguity of the rules resolves (diamond lemma): B_n are the
-            # candidates, and no rows are built
-            basis = candidates
-        self.bases.append(basis)
-        self.forms.append({c: ScaledVec({c: self.unit}) for c in basis} | tails)
-        if tails:
-            self._file_overlaps(n, tails)
+                for o in obstructions:  # B_n first, then the tails, in that order
+                    del units[o]
+                units.update(tails)
+                self.bases.append([c for c in candidates if c not in pivots])
+                self.forms.append(units)
+                self._file_overlaps(n, tails)
+                return
+        # no new obstruction (and with no rows built every ambiguity of the
+        # rules resolves: diamond lemma): B_n are the candidates
+        self.bases.append(candidates)
+        self.forms.append(units)
 
     def _file_overlaps(self, d: int, tails: Dict[int, ScaledVec]) -> None:
         """Index the new obstructions of degree d by their proper prefixes and
@@ -408,13 +412,13 @@ class GradedEngine:
                 found.append((d1, o1, d2, o2))
         return found
 
-    def _resolve(self, n: int, candidates: List[int], overlaps, relations) -> RowSpace:
+    def _resolve(self, n: int, units: Dict[int, ScaledVec], overlaps, relations) -> RowSpace:
         """The reduced span of the overlap rows NF(tail(o1) b) - NF(a tail(o2))
         and the degree-n relations, all reduced by the rules below n with the
-        candidates taken as normal words."""
-        p, unit = self.p, self.unit
+        candidates, the keys of `units`, taken as normal words."""
+        p = self.p
         # the memo of degree n for this step only: each candidate is its own NF
-        self.forms.append({c: ScaledVec({c: unit}) for c in candidates})
+        self.forms.append(dict(units))
         try:
             rows = []
             for d1, o1, d2, o2 in overlaps:

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from algtool.cli import (COMMANDS, FLAGS, json_text, leaf_parser, main, parse_scalar,
+from algtool.cli import (COMMANDS, FLAGS, json_text, main, parse_argv, parse_scalar, resolve,
                          to_jsonable)
+import cli_reference
 
 
 def run_cli(capsys, *argv):
@@ -363,14 +364,11 @@ OPTION_SURFACE = {
 
 
 def leaves():
-    """(argv words, {flag: argparse action}) of every command and operation
-    in the flag table, from the parser main builds for it."""
+    """(argv words, {flag: Flag}) of every command and operation in the flag
+    table, as main resolves it."""
     for command, (_, leaf) in COMMANDS.items():
         for op, entries in leaf.items() if isinstance(leaf, dict) else [(None, leaf)]:
-            words = [command] if op is None else [command, op]
-            parser = leaf_parser(" ".join(["algtool", *words]), entries, False)
-            yield words, {flag: action for action in parser._actions
-                          for flag in action.option_strings if flag not in ("-h", "--help")}
+            yield [command] if op is None else [command, op], resolve(entries)
 
 
 def test_option_surface():
@@ -390,8 +388,8 @@ def test_option_surface():
     ("koszul-check", "--max-degree", 4, False), ("hilbert", "--max-degree", None, True),
 ])
 def test_leaf_defaults(leaf, flag, default, required):
-    action = next(flags for words, flags in leaves() if " ".join(words) == leaf)[flag]
-    assert (action.default, action.required) == (default, required)
+    spec = next(flags for words, flags in leaves() if " ".join(words) == leaf)[flag]
+    assert (spec.default, spec.required) == (default, required)
 
 
 # a minimal valid invocation of each subcommand or operation, and the flags it
@@ -540,11 +538,11 @@ def _draw_argv(rng, words, flags, outs):
     an empty field."""
     groups = []
     empty_field = False
-    for flag, action in flags.items():
-        keep = 1 if flag == "--criteria" else 0.9 if action.required else 0.5
+    for flag, spec in flags.items():
+        keep = 1 if flag == "--criteria" else 0.9 if spec.required else 0.5
         if flag == "--format" or rng.random() >= keep:
             continue
-        if action.nargs == 0:  # --table
+        if spec.store_true:  # --table
             groups.append([flag])
             continue
         if flag == "--out":
@@ -565,17 +563,24 @@ def _draw_argv(rng, words, flags, outs):
     return argv, unread, empty_field
 
 
-def test_fuzz_the_flag_table(capsys, tmp_path):
+def fuzz_corpus(tmp_path):
+    """The fuzz test's 300 argv (seed 16), each with its unread flag or None
+    and whether a comma-list flag got an empty field; --out is a writable
+    report or one under a directory that does not exist."""
     rng = random.Random(16)
     table = list(leaves())
-    # a writable report, and one under a directory that does not exist
     outs = [tmp_path / "report", tmp_path / "missing" / "report"]
+    for _ in range(300):
+        words, flags = rng.choice(table)
+        yield _draw_argv(rng, words, flags, outs)
+
+
+def test_fuzz_the_flag_table(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "report")
     # CPU time of this process: the wall clock also counts the other load of
     # a shared machine
     start = time.process_time()
-    for _ in range(300):
-        words, flags = rng.choice(table)
-        argv, unread, empty_field = _draw_argv(rng, words, flags, outs)
+    for argv, unread, empty_field in fuzz_corpus(tmp_path):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -588,7 +593,7 @@ def test_fuzz_the_flag_table(capsys, tmp_path):
         assert not caught, (argv, [str(w.message) for w in caught])
         # every value reaches its flag's type, negative literals included
         assert "expected one argument" not in out + err, argv
-        if unread or empty_field or any(word.endswith(str(outs[1])) for word in argv):
+        if unread or empty_field or any(word.endswith(missing) for word in argv):
             assert code == 1, argv
         if "--format=json" in argv:
             assert err == "", argv
@@ -596,6 +601,142 @@ def test_fuzz_the_flag_table(capsys, tmp_path):
                 payload = json.loads(out)
                 assert ("error" in payload) == (code == 1), argv
     assert time.process_time() - start < 4
+
+
+# -- the parser against argparse -----------------------------------------------------
+
+
+def _parsed(capsys, parse, argv):
+    """(exit code, stdout, stderr, parsed values) of one parse; code None
+    and the values when argv parses."""
+    try:
+        _handler, args = parse(list(argv))
+        code, values = None, vars(args)
+    except SystemExit as exc:
+        code, values = exc.code, None
+    out, err = capsys.readouterr()
+    return code, out, err, values
+
+
+def _assert_parses_as_argparse(capsys, argv):
+    got = _parsed(capsys, parse_argv, argv)
+    want = _parsed(capsys, cli_reference.parse_argv, argv)
+    if want[0] == 0:  # a help screen: its bytes are the parser's own
+        assert got[0] == 0, argv
+    else:
+        assert got == want, argv
+
+
+def test_fuzz_corpus_parses_as_argparse(capsys, tmp_path):
+    for argv, _unread, _empty_field in fuzz_corpus(tmp_path):
+        _assert_parses_as_argparse(capsys, argv)
+
+
+CHARSERIES = ["charseries", "--algebra", "cycle", "--max-degree", "2"]
+HAND_ARGV = {
+    "negative-literal": ["sklyanin2", "t", "--a", "-1/2"],
+    "negative-decimal": ["sklyanin2", "t", "--a", "-.5", "--b", "-2"],
+    "joined-dash-value": ["sklyanin2", "t", "--a=-x"],
+    "dash-word-is-a-flag": ["sklyanin2", "t", "--a", "-x"],
+    "dash-word-with-space": ["sklyanin2", "t", "--a", "-x y"],
+    "lone-dash": ["sklyanin2", "t", "--a", "-"],
+    "empty-value": ["sklyanin2", "t", "--a", ""],
+    "repeated-flag": ["sklyanin2", "t", "--a", "1", "--b", "2", "--a", "3"],
+    "table": [*CHARSERIES, "--table"],
+    "table-twice": [*CHARSERIES, "--table", "--table"],
+    "table-joined": [*CHARSERIES, "--table=1"],
+    "table-joined-empty": [*CHARSERIES, "--table="],
+    "double-dash-last": [*CHARSERIES, "--"],
+    "double-dash-first": ["hilbert", "--", "--algebra", "cycle", "--max-degree", "2"],
+    "double-dash-value": ["hilbert", "--algebra", "--", "cycle", "--max-degree", "2"],
+    "double-dash-command": ["--"],
+    "double-dash-operation": ["sklyanin2", "--", "t"],
+    "help-after-bad-value": ["hilbert", "--algebra", "cycle", "--max-degree", "x", "-h"],
+    "help-after-unread-flag": ["hilbert", "--seed", "1", "-h"],
+    "help-before-bad-value": ["hilbert", "-h", "--max-degree", "x"],
+    "help-joined": ["hilbert", "-hx"],
+    "help-twice-joined": ["hilbert", "-hh"],
+    "help-h-then-other": ["hilbert", "-hhx=1"],
+    "help-joined-equals": ["hilbert", "-h="],
+    "long-help-joined": ["sklyanin2", "eliminate", "--help=x"],
+    "command-help-joined": ["-hx"],
+    "command-long-help-joined": ["--help=", "hilbert"],
+    "operation-help": ["shioda5", "-hh"],
+    "operation-help-joined": ["shioda5", "-hq"],
+    "flag-before-operation": ["sklyanin2", "--format", "json", "t"],
+    "flag-before-command": ["--format", "json", "hilbert"],
+    "format-json-alone": ["--format", "json"],
+    "no-argv": [],
+    "unknown-command": ["no-such-command"],
+    "unknown-command-json": ["no-such-command", "--format=json"],
+    "unknown-operation": ["sklyanin2", "no-such-operation"],
+    "unknown-operation-json": ["shioda5", "no-such-operation", "--format", "json"],
+    "negative-command": ["-1"],
+    "unknown-single-dash": ["hilbert", "-x", "--algebra", "cycle", "--max-degree", "2"],
+    "abbreviated": ["hilbert", "--alg", "cycle", "--max-deg", "2"],
+    "unknown-joined": ["sklyanin2", "t", "--c=1", "stray"],
+    "missing-value-last": ["sklyanin2", "t", "--a"],
+    "missing-value-before-flag": ["sklyanin2", "t", "--a", "--b", "1"],
+    "missing-flags": ["hilbert"],
+    "missing-flags-json": ["hilbert", "--format", "json"],
+    "missing-and-unread": ["hilbert", "--algebra", "cycle", "--seed", "1"],
+    "bad-choice": ["hilbert", "--algebra", "nope", "--max-degree", "2"],
+    "bad-format": ["shioda5", "fiber", "--format=xml"],
+    "bad-int": ["hilbert", "--algebra", "cycle", "--max-degree", "2.0"],
+    "bad-seed": ["selftest", "--seed", "x"],
+    "negative-seed": ["clifford-strata", "--seed=-1", "--format=json"],
+    "nan-tolerance": ["shioda5", "singular", "--tol-rank", "nan"],
+    "bad-tolerance": ["sklyanin2", "secant", "--tol-span=1e-7x"],
+    "stray-words": ["hilbert", "x", "--algebra", "cycle", "y", "--max-degree", "2", "z"],
+    "koszul-default-degree": ["koszul-check", "--algebra", "cycle", "--class", "e1"],
+    "onedim-defaults": ["sklyanin2", "onedim"],
+    "two-torsion-defaults": ["shioda5", "two-torsion", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", list(HAND_ARGV.values()), ids=list(HAND_ARGV))
+def test_hand_argv_parses_as_argparse(capsys, argv):
+    _assert_parses_as_argparse(capsys, argv)
+
+
+def test_joined_double_dash_is_a_value(capsys):
+    # argparse dropped a joined '--' and stored [] (a TypeError later on)
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--algebra", "cycle", "--max-degree=--"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == (
+        "algtool hilbert: error: argument --max-degree: invalid int value: '--'\n")
+    _handler, args = parse_argv(["sklyanin2", "t", "--a=--"])
+    assert args.a == "--"
+
+
+def test_help_lists_the_table(capsys):
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-h"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    assert all(command in help_text([]) for command in COMMANDS)
+    for command, (_, leaf) in COMMANDS.items():
+        if isinstance(leaf, dict):
+            assert all(operation in help_text([command]) for operation in leaf)
+    for words, flags in leaves():
+        text = help_text(words)
+        for flag in flags.values():
+            assert flag.name in text and flag.help in text, (words, flag.name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--algebra", "cycle", "--p", "5", "--max-degree", "3"],
+    ["charseries", "--algebra", "cycle", "--max-degree", "2", "--table", "--format", "json"],
+], ids=["hilbert", "charseries-table"])
+def test_cli_imports_no_argparse(argv):
+    code = (f"import sys; from algtool.cli import main; main({argv!r}); "
+            "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class _Float(float):

@@ -16,7 +16,7 @@ from algtool.gradedalg import (Presentation, character_coeffs,
                                character_table, check_stability, hilbert, in_ideal,
                                make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
-from algtool.linalg import RowSpace
+from algtool.linalg import RowSpace, ScaledVec
 
 
 def brute_force_ideal_rank(pres, n):
@@ -616,7 +616,8 @@ def test_no_row_space_outlives_grow(eliminations):
     kept = relations.engine._eliminate(3)
     assert eliminations.calls[-1][-1]() is kept
     engine = overlaps.engine
-    kept = engine._resolve(3, engine.bases[3], engine._overlaps(3), [])
+    units = {c: ScaledVec({c: engine.unit}) for c in engine.bases[3]}
+    kept = engine._resolve(3, units, engine._overlaps(3), [])
     assert eliminations.calls[-1][-1]() is kept
 
 
