@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from functools import cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,9 +66,11 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def standard_gammas(k: int) -> List[np.ndarray]:
+@cache
+def standard_gammas(k: int) -> Tuple[np.ndarray, ...]:
     """k matrices of size 2^floor(k/2) with gamma_i gamma_j + gamma_j gamma_i
-    = 2 delta_ij; the odd slot is the chirality product Z x ... x Z."""
+    = 2 delta_ij; the odd slot is the chirality product Z x ... x Z.  Built
+    once per k and read-only, since every caller shares them."""
     m = k // 2
     dim = 2 ** m
     gammas = []
@@ -88,8 +91,10 @@ def standard_gammas(k: int) -> List[np.ndarray]:
         for _ in range(m):
             mat = np.kron(mat, _PAULI_Z)
         gammas.append(mat)
-    assert all(g.shape == (dim, dim) for g in gammas)
-    return gammas
+    for g in gammas:
+        assert g.shape == (dim, dim)
+        g.setflags(write=False)
+    return tuple(gammas)
 
 
 def _symmetric_square_root_factors(m: np.ndarray, rank: int) -> np.ndarray:
@@ -148,11 +153,12 @@ def build_reps(matrix, rank: int) -> CliffordReps:
     s = _symmetric_square_root_factors(m, rank)
     variants = [standard_gammas(rank)]
     if profile.count == 2:
-        flipped = [g.copy() for g in standard_gammas(rank)]
+        flipped = list(variants[0])
         if rank:
             flipped[-1] = -flipped[-1]
         variants.append(flipped)
     dim = 2 ** (rank // 2)
+    eye = np.eye(dim)
     tuples = []
     chirality = []
     residual = 0.0
@@ -168,9 +174,10 @@ def build_reps(matrix, rank: int) -> CliffordReps:
         for g in gammas:
             top = top @ g
         chirality.append(complex(np.trace(top) / dim))
+        prod = [[xi @ xj for xj in xs] for xi in xs]
         for i in range(n):
             for j in range(n):
-                err = np.linalg.norm(xs[i] @ xs[j] + xs[j] @ xs[i] - m[i, j] * np.eye(dim))
+                err = np.linalg.norm(prod[i][j] + prod[j][i] - m[i, j] * eye)
                 residual = max(residual, err / scale)
         tuples.append(xs)
     return CliffordReps(tuples, chirality, residual)
@@ -212,8 +219,8 @@ def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) ->
     det = mat_det(PolyMatrix(form.rows, form.cols, entries))
     deg = det.total_degree()
     coeffs = [0j] * (deg + 1)
-    for exps, c in det.terms.items():
-        coeffs[deg - exps[0]] = c
+    for (k,), c in det.items():
+        coeffs[deg - k] = c
     return np.poly1d(coeffs)
 
 

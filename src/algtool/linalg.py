@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, Hashable, Optional, Tuple
@@ -261,13 +262,24 @@ def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None):
     return int(ranks) if a.ndim == 2 else ranks
 
 
+@cache
+def _minor_indices(nrows: int, ncols: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arrays (ri, ci) with m[..., ri, ci] the stack of every k x k
+    submatrix of an nrows x ncols matrix m, in `minors_float` order; built
+    once per shape and k, and read-only, since every caller shares them."""
+    rows = list(combinations(range(nrows), k))
+    cols = list(combinations(range(ncols), k))
+    ri = np.array([r for r in rows for _c in cols])[:, :, None]
+    ci = np.array([c for _r in rows for c in cols])[:, None, :]
+    ri.setflags(write=False)
+    ci.setflags(write=False)
+    return ri, ci
+
+
 def minors_float(matrix, k: int) -> np.ndarray:
     """Every k x k minor of a numeric matrix, in `poly.mat_minors` order (row
     subsets, then column subsets, lexicographic), by one batched determinant.
     Leading axes of `matrix` are batch axes: the minors run along the last."""
     a = np.asarray(matrix, dtype=complex)
-    rows = list(combinations(range(a.shape[-2]), k))
-    cols = list(combinations(range(a.shape[-1]), k))
-    ri = np.array([r for r in rows for _c in cols])[:, :, None]
-    ci = np.array([c for _r in rows for c in cols])[:, None, :]
+    ri, ci = _minor_indices(a.shape[-2], a.shape[-1], k)
     return np.linalg.det(a[..., ri, ci])

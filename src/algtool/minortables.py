@@ -40,7 +40,7 @@ def _generic_form() -> PolyMatrix:
     Q(0, 0) + a (Q(1, 0) - Q(0, 0)) + b (Q(0, 1) - Q(0, 0))."""
     forms = [clifford_form(5, (1, *ab)) for ab in ((0, 0), (1, 0), (0, 1))]
     ring = ring_cc(forms[0].ring.variables + ("a", "b"))
-    q0, qa, qb = ([MultiPoly(ring, {e + (0, 0): c for e, c in f.terms.items()})
+    q0, qa, qb = ([MultiPoly(ring, {e + (0, 0): c for e, c in f.items()})
                    for f in form.entries] for form in forms)
     a, b = MultiPoly.var(ring, 5), MultiPoly.var(ring, 6)
     return PolyMatrix(5, 5, [z + a * (x - z) + b * (y - z) for z, x, y in zip(q0, qa, qb)])
@@ -67,10 +67,11 @@ class CoefficientTable:
         exactly."""
         basis = tuple(monomials_of_degree(5, degree))
         column = {e: i for i, e in enumerate(basis)}
-        params = tuple(sorted({e[5:] for f in polys for e in f.terms}))
+        terms = [f.items() for f in polys]
+        params = tuple(sorted({e[5:] for items in terms for e, _c in items}))
         param = {e: i for i, e in enumerate(params)}
         rows = [(row, column[e[:5]], param[e[5:]], int(c.real))
-                for row, f in enumerate(polys) for e, c in f.terms.items()]
+                for row, items in enumerate(terms) for e, c in items]
         entries = np.array(rows, dtype=np.int64)
         entries.setflags(write=False)
         return cls(len(polys), basis, params, entries)

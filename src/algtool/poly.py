@@ -3,15 +3,36 @@ minors, partial derivatives, Sylvester resultants and exact division.
 
 Coefficient fields: Q (Fraction) and, for the numeric code paths, complex
 floats.  Polynomials over Q evaluate at points of any scalar kind, Cyclotomic
-points included.  Terms are kept in a dict keyed by exponent tuples;
-`sorted_terms` lists them graded lexicographic, highest first, so every
-text form, and the JSON form `cli.to_jsonable` writes, is bit-stable.
+points included.
+
+Monomials are packed into ints.  Over n variables, the monomial with
+exponents (e_0, ..., e_{n-1}) and total degree d = e_0 + ... + e_{n-1} has
+the key
+
+    d * 2^(16 n) + e_0 * 2^(16 (n-1)) + ... + e_{n-2} * 2^16 + e_{n-1},
+
+the degree in the top field and then each exponent in a 16-bit field.  A
+polynomial keeps its terms in a dict from keys to non-zero coefficients.  No
+field ever carries into the next: every exponent is at most the total
+degree, and the total degree is held to MAX_DEGREE = 2^16 - 1, so the
+constructor rejects a larger one and a product or power that would exceed
+it raises OverflowError.  A negative exponent is an ArityError.  So the
+product of two monomials is the sum of their keys, the total degree is one
+shift, and the order of keys is graded lexicographic order: two keys first
+differ in the degree field when the degrees differ, and otherwise in the
+field of the first exponent where the monomials differ, which is larger in
+the larger key.  `sorted_terms` lists the terms by descending key, highest
+monomial first, as exponent tuples, so every text form, and the JSON form
+`cli.to_jsonable` writes, is bit-stable; `items` gives the exponent tuples
+in dict order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,6 +41,7 @@ from .cyclotomic import Cyclotomic
 from .errors import ArityError, RingMismatchError
 
 Exps = Tuple[int, ...]
+Terms = Dict[int, object]  # monomial key -> non-zero coefficient
 
 FIELD_QQ = "QQ"
 FIELD_CC = "CC"
@@ -67,26 +89,118 @@ def ring_cc(variables: Sequence[str]) -> PolyRing:
     return PolyRing(tuple(variables), FIELD_CC)
 
 
-def grlex_key(exps: Exps):
-    return (-sum(exps), tuple(-e for e in exps))
+# -- monomial keys ------------------------------------------------------------------
+
+FIELD_BITS = 16  # `_unpacker` reads the fields as 16-bit words
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+
+def _key(exps: Sequence[int]) -> int:
+    """The key of an exponent tuple of non-negative ints of total degree at
+    most MAX_DEGREE: its total degree, then each exponent, in FIELD_BITS-bit
+    fields from the top."""
+    key = sum(exps)
+    for e in exps:
+        key = key << FIELD_BITS | e
+    return key
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """`_key` of any exponent sequence: a negative exponent is an ArityError,
+    a total degree above MAX_DEGREE an OverflowError."""
+    exps = [operator.index(e) for e in exps]
+    if any(e < 0 for e in exps):
+        raise ArityError(f"monomial {tuple(exps)} has a negative exponent")
+    if sum(exps) > MAX_DEGREE:
+        raise OverflowError(f"monomial {tuple(exps)} has total degree above {MAX_DEGREE}")
+    return _key(exps)
+
+
+@functools.cache
+def _unpacker(nvars: int):
+    """key -> exponent tuple over `nvars` variables: one C-level split of the
+    key's big-endian bytes into its 16-bit fields, the degree's two bytes
+    skipped."""
+    split = struct.Struct(f">2x{nvars}H").unpack
+    size = 2 * (nvars + 1)
+
+    def unpack(key: int) -> Exps:
+        return split(key.to_bytes(size, "big"))
+
+    return unpack
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise OverflowError(f"total degree {degree} is above {MAX_DEGREE}")
 
 
 def monomials_of_degree(nvars: int, degree: int) -> List[Exps]:
     """All exponent tuples of the given total degree, graded-lex order."""
+    _check_degree(degree)
     out = []
     for combo in itertools.combinations_with_replacement(range(nvars), degree):
         exps = [0] * nvars
         for i in combo:
             exps[i] += 1
         out.append(tuple(exps))
-    out.sort(key=grlex_key)
+    out.sort(key=_key, reverse=True)
     return out
 
 
+def _mul_terms(f: Terms, g: Terms) -> Terms:
+    """The terms of f * g: each term of f times each of g, in that order,
+    summed into the product as they come, a sum that cancels to zero
+    deleted.  A key sum is the monomial product, since no field overflows
+    (the callers check the degree).  f must not be empty."""
+    items = iter(f.items())
+    e1, c1 = next(items)
+    # the products with f's first term have distinct keys: none is summed
+    terms = {}
+    for e2, c2 in g.items():
+        c = c1 * c2
+        if c:
+            terms[e1 + e2] = c
+    get = terms.get
+    for e1, c1 in items:
+        for e2, c2 in g.items():
+            e = e1 + e2
+            c = c1 * c2
+            cur = get(e)
+            new = c if cur is None else cur + c
+            if new:
+                terms[e] = new
+            elif cur is not None:
+                del terms[e]
+    return terms
+
+
+def _add_into(acc: Terms, g: Terms, negate: bool = False) -> None:
+    """acc += g, or acc += -g, term by term in g's order; a sum that cancels
+    to zero is deleted."""
+    get = acc.get
+    for e, c in g.items():
+        if negate:
+            c = -c
+        cur = get(e)
+        new = c if cur is None else cur + c
+        if new:
+            acc[e] = new
+        elif cur is not None:
+            del acc[e]
+
+
 class MultiPoly:
-    __slots__ = ("ring", "terms")
+    """A polynomial over `ring`: `terms` maps each monomial key (see the
+    module docstring) to its non-zero coefficient.  The constructor takes
+    exponent tuples; `items` and `sorted_terms` give them back."""
+
+    __slots__ = ("ring", "terms", "_plan")
 
     def __init__(self, ring: PolyRing, terms: Dict[Exps, object], _clean: bool = False):
+        """`terms` maps exponent tuples to coefficients; with `_clean`, it is
+        already a dict of keys to non-zero coefficients of the ring, and is
+        kept as it is."""
         self.ring = ring
         if _clean:
             self.terms = terms
@@ -96,9 +210,10 @@ class MultiPoly:
             for exps, c in terms.items():
                 if len(exps) != n:
                     raise ArityError(f"monomial {exps} has wrong arity for {ring.variables}")
+                key = _pack(exps)
                 c = ring.coerce(c)
                 if c:
-                    cleaned[tuple(exps)] = c
+                    cleaned[key] = c
             self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
@@ -112,14 +227,14 @@ class MultiPoly:
         c = ring.coerce(c)
         if not c:
             return cls.zero(ring)
-        return cls(ring, {(0,) * ring.nvars: c}, _clean=True)
+        return cls(ring, {0: c}, _clean=True)
 
     @classmethod
     def var(cls, ring: PolyRing, index: int, power: int = 1) -> "MultiPoly":
         if not 0 <= index < ring.nvars:
             raise ArityError(f"no variable {index} in {ring.variables}")
         exps = tuple(power if i == index else 0 for i in range(ring.nvars))
-        return cls(ring, {exps: ring.one_scalar()}, _clean=True)
+        return cls(ring, {_pack(exps): ring.one_scalar()}, _clean=True)
 
     @classmethod
     def monomial(cls, ring: PolyRing, exps: Exps, c=1) -> "MultiPoly":
@@ -137,12 +252,13 @@ class MultiPoly:
         """Degree of the zero polynomial is -1 by convention here."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> FIELD_BITS * self.ring.nvars
 
     def degree_in(self, var: int) -> int:
         if not self.terms:
             return -1
-        return max(e[var] for e in self.terms)
+        shift = FIELD_BITS * (self.ring.nvars - 1 - var)
+        return max(e >> shift & MAX_DEGREE for e in self.terms)
 
     def _check_ring(self, other: "MultiPoly"):
         if self.ring != other.ring:
@@ -161,13 +277,7 @@ class MultiPoly:
         else:
             return NotImplemented
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = terms.get(e)
-            new = c if cur is None else cur + c
-            if new:
-                terms[e] = new
-            elif cur is not None:
-                del terms[e]
+        _add_into(terms, other.terms)
         return MultiPoly(self.ring, terms, _clean=True)
 
     __radd__ = __add__
@@ -198,32 +308,25 @@ class MultiPoly:
             return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()}, _clean=True)
         else:
             return NotImplemented
-        add = operator.add
-        terms: Dict[Exps, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                cur = terms.get(e)
-                new = c if cur is None else cur + c
-                if new:
-                    terms[e] = new
-                elif cur is not None:
-                    del terms[e]
-        return MultiPoly(self.ring, terms, _clean=True)
+        if not self.terms or not other.terms:
+            return MultiPoly.zero(self.ring)
+        _check_degree(self.total_degree() + other.total_degree())
+        return MultiPoly(self.ring, _mul_terms(self.terms, other.terms), _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
+        _check_degree(self.total_degree() * n)
         result = MultiPoly.const(self.ring, 1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -234,19 +337,29 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0])))))
+        """A constant hashes as its coefficient (and 0 as 0), as it compares
+        equal to it."""
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
+        return hash((self.ring, tuple(sorted(terms.items()))))
 
     # -- calculus / evaluation ------------------------------------------------
 
     def partial(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.ring.nvars:
             raise ArityError(f"no variable {var}")
-        terms: Dict[Exps, object] = {}
+        shift = FIELD_BITS * (self.ring.nvars - 1 - var)
+        # one less in the field of var and in the degree field
+        step = (1 << shift) + (1 << FIELD_BITS * self.ring.nvars)
+        terms: Terms = {}
         for e, c in self.terms.items():
-            k = e[var]
+            k = e >> shift & MAX_DEGREE
             if k == 0:
                 continue
-            e2 = tuple(v - 1 if i == var else v for i, v in enumerate(e))
+            e2 = e - step
             nc = c * k
             cur = terms.get(e2)
             terms[e2] = nc if cur is None else cur + nc
@@ -254,29 +367,46 @@ class MultiPoly:
 
     def eval(self, point: Sequence):
         """Evaluate at a point; scalar kind follows the point entries.  The
-        plan of `_eval_all` is built for this one call."""
-        return _eval_all(self.ring, _eval_plan([self]), point)[0]
+        plan of `_eval_all` is built on the first call and kept in the
+        `_plan` slot, which stays unset until then, so later calls only
+        multiply and add (and the terms must not be changed after it)."""
+        try:
+            plan = self._plan
+        except AttributeError:
+            plan = self._plan = _eval_plan([self])
+        return _eval_all(self.ring, plan, point)[0]
 
     # -- views ------------------------------------------------------------------
 
+    def items(self) -> List[Tuple[Exps, object]]:
+        """(exponent tuple, coefficient) of each term, in dict order."""
+        unpack = _unpacker(self.ring.nvars)
+        return [(unpack(e), c) for e, c in self.terms.items()]
+
     def sorted_terms(self) -> List[Tuple[Exps, object]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
+        """(exponent tuple, coefficient) of each term, graded lexicographic,
+        highest first: by descending key (keys are distinct, so no two
+        coefficients are compared)."""
+        unpack = _unpacker(self.ring.nvars)
+        return [(unpack(e), c) for e, c in sorted(self.terms.items(), reverse=True)]
 
     def leading_term(self) -> Tuple[Exps, object]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = min(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        e = max(self.terms)
+        return _unpacker(self.ring.nvars)(e), self.terms[e]
 
     def coeffs_in_var(self, var: int) -> List["MultiPoly"]:
         """Coefficients [c_0, ..., c_d] of self as a polynomial in var."""
         d = self.degree_in(var)
         if d < 0:
             return [MultiPoly.zero(self.ring)]
-        buckets: List[Dict[Exps, object]] = [{} for _ in range(d + 1)]
+        shift = FIELD_BITS * (self.ring.nvars - 1 - var)
+        dshift = FIELD_BITS * self.ring.nvars
+        buckets: List[Terms] = [{} for _ in range(d + 1)]
         for e, c in self.terms.items():
-            k = e[var]
-            e2 = tuple(0 if i == var else v for i, v in enumerate(e))
+            k = e >> shift & MAX_DEGREE
+            e2 = e - (k << shift) - (k << dshift)
             buckets[k][e2] = buckets[k].get(e2, self.ring.zero_scalar()) + c
         return [MultiPoly(self.ring, {e: c for e, c in b.items() if c}, _clean=True)
                 for b in buckets]
@@ -285,7 +415,7 @@ class MultiPoly:
         """Coefficients against an explicit monomial basis (missing -> error)."""
         index = {e: i for i, e in enumerate(basis)}
         vec = [self.ring.zero_scalar()] * len(basis)
-        for e, c in self.terms.items():
+        for e, c in self.items():
             if e not in index:
                 raise ValueError(f"monomial {e} outside the given basis")
             vec[index[e]] = c
@@ -307,41 +437,78 @@ class MultiPoly:
         return f"MultiPoly({', '.join(self.ring.variables)}; {self})"
 
 
-def _eval_plan(polys: Sequence[MultiPoly]) -> tuple:
-    """What `_eval_all` needs of `polys`: the largest exponent of each
-    variable among them, and each polynomial's terms as (coefficient,
-    [(variable, power), ...]) over its non-zero powers, in dict order."""
-    exps = [e for f in polys for e in f.terms]
-    maxdeg = [max(col) for col in zip(*exps)]
-    plans = [[(c, [(i, k) for i, k in enumerate(e) if k]) for e, c in f.terms.items()]
-             for f in polys]
-    return maxdeg, plans
+class _EvalPlan:
+    """What `_eval_all` needs of some polynomials: the largest exponent of
+    each variable among them, and each polynomial's terms as (coefficient,
+    factors) in dict order.  The factors of a term are the places of its
+    non-zero powers point[i]^k, in variable order, in the table of powers
+    that lists 1, point[i], ..., point[i]^maxdeg[i] for each i in turn.
+
+    `typed` holds the terms again per kind of point, built on first use:
+    at complex points a Fraction coefficient of a term with factors is
+    complex(c), the value Fraction * complex computes; at Cyclotomic points
+    an integral one is its int numerator, which Cyclotomic multiplies as it
+    does the Fraction.  Constant terms keep their coefficient."""
+
+    __slots__ = ("maxdeg", "terms", "typed")
+
+    def __init__(self, maxdeg: List[int], terms: List[list]):
+        self.maxdeg, self.terms, self.typed = maxdeg, terms, {}
+
+    def terms_at(self, point: Sequence) -> List[list]:
+        if all(isinstance(x, complex) for x in point):
+            kind, convert = complex, complex
+        elif all(type(x) is Cyclotomic for x in point):
+            kind, convert = Cyclotomic, _integral_numerator
+        else:
+            return self.terms
+        typed = self.typed.get(kind)
+        if typed is None:
+            typed = self.typed[kind] = [
+                [(convert(c) if factors and type(c) is Fraction else c, factors)
+                 for c, factors in terms] for terms in self.terms]
+        return typed
 
 
-def _eval_all(ring: PolyRing, plan: tuple, point: Sequence) -> list:
+def _integral_numerator(c: Fraction):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _eval_plan(polys: Sequence[MultiPoly]) -> _EvalPlan:
+    """The `_EvalPlan` of `polys`, each key unpacked once."""
+    unpack = _unpacker(polys[0].ring.nvars)
+    exps = [[(unpack(e), c) for e, c in f.terms.items()] for f in polys]
+    maxdeg = [max(col) for col in zip(*(e for items in exps for e, _c in items))]
+    start = list(itertools.accumulate([k + 1 for k in maxdeg[:-1]], initial=0))
+    terms = [[(c, tuple(start[i] + k for i, k in enumerate(e) if k)) for e, c in items]
+             for items in exps]
+    return _EvalPlan(maxdeg, terms)
+
+
+def _eval_all(ring: PolyRing, plan: _EvalPlan, point: Sequence) -> list:
     """Each polynomial of an `_eval_plan` at a point, from one table of the
     powers point[i]^k up to the largest exponent of variable i among them.
     Each power is the one below it times point[i], so it does not depend on
     how far its row goes; each term is its coefficient times its powers in
     variable order, and the terms are summed in dict order.  So each
     polynomial gets the same value bit for bit whatever it is evaluated
-    together with, and whether or not its plan was built before."""
+    together with, whether or not its plan was built before, and whichever
+    coefficient list of the plan the point's kind picks."""
     if len(point) != ring.nvars:
         raise ArityError(f"point has {len(point)} coordinates, ring has {ring.nvars}")
-    maxdeg, plans = plan
     powers = []
-    for x, top in zip(point, maxdeg):
-        row = [1]
+    for x, top in zip(point, plan.maxdeg):
+        power = 1
+        powers.append(power)
         for _ in range(top):
-            row.append(row[-1] * x)
-        powers.append(row)
+            power = power * x
+            powers.append(power)
     values = []
-    for terms in plans:
+    for terms in plan.terms_at(point):
         acc = None
-        for c, factors in terms:
-            term = c
-            for i, k in factors:
-                term = term * powers[i][k]
+        for term, factors in terms:
+            for j in factors:
+                term = term * powers[j]
             acc = term if acc is None else acc + term
         if acc is None:
             acc = 0 * point[0] if point else ring.zero_scalar()
@@ -422,34 +589,45 @@ def minor_routine(m: PolyMatrix):
     """minor(rows, cols): the determinant of the submatrix of m on the given
     row and column index tuples, by Laplace expansion along its first row.
 
-    Results are memoised on (rows, cols), so every minor taken through one
+    The expansion runs on the entries' term dicts, and its results are
+    memoised as term dicts on (rows, cols), so every minor taken through one
     routine shares its sub-minors.  The recursion goes through
     `_laplace_minor`, not through the routine itself, so the routine holds
     no reference to itself and its memo is freed as soon as the routine is.
     """
-    memo = {((), ()): MultiPoly.const(m.ring, 1)}
+    ring, ncols = m.ring, m.cols
+    entries = [f.terms for f in m.entries]
+    # a minor's degree is at most the sum of its rows' largest entry degrees
+    row_top = [max(0, *(f.total_degree() for f in m.entries[i:i + ncols]))
+               for i in range(0, len(entries), ncols)]
+    memo = {((), ()): {0: ring.one_scalar()}}
 
     def minor(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> MultiPoly:
-        return _laplace_minor(m, memo, rows, cols)
+        _check_degree(sum(row_top[i] for i in rows))
+        return MultiPoly(ring, _laplace_minor(entries, ncols, memo, rows, cols), _clean=True)
 
     return minor
 
 
-def _laplace_minor(m: PolyMatrix, memo: dict, rows: Tuple[int, ...],
-                   cols: Tuple[int, ...]) -> MultiPoly:
-    """The minor of `minor_routine`, memoised in `memo`, which holds the
-    empty minor 1."""
+def _laplace_minor(entries: List[Terms], ncols: int, memo: dict, rows: Tuple[int, ...],
+                   cols: Tuple[int, ...]) -> Terms:
+    """The terms of the minor of `minor_routine` on the row-major entry terms
+    `entries`, memoised in `memo`, which holds the empty minor 1.  Each
+    signed cofactor product is formed in full and then added to the
+    accumulated terms (or its negation is), as `MultiPoly` arithmetic
+    would do it."""
     key = (rows, cols)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    acc = MultiPoly.zero(m.ring)
+    acc: Terms = {}
+    first, below = rows[0] * ncols, rows[1:]
     for idx, c in enumerate(cols):
-        entry = m.at(rows[0], c)
-        if entry.is_zero():
+        entry = entries[first + c]
+        if not entry:
             continue
-        piece = entry * _laplace_minor(m, memo, rows[1:], cols[:idx] + cols[idx + 1:])
-        acc = acc + piece if idx % 2 == 0 else acc - piece
+        sub = _laplace_minor(entries, ncols, memo, below, cols[:idx] + cols[idx + 1:])
+        _add_into(acc, _mul_terms(entry, sub), idx % 2 == 1)
     memo[key] = acc
     return acc
 

@@ -63,18 +63,20 @@ def _rank_below_3(values) -> bool:
     return space.rank < 3
 
 
-def _minor_jacobian(matrix: PolyMatrix, partials: List[PolyMatrix], point) -> np.ndarray:
-    """The 10x5 Jacobian of the 3x3 minors of `matrix` at a complex point, by
-    Jacobi's formula: d_j det(M_S) is the sum over rows i of det(M_S with
-    row i replaced by row i of (d_j M)_S), where partials[j] = d_j M."""
-    values = np.array(matrix.eval(point), dtype=complex)
-    derivs = np.array([d.eval(point) for d in partials], dtype=complex)
-    jac = np.zeros((5, 10), dtype=complex)
+def _minor_jacobians(matrix: PolyMatrix, partials: List[PolyMatrix], points) -> np.ndarray:
+    """The 10x5 Jacobians of the 3x3 minors of `matrix` at complex points, as
+    one (points, 10, 5) stack, by Jacobi's formula: d_j det(M_S) is the sum
+    over rows i of det(M_S with row i replaced by row i of (d_j M)_S), where
+    partials[j] = d_j M.  Each row i is one `minors_float` call on the stack
+    of every point and j."""
+    values = np.array([matrix.eval(pt) for pt in points], dtype=complex)
+    derivs = np.array([[d.eval(pt) for d in partials] for pt in points], dtype=complex)
+    jac = np.zeros((len(points), 5, 10), dtype=complex)
     for i in range(3):
-        swapped = np.repeat(values[None], 5, axis=0)
-        swapped[:, i, :] = derivs[:, i, :]
+        swapped = np.repeat(values[:, None], 5, axis=1)
+        swapped[:, :, i, :] = derivs[:, :, i, :]
         jac += minors_float(swapped, 3)
-    return jac.T
+    return jac.transpose(0, 2, 1)
 
 
 def ca_relations(a) -> List[MultiPoly]:
@@ -218,18 +220,16 @@ def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
     points = thirty_points()
     on_surface = all(_rank_below_3(matrix.eval(list(pt))) for pt in points)
 
-    def jac_ranks(exact_points) -> List[int]:
-        jacs = []
-        for pt in exact_points:
-            cpt = [c.embed(1) for c in pt]
-            scale = max(abs(v) for v in cpt)
-            jacs.append(_minor_jacobian(matrix, partials, [v / scale for v in cpt]))
-        # points are normalized and the minors have O(1) coefficients, so a
-        # genuinely nonzero Jacobian is O(1); floor the SVD cutoff there
-        return rank_float(jacs, tol, scale=1.0).tolist()
-
-    return SingularPointsReport(len(points), on_surface, jac_ranks(points),
-                                jac_ranks(base_orbit(1)[:10]), points)
+    normalized = []
+    for pt in points + base_orbit(1)[:10]:
+        cpt = [c.embed(1) for c in pt]
+        scale = max(abs(v) for v in cpt)
+        normalized.append([v / scale for v in cpt])
+    # points are normalized and the minors have O(1) coefficients, so a
+    # genuinely nonzero Jacobian is O(1); floor the SVD cutoff there
+    ranks = rank_float(_minor_jacobians(matrix, partials, normalized), tol, scale=1.0).tolist()
+    return SingularPointsReport(len(points), on_surface, ranks[:len(points)],
+                                ranks[len(points):], points)
 
 
 # -- cusp fiber vs cycle of lines ---------------------------------------------------

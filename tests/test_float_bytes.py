@@ -6,6 +6,8 @@ operation order in those kernels shows here as a changed last bit.  The
 hashes were taken before the kernels' type-exact fast paths went in."""
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +52,25 @@ def test_float_path_stdout_bytes(capsys, name):
     assert main([*argv, "--format", "json"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_per_process_caches_keep_outputs():
+    """`clifford.standard_gammas`, the index arrays of `linalg.minors_float`,
+    `minortables.minor_tables` and the unpacking of monomial keys are built
+    once per process and then shared.  In one fresh interpreter, a selftest,
+    then `shioda5 singular`, then the same selftest again print the pinned
+    bytes each time."""
+    runs = [OUTPUTS[name] for name in ("selftest-seed0", "shioda5-singular", "selftest-seed0")]
+    script = "\n".join([
+        "import contextlib, hashlib, io, sys",
+        "from algtool.cli import main",
+        "for argv in sys.argv[1:]:",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out):",
+        "        code = main([*argv.split(), '--format', 'json'])",
+        "    print(code, hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())",
+    ])
+    done = subprocess.run([sys.executable, "-c", script, *(" ".join(argv) for argv, _c, _d in runs)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:-1] == [f"{code} {digest}" for _a, code, digest in runs]

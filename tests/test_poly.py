@@ -18,6 +18,8 @@ from algtool.poly import (FIELD_CC, FIELD_QQ, MultiPoly, PolyMatrix, exact_divid
                           resultant, ring_cc, ring_q)
 from algtool.shioda5 import s15_matrix
 
+import poly_reference
+
 RXY = ring_q(("x", "y"))
 X, Y = MultiPoly.var(RXY, 0), MultiPoly.var(RXY, 1)
 
@@ -65,24 +67,8 @@ def exact_values(rows):
 
 
 def reference_eval(f, point):
-    """f at point the way `MultiPoly.eval` has always done it: its own table
-    of powers built by repeated multiplication from 1, terms multiplied in
-    variable order and summed in dict order."""
-    if not f.terms:
-        return 0 * point[0]
-    powers = []
-    for i, x in enumerate(point):
-        row = [1]
-        for _ in range(max(e[i] for e in f.terms)):
-            row.append(row[-1] * x)
-        powers.append(row)
-    acc = None
-    for e, c in f.terms.items():
-        for i, k in enumerate(e):
-            if k:
-                c = c * powers[i][k]
-        acc = c if acc is None else acc + c
-    return acc
+    """f at point the way `MultiPoly.eval` has always done it."""
+    return poly_reference.evaluate(dict(f.items()), point)
 
 
 def eval_points(rng, nvars):
@@ -190,6 +176,10 @@ def test_matrix_eval_builds_its_plan_once(monkeypatch):
     point = [Fraction(k, 3) for k in range(5)]
     assert m.eval(point) == m.eval(point)
     assert plans == [25]
+    # a polynomial keeps its plan too, and every kind of point shares it
+    f = m.at(0, 1)
+    assert f.eval(point) == f.eval(point) == f.eval([complex(x) for x in point])
+    assert plans == [25, 1]
 
 
 def test_minor_routine_is_freed_without_the_cycle_collector():
@@ -276,7 +266,7 @@ def test_det_matches_cofactor_and_row_reduction():
         vals = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
                 for _ in range(4)]
         m = PolyMatrix(4, 4, [MultiPoly.const(ring, v) for row in vals for v in row])
-        assert mat_det(m).terms.get((), 0) == dense_det_oracle(vals)
+        assert dict(mat_det(m).items()).get((), 0) == dense_det_oracle(vals)
 
 
 def test_minors():
@@ -298,7 +288,7 @@ def test_minor_order_is_row_then_column_lex():
     ring = ring_q(("x",))
     vals = [MultiPoly.const(ring, v) for v in range(1, 7)]
     m = PolyMatrix(2, 3, vals)  # [[1,2,3],[4,5,6]]
-    got = [m.terms.get((0,), 0) for m in mat_minors(m, 2)]
+    got = [dict(m.items()).get((0,), 0) for m in mat_minors(m, 2)]
     # column pairs (0,1), (0,2), (1,2)
     assert got == [Fraction(v) for v in (1 * 5 - 2 * 4, 1 * 6 - 3 * 4, 2 * 6 - 3 * 5)]
 

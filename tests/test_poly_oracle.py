@@ -31,13 +31,13 @@ def polys(draw, max_deg: int = 2, max_terms: int = 3):
 def to_sympy(f: MultiPoly):
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * sympy.Mul(*(s ** e for s, e in zip(SYMBOLS, exps)))
-                for exps, c in f.terms.items()), sympy.Integer(0))
+                for exps, c in f.items()), sympy.Integer(0))
 
 
 def to_ring(f: MultiPoly):
     """f as an element of sympy's QQ[x, y, z], where equality is exact."""
     return QQXYZ.ring.from_dict({exps: sympy.QQ(c.numerator, c.denominator)
-                                 for exps, c in f.terms.items()})
+                                 for exps, c in f.items()})
 
 
 def same(f: MultiPoly, expr) -> bool:

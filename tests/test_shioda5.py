@@ -9,7 +9,7 @@ from algtool.gradedalg import Presentation, curve_fiber, make_presentation, make
 from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                                 projective_fixed_points, subgroup_generators)
 from algtool.poly import PolyMatrix
-from algtool.shioda5 import (_minor_jacobian, _rank_below_3, _within, base_orbit,
+from algtool.shioda5 import (_minor_jacobians, _rank_below_3, _within, base_orbit,
                              ca_orbit_check, ca_relations, cusp_cycles,
                              cycle_fiber_equivalence, s15_matrix, s15_minors,
                              singular_points_check, thirty_points,
@@ -32,7 +32,7 @@ def test_s15_matrix_layout():
 def test_minors_count_degree_and_fixture():
     minors = s15_minors()
     assert len(minors) == 10
-    assert all({sum(e) for e in m.terms} == {6} for m in minors)
+    assert all({sum(e) for e, _c in m.items()} == {6} for m in minors)
     assert str(minors[0]) == ("-1 * x0^4 x2^1 x4^1 + 1 * x0^2 x1^1 x3^2 x4^1 "
                               "+ 1 * x0^1 x1^3 x4^2 + 1 * x0^1 x2^4 x3^1 "
                               "+ -1 * x1^3 x2^1 x3^2 + -1 * x1^1 x2^2 x3^1 x4^2")
@@ -50,14 +50,15 @@ def test_minors_permuted_by_index_shift():
     shifted = set()
     for m in minors:
         terms = {}
-        for exps, c in m.terms.items():
+        for exps, c in m.items():
             new = tuple(exps[(i - 1) % 5] for i in range(5))  # x_i -> x_{i+1}
             terms[new] = c
         shifted.add(frozenset(terms.items()))
     originals = set()
     for m in minors:
-        originals.add(frozenset(m.terms.items()))
-        originals.add(frozenset((e, -c) for e, c in m.terms.items()))
+        items = m.items()
+        originals.add(frozenset(items))
+        originals.add(frozenset((e, -c) for e, c in items))
     assert shifted <= originals
 
 
@@ -136,11 +137,11 @@ def test_jacobi_formula_jacobian_matches_symbolic_partials():
     rng = np.random.default_rng(0)
     points = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(20)]
     points += [np.array([c.embed(1) for c in pt]) for pt in thirty_points()]
-    for pt in points:
-        pt = list(pt / np.abs(pt).max())
+    points = [list(pt / np.abs(pt).max()) for pt in points]
+    stack = _minor_jacobians(matrix, partials, points)
+    assert stack.shape == (len(points), 10, 5)
+    for pt, got in zip(points, stack):
         expected = np.array([[complex(d.eval(pt)) for d in row] for row in symbolic])
-        got = _minor_jacobian(matrix, partials, pt)
-        assert got.shape == (10, 5)
         assert np.abs(got - expected).max() < 1e-12
 
 
