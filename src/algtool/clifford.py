@@ -4,8 +4,10 @@ points where the rank drops.
 
 The symmetric form M is a `PolyMatrix` whose entries are linear in central
 degree-2 variables u_0..u_{n-1} (u_k = x_k^2), so x-degrees double u-degrees
-throughout: `M.eval(point)` specializes it, `linalg.rank_float` ranks the
-result and `poly.mat_det(M)` is its determinant.  Rank at a point decides
+throughout: `M.eval(point)` specializes it (`M.eval_stack(points)` at many
+complex points in one numpy stack), `linalg.rank_float` ranks the result,
+`poly.mat_det(M)` is its determinant, and the points of a line where the rank
+drops are eigenvalues of the pencil of M along it.  Rank at a point decides
 everything (L. Le Bruyn, "Central singularities of quantum spaces", J.
 Algebra 177, 1995): odd rank k gives two simple representations of
 dimension 2^((k-1)/2) and one fat point of multiplicity 2^((k-1)/2); even
@@ -20,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import sqrt
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConditioningError, InputError, SamplingError
-from .poly import MultiPoly, PolyMatrix, mat_det, ring_cc, ring_q
+from .poly import MultiPoly, PolyMatrix, ring_cc, ring_q
 
 
 # -- representation profiles -----------------------------------------------------
@@ -144,7 +147,9 @@ class CliffordReps:
 def build_reps(matrix, rank: int) -> CliffordReps:
     """Matrices X_1..X_n with X_i X_j + X_j X_i = M_ij * Id, dimension and
     count per simple_profile(rank); odd rank yields the two inequivalent
-    choices (sign flip of the last diagonalized generator)."""
+    choices (sign flip of the last diagonalized generator).  The X_i are one
+    stack, their products one matmul, and each residual is `np.linalg.norm`'s
+    arithmetic: dots of the strided real and imaginary parts."""
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
     if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-10 * (np.abs(m).max() + 1)):
@@ -158,28 +163,25 @@ def build_reps(matrix, rank: int) -> CliffordReps:
             flipped[-1] = -flipped[-1]
         variants.append(flipped)
     dim = 2 ** (rank // 2)
-    eye = np.eye(dim)
+    target = m[:, :, None, None] * np.eye(dim)
     tuples = []
     chirality = []
     residual = 0.0
     scale = np.abs(m).max() + 1.0
     for gammas in variants:
-        xs = []
-        for i in range(n):
-            x = np.zeros((dim, dim), dtype=complex)
-            for r in range(rank):
-                x += s[i, r] * gammas[r]
-            xs.append(x / np.sqrt(2.0))
+        xs = np.zeros((n, dim, dim), dtype=complex)
+        for r in range(rank):
+            xs += s[:, r, None, None] * gammas[r]
+        xs = xs / np.sqrt(2.0)
         top = np.eye(dim, dtype=complex)
         for g in gammas:
             top = top @ g
         chirality.append(complex(np.trace(top) / dim))
-        prod = [[xi @ xj for xj in xs] for xi in xs]
-        for i in range(n):
-            for j in range(n):
-                err = np.linalg.norm(prod[i][j] + prod[j][i] - m[i, j] * eye)
-                residual = max(residual, err / scale)
-        tuples.append(xs)
+        prod = np.matmul(xs[:, None], xs[None, :])
+        for row in (prod + prod.swapaxes(0, 1) - target).reshape(n * n, dim * dim):
+            re, im = row.real, row.imag
+            residual = max(residual, sqrt(re.dot(re) + im.dot(im)) / scale)
+        tuples.append(list(xs))
     return CliffordReps(tuples, chirality, residual)
 
 
@@ -208,22 +210,6 @@ def clifford_form(p: int, avec: Sequence) -> PolyMatrix:
     return PolyMatrix(p, p, [e for row in rows for e in row])
 
 
-def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
-    """det M(base + s * direction) as a numpy polynomial in s."""
-    ring = ring_cc(("s",))
-    s_var = MultiPoly.var(ring, 0)
-    at_base = form.eval([complex(v) for v in base])
-    slope = form.eval([complex(v) for v in direction])
-    entries = [MultiPoly.const(ring, b) + s_var * d
-               for row_b, row_d in zip(at_base, slope) for b, d in zip(row_b, row_d)]
-    det = mat_det(PolyMatrix(form.rows, form.cols, entries))
-    deg = det.total_degree()
-    coeffs = [0j] * (deg + 1)
-    for (k,), c in det.items():
-        coeffs[deg - k] = c
-    return np.poly1d(coeffs)
-
-
 def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
     """`count` seeded points of C^n, each scaled to largest modulus 1; a
     negative count is an input error."""
@@ -239,33 +225,38 @@ def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
 
 def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
                             tol: float = 1e-8) -> List[np.ndarray]:
-    """Points on V(det M) found by root-finding det along random complex
-    lines; a point counts when |det| <= sqrt(tol) there, a line whose det
-    overflows to non-finite coefficients is skipped, and SamplingError is
-    raised after 40 lines per requested point."""
+    """Points on V(det M) from random complex lines base + s * direction: with
+    B = M(base) and D = M(direction), det(B + s D) = 0 at the eigenvalues of
+    -D^-1 B (the generalized eigenproblem; C. Moler and G. Stewart, SIAM J.
+    Numer. Anal. 10, 1973), and the one of least modulus is taken.  A line
+    with D singular or a root or point not finite is skipped; a point counts
+    when |det M| <= sqrt(tol) there, scaled to largest modulus 1.  The search
+    is silent on overflow.  SamplingError after 40 lines per requested point;
+    a negative count is an input error."""
+    if count < 0:
+        raise InputError(f"sample count must be non-negative, got {count}")
     rng = np.random.default_rng(seed)
-    n_vars = form.ring.nvars
     out = []
     attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 40 * max(count, 1):
-            raise SamplingError("could not locate enough det-zero points")
-        base = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
-        direction = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
-        poly = det_along_line(form, base, direction)
-        if poly.order < 1 or not np.isfinite(poly.coeffs).all():
-            continue
-        roots = poly.r
-        if len(roots) == 0:
-            continue
-        root = roots[int(np.argmin(np.abs(roots)))]
-        point = base + root * direction
-        norm = np.abs(point).max()
-        if norm == 0 or not np.isfinite(norm):
-            continue
-        point = point / norm
-        if abs(np.linalg.det(form.eval(list(point)))) > np.sqrt(tol):
-            continue
-        out.append(point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(out) < count:
+            attempts += 1
+            if attempts > 40 * max(count, 1):
+                raise SamplingError("could not locate enough det-zero points")
+            draw = rng.standard_normal((4, form.ring.nvars))
+            base, direction = draw[0] + 1j * draw[1], draw[2] + 1j * draw[3]
+            b, d = form.eval_stack([base, direction])
+            try:
+                roots = np.linalg.eigvals(-np.linalg.solve(d, b))
+            except np.linalg.LinAlgError:
+                continue
+            if not np.isfinite(roots).all():
+                continue
+            point = base + roots[int(np.argmin(np.abs(roots)))] * direction
+            norm = np.abs(point).max()
+            if norm == 0 or not np.isfinite(norm):
+                continue
+            point = point / norm
+            if abs(np.linalg.det(form.eval_stack(point)[0])) <= np.sqrt(tol):
+                out.append(point)
     return out

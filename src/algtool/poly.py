@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .cyclotomic import Cyclotomic
 from .errors import ArityError, RingMismatchError
 
@@ -554,7 +556,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
 
 
 class PolyMatrix:
-    __slots__ = ("rows", "cols", "entries", "ring", "_plan")
+    __slots__ = ("rows", "cols", "entries", "ring", "_plan", "_linear")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[MultiPoly]):
         if rows <= 0 or cols <= 0:
@@ -567,7 +569,7 @@ class PolyMatrix:
             if e.ring != ring:
                 raise RingMismatchError("matrix entries over mixed rings")
         self.rows, self.cols, self.entries, self.ring = rows, cols, entries, ring
-        self._plan = None
+        self._plan = self._linear = None
 
     def at(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.cols + j]
@@ -583,6 +585,50 @@ class PolyMatrix:
         values = _eval_all(self.ring, self._plan, point)
         cols = self.cols
         return [values[i:i + cols] for i in range(0, len(values), cols)]
+
+    def eval_stack(self, points) -> np.ndarray:
+        """`eval` at each of N complex points as one (N, rows, cols) array,
+        for a matrix whose entries are each c u_k or zero, bit for bit.
+        `_eval_all` computes such an entry as c * (1 * u_k), with c the
+        coefficient of the plan's complex terms, and a zero entry as
+        0 * point[0].  numpy's complex multiply may fuse a multiply and an
+        add (with AVX-512 it differs from Python's in the last bit), so the
+        real and imaginary parts are multiplied here as Python multiplies
+        complex numbers, and, as in Python, overflow is silent.  The (c, k)
+        layout is read from the plan on the first call and kept."""
+        nvars = self.ring.nvars
+        if self._linear is None:
+            if self._plan is None:
+                self._plan = _eval_plan(self.entries)
+            maxdeg = self._plan.maxdeg
+            starts = itertools.accumulate([k + 1 for k in maxdeg[:-1]], initial=0)
+            first_power = {start + 1: nvars + k for k, start in enumerate(starts) if maxdeg[k]}
+            cols, coef = [], []
+            for terms in self._plan.terms_at([0j] * nvars):
+                if not terms:  # 0 * u_0
+                    cols.append(0)
+                    coef.append(0j)
+                elif len(terms) == 1 and len(terms[0][1]) == 1 and terms[0][1][0] in first_power:
+                    cols.append(first_power[terms[0][1][0]])
+                    coef.append(complex(terms[0][0]))
+                else:
+                    raise ValueError("eval_stack needs entries c * u_k or zero")
+            coef = np.array(coef)
+            self._linear = cols, coef.real, coef.imag
+        cols, cr, ci = self._linear
+        x = np.asarray(points, dtype=complex)
+        if x.size and x.shape[-1] != nvars:
+            raise ArityError(f"points have {x.shape[-1]} coordinates, ring has {nvars}")
+        x = x.reshape(-1, nvars)
+        xr, xi = x.real, x.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the columns u, then 1 * u
+            re = np.concatenate([xr, xr - 0.0 * xi], axis=1)[:, cols]
+            im = np.concatenate([xi, xi + 0.0 * xr], axis=1)[:, cols]
+            out = np.empty(re.shape, dtype=complex)
+            out.real = cr * re - ci * im
+            out.imag = cr * im + ci * re
+        return out.reshape(-1, self.rows, self.cols)
 
 
 def minor_routine(m: PolyMatrix):

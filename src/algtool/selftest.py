@@ -244,7 +244,7 @@ def criterion_5_clifford(seed: int = 0) -> CheckResult:
 
     form = clifford.clifford_form(3, (1, 1))
     pts = clifford.sample_rank_drop_points(form, 20, seed + 7)
-    ranks = rank_float([form.eval(list(p)) for p in pts], 1e-8).tolist()
+    ranks = rank_float(form.eval_stack(pts), 1e-8).tolist()
     details["dim3_det_zero_ranks"] = sorted(set(ranks))
     ok &= all(r <= 2 for r in ranks)
     return CheckResult("5-clifford-profiles", ok, details)

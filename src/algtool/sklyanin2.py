@@ -169,15 +169,25 @@ def _require_t(a: Scalar, b: Scalar) -> complex:
 def orbit_points(t: complex) -> List[Tuple[complex, ...]]:
     """The 25 Heisenberg-orbit images of (0 : 1 : t : -t : -1) in u-space,
     projectively normalized (first coordinate above 1e-9 set to 1) and
-    deduplicated (points within 1e-8 in every coordinate are one)."""
-    seen: List[Tuple[complex, ...]] = []
+    deduplicated by `first_distinct` (points within 1e-8 in every coordinate
+    are one)."""
+    normalized = []
     for vec in base_orbit(t):
         lead = next(v for v in vec if abs(v) > 1e-9)
-        norm = tuple(v / lead for v in vec)
-        if not any(all(abs(x - y) <= 1e-8 for x, y in zip(norm, old))
-                   for old in seen):
-            seen.append(norm)
-    return seen
+        normalized.append(tuple(v / lead for v in vec))
+    return first_distinct(normalized)
+
+
+def first_distinct(points: Sequence[Tuple[complex, ...]]) -> List[Tuple[complex, ...]]:
+    """The points in order, without each one within 1e-8 in every coordinate
+    of an earlier kept point: one table of all pairs, then a greedy pass."""
+    arr = np.array(points, dtype=complex, ndmin=2)
+    close = (np.abs(arr[:, None, :] - arr[None, :, :]) <= 1e-8).all(axis=2)
+    kept: List[int] = []
+    for i in range(len(points)):
+        if not close[i, kept].any():
+            kept.append(i)
+    return [points[i] for i in kept]
 
 
 @dataclass
@@ -194,12 +204,6 @@ class PointModuleReport:
                 and all(r == 2 for r in self.ranks))
 
 
-def _eval_stack(form: PolyMatrix, points) -> np.ndarray:
-    """Q at each point, as one complex array of shape (len(points), 5, 5)."""
-    values = [form.eval(list(pt)) for pt in points]
-    return np.asarray(values, dtype=complex).reshape(-1, form.rows, form.cols)
-
-
 def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
     """Every 3x3 minor of Q(a, b) vanishes on the whole orbit of the base
     point of E', and the rank there (singular values above `rank_tol`
@@ -214,7 +218,7 @@ def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
     for pt in orbit:
         scale = max(abs(v) for v in pt)
         scaled.append([v / scale for v in pt])
-    stack = _eval_stack(form, scaled)
+    stack = form.eval_stack(scaled)
     worst = float(np.abs(minors_float(stack, 3)).max())
     ranks = rank_float(stack, rank_tol).tolist()
     return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
@@ -259,7 +263,7 @@ def stratify(point, samples: int = 6, seed: int = 0,
     form = clifford_form(5, (1, complex(a), complex(b)))
 
     def ranks(points) -> List[int]:
-        return rank_float(_eval_stack(form, points), rank_tol).tolist()
+        return rank_float(form.eval_stack(points), rank_tol).tolist()
 
     generic = random_points(5, samples, seed)
     det_zero = sample_rank_drop_points(form, max(3, samples // 2), seed + 1, rank_tol)

@@ -1,0 +1,109 @@
+"""Test-only reference: the Clifford float numerics one line, one pair and
+one point at a time, as `clifford` and `sklyanin2` computed them before
+they worked on numpy stacks.  Rank-drop points came from the determinant
+along each line expanded symbolically and handed to `np.poly1d`, `build_reps`
+took one product and one `np.linalg.norm` per pair, and the orbit was
+deduplicated by comparing each new point with every kept one."""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+import numpy as np
+
+from algtool.clifford import _symmetric_square_root_factors, simple_profile, standard_gammas
+from algtool.errors import SamplingError
+from algtool.poly import MultiPoly, PolyMatrix, mat_det, ring_cc
+
+
+def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
+    """det M(base + s * direction) as a numpy polynomial in s."""
+    ring = ring_cc(("s",))
+    s_var = MultiPoly.var(ring, 0)
+    at_base = form.eval([complex(v) for v in base])
+    slope = form.eval([complex(v) for v in direction])
+    entries = [MultiPoly.const(ring, b) + s_var * d
+               for row_b, row_d in zip(at_base, slope) for b, d in zip(row_b, row_d)]
+    det = mat_det(PolyMatrix(form.rows, form.cols, entries))
+    deg = det.total_degree()
+    coeffs = [0j] * (deg + 1)
+    for (k,), c in det.items():
+        coeffs[deg - k] = c
+    return np.poly1d(coeffs)
+
+
+def random_lines(n: int, count: int, seed: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The first `count` (base, direction) pairs that the sampler draws from
+    `seed`."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(count):
+        base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lines.append((base, direction))
+    return lines
+
+
+def rank_drop_points(form: PolyMatrix, count: int, seed: int,
+                     tol: float = 1e-8) -> List[np.ndarray]:
+    """The sampler with each line's roots taken from `det_along_line`."""
+    out = []
+    for base, direction in random_lines(form.ring.nvars, 40 * max(count, 1), seed):
+        if len(out) == count:
+            return out
+        poly = det_along_line(form, base, direction)
+        if poly.order < 1 or not np.isfinite(poly.coeffs).all():
+            continue
+        roots = poly.r
+        point = base + roots[int(np.argmin(np.abs(roots)))] * direction
+        point = point / np.abs(point).max()
+        if abs(np.linalg.det(form.eval(list(point)))) <= np.sqrt(tol):
+            out.append(point)
+    if len(out) < count:
+        raise SamplingError("could not locate enough det-zero points")
+    return out
+
+
+def build_reps_pairwise(matrix, rank: int):
+    """(tuples, chirality, residual) of `build_reps`, each X_i summed on
+    its own and each residual one `np.linalg.norm` of one pair."""
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
+    s = _symmetric_square_root_factors(m, rank)
+    variants = [standard_gammas(rank)]
+    if simple_profile(rank, n).count == 2:
+        flipped = list(variants[0])
+        if rank:
+            flipped[-1] = -flipped[-1]
+        variants.append(flipped)
+    dim = 2 ** (rank // 2)
+    eye = np.eye(dim)
+    tuples, chirality, residual = [], [], 0.0
+    scale = np.abs(m).max() + 1.0
+    for gammas in variants:
+        xs = []
+        for i in range(n):
+            x = np.zeros((dim, dim), dtype=complex)
+            for r in range(rank):
+                x += s[i, r] * gammas[r]
+            xs.append(x / np.sqrt(2.0))
+        top = np.eye(dim, dtype=complex)
+        for g in gammas:
+            top = top @ g
+        chirality.append(complex(np.trace(top) / dim))
+        prod = [[xi @ xj for xj in xs] for xi in xs]
+        for i in range(n):
+            for j in range(n):
+                err = np.linalg.norm(prod[i][j] + prod[j][i] - m[i, j] * eye)
+                residual = max(residual, err / scale)
+        tuples.append(xs)
+    return tuples, chirality, residual
+
+
+def first_distinct_loop(points) -> list:
+    """The points in order, each compared with every point kept before it."""
+    seen = []
+    for pt in points:
+        if not any(all(abs(x - y) <= 1e-8 for x, y in zip(pt, old)) for old in seen):
+            seen.append(pt)
+    return seen

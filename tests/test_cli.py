@@ -240,11 +240,15 @@ def test_empty_list_field_is_an_input_error(capsys, argv, flag):
 
 @pytest.mark.parametrize("t", ["1e100", "1e300"])
 def test_huge_float_strata_end_in_sampling_error(capsys, t):
-    # the determinant along every sampled line overflows, so no det-zero
-    # point is found
+    # at each line's root |det| is the rounding error of entries of size t,
+    # far above sqrt(tol), or it overflows, so no det-zero point is found;
+    # the overflow prints no numpy warning
     code, out = run_cli(capsys, "clifford-strata", "--t", t, "--format", "json")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "sampling"
+    proc = subprocess.run([sys.executable, "-m", "algtool.cli", "clifford-strata", "--t", t,
+                           "--format", "json"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, "")
 
 
 def test_secant_at_vanishing_t_is_a_pole_error(capsys):
@@ -734,6 +738,18 @@ def test_help_lists_the_table(capsys):
 def test_cli_imports_no_argparse(argv):
     code = (f"import sys; from algtool.cli import main; main({argv!r}); "
             "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_float_checks_import_no_lazy_numpy_modules():
+    # a module that numpy or a check imports on first use would be paid
+    # inside every benchmark op that runs the check
+    code = ("import sys; from algtool.cli import main; "
+            "main(['selftest', '--format', 'json']); main(['clifford-strata', '--t', '1']); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith(('numpy.fft', 'numpy.polynomial'))])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.splitlines()[-1] == "[]"

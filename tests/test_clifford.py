@@ -5,12 +5,15 @@ import pytest
 
 from algtool.clifford import (FatProfile, SimpleProfile, build_reps,
                               clifford_form, fat_profile,
-                              sample_rank_drop_points, simple_profile,
-                              standard_gammas)
-from algtool.errors import ConditioningError
+                              random_points, sample_rank_drop_points,
+                              simple_profile, standard_gammas)
+from algtool.errors import ArityError, ConditioningError, InputError
 from algtool.gradedalg import make_presentation
 from algtool.linalg import rank_float
 from algtool.poly import MultiPoly, PolyMatrix, mat_det, ring_q
+from algtool.sklyanin2 import curve_points_on_grid
+from clifford_reference import (build_reps_pairwise, det_along_line, random_lines,
+                                rank_drop_points)
 
 
 def test_specialize_examples():
@@ -136,3 +139,101 @@ def test_det_zero_points_have_small_rank():
     assert len(pts) == 20
     for pt in pts:
         assert rank_float(form.eval(list(pt)), 1e-8) <= 2
+
+
+def test_negative_sample_count_is_an_input_error():
+    with pytest.raises(InputError):
+        sample_rank_drop_points(clifford_form(3, (1, 1)), -1, 0)
+    assert sample_rank_drop_points(clifford_form(3, (1, 1)), 0, 0) == []
+
+
+def bits(values) -> bytes:
+    """The bytes of a complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values, dtype=complex).tobytes()
+
+
+# signed zeros in both parts, so that the sign of every zero is checked too
+SIGNED_ZEROS = [(complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.5, -0.0)),
+                (complex(-0.0, -0.0), -2j, complex(0.0, 0.0)),
+                (complex(1.0, -0.0), complex(-0.0, 3.0), complex(-0.0, -0.0))]
+
+
+@pytest.mark.parametrize("avec", [(1, 1), (1, Fraction(2, 3)), (1, 0.0), (1, -0.5j)],
+                         ids=["QQ", "QQ-2/3", "zero-entries", "CC"])
+def test_eval_stack_is_eval_bit_for_bit(avec):
+    form = clifford_form(3, avec)
+    points = [list(pt) for pt in random_points(3, 6, 11)] + [list(pt) for pt in SIGNED_ZEROS]
+    stack = form.eval_stack(points)
+    assert stack.shape == (len(points), 3, 3)
+    for pt, got in zip(points, stack):
+        assert bits(got) == bits(form.eval(pt))
+        assert bits(got) == bits(form.eval([complex(v) for v in pt]))
+
+
+def test_eval_stack_refuses_a_form_that_is_not_linear():
+    ring = ring_q(("u0", "u1"))
+    u0, u1 = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
+    for entry in (u0 * u1, u0 + u1, u1 ** 2, MultiPoly.const(ring, 1)):
+        with pytest.raises(ValueError):
+            PolyMatrix(1, 2, [u0, entry]).eval_stack([[1j, 2.0]])
+    with pytest.raises(ArityError):
+        PolyMatrix(1, 2, [u0, u1]).eval_stack([[1j, 2.0, 3.0]])
+    assert PolyMatrix(1, 2, [u0, u1]).eval_stack([]).shape == (0, 1, 2)
+
+
+# the form of criterion 5, and Q(a, b) at criterion 6's three curve points
+LINE_FORMS = [clifford_form(3, (1, 1))] + [
+    clifford_form(5, (1, complex(cp.a), complex(cp.b))) for cp in curve_points_on_grid()[:3]]
+
+
+@pytest.mark.parametrize("form", LINE_FORMS, ids=["c3", "Q-a1", "Q-a1.5", "Q-a0.5"])
+def test_rank_drop_roots_are_the_roots_of_the_line_determinant(form):
+    # the eigenvalues of -D^-1 B are the roots of det(B + s D), which the
+    # reference expands symbolically
+    for base, direction in random_lines(form.rows, 20, 3):
+        b, d = form.eval_stack([base, direction])
+        roots = list(np.linalg.eigvals(-np.linalg.solve(d, b)))
+        reference = det_along_line(form, base, direction).r
+        assert len(roots) == len(reference) == form.rows
+        for r in reference:
+            nearest = min(roots, key=lambda e: abs(e - r))
+            assert abs(nearest - r) <= 1e-9 * max(1.0, abs(r))
+            roots.remove(nearest)
+
+
+@pytest.mark.parametrize("form", LINE_FORMS, ids=["c3", "Q-a1", "Q-a1.5", "Q-a0.5"])
+def test_rank_drop_points_match_the_symbolic_sampler(form):
+    count = 20 if form.rows == 3 else 6
+    points = sample_rank_drop_points(form, count, 5)
+    reference = rank_drop_points(form, count, 5)
+    assert len(points) == len(reference) == count
+    for pt, ref in zip(points, reference):
+        assert np.abs(pt - ref).max() <= 1e-9
+        assert abs(np.linalg.det(form.eval(list(pt)))) <= np.sqrt(1e-8)
+
+
+def build_reps_cases():
+    """Criterion 5's random forms for a few seeds, rank 0, and odd ranks
+    with their flipped variant."""
+    cases = [(np.zeros((3, 3)), 0), (2 * np.eye(3), 3), (np.outer([1, 2j, 3], [1, 2j, 3]), 1)]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(0, n + 1))
+            s = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            cases.append((s @ s.T, k))
+    return cases
+
+
+def test_build_reps_is_the_pairwise_loop_bit_for_bit():
+    ranks = set()
+    for m, k in build_reps_cases():
+        reps = build_reps(m, k)
+        tuples, chirality, residual = build_reps_pairwise(m, k)
+        assert reps.max_residual.hex() == residual.hex()
+        assert reps.chirality == chirality
+        assert [[bits(x) for x in xs] for xs in reps.tuples] == \
+            [[bits(x) for x in xs] for xs in tuples]
+        ranks.add(k)
+    assert ranks == {0, 1, 2, 3, 4, 5}

@@ -19,10 +19,11 @@ from algtool.poly import MultiPoly, mat_det, mat_minors, ring_q
 from algtool.selftest import criterion_9_determinism
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                cprime_residual, curve_points_on_grid,
-                               curve_singularity_report, eliminate_t,
+                               curve_singularity_report, eliminate_t, first_distinct,
                                minor_ideal_checks, onedim_reps, orbit_points,
                                point_module_check, secant_check,
                                stratify, t_param)
+from clifford_reference import first_distinct_loop
 from rank_reference import point_module_one_by_one, rank_one
 from sklyanin2_reference import degree_pieces, quadrics_at
 
@@ -168,6 +169,59 @@ def test_stratify_ranks_match_one_by_one(point):
     strata = {s.name: s.ranks for s in stratify(point, samples=5, seed=7).strata}
     assert strata == {"generic": generic, "det-zero": [r for r in det_zero if r != 2],
                       "E-prime": orbit}
+
+
+@pytest.mark.parametrize("point", BATCH_POINTS + [(0.0, 1.0)], ids=lambda ab: f"a={ab[0]}")
+def test_form_stack_is_eval_bit_for_bit(point):
+    # at a = 0 the entries (a / 1) u_k are zero, and each is 0 * u_0
+    a, b = point
+    form = clifford_form(5, (1, complex(a), complex(b)))
+    assert (a == 0) == any(not entry.terms for entry in form.entries)
+    signed_zeros = [(complex(-0.0, 0.0), -1j, complex(0.0, -0.0), complex(-2.0, -0.0), 1),
+                    (complex(-0.0, -0.0), 0j, complex(-0.0, 1.0), 0.5, complex(1.0, -0.0))]
+    points = ([list(pt) for pt in orbit_points(complex(t_param(a, b)))]
+              + [list(pt) for pt in random_points(5, 4, 2)]
+              + [list(pt) for pt in sample_rank_drop_points(form, 3, 4)]
+              + [[complex(v) for v in pt] for pt in signed_zeros])
+    stack = form.eval_stack(points)
+    for pt, got in zip(points, stack):
+        assert got.tobytes() == np.asarray(form.eval(pt), dtype=complex).tobytes()
+
+
+def orbit_images(t: complex) -> list:
+    """The 25 normalized images that `orbit_points` deduplicates."""
+    images = []
+    for vec in sklyanin2.base_orbit(t):
+        lead = next(v for v in vec if abs(v) > 1e-9)
+        images.append(tuple(v / lead for v in vec))
+    return images
+
+
+@pytest.mark.parametrize("t", [0.75 + 0.1j, complex(t_param(1.0, 0.12888995128730368)),
+                               0j, 1e-12 + 0j, 1e12 + 0j],
+                         ids=["generic", "README", "zero", "tiny", "huge"])
+def test_orbit_points_are_the_pairwise_loop(t):
+    images = orbit_images(t)
+    assert orbit_points(t) == first_distinct_loop(images)
+    assert len(orbit_points(t)) == 25
+
+
+def test_first_distinct_keeps_the_loop_order_on_planted_near_duplicates():
+    rng = np.random.default_rng(6)
+    points = orbit_images(0.75 + 0.1j)
+    planted = list(points)
+    for i in rng.integers(0, 25, size=20):
+        pt = points[i]
+        k = int(rng.integers(0, 5))
+        # 8e-9 and 1.6e-8 can chain: a point near a dropped point only is kept
+        for shift in (1e-10, 3e-9j, 5e-8, 2e-7j, 8e-9, 1.6e-8):
+            planted.append(tuple(v + (shift if j == k else 0) for j, v in enumerate(pt)))
+    order = rng.permutation(len(planted))
+    planted = [planted[i] for i in order]
+    kept = first_distinct(planted)
+    assert kept == first_distinct_loop(planted)
+    assert 25 < len(kept) < len(planted)
+    assert first_distinct([]) == []
 
 
 def test_point_module_check_rejects_singular_parameter():
