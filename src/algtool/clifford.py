@@ -152,7 +152,13 @@ def build_reps(matrix, rank: int) -> CliffordReps:
     arithmetic: dots of the strided real and imaginary parts."""
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
-    if m.shape != (n, n) or not np.allclose(m, m.T, atol=1e-10 * (np.abs(m).max() + 1)):
+    if m.shape != (n, n):
+        raise ValueError("build_reps needs a symmetric square matrix")
+    scale = np.abs(m).max() + 1.0
+    # np.allclose(m, m.T, atol=1e-10 * scale) written out; a non-finite
+    # entry makes the scale, and so the check, fail
+    atol = 1e-10 * scale
+    if not np.isfinite(atol) or (np.abs(m - m.T) > atol + 1e-5 * np.abs(m.T)).any():
         raise ValueError("build_reps needs a symmetric square matrix")
     profile = simple_profile(rank, n)
     s = _symmetric_square_root_factors(m, rank)
@@ -167,7 +173,6 @@ def build_reps(matrix, rank: int) -> CliffordReps:
     tuples = []
     chirality = []
     residual = 0.0
-    scale = np.abs(m).max() + 1.0
     for gammas in variants:
         xs = np.zeros((n, dim, dim), dtype=complex)
         for r in range(rank):

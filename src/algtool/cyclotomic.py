@@ -223,11 +223,22 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse by the Galois norm: for integral y, the
-        product of sigma_k(y) over k = 1 .. p-1 is a rational integer N, so
-        y^-1 is the product over k = 2 .. p-1 divided by N."""
+        """Multiplicative inverse.  A single term r w^k, whose one non-zero
+        coordinate is r at w^k, or for k = p-1 all p-1 coordinates -r, is
+        r^-1 w^-k.  Otherwise it is taken by the Galois norm: for integral y,
+        the product of sigma_k(y) over k = 1 .. p-1 is a rational integer N,
+        so y^-1 is the product over k = 2 .. p-1 divided by N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
+        p, num = self.p, self.num
+        support = [k for k, c in enumerate(num) if c]
+        if len(support) == 1:
+            # r w^k with r = num[k] / den
+            k = support[0]
+            return Cyclotomic.zeta(p, -k) * Fraction(self.den, num[k])
+        if num.count(num[0]) == p - 1:
+            # r w^(p-1) = -r (1 + w + ... + w^(p-2)) with r = -num[0] / den
+            return Cyclotomic.zeta(p, 1) * Fraction(self.den, -num[0])
         # (num / den)^-1 = den * num^-1
         numer = Cyclotomic._raw(self.p, self.num)
         others = numer.galois(2)
@@ -300,9 +311,13 @@ class Cyclotomic:
         if k % self.p == 0:
             raise ModulusError(f"embedding index {k} is 0 mod {self.p}")
         z = cmath.exp(2j * cmath.pi * k / self.p)
+        den = self.den
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        # c / den is the float of the coefficient Fraction(c, den): both are
+        # the correctly rounded quotient of the two ints; added as a complex,
+        # so the sign of a zero imaginary part is the same on every Python
+        for c in reversed(self.num):
+            acc = acc * z + complex(c / den)
         if not (cmath.isfinite(acc)):
             raise ArithmeticError("non-finite embedding value")
         return acc

@@ -16,7 +16,9 @@ read off a closed-form recurrence, so no linear algebra is imported.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import cache
 from typing import List, Sequence, Tuple, Union
 
 from .cyclotomic import Cyclotomic, require_odd_prime
@@ -209,20 +211,24 @@ def apply_element(rep: SimpleRep, g: HeisenbergElement, point: Sequence) -> tupl
     """rho(g) applied to a coordinate vector, without materializing the matrix.
 
     Exact entries pick up Cyclotomic phases; complex entries pick up
-    exp(2 pi i / p) phases.
+    powers of exp(2 pi i / p), each computed once per process.
     """
     _same_prime(rep.p, g.p)
     p = rep.p
     if len(point) != p:
         raise ValueError(f"point needs {p} coordinates")
-    exact = not isinstance(point[0], complex)
-    if exact:
-        phases = [Cyclotomic.zeta(p, rep.index * (g.k + g.b * c)) for c in range(p)]
+    if isinstance(point[0], complex):
+        powers = _complex_phases(p)
+        phases = [powers[rep.index * (g.k + g.b * c) % p] for c in range(p)]
     else:
-        import cmath
-        phases = [cmath.exp(2j * cmath.pi * (rep.index * (g.k + g.b * c) % p) / p)
-                  for c in range(p)]
+        phases = [Cyclotomic.zeta(p, rep.index * (g.k + g.b * c)) for c in range(p)]
     vec = [None] * p
     for c in range(p):
         vec[(c - g.a) % p] = phases[c] * point[c]
     return tuple(vec)
+
+
+@cache
+def _complex_phases(p: int) -> Tuple[complex, ...]:
+    """exp(2 pi i e / p) for e = 0 .. p-1."""
+    return tuple(cmath.exp(2j * cmath.pi * e / p) for e in range(p))

@@ -1,13 +1,15 @@
-"""Integer coefficient tables for the degree-piece checks of `sklyanin2`.
+"""Integer coefficient tables for the degree-piece and secant checks of
+`sklyanin2`.
 
 Every entry of Q(a, b) = clifford_form(5, (1, a, b)) is 2 u_k, a u_k or
-b u_k, so each of its minors is a polynomial in u_0..u_4 whose coefficients
-are integer polynomials in (a, b); likewise the products u_j q_i and
-q_i q_j of the quadrics q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3}
-have integer coefficients in t.  `minor_tables` expands them once per
-process and keeps only the sparse integer tables; evaluating a table at a
-point is one scatter-add.  `sklyanin2` imports this module where it first
-needs it, so CLI start-up does not compile it.
+b u_k, so each of its minors, det Q included, is a polynomial in u_0..u_4
+whose coefficients are integer polynomials in (a, b); likewise the products
+u_j q_i and q_i q_j of the quadrics q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} -
+u_{i+2} u_{i+3} and their Jacobian determinant det(dq_i/du_j) have integer
+coefficients in t.  `minor_tables` expands them once per process and keeps
+only the sparse integer tables; evaluating a table at a point is one
+scatter-add.  `sklyanin2` imports this module where it first needs it, so
+CLI start-up does not compile it.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .clifford import clifford_form
-from .poly import (MultiPoly, PolyMatrix, mat_minors, minor_routine, monomials_of_degree,
-                   ring_cc)
+from .poly import (MultiPoly, PolyMatrix, mat_det, mat_minors, minor_routine,
+                   monomials_of_degree, ring_cc)
 
 
 def ct_quadrics(u_names: Tuple[str, ...]) -> List[MultiPoly]:
@@ -87,18 +89,38 @@ class CoefficientTable:
         return out
 
 
+class MinorTables(NamedTuple):
+    """The tables of `minor_tables`, reached by name."""
+    minors3: CoefficientTable
+    products: CoefficientTable
+    minors4: CoefficientTable
+    qq: CoefficientTable
+    det_q: CoefficientTable
+    jacobian: CoefficientTable
+
+
 @cache
-def minor_tables() -> Tuple[CoefficientTable, ...]:
+def minor_tables() -> MinorTables:
     """Built once per process: the 100 cubic 3x3 minors of Q(a, b) and the
-    25 products u_j q_i (degree 6 in x), then the 25 quartic 4x4 minors and
-    the 15 products q_i q_j (degree 8 in x).  The minors are tabled over
-    Z[u, a, b], in `mat_minors` order, the products over Z[u, t]."""
+    25 products u_j q_i (degree 6 in x), the 25 quartic 4x4 minors and the
+    15 products q_i q_j (degree 8 in x), then det Q(a, b) and the Jacobian
+    determinant det(dq_i/du_j) (degree 10 in x).  The minors are tabled over
+    Z[u, a, b], in `mat_minors` order, the products and the Jacobian over
+    Z[u, t].  det Q is the full minor of the same `minor_routine` memo, which
+    expands it from the 4x4 minors already there; that is why both
+    determinants of the secant check are built here, with the minors, though
+    a lone secant check then builds every table."""
     form = _generic_form()
-    minor = minor_routine(form)  # the 4x4 minors expand into the 3x3 ones
+    minor = minor_routine(form)  # each size expands into the one below it
     quadrics = ct_quadrics(form.ring.variables[:5])
     u = [MultiPoly.var(quadrics[0].ring, i) for i in range(5)]
-    return (CoefficientTable.of(mat_minors(form, 3, minor), 3),
-            CoefficientTable.of([u[j] * q for q in quadrics for j in range(5)], 3),
-            CoefficientTable.of(mat_minors(form, 4, minor), 4),
-            CoefficientTable.of([quadrics[i] * quadrics[j]
-                                 for i in range(5) for j in range(i, 5)], 4))
+    full = tuple(range(5))
+    jacobian = PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)])
+    return MinorTables(
+        minors3=CoefficientTable.of(mat_minors(form, 3, minor), 3),
+        products=CoefficientTable.of([u[j] * q for q in quadrics for j in range(5)], 3),
+        minors4=CoefficientTable.of(mat_minors(form, 4, minor), 4),
+        qq=CoefficientTable.of([quadrics[i] * quadrics[j]
+                                for i in range(5) for j in range(i, 5)], 4),
+        det_q=CoefficientTable.of([minor(full, full)], 5),
+        jacobian=CoefficientTable.of([mat_det(jacobian)], 5))

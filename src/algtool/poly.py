@@ -413,16 +413,6 @@ class MultiPoly:
         return [MultiPoly(self.ring, {e: c for e, c in b.items() if c}, _clean=True)
                 for b in buckets]
 
-    def coefficient_vector(self, basis: Sequence[Exps]) -> list:
-        """Coefficients against an explicit monomial basis (missing -> error)."""
-        index = {e: i for i, e in enumerate(basis)}
-        vec = [self.ring.zero_scalar()] * len(basis)
-        for e, c in self.items():
-            if e not in index:
-                raise ValueError(f"monomial {e} outside the given basis")
-            vec[index[e]] = c
-        return vec
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -595,22 +585,23 @@ class PolyMatrix:
         add (with AVX-512 it differs from Python's in the last bit), so the
         real and imaginary parts are multiplied here as Python multiplies
         complex numbers, and, as in Python, overflow is silent.  The (c, k)
-        layout is read from the plan on the first call and kept."""
+        layout is read off each entry's one packed term on the first call
+        and kept."""
         nvars = self.ring.nvars
         if self._linear is None:
-            if self._plan is None:
-                self._plan = _eval_plan(self.entries)
-            maxdeg = self._plan.maxdeg
-            starts = itertools.accumulate([k + 1 for k in maxdeg[:-1]], initial=0)
-            first_power = {start + 1: nvars + k for k, start in enumerate(starts) if maxdeg[k]}
+            # the key of u_k, and the column of 1 * u_k in the stack below
+            linear = {_key([int(i == k) for i in range(nvars)]): nvars + k
+                      for k in range(nvars)}
             cols, coef = [], []
-            for terms in self._plan.terms_at([0j] * nvars):
+            for entry in self.entries:
+                terms = entry.terms
                 if not terms:  # 0 * u_0
                     cols.append(0)
                     coef.append(0j)
-                elif len(terms) == 1 and len(terms[0][1]) == 1 and terms[0][1][0] in first_power:
-                    cols.append(first_power[terms[0][1][0]])
-                    coef.append(complex(terms[0][0]))
+                elif len(terms) == 1 and next(iter(terms)) in linear:
+                    ((key, c),) = terms.items()
+                    cols.append(linear[key])
+                    coef.append(complex(c))
                 else:
                     raise ValueError("eval_stack needs entries c * u_k or zero")
             coef = np.array(coef)

@@ -63,15 +63,18 @@ def _rank_below_3(values) -> bool:
     return space.rank < 3
 
 
-def _minor_jacobians(matrix: PolyMatrix, partials: List[PolyMatrix], points) -> np.ndarray:
-    """The 10x5 Jacobians of the 3x3 minors of `matrix` at complex points, as
-    one (points, 10, 5) stack, by Jacobi's formula: d_j det(M_S) is the sum
-    over rows i of det(M_S with row i replaced by row i of (d_j M)_S), where
-    partials[j] = d_j M.  Each row i is one `minors_float` call on the stack
+def _minor_jacobians(partials: List[PolyMatrix], points) -> np.ndarray:
+    """The 10x5 Jacobians of the 3x3 minors of a 3x5 matrix M of quadrics at
+    complex points, as one (points, 10, 5) stack, from partials[j] = d_j M,
+    whose entries are each c x_k or zero: each is one `eval_stack` call, and
+    M = 1/2 sum_j x_j d_j M by Euler's identity.  By Jacobi's formula,
+    d_j det(M_S) is the sum over rows i of det(M_S with row i replaced by
+    row i of (d_j M)_S); each row i is one `minors_float` call on the stack
     of every point and j."""
-    values = np.array([matrix.eval(pt) for pt in points], dtype=complex)
-    derivs = np.array([[d.eval(pt) for d in partials] for pt in points], dtype=complex)
-    jac = np.zeros((len(points), 5, 10), dtype=complex)
+    x = np.asarray(points, dtype=complex)
+    derivs = np.stack([d.eval_stack(x) for d in partials], axis=1)
+    values = 0.5 * np.einsum("nj,njrc->nrc", x, derivs)
+    jac = np.zeros((len(x), 5, 10), dtype=complex)
     for i in range(3):
         swapped = np.repeat(values[:, None], 5, axis=1)
         swapped[:, :, i, :] = derivs[:, :, i, :]
@@ -220,14 +223,11 @@ def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
     points = thirty_points()
     on_surface = all(_rank_below_3(matrix.eval(list(pt))) for pt in points)
 
-    normalized = []
-    for pt in points + base_orbit(1)[:10]:
-        cpt = [c.embed(1) for c in pt]
-        scale = max(abs(v) for v in cpt)
-        normalized.append([v / scale for v in cpt])
+    embedded = np.array([[c.embed(1) for c in pt] for pt in points + base_orbit(1)[:10]])
+    normalized = embedded / np.abs(embedded).max(axis=1, keepdims=True)
     # points are normalized and the minors have O(1) coefficients, so a
     # genuinely nonzero Jacobian is O(1); floor the SVD cutoff there
-    ranks = rank_float(_minor_jacobians(matrix, partials, normalized), tol, scale=1.0).tolist()
+    ranks = rank_float(_minor_jacobians(partials, normalized), tol, scale=1.0).tolist()
     return SingularPointsReport(len(points), on_surface, ranks[:len(points)],
                                 ranks[len(points):], points)
 

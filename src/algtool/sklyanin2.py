@@ -5,11 +5,12 @@ Sylvester elimination, point-module minor checks, rank stratification,
 degree-piece span identities, the secant-variety determinant identity, and
 exact 1-dimensional representation enumeration for cliffordC parameters.
 The four float checks take a parameter pair (a, b); a `CurvePoint` passes
-as (cp.a, cp.b).  The degree-piece checks do not expand minors at each
-point: they evaluate `minortables.minor_tables`, the 3x3 and 4x4 minors of
-Q(a, b) over Z[u, a, b] and the products of the q_i over Z[u, t] as sparse
-integer coefficient tables built once per process; the spans are still
-compared by float ranks.
+as (cp.a, cp.b).  The degree-piece and secant checks expand no polynomial
+at a point: they evaluate `minortables.minor_tables`, sparse integer
+coefficient tables built once per process of the 3x3 and 4x4 minors and
+the determinant of Q(a, b) over Z[u, a, b], and of the products of the q_i
+and their Jacobian determinant over Z[u, t]; the spans are still compared
+by float ranks.
 
 Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
@@ -34,13 +35,10 @@ from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, InputError, PoleError, SamplingError
 from .gradedalg import make_presentation
 from .linalg import minors_float, rank_float
-from .poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, monomials_of_degree,
-                   resultant, ring_cc, ring_q)
+from .poly import MultiPoly, exact_divide, resultant, ring_q
 from .shioda5 import base_orbit
 
 Scalar = Union[int, Fraction, float, complex]
-
-U_VARS = ("u0", "u1", "u2", "u3", "u4")
 
 
 @dataclass(frozen=True)
@@ -130,13 +128,14 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
             if flo == 0.0:
                 roots.append(lo)
             elif flo * fb < 0:
-                x0, x1 = lo, b
+                x0, x1, f0 = lo, b, flo
                 for _ in range(80):
                     mid = 0.5 * (x0 + x1)
-                    if cprime_residual(a, x0) * cprime_residual(a, mid) <= 0:
+                    fmid = cprime_residual(a, mid)
+                    if f0 * fmid <= 0:
                         x1 = mid
                     else:
-                        x0 = mid
+                        x0, f0 = mid, fmid
                 root = 0.5 * (x0 + x1)
                 for _ in range(8):
                     d = fprime(root)
@@ -314,9 +313,10 @@ def _degree_pieces(point) -> Tuple[complex, Tuple[np.ndarray, np.ndarray],
 
     a, b = point
     t = _require_t(a, b)
-    minors3, products, minors4, qq = minor_tables()
+    tables = minor_tables()
     ab = (complex(a), complex(b))
-    return t, (minors3.at(ab), products.at((t,))), (minors4.at(ab), qq.at((t,)))
+    return (t, (tables.minors3.at(ab), tables.products.at((t,))),
+            (tables.minors4.at(ab), tables.qq.at((t,))))
 
 
 def minor_ideal_checks(point, span_tol: float = 1e-7) -> MinorIdealReport:
@@ -349,26 +349,24 @@ class SecantReport:
 
 def secant_check(point) -> SecantReport:
     """det(dQ_i/dz_j) of the quadrics Q_i = z_i^2 + t z_{i+1} z_{i+4}
-    - (1/t) z_{i+2} z_{i+3} is proportional to det Q(a, b) with u := z."""
+    - (1/t) z_{i+2} z_{i+3} is proportional to det Q(a, b) with u := z.
+    Q_i = q_i / t, so that determinant is det(dq_i/du_j) / t^5: both
+    determinants are read off `minortables.minor_tables`, at t and at
+    (a, b), against the quintic monomials."""
+    from .minortables import minor_tables  # the tables' code is compiled only when used
+
     a, b = point
     t = _require_t(a, b)
     if abs(t) < 1e-12:
         raise PoleError(f"the secant quadrics carry 1/t, and |t| = {abs(t):.3g} "
                         f"at ({a}, {b})")
-    ring = ring_cc(U_VARS)
-    z = [MultiPoly.var(ring, i) for i in range(5)]
-    quadrics = [z[i] ** 2 + t * z[(i + 1) % 5] * z[(i + 4) % 5]
-                - (1.0 / t) * z[(i + 2) % 5] * z[(i + 3) % 5] for i in range(5)]
-    jac_entries = [q.partial(j) for q in quadrics for j in range(5)]
-    jac_det = mat_det(PolyMatrix(5, 5, jac_entries))
-    det_q = mat_det(clifford_form(5, (1, complex(a), complex(b))))
-
-    basis = monomials_of_degree(5, 5)
-    jv = np.asarray(jac_det.coefficient_vector(basis), dtype=complex)
-    dv = np.asarray(det_q.coefficient_vector(basis), dtype=complex)
+    tables = minor_tables()
+    jv = tables.jacobian.at((t,))[0] / t ** 5
+    dv = tables.det_q.at((complex(a), complex(b)))[0]
     lam = complex(np.vdot(dv, jv) / np.vdot(dv, dv))
     residual = float(np.linalg.norm(jv - lam * dv) / np.linalg.norm(jv))
-    return SecantReport(t, lam, residual, jac_det.total_degree(), det_q.total_degree())
+    # both are homogeneous quintics, of degree -1 where they vanish
+    return SecantReport(t, lam, residual, 5 if jv.any() else -1, 5 if dv.any() else -1)
 
 
 # -- 1-dimensional representations ----------------------------------------------------

@@ -1,16 +1,34 @@
-"""Test-only reference: the degree-6 and degree-8 pieces of
-`sklyanin2.minor_ideal_checks` computed point by point, as `_degree_pieces`
-did before it read them off `minortables.minor_tables`: every minor of Q(a, b)
-and every product of the quadrics q_i taken as `MultiPoly`s over C at the
-point, then written against the monomial basis of its degree."""
+"""Test-only reference: parts of `sklyanin2` computed as they were before
+they were made faster.  The degree-6 and degree-8 pieces of
+`minor_ideal_checks` take every minor of Q(a, b) and every product of the
+quadrics q_i as `MultiPoly`s over C at the point, written against the
+monomial basis of its degree, where `_degree_pieces` reads them off
+`minortables.minor_tables`; `secant_check` expands both 5x5 determinants at
+the point; `curve_points_on_grid` evaluates both ends of each bisection
+step afresh."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from fractions import Fraction
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from algtool.clifford import clifford_form
-from algtool.poly import MultiPoly, mat_minors, minor_routine, monomials_of_degree
-from algtool.sklyanin2 import t_param
+from algtool.poly import (MultiPoly, PolyMatrix, mat_det, mat_minors, minor_routine,
+                          monomials_of_degree, ring_cc)
+from algtool.errors import PoleError
+from algtool.sklyanin2 import CurvePoint, SecantReport, cprime_residual, t_param
+
+
+def coefficient_vector(f: MultiPoly, basis) -> list:
+    """The coefficients of f against a monomial basis that holds each of its
+    monomials."""
+    index = {e: i for i, e in enumerate(basis)}
+    vec = [f.ring.zero_scalar()] * len(basis)
+    for e, c in f.items():
+        vec[index[e]] = c
+    return vec
 
 
 def quadrics_at(ring, t) -> List[MultiPoly]:
@@ -32,10 +50,78 @@ def degree_pieces(point) -> Tuple[complex, Tuple[List[list], List[list]],
     quadrics = quadrics_at(form.ring, t)
     minor = minor_routine(form)
     basis3 = monomials_of_degree(5, 3)
-    minors3 = [m.coefficient_vector(basis3) for m in mat_minors(form, 3, minor)]
-    products = [(u[j] * q).coefficient_vector(basis3) for q in quadrics for j in range(5)]
+    minors3 = [coefficient_vector(m, basis3) for m in mat_minors(form, 3, minor)]
+    products = [coefficient_vector(u[j] * q, basis3) for q in quadrics for j in range(5)]
     basis4 = monomials_of_degree(5, 4)
-    minors4 = [m.coefficient_vector(basis4) for m in mat_minors(form, 4, minor)]
-    qq = [(quadrics[i] * quadrics[j]).coefficient_vector(basis4)
+    minors4 = [coefficient_vector(m, basis4) for m in mat_minors(form, 4, minor)]
+    qq = [coefficient_vector(quadrics[i] * quadrics[j], basis4)
           for i in range(5) for j in range(i, 5)]
     return t, (minors3, products), (minors4, qq)
+
+
+def secant_check(point) -> SecantReport:
+    """`sklyanin2.secant_check` with the Jacobian of the quadrics
+    Q_i = z_i^2 + t z_{i+1} z_{i+4} - (1/t) z_{i+2} z_{i+3} and det Q(a, b)
+    expanded symbolically over C at the point."""
+    a, b = point
+    t = complex(t_param(a, b))
+    ring = ring_cc(("u0", "u1", "u2", "u3", "u4"))
+    z = [MultiPoly.var(ring, i) for i in range(5)]
+    quadrics = [z[i] ** 2 + t * z[(i + 1) % 5] * z[(i + 4) % 5]
+                - (1.0 / t) * z[(i + 2) % 5] * z[(i + 3) % 5] for i in range(5)]
+    jac_det = mat_det(PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)]))
+    det_q = mat_det(clifford_form(5, (1, complex(a), complex(b))))
+    basis = monomials_of_degree(5, 5)
+    jv = np.asarray(coefficient_vector(jac_det, basis), dtype=complex)
+    dv = np.asarray(coefficient_vector(det_q, basis), dtype=complex)
+    lam = complex(np.vdot(dv, jv) / np.vdot(dv, dv))
+    residual = float(np.linalg.norm(jv - lam * dv) / np.linalg.norm(jv))
+    return SecantReport(t, lam, residual, jac_det.total_degree(), det_q.total_degree())
+
+
+def curve_points_on_grid(grid: Sequence[Fraction]) -> List[CurvePoint]:
+    """`sklyanin2.curve_points_on_grid`, with C'(a, x0) evaluated again at
+    every bisection step."""
+    bracket, step = 4.0, 0.05
+    points = []
+    for a_exact in grid:
+        a = float(a_exact)
+
+        def fprime(b: float) -> float:
+            return -3 * a ** 3 * b ** 2 + 5 * b ** 4 + 4 * a ** 2 * b - 8 * a
+
+        roots = []
+        lo = -bracket
+        flo = cprime_residual(a, lo)
+        b = lo + step
+        while b <= bracket + 1e-12:
+            fb = cprime_residual(a, b)
+            if flo == 0.0:
+                roots.append(lo)
+            elif flo * fb < 0:
+                x0, x1 = lo, b
+                for _ in range(80):
+                    mid = 0.5 * (x0 + x1)
+                    if cprime_residual(a, x0) * cprime_residual(a, mid) <= 0:
+                        x1 = mid
+                    else:
+                        x0 = mid
+                root = 0.5 * (x0 + x1)
+                for _ in range(8):
+                    d = fprime(root)
+                    if d == 0:
+                        break
+                    root -= cprime_residual(a, root) / d
+                roots.append(root)
+            lo, flo = b, fb
+            b += step
+        for root in roots:
+            try:
+                t = t_param(a, root)
+            except PoleError:
+                continue
+            if t is None or abs(root) < 1e-9:
+                continue
+            points.append(CurvePoint(a, root, cprime_residual(a, root)))
+            break
+    return points

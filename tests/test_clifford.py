@@ -118,6 +118,38 @@ def test_build_reps_conditioning_error():
         build_reps(np.zeros((3, 3)), 2)
 
 
+def test_build_reps_refuses_asymmetric_and_non_finite_matrices():
+    m = np.array([[2.0, 1.0], [0.0, 2.0]])
+    for bad in (m, np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                np.full((2, 2), np.inf), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="symmetric square"):
+            build_reps(bad, 2)
+
+
+def test_build_reps_symmetry_check_is_allclose():
+    """The written-out check accepts a perturbed symmetric matrix exactly
+    when np.allclose(m, m.T, atol=1e-10 * (max |m| + 1)) does."""
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = (s @ s.T) * 10.0 ** rng.integers(-3, 4)
+        i, j = rng.choice(n, size=2, replace=False)
+        atol = 1e-10 * (np.abs(m).max() + 1)
+        phase = np.exp(2j * rng.uniform(0, np.pi))
+        m[i, j] += (atol + 1e-5 * abs(m[j, i])) * rng.uniform(0.5, 1.5) * phase
+        symmetric = bool(np.allclose(m, m.T, atol=atol))
+        try:
+            build_reps(m, n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == symmetric
+        verdicts.add(symmetric)
+    assert verdicts == {True, False}
+
+
 def test_center_data():
     # the center of a graded Clifford algebra is generated over the u's by
     # det M, of x-degree twice its u-degree: 6 for the 3 x 3 form

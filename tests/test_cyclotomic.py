@@ -264,3 +264,57 @@ def test_hash_agrees_with_equality():
     # equal rationals over two primes equal one int, not each other
     one3, one5 = Cyclotomic.from_rational(3, 1), Cyclotomic.from_rational(5, 1)
     assert one3 == 1 == one5 and one3 != one5
+
+
+def norm_inverse(a: Cyclotomic) -> Cyclotomic:
+    """The inverse by the Galois norm, for any non-zero a: the product of the
+    conjugates of its numerator over k = 2 .. p-1, divided by the norm."""
+    numer = Cyclotomic._raw(a.p, a.num)
+    others = numer.galois(2)
+    for k in range(3, a.p):
+        others = others * numer.galois(k)
+    return others * Fraction(a.den, (numer * others).num[0])
+
+
+@seed(20261019)
+@settings(max_examples=120, deadline=None, database=None)
+@given(p=primes, r=st.one_of(st.integers(-40, 40).filter(bool),
+                             fractions.filter(bool)), k=st.integers(0, 6))
+def test_single_term_inverse_is_the_norm_inverse(p, r, k):
+    """r w^k inverts to r^-1 w^-k without the norm, for every k mod p
+    (k = p - 1, all coordinates equal, included), int, Fraction and
+    negative r."""
+    a = Cyclotomic.zeta(p, k) * r
+    inv = a.inverse()
+    assert_layout(inv)
+    assert inv == norm_inverse(a) == Cyclotomic.zeta(p, -k) * (1 / Fraction(r))
+    assert inv * a == 1
+
+
+def test_inverse_of_every_power_of_zeta():
+    for p in (3, 5, 7):
+        for k in range(p):
+            for r in (1, -1, 3, Fraction(-2, 7)):
+                a = Cyclotomic.zeta(p, k) * r
+                assert a.inverse() == norm_inverse(a)
+
+
+def test_embed_is_the_fraction_horner_sum_bit_for_bit():
+    """`embed` reads num / den as the float of each coefficient Fraction."""
+    import cmath
+
+    rng = random.Random(7)
+    values = [random_cyc(rng, p) for p in (3, 5, 7) for _ in range(30)]
+    values += [Cyclotomic(5, [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 25))
+                              for _ in range(4)]) for _ in range(30)]
+    values += [Cyclotomic.zeta(p, k) for p in (3, 5, 7) for k in range(p)]
+    for x in values:
+        for k in range(1, x.p):
+            z = cmath.exp(2j * cmath.pi * k / x.p)
+            acc = 0j
+            for c in reversed(x.coeffs):
+                acc = acc * z + complex(c)
+            got = x.embed(k)
+            assert (got.real, got.imag) == (acc.real, acc.imag)
+            assert (math.copysign(1, got.imag), math.copysign(1, got.real)) == \
+                (math.copysign(1, acc.imag), math.copysign(1, acc.real))

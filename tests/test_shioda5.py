@@ -8,6 +8,7 @@ from algtool import shioda5
 from algtool.gradedalg import Presentation, curve_fiber, make_presentation, make_relation
 from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                                 projective_fixed_points, subgroup_generators)
+from algtool.linalg import minors_float, rank_float
 from algtool.poly import PolyMatrix
 from algtool.shioda5 import (_minor_jacobians, _rank_below_3, _within, base_orbit,
                              ca_orbit_check, ca_relations, cusp_cycles,
@@ -138,11 +139,40 @@ def test_jacobi_formula_jacobian_matches_symbolic_partials():
     points = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(20)]
     points += [np.array([c.embed(1) for c in pt]) for pt in thirty_points()]
     points = [list(pt / np.abs(pt).max()) for pt in points]
-    stack = _minor_jacobians(matrix, partials, points)
+    assert len(points) == 50
+    stack = _minor_jacobians(partials, points)
     assert stack.shape == (len(points), 10, 5)
     for pt, got in zip(points, stack):
         expected = np.array([[complex(d.eval(pt)) for d in row] for row in symbolic])
         assert np.abs(got - expected).max() < 1e-12
+
+
+def jacobians_point_by_point(matrix, partials, points) -> np.ndarray:
+    """The Jacobi-formula stack with M and each d_j M evaluated by
+    `PolyMatrix.eval` at each point, as `_minor_jacobians` once did."""
+    values = np.array([matrix.eval(pt) for pt in points], dtype=complex)
+    derivs = np.array([[d.eval(pt) for d in partials] for pt in points], dtype=complex)
+    jac = np.zeros((len(points), 5, 10), dtype=complex)
+    for i in range(3):
+        swapped = np.repeat(values[:, None], 5, axis=1)
+        swapped[:, :, i, :] = derivs[:, :, i, :]
+        jac += minors_float(swapped, 3)
+    return jac.transpose(0, 2, 1)
+
+
+def test_singular_check_ranks_equal_the_per_point_path():
+    matrix = s15_matrix()
+    partials = [PolyMatrix(3, 5, [e.partial(j) for e in matrix.entries]) for j in range(5)]
+    points = []
+    for pt in thirty_points() + base_orbit(1)[:10]:
+        cpt = [c.embed(1) for c in pt]
+        scale = max(abs(v) for v in cpt)
+        points.append([v / scale for v in cpt])
+    ranks = rank_float(jacobians_point_by_point(matrix, partials, points), 1e-8,
+                       scale=1.0).tolist()
+    report = singular_points_check()
+    assert report.singular_ranks + report.control_ranks == ranks
+    assert rank_float(_minor_jacobians(partials, points), 1e-8, scale=1.0).tolist() == ranks
 
 
 def test_jacobian_rank_at_coordinate_point():

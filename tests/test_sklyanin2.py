@@ -14,8 +14,8 @@ from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, InputError, PoleError
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
-from algtool.minortables import minor_tables
-from algtool.poly import MultiPoly, mat_det, mat_minors, ring_q
+from algtool.minortables import CoefficientTable, _generic_form, ct_quadrics, minor_tables
+from algtool.poly import MultiPoly, PolyMatrix, mat_det, mat_minors, ring_q
 from algtool.selftest import criterion_9_determinism
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                cprime_residual, curve_points_on_grid,
@@ -25,7 +25,8 @@ from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                stratify, t_param)
 from clifford_reference import first_distinct_loop
 from rank_reference import point_module_one_by_one, rank_one
-from sklyanin2_reference import degree_pieces, quadrics_at
+import sklyanin2_reference
+from sklyanin2_reference import coefficient_vector, degree_pieces, quadrics_at
 
 
 def bisect_root(f, lo, hi, iters=80):
@@ -222,6 +223,9 @@ def test_first_distinct_keeps_the_loop_order_on_planted_near_duplicates():
     assert kept == first_distinct_loop(planted)
     assert 25 < len(kept) < len(planted)
     assert first_distinct([]) == []
+    assert first_distinct(points) == points == first_distinct_loop(points)
+    nan = [(complex("nan"), 1j)] * 2
+    assert first_distinct(nan) == nan == first_distinct_loop(nan)
 
 
 def test_point_module_check_rejects_singular_parameter():
@@ -298,19 +302,34 @@ def exact_table(table, values):
                          ids=str)
 def test_minor_tables_equal_exact_minors_and_products(ab):
     a, b = ab
-    minors3, products, minors4, qq = minor_tables()
+    minors3, products, minors4, qq, det_q, jacobian = minor_tables()
     form = clifford_form(5, (1, a, b))
-    for table, k in ((minors3, 3), (minors4, 4)):
-        expected = [m.coefficient_vector(table.basis) for m in mat_minors(form, k)]
+    for table, k in ((minors3, 3), (minors4, 4), (det_q, 5)):
+        expected = [coefficient_vector(m, table.basis) for m in mat_minors(form, k)]
         assert exact_table(table, (a, b)) == expected
     t = t_param(a, b)
     u = [MultiPoly.var(form.ring, i) for i in range(5)]
     quadrics = quadrics_at(form.ring, t)
-    expected = [(u[j] * q).coefficient_vector(products.basis) for q in quadrics for j in range(5)]
+    expected = [coefficient_vector(u[j] * q, products.basis) for q in quadrics for j in range(5)]
     assert exact_table(products, (t,)) == expected
-    expected = [(quadrics[i] * quadrics[j]).coefficient_vector(qq.basis)
+    expected = [coefficient_vector(quadrics[i] * quadrics[j], qq.basis)
                 for i in range(5) for j in range(i, 5)]
     assert exact_table(qq, (t,)) == expected
+    jac = mat_det(PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)]))
+    assert exact_table(jacobian, (t,)) == [coefficient_vector(jac, jacobian.basis)]
+
+
+def test_determinant_tables_are_the_tables_of_mat_det():
+    """det Q, taken from the minors' memo, and the Jacobian determinant of
+    the q_i are the tables of `mat_det` of Q(a, b) and of the Jacobian."""
+    tables = minor_tables()
+    quadrics = ct_quadrics(("u0", "u1", "u2", "u3", "u4"))
+    expected = (mat_det(_generic_form()),
+                mat_det(PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)])))
+    for table, det in zip((tables.det_q, tables.jacobian), expected):
+        want = CoefficientTable.of([det], 5)
+        assert (table.size, table.basis, table.params) == (want.size, want.basis, want.params)
+        assert np.array_equal(table.entries, want.entries)
 
 
 @pytest.mark.parametrize("point", BATCH_POINTS[:3] + [(0.0, 1.0)], ids=lambda ab: f"a={ab[0]}")
@@ -327,12 +346,12 @@ def test_degree_pieces_match_the_per_point_route(point):
 
 def test_one_changed_table_coefficient_breaks_deg6(monkeypatch):
     point = BATCH_POINTS[0]
-    minors3, *rest = minor_tables()
+    tables = minor_tables()
     assert minor_ideal_checks(point).deg6
-    entries = minors3.entries.copy()
+    entries = tables.minors3.entries.copy()
     entries[0, 3] += 1
-    broken = dataclasses.replace(minors3, entries=entries)
-    monkeypatch.setattr(minortables, "minor_tables", lambda: (broken, *rest))
+    broken = tables._replace(minors3=dataclasses.replace(tables.minors3, entries=entries))
+    monkeypatch.setattr(minortables, "minor_tables", lambda: broken)
     assert not minor_ideal_checks(point).deg6
 
 
@@ -377,6 +396,43 @@ def test_the_tables_do_not_import_sklyanin2():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "False"
+
+
+def random_cprime_points(count: int, seed: int):
+    """`count` points (a, b) of C' with a uniform in [0.5, 2.5] and b a real
+    root of C'(a, b) = 0 with t finite and not near 0."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        a = float(rng.uniform(0.5, 2.5))
+        for b in np.roots([1.0, 0.0, -a ** 3, 2 * a ** 2, -8 * a, a ** 5]):
+            if abs(b.imag) < 1e-12 and abs(b.real) > 1e-3:
+                t = t_param(a, float(b.real))
+                if t is not None and 1e-3 < abs(t) < 1e3:
+                    points.append((a, float(b.real)))
+                    break
+    return points
+
+
+def test_secant_check_matches_the_symbolic_determinants():
+    """The tabled determinants give the factor and residual of expanding both
+    determinants at the point: at the grid points of criterion 6, the README
+    point and ten random points of C'."""
+    points = [(cp.a, cp.b) for cp in curve_points_on_grid()]
+    points += [(1.0, 0.12888995128730368)] + random_cprime_points(10, 3)
+    assert len(points) == 14
+    for point in points:
+        ours, ref = secant_check(point), sklyanin2_reference.secant_check(point)
+        assert ours.t == ref.t
+        assert abs(ours.lam - ref.lam) <= 1e-12 * abs(ref.lam)
+        assert ours.residual < 1e-12 and ref.residual < 1e-12
+        assert (ours.jac_degree, ours.det_degree) == (ref.jac_degree, ref.det_degree) == (5, 5)
+
+
+def test_curve_points_bisection_is_the_reference_bit_for_bit():
+    grid = (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(2), Fraction(5, 2),
+            Fraction(-1), Fraction(3), Fraction(-7, 4))
+    assert curve_points_on_grid(grid) == sklyanin2_reference.curve_points_on_grid(grid)
 
 
 def test_secant_check(near_one_point):
