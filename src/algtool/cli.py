@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import clifford, koszul, selftest, shioda5, sklyanin2
 from .cyclotomic import Cyclotomic
-from .errors import AlgtoolError, InputError
+from .errors import AlgtoolError, InputError, ResourceLimitError
 from .gradedalg import (OVER_P, character_coeffs, character_table, hilbert,
                         make_presentation)
 from .heisenberg import SimpleRep, parse_element
@@ -206,7 +206,7 @@ def build_algebra(args):
     else:
         raise InputError(f"{kind} has a fixed p; --p applies to {', '.join(OVER_P)} only")
     params = () if args.params is None else parse_params(args.params, "--params")
-    return make_presentation(kind, *head, *params)
+    return make_presentation(kind, *head, *params, cap=args.max_cells)
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -242,22 +242,19 @@ def cmd_koszul_check(args) -> int:
 
 def cmd_clifford_strata(args) -> int:
     form = clifford.clifford_form(3, (1, float_safe(parse_scalar(args.t, "exact"), "--t")))
-
-    def record(point) -> dict:
-        mat = form.eval(list(point))
-        rank = rank_float(mat, args.tol_rank)
-        return {
-            "point": point.tolist(),
-            "rank": rank,
-            "simple": clifford.simple_profile(rank, form.rows),
-            "fat": clifford.fat_profile(rank) if rank else None,
-            "residuals": clifford.build_reps(mat, rank).max_residual,
-        }
-
-    generic = clifford.random_points(form.rows, args.samples, args.seed)
-    drops = clifford.sample_rank_drop_points(form, max(2, args.samples // 2),
-                                             args.seed + 1, args.tol_rank)
-    return emit({"t": args.t, "strata": [record(pt) for pt in generic + drops]}, args)
+    points = clifford.random_points(form.rows, args.samples, args.seed)
+    points += clifford.sample_rank_drop_points(form, max(2, args.samples // 2),
+                                               args.seed + 1, args.tol_rank)
+    mats = form.eval_stack(points)
+    ranks = rank_float(mats, args.tol_rank).tolist()
+    strata = [{
+        "point": point.tolist(),
+        "rank": rank,
+        "simple": clifford.simple_profile(rank, form.rows),
+        "fat": clifford.fat_profile(rank) if rank else None,
+        "residuals": clifford.build_reps(mat, rank).max_residual,
+    } for point, mat, rank in zip(points, mats, ranks)]
+    return emit({"t": args.t, "strata": strata}, args)
 
 
 def cmd_sklyanin2(args) -> int:
@@ -595,6 +592,8 @@ def main(argv=None) -> int:
         return handler(args)
     except OverflowError as exc:  # float arithmetic on a finite but huge input
         error = InputError(f"input too large for float arithmetic: {exc}")
+    except MemoryError:
+        error = ResourceLimitError("out of memory")
     except AlgtoolError as exc:
         error = exc
     payload = {"error": {"code": error.code, "message": str(error)}}

@@ -4,10 +4,11 @@ points where the rank drops.
 
 The symmetric form M is a `PolyMatrix` whose entries are linear in central
 degree-2 variables u_0..u_{n-1} (u_k = x_k^2), so x-degrees double u-degrees
-throughout: `M.eval(point)` specializes it (`M.eval_stack(points)` at many
-complex points in one numpy stack), `linalg.rank_float` ranks the result,
-`poly.mat_det(M)` is its determinant, and the points of a line where the rank
-drops are eigenvalues of the pencil of M along it.  Rank at a point decides
+throughout: `M.eval(point)` specializes it at an exact point,
+`M.eval_stack(points)` at any number of complex points as one numpy stack,
+`linalg.rank_float` ranks a matrix or a whole stack, `poly.mat_det(M)` is
+its determinant, and the points of a line where the rank drops are
+eigenvalues of the pencil of M along it.  Rank at a point decides
 everything (L. Le Bruyn, "Central singularities of quantum spaces", J.
 Algebra 177, 1995): odd rank k gives two simple representations of
 dimension 2^((k-1)/2) and one fat point of multiplicity 2^((k-1)/2); even

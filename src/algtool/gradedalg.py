@@ -275,14 +275,20 @@ OVERLAP_WEIGHT = 2.5
 DEFAULT_MAX_CELLS = 4_000_000
 
 
-def check_degree_allowed(n: int, rows: int, cols: int, cap: Optional[int] = None) -> None:
-    """Refuse a degree-n step whose working matrix has more cells than the cap:
-    `cap` (the --max-cells value) when given, else DEFAULT_MAX_CELLS.  A step
-    without rows still lists its columns, so it counts as one row."""
+def _cell_cap(cap: Optional[int]) -> int:
+    """`cap` (the --max-cells value) when given, else DEFAULT_MAX_CELLS."""
     if cap is None:
-        cap = DEFAULT_MAX_CELLS
-    elif cap <= 0:
+        return DEFAULT_MAX_CELLS
+    if cap <= 0:
         raise ResourceLimitError(f"--max-cells must be positive, got {cap}")
+    return cap
+
+
+def check_degree_allowed(n: int, rows: int, cols: int, cap: Optional[int] = None) -> None:
+    """Refuse a degree-n step whose working matrix has more cells than the cap
+    (`_cell_cap`).  A step without rows still lists its columns, so it
+    counts as one row."""
+    cap = _cell_cap(cap)
     cells = max(rows, 1) * cols
     if cells > cap:
         raise ResourceLimitError(
@@ -554,8 +560,13 @@ def hilbert(pres: Presentation, max_degree: int, cap: Optional[int] = None) -> L
 def in_ideal(pres: Presentation, tensors: Sequence[Sequence[Tuple[Word, object]]],
              cap: Optional[int] = None) -> bool:
     """Whether every tensor lies in I.  A tensor is a list of (word, coeff)
-    pairs of one degree.  The engine is grown to the tensors' top degree
-    under the cell cap, and each tensor's normal form must be zero."""
+    pairs of one degree, a tensor of mixed degrees an input error; the
+    letters of a word are read mod p, so x - 1 or 2 x name letters too.  The
+    engine is grown to the tensors' top degree under the cell cap, and each
+    tensor's normal form must be zero."""
+    for tensor in tensors:
+        if len({len(w) for w, _c in tensor}) > 1:
+            raise InputError(f"inhomogeneous tensor {tensor}")
     engine = pres.engine
     engine.grow(max((len(tensor[0][0]) for tensor in tensors if tensor), default=0), cap)
     return not any(_combine([(engine.normal_form(len(w), word_to_index(w, pres.p)), c, 0)
@@ -710,7 +721,19 @@ def curve_fiber(A, B) -> Presentation:
 OVER_P = ("polynomial", "cycle", "cliffordC")
 
 
-def make_presentation(kind: str, *args) -> Presentation:
+def _check_relation_count(kind: str, p: int, cap: Optional[int]) -> None:
+    """Refuse a family over p with more relations than the cell cap
+    (`_cell_cap`) before any is built: p(p - 2) of cycle, p(p - 1)/2 of
+    polynomial and cliffordC.  The degree-2 step would have as many rows
+    times p^2 columns."""
+    require_odd_prime(p)
+    count = p * (p - 2) if kind == "cycle" else p * (p - 1) // 2
+    cap = _cell_cap(cap)
+    if count > cap:
+        raise ResourceLimitError(f"{kind} over p={p} has {count} relations, cap is {cap}")
+
+
+def make_presentation(kind: str, *args, cap: Optional[int] = None) -> Presentation:
     """Catalog of presentations: commutators and e1-orbits (`_e1_orbits`, k
     over Z/p) of seeds of e2-weight 0.
 
@@ -726,10 +749,14 @@ def make_presentation(kind: str, *args) -> Presentation:
       curve C_a, a x_k^2 + a^2 x_{1+k} x_{-1+k} - x_{2+k} x_{-2+k}: the fiber
       (a:1) of `curve_fiber`.
 
-    A wrong number of arguments raises InputError.
+    A wrong number of arguments raises InputError, and a family over p with
+    more relations than `cap` (the --max-cells value, else DEFAULT_MAX_CELLS)
+    a resource error before any relation is built.
     """
     if kind in ("polynomial", "cycle") and len(args) != 1:
         raise InputError(f"{kind} takes p and no parameters, got {len(args)} arguments")
+    if kind in OVER_P and args:
+        _check_relation_count(kind, args[0], cap)
 
     if kind == "polynomial":
         (p,) = args

@@ -368,10 +368,12 @@ class MultiPoly:
         return MultiPoly(self.ring, {e: c for e, c in terms.items() if c}, _clean=True)
 
     def eval(self, point: Sequence):
-        """Evaluate at a point; scalar kind follows the point entries.  The
-        plan of `_eval_all` is built on the first call and kept in the
-        `_plan` slot, which stays unset until then, so later calls only
-        multiply and add (and the terms must not be changed after it)."""
+        """Evaluate at a point; scalar kind follows the point entries, and
+        every kind of point gets the same arithmetic: each stored
+        coefficient times its powers (see `_eval_all`).  The plan of
+        `_eval_all` is built on the first call and kept in the `_plan` slot,
+        which stays unset until then, so later calls only multiply and add
+        (and the terms must not be changed after it)."""
         try:
             plan = self._plan
         except AttributeError:
@@ -429,74 +431,43 @@ class MultiPoly:
         return f"MultiPoly({', '.join(self.ring.variables)}; {self})"
 
 
-class _EvalPlan:
-    """What `_eval_all` needs of some polynomials: the largest exponent of
-    each variable among them, and each polynomial's terms as (coefficient,
-    factors) in dict order.  The factors of a term are the places of its
-    non-zero powers point[i]^k, in variable order, in the table of powers
-    that lists 1, point[i], ..., point[i]^maxdeg[i] for each i in turn.
-
-    `typed` holds the terms again per kind of point, built on first use:
-    at complex points a Fraction coefficient of a term with factors is
-    complex(c), the value Fraction * complex computes; at Cyclotomic points
-    an integral one is its int numerator, which Cyclotomic multiplies as it
-    does the Fraction.  Constant terms keep their coefficient."""
-
-    __slots__ = ("maxdeg", "terms", "typed")
-
-    def __init__(self, maxdeg: List[int], terms: List[list]):
-        self.maxdeg, self.terms, self.typed = maxdeg, terms, {}
-
-    def terms_at(self, point: Sequence) -> List[list]:
-        if all(isinstance(x, complex) for x in point):
-            kind, convert = complex, complex
-        elif all(type(x) is Cyclotomic for x in point):
-            kind, convert = Cyclotomic, _integral_numerator
-        else:
-            return self.terms
-        typed = self.typed.get(kind)
-        if typed is None:
-            typed = self.typed[kind] = [
-                [(convert(c) if factors and type(c) is Fraction else c, factors)
-                 for c, factors in terms] for terms in self.terms]
-        return typed
-
-
-def _integral_numerator(c: Fraction):
-    return c.numerator if c.denominator == 1 else c
-
-
-def _eval_plan(polys: Sequence[MultiPoly]) -> _EvalPlan:
-    """The `_EvalPlan` of `polys`, each key unpacked once."""
+def _eval_plan(polys: Sequence[MultiPoly]) -> tuple:
+    """What `_eval_all` needs of `polys`, each key unpacked once: the largest
+    exponent of each variable among them, and each polynomial's terms as
+    (coefficient, factors) in dict order.  The factors of a term are the
+    places of its non-zero powers point[i]^k, in variable order, in the
+    table of powers that lists 1, point[i], ..., point[i]^maxdeg[i] for each
+    i in turn."""
     unpack = _unpacker(polys[0].ring.nvars)
     exps = [[(unpack(e), c) for e, c in f.terms.items()] for f in polys]
     maxdeg = [max(col) for col in zip(*(e for items in exps for e, _c in items))]
     start = list(itertools.accumulate([k + 1 for k in maxdeg[:-1]], initial=0))
     terms = [[(c, tuple(start[i] + k for i, k in enumerate(e) if k)) for e, c in items]
              for items in exps]
-    return _EvalPlan(maxdeg, terms)
+    return maxdeg, terms
 
 
-def _eval_all(ring: PolyRing, plan: _EvalPlan, point: Sequence) -> list:
+def _eval_all(ring: PolyRing, plan: tuple, point: Sequence) -> list:
     """Each polynomial of an `_eval_plan` at a point, from one table of the
     powers point[i]^k up to the largest exponent of variable i among them.
     Each power is the one below it times point[i], so it does not depend on
-    how far its row goes; each term is its coefficient times its powers in
-    variable order, and the terms are summed in dict order.  So each
+    how far its row goes; each term is its stored coefficient times its
+    powers in variable order, at every kind of point, and the terms are
+    summed in dict order.  So each
     polynomial gets the same value bit for bit whatever it is evaluated
-    together with, whether or not its plan was built before, and whichever
-    coefficient list of the plan the point's kind picks."""
+    together with, and whether or not its plan was built before."""
     if len(point) != ring.nvars:
         raise ArityError(f"point has {len(point)} coordinates, ring has {ring.nvars}")
+    maxdeg, plans = plan
     powers = []
-    for x, top in zip(point, plan.maxdeg):
+    for x, top in zip(point, maxdeg):
         power = 1
         powers.append(power)
         for _ in range(top):
             power = power * x
             powers.append(power)
     values = []
-    for terms in plan.terms_at(point):
+    for terms in plans:
         acc = None
         for term, factors in terms:
             for j in factors:
@@ -579,12 +550,13 @@ class PolyMatrix:
     def eval_stack(self, points) -> np.ndarray:
         """`eval` at each of N complex points as one (N, rows, cols) array,
         for a matrix whose entries are each c u_k or zero, bit for bit.
-        `_eval_all` computes such an entry as c * (1 * u_k), with c the
-        coefficient of the plan's complex terms, and a zero entry as
-        0 * point[0].  numpy's complex multiply may fuse a multiply and an
-        add (with AVX-512 it differs from Python's in the last bit), so the
-        real and imaginary parts are multiplied here as Python multiplies
-        complex numbers, and, as in Python, overflow is silent.  The (c, k)
+        `_eval_all` computes such an entry as c * (1 * u_k), which for a
+        Fraction c is complex(c) * (1 * u_k), since Fraction times complex
+        converts the Fraction, and a zero entry as 0 * point[0].  numpy's
+        complex multiply may fuse a multiply and an add (with AVX-512 it
+        differs from Python's in the last bit), so the real and imaginary
+        parts are multiplied here as Python multiplies complex numbers, and,
+        as in Python, overflow is silent.  The (c, k)
         layout is read off each entry's one packed term on the first call
         and kept."""
         nvars = self.ring.nvars

@@ -3,7 +3,8 @@ one point at a time, as `clifford` and `sklyanin2` computed them before
 they worked on numpy stacks.  Rank-drop points came from the determinant
 along each line expanded symbolically and handed to `np.poly1d`, `build_reps`
 took one product and one `np.linalg.norm` per pair, and the orbit was
-deduplicated by comparing each new point with every kept one."""
+deduplicated by comparing each new point with every kept one.  The
+`clifford-strata` handler evaluated and ranked each point on its own."""
 
 from __future__ import annotations
 
@@ -11,8 +12,11 @@ from typing import List, Tuple
 
 import numpy as np
 
+from algtool import clifford
+from algtool.cli import emit, float_safe, parse_scalar
 from algtool.clifford import _symmetric_square_root_factors, simple_profile, standard_gammas
 from algtool.errors import SamplingError
+from algtool.linalg import rank_float
 from algtool.poly import MultiPoly, PolyMatrix, mat_det, ring_cc
 
 
@@ -107,3 +111,25 @@ def first_distinct_loop(points) -> list:
         if not any(all(abs(x - y) <= 1e-8 for x, y in zip(pt, old)) for old in seen):
             seen.append(pt)
     return seen
+
+
+def clifford_strata_per_point(args) -> int:
+    """The `clifford-strata` handler with each point's form taken by
+    `PolyMatrix.eval` and ranked by its own `rank_float` call."""
+    form = clifford.clifford_form(3, (1, float_safe(parse_scalar(args.t, "exact"), "--t")))
+
+    def record(point) -> dict:
+        mat = form.eval(list(point))
+        rank = rank_float(mat, args.tol_rank)
+        return {
+            "point": point.tolist(),
+            "rank": rank,
+            "simple": clifford.simple_profile(rank, form.rows),
+            "fat": clifford.fat_profile(rank) if rank else None,
+            "residuals": clifford.build_reps(mat, rank).max_residual,
+        }
+
+    generic = clifford.random_points(form.rows, args.samples, args.seed)
+    drops = clifford.sample_rank_drop_points(form, max(2, args.samples // 2),
+                                             args.seed + 1, args.tol_rank)
+    return emit({"t": args.t, "strata": [record(pt) for pt in generic + drops]}, args)

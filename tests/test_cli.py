@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from algtool import cli, gradedalg
 from algtool.cli import (COMMANDS, FLAGS, json_text, main, parse_argv, parse_scalar, resolve,
                          to_jsonable)
 import cli_reference
@@ -330,6 +331,45 @@ def test_bad_max_cells_environment_variable(capsys, monkeypatch, value):
     assert code == 1
     error = json.loads(out)["error"]
     assert error["code"] == "resource" and "ALGTOOL_MAX_CELLS" not in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "--algebra", "polynomial", "--p", "3001", "--max-degree", "1"),
+    ("sklyanin2", "onedim", "--p", "3001"),
+], ids=["hilbert", "onedim"])
+def test_oversized_catalog_family_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    # built, polynomial(3001) would be 4.5 million relations and gigabytes
+    def unbuilt(*args):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(gradedalg, "_commutators", unbuilt)
+    monkeypatch.setattr(gradedalg, "_e1_orbits", unbuilt)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "resource", "message": f"{'cliffordC' if 'onedim' in argv else 'polynomial'} "
+                                       "over p=3001 has 4501500 relations, cap is 4000000"}
+    monkeypatch.undo()
+    code, out = run_cli(capsys, "hilbert", "--algebra", "polynomial", "--p", "59",
+                        "--max-degree", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["hilbert"] == [1, 59]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_memory_error_is_a_resource_error(capsys, monkeypatch, fmt):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "hilbert", exhausted)
+    code = main(["hilbert", "--algebra", "polynomial", "--max-degree", "2", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(captured.out)["error"] == {"code": "resource", "message": "out of memory"}
+    else:
+        assert captured.err == "error [resource]: out of memory\n"
 
 
 @pytest.mark.parametrize("value", ["-5", "0"])

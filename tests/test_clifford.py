@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from algtool import cli
 from algtool.clifford import (FatProfile, SimpleProfile, build_reps,
                               clifford_form, fat_profile,
                               random_points, sample_rank_drop_points,
@@ -12,8 +13,8 @@ from algtool.gradedalg import make_presentation
 from algtool.linalg import rank_float
 from algtool.poly import MultiPoly, PolyMatrix, mat_det, ring_q
 from algtool.sklyanin2 import curve_points_on_grid
-from clifford_reference import (build_reps_pairwise, det_along_line, random_lines,
-                                rank_drop_points)
+from clifford_reference import (build_reps_pairwise, clifford_strata_per_point, det_along_line,
+                                random_lines, rank_drop_points)
 
 
 def test_specialize_examples():
@@ -269,3 +270,16 @@ def test_build_reps_is_the_pairwise_loop_bit_for_bit():
             [[bits(x) for x in xs] for xs in tuples]
         ranks.add(k)
     assert ranks == {0, 1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("samples", [0, 1, 7])
+@pytest.mark.parametrize("t", ["1", "0", "2/3", "-5", "1e-3", "1e100"])
+def test_clifford_strata_on_one_stack_prints_the_per_point_bytes(capsys, monkeypatch, t, samples):
+    # 1e100 ends in a sampling error, whose payload must match too
+    argv = ["clifford-strata", f"--t={t}", "--samples", str(samples), "--seed", "3",
+            "--format", "json"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    _handler, leaf = cli.COMMANDS["clifford-strata"]
+    monkeypatch.setitem(cli.COMMANDS, "clifford-strata", (clifford_strata_per_point, leaf))
+    assert (cli.main(argv), capsys.readouterr().out) == (code, out)

@@ -1,8 +1,10 @@
 """Byte contract of the float paths: the sha256 of the JSON that the
 selftest, the `shioda5` checks, the README `sklyanin2` checks and
 `clifford-strata` print.  These outputs carry floats computed through
-`Cyclotomic`, `MultiPoly` and `PolyMatrix.eval`, so any change of an
-operation order in those kernels shows here as a changed last bit.  The
+`Cyclotomic`, `MultiPoly.eval`, `PolyMatrix.eval` and
+`PolyMatrix.eval_stack`, which evaluates the linear forms at complex
+points (every point of `clifford-strata`), so any change of an operation
+order in those kernels shows here as a changed last bit.  The
 hashes were taken before the kernels' type-exact fast paths went in, except
 that of `clifford-strata`, whose rank-drop points are eigenvalues of each
 line's pencil (M(base), M(direction)) and not roots of its determinant, and

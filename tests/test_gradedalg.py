@@ -10,6 +10,7 @@ from fractions import Fraction
 import ideal_oracle
 import pytest
 
+from algtool import gradedalg
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import InputError, ModulusError, ResourceLimitError, StabilityError
 from algtool.gradedalg import (Presentation, character_coeffs,
@@ -241,6 +242,36 @@ def test_resource_cap():
         hilbert(Presentation(5, ()), 3, cap=100)  # no rows, but 125 columns
 
 
+@pytest.mark.parametrize("kind,p,count", [("polynomial", 7, 21), ("cycle", 7, 35),
+                                          ("cliffordC", 7, 21)])
+def test_catalog_refuses_more_relations_than_the_cap(kind, p, count):
+    args = (1, 1, 1, 1) if kind == "cliffordC" else ()
+    pres = make_presentation(kind, p, *args, cap=count)
+    assert len(pres.relations) == count
+    with pytest.raises(ResourceLimitError, match=f"has {count} relations, cap is {count - 1}"):
+        make_presentation(kind, p, *args, cap=count - 1)
+
+
+@pytest.mark.parametrize("kind,p", [("cycle", 2003), ("polynomial", 2833), ("cliffordC", 2833)])
+def test_default_cap_refuses_the_first_oversized_prime(monkeypatch, kind, p):
+    # no relation may be built on the way to the refusal
+    def unbuilt(*args):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(gradedalg, "_commutators", unbuilt)
+    monkeypatch.setattr(gradedalg, "_e1_orbits", unbuilt)
+    with pytest.raises(ResourceLimitError):
+        make_presentation(kind, p)
+
+
+def test_in_ideal_refuses_a_tensor_of_mixed_degrees():
+    poly3 = make_presentation("polynomial", 3)
+    with pytest.raises(InputError, match="inhomogeneous tensor"):
+        in_ideal(poly3, [[((0, 1), 1), ((1, 0), -1)], [((0, 1), 1), ((0, 1, 2), 1)]])
+    # letters are read mod p: x_3 is x_0 and x_{-1} is x_2
+    assert in_ideal(poly3, [[((3, 1), 1), ((1, -3), -1)], [((-1, 0), 1), ((0, 2), -1)]])
+
+
 @pytest.mark.parametrize("letter", [-1, 3])
 def test_letters_outside_the_alphabet_are_input_errors(letter):
     # a word index would silently read -1 as 2 and 3 as 0
@@ -280,7 +311,6 @@ def test_stability_is_checked_for_every_class_and_call():
 
 
 def test_a_table_checks_and_grows_once(monkeypatch):
-    from algtool import gradedalg
     calls = []
     for name in ("check_stability", "_check_max_degree"):
         def spy(*args, _f=getattr(gradedalg, name), _name=name):

@@ -121,13 +121,18 @@ def test_minors_match_the_tuple_laplace_expansion(m):
 
 
 def points(ring, draw):
-    """A point of Fraction, complex or Cyclotomic coordinates; Cyclotomic
-    only over QQ, whose coefficients multiply Q(w) values."""
-    kinds = ["fraction", "complex"] + (["cyclotomic"] if ring.field == FIELD_QQ else [])
+    """A point of int, Fraction, float, complex or Cyclotomic coordinates;
+    Cyclotomic only over QQ, whose coefficients multiply Q(w) values."""
+    kinds = ["int", "fraction", "float", "complex"]
+    kinds += ["cyclotomic"] if ring.field == FIELD_QQ else []
     kind = draw(st.sampled_from(kinds))
     small = st.integers(-3, 3)
-    if kind == "fraction":
+    if kind == "int":
+        coord = small
+    elif kind == "fraction":
         coord = st.builds(Fraction, small, st.integers(1, 4))
+    elif kind == "float":
+        coord = st.floats(-2, 2)
     elif kind == "complex":
         coord = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
     else:
