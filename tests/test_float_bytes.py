@@ -1,6 +1,7 @@
 """Byte contract of the float paths: the sha256 of the JSON that the
 selftest, the `shioda5` checks, the README `sklyanin2` checks and
-`clifford-strata` print.  These outputs carry floats computed through
+`clifford-strata` print; and of the JSON and text of the outputs that
+print polynomials (`shioda5 minors`, `sklyanin2 eliminate|curve`).  These outputs carry floats computed through
 `Cyclotomic`, `MultiPoly.eval`, `PolyMatrix.eval` and
 `PolyMatrix.eval_stack`, which evaluates the linear forms at complex
 points (every point of `clifford-strata`), so any change of an operation
@@ -57,12 +58,36 @@ OUTPUTS = {
 }
 
 
+# the outputs that print polynomials: name: (argv, {format: sha256 of stdout}),
+# each exiting 0
+POLY_OUTPUTS = {
+    "shioda5-minors": (("shioda5", "minors"), {
+        "json": "19a168daae753919ea54aa39b191912a7b755681a7fe92cdf2bdde2bbb3ef45d",
+        "text": "396e83cf1e4b642545d4c19cf4431114cfee35a3be2ad079b0fa42c963b73d0c"}),
+    "sklyanin2-eliminate": (("sklyanin2", "eliminate"), {
+        "json": "7c7f34f3492d7d5b821adad4617fb4307d135167521ac6cfe2320007ef11a515",
+        "text": "f60ad303fb9d75f7b91971660e9c2ea3977f812f4fea1fbdd95950e6ae499845"}),
+    "sklyanin2-curve": (("sklyanin2", "curve"), {
+        "json": "303be0cd5ae6f828790d7b8cc90985a34e905007fe06559831f296ff51041b3c",
+        "text": "fafcc478df63296b600a6ff2c0113e58c215fc0178a10a60b0b9943d2fef6eac"}),
+}
+
+
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_float_path_stdout_bytes(capsys, name):
     argv, code, digest = OUTPUTS[name]
     assert main([*argv, "--format", "json"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", POLY_OUTPUTS)
+def test_polynomial_stdout_bytes(capsys, name, fmt):
+    argv, digests = POLY_OUTPUTS[name]
+    assert main([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[fmt]
 
 
 def test_per_process_caches_keep_outputs():
