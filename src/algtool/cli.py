@@ -77,7 +77,9 @@ def to_jsonable(obj, shared: Optional[dict] = None):
     inside them.  The one JSON encoding of the library's values: a Fraction
     is [num, den] as strings, a complex [re, im], a Cyclotomic its prime and
     power-basis coefficients, a MultiPoly its variables, field and terms in
-    `sorted_terms` order.  numpy scalars need no branch: np.float64 and
+    `sorted_terms` order: the field is "QQ" when every coefficient is an int
+    or a Fraction, else "CC", and an int coefficient is written as a
+    Fraction.  numpy scalars need no branch: np.float64 and
     np.complex128 subclass float and complex.
 
     Equal Cyclotomic values share one JSON dict (`shared` maps each value
@@ -99,9 +101,11 @@ def to_jsonable(obj, shared: Optional[dict] = None):
                 "coeffs": [[str(q.numerator), str(q.denominator)] for q in obj.coeffs]}
         return data
     if isinstance(obj, MultiPoly):
-        return {"vars": list(obj.ring.variables), "field": obj.ring.field,
-                "terms": [{"exps": list(e), "coeff": to_jsonable(c, shared)}
-                          for e, c in obj.sorted_terms()]}
+        exact = all(isinstance(c, (int, Fraction)) for c in obj.terms.values())
+        return {"vars": list(obj.ring.variables), "field": "QQ" if exact else "CC",
+                "terms": [{"exps": list(e), "coeff": to_jsonable(
+                    Fraction(c) if isinstance(c, int) else c, shared)}
+                    for e, c in obj.sorted_terms()]}
     if dataclasses.is_dataclass(obj):
         return {f.name: to_jsonable(getattr(obj, f.name), shared)
                 for f in dataclasses.fields(obj)}

@@ -28,8 +28,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConditioningError, InputError, SamplingError
-from .poly import MultiPoly, PolyMatrix, ring_cc, ring_q
+from .errors import ConditioningError, InputError, ResourceLimitError, SamplingError
+from .poly import MultiPoly, PolyMatrix, PolyRing
 
 
 # -- representation profiles -----------------------------------------------------
@@ -199,13 +199,11 @@ def clifford_form(p: int, avec: Sequence) -> PolyMatrix:
     a_0 {x_{k+i}, x_{k-i}} = a_i x_k^2 make it a graded Clifford algebra over
     the central u_k = x_k^2: M_kk = 2 u_k and M_{k+i,k-i} = M_{k-i,k+i} =
     (a_i / a_0) u_k for 1 <= i <= (p-1)/2 (indices mod p), a_0 nonzero.
-    Over Q when every a_i is an int or a Fraction, over C otherwise; the p = 5
-    form is sklyanin2's Q(a, b) = clifford_form(5, (1, a, b))."""
-    names = tuple(f"u{k}" for k in range(p))
-    if all(isinstance(a, (int, Fraction)) for a in avec):
-        ring, avec = ring_q(names), [Fraction(a) for a in avec]
-    else:
-        ring, avec = ring_cc(names), [complex(a) for a in avec]
+    An int a_i is taken as a Fraction, so a_i / a_0 is exact when both are
+    ints or Fractions, and a float or complex otherwise; the p = 5 form is
+    sklyanin2's Q(a, b) = clifford_form(5, (1, a, b))."""
+    avec = [Fraction(a) if isinstance(a, int) else a for a in avec]
+    ring = PolyRing(tuple(f"u{k}" for k in range(p)))
     u = [MultiPoly.var(ring, k) for k in range(p)]
     rows = [[None] * p for _ in range(p)]
     for k in range(p):
@@ -216,11 +214,22 @@ def clifford_form(p: int, avec: Sequence) -> PolyMatrix:
     return PolyMatrix(p, p, [e for row in rows for e in row])
 
 
+MAX_SAMPLES = 10_000  # the largest sample count of a sampler
+
+
+def check_sample_bound(count: int) -> None:
+    """A sample count above MAX_SAMPLES is a resource error."""
+    if count > MAX_SAMPLES:
+        raise ResourceLimitError(f"sample count {count} is above {MAX_SAMPLES}")
+
+
 def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
     """`count` seeded points of C^n, each scaled to largest modulus 1; a
-    negative count is an input error."""
+    negative count is an input error, one above MAX_SAMPLES a resource
+    error."""
     if count < 0:
         raise InputError(f"sample count must be non-negative, got {count}")
+    check_sample_bound(count)
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
@@ -238,9 +247,11 @@ def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
     with D singular or a root or point not finite is skipped; a point counts
     when |det M| <= sqrt(tol) there, scaled to largest modulus 1.  The search
     is silent on overflow.  SamplingError after 40 lines per requested point;
-    a negative count is an input error."""
+    a negative count is an input error, one above MAX_SAMPLES a resource
+    error."""
     if count < 0:
         raise InputError(f"sample count must be non-negative, got {count}")
+    check_sample_bound(count)
     rng = np.random.default_rng(seed)
     out = []
     attempts = 0

@@ -22,7 +22,10 @@ class ModulusError(AlgtoolError, ValueError):
 
 
 class RingMismatchError(AlgtoolError, ValueError):
-    """Operands belong to different polynomial rings or coefficient fields."""
+    """Polynomial operands over different rings (variable tuples), or a
+    coefficient or scalar that is not an int, Fraction, float or complex
+    (a Cyclotomic included), or an exact division with a float or complex
+    coefficient."""
 
     code = "ring-mismatch"
 
@@ -34,7 +37,9 @@ class ArityError(AlgtoolError, ValueError):
 
 
 class ResourceLimitError(AlgtoolError, RuntimeError):
-    """A degreewise computation would exceed the configured cell cap."""
+    """A request above a size limit: a degreewise computation past the cell
+    cap, a catalog family with more relations than the cap, a sample count
+    above `clifford.MAX_SAMPLES`, or an out-of-memory run."""
 
     code = "resource"
 

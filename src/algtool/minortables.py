@@ -5,9 +5,10 @@ Every entry of Q(a, b) = clifford_form(5, (1, a, b)) is 2 u_k, a u_k or
 b u_k, so each of its minors, det Q included, is a polynomial in u_0..u_4
 whose coefficients are integer polynomials in (a, b); likewise the products
 u_j q_i and q_i q_j of the quadrics q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} -
-u_{i+2} u_{i+3} and their Jacobian determinant det(dq_i/du_j) have integer
-coefficients in t.  `minor_tables` expands them once per process and keeps
-only the sparse integer tables; evaluating a table at a point is one
+u_{i+2} u_{i+3} (`shioda5.ca_relations` with t a variable) and their
+Jacobian determinant det(dq_i/du_j) have integer coefficients in t.
+`minor_tables` expands them once per process over int coefficients and
+keeps only the sparse integer tables; evaluating a table at a point is one
 scatter-add.  `sklyanin2` imports this module where it first needs it, so
 CLI start-up does not compile it.
 """
@@ -17,32 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .clifford import clifford_form
-from .poly import (MultiPoly, PolyMatrix, mat_det, mat_minors, minor_routine,
-                   monomials_of_degree, ring_cc)
-
-
-def ct_quadrics(u_names: Tuple[str, ...]) -> List[MultiPoly]:
-    """q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} over CC[u, t],
-    u_0..u_4 named `u_names`."""
-    ring = ring_cc(u_names + ("t",))
-    u = [MultiPoly.var(ring, i) for i in range(5)]
-    t = MultiPoly.var(ring, 5)
-    return [t * u[i] ** 2 + t * t * u[(i + 1) % 5] * u[(i + 4) % 5]
-            - u[(i + 2) % 5] * u[(i + 3) % 5] for i in range(5)]
+from .poly import (MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors, minor_routine,
+                   monomials_of_degree)
+from .shioda5 import ca_relations
 
 
 def _generic_form() -> PolyMatrix:
-    """Q(a, b) over CC[u0..u4, a, b], a and b variables, the u named as in
+    """Q(a, b) over Z[u0..u4, a, b], a and b variables, the u named as in
     the ring of `clifford.clifford_form`.  Q is linear in (a, b), so it is
-    Q(0, 0) + a (Q(1, 0) - Q(0, 0)) + b (Q(0, 1) - Q(0, 0))."""
+    Q(0, 0) + a (Q(1, 0) - Q(0, 0)) + b (Q(0, 1) - Q(0, 0)).  The entries of
+    those three forms are 2 u_k, u_k and 0, so their coefficients convert to
+    ints exactly."""
     forms = [clifford_form(5, (1, *ab)) for ab in ((0, 0), (1, 0), (0, 1))]
-    ring = ring_cc(forms[0].ring.variables + ("a", "b"))
-    q0, qa, qb = ([MultiPoly(ring, {e + (0, 0): c for e, c in f.items()})
+    ring = PolyRing(forms[0].ring.variables + ("a", "b"))
+    q0, qa, qb = ([MultiPoly(ring, {e + (0, 0): int(c) for e, c in f.items()})
                    for f in form.entries] for form in forms)
     a, b = MultiPoly.var(ring, 5), MultiPoly.var(ring, 6)
     return PolyMatrix(5, 5, [z + a * (x - z) + b * (y - z) for z, x, y in zip(q0, qa, qb)])
@@ -64,16 +58,17 @@ class CoefficientTable:
     @classmethod
     def of(cls, polys: Sequence[MultiPoly], degree: int) -> "CoefficientTable":
         """The table of `polys`, over a ring whose first five variables are
-        u_0..u_4 and the rest the parameters, homogeneous of `degree` in u.
-        Their coefficients are small integers, which complex floats hold
-        exactly."""
+        u_0..u_4 and the rest the parameters, homogeneous of `degree` in u,
+        with int coefficients."""
         basis = tuple(monomials_of_degree(5, degree))
         column = {e: i for i, e in enumerate(basis)}
         terms = [f.items() for f in polys]
         params = tuple(sorted({e[5:] for items in terms for e, _c in items}))
         param = {e: i for i, e in enumerate(params)}
-        rows = [(row, column[e[:5]], param[e[5:]], int(c.real))
+        rows = [(row, column[e[:5]], param[e[5:]], c)
                 for row, items in enumerate(terms) for e, c in items]
+        if not all(type(c) is int for *_i, c in rows):
+            raise TypeError("a coefficient table needs int coefficients")
         entries = np.array(rows, dtype=np.int64)
         entries.setflags(write=False)
         return cls(len(polys), basis, params, entries)
@@ -112,8 +107,9 @@ def minor_tables() -> MinorTables:
     a lone secant check then builds every table."""
     form = _generic_form()
     minor = minor_routine(form)  # each size expands into the one below it
-    quadrics = ct_quadrics(form.ring.variables[:5])
-    u = [MultiPoly.var(quadrics[0].ring, i) for i in range(5)]
+    ring = PolyRing(form.ring.variables[:5] + ("t",))
+    u = [MultiPoly.var(ring, i) for i in range(5)]
+    quadrics = ca_relations(u, MultiPoly.var(ring, 5))
     full = tuple(range(5))
     jacobian = PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)])
     return MinorTables(

@@ -1,9 +1,11 @@
 """Sparse exact multivariate polynomials, polynomial matrices, determinants,
 minors, partial derivatives, Sylvester resultants and exact division.
 
-Coefficient fields: Q (Fraction) and, for the numeric code paths, complex
-floats.  Polynomials over Q evaluate at points of any scalar kind, Cyclotomic
-points included.
+A ring is its variables.  Each coefficient is kept as it was built: an int,
+Fraction, float or complex, any other kind (a Cyclotomic included) being a
+RingMismatchError; so the field is read off the coefficients, Q when each is
+an int or a Fraction.  Polynomials over Q evaluate at points of any scalar
+kind, Cyclotomic points included.
 
 Monomials are packed into ints.  Over n variables, the monomial with
 exponents (e_0, ..., e_{n-1}) and total degree d = e_0 + ... + e_{n-1} has
@@ -45,50 +47,25 @@ from .errors import ArityError, RingMismatchError
 Exps = Tuple[int, ...]
 Terms = Dict[int, object]  # monomial key -> non-zero coefficient
 
-FIELD_QQ = "QQ"
-FIELD_CC = "CC"
+# the kinds of a coefficient, and the scalars a polynomial combines with as a
+# constant: a Cyclotomic one is a RingMismatchError, not a TypeError
+_COEFFICIENTS = (int, Fraction, float, complex)
+_SCALARS = _COEFFICIENTS + (Cyclotomic,)
 
-# the scalar kinds a polynomial combines with as a constant
-_SCALARS = (int, Fraction, Cyclotomic, float, complex)
+
+def _coefficient(c):
+    if not isinstance(c, _COEFFICIENTS):
+        raise RingMismatchError(f"{c!r} is not an int, Fraction, float or complex coefficient")
+    return c
 
 
 @dataclass(frozen=True)
 class PolyRing:
     variables: Tuple[str, ...]
-    field: str = FIELD_QQ
-
-    def __post_init__(self):
-        if self.field not in (FIELD_QQ, FIELD_CC):
-            raise ValueError(f"unknown field tag {self.field!r}")
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def coerce(self, c):
-        if self.field == FIELD_QQ:
-            if isinstance(c, Fraction):
-                return c
-            if isinstance(c, int):
-                return Fraction(c)
-            raise RingMismatchError(f"{c!r} is not a rational coefficient")
-        if isinstance(c, (int, float, complex, Fraction)):
-            return complex(c)
-        raise RingMismatchError(f"{c!r} is not a complex coefficient")
-
-    def zero_scalar(self):
-        return self.coerce(0)
-
-    def one_scalar(self):
-        return self.coerce(1)
-
-
-def ring_q(variables: Sequence[str]) -> PolyRing:
-    return PolyRing(tuple(variables), FIELD_QQ)
-
-
-def ring_cc(variables: Sequence[str]) -> PolyRing:
-    return PolyRing(tuple(variables), FIELD_CC)
 
 
 # -- monomial keys ------------------------------------------------------------------
@@ -201,8 +178,8 @@ class MultiPoly:
 
     def __init__(self, ring: PolyRing, terms: Dict[Exps, object], _clean: bool = False):
         """`terms` maps exponent tuples to coefficients; with `_clean`, it is
-        already a dict of keys to non-zero coefficients of the ring, and is
-        kept as it is."""
+        already a dict of keys to non-zero coefficients, and is kept as it
+        is."""
         self.ring = ring
         if _clean:
             self.terms = terms
@@ -213,8 +190,7 @@ class MultiPoly:
                 if len(exps) != n:
                     raise ArityError(f"monomial {exps} has wrong arity for {ring.variables}")
                 key = _pack(exps)
-                c = ring.coerce(c)
-                if c:
+                if _coefficient(c):
                     cleaned[key] = c
             self.terms = cleaned
 
@@ -226,8 +202,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, ring: PolyRing, c) -> "MultiPoly":
-        c = ring.coerce(c)
-        if not c:
+        if not _coefficient(c):
             return cls.zero(ring)
         return cls(ring, {0: c}, _clean=True)
 
@@ -236,7 +211,7 @@ class MultiPoly:
         if not 0 <= index < ring.nvars:
             raise ArityError(f"no variable {index} in {ring.variables}")
         exps = tuple(power if i == index else 0 for i in range(ring.nvars))
-        return cls(ring, {_pack(exps): ring.one_scalar()}, _clean=True)
+        return cls(ring, {_pack(exps): 1}, _clean=True)
 
     @classmethod
     def monomial(cls, ring: PolyRing, exps: Exps, c=1) -> "MultiPoly":
@@ -304,10 +279,9 @@ class MultiPoly:
             if other.ring is not self.ring:
                 self._check_ring(other)
         elif isinstance(other, _SCALARS):
-            c = self.ring.coerce(other)
-            if not c:
+            if not _coefficient(other):
                 return MultiPoly.zero(self.ring)
-            return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()}, _clean=True)
+            return MultiPoly(self.ring, {e: v * other for e, v in self.terms.items()}, _clean=True)
         else:
             return NotImplemented
         if not self.terms or not other.terms:
@@ -410,10 +384,8 @@ class MultiPoly:
         buckets: List[Terms] = [{} for _ in range(d + 1)]
         for e, c in self.terms.items():
             k = e >> shift & MAX_DEGREE
-            e2 = e - (k << shift) - (k << dshift)
-            buckets[k][e2] = buckets[k].get(e2, self.ring.zero_scalar()) + c
-        return [MultiPoly(self.ring, {e: c for e, c in b.items() if c}, _clean=True)
-                for b in buckets]
+            buckets[k][e - (k << shift) - (k << dshift)] = c
+        return [MultiPoly(self.ring, b, _clean=True) for b in buckets]
 
     def __str__(self):
         if not self.terms:
@@ -474,7 +446,7 @@ def _eval_all(ring: PolyRing, plan: tuple, point: Sequence) -> list:
                 term = term * powers[j]
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = 0 * point[0] if point else ring.zero_scalar()
+            acc = 0 * point[0] if point else 0
         values.append(acc)
     return values
 
@@ -494,8 +466,8 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.ring != g.ring:
         raise RingMismatchError("exact_divide needs a common ring")
-    if f.ring.field == FIELD_CC:
-        raise RingMismatchError("exact division is only defined over exact fields")
+    if any(isinstance(c, (float, complex)) for h in (f, g) for c in h.terms.values()):
+        raise RingMismatchError("exact division needs int or Fraction coefficients")
     q_terms: Dict[Exps, object] = {}
     rem = f
     ge, gc = g.leading_term()
@@ -504,7 +476,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
         diff = tuple(a - b for a, b in zip(fe, ge))
         if any(d < 0 for d in diff):
             return None
-        coeff = fc / gc
+        coeff = Fraction(fc) / gc
         q_terms[diff] = coeff
         rem = rem - MultiPoly.monomial(f.ring, diff, coeff) * g
     q = MultiPoly(f.ring, q_terms)
@@ -609,7 +581,7 @@ def minor_routine(m: PolyMatrix):
     # a minor's degree is at most the sum of its rows' largest entry degrees
     row_top = [max(0, *(f.total_degree() for f in m.entries[i:i + ncols]))
                for i in range(0, len(entries), ncols)]
-    memo = {((), ()): {0: ring.one_scalar()}}
+    memo = {((), ()): {0: 1}}
 
     def minor(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> MultiPoly:
         _check_degree(sum(row_top[i] for i in rows))

@@ -23,25 +23,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .clifford import check_sample_bound
 from .cyclotomic import Cyclotomic
 from .errors import InputError, SamplingError
 from .gradedalg import Presentation, curve_fiber, hilbert, in_ideal, make_presentation
 from .heisenberg import (SimpleRep, heisenberg_orbit_points,
                          projective_fixed_points, subgroup_generators)
 from .linalg import RowSpace, minors_float, rank_float
-from .poly import MultiPoly, PolyMatrix, mat_minors, ring_q
+from .poly import MultiPoly, PolyMatrix, PolyRing, mat_minors
 
 X_VARS = ("x0", "x1", "x2", "x3", "x4")
 _REP = SimpleRep(5, 1)
 
 
+def x_vars() -> List[MultiPoly]:
+    """x_0..x_4, the variables of P^4."""
+    ring = PolyRing(X_VARS)
+    return [MultiPoly.var(ring, i) for i in range(5)]
+
+
 def s15_matrix() -> PolyMatrix:
-    ring = ring_q(X_VARS)
-    x = [MultiPoly.var(ring, i) for i in range(5)]
+    x = x_vars()
     entries = []
     entries.extend(x[i] * x[i] for i in range(5))
     entries.extend(x[(2 + i) % 5] * x[(3 + i) % 5] for i in range(5))
@@ -82,12 +88,11 @@ def _minor_jacobians(partials: List[PolyMatrix], points) -> np.ndarray:
     return jac.transpose(0, 2, 1)
 
 
-def ca_relations(a) -> List[MultiPoly]:
-    """a x_i^2 + a^2 x_{i+1} x_{i-1} - x_{i+2} x_{i-2} for i = 0..4."""
-    ring = ring_q(X_VARS)
-    a = Fraction(a)
-    x = [MultiPoly.var(ring, i) for i in range(5)]
-    return [a * x[i] ** 2 + a * a * x[(i + 1) % 5] * x[(i - 1) % 5]
+def ca_relations(x: Sequence[MultiPoly], t) -> List[MultiPoly]:
+    """t x_i^2 + t^2 x_{i+1} x_{i-1} - x_{i+2} x_{i-2} for i = 0..4, in the
+    five variables x: the relations of C_a for the number t = a, and the
+    quadrics q_i of sklyanin2's E' for t a variable of the ring of x."""
+    return [t * x[i] ** 2 + t * t * x[(i + 1) % 5] * x[(i - 1) % 5]
             - x[(i + 2) % 5] * x[(i - 2) % 5] for i in range(5)]
 
 
@@ -116,7 +121,7 @@ class OrbitReport:
 def ca_orbit_check(a) -> OrbitReport:
     """Exact check that the whole orbit of O_a satisfies the C_a relations
     and lies on S15."""
-    rels = ca_relations(a)
+    rels = ca_relations(x_vars(), Fraction(a))
     matrix = s15_matrix()
     orbit = base_orbit(a)
     rel_ok = all(r.eval(list(pt)).is_zero() for pt in orbit for r in rels)
@@ -156,9 +161,11 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     >= 0.75 m^6; |r|^4 <= |product of the roots| = 2 |x1 x2|^2 gives
     |r| <= 1.19 m, so around r on |x0 - r| = m some point has
     |f| >= 0.75 m^6 / sum_{k<5} 2.19^k >= 0.018 m^6, where M <= 2.19 m: a
-    control residual of at least 1.6e-4."""
+    control residual of at least 1.6e-4.  Fewer than one sample is an input
+    error, more than `clifford.MAX_SAMPLES` a resource error."""
     if samples < 1:
         raise InputError("need at least one sample")
+    check_sample_bound(samples)
     rng = np.random.default_rng(seed)
     matrix = s15_matrix()
     directions = np.exp(2j * np.pi * np.arange(5) / 5)

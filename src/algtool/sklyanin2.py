@@ -35,7 +35,7 @@ from .cyclotomic import Cyclotomic
 from .errors import IndeterminateError, InputError, PoleError, SamplingError
 from .gradedalg import make_presentation
 from .linalg import minors_float, rank_float
-from .poly import MultiPoly, exact_divide, resultant, ring_q
+from .poly import MultiPoly, PolyRing, exact_divide, resultant
 from .shioda5 import base_orbit
 
 Scalar = Union[int, Fraction, float, complex]
@@ -94,7 +94,7 @@ class EliminationResult:
 def eliminate_t() -> EliminationResult:
     """Sylvester-eliminate t from -2b^2 t^3 + 2ab^2 t - 2a^2 and
     -a^2 b t^2 - a b^2 t + 2a^2; the result is exactly divisible by C'."""
-    ring = ring_q(("a", "b", "t"))
+    ring = PolyRing(("a", "b", "t"))
     a, b, t = (MultiPoly.var(ring, i) for i in range(3))
     f = -2 * b ** 2 * t ** 3 + 2 * a * b ** 2 * t - 2 * a ** 2
     g = -(a ** 2) * b * t ** 2 - a * b ** 2 * t + 2 * a ** 2
@@ -412,7 +412,7 @@ def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
 def curve_singularity_report() -> dict:
     """Partials of the projective closure of C' at (2 : 2 : 1); informational
     (the homogenization convention is ours, degree 6 with variable c)."""
-    ring = ring_q(("a", "b", "c"))
+    ring = PolyRing(("a", "b", "c"))
     a, b, c = (MultiPoly.var(ring, i) for i in range(3))
     closure = (-(a ** 3) * b ** 3 + a ** 5 * c + b ** 5 * c
                + 2 * a ** 2 * b ** 2 * c ** 2 - 8 * a * b * c ** 4)

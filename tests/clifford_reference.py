@@ -17,12 +17,12 @@ from algtool.cli import emit, float_safe, parse_scalar
 from algtool.clifford import _symmetric_square_root_factors, simple_profile, standard_gammas
 from algtool.errors import SamplingError
 from algtool.linalg import rank_float
-from algtool.poly import MultiPoly, PolyMatrix, mat_det, ring_cc
+from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det
 
 
 def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
     """det M(base + s * direction) as a numpy polynomial in s."""
-    ring = ring_cc(("s",))
+    ring = PolyRing(("s",))
     s_var = MultiPoly.var(ring, 0)
     at_base = form.eval([complex(v) for v in base])
     slope = form.eval([complex(v) for v in direction])

@@ -15,8 +15,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from algtool.clifford import clifford_form
-from algtool.poly import (MultiPoly, PolyMatrix, mat_det, mat_minors, minor_routine,
-                          monomials_of_degree, ring_cc)
+from algtool.poly import (MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors, minor_routine,
+                          monomials_of_degree)
 from algtool.errors import PoleError
 from algtool.sklyanin2 import CurvePoint, SecantReport, cprime_residual, t_param
 
@@ -25,7 +25,7 @@ def coefficient_vector(f: MultiPoly, basis) -> list:
     """The coefficients of f against a monomial basis that holds each of its
     monomials."""
     index = {e: i for i, e in enumerate(basis)}
-    vec = [f.ring.zero_scalar()] * len(basis)
+    vec = [0] * len(basis)
     for e, c in f.items():
         vec[index[e]] = c
     return vec
@@ -65,7 +65,7 @@ def secant_check(point) -> SecantReport:
     expanded symbolically over C at the point."""
     a, b = point
     t = complex(t_param(a, b))
-    ring = ring_cc(("u0", "u1", "u2", "u3", "u4"))
+    ring = PolyRing(("u0", "u1", "u2", "u3", "u4"))
     z = [MultiPoly.var(ring, i) for i in range(5)]
     quadrics = [z[i] ** 2 + t * z[(i + 1) % 5] * z[(i + 4) % 5]
                 - (1.0 / t) * z[(i + 2) % 5] * z[(i + 3) % 5] for i in range(5)]

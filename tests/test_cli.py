@@ -357,6 +357,23 @@ def test_oversized_catalog_family_is_refused_before_it_is_built(capsys, monkeypa
     assert code == 0 and json.loads(out)["hilbert"] == [1, 59]
 
 
+@pytest.mark.parametrize("argv", [
+    ("clifford-strata", "--t", "1"),
+    ("sklyanin2", "stratify", "--a", "1.0", "--b", "0.12888995128730368"),
+    ("shioda5", "two-torsion"),
+], ids=["clifford-strata", "stratify", "two-torsion"])
+def test_sample_count_above_the_bound_is_refused_before_sampling(capsys, monkeypatch, argv):
+    # every sampler draws from a default_rng; 10^11 samples would run for days
+    def unsampled(*args):
+        raise AssertionError("a sampler was entered")
+
+    monkeypatch.setattr(np.random, "default_rng", unsampled)
+    code, out = run_cli(capsys, *argv, "--samples", str(10 ** 11), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "resource",
+                                        "message": "sample count 100000000000 is above 10000"}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_memory_error_is_a_resource_error(capsys, monkeypatch, fmt):
     def exhausted(*args):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from algtool import cli
-from algtool.clifford import (FatProfile, SimpleProfile, build_reps,
+from algtool import shioda5
+from algtool.clifford import (MAX_SAMPLES, FatProfile, SimpleProfile, build_reps,
                               clifford_form, fat_profile,
                               random_points, sample_rank_drop_points,
                               simple_profile, standard_gammas)
-from algtool.errors import ArityError, ConditioningError, InputError
+from algtool.errors import ArityError, ConditioningError, InputError, ResourceLimitError
 from algtool.gradedalg import make_presentation
 from algtool.linalg import rank_float
-from algtool.poly import MultiPoly, PolyMatrix, mat_det, ring_q
+from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det
 from algtool.sklyanin2 import curve_points_on_grid
 from clifford_reference import (build_reps_pairwise, clifford_strata_per_point, det_along_line,
                                 random_lines, rank_drop_points)
@@ -51,6 +52,14 @@ def test_clifford_form_roundtrip_with_presentation(p, avec):
         seen |= {(i, j), (j, i)}
     assert seen == {(i, j) for i in range(p) for j in range(p) if i != j}
     assert all(form.at(k, k) == 2 * u[k] for k in range(p))
+
+
+def test_int_parameters_give_exact_entries():
+    form = clifford_form(5, (2, 1, 3))
+    # M_{k+1,k-1} = (1/2) u_k and M_{k+2,k-2} = (3/2) u_k, at k = 0
+    assert form.at(1, 4).items() == [((1, 0, 0, 0, 0), Fraction(1, 2))]
+    assert form.at(2, 3).items() == [((1, 0, 0, 0, 0), Fraction(3, 2))]
+    assert form.at(0, 0).items() == [((1, 0, 0, 0, 0), 2)]
 
 
 def test_symmetric_rank():
@@ -158,7 +167,7 @@ def test_center_data():
     assert 2 * det.total_degree() == 6
     assert {sum(e) for e, _c in det.items()} == {3}
 
-    ring = ring_q(tuple(f"y{i}" for i in range(5)))
+    ring = PolyRing(tuple(f"y{i}" for i in range(5)))
     y = [MultiPoly.var(ring, i) for i in range(5)]
     zero = MultiPoly.zero(ring)
     diag = PolyMatrix(5, 5, [2 * y[i] if i == j else zero
@@ -178,6 +187,15 @@ def test_negative_sample_count_is_an_input_error():
     with pytest.raises(InputError):
         sample_rank_drop_points(clifford_form(3, (1, 1)), -1, 0)
     assert sample_rank_drop_points(clifford_form(3, (1, 1)), 0, 0) == []
+
+
+def test_sample_count_is_bounded():
+    assert len(random_points(3, MAX_SAMPLES, 0)) == MAX_SAMPLES
+    for sample in (lambda n: random_points(3, n, 0),
+                   lambda n: sample_rank_drop_points(clifford_form(3, (1, 1)), n, 0),
+                   lambda n: shioda5.two_torsion_check(n, 0)):
+        with pytest.raises(ResourceLimitError):
+            sample(MAX_SAMPLES + 1)
 
 
 def bits(values) -> bytes:
@@ -204,7 +222,7 @@ def test_eval_stack_is_eval_bit_for_bit(avec):
 
 
 def test_eval_stack_refuses_a_form_that_is_not_linear():
-    ring = ring_q(("u0", "u1"))
+    ring = PolyRing(("u0", "u1"))
     u0, u1 = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
     for entry in (u0 * u1, u0 + u1, u1 ** 2, MultiPoly.const(ring, 1)):
         with pytest.raises(ValueError):

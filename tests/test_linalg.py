@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.linalg import RowSpace, minors_float, rank_float
-from algtool.poly import MultiPoly, PolyMatrix, mat_minors, ring_cc
+from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_minors
 from heisenberg_reference import nullspace_exact
 from rank_reference import rank_one
 
@@ -131,7 +131,7 @@ def test_batched_rank_matches_per_matrix_reference(shape, draws, tol, scale, rng
 @pytest.mark.parametrize("shape, k", [((3, 5), 3), ((5, 5), 3), ((4, 3), 2), ((2, 3), 1)])
 def test_minors_float_matches_mat_minors_in_order(shape, k):
     rng = np.random.default_rng(sum(shape) + k)
-    ring = ring_cc(())
+    ring = PolyRing(())
     for _ in range(5):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         poly = PolyMatrix(*shape, [MultiPoly.const(ring, complex(v)) for v in a.ravel()])

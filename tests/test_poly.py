@@ -9,18 +9,17 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool import poly
-from algtool.cli import to_jsonable
+from algtool.cli import json_text, to_jsonable
 from algtool.clifford import clifford_form
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ArityError, RingMismatchError
-from algtool.poly import (FIELD_CC, FIELD_QQ, MultiPoly, PolyMatrix, exact_divide, mat_det,
-                          mat_minors, minor_routine, monomials_of_degree,
-                          resultant, ring_cc, ring_q)
+from algtool.poly import (MultiPoly, PolyMatrix, PolyRing, exact_divide, mat_det, mat_minors,
+                          minor_routine, monomials_of_degree, resultant)
 from algtool.shioda5 import s15_matrix
 
 import poly_reference
 
-RXY = ring_q(("x", "y"))
+RXY = PolyRing(("x", "y"))
 X, Y = MultiPoly.var(RXY, 0), MultiPoly.var(RXY, 1)
 
 
@@ -37,19 +36,25 @@ def test_ring_arithmetic():
     assert (X * 0).is_zero()
     assert ((X + Y) ** 2 - (X ** 2 + 2 * X * Y + Y ** 2)).is_zero()
     with pytest.raises(RingMismatchError):
-        X + MultiPoly.var(ring_q(("z",)), 0)
+        X + MultiPoly.var(PolyRing(("z",)), 0)
 
 
 def test_equal_but_distinct_rings_mix():
-    ring = ring_q(("x", "y"))
+    ring = PolyRing(("x", "y"))
     assert ring is not RXY
     x, y = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
     assert X + y == x + Y
     assert (X - y) * (x + Y) == X ** 2 - Y ** 2
-    over_cc = MultiPoly.var(ring_cc(("x", "y")), 0)
-    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g):
+
+
+def test_cyclotomic_coefficients_and_scalars_are_refused():
+    w = Cyclotomic.zeta(5)
+    for build in (lambda: MultiPoly(RXY, {(1, 0): w}), lambda: MultiPoly.const(RXY, w),
+                  lambda: MultiPoly.monomial(RXY, (1, 0), w), lambda: MultiPoly(RXY, {(0, 0): "a"}),
+                  lambda: X + w, lambda: w + X, lambda: X - w, lambda: w - X,
+                  lambda: X * w, lambda: w * X):
         with pytest.raises(RingMismatchError):
-            op(X, over_cc)
+            build()
 
 
 @pytest.mark.parametrize("other", ["a", None, [1], object()])
@@ -82,7 +87,7 @@ def eval_points(rng, nvars):
 def random_cc_matrix(rng, rows, cols, nvars, max_deg):
     """Entries of up to six terms of degree up to max_deg in each variable,
     with complex coefficients; one entry is zero."""
-    ring = ring_cc(tuple(f"v{i}" for i in range(nvars)))
+    ring = PolyRing(tuple(f"v{i}" for i in range(nvars)))
     entries = [MultiPoly.zero(ring)]
     while len(entries) < rows * cols:
         terms = {tuple(int(k) for k in rng.integers(0, max_deg + 1, size=nvars)):
@@ -104,8 +109,9 @@ def test_matrix_eval_equals_entrywise_eval(name):
     else:
         p = int(name[-1])
         m = clifford_form(p, [1] + [complex(*rng.standard_normal(2)) for _ in range(p // 2)])
+    has_complex = any(isinstance(c, complex) for f in m.entries for c in f.terms.values())
     for point in eval_points(rng, m.ring.nvars):
-        if m.ring.field == "CC" and isinstance(point[0], Cyclotomic):
+        if has_complex and isinstance(point[0], Cyclotomic):
             continue  # complex coefficients do not multiply Q(w) values
         entrywise = [[m.at(i, j).eval(point) for j in range(m.cols)] for i in range(m.rows)]
         reference = [[reference_eval(m.at(i, j), point) for j in range(m.cols)]
@@ -115,7 +121,7 @@ def test_matrix_eval_equals_entrywise_eval(name):
 
 
 def test_matrix_eval_zero_entry_and_arity():
-    ring = ring_cc(("x", "y"))
+    ring = PolyRing(("x", "y"))
     x = MultiPoly.var(ring, 0)
     m = PolyMatrix(1, 2, [x * x, MultiPoly.zero(ring)])
     point = [complex(-2.5, 1.0), 3j]
@@ -126,14 +132,17 @@ def test_matrix_eval_zero_entry_and_arity():
 
 @st.composite
 def matrices_and_points(draw):
-    """A matrix over Q or C with zero entries allowed, constant at times,
-    and a point of Fraction or complex coordinates."""
-    field = draw(st.sampled_from((FIELD_QQ, FIELD_CC)))
+    """A matrix of int, Fraction or complex coefficients with zero entries
+    allowed, constant at times, and a point of Fraction or complex
+    coordinates."""
+    kind = draw(st.sampled_from(("int", "fraction", "complex")))
     nvars = draw(st.integers(1, 3))
-    ring = ring_q(("x", "y", "z")[:nvars]) if field == FIELD_QQ else ring_cc(("x", "y", "z")[:nvars])
+    ring = PolyRing(("x", "y", "z")[:nvars])
     top = draw(st.sampled_from((0, 1, 4)))  # 0: a constant matrix
     small = st.integers(-6, 6)
-    if field == FIELD_QQ:
+    if kind == "int":
+        coeffs = small
+    elif kind == "fraction":
         coeffs = st.builds(Fraction, small, st.integers(1, 5))
     else:
         coeffs = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
@@ -141,7 +150,7 @@ def matrices_and_points(draw):
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entries = [MultiPoly(ring, draw(st.dictionaries(exps, coeffs, max_size=4)))
                for _ in range(rows * cols)]
-    if field == FIELD_QQ and draw(st.booleans()):
+    if kind != "complex" and draw(st.booleans()):
         coords = st.builds(Fraction, small, st.integers(1, 7))
     else:
         coords = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
@@ -200,14 +209,13 @@ def test_minor_routine_is_freed_without_the_cycle_collector():
 
 
 def test_eval():
-    ring = ring_q(("a", "b"))
+    ring = PolyRing(("a", "b"))
     a, b = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
     cprime = -(a ** 3) * b ** 3 + a ** 5 + b ** 5 + 2 * a ** 2 * b ** 2 - 8 * a * b
     assert cprime.eval([Fraction(2), Fraction(2)]) == 0
     f = 3 * a * b + 7
     assert f.eval([Fraction(0), Fraction(0)]) == 7
-    rcc = ring_cc(("x", "y"))
-    g = MultiPoly.var(rcc, 0) ** 2 + MultiPoly.var(rcc, 1) ** 2
+    g = (1 + 0j) * (a ** 2 + b ** 2)
     assert abs(g.eval([3 + 0j, 4 + 0j]) - 25) < 1e-10
     with pytest.raises(ArityError):
         f.eval([Fraction(1)])
@@ -216,7 +224,7 @@ def test_eval():
 def test_partial():
     assert (X ** 3 * Y).partial(0) == 3 * X ** 2 * Y
     assert MultiPoly.const(RXY, 5).partial(1).is_zero()
-    ring = ring_q(("z0", "z1"))
+    ring = PolyRing(("z0", "z1"))
     z0 = MultiPoly.var(ring, 0)
     assert (z0 ** 2).partial(0) == 2 * z0
 
@@ -227,7 +235,7 @@ def ident(ring, n):
 
 
 def test_det_basics():
-    ring = ring_q(("u0", "u1", "u2", "u3", "u4"))
+    ring = PolyRing(("u0", "u1", "u2", "u3", "u4"))
     assert mat_det(ident(ring, 5)) == MultiPoly.const(ring, 1)
     u = [MultiPoly.var(ring, i) for i in range(5)]
     zero = MultiPoly.zero(ring)
@@ -261,7 +269,7 @@ def dense_det_oracle(rows):
 
 def test_det_matches_cofactor_and_row_reduction():
     rng = random.Random(5)
-    ring = ring_q(())
+    ring = PolyRing(())
     for _ in range(10):
         vals = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
                 for _ in range(4)]
@@ -270,7 +278,7 @@ def test_det_matches_cofactor_and_row_reduction():
 
 
 def test_minors():
-    ring = ring_q(("x", "y"))
+    ring = PolyRing(("x", "y"))
     entries = [random_poly(random.Random(i), ring, 1, 2) for i in range(15)]
     m35 = PolyMatrix(3, 5, entries)
     assert len(mat_minors(m35, 3)) == 10
@@ -285,7 +293,7 @@ def test_minors():
 
 
 def test_minor_order_is_row_then_column_lex():
-    ring = ring_q(("x",))
+    ring = PolyRing(("x",))
     vals = [MultiPoly.const(ring, v) for v in range(1, 7)]
     m = PolyMatrix(2, 3, vals)  # [[1,2,3],[4,5,6]]
     got = [dict(m.items()).get((0,), 0) for m in mat_minors(m, 2)]
@@ -294,7 +302,7 @@ def test_minor_order_is_row_then_column_lex():
 
 
 def test_resultant():
-    ring = ring_q(("t", "a", "b"))
+    ring = PolyRing(("t", "a", "b"))
     t, a, b = (MultiPoly.var(ring, i) for i in range(3))
     r = resultant(t - a, t - b, 0)
     assert r == a - b or r == b - a
@@ -308,7 +316,7 @@ def test_resultant():
 
 
 def test_resultant_elimination_divisible_by_curve():
-    ring = ring_q(("a", "b", "t"))
+    ring = PolyRing(("a", "b", "t"))
     a, b, t = (MultiPoly.var(ring, i) for i in range(3))
     f = -2 * b ** 2 * t ** 3 + 2 * a * b ** 2 * t - 2 * a ** 2
     g = -(a ** 2) * b * t ** 2 - a * b ** 2 * t + 2 * a ** 2
@@ -318,6 +326,15 @@ def test_resultant_elimination_divisible_by_curve():
     assert q is not None
     assert q * cprime == res
     assert not res.is_zero()
+
+
+def test_exact_divide_reads_its_field_off_the_coefficients():
+    q = exact_divide(3 * (X + 1), MultiPoly.const(RXY, 2))
+    assert q.items() == [((1, 0), Fraction(3, 2)), ((0, 0), Fraction(3, 2))]
+    assert all(type(c) is Fraction for c in q.terms.values())
+    for f, g in ((1.0 * X, X), (X, 1.0 * X), (X + 1j, X), (X * X, X + 0.5)):
+        with pytest.raises(RingMismatchError):
+            exact_divide(f, g)
 
 
 def test_exact_divide():
@@ -335,13 +352,32 @@ def test_exact_divide():
 
 
 def test_serialization_fixture():
-    ring = ring_q(("a", "b"))
+    ring = PolyRing(("a", "b"))
     a, b = MultiPoly.var(ring, 0), MultiPoly.var(ring, 1)
     cprime = -(a ** 3) * b ** 3 + a ** 5 + b ** 5 + 2 * a ** 2 * b ** 2 - 8 * a * b
     assert str(cprime) == "-1 * a^3 b^3 + 1 * a^5 + 1 * b^5 + 2 * a^2 b^2 + -8 * a^1 b^1"
     js = to_jsonable(cprime)
     assert js["vars"] == ["a", "b"]
     assert [t["exps"] for t in js["terms"]] == [[3, 3], [5, 0], [0, 5], [2, 2], [1, 1]]
+
+
+def test_int_coefficients_serialize_as_fractions():
+    ints = 3 * X ** 2 - Y + 7
+    fractions = MultiPoly(RXY, {e: Fraction(c) for e, c in ints.items()})
+    assert all(type(c) is int for c in ints.terms.values())
+    assert to_jsonable(ints)["field"] == "QQ"
+    assert json_text(to_jsonable(ints)) == json_text(to_jsonable(fractions))
+
+
+@pytest.mark.parametrize("c", [0.5, 2j, 1 + 0j], ids=["float", "complex", "complex-one"])
+def test_a_float_or_complex_coefficient_makes_the_field_cc(c):
+    assert to_jsonable(X + c * Y)["field"] == "CC"
+    assert to_jsonable(MultiPoly.const(RXY, c))["field"] == "CC"
+
+
+def test_the_zero_polynomial_is_over_qq():
+    assert to_jsonable(MultiPoly.zero(RXY)) == {"vars": ["x", "y"], "field": "QQ", "terms": []}
+    assert to_jsonable(X * 0.0)["field"] == "QQ"
 
 
 def test_monomials_of_degree():

@@ -1,7 +1,7 @@
 """The packed-monomial kernel of `poly` against `poly_reference`, the
 tuple-keyed kernel it replaced: the same terms, in the same dict order, with
-the same coefficient bits, over QQ and over CC; and the limits of the
-monomial encoding."""
+the same coefficient bits, for int, Fraction and complex coefficients; and
+the limits of the monomial encoding."""
 
 import itertools
 from fractions import Fraction
@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import ArityError
-from algtool.poly import (FIELD_QQ, MAX_DEGREE, MultiPoly, PolyMatrix, mat_det, mat_minors,
-                          ring_cc, ring_q)
+from algtool.poly import MAX_DEGREE, MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 
 import poly_reference as ref
 
@@ -31,36 +30,41 @@ def term_bits(items):
     return [(e, bits(c)) for e, c in items]
 
 
+KINDS = ("int", "fraction", "complex")
+
+
 @st.composite
-def rings(draw):
-    nvars = draw(st.integers(1, 3))
-    make = draw(st.sampled_from((ring_q, ring_cc)))
-    return make(NAMES[:nvars])
+def rings_and_kinds(draw):
+    """A ring of one to three variables, and a coefficient kind."""
+    return PolyRing(NAMES[:draw(st.integers(1, 3))]), draw(st.sampled_from(KINDS))
 
 
-def coefficients(ring):
-    """Small integers and halves, so that sums and products cancel exactly
-    (to 0j over CC), and over CC also arbitrary floats."""
+def coefficients(kind):
+    """Small integers, or small integers and halves, so that sums and
+    products cancel exactly (to 0j for complex ones), and for complex ones
+    also arbitrary floats."""
+    if kind == "int":
+        return st.integers(-3, 3)
     small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
-    if ring.field == FIELD_QQ:
+    if kind == "fraction":
         return small
     exact = st.builds(lambda a, b: complex(a, b), small, small)
     return st.one_of(exact, exact, st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)))
 
 
-def polys(ring, top: int = 2, size: int = 4):
+def polys(ring, kind, top: int = 2, size: int = 4):
     exps = st.tuples(*[st.integers(0, top)] * ring.nvars)
     return st.builds(lambda terms: MultiPoly(ring, terms),
-                     st.dictionaries(exps, coefficients(ring), max_size=size))
+                     st.dictionaries(exps, coefficients(kind), max_size=size))
 
 
 @st.composite
 def poly_pairs(draw):
-    ring = draw(rings())
-    f, g = draw(polys(ring)), draw(polys(ring))
+    ring, kind = draw(rings_and_kinds())
+    f, g = draw(polys(ring, kind)), draw(polys(ring, kind))
     if draw(st.booleans()):
         # a shared part of opposite sign, so that f + g and f * g cancel
-        h = draw(polys(ring))
+        h = draw(polys(ring, kind))
         f, g = f + h, g - h
     return ring, f, g
 
@@ -95,9 +99,9 @@ def test_arithmetic_matches_the_tuple_kernel(case, n, var):
 
 @st.composite
 def matrices(draw):
-    ring = draw(rings())
+    ring, kind = draw(rings_and_kinds())
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entry = st.one_of(polys(ring, 1, 2), st.just(MultiPoly.zero(ring)))
+    entry = st.one_of(polys(ring, kind, 1, 2), st.just(MultiPoly.zero(ring)))
     return PolyMatrix(rows, cols, [draw(entry) for _ in range(rows * cols)])
 
 
@@ -120,11 +124,12 @@ def test_minors_match_the_tuple_laplace_expansion(m):
         assert term_bits(mat_det(m).items()) == term_bits(det.items())
 
 
-def points(ring, draw):
+def points(ring, coefficient_kind, draw):
     """A point of int, Fraction, float, complex or Cyclotomic coordinates;
-    Cyclotomic only over QQ, whose coefficients multiply Q(w) values."""
+    Cyclotomic only for int and Fraction coefficients, which multiply Q(w)
+    values."""
     kinds = ["int", "fraction", "float", "complex"]
-    kinds += ["cyclotomic"] if ring.field == FIELD_QQ else []
+    kinds += ["cyclotomic"] if coefficient_kind != "complex" else []
     kind = draw(st.sampled_from(kinds))
     small = st.integers(-3, 3)
     if kind == "int":
@@ -144,17 +149,17 @@ def points(ring, draw):
 @SETTINGS
 @given(data=st.data())
 def test_evaluation_matches_the_tuple_kernel(data):
-    ring = data.draw(rings())
-    f = data.draw(polys(ring, 3, 5))
+    ring, kind = data.draw(rings_and_kinds())
+    f = data.draw(polys(ring, kind, 3, 5))
     m = PolyMatrix(1, 2, [f, f * f])
     for _ in range(3):  # the kept plans serve each kind of point
-        point = points(ring, data.draw)
+        point = points(ring, kind, data.draw)
         expected = [ref.evaluate(terms(f), point), ref.evaluate(terms(f * f), point)]
         assert bits(f.eval(point)) == bits(expected[0])
         assert [bits(v) for v in m.eval(point)[0]] == [bits(v) for v in expected]
 
 
-RXY = ring_q(("x", "y"))
+RXY = PolyRing(("x", "y"))
 X, Y = MultiPoly.var(RXY, 0), MultiPoly.var(RXY, 1)
 
 
@@ -186,10 +191,10 @@ def test_degree_limit():
     assert (MultiPoly.const(RXY, 2) ** 70000).total_degree() == 0
 
 
-@pytest.mark.parametrize("ring", [RXY, ring_cc(("x", "y"))], ids=["QQ", "CC"])
-def test_constants_hash_as_their_coefficient(ring):
+@pytest.mark.parametrize("kind", [Fraction, complex], ids=["QQ", "CC"])
+def test_constants_hash_as_their_coefficient(kind):
     for c in (3, Fraction(-5, 2), 0):
-        p = MultiPoly.const(ring, c)
+        p = MultiPoly.const(RXY, kind(c))
         assert p == c and hash(p) == hash(c)
         assert len({p, c}) == 1
-    assert hash(MultiPoly.var(ring, 0) + 1) == hash(MultiPoly.var(ring, 0) + 1)
+    assert hash(X * kind(1) + kind(1)) == hash(X * kind(1) + kind(1))

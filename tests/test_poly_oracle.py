@@ -9,11 +9,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from algtool.poly import (MultiPoly, PolyMatrix, exact_divide, mat_det, mat_minors,
-                          resultant, ring_q)
+from algtool.poly import (MultiPoly, PolyMatrix, PolyRing, exact_divide, mat_det, mat_minors,
+                          resultant)
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
-RING = ring_q(("x", "y", "z"))
+RING = PolyRing(("x", "y", "z"))
 SYMBOLS = sympy.symbols("x y z")
 QQXYZ = sympy.QQ[SYMBOLS]
 coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

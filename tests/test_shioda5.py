@@ -14,7 +14,7 @@ from algtool.shioda5 import (_minor_jacobians, _rank_below_3, _within, base_orbi
                              ca_orbit_check, ca_relations, cusp_cycles,
                              cycle_fiber_equivalence, s15_matrix, s15_minors,
                              singular_points_check, thirty_points,
-                             two_torsion_check)
+                             two_torsion_check, x_vars)
 from heisenberg_reference import normalize_projective
 
 
@@ -76,7 +76,7 @@ def test_ca_orbit_degenerate_fiber():
 
 
 def test_orbit_equivariance():
-    rels = ca_relations(1)
+    rels = ca_relations(x_vars(), 1)
     minors = s15_minors()
     rep = SimpleRep(5, 1)
     pt = base_orbit(1)[7]

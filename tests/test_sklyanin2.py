@@ -14,9 +14,10 @@ from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, InputError, PoleError
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
-from algtool.minortables import CoefficientTable, _generic_form, ct_quadrics, minor_tables
-from algtool.poly import MultiPoly, PolyMatrix, mat_det, mat_minors, ring_q
+from algtool.minortables import CoefficientTable, _generic_form, minor_tables
+from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 from algtool.selftest import criterion_9_determinism
+from algtool.shioda5 import ca_relations
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
                                cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t, first_distinct,
@@ -57,7 +58,7 @@ def test_cprime_values():
 
 
 def test_cprime_monomial_support_fixture():
-    ring = ring_q(("a", "b"))
+    ring = PolyRing(("a", "b"))
     poly = cprime_residual(MultiPoly.var(ring, 0), MultiPoly.var(ring, 1))
     assert dict(poly.items()) == {
         (3, 3): Fraction(-1), (5, 0): Fraction(1), (0, 5): Fraction(1),
@@ -323,7 +324,9 @@ def test_determinant_tables_are_the_tables_of_mat_det():
     """det Q, taken from the minors' memo, and the Jacobian determinant of
     the q_i are the tables of `mat_det` of Q(a, b) and of the Jacobian."""
     tables = minor_tables()
-    quadrics = ct_quadrics(("u0", "u1", "u2", "u3", "u4"))
+    ring = PolyRing(("u0", "u1", "u2", "u3", "u4", "t"))
+    u = [MultiPoly.var(ring, i) for i in range(6)]
+    quadrics = ca_relations(u[:5], u[5])
     expected = (mat_det(_generic_form()),
                 mat_det(PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)])))
     for table, det in zip((tables.det_q, tables.jacobian), expected):
