@@ -47,7 +47,7 @@ def test_equal_but_distinct_rings_mix():
     assert (X - y) * (x + Y) == X ** 2 - Y ** 2
 
 
-def test_cyclotomic_coefficients_and_scalars_are_refused():
+def test_cyclotomic_and_other_coefficient_kinds_are_refused():
     w = Cyclotomic.zeta(5)
     for build in (lambda: MultiPoly(RXY, {(1, 0): w}), lambda: MultiPoly.const(RXY, w),
                   lambda: MultiPoly.monomial(RXY, (1, 0), w), lambda: MultiPoly(RXY, {(0, 0): "a"}),
