@@ -393,7 +393,8 @@ COMMANDS = {
         "curve": ("--grid",), "t": ("--a", "--b"), "eliminate": (),
         "minors": ("--a", "--b", "--tol-rank", "--tol-span"),
         "ideal": ("--a", "--b", "--tol-span"), "secant": ("--a", "--b", "--tol-span"),
-        "onedim": (("--p", {"default": 5}), ("--params", {"default": "1,2,2"})),
+        "onedim": (("--p", {"default": 5, "help": "the prime of cliffordC"}),
+                   ("--params", {"default": "1,2,2"})),
         "stratify": ("--a", "--b", "--seed", "--tol-rank", "--samples")}),
     "shioda5": (cmd_shioda5, {
         "minors": (), "orbit": ("--a",), "two-torsion": ("--seed", ("--samples", {"default": 20})),

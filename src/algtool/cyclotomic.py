@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import ModulusError
 
@@ -321,6 +321,20 @@ class Cyclotomic:
         if not (cmath.isfinite(acc)):
             raise ArithmeticError("non-finite embedding value")
         return acc
+
+    def lift(self) -> List[Tuple[int, Scalar]]:
+        """The value as its fewest (k, c) terms of sum c x^k in
+        Q[x]/(x^p - 1), c an int over denominator 1, else a Fraction: the
+        power-basis coordinates and a 0 at x^(p-1), less their most common
+        one, so r w^k is the one term (k, r) for every k.  x -> w has kernel
+        1 + x + ... + x^(p-1), so a sum of lifted terms, in p buckets by k
+        mod p, is 0 in Q(w) exactly when its buckets are equal."""
+        coords = (*self.num, 0)
+        mode = max(coords, key=coords.count)
+        den = self.den
+        if den == 1:
+            return [(k, c - mode) for k, c in enumerate(coords) if c != mode]
+        return [(k, Fraction(c - mode, den)) for k, c in enumerate(coords) if c != mode]
 
     def __repr__(self):
         return f"Cyclotomic({self.p}, {[str(c) for c in self.coeffs]})"

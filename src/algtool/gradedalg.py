@@ -721,7 +721,7 @@ def curve_fiber(A, B) -> Presentation:
 OVER_P = ("polynomial", "cycle", "cliffordC")
 
 
-def _check_relation_count(kind: str, p: int, cap: Optional[int]) -> None:
+def check_relation_count(kind: str, p: int, cap: Optional[int] = None) -> None:
     """Refuse a family over p with more relations than the cell cap
     (`_cell_cap`) before any is built: p(p - 2) of cycle, p(p - 1)/2 of
     polynomial and cliffordC.  The degree-2 step would have as many rows
@@ -756,7 +756,7 @@ def make_presentation(kind: str, *args, cap: Optional[int] = None) -> Presentati
     if kind in ("polynomial", "cycle") and len(args) != 1:
         raise InputError(f"{kind} takes p and no parameters, got {len(args)} arguments")
     if kind in OVER_P and args:
-        _check_relation_count(kind, args[0], cap)
+        check_relation_count(kind, args[0], cap)
 
     if kind == "polynomial":
         (p,) = args

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,32 +38,23 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _lift(value: Cyclotomic) -> List[Tuple[int, int]]:
-    """An algebraic integer of Q(w) as (k, c) terms of sum c w^k, lifted to
-    Z[x]/(x^p - 1): the power-basis numerators with a 0 at w^(p-1), less their
-    most common coordinate, so that w^k is the one term (k, 1).  A value with
-    a denominator other than 1 is not an algebraic integer, and raises."""
-    if value.den != 1:
-        raise ValueError(f"{value} is not an algebraic integer: its denominator "
-                         f"is {value.den}")
-    coords = (*value.num, 0)
-    mode = max(coords, key=coords.count)
-    return [(k, c - mode) for k, c in enumerate(coords) if c != mode]
-
-
 def orthogonal_rows(rows: Sequence[Sequence[Cyclotomic]], sizes: Sequence[int],
                     order: int) -> bool:
     """Whether sum_g |g| chi_i(g) conj(chi_j(g)) over the classes is `order`
     for i == j and 0 otherwise, for every pair of rows of a character table
     over Z[w], decided exactly in integers.
 
-    Each value is lifted once (`_lift`); conjugation maps w^k to w^-k, so a
-    pair's class sum collects into p integer buckets b_0..b_{p-1} of the
-    powers of w.  1 + w + ... + w^(p-1) = 0 is the only relation among those
-    powers, so the sum equals N exactly when b_0 - N equals every other
-    bucket."""
+    Each value is lifted once (`Cyclotomic.lift`), and a value with a
+    denominator other than 1 is not an algebraic integer, so it raises;
+    conjugation maps w^k to w^-k, so a pair's class sum collects into p
+    integer buckets b_0..b_{p-1} of the powers of w, and it equals N exactly
+    when b_0 - N equals every other bucket."""
     p = rows[0][0].p
-    lifted = [[_lift(v) for v in row] for row in rows]
+    fraction = next((v for row in rows for v in row if v.den != 1), None)
+    if fraction is not None:
+        raise ValueError(f"{fraction} is not an algebraic integer: its denominator "
+                         f"is {fraction.den}")
+    lifted = [[v.lift() for v in row] for row in rows]
     for i, row in enumerate(lifted):
         weighted = [[(k, c * size) for k, c in terms] for terms, size in zip(row, sizes)]
         for j in range(i, len(lifted)):

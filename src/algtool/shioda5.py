@@ -12,17 +12,20 @@ the 15 quadratic entries at the point once and decides from the evaluated
 3x5 matrix.  The ten sextic minors themselves are built only for output
 (`algtool shioda5 minors`) and for the count in criterion 8.
 
-Membership on Heisenberg orbits and fixed points is exact over Q(w_5) (a
-`RowSpace` rank of the evaluated rows).  Floats only enter through the
-Jacobian ranks (Jacobi's formula on the 3x5 matrix and its entrywise
-partials) and the 2-torsion sextic's roots (the ten minors as one batched
-determinant).
+Membership on Heisenberg orbits and fixed points is exact over Q(w_5):
+every coordinate there is 0 or r w^k, one term of Q[x]/(x^5 - 1)
+(`Cyclotomic.lift`), so each entry is one term too, and each of the ten
+minors is six triple products of them summed in five phase buckets, which
+vanish exactly when they are equal.  Floats only enter through the Jacobian
+ranks (Jacobi's formula on the 3x5 matrix and its entrywise partials) and
+the 2-torsion sextic's roots (the ten minors as one batched determinant).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +36,7 @@ from .errors import InputError, SamplingError
 from .gradedalg import Presentation, curve_fiber, hilbert, in_ideal, make_presentation
 from .heisenberg import (SimpleRep, heisenberg_orbit_points,
                          projective_fixed_points, subgroup_generators)
-from .linalg import RowSpace, minors_float, rank_float
+from .linalg import minors_float, rank_float
 from .poly import MultiPoly, PolyMatrix, PolyRing, mat_minors
 
 X_VARS = ("x0", "x1", "x2", "x3", "x4")
@@ -60,13 +63,40 @@ def s15_minors() -> List[MultiPoly]:
     return mat_minors(s15_matrix(), 3)
 
 
-def _rank_below_3(values) -> bool:
-    """Exact: an evaluated 3x5 S15 matrix has rank <= 2, which holds exactly
-    when all ten minors vanish at the point."""
-    space = RowSpace()
-    for row in values:
-        space.insert(dict(enumerate(row)))
-    return space.rank < 3
+def _entry_monomials(matrix: PolyMatrix) -> List[Tuple[object, int, int]]:
+    """Each entry c x_i x_j of the S15 matrix, row by row, as (c, i, j)."""
+    out = []
+    for entry in matrix.entries:
+        ((exps, c),) = entry.items()
+        i, j = [k for k, e in enumerate(exps) for _ in range(e)]
+        out.append((c, i, j))
+    return out
+
+
+# (sign, column order) of the six terms of a 3x3 determinant
+_LEIBNIZ = ((1, (0, 1, 2)), (1, (1, 2, 0)), (1, (2, 0, 1)),
+            (-1, (0, 2, 1)), (-1, (2, 1, 0)), (-1, (1, 0, 2)))
+
+
+def _on_s15(monomials, point: Sequence[Cyclotomic]) -> bool:
+    """Exact over Q(w_5): all ten 3x3 minors of the S15 matrix, whose entries
+    are `_entry_monomials`, vanish at the point.  An entry is the product of
+    two lifted coordinates (`Cyclotomic.lift`), and a minor its six triple
+    products of entries in 5 buckets by k mod 5, zero when they are equal."""
+    lifted = [v.lift() for v in point]
+    entries = [[((k + m) % 5, c * d * e) for k, d in lifted[i] for m, e in lifted[j]]
+               for c, i, j in monomials]
+    top, mid, low = entries[:5], entries[5:10], entries[10:]
+    for cols in combinations(range(5), 3):
+        buckets = [0] * 5
+        for sign, (i, j, k) in _LEIBNIZ:
+            for k0, c0 in top[cols[i]]:
+                for k1, c1 in mid[cols[j]]:
+                    for k2, c2 in low[cols[k]]:
+                        buckets[(k0 + k1 + k2) % 5] += sign * c0 * c1 * c2
+        if buckets.count(buckets[0]) != 5:
+            return False
+    return True
 
 
 def _minor_jacobians(partials: List[PolyMatrix], points) -> np.ndarray:
@@ -122,10 +152,10 @@ def ca_orbit_check(a) -> OrbitReport:
     """Exact check that the whole orbit of O_a satisfies the C_a relations
     and lies on S15."""
     rels = ca_relations(x_vars(), Fraction(a))
-    matrix = s15_matrix()
+    monomials = _entry_monomials(s15_matrix())
     orbit = base_orbit(a)
     rel_ok = all(r.eval(list(pt)).is_zero() for pt in orbit for r in rels)
-    min_ok = all(_rank_below_3(matrix.eval(list(pt))) for pt in orbit)
+    min_ok = all(_on_s15(monomials, pt) for pt in orbit)
     return OrbitReport(Fraction(a), len(orbit), rel_ok, min_ok)
 
 
@@ -228,7 +258,8 @@ def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
     matrix = s15_matrix()
     partials = [PolyMatrix(3, 5, [e.partial(j) for e in matrix.entries]) for j in range(5)]
     points = thirty_points()
-    on_surface = all(_rank_below_3(matrix.eval(list(pt))) for pt in points)
+    monomials = _entry_monomials(matrix)
+    on_surface = all(_on_s15(monomials, pt) for pt in points)
 
     embedded = np.array([[c.embed(1) for c in pt] for pt in points + base_orbit(1)[:10]])
     normalized = embedded / np.abs(embedded).max(axis=1, keepdims=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,8 +32,9 @@ import numpy as np
 from .clifford import (clifford_form, fat_profile, random_points,
                        sample_rank_drop_points, simple_profile)
 from .cyclotomic import Cyclotomic
-from .errors import IndeterminateError, InputError, PoleError, SamplingError
-from .gradedalg import make_presentation
+from .errors import (IndeterminateError, InputError, PoleError, ResourceLimitError,
+                     SamplingError)
+from .gradedalg import check_relation_count, make_presentation
 from .linalg import minors_float, rank_float
 from .poly import MultiPoly, PolyRing, exact_divide, resultant
 from .shioda5 import base_orbit
@@ -372,10 +373,35 @@ def secant_check(point) -> SecantReport:
 # -- 1-dimensional representations ----------------------------------------------------
 
 
+#: The most relation checks of `onedim_reps`: p = 101 (510,050) is the
+#: largest p admitted, 1.7 s and 273 MB for `algtool sklyanin2 onedim` with
+#: JSON output on a 2-CPU Intel Xeon VM with Python 3.11.7.
+MAX_ONEDIM_CHECKS = 520_000
+
+
+def check_onedim_bound(p: int) -> None:
+    """The cost of `onedim_reps` over p, stated before any work: p candidates
+    checked against p(p-1)/2 relations, and up to p^2 coordinates in the
+    reps; above MAX_ONEDIM_CHECKS checks it is a resource error."""
+    checks = p * (p * (p - 1) // 2)
+    if checks > MAX_ONEDIM_CHECKS:
+        raise ResourceLimitError(f"onedim over p={p} makes {checks} relation checks and "
+                                 f"prints up to {p * p} coordinates, cap is "
+                                 f"{MAX_ONEDIM_CHECKS} checks")
+
+
 def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
     """All scalar representations with y_0 = 1 of cliffordC(p; a_0, ...,
     a_{(p-1)/2}), over Q(w_p); every returned tuple satisfies every defining
-    relation exactly.  The catalog checks p and the parameter count."""
+    relation exactly.  The catalog's relation count and `check_onedim_bound`
+    refuse a large p before any work.
+
+    With c = a_{i0} / (2 a_0) for the first a_{i0} != 0, candidate j has
+    y_{k i0} = c^C(k,2) s^k, s = c^(-(p-1)/2) w^j: one term (jk, r) of
+    Q[x]/(x^p - 1) (`Cyclotomic.lift`), so each relation is checked in p
+    phase buckets, and Cyclotomic values are made only for the reps."""
+    check_relation_count("cliffordC", p)
+    check_onedim_bound(p)
     pres = make_presentation("cliffordC", p, *avec)
     avec = pres.params[1:]
     half = (p - 1) // 2
@@ -386,24 +412,30 @@ def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
         return []
     c = Cyclotomic.from_rational(p, Fraction(avec[i0], 2 * avec[0]))
     s_base = (c.inverse()) ** half  # c^(-(p-1)/2)
-    found = []
-    for j in range(p):
-        s = s_base * Cyclotomic.zeta(p, j)
-        y: List[Optional[Cyclotomic]] = [None] * p
-        for k in range(p):
-            y[(k * i0) % p] = (c ** comb(k, 2)) * (s ** k)
-        assert all(v is not None for v in y)
-        ok = True
-        for rel in pres.relations:
-            acc = Cyclotomic(p)
-            for (w0, w1), coeff in rel:
-                acc = acc + coeff * y[w0] * y[w1]
-            if not acc.is_zero():
-                ok = False
-                break
-        if ok:
-            found.append(tuple(y))
-    return found
+    rc, rs = c.rational_value(), s_base.rational_value()
+    # coordinate y_{k i0} is value[k i0] w^(jk): its phase is j * power[k i0]
+    power, value = [0] * p, [0] * p
+    for k in range(p):
+        power[k * i0 % p] = k
+        value[k * i0 % p] = rc ** comb(k, 2) * rs ** k
+    # each relation as its terms (k, e, r), r w^(k + j e) for candidate j
+    # (a coefficient in Q(w) by its lift), r scaled to ints
+    terms = []
+    for rel in pres.relations:
+        rel = [(k, power[w0] + power[w1], r * value[w0] * value[w1])
+               for (w0, w1), coeff in rel
+               for k, r in (coeff.lift() if isinstance(coeff, Cyclotomic) else ((0, coeff),))]
+        den = lcm(*(r.denominator for _k, _e, r in rel))
+        terms.append([(k, e, r.numerator * (den // r.denominator)) for k, e, r in rel])
+
+    def vanishes(rel, j: int) -> bool:
+        buckets = [0] * p
+        for k, e, r in rel:
+            buckets[(k + j * e) % p] += r
+        return buckets.count(buckets[0]) == p
+
+    return [tuple(Cyclotomic.zeta(p, j * power[m]) * value[m] for m in range(p))
+            for j in range(p) if all(vanishes(rel, j) for rel in terms)]
 
 
 # -- informational curve geometry ------------------------------------------------------

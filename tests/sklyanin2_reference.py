@@ -5,19 +5,24 @@ quadrics q_i as `MultiPoly`s over C at the point, written against the
 monomial basis of its degree, where `_degree_pieces` reads them off
 `minortables.minor_tables`; `secant_check` expands both 5x5 determinants at
 the point; `curve_points_on_grid` evaluates both ends of each bisection
-step afresh."""
+step afresh; `onedim_reps` builds every candidate in Q(w) and checks each
+relation by Q(w) products, where `sklyanin2.onedim_reps` sums rational
+terms in phase buckets."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import comb
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from algtool.clifford import clifford_form
+from algtool.cyclotomic import Cyclotomic
+from algtool.gradedalg import make_presentation
 from algtool.poly import (MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors, minor_routine,
                           monomials_of_degree)
-from algtool.errors import PoleError
+from algtool.errors import InputError, PoleError
 from algtool.sklyanin2 import CurvePoint, SecantReport, cprime_residual, t_param
 
 
@@ -125,3 +130,35 @@ def curve_points_on_grid(grid: Sequence[Fraction]) -> List[CurvePoint]:
             points.append(CurvePoint(a, root, cprime_residual(a, root)))
             break
     return points
+
+
+def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
+    """`sklyanin2.onedim_reps` with each candidate's coordinates built as
+    c^C(k,2) s^k in Q(w) and each relation summed in Q(w)."""
+    pres = make_presentation("cliffordC", p, *avec)
+    avec = pres.params[1:]
+    half = (p - 1) // 2
+    i0 = next((i for i in range(1, half + 1) if avec[i]), None)
+    if i0 is None:
+        raise InputError("need some a_i != 0 with i >= 1")
+    if avec[0] == 0:
+        return []
+    c = Cyclotomic.from_rational(p, Fraction(avec[i0], 2 * avec[0]))
+    s_base = (c.inverse()) ** half  # c^(-(p-1)/2)
+    found = []
+    for j in range(p):
+        s = s_base * Cyclotomic.zeta(p, j)
+        y: List[Optional[Cyclotomic]] = [None] * p
+        for k in range(p):
+            y[(k * i0) % p] = (c ** comb(k, 2)) * (s ** k)
+        ok = True
+        for rel in pres.relations:
+            acc = Cyclotomic(p)
+            for (w0, w1), coeff in rel:
+                acc = acc + coeff * y[w0] * y[w1]
+            if not acc.is_zero():
+                ok = False
+                break
+        if ok:
+            found.append(tuple(y))
+    return found

@@ -357,6 +357,23 @@ def test_oversized_catalog_family_is_refused_before_it_is_built(capsys, monkeypa
     assert code == 0 and json.loads(out)["hilbert"] == [1, 59]
 
 
+def test_onedim_over_its_check_bound_is_refused_before_work(capsys, monkeypatch):
+    # the catalog admits cliffordC(2819), 3,971,971 relations; its reps would
+    # take days
+    def unbuilt(*args):
+        raise AssertionError("a relation was built")
+
+    monkeypatch.setattr(gradedalg, "_e1_orbits", unbuilt)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "sklyanin2", "onedim", "--p", "2819", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "resource", "message": "onedim over p=2819 makes 11196986249 relation checks "
+                                       "and prints up to 7946761 coordinates, cap is 520000 "
+                                       "checks"}
+
+
 @pytest.mark.parametrize("argv", [
     ("clifford-strata", "--t", "1"),
     ("sklyanin2", "stratify", "--a", "1.0", "--b", "0.12888995128730368"),
@@ -786,6 +803,8 @@ def test_help_lists_the_table(capsys):
         text = help_text(words)
         for flag in flags.values():
             assert flag.name in text and flag.help in text, (words, flag.name)
+        lines = text.splitlines()
+        assert all(line.count("(default") < 2 for line in lines), (words, lines)
 
 
 @pytest.mark.parametrize("argv", [

@@ -318,3 +318,28 @@ def test_embed_is_the_fraction_horner_sum_bit_for_bit():
             assert (got.real, got.imag) == (acc.real, acc.imag)
             assert (math.copysign(1, got.imag), math.copysign(1, got.real)) == \
                 (math.copysign(1, acc.imag), math.copysign(1, acc.real))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None)
+@given(p=primes, raw=st.lists(st.one_of(st.integers(-3, 3), fractions), max_size=8))
+def test_lift_is_the_fewest_terms_of_the_value(p, raw):
+    """The lift maps back onto the value, has the fewest nonzero terms of any
+    preimage in Q[x]/(x^p - 1) (the preimages differ by multiples of
+    1 + x + ... + x^(p-1)), and keeps ints over denominator 1."""
+    a = Cyclotomic(p, raw)
+    terms = a.lift()
+    coords = [0] * p
+    for k, c in terms:
+        coords[k] = c
+    assert Cyclotomic(p, coords) == a
+    assert len(terms) == min(sum(c != t for c in coords) for t in coords)
+    assert all(type(c) is (int if a.den == 1 else Fraction) for _k, c in terms)
+
+
+def test_lift_of_a_single_term_is_one_term():
+    for p in (3, 5, 7):
+        assert Cyclotomic(p).lift() == []
+        for k in range(p):
+            for r in (1, -2, Fraction(3, 4)):
+                assert (Cyclotomic.zeta(p, k) * r).lift() == [(k, r)]

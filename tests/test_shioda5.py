@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,13 @@ from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                                 projective_fixed_points, subgroup_generators)
 from algtool.linalg import minors_float, rank_float
 from algtool.poly import PolyMatrix
-from algtool.shioda5 import (_minor_jacobians, _rank_below_3, _within, base_orbit,
-                             ca_orbit_check, ca_relations, cusp_cycles,
+from algtool.shioda5 import (_entry_monomials, _minor_jacobians, _on_s15, _within,
+                             base_orbit, ca_orbit_check, ca_relations, cusp_cycles,
                              cycle_fiber_equivalence, s15_matrix, s15_minors,
                              singular_points_check, thirty_points,
                              two_torsion_check, x_vars)
 from heisenberg_reference import normalize_projective
+from shioda5_reference import rank_below_3
 
 
 def test_s15_matrix_layout():
@@ -120,7 +124,7 @@ def test_singular_points():
 
 
 def test_exact_rank_test_agrees_with_symbolic_minors():
-    matrix = s15_matrix()
+    monomials = _entry_monomials(s15_matrix())
     minors = s15_minors()
     one = Cyclotomic.from_rational(5, 1)
     on = base_orbit(2) + thirty_points()
@@ -128,7 +132,40 @@ def test_exact_rank_test_agrees_with_symbolic_minors():
     off.append(tuple(Cyclotomic.from_rational(5, v) for v in (1, 1, 1, 1, 2)))
     for pt, expected in [(pt, True) for pt in on] + [(pt, False) for pt in off]:
         assert all(m.eval(list(pt)).is_zero() for m in minors) == expected
-        assert _rank_below_3(matrix.eval(list(pt))) == expected
+        assert rank_below_3(pt) == expected
+        assert _on_s15(monomials, pt) == expected
+
+
+def _single_term_moves(points):
+    """Each point with one nonzero coordinate times w, and with one times 2:
+    every coordinate stays 0 or r w^k."""
+    w = Cyclotomic.zeta(5, 1)
+    for pt in points:
+        for i in (i for i, v in enumerate(pt) if v):
+            for factor in (w, 2):
+                yield pt[:i] + (pt[i] * factor,) + pt[i + 1:]
+
+
+def test_bucket_minors_agree_with_the_rank_oracle():
+    monomials = _entry_monomials(s15_matrix())
+    on = [pt for a in (2, Fraction(3, 2), 0, Fraction(-7, 3)) for pt in base_orbit(a)]
+    on += thirty_points()
+    assert all(_on_s15(monomials, pt) and rank_below_3(pt) for pt in on)
+    one = Cyclotomic.from_rational(5, 1)
+    # not single terms: 1 + r w^k in the first coordinate
+    mixed = [(pt[0] + one,) + pt[1:] for pt in base_orbit(2) + thirty_points()]
+    moved = list(_single_term_moves(base_orbit(Fraction(3, 2))[:5] + thirty_points()))
+    verdicts = [rank_below_3(pt) for pt in mixed + moved]
+    assert [_on_s15(monomials, pt) for pt in mixed + moved] == verdicts
+    assert verdicts.count(False) > len(verdicts) // 2
+
+
+def test_shioda5_imports_no_row_space():
+    """S15 membership is decided in phase buckets, with no exact elimination."""
+    path = Path(__file__).resolve().parent.parent / "src" / "algtool" / "shioda5.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "RowSpace" not in imported
 
 
 def test_jacobi_formula_jacobian_matches_symbolic_partials():

@@ -11,14 +11,14 @@ import pytest
 from algtool import minortables, sklyanin2
 from algtool.clifford import clifford_form, random_points, sample_rank_drop_points
 from algtool.cyclotomic import Cyclotomic
-from algtool.errors import IndeterminateError, InputError, PoleError
+from algtool.errors import IndeterminateError, InputError, PoleError, ResourceLimitError
 from algtool.gradedalg import hilbert, make_presentation
 from algtool.linalg import rank_float
 from algtool.minortables import CoefficientTable, _generic_form, minor_tables
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 from algtool.selftest import criterion_9_determinism
 from algtool.shioda5 import ca_relations
-from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span,
+from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, check_onedim_bound,
                                cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t, first_distinct,
                                minor_ideal_checks, onedim_reps, orbit_points,
@@ -468,6 +468,23 @@ def test_onedim_reps_111_empty():
 
 def test_onedim_reps_p3():
     assert len(onedim_reps(3, (1, 2))) == 3
+
+
+@pytest.mark.parametrize("p, avec", [
+    *[(p, (1,) + (2,) * ((p - 1) // 2)) for p in (3, 5, 7, 11, 13)],
+    (5, (1, Fraction(1, 2), 3)), (5, (Fraction(1, 2), 1, 1)), (7, (1, 0, 2, 0)),
+    (5, (0, 1, 2)), (5, (1, 1, 1)),
+    (5, (1, 2, Cyclotomic.zeta(5, 1))), (5, (1, 2, Cyclotomic.from_rational(5, 2))),
+], ids=["p3", "p5", "p7", "p11", "p13", "fractions", "half-a0", "i0-2", "a0-zero",
+        "empty", "qw-param", "qw-rational-param"])
+def test_onedim_reps_match_the_qw_loop(p, avec):
+    assert onedim_reps(p, avec) == sklyanin2_reference.onedim_reps(p, avec)
+
+
+def test_onedim_bound_admits_101_and_refuses_103():
+    check_onedim_bound(101)
+    with pytest.raises(ResourceLimitError, match="p=103 makes 541059 relation checks"):
+        check_onedim_bound(103)
 
 
 def test_onedim_reps_errors():
