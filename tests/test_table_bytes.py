@@ -2,7 +2,9 @@
 `charseries --table` prints, and of a library table serialized the way the
 CLI serializes it.  The hashes were taken before the tables were computed
 from weight buckets, so any change of a coefficient, of its canonical form or
-of the serialization shows here."""
+of the serialization shows here.  The same holds for the text and JSON that
+`sklyanin2 onedim` prints, pinned while every candidate tuple was still
+checked on its own."""
 
 import hashlib
 import json
@@ -54,3 +56,32 @@ def test_library_table_bytes_over_qw():
     data = to_jsonable(character_table(pres, SimpleRep(5, 1), 5).to_json())
     assert (sha256(json.dumps(data, sort_keys=True, indent=2))
             == "05b08cb284a382c82c1a1fedb3dd9696f626790aca2b225e17aa27973528af0e")
+
+
+# (p, --params): sha256 of the text stdout, then of the JSON stdout
+ONEDIM = {
+    "p5-122": ((5, "1,2,2"),
+               "77e5c92b8e62c1387bb29a00d3f0c0cd1c55e9a447e1c8cdbcfa5ee580e24829",
+               "8b90dac1ff6b13232dd48d44e42ea21479630f3244da71182cd7a9db1db328f8"),
+    "p3-12": ((3, "1,2"),
+              "cb95fd882465cf4065d9b542494f4de3ce8a2b767478c3cca31fafa50dc50906",
+              "29bfc93c93d5f82c2b7b27f59f4e7b523e13484b5b990854fc8e118bf4f9228b"),
+    "p13-122": ((13, "1,2,2,2,2,2,2"),
+                "53270a0b2a4994229a20cdb57ebabaf46ec709ae084cec8c9040f8d2cb6c8cb3",
+                "3386d7ad6db5baae4870c91e106a42456ee449ddc575619086e1e5a132a5bfa3"),
+    "p5-empty": ((5, "1,1,1"),
+                 "874121ce493a123933420328e7625172dc94f5857c15a04803982ce482ac5111",
+                 "11456746c82ee6bba82202046a1c7907ab6e600e55131bd7ebc50ee8038389ca"),
+    "p11-fractions": ((11, "1,1/2,3,0,2,5"),
+                      "874121ce493a123933420328e7625172dc94f5857c15a04803982ce482ac5111",
+                      "11456746c82ee6bba82202046a1c7907ab6e600e55131bd7ebc50ee8038389ca"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ONEDIM)
+def test_onedim_stdout_bytes(capsys, name, fmt):
+    (p, params), text_digest, json_digest = ONEDIM[name]
+    code = main(["sklyanin2", "onedim", "--p", str(p), "--params", params, "--format", fmt])
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == (text_digest if fmt == "text" else json_digest)
