@@ -23,10 +23,10 @@ from typing import Optional
 from . import clifford, koszul, selftest, shioda5, sklyanin2
 from .cyclotomic import Cyclotomic
 from .errors import AlgtoolError, InputError, ResourceLimitError
-from .gradedalg import (OVER_P, character_coeffs, character_table, hilbert,
-                        make_presentation)
+from .gradedalg import (DEFAULT_MAX_CELLS, OVER_P, character_coeffs, character_table,
+                        hilbert, make_presentation)
 from .heisenberg import SimpleRep, parse_element
-from .linalg import rank_float
+from .linalg import RANK_TOL, rank_float
 from .poly import MultiPoly
 
 
@@ -359,15 +359,15 @@ FLAGS = {
     "--p": {"type": int, "help": f"the prime of {', '.join(OVER_P)} (default 5)"},
     "--params": {"help": "comma-separated exact parameters, e.g. 1,1,-1"},
     "--max-cells": {"type": int, "help": "cap on the cells of one degree step of the "
-                                         "graded engine (default 4e6)"},
+                                         f"graded engine (default {DEFAULT_MAX_CELLS})"},
     "--max-degree": {"type": int, "required": True},
     "--class": {"dest": "cls", "default": "1"},
     "--rep": {"type": int, "default": 1},
     "--table": {"store_true": True, "help": "all conjugacy classes"},
     "--seed": {"type": non_negative_int, "default": 0},
-    "--tol-rank": {"type": positive_finite, "default": 1e-8,
+    "--tol-rank": {"type": positive_finite, "default": RANK_TOL,
                    "help": "relative singular-value cutoff of the float ranks"},
-    "--tol-span": {"type": positive_finite, "default": 1e-7,
+    "--tol-span": {"type": positive_finite, "default": sklyanin2.SPAN_TOL,
                    "help": "relative cutoff of the span ranks (ideal) and bound on the "
                            "minor and secant residuals (minors, secant)"},
     "--t": {"default": "1", "help": "the form of cliffordC(3; 1, t)"},

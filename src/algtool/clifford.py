@@ -29,6 +29,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConditioningError, InputError, ResourceLimitError, SamplingError
+from .linalg import RANK_TOL
 from .poly import MultiPoly, PolyMatrix, PolyRing
 
 
@@ -218,17 +219,17 @@ MAX_SAMPLES = 10_000  # the largest sample count of a sampler
 
 
 def check_sample_bound(count: int) -> None:
-    """A sample count above MAX_SAMPLES is a resource error."""
+    """A negative sample count is an input error, one above MAX_SAMPLES a
+    resource error."""
+    if count < 0:
+        raise InputError(f"sample count must be non-negative, got {count}")
     if count > MAX_SAMPLES:
         raise ResourceLimitError(f"sample count {count} is above {MAX_SAMPLES}")
 
 
 def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
-    """`count` seeded points of C^n, each scaled to largest modulus 1; a
-    negative count is an input error, one above MAX_SAMPLES a resource
-    error."""
-    if count < 0:
-        raise InputError(f"sample count must be non-negative, got {count}")
+    """`count` seeded points of C^n, each scaled to largest modulus 1; the
+    count is checked by `check_sample_bound`."""
     check_sample_bound(count)
     rng = np.random.default_rng(seed)
     points = []
@@ -239,7 +240,7 @@ def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
 
 
 def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
-                            tol: float = 1e-8) -> List[np.ndarray]:
+                            tol: float = RANK_TOL) -> List[np.ndarray]:
     """Points on V(det M) from random complex lines base + s * direction: with
     B = M(base) and D = M(direction), det(B + s D) = 0 at the eigenvalues of
     -D^-1 B (the generalized eigenproblem; C. Moler and G. Stewart, SIAM J.
@@ -247,10 +248,7 @@ def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
     with D singular or a root or point not finite is skipped; a point counts
     when |det M| <= sqrt(tol) there, scaled to largest modulus 1.  The search
     is silent on overflow.  SamplingError after 40 lines per requested point;
-    a negative count is an input error, one above MAX_SAMPLES a resource
-    error."""
-    if count < 0:
-        raise InputError(f"sample count must be non-negative, got {count}")
+    the count is checked by `check_sample_bound`."""
     check_sample_bound(count)
     rng = np.random.default_rng(seed)
     out = []

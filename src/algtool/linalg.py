@@ -42,6 +42,8 @@ from typing import Dict, Hashable, Optional, Tuple
 import numpy as np
 
 SparseVec = Dict[int, object]
+#: The default relative singular-value cutoff of the float ranks.
+RANK_TOL = 1e-8
 
 
 def _content(values) -> Optional[int]:
@@ -237,7 +239,7 @@ class RowSpace:
         return True
 
 
-def rank_float(matrix, tol: float = 1e-8, scale: Optional[float] = None):
+def rank_float(matrix, tol: float = RANK_TOL, scale: Optional[float] = None):
     """Count of singular values above tol relative to the largest one.
 
     An all-noise matrix has no meaningful relative scale; passing `scale`

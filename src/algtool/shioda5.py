@@ -36,7 +36,7 @@ from .errors import InputError, SamplingError
 from .gradedalg import Presentation, curve_fiber, hilbert, in_ideal, make_presentation
 from .heisenberg import (SimpleRep, heisenberg_orbit_points,
                          projective_fixed_points, subgroup_generators)
-from .linalg import minors_float, rank_float
+from .linalg import RANK_TOL, minors_float, rank_float
 from .poly import MultiPoly, PolyMatrix, PolyRing, mat_minors
 
 X_VARS = ("x0", "x1", "x2", "x3", "x4")
@@ -251,7 +251,7 @@ class SingularPointsReport:
                 and all(r == 2 for r in self.control_ranks))
 
 
-def singular_points_check(tol: float = 1e-8) -> SingularPointsReport:
+def singular_points_check(tol: float = RANK_TOL) -> SingularPointsReport:
     """The 30 stabilizer points lie on S15 exactly and the 10x5 Jacobian of
     the minors drops below rank 2 there; at smooth orbit points of C_1 the
     rank is exactly 2 (codimension of the surface)."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,11 +35,13 @@ from .cyclotomic import Cyclotomic
 from .errors import (IndeterminateError, InputError, PoleError, ResourceLimitError,
                      SamplingError)
 from .gradedalg import check_relation_count, make_presentation
-from .linalg import minors_float, rank_float
+from .linalg import RANK_TOL, minors_float, rank_float
 from .poly import MultiPoly, PolyRing, exact_divide, resultant
 from .shioda5 import base_orbit
 
 Scalar = Union[int, Fraction, float, complex]
+#: The default relative cutoff of the span ranks of `minor_ideal_checks`.
+SPAN_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ class PointModuleReport:
                 and all(r == 2 for r in self.ranks))
 
 
-def point_module_check(point, rank_tol: float = 1e-8) -> PointModuleReport:
+def point_module_check(point, rank_tol: float = RANK_TOL) -> PointModuleReport:
     """Every 3x3 minor of Q(a, b) vanishes on the whole orbit of the base
     point of E', and the rank there (singular values above `rank_tol`
     relative to the largest) is 2.  Q is evaluated at each orbit point scaled
@@ -254,7 +256,7 @@ class StratificationReport:
 
 
 def stratify(point, samples: int = 6, seed: int = 0,
-             rank_tol: float = 1e-8) -> StratificationReport:
+             rank_tol: float = RANK_TOL) -> StratificationReport:
     """Rank profile of Q over (i) random points of P^4, (ii) points of
     V(det Q) off E', (iii) the E' orbit; expected ranks 5 / 4 / 2.  Each
     stratum's points are ranked by one `rank_float` call."""
@@ -320,7 +322,7 @@ def _degree_pieces(point) -> Tuple[complex, Tuple[np.ndarray, np.ndarray],
             (tables.minors4.at(ab), tables.qq.at((t,))))
 
 
-def minor_ideal_checks(point, span_tol: float = 1e-7) -> MinorIdealReport:
+def minor_ideal_checks(point, span_tol: float = SPAN_TOL) -> MinorIdealReport:
     """deg6: span of the 100 cubic 3x3 minors equals span of the 25 products
     u_j q_i; deg8: span of the 25 quartic 4x4 minors equals span of the 15
     products q_i q_j.  The minors and products come from
@@ -373,21 +375,19 @@ def secant_check(point) -> SecantReport:
 # -- 1-dimensional representations ----------------------------------------------------
 
 
-#: The most relation checks of `onedim_reps`: p = 101 (510,050) is the
-#: largest p admitted, 1.7 s and 273 MB for `algtool sklyanin2 onedim` with
+#: The most coordinates `onedim_reps` prints, p^2: p = 101 (10,201) is the
+#: largest p admitted, 1.2 s and 272 MB for `algtool sklyanin2 onedim` with
 #: JSON output on a 2-CPU Intel Xeon VM with Python 3.11.7.
-MAX_ONEDIM_CHECKS = 520_000
+MAX_ONEDIM_COORDS = 10_201
 
 
 def check_onedim_bound(p: int) -> None:
-    """The cost of `onedim_reps` over p, stated before any work: p candidates
-    checked against p(p-1)/2 relations, and up to p^2 coordinates in the
-    reps; above MAX_ONEDIM_CHECKS checks it is a resource error."""
-    checks = p * (p * (p - 1) // 2)
-    if checks > MAX_ONEDIM_CHECKS:
-        raise ResourceLimitError(f"onedim over p={p} makes {checks} relation checks and "
-                                 f"prints up to {p * p} coordinates, cap is "
-                                 f"{MAX_ONEDIM_CHECKS} checks")
+    """The cost of `onedim_reps` over p, stated before any work: up to p^2
+    coordinates in the reps, printed as Q(w) values; above MAX_ONEDIM_COORDS
+    it is a resource error."""
+    if p * p > MAX_ONEDIM_COORDS:
+        raise ResourceLimitError(f"onedim over p={p} prints up to {p * p} coordinates, "
+                                 f"cap is {MAX_ONEDIM_COORDS}")
 
 
 def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
@@ -396,10 +396,14 @@ def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
     relation exactly.  The catalog's relation count and `check_onedim_bound`
     refuse a large p before any work.
 
-    With c = a_{i0} / (2 a_0) for the first a_{i0} != 0, candidate j has
-    y_{k i0} = c^C(k,2) s^k, s = c^(-(p-1)/2) w^j: one term (jk, r) of
-    Q[x]/(x^p - 1) (`Cyclotomic.lift`), so each relation is checked in p
-    phase buckets, and Cyclotomic values are made only for the reps."""
+    With c = a_{i0} / (2 a_0) for the first a_{i0} != 0, which must be
+    rational, candidate j has y_{k i0} = c^C(k,2) s^k, s = c^(-(p-1)/2) w^j.
+    Candidate j is candidate 0 twisted by e2^(j/i0), y_m -> w^(j m/i0) y_m,
+    and each relation a_0 {x_{k+i}, x_{k-i}} - a_i x_k^2 has the single
+    e2-weight 2k, so the twist scales its value by a power of w: all p
+    candidates are reps or none is.  Candidate 0 is rational, so each
+    relation is checked once, in p phase buckets of its coefficients' lifts
+    (`Cyclotomic.lift`)."""
     check_relation_count("cliffordC", p)
     check_onedim_bound(p)
     pres = make_presentation("cliffordC", p, *avec)
@@ -410,32 +414,25 @@ def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
         raise InputError("need some a_i != 0 with i >= 1")
     if avec[0] == 0:
         return []
-    c = Cyclotomic.from_rational(p, Fraction(avec[i0], 2 * avec[0]))
-    s_base = (c.inverse()) ** half  # c^(-(p-1)/2)
-    rc, rs = c.rational_value(), s_base.rational_value()
-    # coordinate y_{k i0} is value[k i0] w^(jk): its phase is j * power[k i0]
+    c = Cyclotomic.from_rational(p, 1) * avec[i0] / (2 * avec[0])
+    if not c.is_rational():
+        raise InputError(f"a_{i0} / (2 a_0) = {c} is not rational")
+    rc, rs = c.rational_value(), (c.inverse() ** half).rational_value()
+    # candidate 0 has y_{k i0} = value[k i0]; candidate j multiplies it by w^(jk)
     power, value = [0] * p, [0] * p
     for k in range(p):
         power[k * i0 % p] = k
         value[k * i0 % p] = rc ** comb(k, 2) * rs ** k
-    # each relation as its terms (k, e, r), r w^(k + j e) for candidate j
-    # (a coefficient in Q(w) by its lift), r scaled to ints
-    terms = []
     for rel in pres.relations:
-        rel = [(k, power[w0] + power[w1], r * value[w0] * value[w1])
-               for (w0, w1), coeff in rel
-               for k, r in (coeff.lift() if isinstance(coeff, Cyclotomic) else ((0, coeff),))]
-        den = lcm(*(r.denominator for _k, _e, r in rel))
-        terms.append([(k, e, r.numerator * (den // r.denominator)) for k, e, r in rel])
-
-    def vanishes(rel, j: int) -> bool:
         buckets = [0] * p
-        for k, e, r in rel:
-            buckets[(k + j * e) % p] += r
-        return buckets.count(buckets[0]) == p
-
+        for (w0, w1), coeff in rel:
+            y = value[w0] * value[w1]
+            for k, r in (coeff.lift() if isinstance(coeff, Cyclotomic) else ((0, coeff),)):
+                buckets[k] += r * y
+        if buckets.count(buckets[0]) != p:
+            return []
     return [tuple(Cyclotomic.zeta(p, j * power[m]) * value[m] for m in range(p))
-            for j in range(p) if all(vanishes(rel, j) for rel in terms)]
+            for j in range(p)]
 
 
 # -- informational curve geometry ------------------------------------------------------

@@ -6,8 +6,8 @@ monomial basis of its degree, where `_degree_pieces` reads them off
 `minortables.minor_tables`; `secant_check` expands both 5x5 determinants at
 the point; `curve_points_on_grid` evaluates both ends of each bisection
 step afresh; `onedim_reps` builds every candidate in Q(w) and checks each
-relation by Q(w) products, where `sklyanin2.onedim_reps` sums rational
-terms in phase buckets."""
+one against every relation by Q(w) products, where `sklyanin2.onedim_reps`
+checks one rational candidate in phase buckets and twists it."""
 
 from __future__ import annotations
 
@@ -134,7 +134,8 @@ def curve_points_on_grid(grid: Sequence[Fraction]) -> List[CurvePoint]:
 
 def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
     """`sklyanin2.onedim_reps` with each candidate's coordinates built as
-    c^C(k,2) s^k in Q(w) and each relation summed in Q(w)."""
+    c^C(k,2) s^k in Q(w), c = a_{i0} / (2 a_0) by Q(w) division, and each
+    relation summed in Q(w) at every candidate."""
     pres = make_presentation("cliffordC", p, *avec)
     avec = pres.params[1:]
     half = (p - 1) // 2
@@ -143,7 +144,7 @@ def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
         raise InputError("need some a_i != 0 with i >= 1")
     if avec[0] == 0:
         return []
-    c = Cyclotomic.from_rational(p, Fraction(avec[i0], 2 * avec[0]))
+    c = Cyclotomic.from_rational(p, 1) * avec[i0] / (2 * avec[0])
     s_base = (c.inverse()) ** half  # c^(-(p-1)/2)
     found = []
     for j in range(p):

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from algtool import cli, gradedalg
+from algtool import cli, gradedalg, sklyanin2
 from algtool.cli import (COMMANDS, FLAGS, json_text, main, parse_argv, parse_scalar, resolve,
                          to_jsonable)
+from algtool.linalg import RANK_TOL
 import cli_reference
 
 
@@ -359,7 +360,7 @@ def test_oversized_catalog_family_is_refused_before_it_is_built(capsys, monkeypa
 
 def test_onedim_over_its_check_bound_is_refused_before_work(capsys, monkeypatch):
     # the catalog admits cliffordC(2819), 3,971,971 relations; its reps would
-    # take days
+    # print 7,946,761 coordinates
     def unbuilt(*args):
         raise AssertionError("a relation was built")
 
@@ -369,9 +370,8 @@ def test_onedim_over_its_check_bound_is_refused_before_work(capsys, monkeypatch)
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert json.loads(out)["error"] == {
-        "code": "resource", "message": "onedim over p=2819 makes 11196986249 relation checks "
-                                       "and prints up to 7946761 coordinates, cap is 520000 "
-                                       "checks"}
+        "code": "resource", "message": "onedim over p=2819 prints up to 7946761 coordinates, "
+                                       "cap is 10201"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -805,6 +805,18 @@ def test_help_lists_the_table(capsys):
             assert flag.name in text and flag.help in text, (words, flag.name)
         lines = text.splitlines()
         assert all(line.count("(default") < 2 for line in lines), (words, lines)
+
+
+def test_help_shows_the_library_defaults(capsys):
+    # each default is stated once, in the library, and the help reads it
+    for argv, shown in ((["hilbert"], f"(default {gradedalg.DEFAULT_MAX_CELLS})"),
+                        (["sklyanin2", "minors"], f"(default {RANK_TOL})"),
+                        (["sklyanin2", "minors"], f"(default {sklyanin2.SPAN_TOL})")):
+        with pytest.raises(SystemExit):
+            main([*argv, "-h"])
+        assert shown in capsys.readouterr().out, argv
+    assert FLAGS["--tol-rank"]["default"] is RANK_TOL
+    assert FLAGS["--tol-span"]["default"] is sklyanin2.SPAN_TOL
 
 
 @pytest.mark.parametrize("argv", [

@@ -184,9 +184,15 @@ def test_det_zero_points_have_small_rank():
 
 
 def test_negative_sample_count_is_an_input_error():
-    with pytest.raises(InputError):
-        sample_rank_drop_points(clifford_form(3, (1, 1)), -1, 0)
-    assert sample_rank_drop_points(clifford_form(3, (1, 1)), 0, 0) == []
+    for sample in (lambda n: random_points(3, n, 0),
+                   lambda n: sample_rank_drop_points(clifford_form(3, (1, 1)), n, 0)):
+        with pytest.raises(InputError, match="sample count must be non-negative, got -1"):
+            sample(-1)
+        assert sample(0) == []
+    # the 2-torsion check needs at least one sample
+    for n in (-1, 0):
+        with pytest.raises(InputError, match="need at least one sample"):
+            shioda5.two_torsion_check(n, 0)
 
 
 def test_sample_count_is_bounded():

@@ -7,6 +7,8 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from algtool import minortables, sklyanin2
 from algtool.clifford import clifford_form, random_points, sample_rank_drop_points
@@ -470,20 +472,91 @@ def test_onedim_reps_p3():
     assert len(onedim_reps(3, (1, 2))) == 3
 
 
+def ones_and_twos(p: int, scale=1) -> tuple:
+    """scale * (1, 2, ..., 2), the cliffordC(p) parameters with p reps."""
+    return tuple(scale * a for a in (1,) + (2,) * ((p - 1) // 2))
+
+
+W5 = Cyclotomic.zeta(5, 1)
+
+
 @pytest.mark.parametrize("p, avec", [
-    *[(p, (1,) + (2,) * ((p - 1) // 2)) for p in (3, 5, 7, 11, 13)],
+    *[(p, ones_and_twos(p)) for p in (3, 5, 7, 11, 13)],
     (5, (1, Fraction(1, 2), 3)), (5, (Fraction(1, 2), 1, 1)), (7, (1, 0, 2, 0)),
     (5, (0, 1, 2)), (5, (1, 1, 1)),
-    (5, (1, 2, Cyclotomic.zeta(5, 1))), (5, (1, 2, Cyclotomic.from_rational(5, 2))),
+    (5, (1, 2, W5)), (5, (1, 2, Cyclotomic.from_rational(5, 2))),
+    (5, (Cyclotomic.from_rational(5, 1), Cyclotomic.from_rational(5, 2), 2)),
+    (5, (1, Cyclotomic.from_rational(5, 2), 2)),
+    (5, (Cyclotomic.from_rational(5, Fraction(1, 3)), 1, W5)),
+    (5, ones_and_twos(5, 3 * W5 ** 2 - 1)), (7, ones_and_twos(7, Cyclotomic.zeta(7, 3))),
+    (5, (W5, W5, W5)),
 ], ids=["p3", "p5", "p7", "p11", "p13", "fractions", "half-a0", "i0-2", "a0-zero",
-        "empty", "qw-param", "qw-rational-param"])
+        "empty", "qw-param", "qw-rational-param", "qw-rational-a0-ai0",
+        "qw-rational-ai0", "qw-rational-a0-third", "qw-multiple-p5", "qw-multiple-p7",
+        "qw-multiple-empty"])
 def test_onedim_reps_match_the_qw_loop(p, avec):
     assert onedim_reps(p, avec) == sklyanin2_reference.onedim_reps(p, avec)
 
 
+def twists(p: int, i0: int, tup) -> list:
+    """The p images of `tup` under e2^(j/i0), y_m -> w^(j m/i0) y_m."""
+    inv = pow(i0, -1, p)
+    return [tuple(y * Cyclotomic.zeta(p, j * m * inv) for m, y in enumerate(tup))
+            for j in range(p)]
+
+
+@st.composite
+def onedim_params(draw):
+    """(p, a_0, ..., a_{(p-1)/2}) at p in {3, 5, 7}: small rationals with a_0
+    != 0, or a multiple of (1, 2, ..., 2), times a Q(w) unit or not; a_{i0}
+    / (2 a_0) stays rational."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    half = (p - 1) // 2
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    a0 = draw(small.filter(bool))
+    if draw(st.booleans()):
+        avec = ones_and_twos(p, a0)
+    else:
+        avec = (a0,) + tuple(draw(st.lists(small, min_size=half, max_size=half).filter(any)))
+    if draw(st.booleans()):
+        unit = Cyclotomic.zeta(p, draw(st.integers(0, p - 1))) * draw(st.sampled_from([1, -2]))
+        avec = tuple(unit * a for a in avec)
+    return p, avec
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None)
+@given(onedim_params())
+def test_onedim_reps_are_none_or_the_twists_of_one(params):
+    # every candidate is checked on its own by the reference, so its reps
+    # being [] or one e2-orbit is the theorem `onedim_reps` rests on
+    p, avec = params
+    reps = sklyanin2_reference.onedim_reps(p, avec)
+    assert onedim_reps(p, avec) == reps
+    i0 = next(i for i, a in enumerate(avec) if i and a)
+    assert reps == [] or reps == twists(p, i0, reps[0])
+
+
+def test_onedim_reps_rational_valued_qw_params_are_the_rational_ones():
+    as_qw = Cyclotomic.from_rational
+    for p, avec in [(5, (1, 2, 2)), (5, (Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
+                    (5, (1, 1, 1)), (7, (2, 4, 4, 4))]:
+        qw = tuple(as_qw(p, a) for a in avec)
+        assert onedim_reps(p, qw) == onedim_reps(p, avec)
+    # a_0 rational, a_{i0} a rational-valued Cyclotomic: cliffordC(5; 1, 2, 2)
+    reps = onedim_reps(5, (1, as_qw(5, 2), 2))
+    assert len(reps) == 5 and reps == onedim_reps(5, (1, 2, 2))
+
+
+def test_onedim_reps_refuse_an_irrational_ratio():
+    for p, avec in [(5, (1, W5, 2)), (5, (W5, 1, 1)), (7, (1, 0, Cyclotomic.zeta(7, 2), 1))]:
+        with pytest.raises(InputError, match="is not rational"):
+            onedim_reps(p, avec)
+
+
 def test_onedim_bound_admits_101_and_refuses_103():
     check_onedim_bound(101)
-    with pytest.raises(ResourceLimitError, match="p=103 makes 541059 relation checks"):
+    with pytest.raises(ResourceLimitError, match="p=103 prints up to 10609 coordinates"):
         check_onedim_bound(103)
 
 
