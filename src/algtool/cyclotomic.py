@@ -22,6 +22,7 @@ reduced, denominator positive), so no separate rational type is needed.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Sequence, Tuple, Union
@@ -330,7 +331,8 @@ class Cyclotomic:
         1 + x + ... + x^(p-1), so a sum of lifted terms, in p buckets by k
         mod p, is 0 in Q(w) exactly when its buckets are equal."""
         coords = (*self.num, 0)
-        mode = max(coords, key=coords.count)
+        # the first most common coordinate: Counter keeps first-seen order
+        mode = Counter(coords).most_common(1)[0][0]
         den = self.den
         if den == 1:
             return [(k, c - mode) for k, c in enumerate(coords) if c != mode]

@@ -19,7 +19,6 @@ dual presentation by the same degreewise engine.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from .cyclotomic import Cyclotomic
@@ -27,17 +26,15 @@ from .gradedalg import Presentation, character_coeffs, make_relation
 from .heisenberg import HeisenbergElement, SimpleRep
 
 
-def quadratic_dual(pres: Presentation) -> Presentation:
-    """The dual presentation on R-perp, read off NF_2 of `pres`'s engine;
-    raises ArithmeticError if a dual relation fails to pair to zero with an
-    original one."""
+def quadratic_dual(pres: Presentation, cap: Optional[int] = None) -> Presentation:
+    """The dual presentation on R-perp, read off NF_2 of `pres`'s engine,
+    grown to degree 2 under the cell cap; raises ArithmeticError if a dual
+    relation fails to pair to zero with an original one."""
     if not pres.is_quadratic():
         raise ValueError("quadratic dual needs a purely quadratic presentation")
     p = pres.p
     engine = pres.engine
-    # the dual needs degree 2 whatever the cell cap; a caller's later `grow`
-    # still checks its own cap against this step
-    engine.grow(2, math.inf)
+    engine.grow(2, cap)
     dual_pairs = {b: [] for b in engine.bases[2]}
     for w in range(p * p):
         nf = engine.normal_form(2, w)
@@ -56,7 +53,7 @@ def quadratic_dual(pres: Presentation) -> Presentation:
 def koszul_identity_check(pres: Presentation, rep: SimpleRep, g: HeisenbergElement,
                           max_degree: int, cap: Optional[int] = None) -> List[Cyclotomic]:
     """Coefficients 1..N of Ch_A(g,t) * Ch_dual(g,-t); all zero for Koszul input."""
-    dual = quadratic_dual(pres)
+    dual = quadratic_dual(pres, cap)
     ca = character_coeffs(pres, g, rep, max_degree, cap)
     cb = character_coeffs(dual, g, rep, max_degree, cap)
     out = []

@@ -5,26 +5,28 @@ Sylvester elimination, point-module minor checks, rank stratification,
 degree-piece span identities, the secant-variety determinant identity, and
 exact 1-dimensional representation enumeration for cliffordC parameters.
 The four float checks take a parameter pair (a, b); a `CurvePoint` passes
-as (cp.a, cp.b).  The degree-piece and secant checks expand no polynomial
-at a point: they evaluate `minortables.minor_tables`, sparse integer
-coefficient tables built once per process of the 3x3 and 4x4 minors and
-the determinant of Q(a, b) over Z[u, a, b], and of the products of the q_i
-and their Jacobian determinant over Z[u, t]; the spans are still compared
-by float ranks.
+as (cp.a, cp.b), and `curve_points_on_grid` finds one as a real root of
+the quintic C'(a, .) in b.  The degree-piece and secant checks expand no
+polynomial at a point: they evaluate `minortables.minor_tables`, sparse
+integer coefficient tables built once per process of the 3x3 and 4x4
+minors and the determinant of Q(a, b) over Z[u, a, b], and of the products
+of the q_i and their Jacobian determinant over Z[u, t]; the spans are
+still compared by float ranks.
 
 Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
   * q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} (indices mod 5) are
     the quadrics of the quotient curve E' = C_t in the u-coordinates.
   * The base point of E' is (0 : 1 : t : -t : -1); its orbit comes from
-    `shioda5.base_orbit`.
+    `shioda5.base_orbit`, and has 25 distinct points for every t: its
+    stabilizer in H_5/Z is trivial (`orbit_points`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf, nextafter
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,44 +113,24 @@ def eliminate_t() -> EliminationResult:
 
 def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
                          ) -> List[CurvePoint]:
-    """One numeric point of C' per grid value of a: scan [-4, 4] in steps of
-    0.05 for a sign change of b -> C'(a, b), bisect, then Newton-polish to
-    ~1e-15.  Roots with indeterminate or infinite t are skipped."""
-    bracket, step = 4.0, 0.05
+    """One numeric point of C' per grid value of a: the real roots in
+    [-4, 4] of the quintic b -> C'(a, b) = b^5 - a^3 b^3 + 2 a^2 b^2 - 8 a b
+    + a^5 (`np.roots`; real when |Im| <= 1e-7 max(1, |root|)), in ascending
+    order, each moved to its `_sign_change` float and Newton-polished to
+    ~1e-15; the first whose t is finite and determinate, with |b| >= 1e-9,
+    is kept."""
     points = []
     for a_exact in grid:
         a = float(a_exact)
-
-        def fprime(b: float) -> float:
-            return -3 * a ** 3 * b ** 2 + 5 * b ** 4 + 4 * a ** 2 * b - 8 * a
-
-        roots = []
-        lo = -bracket
-        flo = cprime_residual(a, lo)
-        b = lo + step
-        while b <= bracket + 1e-12:
-            fb = cprime_residual(a, b)
-            if flo == 0.0:
-                roots.append(lo)
-            elif flo * fb < 0:
-                x0, x1, f0 = lo, b, flo
-                for _ in range(80):
-                    mid = 0.5 * (x0 + x1)
-                    fmid = cprime_residual(a, mid)
-                    if f0 * fmid <= 0:
-                        x1 = mid
-                    else:
-                        x0, f0 = mid, fmid
-                root = 0.5 * (x0 + x1)
-                for _ in range(8):
-                    d = fprime(root)
-                    if d == 0:
-                        break
-                    root -= cprime_residual(a, root) / d
-                roots.append(root)
-            lo, flo = b, fb
-            b += step
-        for root in roots:
+        found = np.roots([1.0, 0.0, -a ** 3, 2 * a ** 2, -8 * a, a ** 5])
+        real = found.real[np.abs(found.imag) <= 1e-7 * np.maximum(1.0, np.abs(found))]
+        for root in sorted(float(r) for r in real if -4.0 <= r <= 4.0):
+            root = _sign_change(a, root)
+            for _ in range(8):
+                d = -3 * a ** 3 * root ** 2 + 5 * root ** 4 + 4 * a ** 2 * root - 8 * a
+                if d == 0:
+                    break
+                root -= cprime_residual(a, root) / d
             try:
                 t = t_param(a, root)
             except PoleError:
@@ -158,6 +140,24 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
             points.append(CurvePoint(a, root, cprime_residual(a, root)))
             break
     return points
+
+
+def _sign_change(a: float, b: float) -> float:
+    """The float nearest b at which C'(a, .), in float arithmetic, changes
+    sign, where a bisection would end: b if C'(a, b) is 0, else the rounded
+    midpoint of the nearest two adjacent floats whose residuals differ in
+    sign, up to 64 floats away (else b).  So a root does not depend on the
+    last bits the eigenvalue solver gives it."""
+    f = cprime_residual(a, b)
+    lo = hi = b
+    for _ in range(64 if f else 0):
+        up, down = nextafter(hi, inf), nextafter(lo, -inf)
+        if cprime_residual(a, up) * f <= 0:
+            return 0.5 * (hi + up)
+        if cprime_residual(a, down) * f <= 0:
+            return 0.5 * (lo + down)
+        lo, hi = down, up
+    return b
 
 
 def _require_t(a: Scalar, b: Scalar) -> complex:
@@ -170,26 +170,16 @@ def _require_t(a: Scalar, b: Scalar) -> complex:
 
 def orbit_points(t: complex) -> List[Tuple[complex, ...]]:
     """The 25 Heisenberg-orbit images of (0 : 1 : t : -t : -1) in u-space,
-    projectively normalized (first coordinate above 1e-9 set to 1) and
-    deduplicated by `first_distinct` (points within 1e-8 in every coordinate
-    are one)."""
+    projectively normalized (first coordinate above 1e-9 set to 1).  They
+    are distinct: the point has a zero and two non-zero coordinates, so it
+    is no eigenline of a non-central element (e2^b fixes the coordinate axes,
+    e1^a e2^b with a != 0 only lines with no zero coordinate), and its
+    stabilizer in H_5/Z is trivial."""
     normalized = []
     for vec in base_orbit(t):
         lead = next(v for v in vec if abs(v) > 1e-9)
         normalized.append(tuple(v / lead for v in vec))
-    return first_distinct(normalized)
-
-
-def first_distinct(points: Sequence[Tuple[complex, ...]]) -> List[Tuple[complex, ...]]:
-    """The points in order, without each one within 1e-8 in every coordinate
-    of an earlier kept point: one table of all pairs, then a greedy pass."""
-    arr = np.array(points, dtype=complex, ndmin=2)
-    close = (np.abs(arr[:, None, :] - arr[None, :, :]) <= 1e-8).all(axis=2)
-    kept: List[int] = []
-    for i in range(len(points)):
-        if not close[i, kept].any():
-            kept.append(i)
-    return [points[i] for i in kept]
+    return normalized
 
 
 @dataclass
@@ -202,8 +192,7 @@ class PointModuleReport:
 
     def ok(self, tol: float) -> bool:
         """Every minor below `tol` on all 25 orbit points, rank 2 at each."""
-        return (self.max_minor_residual < tol and self.orbit_size == 25
-                and all(r == 2 for r in self.ranks))
+        return self.max_minor_residual < tol and all(r == 2 for r in self.ranks)
 
 
 def point_module_check(point, rank_tol: float = RANK_TOL) -> PointModuleReport:
@@ -423,11 +412,14 @@ def onedim_reps(p: int, avec: Sequence) -> List[Tuple[Cyclotomic, ...]]:
     for k in range(p):
         power[k * i0 % p] = k
         value[k * i0 % p] = rc ** comb(k, 2) * rs ** k
+    lifts = {}  # each distinct coefficient is lifted once
     for rel in pres.relations:
         buckets = [0] * p
         for (w0, w1), coeff in rel:
+            if coeff not in lifts:
+                lifts[coeff] = coeff.lift() if isinstance(coeff, Cyclotomic) else ((0, coeff),)
             y = value[w0] * value[w1]
-            for k, r in (coeff.lift() if isinstance(coeff, Cyclotomic) else ((0, coeff),)):
+            for k, r in lifts[coeff]:
                 buckets[k] += r * y
         if buckets.count(buckets[0]) != p:
             return []

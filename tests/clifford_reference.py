@@ -2,8 +2,7 @@
 one point at a time, as `clifford` and `sklyanin2` computed them before
 they worked on numpy stacks.  Rank-drop points came from the determinant
 along each line expanded symbolically and handed to `np.poly1d`, `build_reps`
-took one product and one `np.linalg.norm` per pair, and the orbit was
-deduplicated by comparing each new point with every kept one.  The
+took one product and one `np.linalg.norm` per pair, and the
 `clifford-strata` handler evaluated and ranked each point on its own."""
 
 from __future__ import annotations
@@ -102,15 +101,6 @@ def build_reps_pairwise(matrix, rank: int):
                 residual = max(residual, err / scale)
         tuples.append(xs)
     return tuples, chirality, residual
-
-
-def first_distinct_loop(points) -> list:
-    """The points in order, each compared with every point kept before it."""
-    seen = []
-    for pt in points:
-        if not any(all(abs(x - y) <= 1e-8 for x, y in zip(pt, old)) for old in seen):
-            seen.append(pt)
-    return seen
 
 
 def clifford_strata_per_point(args) -> int:

@@ -4,8 +4,9 @@ they were made faster.  The degree-6 and degree-8 pieces of
 quadrics q_i as `MultiPoly`s over C at the point, written against the
 monomial basis of its degree, where `_degree_pieces` reads them off
 `minortables.minor_tables`; `secant_check` expands both 5x5 determinants at
-the point; `curve_points_on_grid` evaluates both ends of each bisection
-step afresh; `onedim_reps` builds every candidate in Q(w) and checks each
+the point; `curve_points_on_grid` scans [-4, 4] for sign changes and
+bisects each, where `sklyanin2.curve_points_on_grid` takes the roots of
+the quintic; `onedim_reps` builds every candidate in Q(w) and checks each
 one against every relation by Q(w) products, where `sklyanin2.onedim_reps`
 checks one rational candidate in phase buckets and twists it."""
 
@@ -85,8 +86,9 @@ def secant_check(point) -> SecantReport:
 
 
 def curve_points_on_grid(grid: Sequence[Fraction]) -> List[CurvePoint]:
-    """`sklyanin2.curve_points_on_grid`, with C'(a, x0) evaluated again at
-    every bisection step."""
+    """`sklyanin2.curve_points_on_grid` as a scan of b over [-4, 4] in steps
+    of 0.05 for sign changes of C'(a, b), each bisected 80 times and then
+    Newton-polished."""
     bracket, step = 4.0, 0.05
     points = []
     for a_exact in grid:

@@ -334,6 +334,28 @@ def test_bad_max_cells_environment_variable(capsys, monkeypatch, value):
     assert error["code"] == "resource" and "ALGTOOL_MAX_CELLS" not in error["message"]
 
 
+def test_koszul_dual_step_is_refused_under_the_cap_before_it_is_built(capsys, monkeypatch):
+    """The dual's degree-2 step is counted against --max-cells like any other:
+    polynomial(101) needs 5050 x 10201 cells there, and koszul-check refuses
+    it with hilbert's message before building it."""
+    argv = ("--algebra", "polynomial", "--p", "101", "--max-degree", "2", "--format", "json")
+    build = gradedalg.GradedEngine._build
+
+    def below_two(engine, n):
+        assert n < 2, "a degree-2 step was built"
+        build(engine, n)
+
+    monkeypatch.setattr(gradedalg.GradedEngine, "_build", below_two)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "koszul-check", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == run_cli(capsys, "hilbert", *argv)[1]
+    assert json.loads(out)["error"] == {
+        "code": "resource", "message": "degree 2 needs a 5050 x 10201 working matrix "
+                                       "(51515050 cells), cap is 4000000"}
+
+
 @pytest.mark.parametrize("argv", [
     ("hilbert", "--algebra", "polynomial", "--p", "3001", "--max-degree", "1"),
     ("sklyanin2", "onedim", "--p", "3001"),

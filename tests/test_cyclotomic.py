@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import operator
 import pickle
@@ -343,3 +344,33 @@ def test_lift_of_a_single_term_is_one_term():
         for k in range(p):
             for r in (1, -2, Fraction(3, 4)):
                 assert (Cyclotomic.zeta(p, k) * r).lift() == [(k, r)]
+
+
+def lift_by_count(a: Cyclotomic) -> list:
+    """`Cyclotomic.lift` as first written: the mode by `tuple.count` of
+    every coordinate, O(p^2)."""
+    coords = (*a.num, 0)
+    mode = max(coords, key=coords.count)
+    if a.den == 1:
+        return [(k, c - mode) for k, c in enumerate(coords) if c != mode]
+    return [(k, Fraction(c - mode, a.den)) for k, c in enumerate(coords) if c != mode]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_lift_takes_the_mode_the_count_took(p):
+    """The same first most common coordinate, ties included: every vector over
+    {-1, 0, 1, 2} at p = 3 and 5, random ones at 7 and 11; over
+    denominator 1 and 3."""
+    if p <= 5:
+        vectors = itertools.product((-1, 0, 1, 2), repeat=p - 1)
+    else:
+        rng = random.Random(p)
+        vectors = [[rng.choice((-1, 0, 1, 2)) for _ in range(p - 1)] for _ in range(300)]
+    ties = 0
+    for vec in vectors:
+        for den in (1, 3):
+            a = Cyclotomic(p, [Fraction(v, den) for v in vec])
+            assert a.lift() == lift_by_count(a)
+            counts = sorted(((*a.num, 0)).count(c) for c in set((*a.num, 0)))
+            ties += len(counts) > 1 and counts[-1] == counts[-2]
+    assert ties

@@ -22,11 +22,10 @@ from algtool.selftest import criterion_9_determinism
 from algtool.shioda5 import ca_relations
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, check_onedim_bound,
                                cprime_residual, curve_points_on_grid,
-                               curve_singularity_report, eliminate_t, first_distinct,
+                               curve_singularity_report, eliminate_t,
                                minor_ideal_checks, onedim_reps, orbit_points,
                                point_module_check, secant_check,
                                stratify, t_param)
-from clifford_reference import first_distinct_loop
 from rank_reference import point_module_one_by_one, rank_one
 import sklyanin2_reference
 from sklyanin2_reference import coefficient_vector, degree_pieces, quadrics_at
@@ -193,7 +192,8 @@ def test_form_stack_is_eval_bit_for_bit(point):
 
 
 def orbit_images(t: complex) -> list:
-    """The 25 normalized images that `orbit_points` deduplicates."""
+    """The 25 images of `base_orbit`, each divided by its first coordinate
+    above 1e-9."""
     images = []
     for vec in sklyanin2.base_orbit(t):
         lead = next(v for v in vec if abs(v) > 1e-9)
@@ -201,34 +201,25 @@ def orbit_images(t: complex) -> list:
     return images
 
 
-@pytest.mark.parametrize("t", [0.75 + 0.1j, complex(t_param(1.0, 0.12888995128730368)),
-                               0j, 1e-12 + 0j, 1e12 + 0j],
-                         ids=["generic", "README", "zero", "tiny", "huge"])
-def test_orbit_points_are_the_pairwise_loop(t):
-    images = orbit_images(t)
-    assert orbit_points(t) == first_distinct_loop(images)
-    assert len(orbit_points(t)) == 25
+ORBIT_TS = {"generic": 0.75 + 0.1j, "README": complex(t_param(1.0, 0.12888995128730368)),
+            "zero": 0j, "tiny": 1e-12 + 0j, "huge": 1e12 + 0j,
+            "1e-300": 1e-300 + 0j, "1e300": 1e300 + 0j}
+_rng = np.random.default_rng(38)
+ORBIT_TS.update((f"random{i}", complex(10.0 ** e * np.exp(2j * np.pi * _rng.random())))
+                for i, e in enumerate(_rng.uniform(-12, 12, size=40)))
 
 
-def test_first_distinct_keeps_the_loop_order_on_planted_near_duplicates():
-    rng = np.random.default_rng(6)
-    points = orbit_images(0.75 + 0.1j)
-    planted = list(points)
-    for i in rng.integers(0, 25, size=20):
-        pt = points[i]
-        k = int(rng.integers(0, 5))
-        # 8e-9 and 1.6e-8 can chain: a point near a dropped point only is kept
-        for shift in (1e-10, 3e-9j, 5e-8, 2e-7j, 8e-9, 1.6e-8):
-            planted.append(tuple(v + (shift if j == k else 0) for j, v in enumerate(pt)))
-    order = rng.permutation(len(planted))
-    planted = [planted[i] for i in order]
-    kept = first_distinct(planted)
-    assert kept == first_distinct_loop(planted)
-    assert 25 < len(kept) < len(planted)
-    assert first_distinct([]) == []
-    assert first_distinct(points) == points == first_distinct_loop(points)
-    nan = [(complex("nan"), 1j)] * 2
-    assert first_distinct(nan) == nan == first_distinct_loop(nan)
+@pytest.mark.parametrize("t", ORBIT_TS.values(), ids=ORBIT_TS.keys())
+def test_orbit_points_are_25_distinct_normalized_images(t):
+    """The stabilizer of the base point in H_5/Z is trivial, so its 25 images
+    are distinct: pairwise at least 0.1 apart in some coordinate, and
+    `orbit_points` returns them as normalized, with nothing dropped."""
+    pts = orbit_points(t)
+    assert pts == orbit_images(t)
+    assert len(pts) == 25
+    arr = np.array(pts)
+    gaps = np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=2)
+    assert gaps[~np.eye(25, dtype=bool)].min() >= 0.1
 
 
 def test_point_module_check_rejects_singular_parameter():
@@ -440,6 +431,19 @@ def test_curve_points_bisection_is_the_reference_bit_for_bit():
     assert curve_points_on_grid(grid) == sklyanin2_reference.curve_points_on_grid(grid)
 
 
+def test_curve_points_are_the_scan_points_on_513_grid_values():
+    """a = n/d with d in {1, 2, 3, 4, 5, 7, 8, 10, 20} and |a| <= 8: the roots of
+    the quintic give a point at the same a as the scan and bisection, at the
+    same root up to rounding; a = 2, with the singular double root (2, 2),
+    is among them."""
+    grid = sorted({Fraction(n, d) for d in (1, 2, 3, 4, 5, 7, 8, 10, 20)
+                   for n in range(-8 * d, 8 * d + 1)})
+    assert len(grid) == 513 and Fraction(2) in grid
+    ours, ref = curve_points_on_grid(grid), sklyanin2_reference.curve_points_on_grid(grid)
+    assert [cp.a for cp in ours] == [cp.a for cp in ref]
+    assert all(abs(cp.b - rp.b) <= 1e-12 * max(1.0, abs(rp.b)) for cp, rp in zip(ours, ref))
+
+
 def test_secant_check(near_one_point):
     report = secant_check(near_one_point)
     assert report.residual < 1e-7
@@ -605,3 +609,24 @@ def test_report_verdicts(near_one_point, check):
     }[check]
     assert verdict(near_one_point) is True
     assert verdict((1.5, 0.7)) is False
+
+
+@pytest.mark.parametrize("ulps", [-12, -3, -1, 1, 2, 7, 12])
+def test_curve_points_do_not_depend_on_the_last_bits_of_the_roots(monkeypatch, ulps):
+    """Each root of the quintic is moved to its sign-change float before the
+    Newton polish, so roots off by a few ulps, as another LAPACK build may
+    give them, yield the same points on the 8-value grid."""
+    grid = (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(2), Fraction(5, 2),
+            Fraction(-1), Fraction(3), Fraction(-7, 4))
+    expected = curve_points_on_grid(grid)
+    roots = np.roots
+
+    def shifted(coeffs):
+        out = roots(coeffs)
+        real = out.real
+        for _ in range(abs(ulps)):
+            real = np.nextafter(real, np.sign(ulps) * np.inf)
+        return real + 1j * out.imag
+
+    monkeypatch.setattr(np, "roots", shifted)
+    assert curve_points_on_grid(grid) == expected
