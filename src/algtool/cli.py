@@ -26,7 +26,7 @@ from .errors import AlgtoolError, InputError, ResourceLimitError
 from .gradedalg import (DEFAULT_MAX_CELLS, OVER_P, character_coeffs, character_table,
                         hilbert, make_presentation)
 from .heisenberg import SimpleRep, parse_element
-from .linalg import RANK_TOL, rank_float
+from .linalg import RANK_TOL, RESIDUAL_FLOOR, Residual, rank_float
 from .poly import MultiPoly
 
 
@@ -79,14 +79,16 @@ def to_jsonable(obj, shared: Optional[dict] = None):
     power-basis coefficients, a MultiPoly its variables, field and terms in
     `sorted_terms` order: the field is "QQ" when every coefficient is an int
     or a Fraction, else "CC", and an int coefficient is written as a
-    Fraction.  numpy scalars need no branch: np.float64 and
-    np.complex128 subclass float and complex.
+    Fraction.  A `linalg.Residual` is its `printed` value (0.0 below
+    RESIDUAL_FLOOR, else 3 significant digits); every other float keeps
+    its bits.  numpy scalars need no branch: np.float64 and np.complex128
+    subclass float and complex.
 
     Equal Cyclotomic values share one JSON dict (`shared` maps each value
     met so far to it; a fresh map when not given), which `json_text`
     writes once per indentation."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+        return obj.printed() if type(obj) is Residual else obj
     if shared is None:
         shared = {}
     if isinstance(obj, Fraction):
@@ -279,6 +281,10 @@ def cmd_sklyanin2(args) -> int:
     if op == "onedim":
         reps = sklyanin2.onedim_reps(args.p, parse_params(args.params, "--params"))
         return emit({"count": len(reps), "reps": reps}, args)
+    if op in ("minors", "secant") and args.tol_span < RESIDUAL_FLOOR:
+        # a residual below the floor prints as 0.0, and must then pass
+        raise InputError(f"--tol-span {args.tol_span!r} is below the residual floor "
+                         f"{RESIDUAL_FLOOR!r} of {op}")
     a, b = parse_scalar(args.a), parse_scalar(args.b)
     if op == "t":
         t = sklyanin2.t_param(a, b)
@@ -369,7 +375,8 @@ FLAGS = {
                    "help": "relative singular-value cutoff of the float ranks"},
     "--tol-span": {"type": positive_finite, "default": sklyanin2.SPAN_TOL,
                    "help": "relative cutoff of the span ranks (ideal) and bound on the "
-                           "minor and secant residuals (minors, secant)"},
+                           f"minor and secant residuals (minors, secant; at least "
+                           f"{RESIDUAL_FLOOR})"},
     "--t": {"default": "1", "help": "the form of cliffordC(3; 1, t)"},
     "--samples": {"type": int, "default": 6},
     "--a": {"default": "1"},

@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConditioningError, InputError, ResourceLimitError, SamplingError
-from .linalg import RANK_TOL
+from .linalg import RANK_TOL, Residual
 from .poly import MultiPoly, PolyMatrix, PolyRing
 
 
@@ -143,7 +143,7 @@ def _symmetric_square_root_factors(m: np.ndarray, rank: int) -> np.ndarray:
 class CliffordReps:
     tuples: List[List[np.ndarray]]
     chirality: List[complex]    # scalar of the diagonalized-generator product
-    max_residual: float
+    max_residual: Residual
 
 
 def build_reps(matrix, rank: int) -> CliffordReps:
@@ -189,7 +189,7 @@ def build_reps(matrix, rank: int) -> CliffordReps:
             re, im = row.real, row.imag
             residual = max(residual, sqrt(re.dot(re) + im.dot(im)) / scale)
         tuples.append(list(xs))
-    return CliffordReps(tuples, chirality, residual)
+    return CliffordReps(tuples, chirality, Residual(residual))
 
 
 # -- forms of the catalog -----------------------------------------------------------

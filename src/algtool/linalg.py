@@ -27,7 +27,9 @@ supported on non-pivot columns only.
 
 Numeric matrices have two numpy routines, each taking a single matrix or a
 stack of them: `rank_float` (an SVD count, one SVD call per stack) and
-`minors_float` (every k x k minor by one batched determinant).
+`minors_float` (every k x k minor by one batched determinant).  An error
+measure that a float check only compares with a tolerance is a `Residual`:
+its verdict reads the raw value, and its output the `printed` one.
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ import numpy as np
 SparseVec = Dict[int, object]
 #: The default relative singular-value cutoff of the float ranks.
 RANK_TOL = 1e-8
+#: A `Residual` below this is printed as 0.0.
+RESIDUAL_FLOOR = 1e-12
+
+
+class Residual(float):
+    """An error measure that a check only compares with a tolerance, such as
+    the largest minor on an orbit.  Comparisons read the raw value; the
+    output reads `printed`: 0.0 below RESIDUAL_FLOOR, else the value to 3
+    significant digits.  A residual of rounding noise moves in its last bits
+    whenever a kernel sums in another order, and its printed value does
+    not."""
+
+    __slots__ = ()
+
+    def printed(self) -> float:
+        return 0.0 if self < RESIDUAL_FLOOR else float(f"{self:.3g}")
 
 
 def _content(values) -> Optional[int]:

@@ -325,8 +325,9 @@ def criterion_8_shioda(seed: int = 0) -> CheckResult:
 
 def criterion_9_determinism(seed: int = 0) -> CheckResult:
     """A representative numeric slice, run over its points forwards and then
-    backwards, must serialize to the same bytes: no point's report may
-    depend on what ran before it."""
+    backwards, must serialize to the same bytes, residual bits included: no
+    point's report may depend on what ran before it.  `bytes` is the length
+    of the slice as printed, with each residual at its `printed` value."""
     points = [(cp.a, cp.b) for cp in sklyanin2.curve_points_on_grid()]
 
     def per_point(ab):
@@ -335,10 +336,13 @@ def criterion_9_determinism(seed: int = 0) -> CheckResult:
         return {"t": [pm.t.real, pm.t.imag], "worst": pm.max_minor_residual,
                 "ranks": pm.ranks, "deg6": ideal.deg6, "deg8": ideal.deg8}
 
-    forward = json.dumps([per_point(ab) for ab in points], sort_keys=True)
+    rows = [per_point(ab) for ab in points]
+    forward = json.dumps(rows, sort_keys=True)
     backward = json.dumps([per_point(ab) for ab in reversed(points)][::-1], sort_keys=True)
     ok = forward == backward
-    return CheckResult("9-determinism", ok, {"bytes": len(forward), "identical": ok})
+    printed = json.dumps([{**row, "worst": row["worst"].printed()} for row in rows],
+                         sort_keys=True)
+    return CheckResult("9-determinism", ok, {"bytes": len(printed), "identical": ok})
 
 
 CRITERIA: Dict[str, Callable[[int], CheckResult]] = {

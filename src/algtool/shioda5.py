@@ -36,7 +36,7 @@ from .errors import InputError, SamplingError
 from .gradedalg import Presentation, curve_fiber, hilbert, in_ideal, make_presentation
 from .heisenberg import (SimpleRep, heisenberg_orbit_points,
                          projective_fixed_points, subgroup_generators)
-from .linalg import RANK_TOL, minors_float, rank_float
+from .linalg import RANK_TOL, Residual, minors_float, rank_float
 from .poly import MultiPoly, PolyMatrix, PolyRing, mat_minors
 
 X_VARS = ("x0", "x1", "x2", "x3", "x4")
@@ -166,8 +166,8 @@ def ca_orbit_check(a) -> OrbitReport:
 class TwoTorsionReport:
     samples: int
     roots_checked: int
-    max_residual: float
-    control_residual: float
+    max_residual: Residual
+    control_residual: Residual
 
     def ok(self) -> bool:
         """Every root on S15 to 1e-7, and the control off it by more than 1e-5."""
@@ -223,7 +223,7 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
         root = min(roots, key=abs)
         scale = max(abs(x1), abs(x2))
         control = min(control, max(residual(root + scale * d, x1, x2) for d in directions))
-    return TwoTorsionReport(samples, count, worst, control)
+    return TwoTorsionReport(samples, count, Residual(worst), Residual(control))
 
 
 # -- the 30 singular points -------------------------------------------------------

@@ -37,7 +37,7 @@ from .cyclotomic import Cyclotomic
 from .errors import (IndeterminateError, InputError, PoleError, ResourceLimitError,
                      SamplingError)
 from .gradedalg import check_relation_count, make_presentation
-from .linalg import RANK_TOL, minors_float, rank_float
+from .linalg import RANK_TOL, Residual, minors_float, rank_float
 from .poly import MultiPoly, PolyRing, exact_divide, resultant
 from .shioda5 import base_orbit
 
@@ -187,7 +187,7 @@ class PointModuleReport:
     t: complex
     orbit_size: int
     minor_count: int
-    max_minor_residual: float
+    max_minor_residual: Residual
     ranks: List[int]
 
     def ok(self, tol: float) -> bool:
@@ -210,7 +210,7 @@ def point_module_check(point, rank_tol: float = RANK_TOL) -> PointModuleReport:
         scale = max(abs(v) for v in pt)
         scaled.append([v / scale for v in pt])
     stack = form.eval_stack(scaled)
-    worst = float(np.abs(minors_float(stack, 3)).max())
+    worst = Residual(np.abs(minors_float(stack, 3)).max())
     ranks = rank_float(stack, rank_tol).tolist()
     return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
 
@@ -330,7 +330,7 @@ def minor_ideal_checks(point, span_tol: float = SPAN_TOL) -> MinorIdealReport:
 class SecantReport:
     t: complex
     lam: complex
-    residual: float
+    residual: Residual
     jac_degree: int
     det_degree: int
 
@@ -356,7 +356,7 @@ def secant_check(point) -> SecantReport:
     jv = tables.jacobian.at((t,))[0] / t ** 5
     dv = tables.det_q.at((complex(a), complex(b)))[0]
     lam = complex(np.vdot(dv, jv) / np.vdot(dv, dv))
-    residual = float(np.linalg.norm(jv - lam * dv) / np.linalg.norm(jv))
+    residual = Residual(np.linalg.norm(jv - lam * dv) / np.linalg.norm(jv))
     # both are homogeneous quintics, of degree -1 where they vanish
     return SecantReport(t, lam, residual, 5 if jv.any() else -1, 5 if dv.any() else -1)
 

@@ -558,6 +558,43 @@ def test_tolerance_must_be_positive_and_finite(capsys, argv, value):
     assert error["code"] == "usage" and flag in error["message"]
 
 
+@pytest.mark.parametrize("op", ["minors", "secant"])
+@pytest.mark.parametrize("value", ["9.99e-13", "1e-300"])
+def test_tol_span_below_the_residual_floor_is_an_input_error(capsys, op, value):
+    # a residual below the floor prints as 0.0, so a bound below it could
+    # fail on a residual that reads 0.0
+    code, out = run_cli(capsys, "sklyanin2", op, "--tol-span", value, "--format", "json")
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "input"
+    assert "--tol-span" in error["message"] and "1e-12" in error["message"]
+
+
+@pytest.mark.parametrize("op", ["minors", "secant"])
+def test_tol_span_at_the_residual_floor_runs(capsys, op):
+    code, out = run_cli(capsys, "sklyanin2", op, "--a", "1.0", "--b", "0.12888995128730368",
+                        "--tol-span", "1e-12", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["max_minor_residual" if op == "minors" else "residual"] == 0.0
+
+
+def test_tol_span_of_ideal_is_a_rank_cutoff_with_no_floor(capsys):
+    code, out = run_cli(capsys, "sklyanin2", "ideal", "--a", "1.0", "--b", "0.12888995128730368",
+                        "--tol-span", "1e-13", "--format", "json")
+    assert code == 0 and json.loads(out)["deg6"] is True
+
+
+def test_to_jsonable_prints_a_residual_as_its_verdict_value():
+    from algtool.linalg import RESIDUAL_FLOOR, Residual
+    below = Residual(9.99e-13)
+    assert RESIDUAL_FLOOR == 1e-12 and below < RESIDUAL_FLOOR
+    data = to_jsonable({"r": [below, Residual(1e-12), Residual(1.23456e-7), Residual(0.8050916),
+                              Residual(math.inf)], "f": 1.6011864169946894e-15})
+    assert data["r"] == [0.0, 1e-12, 1.23e-7, 0.805, math.inf]
+    assert all(type(v) is float for v in data["r"])
+    # every other float keeps its bits, and comparisons read the raw value
+    assert data["f"] == 1.6011864169946894e-15 and below > 0.0
+
+
 def test_empty_stratum_fails(capsys):
     code, out = run_cli(capsys, "sklyanin2", "stratify", "--a", "1.0",
                         "--b", "0.12888995128730368", "--samples", "0", "--format", "json")
