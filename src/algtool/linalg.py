@@ -27,7 +27,7 @@ supported on non-pivot columns only.
 
 Numeric matrices have two numpy routines, each taking a single matrix or a
 stack of them: `rank_float` (an SVD count, one SVD call per stack) and
-`minors_float` (every k x k minor by one batched determinant).  An error
+`minors_float` (every 3 x 3 minor by one closed-form cofactor expansion).  An error
 measure that a float check only compares with a tolerance is a `Residual`:
 its verdict reads the raw value, and its output the `printed` one.
 """
@@ -283,23 +283,26 @@ def rank_float(matrix, tol: float = RANK_TOL, scale: Optional[float] = None):
 
 
 @cache
-def _minor_indices(nrows: int, ncols: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Index arrays (ri, ci) with m[..., ri, ci] the stack of every k x k
-    submatrix of an nrows x ncols matrix m, in `minors_float` order; built
-    once per shape and k, and read-only, since every caller shares them."""
-    rows = list(combinations(range(nrows), k))
-    cols = list(combinations(range(ncols), k))
-    ri = np.array([r for r in rows for _c in cols])[:, :, None]
-    ci = np.array([c for _r in rows for c in cols])[:, None, :]
+def _minor_indices(nrows: int, ncols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index arrays (ri, ci) of shapes (3, 1, M) and (1, 3, M) with
+    m[..., ri, ci][..., i, j, s] entry (i, j) of the s-th 3 x 3 submatrix of
+    an nrows x ncols matrix m, in `minors_float` order; built once per shape,
+    and read-only, since every caller shares them."""
+    subsets = [(r, c) for r in combinations(range(nrows), 3)
+               for c in combinations(range(ncols), 3)]
+    ri = np.array([r for r, _c in subsets], dtype=np.intp).reshape(-1, 3).T[:, None, :]
+    ci = np.array([c for _r, c in subsets], dtype=np.intp).reshape(-1, 3).T[None, :, :]
     ri.setflags(write=False)
     ci.setflags(write=False)
     return ri, ci
 
 
-def minors_float(matrix, k: int) -> np.ndarray:
-    """Every k x k minor of a numeric matrix, in `poly.mat_minors` order (row
-    subsets, then column subsets, lexicographic), by one batched determinant.
+def minors_float(matrix) -> np.ndarray:
+    """Every 3 x 3 minor of a numeric matrix, in `poly.mat_minors` order (row
+    triples, then column triples, lexicographic), by the cofactor expansion
+    along the first row, on the stack of all submatrices gathered at once.
     Leading axes of `matrix` are batch axes: the minors run along the last."""
     a = np.asarray(matrix, dtype=complex)
-    ri, ci = _minor_indices(a.shape[-2], a.shape[-1], k)
-    return np.linalg.det(a[..., ri, ci])
+    ri, ci = _minor_indices(a.shape[-2], a.shape[-1])
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = np.moveaxis(a[..., ri, ci], (-3, -2), (0, 1))
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)

@@ -114,7 +114,7 @@ def _minor_jacobians(partials: List[PolyMatrix], points) -> np.ndarray:
     for i in range(3):
         swapped = np.repeat(values[:, None], 5, axis=1)
         swapped[:, :, i, :] = derivs[:, :, i, :]
-        jac += minors_float(swapped, 3)
+        jac += minors_float(swapped)
     return jac.transpose(0, 2, 1)
 
 
@@ -203,7 +203,7 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     def residual(x0, x1, x2) -> float:
         point = np.array([x0, x1, x2, x2, x1], dtype=complex)
         point = point / np.abs(point).max()
-        return float(np.abs(minors_float(matrix.eval(list(point)), 3)).max())
+        return float(np.abs(minors_float(matrix.eval(list(point)))).max())
 
     worst = 0.0
     control = float("inf")

@@ -210,7 +210,7 @@ def point_module_check(point, rank_tol: float = RANK_TOL) -> PointModuleReport:
         scale = max(abs(v) for v in pt)
         scaled.append([v / scale for v in pt])
     stack = form.eval_stack(scaled)
-    worst = Residual(np.abs(minors_float(stack, 3)).max())
+    worst = Residual(np.abs(minors_float(stack)).max())
     ranks = rank_float(stack, rank_tol).tolist()
     return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
 

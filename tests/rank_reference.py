@@ -1,15 +1,17 @@
-"""Test-only reference: float ranks and the point-module check one matrix at
-a time, as `linalg.rank_float` and `sklyanin2.point_module_check` computed
-them before they took a stack of matrices in one call."""
+"""Test-only reference: float ranks, 3 x 3 minors and the point-module check
+one matrix at a time, as `linalg.rank_float`, `linalg.minors_float` and
+`sklyanin2.point_module_check` computed them before they took a stack of
+matrices in one call, and before the minors were cofactor expansions: each
+minor is `np.linalg.det` of its submatrix (an LU factorization)."""
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from algtool.clifford import clifford_form
-from algtool.linalg import minors_float
 from algtool.sklyanin2 import orbit_points, t_param
 
 
@@ -28,6 +30,17 @@ def rank_one(matrix, tol: float = 1e-8, scale: Optional[float] = None) -> int:
     return int(np.sum(sv > tol * top))
 
 
+def minors_det(matrix) -> np.ndarray:
+    """Every 3 x 3 minor of a matrix or a stack of them, in `mat_minors`
+    order, as `np.linalg.det` of each submatrix."""
+    a = np.asarray(matrix, dtype=complex)
+    rows = list(combinations(range(a.shape[-2]), 3))
+    cols = list(combinations(range(a.shape[-1]), 3))
+    ri = np.array([r for r in rows for _c in cols], dtype=np.intp).reshape(-1, 3)[:, :, None]
+    ci = np.array([c for _r in rows for c in cols], dtype=np.intp).reshape(-1, 3)[:, None, :]
+    return np.linalg.det(a[..., ri, ci])
+
+
 def point_module_one_by_one(point, rank_tol: float = 1e-8) -> Tuple[float, List[int]]:
     """(largest |3x3 minor|, ranks) of Q(a, b) over the orbit of the base point
     of E', each orbit point scaled to largest modulus 1 and its matrix
@@ -38,6 +51,6 @@ def point_module_one_by_one(point, rank_tol: float = 1e-8) -> Tuple[float, List[
     for pt in orbit_points(complex(t_param(a, b))):
         scale = max(abs(v) for v in pt)
         q = form.eval([v / scale for v in pt])
-        worst = max(worst, float(np.abs(minors_float(q, 3)).max()))
+        worst = max(worst, float(np.abs(minors_det(q)).max()))
         ranks.append(rank_one(q, rank_tol))
     return worst, ranks

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from algtool.cyclotomic import Cyclotomic
 from algtool.linalg import RowSpace, minors_float, rank_float
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_minors
 from heisenberg_reference import nullspace_exact
-from rank_reference import rank_one
+from rank_reference import minors_det, rank_one
 
 
 def test_rowspace_reduce_and_rank():
@@ -128,16 +129,43 @@ def test_batched_rank_matches_per_matrix_reference(shape, draws, tol, scale, rng
             assert g == (0 if scale and mag < 1 else r)
 
 
-@pytest.mark.parametrize("shape, k", [((3, 5), 3), ((5, 5), 3), ((4, 3), 2), ((2, 3), 1)])
-def test_minors_float_matches_mat_minors_in_order(shape, k):
-    rng = np.random.default_rng(sum(shape) + k)
+@pytest.mark.parametrize("shape", [(3, 5), (5, 5), (4, 3), (2, 3)])
+def test_minors_float_matches_mat_minors_in_order(shape):
+    # a matrix with fewer than 3 rows has no 3 x 3 minor
+    rng = np.random.default_rng(sum(shape))
     ring = PolyRing(())
     for _ in range(5):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         poly = PolyMatrix(*shape, [MultiPoly.const(ring, complex(v)) for v in a.ravel()])
-        expected = [dict(m.items()).get((), 0j) for m in mat_minors(poly, k)]
-        got = minors_float(a, k)
+        expected = ([dict(m.items()).get((), 0j) for m in mat_minors(poly, 3)]
+                    if min(shape) >= 3 else [])
+        got = minors_float(a)
         assert got.shape == (len(expected),)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
         # leading axes are batch axes
-        assert np.array_equal(minors_float(np.stack([a, 2 * a]), k)[0], got)
+        assert np.array_equal(minors_float(np.stack([a, 2 * a]))[0], got)
+
+
+def rank_deficient(rng, shape, rank):
+    """A complex matrix of the shape and rank, as a product of two random
+    factors."""
+    left = rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))
+    right = rng.standard_normal((rank, shape[1])) + 1j * rng.standard_normal((rank, shape[1]))
+    return left @ right
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (4, 6)])
+@pytest.mark.parametrize("shape", [(3, 3), (3, 5), (5, 5), (6, 4)])
+def test_minors_float_is_the_lu_determinant_of_each_submatrix(batch, shape):
+    # oracle: np.linalg.det of the same submatrices; full-rank, rank-2
+    # (every minor 0) and rank-1 stacks, at scales 1e-8..1e8
+    rng = np.random.default_rng(len(batch) * 31 + sum(shape))
+    for rank in (min(shape), 2, 1):
+        stack = np.stack([rank_deficient(rng, shape, rank) * 10.0 ** rng.integers(-8, 9)
+                          for _ in range(int(np.prod(batch)))]).reshape(*batch, *shape)
+        got, want = minors_float(stack), minors_det(stack)
+        assert got.shape == want.shape == (*batch, comb(shape[0], 3) * comb(shape[1], 3))
+        # a 3 x 3 minor is a sum of six triple products; each agrees to a
+        # few ulps of the largest of them
+        size = np.abs(stack).max(axis=(-2, -1), keepdims=True)[..., 0]
+        assert (np.abs(got - want) <= 1e-12 * size ** 3).all()

@@ -11,7 +11,7 @@ from algtool import shioda5
 from algtool.gradedalg import Presentation, curve_fiber, make_presentation, make_relation
 from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                                 projective_fixed_points, subgroup_generators)
-from algtool.linalg import minors_float, rank_float
+from algtool.linalg import rank_float
 from algtool.poly import PolyMatrix
 from algtool.shioda5 import (_entry_monomials, _minor_jacobians, _on_s15, _within,
                              base_orbit, ca_orbit_check, ca_relations, cusp_cycles,
@@ -19,6 +19,7 @@ from algtool.shioda5 import (_entry_monomials, _minor_jacobians, _on_s15, _withi
                              singular_points_check, thirty_points,
                              two_torsion_check, x_vars)
 from heisenberg_reference import normalize_projective
+from rank_reference import minors_det
 from shioda5_reference import rank_below_3
 
 
@@ -186,14 +187,15 @@ def test_jacobi_formula_jacobian_matches_symbolic_partials():
 
 def jacobians_point_by_point(matrix, partials, points) -> np.ndarray:
     """The Jacobi-formula stack with M and each d_j M evaluated by
-    `PolyMatrix.eval` at each point, as `_minor_jacobians` once did."""
+    `PolyMatrix.eval` at each point and LU-determinant minors, as
+    `_minor_jacobians` once did."""
     values = np.array([matrix.eval(pt) for pt in points], dtype=complex)
     derivs = np.array([[d.eval(pt) for d in partials] for pt in points], dtype=complex)
     jac = np.zeros((len(points), 5, 10), dtype=complex)
     for i in range(3):
         swapped = np.repeat(values[:, None], 5, axis=1)
         swapped[:, :, i, :] = derivs[:, :, i, :]
-        jac += minors_float(swapped, 3)
+        jac += minors_det(swapped)
     return jac.transpose(0, 2, 1)
 
 
