@@ -182,6 +182,17 @@ def orbit_points(t: complex) -> List[Tuple[complex, ...]]:
     return normalized
 
 
+def _orbit_stack(t: complex) -> np.ndarray:
+    """The points of `orbit_points` as one (25, 5) array in the same order,
+    each scaled to largest modulus 1 rather than to a first coordinate 1:
+    e1^a e2^b sends (0, 1, t, -t, -1) to its coordinates times the phases
+    w^(b c), rolled back by a."""
+    c = np.arange(5)
+    twisted = np.exp(2j * np.pi * np.outer(c, c) / 5) * np.array([0, 1, t, -t, -1])
+    orbit = twisted[:, (c[:, None] + c) % 5].transpose(1, 0, 2).reshape(25, 5)
+    return orbit / np.abs(orbit).max(axis=1, keepdims=True)
+
+
 @dataclass
 class PointModuleReport:
     t: complex
@@ -198,21 +209,16 @@ class PointModuleReport:
 def point_module_check(point, rank_tol: float = RANK_TOL) -> PointModuleReport:
     """Every 3x3 minor of Q(a, b) vanishes on the whole orbit of the base
     point of E', and the rank there (singular values above `rank_tol`
-    relative to the largest) is 2.  Q is evaluated at each orbit point scaled
-    to largest modulus 1, into one stack: one `minors_float` call takes the
+    relative to the largest) is 2.  Q is evaluated at the orbit, built as one
+    array (`_orbit_stack`), into one stack: one `minors_float` call takes the
     minors of all of them and one `rank_float` call their ranks."""
     a, b = point
     t = _require_t(a, b)
     form = clifford_form(5, (1, complex(a), complex(b)))
-    orbit = orbit_points(t)
-    scaled = []
-    for pt in orbit:
-        scale = max(abs(v) for v in pt)
-        scaled.append([v / scale for v in pt])
-    stack = form.eval_stack(scaled)
+    stack = form.eval_stack(_orbit_stack(t))
     worst = Residual(np.abs(minors_float(stack)).max())
     ranks = rank_float(stack, rank_tol).tolist()
-    return PointModuleReport(t, len(orbit), comb(5, 3) ** 2, worst, ranks)
+    return PointModuleReport(t, len(stack), comb(5, 3) ** 2, worst, ranks)
 
 
 # -- stratification ------------------------------------------------------------------

@@ -20,8 +20,8 @@ from algtool.minortables import CoefficientTable, _generic_form, minor_tables
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 from algtool.selftest import criterion_9_determinism
 from algtool.shioda5 import ca_relations
-from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, check_onedim_bound,
-                               cprime_residual, curve_points_on_grid,
+from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, _orbit_stack,
+                               check_onedim_bound, cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
                                minor_ideal_checks, onedim_reps, orbit_points,
                                point_module_check, secant_check,
@@ -222,6 +222,21 @@ def test_orbit_points_are_25_distinct_normalized_images(t):
     arr = np.array(pts)
     gaps = np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=2)
     assert gaps[~np.eye(25, dtype=bool)].min() >= 0.1
+
+
+@pytest.mark.parametrize("t", ORBIT_TS.values(), ids=ORBIT_TS.keys())
+def test_orbit_stack_is_orbit_points_at_modulus_one(t):
+    # the same 25 projective points in the same order: each row is its
+    # `orbit_points` image times one unit factor, largest modulus 1
+    stack, pts = _orbit_stack(t), np.array(orbit_points(t))
+    assert stack.shape == (25, 5)
+    assert np.allclose(np.abs(stack).max(axis=1), 1.0, rtol=0, atol=1e-15)
+    lead = np.argmax(np.abs(pts), axis=1)
+    rows = np.arange(25)
+    unit = stack[rows, lead] / pts[rows, lead] * np.abs(pts[rows, lead])
+    assert np.allclose(np.abs(unit), 1.0, rtol=0, atol=1e-12)
+    scaled = pts / np.abs(pts).max(axis=1, keepdims=True)
+    assert np.allclose(stack, unit[:, None] * scaled, rtol=0, atol=1e-12)
 
 
 def test_point_module_check_rejects_singular_parameter():
