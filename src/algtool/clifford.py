@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import sqrt
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -149,9 +148,10 @@ class CliffordReps:
 def build_reps(matrix, rank: int) -> CliffordReps:
     """Matrices X_1..X_n with X_i X_j + X_j X_i = M_ij * Id, dimension and
     count per simple_profile(rank); odd rank yields the two inequivalent
-    choices (sign flip of the last diagonalized generator).  The X_i are one
-    stack, their products one matmul, and each residual is `np.linalg.norm`'s
-    arithmetic: dots of the strided real and imaginary parts."""
+    choices (sign flip of the last diagonalized generator).  The X_i of every
+    choice are one stack, their products one matmul, and the n^2 residuals
+    per choice, the Frobenius norms of X_i X_j + X_j X_i - M_ij Id over
+    |M|_max + 1, are one vectorized norm; `max_residual` is the largest."""
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
     if m.shape != (n, n):
@@ -172,24 +172,22 @@ def build_reps(matrix, rank: int) -> CliffordReps:
         variants.append(flipped)
     dim = 2 ** (rank // 2)
     target = m[:, :, None, None] * np.eye(dim)
-    tuples = []
+    stacks = []
     chirality = []
-    residual = 0.0
     for gammas in variants:
         xs = np.zeros((n, dim, dim), dtype=complex)
         for r in range(rank):
             xs += s[:, r, None, None] * gammas[r]
-        xs = xs / np.sqrt(2.0)
+        stacks.append(xs / np.sqrt(2.0))
         top = np.eye(dim, dtype=complex)
         for g in gammas:
             top = top @ g
         chirality.append(complex(np.trace(top) / dim))
-        prod = np.matmul(xs[:, None], xs[None, :])
-        for row in (prod + prod.swapaxes(0, 1) - target).reshape(n * n, dim * dim):
-            re, im = row.real, row.imag
-            residual = max(residual, sqrt(re.dot(re) + im.dot(im)) / scale)
-        tuples.append(list(xs))
-    return CliffordReps(tuples, chirality, Residual(residual))
+    xs = np.stack(stacks)
+    prod = np.matmul(xs[:, :, None], xs[:, None, :])
+    err = (prod + prod.swapaxes(1, 2) - target).reshape(-1, dim * dim)
+    residual = np.sqrt((err.real ** 2 + err.imag ** 2).sum(axis=1)).max() / scale
+    return CliffordReps([list(x) for x in stacks], chirality, Residual(residual))
 
 
 # -- forms of the catalog -----------------------------------------------------------

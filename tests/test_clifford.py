@@ -11,7 +11,7 @@ from algtool.clifford import (MAX_SAMPLES, FatProfile, SimpleProfile, build_reps
                               simple_profile, standard_gammas)
 from algtool.errors import ArityError, ConditioningError, InputError, ResourceLimitError
 from algtool.gradedalg import make_presentation
-from algtool.linalg import rank_float
+from algtool.linalg import Residual, rank_float
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det
 from algtool.sklyanin2 import curve_points_on_grid
 from clifford_reference import (build_reps_pairwise, clifford_strata_per_point, det_along_line,
@@ -284,16 +284,35 @@ def build_reps_cases():
 
 
 def test_build_reps_is_the_pairwise_loop_bit_for_bit():
+    # the matrices and chiralities bit for bit; the residual, one vectorized
+    # norm in place of one np.linalg.norm per pair, as printed
     ranks = set()
     for m, k in build_reps_cases():
         reps = build_reps(m, k)
         tuples, chirality, residual = build_reps_pairwise(m, k)
-        assert reps.max_residual.hex() == residual.hex()
+        assert type(reps.max_residual) is Residual
+        assert reps.max_residual.printed() == Residual(residual).printed()
         assert reps.chirality == chirality
         assert [[bits(x) for x in xs] for xs in reps.tuples] == \
             [[bits(x) for x in xs] for xs in tuples]
         ranks.add(k)
     assert ranks == {0, 1, 2, 3, 4, 5}
+
+
+def test_build_reps_residual_is_the_pairwise_norm():
+    # oracle: the largest of the n^2 pairwise `np.linalg.norm`s over the
+    # scale |M|_max + 1; both sum the same squares in another order, so they
+    # agree to a few ulps of the scale, and the planted error below shows
+    eps = np.finfo(float).eps
+    for m, k in build_reps_cases():
+        residual = build_reps_pairwise(m, k)[2]
+        assert abs(build_reps(m, k).max_residual - residual) <= 4 * eps
+    # rank 2 drops the third diagonal entry, 1e-6: X_2^2 = 0, not 1e-6 / 2 Id
+    m = np.diag([2.0, 2.0, 1e-6])
+    reps = build_reps(m, 2)
+    assert reps.max_residual == build_reps_pairwise(m, 2)[2]
+    assert abs(reps.max_residual - 1e-6 * np.sqrt(2) / 3) <= 4 * eps * 1e-6
+    assert Residual(reps.max_residual).printed() == 4.71e-7
 
 
 @pytest.mark.parametrize("samples", [0, 1, 7])
