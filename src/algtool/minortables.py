@@ -9,7 +9,8 @@ u_{i+2} u_{i+3} (`shioda5.ca_relations` with t a variable) and their
 Jacobian determinant det(dq_i/du_j) have integer coefficients in t.
 `minor_tables` expands them once per process over int coefficients and
 keeps only the sparse integer tables; evaluating a table at a point is one
-scatter-add.  `sklyanin2` imports this module where it first needs it, so
+`np.bincount` scatter of its terms per real and imaginary part.
+`sklyanin2` imports this module where it first needs it, so
 CLI start-up does not compile it.
 """
 
@@ -75,13 +76,19 @@ class CoefficientTable:
 
     def at(self, values: Sequence[complex]) -> np.ndarray:
         """The coefficient vectors against `basis` at the parameter values,
-        one row per polynomial: one scatter-add of the terms."""
+        one row per polynomial: the terms scattered by `np.bincount`, once
+        for the real parts and once for the imaginary ones, each cell
+        summing its terms in table order."""
         monomials = np.array([prod(v ** k for v, k in zip(values, exps))
                               for exps in self.params], dtype=complex)
         row, col, param, coeff = self.entries.T
-        out = np.zeros((self.size, len(self.basis)), dtype=complex)
-        np.add.at(out, (row, col), coeff * monomials[param])
-        return out
+        terms = coeff * monomials[param]
+        cells = self.size * len(self.basis)
+        cell = row * len(self.basis) + col
+        out = np.empty(cells, dtype=complex)
+        out.real = np.bincount(cell, terms.real, cells)
+        out.imag = np.bincount(cell, terms.imag, cells)
+        return out.reshape(self.size, len(self.basis))
 
 
 class MinorTables(NamedTuple):

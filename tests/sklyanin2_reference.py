@@ -8,12 +8,14 @@ the point; `curve_points_on_grid` scans [-4, 4] for sign changes and
 bisects each, where `sklyanin2.curve_points_on_grid` takes the roots of
 the quintic; `onedim_reps` builds every candidate in Q(w) and checks each
 one against every relation by Q(w) products, where `sklyanin2.onedim_reps`
-checks one rational candidate in phase buckets and twists it."""
+checks one rational candidate in phase buckets and twists it;
+`CoefficientTable.at` scattered its terms with `np.add.at`, where it now
+takes one `np.bincount` per real and imaginary part."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +27,16 @@ from algtool.poly import (MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors, 
                           monomials_of_degree)
 from algtool.errors import InputError, PoleError
 from algtool.sklyanin2 import CurvePoint, SecantReport, cprime_residual, t_param
+
+
+def table_at(table, values) -> np.ndarray:
+    """`CoefficientTable.at` by one complex `np.add.at` of the terms."""
+    monomials = np.array([prod(v ** k for v, k in zip(values, exps))
+                          for exps in table.params], dtype=complex)
+    row, col, param, coeff = table.entries.T
+    out = np.zeros((table.size, len(table.basis)), dtype=complex)
+    np.add.at(out, (row, col), coeff * monomials[param])
+    return out
 
 
 def coefficient_vector(f: MultiPoly, basis) -> list:

@@ -28,7 +28,7 @@ from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, _orbit_
                                stratify, t_param)
 from rank_reference import point_module_one_by_one, rank_one
 import sklyanin2_reference
-from sklyanin2_reference import coefficient_vector, degree_pieces, quadrics_at
+from sklyanin2_reference import coefficient_vector, degree_pieces, quadrics_at, table_at
 
 
 def bisect_root(f, lo, hi, iters=80):
@@ -328,6 +328,19 @@ def test_minor_tables_equal_exact_minors_and_products(ab):
     assert exact_table(qq, (t,)) == expected
     jac = mat_det(PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)]))
     assert exact_table(jacobian, (t,)) == [coefficient_vector(jac, jacobian.basis)]
+
+
+@pytest.mark.parametrize("ab", [(1.0, 0.12888995128730368), (0.0, 1.0), (-2.5, 3.25),
+                                (0.3 - 1.1j, 2j), (1e20, -3e-20)], ids=str)
+def test_minor_tables_bincount_is_the_add_at_scatter_bit_for_bit(ab):
+    # every cell sums its terms in table order either way, with the real and
+    # imaginary parts apart
+    t = complex(t_param(*ab)) if ab[0] == 1.0 else complex(ab[0] * ab[1])
+    for name, table in minor_tables()._asdict().items():
+        values = (t,) if len(table.params[0]) == 1 else ab
+        got = table.at(values)
+        assert got.shape == (table.size, len(table.basis)), name
+        assert got.tobytes() == table_at(table, values).tobytes(), name
 
 
 def test_determinant_tables_are_the_tables_of_mat_det():
