@@ -44,30 +44,28 @@ def orthogonal_rows(rows: Sequence[Sequence[Cyclotomic]], sizes: Sequence[int],
     for i == j and 0 otherwise, for every pair of rows of a character table
     over Z[w], decided exactly in integers.
 
-    Each value is lifted once (`Cyclotomic.lift`), and a value with a
-    denominator other than 1 is not an algebraic integer, so it raises;
-    conjugation maps w^k to w^-k, so a pair's class sum collects into p
-    integer buckets b_0..b_{p-1} of the powers of w, and it equals N exactly
-    when b_0 - N equals every other bucket."""
+    A value with a denominator other than 1 is not an algebraic integer, so
+    it raises.  Each other value is its power-basis numerators with a 0
+    padded at w^(p-1), a lift to Z[x]/(x^p - 1).  Conjugation maps w^k to
+    w^-k, so the class sums of all pairs fall into p integer matrices of
+    buckets, B_m[i, j] = sum_{g, k} |g| A[i, g, k] A[j, g, k - m], one
+    matrix product each; a pair's sum is N exactly when its B_0 - N equals
+    every other B_m.  The products run in int64 when a bound on every sum
+    rules out overflow, else on Python ints (dtype=object)."""
     p = rows[0][0].p
     fraction = next((v for row in rows for v in row if v.den != 1), None)
     if fraction is not None:
         raise ValueError(f"{fraction} is not an algebraic integer: its denominator "
                          f"is {fraction.den}")
-    lifted = [[v.lift() for v in row] for row in rows]
-    for i, row in enumerate(lifted):
-        weighted = [[(k, c * size) for k, c in terms] for terms, size in zip(row, sizes)]
-        for j in range(i, len(lifted)):
-            buckets = [0] * p
-            for chi, psi in zip(weighted, lifted[j]):
-                for k, c in chi:
-                    for m, d in psi:
-                        buckets[(k - m) % p] += c * d
-            if i == j:
-                buckets[0] -= order
-            if buckets.count(buckets[0]) != p:
-                return False
-    return True
+    lifts = [[v.num + (0,) for v in row] for row in rows]
+    top = max(abs(c) for row in lifts for v in row for c in v)
+    bound = len(sizes) * p * max(map(abs, sizes)) * top * top + abs(order)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    a = np.array(lifts, dtype=dtype)
+    weighted = (a * np.array(sizes, dtype=dtype)[:, None]).reshape(len(rows), -1)
+    buckets = [weighted @ np.roll(a, m, axis=2).reshape(len(rows), -1).T for m in range(p)]
+    diagonal = buckets[0] - order * np.eye(len(rows), dtype=dtype)
+    return all((b == diagonal).all() for b in buckets[1:])
 
 
 def _orthogonality_exact(p: int) -> bool:

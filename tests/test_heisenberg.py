@@ -170,6 +170,31 @@ def test_orthogonal_rows_matches_cyclotomic_loop(p):
 
 
 @pytest.mark.parametrize("p", [3, 5])
+def test_orthogonal_rows_stays_exact_beyond_int64(p):
+    # rows times 2^40 make class sums near 2^80 * p^3, past int64, so the
+    # products run on Python ints; the verdicts are still the Q(w) loop's,
+    # on the table and on every planted mutant
+    big = 2 ** 40
+    rows, sizes = heisenberg_table(p)
+    scaled = [[v * big for v in row] for row in rows]
+    order = p ** 3 * big * big
+    assert orthogonal_rows(scaled, sizes, order) and orthogonal_reference(scaled, sizes, order)
+    assert not orthogonal_rows(scaled, sizes, order + 1)
+    assert not orthogonal_rows(rows, sizes, order)
+    rng = random.Random(p + 40)
+    for label, mutant, msizes in perturbed_tables(p, rng):
+        mutant = [[v * big for v in row] for row in mutant]
+        assert (orthogonal_rows(mutant, msizes, order)
+                == orthogonal_reference(mutant, msizes, order)), label
+    # one unit off a value of the scaled table is a mutant only the exact
+    # sum sees: it changes a class sum by about 2^40 against 2^80
+    i, c = next((i, c) for i, row in enumerate(scaled) for c, v in enumerate(row) if v)
+    scaled[i][c] = scaled[i][c] + 1
+    assert not orthogonal_rows(scaled, sizes, order)
+    assert not orthogonal_reference(scaled, sizes, order)
+
+
+@pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("row, col", [(0, 0), (0, -1), (-1, 0), (-1, 1), (1, 3)])
 def test_one_value_times_zeta_fails(p, row, col):
     rows, sizes = heisenberg_table(p)
