@@ -34,13 +34,20 @@ eigenvalues of each line's pencil (M(base), M(direction)), and the
 -60.195202654285026) and residual (4.03e-16 to 1.39e-16) in the last
 bits."""
 
+import dataclasses
 import hashlib
+import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from algtool import clifford, linalg, shioda5, sklyanin2
 from algtool.cli import main
+from algtool.clifford import build_reps, clifford_form
+from algtool.linalg import Residual
 
 README = ("--a", "1.0", "--b", "0.12888995128730368")
 
@@ -127,3 +134,75 @@ def test_per_process_caches_keep_outputs():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:-1] == [f"{code} {digest}" for _a, code, digest in runs]
+
+
+
+def stdout_digest(capsys, argv) -> tuple:
+    code = main([*argv, "--format", "json"])
+    return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def minors_reordered(matrix) -> np.ndarray:
+    """`linalg.minors_float` with the six Leibniz terms of each minor summed
+    last to first, each product taken right to left."""
+    a = np.asarray(matrix, dtype=complex)
+    ri, ci = linalg._minor_indices(a.shape[-2], a.shape[-1])
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = np.moveaxis(a[..., ri, ci], (-3, -2), (0, 1))
+    return (((((-(c2 * b0 * a1) - c0 * b1 * a2) - c1 * b2 * a0) + c1 * b0 * a2)
+             + c0 * b2 * a1) + c2 * b1 * a0)
+
+
+def build_reps_reversed(moved: list):
+    """`clifford.build_reps` with its residual taken over the pairs in
+    reverse, each norm a Python sum of |entry|^2 from the last entry; each
+    call appends to `moved` whether its residual changed."""
+    def build(matrix, rank: int):
+        reps = build_reps(matrix, rank)
+        m = np.asarray(matrix, dtype=complex)
+        scale = np.abs(m).max() + 1.0
+        eye = np.eye(len(reps.tuples[0][0]))
+        worst = 0.0
+        for xs in reversed(reps.tuples):
+            for i in reversed(range(len(xs))):
+                for j in reversed(range(len(xs))):
+                    err = (xs[j] @ xs[i] + xs[i] @ xs[j] - m[i, j] * eye).ravel()[::-1]
+                    worst = max(worst, math.sqrt(sum(abs(v) ** 2 for v in err)) / scale)
+        moved.append(worst != reps.max_residual)
+        return dataclasses.replace(reps, max_residual=Residual(worst))
+    return build
+
+
+def test_reordered_residual_kernels_keep_every_pin(capsys, monkeypatch):
+    """Control of the print rule: residual kernels that sum in another
+    order move raw residuals in their last bits, and no printed byte."""
+    point = (1.0, 0.12888995128730368)
+    stack = clifford_form(5, (1, *point)).eval_stack(
+        np.random.default_rng(0).standard_normal((25, 5)))
+    assert minors_reordered(stack).tobytes() != linalg.minors_float(stack).tobytes()
+    assert np.allclose(minors_reordered(stack), linalg.minors_float(stack), rtol=1e-12)
+    before = sklyanin2.point_module_check(point).max_minor_residual
+    moved = []
+    monkeypatch.setattr(sklyanin2, "minors_float", minors_reordered)
+    monkeypatch.setattr(shioda5, "minors_float", minors_reordered)
+    monkeypatch.setattr(clifford, "build_reps", build_reps_reversed(moved))
+    after = sklyanin2.point_module_check(point).max_minor_residual
+    assert after != before and after.printed() == before.printed() == 0.0
+    for name, (argv, code, digest) in OUTPUTS.items():
+        assert stdout_digest(capsys, argv) == (code, digest), name
+    assert any(moved)
+
+
+def test_a_perturbed_coefficient_of_q_moves_the_minors_bytes(capsys, monkeypatch):
+    """Control of the print rule: a real change of a value, Q(a, b) with
+    b + 1e-6 in place of b, moves the printed residual and the bytes."""
+    argv, code, digest = OUTPUTS["sklyanin2-minors"]
+    assert stdout_digest(capsys, argv) == (code, digest)
+    form = sklyanin2.clifford_form
+    monkeypatch.setattr(sklyanin2, "clifford_form",
+                        lambda p, avec: form(p, (avec[0], avec[1], avec[2] + 1e-6)))
+    moved = stdout_digest(capsys, argv)
+    assert moved != (code, digest) and moved[0] == 2
+    main([*argv, "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_minor_residual"] == 3.88e-6
+    assert report["t"] == [-4.004148851643222, 0.0]
