@@ -15,7 +15,9 @@ dimension 2^((k-1)/2) and one fat point of multiplicity 2^((k-1)/2); even
 rank k gives one simple representation of dimension 2^(k/2) and two fat
 points of multiplicity 2^(k/2 - 1).  The forms of the catalog are those of
 cliffordC(p; a_0, ..., a_{(p-1)/2}), built from the parameters alone by
-`clifford_form`.
+`clifford_form`.  `build_reps` checks the matrices it builds by all n^2
+anticommutator residuals at once, and reports the largest as a
+`linalg.Residual`, which output prints as 0.0 below 1e-12.
 """
 
 from __future__ import annotations

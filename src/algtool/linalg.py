@@ -27,9 +27,10 @@ supported on non-pivot columns only.
 
 Numeric matrices have two numpy routines, each taking a single matrix or a
 stack of them: `rank_float` (an SVD count, one SVD call per stack) and
-`minors_float` (every 3 x 3 minor by one closed-form cofactor expansion).  An error
-measure that a float check only compares with a tolerance is a `Residual`:
-its verdict reads the raw value, and its output the `printed` one.
+`minors_float` (every 3 x 3 minor by one closed-form cofactor expansion).
+An error measure that a float check only compares with a tolerance is a
+`Residual`: its verdict reads the raw value, and its output the `printed`
+one.
 """
 
 from __future__ import annotations

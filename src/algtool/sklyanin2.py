@@ -11,7 +11,10 @@ polynomial at a point: they evaluate `minortables.minor_tables`, sparse
 integer coefficient tables built once per process of the 3x3 and 4x4
 minors and the determinant of Q(a, b) over Z[u, a, b], and of the products
 of the q_i and their Jacobian determinant over Z[u, t]; the spans are
-still compared by float ranks.
+still compared by float ranks.  The point-module and secant checks report
+their error measures as `linalg.Residual`s: `ok` compares the raw value
+with its bound, and the output prints it as 0.0 below 1e-12, else to 3
+significant digits, so a bound below 1e-12 is refused by the CLI.
 
 Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
@@ -19,7 +22,8 @@ Conventions fixed here once:
     the quadrics of the quotient curve E' = C_t in the u-coordinates.
   * The base point of E' is (0 : 1 : t : -t : -1); its orbit comes from
     `shioda5.base_orbit`, and has 25 distinct points for every t: its
-    stabilizer in H_5/Z is trivial (`orbit_points`).
+    stabilizer in H_5/Z is trivial (`orbit_points`).  The point-module
+    check builds the same points as one numpy array (`_orbit_stack`).
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ def _orbit_stack(t: complex) -> np.ndarray:
     e1^a e2^b sends (0, 1, t, -t, -1) to its coordinates times the phases
     w^(b c), rolled back by a."""
     c = np.arange(5)
-    twisted = np.exp(2j * np.pi * np.outer(c, c) / 5) * np.array([0, 1, t, -t, -1])
+    twisted = np.exp(2j * np.pi * (np.outer(c, c) % 5) / 5) * np.array([0, 1, t, -t, -1])
     orbit = twisted[:, (c[:, None] + c) % 5].transpose(1, 0, 2).reshape(25, 5)
     return orbit / np.abs(orbit).max(axis=1, keepdims=True)
 
