@@ -305,5 +305,7 @@ def minors_float(matrix) -> np.ndarray:
     Leading axes of `matrix` are batch axes: the minors run along the last."""
     a = np.asarray(matrix, dtype=complex)
     ri, ci = _minor_indices(a.shape[-2], a.shape[-1])
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = np.moveaxis(a[..., ri, ci], (-3, -2), (0, 1))
+    m = a[..., ri, ci]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = ([m[..., i, j, :] for j in range(3)]
+                                                for i in range(3))
     return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)

@@ -200,10 +200,14 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     matrix = s15_matrix()
     directions = np.exp(2j * np.pi * np.arange(5) / 5)
 
-    def residual(x0, x1, x2) -> float:
-        point = np.array([x0, x1, x2, x2, x1], dtype=complex)
-        point = point / np.abs(point).max()
-        return float(np.abs(minors_float(matrix.eval(list(point)))).max())
+    def residual(x0s, x1, x2) -> float:
+        """The largest residual of the points (x0 : x1 : x2 : x2 : x1), their
+        minors taken in one `minors_float` call."""
+        mats = []
+        for x0 in x0s:
+            point = np.array([x0, x1, x2, x2, x1], dtype=complex)
+            mats.append(matrix.eval(list(point / np.abs(point).max())))
+        return float(np.abs(minors_float(mats)).max())
 
     worst = 0.0
     control = float("inf")
@@ -217,12 +221,11 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
         roots = np.roots(coeffs)
         if len(roots) != 4:
             raise SamplingError("quartic lost roots")
-        for x0 in roots:
-            worst = max(worst, residual(x0, x1, x2))
-            count += 1
+        worst = max(worst, residual(roots, x1, x2))
+        count += len(roots)
         root = min(roots, key=abs)
         scale = max(abs(x1), abs(x2))
-        control = min(control, max(residual(root + scale * d, x1, x2) for d in directions))
+        control = min(control, residual(root + scale * directions, x1, x2))
     return TwoTorsionReport(samples, count, Residual(worst), Residual(control))
 
 
