@@ -18,7 +18,8 @@ every coordinate there is 0 or r w^k, one term of Q[x]/(x^5 - 1)
 minors is six triple products of them summed in five phase buckets, which
 vanish exactly when they are equal.  Floats only enter through the Jacobian
 ranks (Jacobi's formula on the 3x5 matrix and its entrywise partials) and
-the 2-torsion sextic's roots (the ten minors as one batched determinant).
+the 2-torsion sextic's roots (the ten minors by `minors_float`, one stack
+per sample's roots and one per its control points).
 """
 
 from __future__ import annotations
