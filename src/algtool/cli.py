@@ -26,7 +26,7 @@ from .errors import AlgtoolError, InputError, ResourceLimitError
 from .gradedalg import (DEFAULT_MAX_CELLS, OVER_P, character_coeffs, character_table,
                         hilbert, make_presentation)
 from .heisenberg import SimpleRep, parse_element
-from .linalg import RANK_TOL, RESIDUAL_FLOOR, Residual, rank_float
+from .linalg import RANK_TOL, RESIDUAL_FLOOR, Residual, printed, rank_float
 from .poly import MultiPoly
 
 
@@ -79,22 +79,25 @@ def to_jsonable(obj, shared: Optional[dict] = None):
     power-basis coefficients, a MultiPoly its variables, field and terms in
     `sorted_terms` order: the field is "QQ" when every coefficient is an int
     or a Fraction, else "CC", and an int coefficient is written as a
-    Fraction.  A `linalg.Residual` is its `printed` value (0.0 below
-    RESIDUAL_FLOOR, else 3 significant digits); every other float keeps
-    its bits.  numpy scalars need no branch: np.float64 and np.complex128
-    subclass float and complex.
+    Fraction.  Every float, complex parts included, is its
+    `linalg.printed` value: a `Residual` 0.0 below RESIDUAL_FLOOR, else to
+    3 significant digits, any other float to 12, with -0.0 as 0.0.  numpy
+    scalars need no branch: np.float64 and np.complex128 subclass float and
+    complex.  The text output reads this form too.
 
     Equal Cyclotomic values share one JSON dict (`shared` maps each value
     met so far to it; a fresh map when not given), which `json_text`
     writes once per indentation."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj.printed() if type(obj) is Residual else obj
+    if isinstance(obj, float):
+        return printed(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
     if shared is None:
         shared = {}
     if isinstance(obj, Fraction):
         return [str(obj.numerator), str(obj.denominator)]
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [printed(obj.real), printed(obj.imag)]
     if isinstance(obj, Cyclotomic):
         data = shared.get(obj)
         if data is None:
@@ -268,7 +271,7 @@ def cmd_sklyanin2(args) -> int:
     if op == "curve":
         points = sklyanin2.curve_points_on_grid(parse_params(args.grid, "--grid"))
         payload = {
-            "points": [{"a": cp.a, "b": cp.b, "residual": abs(cp.residual),
+            "points": [{"a": cp.a, "b": cp.b, "residual": Residual(abs(cp.residual)),
                         "t": sklyanin2.t_param(cp.a, cp.b)} for cp in points],
             "singularity_report": sklyanin2.curve_singularity_report(),
         }

@@ -29,8 +29,9 @@ Numeric matrices have two numpy routines, each taking a single matrix or a
 stack of them: `rank_float` (an SVD count, one SVD call per stack) and
 `minors_float` (every 3 x 3 minor by one closed-form cofactor expansion).
 An error measure that a float check only compares with a tolerance is a
-`Residual`: its verdict reads the raw value, and its output the `printed`
-one.
+`Residual`.  Output prints every float by one rule, `printed`: a
+`Residual` as its verdict value, any other float to 12 significant digits;
+verdicts read the raw values.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ SparseVec = Dict[int, object]
 RANK_TOL = 1e-8
 #: A `Residual` below this is printed as 0.0.
 RESIDUAL_FLOOR = 1e-12
+#: The significant digits of every printed float that is not a `Residual`.
+PRINTED_DIGITS = 12
 
 
 class Residual(float):
@@ -63,6 +66,18 @@ class Residual(float):
 
     def printed(self) -> float:
         return 0.0 if self < RESIDUAL_FLOOR else float(f"{self:.3g}")
+
+
+def printed(x: float) -> float:
+    """The value output prints for the float x: a `Residual`'s `printed`
+    value, else x rounded to PRINTED_DIGITS significant digits, with -0.0
+    as 0.0 (inf and nan stay as they are).  A kernel that sums or
+    multiplies in another order moves a value in its last bits, and its
+    printed value only when it lies within those bits of a rounding
+    boundary."""
+    if type(x) is Residual:
+        return x.printed()
+    return float(f"{x:.{PRINTED_DIGITS}g}") + 0.0
 
 
 def _content(values) -> Optional[int]:

@@ -327,9 +327,10 @@ def criterion_8_shioda(seed: int = 0) -> CheckResult:
 
 def criterion_9_determinism(seed: int = 0) -> CheckResult:
     """A representative numeric slice, run over its points forwards and then
-    backwards, must serialize to the same bytes, residual bits included: no
-    point's report may depend on what ran before it.  `bytes` is the length
-    of the slice as printed, with each residual at its `printed` value."""
+    backwards, must serialize to the same bytes, every bit of every float
+    included: no point's report may depend on what ran before it.  `bytes`
+    is the length of the slice as output prints it (`cli.to_jsonable`)."""
+    from .cli import to_jsonable  # cli imports this module
     points = [(cp.a, cp.b) for cp in sklyanin2.curve_points_on_grid()]
 
     def per_point(ab):
@@ -342,8 +343,7 @@ def criterion_9_determinism(seed: int = 0) -> CheckResult:
     forward = json.dumps(rows, sort_keys=True)
     backward = json.dumps([per_point(ab) for ab in reversed(points)][::-1], sort_keys=True)
     ok = forward == backward
-    printed = json.dumps([{**row, "worst": row["worst"].printed()} for row in rows],
-                         sort_keys=True)
+    printed = json.dumps(to_jsonable(rows), sort_keys=True)
     return CheckResult("9-determinism", ok, {"bytes": len(printed), "identical": ok})
 
 

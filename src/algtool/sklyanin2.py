@@ -141,7 +141,7 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
                 continue
             if t is None or abs(root) < 1e-9:
                 continue
-            points.append(CurvePoint(a, root, cprime_residual(a, root)))
+            points.append(CurvePoint(a, root, Residual(cprime_residual(a, root))))
             break
     return points
 

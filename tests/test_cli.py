@@ -583,16 +583,42 @@ def test_tol_span_of_ideal_is_a_rank_cutoff_with_no_floor(capsys):
     assert code == 0 and json.loads(out)["deg6"] is True
 
 
-def test_to_jsonable_prints_a_residual_as_its_verdict_value():
-    from algtool.linalg import RESIDUAL_FLOOR, Residual
+def test_to_jsonable_prints_every_float_by_the_one_rule():
+    from algtool.linalg import PRINTED_DIGITS, RESIDUAL_FLOOR, Residual
     below = Residual(9.99e-13)
-    assert RESIDUAL_FLOOR == 1e-12 and below < RESIDUAL_FLOOR
+    assert RESIDUAL_FLOOR == 1e-12 and PRINTED_DIGITS == 12 and below < RESIDUAL_FLOOR
     data = to_jsonable({"r": [below, Residual(1e-12), Residual(1.23456e-7), Residual(0.8050916),
-                              Residual(math.inf)], "f": 1.6011864169946894e-15})
+                              Residual(math.inf)],
+                        "f": [1.6011864169946894e-15, -2.018739572308024, 1e300, 0.1, -5.0]})
     assert data["r"] == [0.0, 1e-12, 1.23e-7, 0.805, math.inf]
-    assert all(type(v) is float for v in data["r"])
-    # every other float keeps its bits, and comparisons read the raw value
-    assert data["f"] == 1.6011864169946894e-15 and below > 0.0
+    # every other float to 12 significant digits; comparisons read the raw value
+    assert data["f"] == [1.60118641699e-15, -2.01873957231, 1e300, 0.1, -5.0]
+    assert all(type(v) is float for v in data["r"] + data["f"]) and below > 0.0
+
+
+def test_to_jsonable_prints_negative_zero_as_zero():
+    data = to_jsonable([-0.0, complex(-0.0, -0.0), np.float64(-0.0), -1e-300 * 1e-300])
+    assert data == [0.0, [0.0, 0.0], 0.0, 0.0]
+    assert json.dumps(data) == "[0.0, [0.0, 0.0], 0.0, 0.0]"
+
+
+def test_to_jsonable_prints_complex_parts_and_numpy_scalars_by_the_rule():
+    third = 1 / 3
+    data = to_jsonable({"z": complex(third, -2 * third), "nz": np.complex128(-third + 0j),
+                        "x": np.float64(-third), "inf": [math.inf, np.float64(-math.inf)]})
+    assert data == {"z": [0.333333333333, -0.666666666667], "nz": [-0.333333333333, 0.0],
+                    "x": -0.333333333333, "inf": [math.inf, -math.inf]}
+    assert type(data["x"]) is float and math.isnan(to_jsonable(math.nan))
+
+
+def test_text_output_prints_floats_by_the_rule(capsys):
+    # a = -0.0 and t = 0.0025000000000000005 in the raw arithmetic
+    assert sklyanin2.t_param(-0.0, 0.1) == 0.0025000000000000005
+    code, out = run_cli(capsys, "sklyanin2", "t", "--a", "-0.0", "--b", "0.1")
+    assert code == 0 and out == "a: 0.0\nb: 0.1\nt: 0.0025\n"
+    code, out = run_cli(capsys, "sklyanin2", "curve", "--grid", "1")
+    assert out.splitlines()[0] == ('points: [{"a": 1.0, "b": -2.01873957231, "residual": 0.0, '
+                                   '"t": 0.84170889797}]')
 
 
 def test_empty_stratum_fails(capsys):
