@@ -521,21 +521,14 @@ class PolyMatrix:
 
     def eval_stack(self, points) -> np.ndarray:
         """`eval` at each of N complex points as one (N, rows, cols) array,
-        for a matrix whose entries are each c u_k or zero, bit for bit.
-        `_eval_all` computes such an entry as c * (1 * u_k), which for a
-        Fraction c is complex(c) * (1 * u_k), since Fraction times complex
-        converts the Fraction, and a zero entry as 0 * point[0].  numpy's
-        complex multiply may fuse a multiply and an add (with AVX-512 it
-        differs from Python's in the last bit), so the real and imaginary
-        parts are multiplied here as Python multiplies complex numbers, and,
-        as in Python, overflow is silent.  The (c, k)
-        layout is read off each entry's one packed term on the first call
-        and kept."""
+        for a matrix whose entries are each c u_k or zero: one complex
+        multiply, c * u_k, with a zero entry as 0 * u_0.  numpy may fuse a
+        multiply and an add, so an entry can differ from `eval`'s in its
+        last bits; as in Python, overflow is silent.  The (c, k) layout is
+        read off each entry's one packed term on the first call and kept."""
         nvars = self.ring.nvars
         if self._linear is None:
-            # the key of u_k, and the column of 1 * u_k in the stack below
-            linear = {_key([int(i == k) for i in range(nvars)]): nvars + k
-                      for k in range(nvars)}
+            linear = {_key([int(i == k) for i in range(nvars)]): k for k in range(nvars)}
             cols, coef = [], []
             for entry in self.entries:
                 terms = entry.terms
@@ -548,21 +541,13 @@ class PolyMatrix:
                     coef.append(complex(c))
                 else:
                     raise ValueError("eval_stack needs entries c * u_k or zero")
-            coef = np.array(coef)
-            self._linear = cols, coef.real, coef.imag
-        cols, cr, ci = self._linear
+            self._linear = cols, np.array(coef)
+        cols, coef = self._linear
         x = np.asarray(points, dtype=complex)
         if x.size and x.shape[-1] != nvars:
             raise ArityError(f"points have {x.shape[-1]} coordinates, ring has {nvars}")
-        x = x.reshape(-1, nvars)
-        xr, xi = x.real, x.imag
         with np.errstate(over="ignore", invalid="ignore"):
-            # the columns u, then 1 * u
-            re = np.concatenate([xr, xr - 0.0 * xi], axis=1)[:, cols]
-            im = np.concatenate([xi, xi + 0.0 * xr], axis=1)[:, cols]
-            out = np.empty(re.shape, dtype=complex)
-            out.real = cr * re - ci * im
-            out.imag = cr * im + ci * re
+            out = coef * x.reshape(-1, nvars)[:, cols]
         return out.reshape(-1, self.rows, self.cols)
 
 

@@ -19,6 +19,25 @@ from algtool.linalg import rank_float
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det
 
 
+def assert_stack_is_eval(form: PolyMatrix, points, stack) -> None:
+    """Each entry c u_k of `stack`, `form.eval_stack(points)`, is within
+    4 eps |c| |u_k| of `form.eval` at its point, and each zero entry is
+    exactly 0: numpy's complex multiply may fuse a multiply and an add,
+    Python's does not, and each is within about 2.2 eps of the exact
+    product."""
+    eps = np.finfo(float).eps
+    entries = [entry.items() for entry in form.entries]
+    assert stack.shape == (len(points), form.rows, form.cols)
+    for pt, got in zip(points, stack):
+        want = np.asarray(form.eval(pt), dtype=complex).ravel()
+        for value, ref, terms in zip(got.ravel(), want, entries):
+            if not terms:
+                assert value == 0 and ref == 0
+                continue
+            ((exps, c),) = terms
+            assert abs(value - ref) <= 4 * eps * abs(c) * abs(pt[exps.index(1)])
+
+
 def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) -> np.poly1d:
     """det M(base + s * direction) as a numpy polynomial in s."""
     ring = PolyRing(("s",))
