@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, nextafter
+from math import comb
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -120,16 +120,18 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
     """One numeric point of C' per grid value of a: the real roots in
     [-4, 4] of the quintic b -> C'(a, b) = b^5 - a^3 b^3 + 2 a^2 b^2 - 8 a b
     + a^5 (`np.roots`; real when |Im| <= 1e-7 max(1, |root|)), in ascending
-    order, each moved to its `_sign_change` float and Newton-polished to
-    ~1e-15; the first whose t is finite and determinate, with |b| >= 1e-9,
-    is kept."""
+    order, each Newton-polished to ~1e-15; the first whose t is finite and
+    determinate, with |b| >= 1e-9, is kept.  The polish ends within a few
+    ulps of the root, at a float that depends on the last bits the
+    eigenvalue solver gives the root; output prints b and t at 12 digits,
+    which those bits do not reach, and the residual C'(a, b) as a
+    `Residual`."""
     points = []
     for a_exact in grid:
         a = float(a_exact)
         found = np.roots([1.0, 0.0, -a ** 3, 2 * a ** 2, -8 * a, a ** 5])
         real = found.real[np.abs(found.imag) <= 1e-7 * np.maximum(1.0, np.abs(found))]
         for root in sorted(float(r) for r in real if -4.0 <= r <= 4.0):
-            root = _sign_change(a, root)
             for _ in range(8):
                 d = -3 * a ** 3 * root ** 2 + 5 * root ** 4 + 4 * a ** 2 * root - 8 * a
                 if d == 0:
@@ -144,24 +146,6 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
             points.append(CurvePoint(a, root, Residual(cprime_residual(a, root))))
             break
     return points
-
-
-def _sign_change(a: float, b: float) -> float:
-    """The float nearest b at which C'(a, .), in float arithmetic, changes
-    sign, where a bisection would end: b if C'(a, b) is 0, else the rounded
-    midpoint of the nearest two adjacent floats whose residuals differ in
-    sign, up to 64 floats away (else b).  So a root does not depend on the
-    last bits the eigenvalue solver gives it."""
-    f = cprime_residual(a, b)
-    lo = hi = b
-    for _ in range(64 if f else 0):
-        up, down = nextafter(hi, inf), nextafter(lo, -inf)
-        if cprime_residual(a, up) * f <= 0:
-            return 0.5 * (hi + up)
-        if cprime_residual(a, down) * f <= 0:
-            return 0.5 * (lo + down)
-        lo, hi = down, up
-    return b
 
 
 def _require_t(a: Scalar, b: Scalar) -> complex:

@@ -583,7 +583,8 @@ def test_tol_span_of_ideal_is_a_rank_cutoff_with_no_floor(capsys):
     assert code == 0 and json.loads(out)["deg6"] is True
 
 
-def test_to_jsonable_prints_every_float_by_the_one_rule():
+def test_to_jsonable_prints_a_residual_as_its_verdict_value():
+    # and every other float to 12 significant digits
     from algtool.linalg import PRINTED_DIGITS, RESIDUAL_FLOOR, Residual
     below = Residual(9.99e-13)
     assert RESIDUAL_FLOOR == 1e-12 and PRINTED_DIGITS == 12 and below < RESIDUAL_FLOOR

@@ -218,7 +218,9 @@ SIGNED_ZEROS = [(complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.5, -0.0)),
 
 @pytest.mark.parametrize("avec", [(1, 1), (1, Fraction(2, 3)), (1, 0.0), (1, -0.5j)],
                          ids=["QQ", "QQ-2/3", "zero-entries", "CC"])
-def test_eval_stack_is_eval_to_rounding(avec):
+def test_eval_stack_is_eval_bit_for_bit(avec):
+    # named for the bit-for-bit match it had while output printed every
+    # bit; now each entry is eval's up to rounding
     form = clifford_form(3, avec)
     points = [list(pt) for pt in random_points(3, 6, 11)] + [list(pt) for pt in SIGNED_ZEROS]
     stack = form.eval_stack(points)

@@ -11,11 +11,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool import minortables, sklyanin2
+from algtool.cli import main
 from algtool.clifford import clifford_form, random_points, sample_rank_drop_points
 from algtool.cyclotomic import Cyclotomic
 from algtool.errors import IndeterminateError, InputError, PoleError, ResourceLimitError
 from algtool.gradedalg import hilbert, make_presentation
-from algtool.linalg import Residual, rank_float
+from algtool.linalg import Residual, printed, rank_float
 from algtool.minortables import CoefficientTable, _generic_form, minor_tables
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 from algtool.selftest import criterion_9_determinism
@@ -178,8 +179,10 @@ def test_stratify_ranks_match_one_by_one(point):
 
 
 @pytest.mark.parametrize("point", BATCH_POINTS + [(0.0, 1.0)], ids=lambda ab: f"a={ab[0]}")
-def test_form_stack_is_eval_to_rounding(point):
-    # at a = 0 the entries (a / 1) u_k are zero, and each is 0 * u_0
+def test_form_stack_is_eval_bit_for_bit(point):
+    # named for the bit-for-bit match it had while output printed every
+    # bit; now each entry is eval's up to rounding.  At a = 0 the entries
+    # (a / 1) u_k are zero, and each is 0 * u_0
     a, b = point
     form = clifford_form(5, (1, complex(a), complex(b)))
     assert (a == 0) == any(not entry.terms for entry in form.entries)
@@ -454,10 +457,23 @@ def test_secant_check_matches_the_symbolic_determinants():
         assert (ours.jac_degree, ours.det_degree) == (ref.jac_degree, ref.det_degree) == (5, 5)
 
 
+def printed_abt(points) -> list:
+    """(a, b, t) of each curve point as output prints them."""
+    return [(printed(cp.a), printed(cp.b), printed(t_param(cp.a, cp.b))) for cp in points]
+
+
+GRID8 = (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(2), Fraction(5, 2),
+         Fraction(-1), Fraction(3), Fraction(-7, 4))
+GRID513 = sorted({Fraction(n, d) for d in (1, 2, 3, 4, 5, 7, 8, 10, 20)
+                  for n in range(-8 * d, 8 * d + 1)})
+
+
 def test_curve_points_bisection_is_the_reference_bit_for_bit():
-    grid = (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(2), Fraction(5, 2),
-            Fraction(-1), Fraction(3), Fraction(-7, 4))
-    assert curve_points_on_grid(grid) == sklyanin2_reference.curve_points_on_grid(grid)
+    # named for the bit-for-bit match it had while output printed every
+    # bit; now the same a, and b and t equal at the 12 digits output prints
+    ours, ref = curve_points_on_grid(GRID8), sklyanin2_reference.curve_points_on_grid(GRID8)
+    assert [cp.a for cp in ours] == [cp.a for cp in ref]
+    assert printed_abt(ours) == printed_abt(ref)
 
 
 def test_curve_points_are_the_scan_points_on_513_grid_values():
@@ -465,8 +481,7 @@ def test_curve_points_are_the_scan_points_on_513_grid_values():
     the quintic give a point at the same a as the scan and bisection, at the
     same root up to rounding; a = 2, with the singular double root (2, 2),
     is among them."""
-    grid = sorted({Fraction(n, d) for d in (1, 2, 3, 4, 5, 7, 8, 10, 20)
-                   for n in range(-8 * d, 8 * d + 1)})
+    grid = GRID513
     assert len(grid) == 513 and Fraction(2) in grid
     ours, ref = curve_points_on_grid(grid), sklyanin2_reference.curve_points_on_grid(grid)
     assert [cp.a for cp in ours] == [cp.a for cp in ref]
@@ -640,14 +655,8 @@ def test_report_verdicts(near_one_point, check):
     assert verdict((1.5, 0.7)) is False
 
 
-@pytest.mark.parametrize("ulps", [-12, -3, -1, 1, 2, 7, 12])
-def test_curve_points_do_not_depend_on_the_last_bits_of_the_roots(monkeypatch, ulps):
-    """Each root of the quintic is moved to its sign-change float before the
-    Newton polish, so roots off by a few ulps, as another LAPACK build may
-    give them, yield the same points on the 8-value grid."""
-    grid = (Fraction(1), Fraction(3, 2), Fraction(1, 2), Fraction(2), Fraction(5, 2),
-            Fraction(-1), Fraction(3), Fraction(-7, 4))
-    expected = curve_points_on_grid(grid)
+def roots_shifted_by(ulps: int):
+    """`np.roots` with the real part of each root moved by `ulps` floats."""
     roots = np.roots
 
     def shifted(coeffs):
@@ -656,6 +665,26 @@ def test_curve_points_do_not_depend_on_the_last_bits_of_the_roots(monkeypatch, u
         for _ in range(abs(ulps)):
             real = np.nextafter(real, np.sign(ulps) * np.inf)
         return real + 1j * out.imag
+    return shifted
 
-    monkeypatch.setattr(np, "roots", shifted)
-    assert curve_points_on_grid(grid) == expected
+
+@pytest.mark.parametrize("ulps", [-64, -12, -3, -1, 1, 2, 7, 12, 64])
+def test_curve_points_do_not_depend_on_the_last_bits_of_the_roots(capsys, monkeypatch, ulps):
+    """Roots off by a few ulps, as another LAPACK build may give them, end
+    the Newton polish within a few ulps of where they did: `sklyanin2
+    curve` on the 8-value grid prints the same bytes."""
+    argv = ["sklyanin2", "curve", "--grid", ",".join(map(str, GRID8)), "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(np, "roots", roots_shifted_by(ulps))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("ulps", [-12, -1, 1, 12])
+def test_curve_points_on_513_grid_values_print_alike_under_shifted_roots(monkeypatch, ulps):
+    # a, b and t as printed; the absolute residual, above the floor at
+    # |a| >~ 5, follows the last bits of b
+    expected = printed_abt(curve_points_on_grid(GRID513))
+    monkeypatch.setattr(np, "roots", roots_shifted_by(ulps))
+    assert printed_abt(curve_points_on_grid(GRID513)) == expected
