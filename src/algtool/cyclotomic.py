@@ -308,17 +308,15 @@ class Cyclotomic:
         return Cyclotomic._raw(p, tuple(c - top for c in acc[:-1]), self.den)
 
     def embed(self, k: int = 1) -> complex:
-        """Numeric value under w -> exp(2*pi*i*k/p); needs gcd(k, p) = 1."""
+        """Numeric value under w -> exp(2*pi*i*k/p), by Horner's rule on the
+        floats c / den of the coefficients; needs gcd(k, p) = 1."""
         if k % self.p == 0:
             raise ModulusError(f"embedding index {k} is 0 mod {self.p}")
         z = cmath.exp(2j * cmath.pi * k / self.p)
         den = self.den
         acc = 0j
-        # c / den is the float of the coefficient Fraction(c, den): both are
-        # the correctly rounded quotient of the two ints; added as a complex,
-        # so the sign of a zero imaginary part is the same on every Python
         for c in reversed(self.num):
-            acc = acc * z + complex(c / den)
+            acc = acc * z + c / den
         if not (cmath.isfinite(acc)):
             raise ArithmeticError("non-finite embedding value")
         return acc
