@@ -20,10 +20,10 @@ Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
   * q_i = t u_i^2 + t^2 u_{i+1} u_{i+4} - u_{i+2} u_{i+3} (indices mod 5) are
     the quadrics of the quotient curve E' = C_t in the u-coordinates.
-  * The base point of E' is (0 : 1 : t : -t : -1); its orbit comes from
-    `shioda5.base_orbit`, and has 25 distinct points for every t: its
-    stabilizer in H_5/Z is trivial (`orbit_points`).  The point-module
-    check builds the same points as one numpy array (`_orbit_stack`).
+  * The base point of E' is (0 : 1 : t : -t : -1); its orbit has 25
+    distinct points for every t, since its stabilizer in H_5/Z is trivial.
+    The point-module check and the stratification take them as one numpy
+    array (`_orbit_stack`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (IndeterminateError, InputError, PoleError, ResourceLimitErr
 from .gradedalg import check_relation_count, make_presentation
 from .linalg import RANK_TOL, Residual, minors_float, rank_float
 from .poly import MultiPoly, PolyRing, exact_divide, resultant
-from .shioda5 import base_orbit
 
 Scalar = Union[int, Fraction, float, complex]
 #: The default relative cutoff of the span ranks of `minor_ideal_checks`.
@@ -156,25 +155,15 @@ def _require_t(a: Scalar, b: Scalar) -> complex:
     return complex(t)
 
 
-def orbit_points(t: complex) -> List[Tuple[complex, ...]]:
-    """The 25 Heisenberg-orbit images of (0 : 1 : t : -t : -1) in u-space,
-    projectively normalized (first coordinate above 1e-9 set to 1).  They
-    are distinct: the point has a zero and two non-zero coordinates, so it
-    is no eigenline of a non-central element (e2^b fixes the coordinate axes,
+def _orbit_stack(t: complex) -> np.ndarray:
+    """The 25 Heisenberg-orbit images of (0 : 1 : t : -t : -1) in u-space
+    as one (25, 5) array, each scaled to largest modulus 1: e1^a e2^b, in
+    the order of `heisenberg.heisenberg_orbit_points`, sends the point to
+    its coordinates times the phases w^(b c), rolled back by a.  They are
+    distinct: the point has a zero and two non-zero coordinates, so it is
+    no eigenline of a non-central element (e2^b fixes the coordinate axes,
     e1^a e2^b with a != 0 only lines with no zero coordinate), and its
     stabilizer in H_5/Z is trivial."""
-    normalized = []
-    for vec in base_orbit(t):
-        lead = next(v for v in vec if abs(v) > 1e-9)
-        normalized.append(tuple(v / lead for v in vec))
-    return normalized
-
-
-def _orbit_stack(t: complex) -> np.ndarray:
-    """The points of `orbit_points` as one (25, 5) array in the same order,
-    each scaled to largest modulus 1 rather than to a first coordinate 1:
-    e1^a e2^b sends (0, 1, t, -t, -1) to its coordinates times the phases
-    w^(b c), rolled back by a."""
     c = np.arange(5)
     twisted = np.exp(2j * np.pi * (np.outer(c, c) % 5) / 5) * np.array([0, 1, t, -t, -1])
     orbit = twisted[:, (c[:, None] + c) % 5].transpose(1, 0, 2).reshape(25, 5)
@@ -256,7 +245,7 @@ def stratify(point, samples: int = 6, seed: int = 0,
     observed = {
         "generic": ranks(generic),
         "det-zero": [r for r in ranks(det_zero) if r != 2],
-        "E-prime": ranks(orbit_points(t)),
+        "E-prime": ranks(_orbit_stack(t)),
     }
     if not observed["det-zero"]:
         raise SamplingError("no det-zero points off E' found")

@@ -12,7 +12,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from algtool.clifford import clifford_form
-from algtool.sklyanin2 import orbit_points, t_param
+from algtool.shioda5 import base_orbit
+from algtool.sklyanin2 import t_param
 
 
 def rank_one(matrix, tol: float = 1e-8, scale: Optional[float] = None) -> int:
@@ -41,6 +42,17 @@ def minors_det(matrix) -> np.ndarray:
     return np.linalg.det(a[..., ri, ci])
 
 
+def orbit_images(t: complex) -> list:
+    """The 25 images of `shioda5.base_orbit`, each divided by its first
+    coordinate above 1e-9, as `sklyanin2` built the E' orbit before it took
+    one numpy array."""
+    images = []
+    for vec in base_orbit(t):
+        lead = next(v for v in vec if abs(v) > 1e-9)
+        images.append(tuple(v / lead for v in vec))
+    return images
+
+
 def point_module_one_by_one(point, rank_tol: float = 1e-8) -> Tuple[float, List[int]]:
     """(largest |3x3 minor|, ranks) of Q(a, b) over the orbit of the base point
     of E', each orbit point scaled to largest modulus 1 and its matrix
@@ -48,7 +60,7 @@ def point_module_one_by_one(point, rank_tol: float = 1e-8) -> Tuple[float, List[
     a, b = point
     form = clifford_form(5, (1, complex(a), complex(b)))
     worst, ranks = 0.0, []
-    for pt in orbit_points(complex(t_param(a, b))):
+    for pt in orbit_images(complex(t_param(a, b))):
         scale = max(abs(v) for v in pt)
         q = form.eval([v / scale for v in pt])
         worst = max(worst, float(np.abs(minors_det(q)).max()))

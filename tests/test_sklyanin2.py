@@ -24,11 +24,11 @@ from algtool.shioda5 import ca_relations
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, _orbit_stack,
                                check_onedim_bound, cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
-                               minor_ideal_checks, onedim_reps, orbit_points,
+                               minor_ideal_checks, onedim_reps,
                                point_module_check, secant_check,
                                stratify, t_param)
 from clifford_reference import assert_stack_is_eval
-from rank_reference import point_module_one_by_one, rank_one
+from rank_reference import orbit_images, point_module_one_by_one, rank_one
 import sklyanin2_reference
 from sklyanin2_reference import coefficient_vector, degree_pieces, quadrics_at, table_at
 
@@ -141,7 +141,7 @@ def test_point_module_residual_matches_symbolic_minors():
         report = point_module_check((a, b))
         minors = mat_minors(clifford_form(5, (1, complex(a), complex(b))), 3)
         reference = 0.0
-        for pt in orbit_points(report.t):
+        for pt in orbit_images(report.t):
             scale = max(abs(v) for v in pt)
             pt_n = [v / scale for v in pt]
             reference = max(reference, max(abs(m.eval(pt_n)) for m in minors))
@@ -172,7 +172,7 @@ def test_stratify_ranks_match_one_by_one(point):
     generic = [rank_one(form.eval(list(pt))) for pt in random_points(5, 5, 7)]
     det_zero = [rank_one(form.eval(list(pt)))
                 for pt in sample_rank_drop_points(form, 3, 8, 1e-8)]
-    orbit = [rank_one(form.eval(list(pt))) for pt in orbit_points(complex(t_param(a, b)))]
+    orbit = [rank_one(form.eval(list(pt))) for pt in orbit_images(complex(t_param(a, b)))]
     strata = {s.name: s.ranks for s in stratify(point, samples=5, seed=7).strata}
     assert strata == {"generic": generic, "det-zero": [r for r in det_zero if r != 2],
                       "E-prime": orbit}
@@ -188,21 +188,11 @@ def test_form_stack_is_eval_bit_for_bit(point):
     assert (a == 0) == any(not entry.terms for entry in form.entries)
     signed_zeros = [(complex(-0.0, 0.0), -1j, complex(0.0, -0.0), complex(-2.0, -0.0), 1),
                     (complex(-0.0, -0.0), 0j, complex(-0.0, 1.0), 0.5, complex(1.0, -0.0))]
-    points = ([list(pt) for pt in orbit_points(complex(t_param(a, b)))]
+    points = ([list(pt) for pt in orbit_images(complex(t_param(a, b)))]
               + [list(pt) for pt in random_points(5, 4, 2)]
               + [list(pt) for pt in sample_rank_drop_points(form, 3, 4)]
               + [[complex(v) for v in pt] for pt in signed_zeros])
     assert_stack_is_eval(form, points, form.eval_stack(points))
-
-
-def orbit_images(t: complex) -> list:
-    """The 25 images of `base_orbit`, each divided by its first coordinate
-    above 1e-9."""
-    images = []
-    for vec in sklyanin2.base_orbit(t):
-        lead = next(v for v in vec if abs(v) > 1e-9)
-        images.append(tuple(v / lead for v in vec))
-    return images
 
 
 ORBIT_TS = {"generic": 0.75 + 0.1j, "README": complex(t_param(1.0, 0.12888995128730368)),
@@ -216,21 +206,25 @@ ORBIT_TS.update((f"random{i}", complex(10.0 ** e * np.exp(2j * np.pi * _rng.rand
 @pytest.mark.parametrize("t", ORBIT_TS.values(), ids=ORBIT_TS.keys())
 def test_orbit_points_are_25_distinct_normalized_images(t):
     """The stabilizer of the base point in H_5/Z is trivial, so its 25 images
-    are distinct: pairwise at least 0.1 apart in some coordinate, and
-    `orbit_points` returns them as normalized, with nothing dropped."""
-    pts = orbit_points(t)
-    assert pts == orbit_images(t)
-    assert len(pts) == 25
-    arr = np.array(pts)
-    gaps = np.abs(arr[:, None, :] - arr[None, :, :]).max(axis=2)
+    are distinct: divided by their first coordinate above 1e-9
+    (`orbit_images`), pairwise at least 0.1 apart in some coordinate.  The
+    rows of `_orbit_stack` are the same projective points in the same order,
+    with nothing dropped: every 2x2 minor of a row and its image, scaled to
+    largest modulus 1, vanishes."""
+    stack, images = _orbit_stack(t), np.array(orbit_images(t))
+    assert stack.shape == images.shape == (25, 5)
+    scaled = images / np.abs(images).max(axis=1, keepdims=True)
+    minors = stack[:, :, None] * scaled[:, None, :] - stack[:, None, :] * scaled[:, :, None]
+    assert np.abs(minors).max() <= 1e-12
+    gaps = np.abs(images[:, None, :] - images[None, :, :]).max(axis=2)
     assert gaps[~np.eye(25, dtype=bool)].min() >= 0.1
 
 
 @pytest.mark.parametrize("t", ORBIT_TS.values(), ids=ORBIT_TS.keys())
 def test_orbit_stack_is_orbit_points_at_modulus_one(t):
     # the same 25 projective points in the same order: each row is its
-    # `orbit_points` image times one unit factor, largest modulus 1
-    stack, pts = _orbit_stack(t), np.array(orbit_points(t))
+    # `orbit_images` image times one unit factor, largest modulus 1
+    stack, pts = _orbit_stack(t), np.array(orbit_images(t))
     assert stack.shape == (25, 5)
     assert np.allclose(np.abs(stack).max(axis=1), 1.0, rtol=0, atol=1e-15)
     lead = np.argmax(np.abs(pts), axis=1)
@@ -248,9 +242,9 @@ def test_point_module_check_rejects_singular_parameter():
 
 def test_orbit_is_heisenberg_stable():
     t = 0.75 + 0.1j
-    pts = orbit_points(t)
+    pts = _orbit_stack(t)
     assert len(pts) == 25
-    assert len({tuple(np.round(np.asarray(p), 6)) for p in pts}) == 25
+    assert len({tuple(np.round(p, 6)) for p in pts}) == 25
 
 
 def test_stratify(near_one_point):
