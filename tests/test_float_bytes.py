@@ -40,12 +40,14 @@ Before it, the residual rule moved six pins in their residuals only (0.0
 where ~1e-16 was printed; 0.805 and 0.935 for the two-torsion controls),
 and criterion 9's `bytes` went 540 -> 485."""
 
+import cmath
 import dataclasses
 import hashlib
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +55,7 @@ import pytest
 from algtool import clifford, linalg, shioda5, sklyanin2
 from algtool.cli import main
 from algtool.clifford import build_reps, clifford_form
+from algtool.cyclotomic import Cyclotomic
 from algtool.linalg import Residual
 
 README = ("--a", "1.0", "--b", "0.12888995128730368")
@@ -224,6 +227,48 @@ def test_reordered_residual_kernels_keep_every_pin(capsys, monkeypatch):
     for name, (argv, code, digest) in OUTPUTS.items():
         assert stdout_digest(capsys, argv) == (code, digest), name
     assert any(moved)
+
+
+T_PARAM = sklyanin2.t_param
+
+
+def t_param_by_products(a, b):
+    """`sklyanin2.t_param` with each power of a float point taken as
+    repeated products; its pole and 0/0 decisions are t_param's."""
+    t = T_PARAM(a, b)
+    if t is None or isinstance(t, Fraction):
+        return t
+    return (a * a * a * b - b * b * b - 2 * a * a) / (a * a * a * a - a * b * b - 4 * b)
+
+
+def embed_by_powers(self, k: int = 1) -> complex:
+    """`Cyclotomic.embed` as a sum of each coefficient times its own power
+    of w, not by Horner's rule."""
+    return sum(c / self.den * cmath.exp(2j * cmath.pi * k * i / self.p)
+               for i, c in enumerate(self.num))
+
+
+def test_reordered_value_kernels_keep_every_pin(capsys, monkeypatch):
+    """Control of the 12-digit rule: kernels of values that are printed
+    (t) or ranked (the embedded S15 points of `shioda5 singular`) that
+    multiply or sum in another order move raw values in their last bits,
+    and no printed byte, JSON or text."""
+    points = [(cp.a, cp.b) for cp in sklyanin2.curve_points_on_grid()]
+    moved_t = [t_param_by_products(*ab) != T_PARAM(*ab) for ab in points]
+    assert any(moved_t) and all(math.isclose(t_param_by_products(*ab), T_PARAM(*ab),
+                                             rel_tol=1e-14) for ab in points)
+    values = [c for pt in shioda5.thirty_points() for c in pt]
+    assert any(embed_by_powers(v) != v.embed() for v in values)
+    assert all(abs(embed_by_powers(v) - v.embed()) <= 1e-14 for v in values)
+    monkeypatch.setattr(sklyanin2, "t_param", t_param_by_products)
+    monkeypatch.setattr(Cyclotomic, "embed", embed_by_powers)
+    for name, (argv, code, digest) in OUTPUTS.items():
+        assert stdout_digest(capsys, argv) == (code, digest), name
+    for name, (argv, digests) in POLY_OUTPUTS.items():
+        for fmt, digest in digests.items():
+            assert main([*argv, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (name, fmt)
 
 
 def test_a_perturbed_coefficient_of_q_moves_the_minors_bytes(capsys, monkeypatch):
