@@ -425,9 +425,11 @@ def _eval_all(ring: PolyRing, plan: tuple, point: Sequence) -> list:
     Each power is the one below it times point[i], so it does not depend on
     how far its row goes; each term is its stored coefficient times its
     powers in variable order, at every kind of point, and the terms are
-    summed in dict order.  So each
-    polynomial gets the same value bit for bit whatever it is evaluated
-    together with, and whether or not its plan was built before."""
+    summed in dict order.  So each polynomial gets the same value whatever
+    it is evaluated together with, and whether or not its plan was built
+    before.  At float points that order is the kernel's, not a contract of
+    output, which prints floats at 12 significant digits
+    (`linalg.printed`)."""
     if len(point) != ring.nvars:
         raise ArityError(f"point has {len(point)} coordinates, ring has {ring.nvars}")
     maxdeg, plans = plan
@@ -509,10 +511,10 @@ class PolyMatrix:
 
     def eval(self, point: Sequence) -> List[list]:
         """The entries at a point, from one power table for all of them;
-        each entry gets the value of `MultiPoly.eval` bit for bit.  The
-        evaluation plan of the entries is built on the first call and kept,
-        so later calls only multiply and add (and the entries must not be
-        replaced after it)."""
+        each entry gets the value of `MultiPoly.eval`, and `eval_stack` the
+        same up to rounding.  The evaluation plan of the entries is built on
+        the first call and kept, so later calls only multiply and add (and
+        the entries must not be replaced after it)."""
         if self._plan is None:
             self._plan = _eval_plan(self.entries)
         values = _eval_all(self.ring, self._plan, point)

@@ -12,9 +12,13 @@ integer coefficient tables built once per process of the 3x3 and 4x4
 minors and the determinant of Q(a, b) over Z[u, a, b], and of the products
 of the q_i and their Jacobian determinant over Z[u, t]; the spans are
 still compared by float ranks.  The point-module and secant checks report
-their error measures as `linalg.Residual`s: `ok` compares the raw value
-with its bound, and the output prints it as 0.0 below 1e-12, else to 3
-significant digits, so a bound below 1e-12 is refused by the CLI.
+their error measures as `linalg.Residual`s, and so do the curve points:
+`ok` compares the raw value with its bound, and the output prints it as
+0.0 below 1e-12, else to 3 significant digits, so a bound below 1e-12 is
+refused by the CLI.  Every other float (a, b, t, lam) is printed at 12
+significant digits (`linalg.printed`), so another order of the float
+arithmetic here moves the output only where a value lies within its last
+bits of a rounding boundary.
 
 Conventions fixed here once:
   * u_i denotes the central degree-2 element x_i^2; Q lives over C[u_0..u_4].
