@@ -127,8 +127,8 @@ def curve_points_on_grid(grid: Sequence[Fraction] = (Fraction(1), Fraction(3, 2)
     determinate, with |b| >= 1e-9, is kept.  The polish ends within a few
     ulps of the root, at a float that depends on the last bits the
     eigenvalue solver gives the root; output prints b and t at 12 digits,
-    which those bits do not reach, and the residual C'(a, b) as a
-    `Residual`."""
+    which those bits move only near a rounding boundary, and the residual
+    C'(a, b) as a `Residual`."""
     points = []
     for a_exact in grid:
         a = float(a_exact)
