@@ -20,9 +20,8 @@ kernel change, and at 3 digits for a residual above the floor.  The
 absolute curve residual that `sklyanin2 curve` prints lies above the floor
 at |a| >~ 5 (5.3 on the 513-value grid of `tests/test_sklyanin2.py`),
 where a^5 passes 4e3 and the rounding noise of C'(a, b) 1e-12; there its
-3 digits follow the last bits of b.  The printed
-residuals above the floor in the pins here are the two-torsion controls
-(0.805 and 0.935).
+3 digits follow the last bits of b.  The printed residuals above the
+floor in the pins here are the two-torsion controls (0.805 and 0.935).
 
 The 12-digit rule moved nine pins once (t, lam, points and b at 12 digits;
 criterion 9's `bytes`, the length of its slice as `to_jsonable` prints it,
