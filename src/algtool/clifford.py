@@ -17,11 +17,15 @@ points of multiplicity 2^(k/2 - 1).  The forms of the catalog are those of
 cliffordC(p; a_0, ..., a_{(p-1)/2}), built from the parameters alone by
 `clifford_form`.  `build_reps` checks the matrices it builds by all n^2
 anticommutator residuals at once, and reports the largest as a
-`linalg.Residual`, which output prints as 0.0 below 1e-12.
+`linalg.Residual`, which output prints as 0.0 below 1e-12.  Every seeded
+sampler of the package draws from `Draw`, one stream of
+`random.Random(seed).random()`, so numpy's generators are never loaded.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -227,14 +231,42 @@ def check_sample_bound(count: int) -> None:
         raise ResourceLimitError(f"sample count {count} is above {MAX_SAMPLES}")
 
 
+class Draw:
+    """The seeded draws of every sampler: one stream of
+    `random.Random(seed).random()`, which Python promises to repeat for a
+    seed across its versions and platforms (the "Notes on Reproducibility"
+    of `random`); numpy's `Generator` streams may change between releases.
+
+    `uniform(shape)` is 2 random() - 1 per entry, uniform on [-1, 1) in
+    row-major order; `integers(lo, hi)` is lo + int(random() (hi - lo)), in
+    lo..hi-1.  Both are exact IEEE arithmetic with no libm call, so a seed
+    gives the same draws on every platform.  Uniform coordinates serve
+    every check as Gaussian ones would: each only needs its points off a
+    proper subvariety, which a draw from any density misses almost
+    surely."""
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed).random
+
+    def uniform(self, shape) -> np.ndarray:
+        count = math.prod(shape) if isinstance(shape, tuple) else shape
+        # random() never returns None: an endless stream, of which fromiter
+        # reads exactly `count`
+        values = np.fromiter(iter(self._random, None), float, count)
+        return (2.0 * values - 1.0).reshape(shape)
+
+    def integers(self, lo: int, hi: int) -> int:
+        return lo + int(self._random() * (hi - lo))
+
+
 def random_points(n: int, count: int, seed: int) -> List[np.ndarray]:
     """`count` seeded points of C^n, each scaled to largest modulus 1; the
     count is checked by `check_sample_bound`."""
     check_sample_bound(count)
-    rng = np.random.default_rng(seed)
+    draw = Draw(seed)
     points = []
     for _ in range(count):
-        pt = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        pt = draw.uniform(n) + 1j * draw.uniform(n)
         points.append(pt / np.abs(pt).max())
     return points
 
@@ -250,7 +282,7 @@ def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
     is silent on overflow.  SamplingError after 40 lines per requested point;
     the count is checked by `check_sample_bound`."""
     check_sample_bound(count)
-    rng = np.random.default_rng(seed)
+    sample = Draw(seed)
     out = []
     attempts = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,7 +290,7 @@ def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
             attempts += 1
             if attempts > 40 * max(count, 1):
                 raise SamplingError("could not locate enough det-zero points")
-            draw = rng.standard_normal((4, form.ring.nvars))
+            draw = sample.uniform((4, form.ring.nvars))
             base, direction = draw[0] + 1j * draw[1], draw[2] + 1j * draw[3]
             b, d = form.eval_stack([base, direction])
             try:

@@ -213,12 +213,12 @@ def criterion_5_clifford(seed: int = 0) -> CheckResult:
     details["profile_rows"] = all(profile_rows)
     ok &= all(profile_rows)
 
-    rng = np.random.default_rng(seed)
+    draw = clifford.Draw(seed)
     cases = []
     for _ in range(50):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(0, n + 1))
-        s = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        n = draw.integers(2, 6)
+        k = draw.integers(0, n + 1)
+        s = draw.uniform((n, k)) + 1j * draw.uniform((n, k))
         cases.append((k, n, s @ s.T))
 
     def one(case):

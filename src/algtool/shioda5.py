@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import check_sample_bound
+from .clifford import Draw, check_sample_bound
 from .cyclotomic import Cyclotomic
 from .errors import InputError, SamplingError
 from .gradedalg import Presentation, curve_fiber, hilbert, in_ideal, make_presentation
@@ -176,7 +176,8 @@ class TwoTorsionReport:
 
 
 def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
-    """Random (x1, x2); roots x0 of the plane sextic
+    """Seeded (x1, x2), uniform on [-1, 1)^2 (`clifford.Draw`); roots x0 of
+    the plane sextic
     f = x0^4 x1 x2 - x0^2 x1^2 x2^2 - x0 (x1^5 + x2^5) + 2 x1^3 x2^3 give points
     (x0 : x1 : x2 : x2 : x1) on S15 (all ten minors vanish numerically).
 
@@ -192,12 +193,12 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     >= 0.75 m^6; |r|^4 <= |product of the roots| = 2 |x1 x2|^2 gives
     |r| <= 1.19 m, so around r on |x0 - r| = m some point has
     |f| >= 0.75 m^6 / sum_{k<5} 2.19^k >= 0.018 m^6, where M <= 2.19 m: a
-    control residual of at least 1.6e-4.  Fewer than one sample is an input
+    control residual of at least 1.6e-4, whatever (x1, x2) is drawn.  Fewer than one sample is an input
     error, more than `clifford.MAX_SAMPLES` a resource error."""
     if samples < 1:
         raise InputError("need at least one sample")
     check_sample_bound(samples)
-    rng = np.random.default_rng(seed)
+    draw = Draw(seed)
     matrix = s15_matrix()
     directions = np.exp(2j * np.pi * np.arange(5) / 5)
 
@@ -214,7 +215,7 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     control = float("inf")
     count = 0
     for _ in range(samples):
-        x1, x2 = rng.standard_normal(2)
+        x1, x2 = draw.uniform(2)
         if abs(x1 * x2) < 1e-3:  # keep the quartic well-conditioned
             x1, x2 = x1 + 1.0, x2 - 1.0
         coeffs = [x1 * x2, 0.0, -(x1 ** 2) * x2 ** 2, -(x1 ** 5 + x2 ** 5),

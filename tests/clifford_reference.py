@@ -56,13 +56,16 @@ def det_along_line(form: PolyMatrix, base: np.ndarray, direction: np.ndarray) ->
 
 def random_lines(n: int, count: int, seed: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The first `count` (base, direction) pairs that the sampler draws from
-    `seed`."""
-    rng = np.random.default_rng(seed)
+    `seed`, entry by entry: the real parts of base, its imaginary parts,
+    then those of direction."""
+    draw = clifford.Draw(seed)
     lines = []
     for _ in range(count):
-        base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lines.append((base, direction))
+        base = [complex(draw.uniform(1)[0]) for _ in range(n)]
+        base = [complex(v, draw.uniform(1)[0]) for v in base]
+        direction = [complex(draw.uniform(1)[0]) for _ in range(n)]
+        direction = [complex(v, draw.uniform(1)[0]) for v in direction]
+        lines.append((np.array(base), np.array(direction)))
     return lines
 
 

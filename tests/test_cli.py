@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from algtool import cli, gradedalg, sklyanin2
+from algtool import cli, clifford, gradedalg, sklyanin2
 from algtool.cli import (COMMANDS, FLAGS, json_text, main, parse_argv, parse_scalar, resolve,
                          to_jsonable)
 from algtool.linalg import RANK_TOL
@@ -402,15 +402,18 @@ def test_onedim_over_its_check_bound_is_refused_before_work(capsys, monkeypatch)
     ("shioda5", "two-torsion"),
 ], ids=["clifford-strata", "stratify", "two-torsion"])
 def test_sample_count_above_the_bound_is_refused_before_sampling(capsys, monkeypatch, argv):
-    # every sampler draws from a default_rng; 10^11 samples would run for days
+    # every sampler draws from a clifford.Draw; 10^11 samples would run for days
     def unsampled(*args):
         raise AssertionError("a sampler was entered")
 
-    monkeypatch.setattr(np.random, "default_rng", unsampled)
+    monkeypatch.setattr(clifford.Draw, "__init__", unsampled)
     code, out = run_cli(capsys, *argv, "--samples", str(10 ** 11), "--format", "json")
     assert code == 1
     assert json.loads(out)["error"] == {"code": "resource",
                                         "message": "sample count 100000000000 is above 10000"}
+    # control: within the bound the command reaches the patched sampler
+    with pytest.raises(AssertionError, match="a sampler was entered"):
+        main([*argv, "--samples", "1", "--format", "json"])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -919,11 +922,14 @@ def test_cli_imports_no_argparse(argv):
 
 def test_float_checks_import_no_lazy_numpy_modules():
     # a module that numpy or a check imports on first use would be paid
-    # inside every benchmark op that runs the check
+    # inside every benchmark op that runs the check; the samplers draw from
+    # clifford.Draw, so numpy.random is never loaded
     code = ("import sys; from algtool.cli import main; "
             "main(['selftest', '--format', 'json']); main(['clifford-strata', '--t', '1']); "
+            "main(['sklyanin2', 'stratify', '--a', '1.0', '--b', '0.12888995128730368']); "
+            "main(['shioda5', 'two-torsion']); "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
-            "or m.startswith(('numpy.fft', 'numpy.polynomial'))])")
+            "or m.startswith(('numpy.fft', 'numpy.polynomial', 'numpy.random'))])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -5,7 +5,7 @@ import pytest
 
 from algtool import cli
 from algtool import shioda5
-from algtool.clifford import (MAX_SAMPLES, FatProfile, SimpleProfile, build_reps,
+from algtool.clifford import (MAX_SAMPLES, Draw, FatProfile, SimpleProfile, build_reps,
                               clifford_form, fat_profile,
                               random_points, sample_rank_drop_points,
                               simple_profile, standard_gammas)
@@ -205,6 +205,34 @@ def test_sample_count_is_bounded():
             sample(MAX_SAMPLES + 1)
 
 
+def test_draw_repeats_pythons_stream():
+    """The first draws of seed 0 as literals: Python promises that
+    `random.Random(0).random()` gives the same sequence in every version,
+    and 2 x - 1 and lo + int(x (hi - lo)) are exact."""
+    draw = Draw(0)
+    assert draw.uniform(4).tolist() == [0.6888437030500962, 0.515908805880605,
+                                        -0.15885683833831, -0.4821664994140733]
+    assert draw.uniform((2, 3)).tolist() == [
+        [0.02254944273721704, -0.19013172509917142, 0.5675971780695452],
+        [-0.3933745478421451, -0.04680609169528838, 0.1667640789100624]]
+    draw = Draw(0)
+    assert [draw.integers(2, 6) for _ in range(8)] == [5, 5, 3, 3, 4, 3, 5, 3]
+    # one stream: an integer draw takes the place of one uniform entry
+    draw = Draw(0)
+    assert draw.integers(2, 6) == 5
+    assert draw.uniform(2).tolist() == [0.515908805880605, -0.15885683833831]
+    assert Draw(0).uniform((0, 3)).shape == (0, 3)
+
+
+def test_draws_stay_in_their_ranges():
+    draw = Draw(1)
+    values = draw.uniform(10_000)
+    assert values.dtype == np.float64 and -1.0 <= values.min() and values.max() < 1.0
+    assert abs(values.mean()) < 0.03 and values.min() < -0.99 and values.max() > 0.99
+    counts = np.bincount([draw.integers(-2, 3) + 2 for _ in range(5_000)], minlength=5)
+    assert len(counts) == 5 and counts.min() > 900
+
+
 def bits(values) -> bytes:
     """The bytes of a complex array, so that -0.0 and 0.0 differ."""
     return np.ascontiguousarray(values, dtype=complex).tobytes()
@@ -275,11 +303,11 @@ def build_reps_cases():
     with their flipped variant."""
     cases = [(np.zeros((3, 3)), 0), (2 * np.eye(3), 3), (np.outer([1, 2j, 3], [1, 2j, 3]), 1)]
     for seed in range(4):
-        rng = np.random.default_rng(seed)
+        draw = Draw(seed)
         for _ in range(50):
-            n = int(rng.integers(2, 6))
-            k = int(rng.integers(0, n + 1))
-            s = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            n = draw.integers(2, 6)
+            k = draw.integers(0, n + 1)
+            s = draw.uniform((n, k)) + 1j * draw.uniform((n, k))
             cases.append((s @ s.T, k))
     return cases
 
