@@ -11,7 +11,7 @@ from algtool import shioda5
 from algtool.gradedalg import Presentation, curve_fiber, make_presentation, make_relation
 from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
                                 projective_fixed_points, subgroup_generators)
-from algtool.linalg import rank_float
+from algtool.linalg import Residual, rank_float
 from algtool.poly import PolyMatrix
 from algtool.shioda5 import (_entry_monomials, _minor_jacobians, _on_s15, _within,
                              base_orbit, ca_orbit_check, ca_relations, cusp_cycles,
@@ -20,7 +20,7 @@ from algtool.shioda5 import (_entry_monomials, _minor_jacobians, _on_s15, _withi
                              two_torsion_check, x_vars)
 from heisenberg_reference import normalize_projective
 from rank_reference import minors_det
-from shioda5_reference import rank_below_3
+from shioda5_reference import rank_below_3, two_torsion_per_point
 
 
 def test_s15_matrix_layout():
@@ -105,6 +105,18 @@ def test_two_torsion_check_passes_on_every_seed():
         report = two_torsion_check(20, seed=seed)
         assert report.ok(), (seed, report)
         assert report.control_residual > 1.6e-4
+
+
+def test_two_torsion_stack_is_the_per_point_eval():
+    # the entries c x_i x_j as numpy products against `PolyMatrix.eval` at
+    # each point: the same residuals up to rounding, and as printed
+    for seed in range(12):
+        report = two_torsion_check(20, seed=seed)
+        worst, control = two_torsion_per_point(20, seed)
+        assert abs(report.max_residual - worst) <= 1e-15
+        assert abs(report.control_residual - control) <= 1e-12 * control
+        assert report.max_residual.printed() == Residual(worst).printed()
+        assert report.control_residual.printed() == Residual(control).printed()
 
 
 def test_two_torsion_degenerate_point():
@@ -218,7 +230,7 @@ def test_jacobian_rank_at_coordinate_point():
     minors = s15_minors()
     pt = [1.0 + 0j if i == 0 else 0j for i in range(5)]
     jac = [[complex(m.partial(j).eval(pt)) for j in range(5)] for m in minors]
-    from algtool.linalg import rank_float
+    from algtool.linalg import Residual, rank_float
     assert rank_float(jac, 1e-8, scale=1.0) <= 1
 
 
