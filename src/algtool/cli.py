@@ -20,6 +20,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
 
+import numpy as np
+
 from . import clifford, koszul, selftest, shioda5, sklyanin2
 from .cyclotomic import Cyclotomic
 from .errors import AlgtoolError, InputError, ResourceLimitError
@@ -81,9 +83,11 @@ def to_jsonable(obj, shared: Optional[dict] = None):
     or a Fraction, else "CC", and an int coefficient is written as a
     Fraction.  Every float, complex parts included, is its
     `linalg.printed` value: a `Residual` 0.0 below RESIDUAL_FLOOR, else to
-    3 significant digits, any other float to 12, with -0.0 as 0.0.  numpy
-    scalars need no branch: np.float64 and np.complex128 subclass float and
-    complex.  The text output reads this form too.
+    3 significant digits, any other float to 12, with -0.0 as 0.0.  A numpy
+    scalar is the Python value it holds: np.bool_ a bool, np.integer an
+    int, and np.floating and np.complexfloating a float and a complex by
+    that rule (np.float64 and np.complex128 subclass float and complex).
+    The text output reads this form too.
 
     Equal Cyclotomic values share one JSON dict (`shared` maps each value
     met so far to it; a fresh map when not given), which `json_text`
@@ -118,6 +122,14 @@ def to_jsonable(obj, shared: Optional[dict] = None):
         return {str(k): to_jsonable(v, shared) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v, shared) for v in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return printed(float(obj))
+    if isinstance(obj, np.complexfloating):
+        return to_jsonable(complex(obj))
     return str(obj)
 
 

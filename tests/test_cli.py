@@ -615,6 +615,16 @@ def test_to_jsonable_prints_complex_parts_and_numpy_scalars_by_the_rule():
     assert type(data["x"]) is float and math.isnan(to_jsonable(math.nan))
 
 
+def test_to_jsonable_prints_numpy_scalars_as_their_python_values():
+    data = to_jsonable([np.int64(3), np.uint8(200), np.float32(0.1), np.bool_(True),
+                        np.bool_(False), np.float16(-0.0), np.longdouble(1 / 3),
+                        np.complex64(0.5 - 0.25j), {"n": np.int32(-7)}])
+    assert data == [3, 200, 0.100000001490, True, False, 0.0, 0.333333333333, [0.5, -0.25],
+                    {"n": -7}]
+    assert [type(v) for v in data[:8]] == [int, int, float, bool, bool, float, float, list]
+    assert json.dumps(data[:5]) == "[3, 200, 0.10000000149, true, false]"
+
+
 def test_text_output_prints_floats_by_the_rule(capsys):
     # a = -0.0 and t = 0.0025000000000000005 in the raw arithmetic
     assert sklyanin2.t_param(-0.0, 0.1) == 0.0025000000000000005

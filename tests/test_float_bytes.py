@@ -60,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algtool import clifford, linalg, shioda5, sklyanin2
+from algtool import cli, clifford, linalg, shioda5, sklyanin2
 from algtool.cli import main
 from algtool.clifford import build_reps, clifford_form
 from algtool.cyclotomic import Cyclotomic
@@ -143,13 +143,47 @@ def json_floats(value):
             yield from json_floats(item)
 
 
+def payload_leaves(value):
+    """Every leaf of a payload as `cli.emit` receives it, depth first: all
+    but the dicts, lists, tuples and report dataclasses."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from payload_leaves(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from payload_leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from payload_leaves(item)
+    else:
+        yield value
+
+
+# the numbers of a payload, numpy scalars included
+NUMBERS = (bool, int, float, np.bool_, np.integer, np.floating)
+
+
+def numbers_printed_as_text(payload) -> list:
+    """The numbers of a payload that `cli.to_jsonable` turns into text
+    rather than a JSON number or bool: a number that misses the print
+    rule's branches and falls back to str."""
+    return [v for v in payload_leaves(payload)
+            if isinstance(v, NUMBERS) and not isinstance(cli.to_jsonable(v), (bool, int, float))]
+
+
 @pytest.mark.parametrize("name", [*OUTPUTS, *POLY_OUTPUTS])
-def test_every_printed_float_is_its_own_12_digit_rounding(capsys, name):
+def test_every_printed_float_is_its_own_12_digit_rounding(capsys, monkeypatch, name):
     """Each float of each pinned JSON output went through the print rule:
     it equals its rounding to 12 significant digits and is no -0.0.  A path
-    that prints around `cli.to_jsonable` shows here."""
+    that prints around `cli.to_jsonable` shows here.  And each number of
+    the payload, numpy scalars included, prints as a JSON number or bool."""
     argv, code = OUTPUTS[name][:2] if name in OUTPUTS else (POLY_OUTPUTS[name][0], 0)
+    payloads = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda payload, *rest, **kw: payloads.append(payload)
+                        or emit(payload, *rest, **kw))
     assert main([*argv, "--format", "json"]) == code
+    assert len(payloads) == 1 and numbers_printed_as_text(payloads[0]) == []
     floats = list(json_floats(json.loads(capsys.readouterr().out)))
     for x in floats:
         assert float(f"{x:.12g}") == x, (name, x)
@@ -157,6 +191,33 @@ def test_every_printed_float_is_its_own_12_digit_rounding(capsys, name):
     # the outputs that print no float are the exact ones
     assert bool(floats) == (name not in ("shioda5-orbit", "shioda5-singular", "shioda5-fiber",
                                          "shioda5-minors", "sklyanin2-eliminate")), name
+
+
+def test_numpy_scalars_of_a_payload_print_as_numbers(monkeypatch):
+    """Control of the payload walker: numpy scalars of every kind, nested in
+    a report dataclass, print as JSON numbers and bools by the print rule;
+    under the encoding that printed them by str, the walker finds each."""
+    @dataclasses.dataclass
+    class Report:
+        rank: object
+        flags: list
+
+    payload = {"r": Report(np.int64(3), [np.bool_(True), np.float32(0.1)]),
+               "x": (np.uint8(7), np.float16(-0.0), np.longdouble(1 / 3))}
+    assert numbers_printed_as_text(payload) == []
+    assert json.loads(json.dumps(cli.to_jsonable(payload))) == {
+        "r": {"rank": 3, "flags": [True, 0.10000000149]}, "x": [7, 0.0, 0.333333333333]}
+
+    to_jsonable = cli.to_jsonable
+
+    def by_str(value, shared=None):
+        if isinstance(value, np.generic) and not isinstance(value, (float, complex)):
+            return str(value)
+        return to_jsonable(value, shared)
+
+    monkeypatch.setattr(cli, "to_jsonable", by_str)
+    assert [type(v) for v in numbers_printed_as_text(payload)] == [
+        np.int64, np.bool_, np.float32, np.uint8, np.float16, np.longdouble]
 
 
 def test_per_process_caches_keep_outputs():
