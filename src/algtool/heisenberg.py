@@ -16,9 +16,7 @@ read off a closed-form recurrence, so no linear algebra is imported.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from functools import cache
 from typing import List, Sequence, Tuple, Union
 
 from .cyclotomic import Cyclotomic, require_odd_prime
@@ -195,9 +193,8 @@ def subgroup_generators(p: int) -> List[HeisenbergElement]:
     return gens
 
 
-def heisenberg_orbit_points(rep: SimpleRep, point: Sequence) -> List[tuple]:
-    """All p^2 images rho(e1)^a rho(e2)^b . point (coordinates in the given
-    scalar kind; works for exact cyclotomic and complex entries alike)."""
+def heisenberg_orbit_points(rep: SimpleRep, point: Sequence[Cyclotomic]) -> List[tuple]:
+    """All p^2 images rho(e1)^a rho(e2)^b . point, exact over Q(w_p)."""
     p = rep.p
     out = []
     for a in range(p):
@@ -207,28 +204,15 @@ def heisenberg_orbit_points(rep: SimpleRep, point: Sequence) -> List[tuple]:
     return out
 
 
-def apply_element(rep: SimpleRep, g: HeisenbergElement, point: Sequence) -> tuple:
-    """rho(g) applied to a coordinate vector, without materializing the matrix.
-
-    Exact entries pick up Cyclotomic phases; complex entries pick up
-    powers of exp(2 pi i / p), each computed once per process.
-    """
+def apply_element(rep: SimpleRep, g: HeisenbergElement, point: Sequence[Cyclotomic]) -> tuple:
+    """rho(g) applied to an exact coordinate vector, without materializing
+    the matrix: coordinate c picks up the phase w^(index (k + b c)) and
+    moves to c - a."""
     _same_prime(rep.p, g.p)
     p = rep.p
     if len(point) != p:
         raise ValueError(f"point needs {p} coordinates")
-    if isinstance(point[0], complex):
-        powers = _complex_phases(p)
-        phases = [powers[rep.index * (g.k + g.b * c) % p] for c in range(p)]
-    else:
-        phases = [Cyclotomic.zeta(p, rep.index * (g.k + g.b * c)) for c in range(p)]
     vec = [None] * p
     for c in range(p):
-        vec[(c - g.a) % p] = phases[c] * point[c]
+        vec[(c - g.a) % p] = Cyclotomic.zeta(p, rep.index * (g.k + g.b * c)) * point[c]
     return tuple(vec)
-
-
-@cache
-def _complex_phases(p: int) -> Tuple[complex, ...]:
-    """exp(2 pi i e / p) for e = 0 .. p-1."""
-    return tuple(cmath.exp(2j * cmath.pi * e / p) for e in range(p))

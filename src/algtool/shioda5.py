@@ -129,12 +129,12 @@ def ca_relations(x: Sequence[MultiPoly], t) -> List[MultiPoly]:
 
 def base_orbit(t) -> List[tuple]:
     """The 25 Heisenberg images of (0 : 1 : t : -t : -1), the base point O_a
-    of C_a at t = a and that of sklyanin2's E' at its t: exact over Q(w_5)
-    for an int or Fraction t, complex otherwise."""
-    if isinstance(t, (int, Fraction)):
-        point = tuple(Cyclotomic.from_rational(5, v) for v in (0, 1, t, -t, -1))
-    else:
-        point = tuple(complex(v) for v in (0, 1, t, -t, -1))
+    of C_a at t = a, exact over Q(w_5) for an int or Fraction t; any other t
+    is an input error.  sklyanin2 builds the orbit of E' at a complex t as
+    one numpy array (`sklyanin2._orbit_stack`)."""
+    if not isinstance(t, (int, Fraction)):
+        raise InputError(f"the base orbit needs an int or Fraction, got {t!r}")
+    point = tuple(Cyclotomic.from_rational(5, v) for v in (0, 1, t, -t, -1))
     return heisenberg_orbit_points(_REP, point)
 
 
@@ -151,10 +151,10 @@ class OrbitReport:
 
 def ca_orbit_check(a) -> OrbitReport:
     """Exact check that the whole orbit of O_a satisfies the C_a relations
-    and lies on S15."""
+    and lies on S15; a that is no int or Fraction is an input error."""
+    orbit = base_orbit(a)
     rels = ca_relations(x_vars(), Fraction(a))
     monomials = _entry_monomials(s15_matrix())
-    orbit = base_orbit(a)
     rel_ok = all(r.eval(list(pt)).is_zero() for pt in orbit for r in rels)
     min_ok = all(_on_s15(monomials, pt) for pt in orbit)
     return OrbitReport(Fraction(a), len(orbit), rel_ok, min_ok)

@@ -6,13 +6,13 @@ minor is `np.linalg.det` of its submatrix (an LU factorization)."""
 
 from __future__ import annotations
 
+import cmath
 from itertools import combinations
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from algtool.clifford import clifford_form
-from algtool.shioda5 import base_orbit
 from algtool.sklyanin2 import t_param
 
 
@@ -43,13 +43,20 @@ def minors_det(matrix) -> np.ndarray:
 
 
 def orbit_images(t: complex) -> list:
-    """The 25 images of `shioda5.base_orbit`, each divided by its first
-    coordinate above 1e-9, as `sklyanin2` built the E' orbit before it took
-    one numpy array."""
+    """The 25 images e1^a e2^b . (0 : 1 : t : -t : -1) in the order of
+    `heisenberg.heisenberg_orbit_points`, coordinate c times
+    exp(2 pi i (b c mod 5) / 5) moved to c - a, each divided by its first
+    coordinate above 1e-9: the E' orbit as `sklyanin2` built it, one
+    Python complex at a time, before it took one numpy array."""
+    point = (0j, 1 + 0j, complex(t), -complex(t), -1 + 0j)
     images = []
-    for vec in base_orbit(t):
-        lead = next(v for v in vec if abs(v) > 1e-9)
-        images.append(tuple(v / lead for v in vec))
+    for a in range(5):
+        for b in range(5):
+            vec = [None] * 5
+            for c in range(5):
+                vec[(c - a) % 5] = cmath.exp(2j * cmath.pi * (b * c % 5) / 5) * point[c]
+            lead = next(v for v in vec if abs(v) > 1e-9)
+            images.append(tuple(v / lead for v in vec))
     return images
 
 

@@ -288,22 +288,6 @@ def test_apply_element_matches_matrix():
     assert list(apply_element(rep, g, point)) == expected
 
 
-def test_apply_element_complex_phases():
-    """A complex point picks up exp(2 pi i e / p), e = index (k + b c) mod p,
-    the same bits as computed afresh."""
-    import cmath
-
-    point = (1 + 2j, -0.5j, 3.0 + 0j, 0.25 - 1j, -2 + 0.5j)
-    for rep in (SimpleRep(5, 1), SimpleRep(5, 3)):
-        for g in (HeisenbergElement(5, 2, 3, 1), HeisenbergElement(5, 0, 4, 2)):
-            expected = [None] * 5
-            for c in range(5):
-                e = rep.index * (g.k + g.b * c) % 5
-                expected[(c - g.a) % 5] = cmath.exp(2j * cmath.pi * e / 5) * point[c]
-            got = apply_element(rep, g, point)
-            assert [(v.real, v.imag) for v in got] == [(v.real, v.imag) for v in expected]
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_eigenlines_equal_the_nullspace_route(p):
     """The closed form against the nullspace reference for every index i,

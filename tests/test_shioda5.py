@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from algtool.cyclotomic import Cyclotomic
+from algtool.errors import InputError
 from algtool import shioda5
 from algtool.gradedalg import Presentation, curve_fiber, make_presentation, make_relation
 from algtool.heisenberg import (HeisenbergElement, SimpleRep, apply_element,
@@ -78,6 +79,16 @@ def test_ca_orbit_check(a):
 def test_ca_orbit_degenerate_fiber():
     report = ca_orbit_check(0)
     assert report.ok()  # relations degenerate to the cusp-cycle monomials
+
+
+@pytest.mark.parametrize("a", [0.5, 0.75 + 0.1j, "2"], ids=["float", "complex", "str"])
+def test_orbit_at_an_inexact_parameter_is_an_input_error(a):
+    # the exact check takes an int or a Fraction; a float orbit of E' is
+    # sklyanin2's numpy stack
+    with pytest.raises(InputError, match="int or Fraction"):
+        ca_orbit_check(a)
+    with pytest.raises(InputError, match="int or Fraction"):
+        base_orbit(a)
 
 
 def test_orbit_equivariance():

@@ -20,7 +20,7 @@ from algtool.linalg import Residual, printed, rank_float
 from algtool.minortables import CoefficientTable, _generic_form, minor_tables
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 from algtool.selftest import criterion_9_determinism
-from algtool.shioda5 import ca_relations
+from algtool.shioda5 import base_orbit, ca_relations
 from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, _orbit_stack,
                                check_onedim_bound, cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
@@ -238,6 +238,22 @@ def test_orbit_stack_is_orbit_points_at_modulus_one(t):
 def test_point_module_check_rejects_singular_parameter():
     with pytest.raises(IndeterminateError):
         point_module_check((2.0, 2.0))
+
+
+@pytest.mark.parametrize("t", [1, 2, Fraction(3, 2), Fraction(-7, 3), 0], ids=str)
+def test_orbit_stack_picks_up_the_exact_phases(t):
+    """At a rational t each row of `_orbit_stack` is the exact image of
+    `shioda5.base_orbit` (`heisenberg.apply_element` over Q(w_5)) embedded
+    in C: coordinate c times w^(b c) moved to c - a, in the same order, up
+    to one unit factor per row, as both are scaled to largest modulus 1."""
+    exact = np.array([[v.embed(1) for v in pt] for pt in base_orbit(t)])
+    exact /= np.abs(exact).max(axis=1, keepdims=True)
+    stack = _orbit_stack(complex(t))
+    rows = np.arange(25)
+    lead = np.argmax(np.abs(exact), axis=1)
+    unit = stack[rows, lead] / exact[rows, lead]
+    assert np.allclose(np.abs(unit), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(stack, unit[:, None] * exact, rtol=0, atol=1e-12)
 
 
 def test_orbit_is_heisenberg_stable():
