@@ -364,7 +364,8 @@ def positive_finite(text: str) -> float:
 
 
 def non_negative_int(text: str) -> int:
-    """A seed: numpy's generators take no negative one."""
+    """A seed, which must be non-negative: `random.Random` seeds with the
+    absolute value of an int, so -n would repeat the draws of n."""
     value = int(text)
     if value < 0:
         raise UsageError(f"must be a non-negative integer, got {text!r}")

@@ -200,7 +200,6 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     check_sample_bound(samples)
     draw = Draw(seed)
     coef, left, right = (np.array(v) for v in zip(*_entry_monomials(s15_matrix())))
-    coef = coef.astype(complex)
     directions = np.exp(2j * np.pi * np.arange(5) / 5)
 
     def residual(x0s, x1, x2) -> float:
