@@ -193,8 +193,9 @@ def two_torsion_check(samples: int = 20, seed: int = 0) -> TwoTorsionReport:
     >= 0.75 m^6; |r|^4 <= |product of the roots| = 2 |x1 x2|^2 gives
     |r| <= 1.19 m, so around r on |x0 - r| = m some point has
     |f| >= 0.75 m^6 / sum_{k<5} 2.19^k >= 0.018 m^6, where M <= 2.19 m: a
-    control residual of at least 1.6e-4, whatever (x1, x2) is drawn.  Fewer than one sample is an input
-    error, more than `clifford.MAX_SAMPLES` a resource error."""
+    control residual of at least 1.6e-4, whatever (x1, x2) is drawn.  Fewer
+    than one sample is an input error, more than `clifford.MAX_SAMPLES` a
+    resource error."""
     if samples < 1:
         raise InputError("need at least one sample")
     check_sample_bound(samples)
