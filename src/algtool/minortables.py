@@ -10,6 +10,13 @@ Jacobian determinant det(dq_i/du_j) have integer coefficients in t.
 `minor_tables` expands them once per process over int coefficients and
 keeps only the sparse integer tables; evaluating a table at a point is one
 `np.bincount` scatter of its terms per real and imaginary part.
+
+Every minor and product is an e2-eigenvector of H_5, since u_k has e2-weight
+2k mod 5 (K. Hulek, "Projective geometry of elliptic curves", Asterisque
+137, 1986): the coefficient matrix of each of the four span tables is
+block-diagonal in the five weights.  `minor_tables` checks this on the
+integer entries, and those tables evaluate straight into the stack of their
+five blocks (`CoefficientTable.blocks`).
 `sklyanin2` imports this module where it first needs it, so
 CLI start-up does not compile it.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-from typing import NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,24 +50,43 @@ def _generic_form() -> PolyMatrix:
     return PolyMatrix(5, 5, [z + a * (x - z) + b * (y - z) for z, x, y in zip(q0, qa, qb)])
 
 
+def _block_places(weights: Sequence[int]) -> Tuple[List[int], int]:
+    """Each index's place among the indices of its weight, in order, and
+    how many indices each weight has; ValueError unless the five weights
+    have equally many."""
+    counts, places = [0] * 5, []
+    for w in weights:
+        places.append(counts[w])
+        counts[w] += 1
+    if len(set(counts)) != 1:
+        raise ValueError(f"e2-weight blocks of unequal sizes {counts}")
+    return places, counts[0]
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Polynomials of one degree in u_0..u_4 whose coefficients are integer
     polynomials in some parameters, stored sparsely: `entries` holds one
     (polynomial, u-monomial, parameter monomial, integer coefficient) index
     row per non-zero term, against the u-monomials `basis` and the parameter
-    exponent tuples `params`."""
+    exponent tuples `params`.  A table built `blocked` also holds the cell
+    of each term in the stack of its e2-weight blocks, `block_cells`."""
 
     size: int
     basis: Tuple[Tuple[int, ...], ...]
     params: Tuple[Tuple[int, ...], ...]
     entries: np.ndarray
+    block_cells: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, polys: Sequence[MultiPoly], degree: int) -> "CoefficientTable":
+    def of(cls, polys: Sequence[MultiPoly], degree: int,
+           blocked: bool = False) -> "CoefficientTable":
         """The table of `polys`, over a ring whose first five variables are
         u_0..u_4 and the rest the parameters, homogeneous of `degree` in u,
-        with int coefficients."""
+        with int coefficients.  With `blocked`, ValueError unless every
+        polynomial is non-zero with all its terms of one e2-weight, and the
+        five weights have equally many polynomials and equally many
+        monomials of `basis`."""
         basis = tuple(monomials_of_degree(5, degree))
         column = {e: i for i, e in enumerate(basis)}
         terms = [f.items() for f in polys]
@@ -72,23 +98,48 @@ class CoefficientTable:
             raise TypeError("a coefficient table needs int coefficients")
         entries = np.array(rows, dtype=np.int64)
         entries.setflags(write=False)
-        return cls(len(polys), basis, params, entries)
+        if not blocked:
+            return cls(len(polys), basis, params, entries)
+        # plain Python: numpy's integer compare and sort loops, paged in for
+        # this alone, raised a selftest's peak RSS by about 0.3 MB
+        col_weight = [2 * sum(k * e for k, e in enumerate(m)) % 5 for m in basis]
+        row_weights = [set() for _f in polys]
+        for row, col, *_rest in rows:
+            row_weights[row].add(col_weight[col])
+        if any(len(w) != 1 for w in row_weights):
+            raise ValueError("a polynomial of the table is zero or of two e2-weights")
+        row_weight = [w.pop() for w in row_weights]
+        (row_place, height), (col_place, width) = map(_block_places, (row_weight, col_weight))
+        cells = np.array([(row_weight[row] * height + row_place[row]) * width + col_place[col]
+                          for row, col, *_rest in rows], dtype=np.int64)
+        cells.setflags(write=False)
+        return cls(len(polys), basis, params, entries, cells)
+
+    def _scatter(self, values: Sequence[complex], cells: np.ndarray, shape) -> np.ndarray:
+        """The terms at the parameter values summed into `cells` of an array
+        of `shape` by `np.bincount`, once for the real parts and once for
+        the imaginary ones, each cell summing its terms in table order."""
+        monomials = np.array([prod(v ** k for v, k in zip(values, exps))
+                              for exps in self.params], dtype=complex)
+        terms = self.entries[:, 3] * monomials[self.entries[:, 2]]
+        count = prod(shape)
+        out = np.empty(count, dtype=complex)
+        out.real = np.bincount(cells, terms.real, count)
+        out.imag = np.bincount(cells, terms.imag, count)
+        return out.reshape(shape)
 
     def at(self, values: Sequence[complex]) -> np.ndarray:
         """The coefficient vectors against `basis` at the parameter values,
-        one row per polynomial: the terms scattered by `np.bincount`, once
-        for the real parts and once for the imaginary ones, each cell
-        summing its terms in table order."""
-        monomials = np.array([prod(v ** k for v, k in zip(values, exps))
-                              for exps in self.params], dtype=complex)
-        row, col, param, coeff = self.entries.T
-        terms = coeff * monomials[param]
-        cells = self.size * len(self.basis)
-        cell = row * len(self.basis) + col
-        out = np.empty(cells, dtype=complex)
-        out.real = np.bincount(cell, terms.real, cells)
-        out.imag = np.bincount(cell, terms.imag, cells)
-        return out.reshape(self.size, len(self.basis))
+        one row per polynomial."""
+        row, col = self.entries[:, 0], self.entries[:, 1]
+        return self._scatter(values, row * len(self.basis) + col, (self.size, len(self.basis)))
+
+    def blocks(self, values: Sequence[complex]) -> np.ndarray:
+        """`at` as the (5, rows/5, columns/5) stack of its e2-weight blocks,
+        for a table built `blocked`: block w holds the polynomials and the
+        basis monomials of weight w, each in table order."""
+        shape = (5, self.size // 5, len(self.basis) // 5)
+        return self._scatter(values, self.block_cells, shape)
 
 
 class MinorTables(NamedTuple):
@@ -108,10 +159,11 @@ def minor_tables() -> MinorTables:
     15 products q_i q_j (degree 8 in x), then det Q(a, b) and the Jacobian
     determinant det(dq_i/du_j) (degree 10 in x).  The minors are tabled over
     Z[u, a, b], in `mat_minors` order, the products and the Jacobian over
-    Z[u, t].  det Q is the full minor of the same `minor_routine` memo, which
-    expands it from the 4x4 minors already there; that is why both
-    determinants of the secant check are built here, with the minors, though
-    a lone secant check then builds every table."""
+    Z[u, t]; the four span tables are built `blocked`.  det Q is the full
+    minor of the same `minor_routine` memo, which expands it from the 4x4
+    minors already there; that is why both determinants of the secant check
+    are built here, with the minors, though a lone secant check then builds
+    every table."""
     form = _generic_form()
     minor = minor_routine(form)  # each size expands into the one below it
     ring = PolyRing(form.ring.variables[:5] + ("t",))
@@ -120,10 +172,11 @@ def minor_tables() -> MinorTables:
     full = tuple(range(5))
     jacobian = PolyMatrix(5, 5, [q.partial(j) for q in quadrics for j in range(5)])
     return MinorTables(
-        minors3=CoefficientTable.of(mat_minors(form, 3, minor), 3),
-        products=CoefficientTable.of([u[j] * q for q in quadrics for j in range(5)], 3),
-        minors4=CoefficientTable.of(mat_minors(form, 4, minor), 4),
+        minors3=CoefficientTable.of(mat_minors(form, 3, minor), 3, blocked=True),
+        products=CoefficientTable.of([u[j] * q for q in quadrics for j in range(5)], 3,
+                                     blocked=True),
+        minors4=CoefficientTable.of(mat_minors(form, 4, minor), 4, blocked=True),
         qq=CoefficientTable.of([quadrics[i] * quadrics[j]
-                                for i in range(5) for j in range(i, 5)], 4),
+                                for i in range(5) for j in range(i, 5)], 4, blocked=True),
         det_q=CoefficientTable.of([minor(full, full)], 5),
         jacobian=CoefficientTable.of([mat_det(jacobian)], 5))

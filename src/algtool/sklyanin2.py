@@ -11,11 +11,11 @@ polynomial at a point: they evaluate `minortables.minor_tables`, sparse
 integer coefficient tables built once per process of the 3x3 and 4x4
 minors and the determinant of Q(a, b) over Z[u, a, b], and of the products
 of the q_i and their Jacobian determinant over Z[u, t]; the spans are
-still compared by float ranks.  The point-module and secant checks report
-their error measures as `linalg.Residual`s, and so do the curve points:
-`ok` compares the raw value with its bound, and the output prints it as
-0.0 below 1e-12, else to 3 significant digits, so a bound below 1e-12 is
-refused by the CLI.  Every other float (a, b, t, lam) is printed at 12
+compared by float ranks per e2-weight block of those tables.  The
+point-module and secant checks report their error measures as
+`linalg.Residual`s, and so do the curve points: `ok` compares the raw value
+with its bound, and the output prints it as 0.0 below 1e-12, else to 3
+significant digits, so a bound below 1e-12 is refused by the CLI.  Every other float (a, b, t, lam) is printed at 12
 significant digits (`linalg.printed`), so another order of the float
 arithmetic here moves the output only where a value lies within its last
 bits of a rounding boundary.
@@ -262,11 +262,21 @@ def stratify(point, samples: int = 6, seed: int = 0,
 # -- degree-piece ideal checks --------------------------------------------------------
 
 
+def _block_rank(blocks: np.ndarray, tol: float) -> int:
+    """The float rank of the block-diagonal matrix of a stack of blocks, by
+    the rule of `linalg.rank_float`: its singular values are those of the
+    blocks, one SVD call, counted above `tol` times the largest of all."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    return int(np.count_nonzero(sv > tol * sv.max()))
+
+
 def _mutual_span(vexa, vexb, tol: float) -> Tuple[bool, int, int]:
-    """(span A == span B, rank A, rank B) by float ranks at relative `tol`:
-    the spans are equal exactly when A, B and A stacked on B share one rank."""
-    ra, rb = rank_float(vexa, tol), rank_float(vexb, tol)
-    return ra == rb == rank_float(np.vstack([vexa, vexb]), tol), ra, rb
+    """(span A == span B, rank A, rank B) by float ranks at relative `tol`,
+    for A and B given as stacks of their e2-weight blocks (`_degree_pieces`):
+    the spans are equal exactly when A, B and A stacked on B, joined within
+    each block, share one rank."""
+    ra, rb = _block_rank(vexa, tol), _block_rank(vexb, tol)
+    return ra == rb == _block_rank(np.concatenate([vexa, vexb], axis=1), tol), ra, rb
 
 
 @dataclass
@@ -287,15 +297,16 @@ def _degree_pieces(point) -> Tuple[complex, Tuple[np.ndarray, np.ndarray],
                                    Tuple[np.ndarray, np.ndarray]]:
     """t, and the coefficient vectors of (3x3 minors of Q, products u_j q_i)
     in degree 6 and of (4x4 minors of Q, products q_i q_j) in degree 8, from
-    `minortables.minor_tables` at (a, b) and at t."""
+    `minortables.minor_tables` at (a, b) and at t, each as the (5, rows/5,
+    columns/5) stack of its e2-weight blocks (`CoefficientTable.blocks`)."""
     from .minortables import minor_tables  # the tables' code is compiled only when used
 
     a, b = point
     t = _require_t(a, b)
     tables = minor_tables()
     ab = (complex(a), complex(b))
-    return (t, (tables.minors3.at(ab), tables.products.at((t,))),
-            (tables.minors4.at(ab), tables.qq.at((t,))))
+    return (t, (tables.minors3.blocks(ab), tables.products.blocks((t,))),
+            (tables.minors4.blocks(ab), tables.qq.blocks((t,))))
 
 
 def minor_ideal_checks(point, span_tol: float = SPAN_TOL) -> MinorIdealReport:
@@ -303,7 +314,8 @@ def minor_ideal_checks(point, span_tol: float = SPAN_TOL) -> MinorIdealReport:
     u_j q_i; deg8: span of the 25 quartic 4x4 minors equals span of the 15
     products q_i q_j.  The minors and products come from
     `minortables.minor_tables`, built once per process and evaluated at the
-    point; the spans are still compared by float ranks at `span_tol`."""
+    point into e2-weight blocks; the spans are compared by float ranks at
+    `span_tol`, five blocks to one SVD call (`_mutual_span`)."""
     t, deg6_pair, deg8_pair = _degree_pieces(point)
     deg6, minor3_dim, product_dim = _mutual_span(*deg6_pair, span_tol)
     deg8, minor4_dim, qq_dim = _mutual_span(*deg8_pair, span_tol)

@@ -3,7 +3,8 @@ they were made faster.  The degree-6 and degree-8 pieces of
 `minor_ideal_checks` take every minor of Q(a, b) and every product of the
 quadrics q_i as `MultiPoly`s over C at the point, written against the
 monomial basis of its degree, where `_degree_pieces` reads them off
-`minortables.minor_tables`; `secant_check` expands both 5x5 determinants at
+`minortables.minor_tables` as stacks of e2-weight blocks, which
+`reassembled` puts back in place; `secant_check` expands both 5x5 determinants at
 the point; `curve_points_on_grid` scans [-4, 4] for sign changes and
 bisects each, where `sklyanin2.curve_points_on_grid` takes the roots of
 the quintic; `onedim_reps` builds every candidate in Q(w) and checks each
@@ -36,6 +37,27 @@ def table_at(table, values) -> np.ndarray:
     row, col, param, coeff = table.entries.T
     out = np.zeros((table.size, len(table.basis)), dtype=complex)
     np.add.at(out, (row, col), coeff * monomials[param])
+    return out
+
+
+def weight(monomial) -> int:
+    """The e2-weight of the u-monomial: u_k = x_k^2 has weight 2k mod 5."""
+    return 2 * sum(k * e for k, e in enumerate(monomial)) % 5
+
+
+def reassembled(table, blocks) -> np.ndarray:
+    """The full coefficient matrix of `table` from the stack of its
+    e2-weight blocks: block w fills the rows of weight w, each row's weight
+    read off its first term, and the basis monomials of weight w, both in
+    table order; every other cell is 0."""
+    row_weight = {}
+    for row, col, *_rest in table.entries.tolist():
+        row_weight.setdefault(row, weight(table.basis[col]))
+    out = np.zeros((table.size, len(table.basis)), dtype=complex)
+    for w, block in enumerate(blocks):
+        rows = [r for r in range(table.size) if row_weight[r] == w]
+        cols = [c for c, e in enumerate(table.basis) if weight(e) == w]
+        out[np.ix_(rows, cols)] = block
     return out
 
 

@@ -21,7 +21,7 @@ from algtool.minortables import CoefficientTable, _generic_form, minor_tables
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 from algtool.selftest import criterion_9_determinism
 from algtool.shioda5 import base_orbit, ca_relations
-from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, _orbit_stack,
+from algtool.sklyanin2 import (CurvePoint, _block_rank, _degree_pieces, _mutual_span, _orbit_stack,
                                check_onedim_bound, cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
                                minor_ideal_checks, onedim_reps,
@@ -30,7 +30,8 @@ from algtool.sklyanin2 import (CurvePoint, _degree_pieces, _mutual_span, _orbit_
 from clifford_reference import assert_stack_is_eval
 from rank_reference import orbit_images, point_module_one_by_one, rank_one
 import sklyanin2_reference
-from sklyanin2_reference import coefficient_vector, degree_pieces, quadrics_at, table_at
+from sklyanin2_reference import (coefficient_vector, degree_pieces, quadrics_at, reassembled,
+                                 table_at)
 
 
 def bisect_root(f, lo, hi, iters=80):
@@ -294,16 +295,24 @@ def in_span_reference(basis, target, tol):
     return rank_float(np.vstack([a, np.asarray(target, dtype=complex)]), tol) <= rank_float(a, tol)
 
 
+def span_tables():
+    """The (A, B) tables of the degree-6 and degree-8 span checks."""
+    tables = minor_tables()
+    return (tables.minors3, tables.products), (tables.minors4, tables.qq)
+
+
 def test_mutual_span_matches_per_vector_reference():
+    # the reference reads the full matrices, reassembled from the blocks
     tol = 1e-7  # the default span tolerance of minor_ideal_checks
     points = [(cp.a, cp.b) for cp in curve_points_on_grid()[:3]] + [(0.0, 1.0)]
     decisions = []
     for point in points:
-        _t, deg6, deg8 = _degree_pieces(point)
-        for vexa, vexb in (deg6, deg8):
+        _t, *pieces = _degree_pieces(point)
+        for (blocka, blockb), (ta, tb) in zip(pieces, span_tables()):
+            vexa, vexb = reassembled(ta, blocka), reassembled(tb, blockb)
             reference = (all(in_span_reference(vexb, v, tol) for v in vexa)
                          and all(in_span_reference(vexa, v, tol) for v in vexb))
-            equal, ra, rb = _mutual_span(vexa, vexb, tol)
+            equal, ra, rb = _mutual_span(blocka, blockb, tol)
             assert equal == reference
             assert (ra, rb) == (rank_float(vexa, tol), rank_float(vexb, tol))
             decisions.append(equal)
@@ -372,14 +381,110 @@ def test_determinant_tables_are_the_tables_of_mat_det():
 
 @pytest.mark.parametrize("point", BATCH_POINTS[:3] + [(0.0, 1.0)], ids=lambda ab: f"a={ab[0]}")
 def test_degree_pieces_match_the_per_point_route(point):
+    # the blocks, put back in place, are the full matrices of the reference,
+    # zero off the blocks included
     t, *pieces = _degree_pieces(point)
     ref_t, *ref_pieces = degree_pieces(point)
     assert t == ref_t
-    for pair, ref_pair in zip(pieces, ref_pieces):
-        for ours, ref in zip(pair, ref_pair):
+    for pair, ref_pair, table_pair in zip(pieces, ref_pieces, span_tables()):
+        for blocks, ref, table in zip(pair, ref_pair, table_pair):
             ref = np.asarray(ref, dtype=complex)
+            assert blocks.shape == (5, table.size // 5, len(table.basis) // 5)
+            ours = reassembled(table, blocks)
             assert ours.shape == ref.shape
             assert np.abs(ours - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("ab", [(1.0, 0.12888995128730368), (0.0, 1.0), (0.3 - 1.1j, 2j)],
+                         ids=str)
+def test_blocks_hold_the_cells_of_at_bit_for_bit(ab):
+    t = ab[0] * ab[1] + 0.5  # the tables of the products take any t
+    for table in itertools.chain(*span_tables()):
+        values = (t,) if len(table.params[0]) == 1 else ab
+        full = table.at(values)
+        assert reassembled(table, table.blocks(values)).tobytes() == full.tobytes()
+
+
+def full_span_decision(vexa, vexb, tol):
+    """`_mutual_span`'s triple from full matrices and `rank_float`."""
+    ra, rb = rank_float(vexa, tol), rank_float(vexb, tol)
+    return ra == rb == rank_float(np.vstack([vexa, vexb]), tol), ra, rb
+
+
+def test_block_ranks_decide_as_full_ranks():
+    """The block-diagonal rank of the blocks is the `rank_float` rank of the
+    full matrix, and the span verdicts agree, at three tolerances, on 64
+    points of C' and at the off-curve (0, 1)."""
+    grid = [Fraction(k, 8) for k in range(-32, 33) if k]
+    points = [(cp.a, cp.b) for cp in curve_points_on_grid(grid)] + [(0.0, 1.0)]
+    assert len(points) == 65
+    verdicts = set()
+    for point in points:
+        _t, *pieces = _degree_pieces(point)
+        for (blocka, blockb), (ta, tb) in zip(pieces, span_tables()):
+            vexa, vexb = reassembled(ta, blocka), reassembled(tb, blockb)
+            for tol in (1e-4, 1e-7, 1e-10):
+                got = _mutual_span(blocka, blockb, tol)
+                assert got == full_span_decision(vexa, vexb, tol), (point, tol)
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_block_rank_thresholds_by_the_largest_block():
+    # blocks of scales 1 down to 1e-12: relative to each block's own top
+    # every block would have full rank 3
+    rng = np.random.default_rng(5)
+    blocks = np.stack([10.0 ** -e * (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+                       for e in (0, 3, 6, 9, 12)])
+    full = np.zeros((20, 15), dtype=complex)
+    for w, block in enumerate(blocks):
+        full[4 * w:4 * w + 4, 3 * w:3 * w + 3] = block
+    for tol, rank in ((1e-4, 6), (1e-7, 9), (1e-10, 12)):
+        assert _block_rank(blocks, tol) == rank_float(full, tol) == rank
+    assert _block_rank(np.zeros((5, 2, 3)), 1e-7) == 0
+
+
+def moved_term(polys, row: int):
+    """`polys` with one term of polynomial `row` moved from u_0 to u_1,
+    which changes its e2-weight by 2."""
+    f = polys[row]
+    terms = dict(f.items())
+    e = next(e for e in terms if e[0])
+    moved = (e[0] - 1, e[1] + 1) + e[2:]
+    terms[moved] = terms.get(moved, 0) + terms.pop(e)
+    return polys[:row] + [MultiPoly(f.ring, terms)] + polys[row + 1:]
+
+
+def test_a_term_of_another_weight_breaks_the_build():
+    minors = mat_minors(_generic_form(), 3)
+    built = CoefficientTable.of(minors, 3, blocked=True)
+    assert np.array_equal(built.block_cells, minor_tables().minors3.block_cells)
+    with pytest.raises(ValueError, match="two e2-weights"):
+        CoefficientTable.of(moved_term(minors, 7), 3, blocked=True)
+    # one polynomial fewer: the blocks have unequal heights
+    with pytest.raises(ValueError, match="unequal sizes"):
+        CoefficientTable.of(minors[:-1], 3, blocked=True)
+    CoefficientTable.of(minors[:-1], 3)  # unblocked tables are not checked
+
+
+@pytest.mark.parametrize("scale, holds", [(1e-9, True), (1e-5, False)])
+def test_span_tolerance_parts_noise_from_a_planted_vector(monkeypatch, scale, holds):
+    """A minors3 row plus a vector of one e2-weight outside span(products),
+    scaled to 1e-9 or 1e-5 of the top singular value: below the default
+    SPAN_TOL = 1e-7 it is noise and deg6 holds, above it deg6 fails.  With
+    SPAN_TOL moved by 10^3 either way one of the two cases fails."""
+    point = BATCH_POINTS[0]
+    t, (minors3, products), deg8 = _degree_pieces(point)
+    top = np.linalg.svd(np.concatenate([minors3, products], axis=1), compute_uv=False)
+    w = int(np.argmax(top[:, 0]))
+    outside = np.linalg.svd(products[w])[2][-1]  # orthogonal to every row of products[w]
+    assert np.abs(products[w] @ outside.conj()).max() <= 1e-12 * top[w, 0]
+    planted = minors3.copy()
+    planted[w, 0] += scale * top[w, 0] * outside
+    monkeypatch.setattr(sklyanin2, "_degree_pieces", lambda _point: (t, (planted, products), deg8))
+    report = minor_ideal_checks(point)
+    assert report.deg6 is holds and report.deg8
+    assert report.minor3_span_dim == 20 + (not holds)
 
 
 def test_one_changed_table_coefficient_breaks_deg6(monkeypatch):
