@@ -280,30 +280,40 @@ def sample_rank_drop_points(form: PolyMatrix, count: int, seed: int,
     with D singular or a root or point not finite is skipped; a point counts
     when |det M| <= sqrt(tol) there, scaled to largest modulus 1.  The search
     is silent on overflow.  SamplingError after 40 lines per requested point;
-    the count is checked by `check_sample_bound`."""
+    the count is checked by `check_sample_bound`.
+
+    The lines still missing are drawn, in stream order, and taken as one
+    batch: two `eval_stack` calls and stacked `solve`, `eigvals` and `det`.
+    A batch whose stacked `solve` or `eigvals` raises is taken one line at a
+    time, so each line is skipped or kept as if it were alone."""
     check_sample_bound(count)
     sample = Draw(seed)
+    n = form.ring.nvars
     out = []
-    attempts = 0
+    budget = 40 * max(count, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         while len(out) < count:
-            attempts += 1
-            if attempts > 40 * max(count, 1):
+            lines = min(count - len(out), budget)
+            if lines == 0:
                 raise SamplingError("could not locate enough det-zero points")
-            draw = sample.uniform((4, form.ring.nvars))
-            base, direction = draw[0] + 1j * draw[1], draw[2] + 1j * draw[3]
-            b, d = form.eval_stack([base, direction])
+            budget -= lines
+            draw = sample.uniform((lines, 4, n))
+            base, direction = draw[:, 0] + 1j * draw[:, 1], draw[:, 2] + 1j * draw[:, 3]
+            b, d = form.eval_stack(np.concatenate([base, direction])).reshape(2, lines, n, n)
             try:
                 roots = np.linalg.eigvals(-np.linalg.solve(d, b))
             except np.linalg.LinAlgError:
-                continue
-            if not np.isfinite(roots).all():
-                continue
-            point = base + roots[int(np.argmin(np.abs(roots)))] * direction
-            norm = np.abs(point).max()
-            if norm == 0 or not np.isfinite(norm):
-                continue
-            point = point / norm
-            if abs(np.linalg.det(form.eval_stack(point)[0])) <= np.sqrt(tol):
-                out.append(point)
+                roots = np.full((lines, n), np.nan, dtype=complex)
+                for i in range(lines):
+                    try:
+                        roots[i] = np.linalg.eigvals(-np.linalg.solve(d[i], b[i]))
+                    except np.linalg.LinAlgError:
+                        pass
+            least = roots[np.arange(lines), np.argmin(np.abs(roots), axis=1)]
+            points = base + least[:, None] * direction
+            norms = np.abs(points).max(axis=1)
+            kept = np.isfinite(roots).all(axis=1) & (norms != 0) & np.isfinite(norms)
+            points = points[kept] / norms[kept, None]
+            dets = np.linalg.det(form.eval_stack(points))
+            out += [pt for pt, det in zip(points, dets) if abs(det) <= np.sqrt(tol)]
     return out

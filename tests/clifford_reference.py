@@ -1,7 +1,8 @@
 """Test-only reference: the Clifford float numerics one line, one pair and
 one point at a time, as `clifford` and `sklyanin2` computed them before
 they worked on numpy stacks.  Rank-drop points came from the determinant
-along each line expanded symbolically and handed to `np.poly1d`, `build_reps`
+along each line expanded symbolically and handed to `np.poly1d`, then from
+numpy's solve and eigenvalues one line at a time, `build_reps`
 took one product and one `np.linalg.norm` per pair, and the
 `clifford-strata` handler evaluated and ranked each point on its own."""
 
@@ -86,6 +87,37 @@ def rank_drop_points(form: PolyMatrix, count: int, seed: int,
             out.append(point)
     if len(out) < count:
         raise SamplingError("could not locate enough det-zero points")
+    return out
+
+
+def rank_drop_points_per_line(form: PolyMatrix, count: int, seed: int,
+                              tol: float = 1e-8) -> List[np.ndarray]:
+    """The sampler with one `solve`, `eigvals` and `det` per line, each
+    line's (4, n) entries drawn on their own."""
+    sample = clifford.Draw(seed)
+    out = []
+    attempts = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(out) < count:
+            attempts += 1
+            if attempts > 40 * max(count, 1):
+                raise SamplingError("could not locate enough det-zero points")
+            draw = sample.uniform((4, form.ring.nvars))
+            base, direction = draw[0] + 1j * draw[1], draw[2] + 1j * draw[3]
+            b, d = form.eval_stack([base, direction])
+            try:
+                roots = np.linalg.eigvals(-np.linalg.solve(d, b))
+            except np.linalg.LinAlgError:
+                continue
+            if not np.isfinite(roots).all():
+                continue
+            point = base + roots[int(np.argmin(np.abs(roots)))] * direction
+            norm = np.abs(point).max()
+            if norm == 0 or not np.isfinite(norm):
+                continue
+            point = point / norm
+            if abs(np.linalg.det(form.eval_stack(point)[0])) <= np.sqrt(tol):
+                out.append(point)
     return out
 
 

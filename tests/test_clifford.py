@@ -9,14 +9,15 @@ from algtool.clifford import (MAX_SAMPLES, Draw, FatProfile, SimpleProfile, buil
                               clifford_form, fat_profile,
                               random_points, sample_rank_drop_points,
                               simple_profile, standard_gammas)
-from algtool.errors import ArityError, ConditioningError, InputError, ResourceLimitError
+from algtool.errors import (ArityError, ConditioningError, InputError, ResourceLimitError,
+                            SamplingError)
 from algtool.gradedalg import make_presentation
 from algtool.linalg import Residual, rank_float
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det
 from algtool.sklyanin2 import curve_points_on_grid
 from clifford_reference import (assert_stack_is_eval, build_reps_pairwise,
                                 clifford_strata_per_point, det_along_line, random_lines,
-                                rank_drop_points)
+                                rank_drop_points, rank_drop_points_per_line)
 
 
 def test_specialize_examples():
@@ -296,6 +297,45 @@ def test_rank_drop_points_match_the_symbolic_sampler(form):
     for pt, ref in zip(points, reference):
         assert np.abs(pt - ref).max() <= 1e-9
         assert abs(np.linalg.det(form.eval(list(pt)))) <= np.sqrt(1e-8)
+
+
+def singular_in_stacks(real):
+    """`np.linalg.solve` that raises on every stack, as on a stack holding
+    one singular matrix, so the sampler takes each batch line by line."""
+    def solve(a, b):
+        if np.ndim(a) > 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+    return solve
+
+
+@pytest.mark.parametrize("form", LINE_FORMS, ids=["c3", "Q-a1", "Q-a1.5", "Q-a0.5"])
+@pytest.mark.parametrize("batched", [True, False], ids=["stacked", "fallback"])
+def test_rank_drop_points_are_the_per_line_loop_bit_for_bit(monkeypatch, form, batched):
+    # the stacked kernels run LAPACK on each matrix of the stack, and the
+    # fallback on each line, so every point keeps its bits
+    if not batched:
+        monkeypatch.setattr(np.linalg, "solve", singular_in_stacks(np.linalg.solve))
+    for count, seed in ((20, 7), (6, 5), (1, 0)):
+        points = sample_rank_drop_points(form, count, seed)
+        reference = rank_drop_points_per_line(form, count, seed)
+        assert len(points) == count
+        assert [pt.tobytes() for pt in points] == [ref.tobytes() for ref in reference]
+
+
+def test_rank_drop_sampler_gives_up_after_40_lines_per_point(monkeypatch):
+    # det vanishes identically on the zero form, so every line is singular
+    zero = PolyMatrix(3, 3, [MultiPoly(PolyRing(("u0", "u1", "u2")), {})] * 9)
+    lines = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: lines.append(np.shape(a)[:-2]) or real(a, b))
+    with pytest.raises(SamplingError, match="could not locate enough det-zero points"):
+        sample_rank_drop_points(zero, 3, 0)
+    # one batch of 3 lines, then 3 more, and so on, up to 120 lines in all
+    stacked = [shape[0] for shape in lines if shape]
+    assert sum(stacked) == 120 and stacked[:2] == [3, 3]
+    assert lines.count(()) == 120
 
 
 def build_reps_cases():
