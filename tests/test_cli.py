@@ -268,6 +268,20 @@ def test_huge_exact_literal_stays_exact_in_t(capsys):
     assert json.loads(out)["a"] == [HUGE, "1"]
 
 
+@pytest.mark.parametrize("b, t", [("0.23606797", -52984002.83863904),
+                                  ("0.2360679773", -1988935784.4653437)])
+def test_t_near_its_pole_is_finite(capsys, b, t):
+    # the denominator of t is 3.4e-8 and 8.9e-10 at these b, above the
+    # 1e-12 cutoff, so t is a large finite value, not a pole; t is the
+    # exact value at the decimal b, which the float one meets to 1e-6
+    code, out = run_cli(capsys, "sklyanin2", "t", "--a", "1", "--b", b, "--format", "json")
+    assert code == 0
+    printed_t = json.loads(out)["t"]
+    assert abs(printed_t - t) <= 1e-6 * abs(t)
+    if b == "0.23606797":
+        assert printed_t == -52984002.7463
+
+
 def test_sklyanin5_is_the_name_of_clifford_c5(capsys):
     _, named = run_cli(capsys, "charseries", "--algebra", "sklyanin5", "--params", "1/2,3/7",
                        "--max-degree", "3", "--table", "--format", "json")
