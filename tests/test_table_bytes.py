@@ -1,6 +1,6 @@
-"""Byte contract of character tables: the sha256 of the JSON that
-`charseries --table` prints, and of a library table serialized the way the
-CLI serializes it.  The hashes were taken before the tables were computed
+"""Byte contract of character tables: the sha256 of the JSON (and, for two
+tables, the text) that `charseries --table` prints, and of a library table
+serialized the way the CLI serializes it.  The hashes were taken before the tables were computed
 from weight buckets, so any change of a coefficient, of its canonical form or
 of the serialization shows here.  The same holds for the text and JSON that
 `sklyanin2 onedim` prints, pinned while every candidate tuple was still
@@ -49,6 +49,21 @@ def test_table_stdout_bytes(capsys, name):
     code = main(["charseries", *argv, "--table", "--format", "json"])
     assert code == (1 if name == "resource-error" else 0)
     assert sha256(capsys.readouterr().out) == digest
+
+
+# sha256 of the text stdout of two tables of TABLES: the text output runs
+# json.dumps on each value of to_jsonable's form, shared objects included
+TEXT_TABLES = {
+    "cycle5-5": "7427b9dd4282b66360609aced9563cf5f46dc6419c1dbaac87a819bafa547b86",
+    "sklyanin3-7": "442ded2f6fc800480e6a809ff36db7369bdd231ecdff29eafffb0655acd2d107",
+}
+
+
+@pytest.mark.parametrize("name", TEXT_TABLES)
+def test_table_text_stdout_bytes(capsys, name):
+    argv = TABLES[name][0] + UNCAPPED
+    assert main(["charseries", *argv, "--table", "--format", "text"]) == 0
+    assert sha256(capsys.readouterr().out) == TEXT_TABLES[name]
 
 
 def test_library_table_bytes_over_qw():
