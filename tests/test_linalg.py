@@ -87,6 +87,16 @@ def test_rank_float_scale_floor():
     assert rank_float(noise, 1e-8, scale=1.0) == 0
 
 
+def test_rank_float_default_cutoff_on_both_sides():
+    # the smallest singular value at 1e-6 and at 1e-10 of the largest, a
+    # factor 10^2 above and below RANK_TOL = 1e-8: it counts in the first
+    # matrix only, and a cutoff 10^3 times larger or smaller misreads one
+    assert rank_float(np.diag([3.0, 1.0, 3e-6])) == 3
+    assert rank_float(np.diag([3.0, 1.0, 3e-10])) == 2
+    assert rank_float(np.stack([np.diag([3.0, 1.0, 3e-6]), np.diag([3.0, 1.0, 3e-10])])
+                      ).tolist() == [3, 2]
+
+
 def test_rank_float_shapes():
     assert rank_float(np.eye(3)) == 3 and type(rank_float(np.eye(3))) is int
     assert rank_float([]) == 0 and rank_float(np.zeros((3, 0))) == 0
