@@ -111,7 +111,11 @@ eigenvalues of e1, the primitive ones permuted.  Over Q(w) the matrix has
 Q(w) entries, its characteristic polynomial need not be rational, and
 every a keeps its own pass.  So every bucket over Q, and every bucket of
 a = 0 over Q(w), is an integer, and `trace` folds the phase sum of such
-buckets into the power basis in integers.
+buckets into the power basis in integers.  And over Q a table takes one
+row per class key (min(a, 1), b, k): e1^a e2^b, a != 0, has the trace of
+e1 e2^b in every degree, while over Q(w) every class keeps its own row.
+`trace` returns one object per distinct value of its engine, and a table
+holds equal rows as one tuple.
 
 `in_ideal` is the one membership query: a tensor lies in I exactly when
 its normal form is zero.  H_p acts on A exactly when g(r) lies in I for
@@ -324,6 +328,7 @@ class GradedEngine:
         # per a, per degree: the e2-weight mod p (a = 0), else the index of w - a,
         # of each w in B_n
         self._word_maps: Dict[int, List[Dict[int, int]]] = {}
+        self._values: Dict[Tuple[Tuple, int], Cyclotomic] = {}  # traces by (num, den)
         self.stable = False  # check_stability passed
 
     def grow(self, n: int, cap: Optional[int] = None) -> None:
@@ -529,17 +534,21 @@ class GradedEngine:
     def trace(self, g: HeisenbergElement, rep: SimpleRep, n: int) -> Cyclotomic:
         """tr(g | A_n) as the phase sum of the weight buckets of (n, g.a).
         Degree n must exist and I be H_p-stable: then the entry is 0 when
-        g.a != 0 and p does not divide n (see the module docstring)."""
+        g.a != 0 and p does not divide n (see the module docstring).  Equal
+        values are one object of the engine."""
         p = self.p
         coeffs = [0] * p  # coefficient of zeta^phase
         if g.a and n % p:
-            return Cyclotomic.from_integers(p, coeffs)  # zero
-        for s, value in enumerate(self._weight_buckets(n, g.a)):
-            coeffs[rep.index * (n * g.k + g.b * s) % p] += value
-        if not g.a or type(self.unit) is int:
-            return Cyclotomic.from_integers(p, coeffs)
-        return sum((Cyclotomic.zeta(p, phase) * c for phase, c in enumerate(coeffs) if c),
-                   Cyclotomic(p))
+            value = Cyclotomic.from_integers(p, coeffs)  # zero
+        else:
+            for s, bucket in enumerate(self._weight_buckets(n, g.a)):
+                coeffs[rep.index * (n * g.k + g.b * s) % p] += bucket
+            if not g.a or type(self.unit) is int:
+                value = Cyclotomic.from_integers(p, coeffs)
+            else:
+                value = sum((Cyclotomic.zeta(p, phase) * c for phase, c in enumerate(coeffs) if c),
+                            Cyclotomic(p))
+        return self._values.setdefault((value.num, value.den), value)
 
 
 def _check_max_degree(max_degree: int) -> None:
@@ -664,12 +673,25 @@ class CharacterTable:
 def character_table(pres: Presentation, rep: SimpleRep, max_degree: int,
                     cap: Optional[int] = None) -> CharacterTable:
     """The character series of every conjugacy class, after one round of the
-    checks of `character_coeffs` for the whole table."""
+    checks of `character_coeffs` for the whole table.  One row is traced per
+    class key: over Q every e1^a e2^b with a != 0 takes the row of e1 e2^b
+    (module docstring), over Q(w) each class its own.  Equal rows are one
+    tuple."""
     classes = [g for g, _size in conjugacy_classes(pres.p)]
     engine = _engine_for_traces(pres, classes, rep, max_degree, cap)
-    rows = tuple((g.label(), tuple(engine.trace(g, rep, n) for n in range(max_degree + 1)))
-                 for g in classes)
-    return CharacterTable(pres.p, rep.index, max_degree, rows, pres.kind, pres.params)
+    rational = type(engine.unit) is int
+    by_key: Dict[Tuple[int, int, int], Tuple[Cyclotomic, ...]] = {}
+    # equal traces of one engine are one object, so a row is known by its ids
+    by_ids: Dict[Tuple[int, ...], Tuple[Cyclotomic, ...]] = {}
+    rows = []
+    for g in classes:
+        key = (min(g.a, 1) if rational else g.a, g.b, g.k)
+        row = by_key.get(key)
+        if row is None:
+            row = tuple([engine.trace(g, rep, n) for n in range(max_degree + 1)])
+            row = by_key[key] = by_ids.setdefault(tuple(map(id, row)), row)
+        rows.append((g.label(), row))
+    return CharacterTable(pres.p, rep.index, max_degree, tuple(rows), pres.kind, pres.params)
 
 
 # -- catalog of presentations ------------------------------------------------------

@@ -156,13 +156,15 @@ class _PivotOneRows(Mapping):
 
 def _make_primitive(row: SparseVec, pivot: int) -> None:
     """Scale a nonzero row in place to its stored form: over Z content 1 and a
-    positive pivot entry, with a Q(w) (or Fraction) entry pivot entry 1."""
+    positive pivot entry, with a Q(w) (or Fraction) entry pivot entry 1.  A
+    field row whose pivot entry equals 1 already keeps its other entries."""
     lead = row[pivot]
     g = _content(row.values())
     if g is None:
-        inv = Fraction(1) / lead
-        for c, v in row.items():
-            row[c] = v * inv
+        if lead != 1:
+            inv = Fraction(1) / lead
+            for c, v in row.items():
+                row[c] = v * inv
         row[pivot] = 1
         return
     if lead < 0:

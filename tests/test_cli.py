@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -6,6 +7,9 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from algtool import cli, clifford, gradedalg, sklyanin2
 from algtool.cli import (COMMANDS, FLAGS, json_text, main, parse_argv, parse_scalar, resolve,
                          to_jsonable)
+from algtool.cyclotomic import Cyclotomic
 from algtool.linalg import RANK_TOL
 import cli_reference
 
@@ -1008,3 +1013,69 @@ def test_to_jsonable_shares_one_dict_per_equal_cyclotomic():
     # one argument, one value: a fresh map each call
     assert to_jsonable(a) == data["x"][0] and to_jsonable(a) is not to_jsonable(a)
     assert to_jsonable(a) == {"p": 5, "coeffs": [["1", "1"], ["2", "3"], ["0", "1"], ["0", "1"]]}
+
+
+def reference_jsonable(obj):
+    """`to_jsonable`'s form of the values below by a walk of its own: no
+    sharing, and every Cyclotomic coefficient through a Fraction."""
+    if isinstance(obj, Cyclotomic):
+        return {"p": obj.p, "coeffs": [reference_jsonable(Fraction(c, obj.den)) for c in obj.num]}
+    if isinstance(obj, Fraction):
+        return [str(obj.numerator), str(obj.denominator)]
+    if is_dataclass(obj):
+        return {f.name: reference_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    return obj
+
+
+@dataclass
+class _Report:
+    name: str
+    coeffs: tuple
+
+
+def _shared_payload():
+    third = Cyclotomic(5, (Fraction(1, 3), 2))  # over denominator 3
+    row = (Cyclotomic(5, (1, 2)), third, Cyclotomic.from_rational(5, 0), Fraction(-1, 2))
+    twin = tuple(list(row))  # equal to row, another object
+    assert twin == row and twin is not row
+    return row, twin, {"classes": [{"rep": "1", "coeffs": row}, {"rep": "z", "coeffs": row}],
+                       "twins": [row, twin], "report": _Report("r", row), "third": third}
+
+
+def test_to_jsonable_converts_each_tuple_object_once():
+    row, _twin, payload = _shared_payload()
+    data = to_jsonable(payload)
+    assert json_text(data) == json.dumps(reference_jsonable(payload), sort_keys=True, indent=2)
+    # one tuple reached three times is one list, in the dataclass too
+    first = data["classes"][0]["coeffs"]
+    assert first is data["classes"][1]["coeffs"] is data["report"]["coeffs"] is data["twins"][0]
+    # two equal tuple objects are two lists of the same values
+    second = data["twins"][1]
+    assert second == first and second is not first
+    assert all(a is b for a, b in zip(first[:3], second[:3]))
+    assert first[1] is data["third"]
+    assert first[1] == {"p": 5, "coeffs": [["1", "3"], ["2", "1"], ["0", "1"], ["0", "1"]]}
+
+
+def test_emit_text_leaves_the_shared_lists_as_they_are(monkeypatch, capsys):
+    _row, _twin, payload = _shared_payload()
+    made = []
+    real = cli.to_jsonable
+
+    def keeping(obj, shared=None):
+        data = real(obj, shared)
+        if shared is None:  # the payload itself, not a value inside it
+            made.append((data, copy.deepcopy(data)))
+        return data
+
+    monkeypatch.setattr(cli, "to_jsonable", keeping)
+    assert cli.emit(payload, SimpleNamespace(format="text", out=None)) == 0
+    [(data, before)] = made
+    assert data == before
+    expected = [f"{key}: {json.dumps(value, sort_keys=True)}"
+                for key, value in reference_jsonable(payload).items()]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"

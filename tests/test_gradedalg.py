@@ -18,6 +18,7 @@ from algtool.gradedalg import (Presentation, character_coeffs,
                                make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from algtool.linalg import RowSpace, ScaledVec
+from test_table_bytes import QW_TABLE, QW_TABLE_DIGEST, table_digest
 
 
 def brute_force_ideal_rank(pres, n):
@@ -665,3 +666,41 @@ def test_row_sources_and_their_work_are_pinned(args, top, sources, bound, elimin
     pres.engine.grow(top, 10 ** 12)
     assert eliminations.sources(pres.engine) == sources
     assert eliminations.inserts(pres.engine) <= bound
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The `GradedEngine.trace` calls from here on, as (element, degree)."""
+    calls = []
+    trace = gradedalg.GradedEngine.trace
+
+    def counting(engine, g, rep, n):
+        calls.append((g, n))
+        return trace(engine, g, rep, n)
+
+    monkeypatch.setattr(gradedalg.GradedEngine, "trace", counting)
+    return calls
+
+
+@pytest.mark.parametrize("args,traced,rows,values", [
+    # over Q: 14 class keys, z^k, e2^b and e1 e2^b, of 6 degrees
+    (("cycle", 5), 84, 6, 23),
+    # over Q(w): every one of the 29 classes traced
+    (QW_TABLE, 174, 6, 23),
+], ids=["cycle5-5", "curveCa-qw-5"])
+def test_table_traces_and_objects_are_pinned(args, traced, rows, values, traces):
+    # a deterministic work guard: a table that traces every class over Q, or
+    # holds equal rows or values apart, changes these counts
+    pres = make_presentation(*args)
+    rep = SimpleRep(pres.p, 1)
+    table = character_table(pres, rep, 5, 10 ** 12)
+    assert len(traces) == traced
+    assert len({id(row) for _label, row in table.rows}) == len({row for _label, row in table.rows}) == rows
+    assert len({id(c) for _label, row in table.rows for c in row}) == values
+    # every row, collapsed or not, is the series of its own class, traced on
+    # an engine of its own
+    fresh = make_presentation(*args)
+    for g, _size in conjugacy_classes(pres.p):
+        assert list(table.row(g.label())) == character_coeffs(fresh, g, rep, 5, 10 ** 12)
+    if args == QW_TABLE:
+        assert table_digest(table) == QW_TABLE_DIGEST

@@ -66,11 +66,19 @@ def test_table_text_stdout_bytes(capsys, name):
     assert sha256(capsys.readouterr().out) == TEXT_TABLES[name]
 
 
+# the character table of curveCa(1 + 3w) over Q(w_5) to degree 5
+QW_TABLE = ("curveCa", Cyclotomic(5, (1, 3)))
+QW_TABLE_DIGEST = "05b08cb284a382c82c1a1fedb3dd9696f626790aca2b225e17aa27973528af0e"
+
+
+def table_digest(table) -> str:
+    """sha256 of a library table serialized as the CLI serializes it."""
+    return sha256(json.dumps(to_jsonable(table.to_json()), sort_keys=True, indent=2))
+
+
 def test_library_table_bytes_over_qw():
-    pres = make_presentation("curveCa", Cyclotomic(5, (1, 3)))
-    data = to_jsonable(character_table(pres, SimpleRep(5, 1), 5).to_json())
-    assert (sha256(json.dumps(data, sort_keys=True, indent=2))
-            == "05b08cb284a382c82c1a1fedb3dd9696f626790aca2b225e17aa27973528af0e")
+    pres = make_presentation(*QW_TABLE)
+    assert table_digest(character_table(pres, SimpleRep(5, 1), 5)) == QW_TABLE_DIGEST
 
 
 # (p, --params): sha256 of the text stdout, then of the JSON stdout
