@@ -89,11 +89,12 @@ def to_jsonable(obj, shared: Optional[dict] = None):
     that rule (np.float64 and np.complex128 subclass float and complex).
     The text output reads this form too.
 
-    Equal Cyclotomic values share one JSON dict, and a tuple object met
-    again is its one list: `shared` (a fresh map when not given) maps each
-    Cyclotomic met so far by (p, num, den) to its dict, and each tuple's id
-    to the tuple, held so that no other object takes the id, and its list.
-    `json_text` writes each shared object once per indentation."""
+    Equal Cyclotomic values share one JSON dict, and a list or tuple object
+    met again is its one JSON list: `shared` (a fresh map when not given)
+    maps each Cyclotomic met so far by (num, den) to its dict, and the id
+    of each list and tuple to the object, held so that no other object
+    takes the id, and its JSON list.  `json_text` writes each shared object
+    once per indentation."""
     if isinstance(obj, float):
         return printed(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -105,12 +106,12 @@ def to_jsonable(obj, shared: Optional[dict] = None):
     if isinstance(obj, complex):
         return [printed(obj.real), printed(obj.imag)]
     if isinstance(obj, Cyclotomic):
-        key = (obj.p, obj.num, obj.den)
+        key = obj.num, obj.den  # len(num) is p - 1
         data = shared.get(key)
         if data is None:
-            coeffs = ([[str(c), "1"] for c in obj.num] if obj.den == 1 else
-                      [[str(q.numerator), str(q.denominator)] for q in obj.coeffs])
-            data = shared[key] = {"p": obj.p, "coeffs": coeffs}
+            data = shared[key] = {"p": obj.p, "coeffs": [[str(c), "1"] for c in obj.num]
+                                  if obj.den == 1 else [[str(q.numerator), str(q.denominator)]
+                                                        for q in obj.coeffs]}
         return data
     if isinstance(obj, MultiPoly):
         exact = all(isinstance(c, (int, Fraction)) for c in obj.terms.values())
@@ -123,13 +124,11 @@ def to_jsonable(obj, shared: Optional[dict] = None):
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v, shared) for k, v in obj.items()}
-    if isinstance(obj, tuple):
+    if isinstance(obj, (list, tuple)):
         held = shared.get(id(obj))
         if held is None:
-            held = shared[id(obj)] = (obj, [to_jsonable(v, shared) for v in obj])
+            held = shared[id(obj)] = obj, [to_jsonable(v, shared) for v in obj]
         return held[1]
-    if isinstance(obj, list):
-        return [to_jsonable(v, shared) for v in obj]
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):

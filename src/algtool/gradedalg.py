@@ -112,10 +112,8 @@ Q(w) entries, its characteristic polynomial need not be rational, and
 every a keeps its own pass.  So every bucket over Q, and every bucket of
 a = 0 over Q(w), is an integer, and `trace` folds the phase sum of such
 buckets into the power basis in integers.  And over Q a table takes one
-row per class key (min(a, 1), b, k): e1^a e2^b, a != 0, has the trace of
-e1 e2^b in every degree, while over Q(w) every class keeps its own row.
-`trace` returns one object per distinct value of its engine, and a table
-holds equal rows as one tuple.
+row per class key (min(a, 1), b, k), as e1^a e2^b, a != 0, has the traces
+of e1 e2^b; over Q(w) every class keeps its own row.
 
 `in_ideal` is the one membership query: a tensor lies in I exactly when
 its normal form is zero.  H_p acts on A exactly when g(r) lies in I for
@@ -680,16 +678,14 @@ def character_table(pres: Presentation, rep: SimpleRep, max_degree: int,
     classes = [g for g, _size in conjugacy_classes(pres.p)]
     engine = _engine_for_traces(pres, classes, rep, max_degree, cap)
     rational = type(engine.unit) is int
-    by_key: Dict[Tuple[int, int, int], Tuple[Cyclotomic, ...]] = {}
-    # equal traces of one engine are one object, so a row is known by its ids
-    by_ids: Dict[Tuple[int, ...], Tuple[Cyclotomic, ...]] = {}
-    rows = []
+    by_class, by_ids, rows = {}, {}, []
     for g in classes:
         key = (min(g.a, 1) if rational else g.a, g.b, g.k)
-        row = by_key.get(key)
+        row = by_class.get(key)
         if row is None:
             row = tuple([engine.trace(g, rep, n) for n in range(max_degree + 1)])
-            row = by_key[key] = by_ids.setdefault(tuple(map(id, row)), row)
+            # equal traces of one engine are one object, so equal rows have equal ids
+            row = by_class[key] = by_ids.setdefault(tuple(map(id, row)), row)
         rows.append((g.label(), row))
     return CharacterTable(pres.p, rep.index, max_degree, tuple(rows), pres.kind, pres.params)
 

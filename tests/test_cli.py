@@ -1042,11 +1042,13 @@ def _shared_payload():
     row = (Cyclotomic(5, (1, 2)), third, Cyclotomic.from_rational(5, 0), Fraction(-1, 2))
     twin = tuple(list(row))  # equal to row, another object
     assert twin == row and twin is not row
+    degrees = [1, 5, 15]
     return row, twin, {"classes": [{"rep": "1", "coeffs": row}, {"rep": "z", "coeffs": row}],
-                       "twins": [row, twin], "report": _Report("r", row), "third": third}
+                       "twins": [row, twin], "report": _Report("r", row), "third": third,
+                       "lists": [degrees, [degrees]]}
 
 
-def test_to_jsonable_converts_each_tuple_object_once():
+def test_to_jsonable_converts_each_list_and_tuple_object_once():
     row, _twin, payload = _shared_payload()
     data = to_jsonable(payload)
     assert json_text(data) == json.dumps(reference_jsonable(payload), sort_keys=True, indent=2)
@@ -1058,6 +1060,8 @@ def test_to_jsonable_converts_each_tuple_object_once():
     assert second == first and second is not first
     assert all(a is b for a, b in zip(first[:3], second[:3]))
     assert first[1] is data["third"]
+    # so is a list object
+    assert data["lists"][0] is data["lists"][1][0] == [1, 5, 15]
     assert first[1] == {"p": 5, "coeffs": [["1", "3"], ["2", "1"], ["0", "1"], ["0", "1"]]}
 
 
