@@ -695,8 +695,9 @@ def test_table_traces_and_objects_are_pinned(args, traced, rows, values, traces)
     rep = SimpleRep(pres.p, 1)
     table = character_table(pres, rep, 5, 10 ** 12)
     assert len(traces) == traced
-    assert len({id(row) for _label, row in table.rows}) == len({row for _label, row in table.rows}) == rows
-    assert len({id(c) for _label, row in table.rows for c in row}) == values
+    held = [row for _label, row in table.rows]
+    assert len(set(map(id, held))) == len(set(held)) == rows
+    assert len({id(c) for row in held for c in row}) == values
     # every row, collapsed or not, is the series of its own class, traced on
     # an engine of its own
     fresh = make_presentation(*args)

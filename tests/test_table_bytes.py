@@ -1,10 +1,11 @@
 """Byte contract of character tables: the sha256 of the JSON (and, for two
 tables, the text) that `charseries --table` prints, and of a library table
-serialized the way the CLI serializes it.  The hashes were taken before the tables were computed
-from weight buckets, so any change of a coefficient, of its canonical form or
-of the serialization shows here.  The same holds for the text and JSON that
-`sklyanin2 onedim` prints, pinned while every candidate tuple was still
-checked on its own."""
+serialized the way the CLI serializes it.  The JSON hashes were taken
+before the tables were computed from weight buckets, and the text ones
+before their rows and values were interned, so any change of a
+coefficient, of its canonical form or of the serialization shows here.  The same holds
+for the text and JSON that `sklyanin2 onedim` prints, pinned while every
+candidate tuple was still checked on its own."""
 
 import hashlib
 import json
