@@ -187,7 +187,13 @@ class Cyclotomic:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self + -other
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple([a - b for a, b in zip(self.num, other.num)])
+        else:
+            num = tuple([a * db - b * da for a, b in zip(self.num, other.num)])
+            da *= db
+        return Cyclotomic._raw(self.p, num, da)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -207,12 +213,21 @@ class Cyclotomic:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        num, onum = self.num, other.num
+        # a rational factor (no coordinate past the first, the last read
+        # first) scales the other coordinatewise: the convolution below with
+        # one non-zero term
+        if not onum[-1] and not any(onum[1:]):
+            b = onum[0]
+            return Cyclotomic._raw(p, tuple([a * b for a in num]), self.den * other.den)
+        if not num[-1] and not any(num[1:]):
+            a = num[0]
+            return Cyclotomic._raw(p, tuple([a * b for b in onum]), self.den * other.den)
         # integer convolution with w^p = 1 folded in: the product term of
         # w^(i+j) lands on acc[i + j - p], which for i + j < p is the
         # negative index of position i + j itself
         acc = [0] * p
-        onum = other.num
-        for i, a in enumerate(self.num):
+        for i, a in enumerate(num):
             if a:
                 for j, b in enumerate(onum, i - p):
                     if b:
@@ -329,8 +344,10 @@ class Cyclotomic:
         1 + x + ... + x^(p-1), so a sum of lifted terms, in p buckets by k
         mod p, is 0 in Q(w) exactly when its buckets are equal."""
         coords = (*self.num, 0)
-        # the first most common coordinate: Counter keeps first-seen order
-        mode = Counter(coords).most_common(1)[0][0]
+        # the first most common coordinate: Counter keeps first-seen order and
+        # max returns the first maximum (most_common would import heapq)
+        counts = Counter(coords)
+        mode = max(counts, key=counts.__getitem__)
         den = self.den
         if den == 1:
             return [(k, c - mode) for k, c in enumerate(coords) if c != mode]

@@ -45,6 +45,8 @@ from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
+from .cyclotomic import Cyclotomic
+
 SparseVec = Dict[int, object]
 #: The default relative singular-value cutoff of the float ranks.
 RANK_TOL = 1e-8
@@ -162,7 +164,7 @@ def _make_primitive(row: SparseVec, pivot: int) -> None:
     g = _content(row.values())
     if g is None:
         if lead != 1:
-            inv = Fraction(1) / lead
+            inv = lead.inverse() if type(lead) is Cyclotomic else Fraction(1) / lead
             for c, v in row.items():
                 row[c] = v * inv
         row[pivot] = 1

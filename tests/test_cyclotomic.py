@@ -375,3 +375,34 @@ def test_lift_takes_the_mode_the_count_took(p):
             counts = sorted(((*a.num, 0)).count(c) for c in set((*a.num, 0)))
             ties += len(counts) > 1 and counts[-1] == counts[-2]
     assert ties
+
+
+def convolution(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+    """a * b by the integer convolution of every pair of coordinates, with
+    w^p = 1 and w^(p-1) = -(1 + w + ... + w^(p-2)) folded in, whether or not
+    a factor is rational."""
+    p = a.p
+    acc = [0] * p
+    for i, x in enumerate(a.num):
+        for j, y in enumerate(b.num):
+            acc[(i + j) % p] += x * y
+    return Cyclotomic._raw(p, tuple(c - acc[p - 1] for c in acc[:-1]), a.den * b.den)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_mul_is_the_convolution_and_sub_the_sum_of_the_negation(p):
+    """Rational and irrational factors on either side, over denominators 1
+    and more, zero and negative values: equal numerators, denominator and
+    hash."""
+    rng = random.Random(p)
+    rationals = [Cyclotomic.from_rational(p, q) for q in (0, 1, -1, 6, Fraction(-2, 3), Fraction(5, 4))]
+    irrationals = [random_cyc(rng, p) for _ in range(6)] + [
+        Cyclotomic.zeta(p, 1), Cyclotomic.zeta(p, p - 1) * Fraction(-3, 2),
+        Cyclotomic(p, [Fraction(1, 6), -1]), -Cyclotomic(p, [3, 0, 6])]
+    assert not any(x.is_rational() for x in irrationals)
+    assert {x.den != 1 for x in irrationals} == {True, False}
+    for a, b in itertools.product(rationals + irrationals, repeat=2):
+        for ours, reference in ((a * b, convolution(a, b)), (a - b, a + -b)):
+            assert_layout(ours)
+            assert (ours.num, ours.den, hash(ours)) == \
+                (reference.num, reference.den, hash(reference))

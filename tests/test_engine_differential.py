@@ -19,6 +19,7 @@ from algtool.gradedalg import (GradedEngine, Presentation, character_table, hilb
                                make_presentation, make_relation)
 from algtool.heisenberg import SimpleRep, conjugacy_classes
 from algtool.linalg import ScaledVec
+from test_gradedalg import normal_form_verdict, stability_verdict
 
 CATALOG = (
     (("polynomial", 3), 4),
@@ -231,6 +232,16 @@ def test_random_orbit_presentations_match_elimination_from_either_source(pres):
     assert_columns_match(GradedEngine(pres), reference, top)
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_columns_match(overlap_engine(pres, monkeypatch), reference, top)
+
+
+@seed(20261019)
+@settings(max_examples=20, deadline=None, database=None)
+@given(pres=orbit_presentations())
+def test_random_orbit_presentations_take_the_normal_forms_verdict(pres):
+    # each is stable; less its last relation, each of these draws loses e1
+    assert stability_verdict(pres) == normal_form_verdict(pres) is None
+    cut = Presentation(pres.p, pres.relations[:-1])
+    assert stability_verdict(cut) == normal_form_verdict(cut) == "e1"
 
 
 def per_a_buckets(engine: GradedEngine, n: int, a: int) -> list:

@@ -17,6 +17,7 @@ from algtool.gradedalg import (Presentation, character_coeffs,
                                character_table, check_stability, hilbert, in_ideal,
                                make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
+from algtool.koszul import quadratic_dual
 from algtool.linalg import RowSpace, ScaledVec
 from test_table_bytes import QW_TABLE, QW_TABLE_DIGEST, table_digest
 
@@ -463,11 +464,15 @@ def _polynomial3_plus(*pairs):
     return Presentation(3, poly3.relations + (make_relation(pairs),))
 
 
-def test_stability_is_decided_on_the_algebra():
+def test_stability_is_decided_on_the_algebra(monkeypatch):
     # x0 x1 x2 spans no e1-stable R_3, but its e1-images x2 x0 x1 and x1 x2 x0
     # equal it modulo the commutators: I is stable, and the table is the
     # ideal-side oracle's
     pres = _polynomial3_plus(((0, 1, 2), Fraction(1)))
+    # its e1-image is no multiple of a relation, so it alone takes the normal forms
+    reached = _spy_in_ideal(monkeypatch)
+    check_stability(pres)
+    assert reached == [[[((2, 0, 1), Fraction(1))]], []]
     for i in (1, 2):
         rep = SimpleRep(3, i)
         assert character_table(pres, rep, 5).rows == ideal_oracle.character_rows(pres, rep, 5)
@@ -495,6 +500,111 @@ def test_the_cap_is_checked_before_the_stability_verdict():
         character_coeffs(pres, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 1, cap=5)
     with pytest.raises(StabilityError):
         character_coeffs(pres, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 1)
+    # so is a stable one that its relations' structure decides alone
+    poly3 = make_presentation("polynomial", 3)
+    with pytest.raises(ResourceLimitError):
+        character_coeffs(poly3, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 1, cap=5)
+    assert not poly3.engine.stable
+    character_coeffs(poly3, HeisenbergElement(3, 1, 0, 0), SimpleRep(3, 1), 1)
+
+
+def normal_form_verdict(pres):
+    """The generator, e1 then e2, under which the image of some relation
+    leaves I by the engine's normal forms alone, every image through
+    `in_ideal`; None when H_p acts."""
+    p = pres.p
+    images = {"e1": [[(tuple(x - 1 for x in w), c) for w, c in rel] for rel in pres.relations],
+              "e2": [[(w, Cyclotomic.zeta(p, sum(w)) * c) for w, c in rel]
+                     for rel in pres.relations]}
+    return next((gen for gen, tensors in images.items() if not in_ideal(pres, tensors)), None)
+
+
+def stability_verdict(pres):
+    """The generator that `check_stability` names for a fresh copy of pres,
+    which remembers no pass; None when it passes."""
+    try:
+        check_stability(Presentation(pres.p, pres.relations))
+    except StabilityError as err:
+        return str(err).rsplit(" ", 1)[1]
+    return None
+
+
+def _spy_in_ideal(monkeypatch):
+    """The tensors of each `in_ideal` call, in call order."""
+    reached = []
+    in_ideal = gradedalg.in_ideal
+    monkeypatch.setattr(gradedalg, "in_ideal", lambda pres, tensors, cap=None:
+                        reached.append(sorted(map(sorted, tensors), key=str))
+                        or in_ideal(pres, tensors, cap))
+    return reached
+
+
+STABILITY_CATALOG = [("polynomial", 3), ("polynomial", 5), ("polynomial", 7), ("cycle", 5),
+                     ("cycle", 7), ("sklyanin3", 1, 1, 4), ("sklyanin3", 1, 2, -3),
+                     ("cliffordC", 3, 1, 2), ("cliffordC", 5, 1, 2, 3),
+                     ("cliffordC", 7, 1, 2, 3, 5), ("sklyanin5", 2, 3), ("curveCa", -2),
+                     ("curveCa", Cyclotomic(5, [1, 3])), ("cliffordC", 5, 1, Cyclotomic.zeta(5), 2)]
+
+
+@pytest.mark.parametrize("args", STABILITY_CATALOG,
+                         ids=[make_presentation(*args).label() for args in STABILITY_CATALOG])
+def test_the_stability_verdict_is_the_normal_forms_verdict_on_the_catalog(args, monkeypatch):
+    # every catalog family, and the duals of polynomial and cycle, are decided
+    # on the relations' structure alone: in_ideal sees no tensor; the other
+    # duals' relations are read off NF_2, and some e1-images of them are no
+    # multiple of one dual relation, but every dual relation is e2-homogeneous
+    pres = make_presentation(*args)
+    dual = quadratic_dual(pres)
+    for algebra in (pres, dual):
+        assert stability_verdict(algebra) == normal_form_verdict(algebra) is None
+    reached = _spy_in_ideal(monkeypatch)
+    check_stability(pres)
+    check_stability(dual)
+    structural = args[0] in ("polynomial", "cycle")
+    assert reached[:2] == [[], []] and reached[3] == []
+    assert (reached[2] == []) == structural
+
+
+def _orbit(p, seed, ks=None):
+    """The e1-orbit of seed, (word, coeff) pairs shifted by each k in ks
+    (all of Z/p by default), each as a relation that keeps a repeated word."""
+    return tuple(tuple((tuple((x + k) % p for x in w), c) for w, c in seed)
+                 for k in (range(p) if ks is None else ks))
+
+
+def test_the_stability_verdict_is_the_normal_forms_verdict_off_the_catalog():
+    w = Cyclotomic.zeta(5)
+    poly3 = make_presentation("polynomial", 3).relations
+    cases = {
+        # a single monomial: its e1-image is not in I
+        Presentation(3, (make_relation([((0, 1), Fraction(1))]),)): "e1",
+        # the e1-orbit of x0 x1 + x0^2 mixes e2-weights 1 and 0
+        Presentation(3, _orbit(3, [((0, 1), 1), ((0, 0), 1)])): "e2",
+        Presentation(5, _orbit(5, [((0, 1), 1), ((0, 0), 1)])): "e2",
+        # the e1-images of x0 x1 + k x1 x0 lie on the words of another
+        # relation, and are no multiple of it
+        Presentation(3, tuple(make_relation([((k, k + 1), 1), ((k + 1, k), k + 1)])
+                              for k in range(2)) + (make_relation([((2, 0), 1), ((0, 2), 3)]),)):
+            "e1",
+        # commutators plus a cubic outside or inside I
+        Presentation(3, poly3 + (make_relation([((0, 0, 1), 1)]),)): "e1",
+        Presentation(3, poly3 + (make_relation([((0, 1, 2), 1)]),)): None,
+        Presentation(3, poly3 + (make_relation([((0, 1, 2), 1), ((0, 2, 1), -1)]),)): None,
+        # an orbit less one of its relations; an orbit with rational and Q(w)
+        # coefficients, of which each relation repeats a word after a zero
+        Presentation(5, _orbit(5, [((1, 4), 1), ((2, 3), 1), ((0, 0), 2)], range(4))): "e1",
+        Presentation(5, _orbit(5, [((1, 4), 0), ((1, 4), w), ((4, 1), 1 - w)])): None,
+        Presentation(5, _orbit(5, [((1, 4), 0), ((1, 4), w), ((4, 1), 1 - w)], range(1, 5))):
+            "e1",
+        # x2^2 with zero terms on x0^2 and x1^2: its e1-image x1^2 and the
+        # relation both lead with a zero, and x1^2 is not in I
+        Presentation(3, ((((0, 0), 0), ((1, 1), 0), ((2, 2), 1)),)): "e1",
+        # e2-inhomogeneous over Q(w): x0 x1 + w x0^2, and with a zero lead
+        Presentation(5, _orbit(5, [((0, 1), 1), ((0, 0), w)])): "e2",
+        Presentation(5, _orbit(5, [((0, 0), 0), ((0, 1), 1), ((0, 2), w)])): "e2",
+    }
+    for pres, verdict in cases.items():
+        assert stability_verdict(pres) == normal_form_verdict(pres) == verdict, pres.relations
 
 
 def test_same_series_compares_rows_whose_labels_differ():
