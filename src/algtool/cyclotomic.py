@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -149,7 +150,7 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     # -- coercion ----------------------------------------------------------
 
@@ -216,13 +217,12 @@ class Cyclotomic:
         num, onum = self.num, other.num
         # a rational factor (no coordinate past the first, the last read
         # first) scales the other coordinatewise: the convolution below with
-        # one non-zero term
+        # one non-zero term; a rational self is swapped to the right
+        if not num[-1] and not any(num[1:]):
+            num, onum = onum, num
         if not onum[-1] and not any(onum[1:]):
             b = onum[0]
             return Cyclotomic._raw(p, tuple([a * b for a in num]), self.den * other.den)
-        if not num[-1] and not any(num[1:]):
-            a = num[0]
-            return Cyclotomic._raw(p, tuple([a * b for b in onum]), self.den * other.den)
         # integer convolution with w^p = 1 folded in: the product term of
         # w^(i+j) lands on acc[i + j - p], which for i + j < p is the
         # negative index of position i + j itself
@@ -243,7 +243,9 @@ class Cyclotomic:
         coordinate is r at w^k, or for k = p-1 all p-1 coordinates -r, is
         r^-1 w^-k.  Otherwise it is taken by the Galois norm: for integral y,
         the product of sigma_k(y) over k = 1 .. p-1 is a rational integer N,
-        so y^-1 is the product over k = 2 .. p-1 divided by N."""
+        so y^-1 is the product over k = 2 .. p-1 divided by N.  The inverse
+        of each numerator y is kept (the last 256), and num / den takes
+        den * y^-1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         p, num = self.p, self.num
@@ -256,12 +258,7 @@ class Cyclotomic:
             # r w^(p-1) = -r (1 + w + ... + w^(p-2)) with r = -num[0] / den
             return Cyclotomic.zeta(p, 1) * Fraction(self.den, -num[0])
         # (num / den)^-1 = den * num^-1
-        numer = Cyclotomic._raw(self.p, self.num)
-        others = numer.galois(2)
-        for k in range(3, self.p):
-            others = others * numer.galois(k)
-        norm = (numer * others).num[0]
-        return others * Fraction(self.den, norm)
+        return _integral_inverse(p, num) * self.den
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -370,3 +367,15 @@ class Cyclotomic:
 
 # w^k by (p, k mod p); the values are immutable, so sharing them is safe
 _ZETA: Dict[Tuple[int, int], Cyclotomic] = {}
+
+
+# a presentation's rows share few pivot values (curveCa(1 + 3w) to degree 4
+# inverts 17 values off every single term, 13 of them 1 + 3w)
+@lru_cache(maxsize=256)
+def _integral_inverse(p: int, num: Tuple[int, ...]) -> Cyclotomic:
+    """num^-1 for integral num off every single term, by the Galois norm."""
+    numer = Cyclotomic._raw(p, num)
+    others = numer.galois(2)
+    for k in range(3, p):
+        others = others * numer.galois(k)
+    return others * Fraction(1, (numer * others).num[0])
