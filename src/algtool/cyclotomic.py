@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -150,7 +149,7 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
-        return any(self.num)
+        return not self.is_zero()
 
     # -- coercion ----------------------------------------------------------
 
@@ -243,9 +242,7 @@ class Cyclotomic:
         coordinate is r at w^k, or for k = p-1 all p-1 coordinates -r, is
         r^-1 w^-k.  Otherwise it is taken by the Galois norm: for integral y,
         the product of sigma_k(y) over k = 1 .. p-1 is a rational integer N,
-        so y^-1 is the product over k = 2 .. p-1 divided by N.  The inverse
-        of each numerator y is kept (the last 256), and num / den takes
-        den * y^-1."""
+        so y^-1 is the product over k = 2 .. p-1 divided by N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         p, num = self.p, self.num
@@ -258,7 +255,12 @@ class Cyclotomic:
             # r w^(p-1) = -r (1 + w + ... + w^(p-2)) with r = -num[0] / den
             return Cyclotomic.zeta(p, 1) * Fraction(self.den, -num[0])
         # (num / den)^-1 = den * num^-1
-        return _integral_inverse(p, num) * self.den
+        numer = Cyclotomic._raw(self.p, self.num)
+        others = numer.galois(2)
+        for k in range(3, self.p):
+            others = others * numer.galois(k)
+        norm = (numer * others).num[0]
+        return others * Fraction(self.den, norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -367,15 +369,3 @@ class Cyclotomic:
 
 # w^k by (p, k mod p); the values are immutable, so sharing them is safe
 _ZETA: Dict[Tuple[int, int], Cyclotomic] = {}
-
-
-# a presentation's rows share few pivot values (curveCa(1 + 3w) to degree 4
-# inverts 17 values off every single term, 13 of them 1 + 3w)
-@lru_cache(maxsize=256)
-def _integral_inverse(p: int, num: Tuple[int, ...]) -> Cyclotomic:
-    """num^-1 for integral num off every single term, by the Galois norm."""
-    numer = Cyclotomic._raw(p, num)
-    others = numer.galois(2)
-    for k in range(3, p):
-        others = others * numer.galois(k)
-    return others * Fraction(1, (numer * others).num[0])
