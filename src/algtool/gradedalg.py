@@ -128,7 +128,7 @@ e1-orbits of seeds of one e2-weight, so each is decided by its structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -236,8 +236,13 @@ def word_to_index(word: Word, p: int) -> int:
 
 def _combine(terms, stride: int = 1) -> Tuple[SparseVec, int]:
     """(nums, den): sum of scale * vec[col] at column stride*col + shift over the
-    (vec, scale, shift) of terms, den the lcm of the vectors' denominators."""
-    den = lcm(*[vec.den for vec, _scale, _shift in terms])
+    (vec, scale, shift) of terms, den the lcm of the vectors' denominators.
+    nums is a fresh dict with no zero value, integral when the scales are, so
+    a `RowSpace` may take it as it is."""
+    den = 1
+    for vec, _scale, _shift in terms:
+        if vec.den != 1:
+            den = lcm(den, vec.den)
     acc: SparseVec = {}
     for vec, scale, shift in terms:
         if vec.den != den:
@@ -366,7 +371,7 @@ class GradedEngine:
                 space = self._resolve(n, units, overlaps, relations)
             else:
                 space = self._eliminate(n)
-            pivots = space.rows
+            pivots = space.rows.keys()
             obstructions = frozenset(c for c in candidates if c in pivots)
             if obstructions:
                 self.rules.append((n, q * p, obstructions))
@@ -430,7 +435,8 @@ class GradedEngine:
         candidates, the keys of `units`, taken as normal words."""
         p = self.p
         # the memo of degree n for this step only: each candidate is its own NF
-        self.forms.append(dict(units))
+        memo = dict(units)
+        self.forms.append(memo)
         try:
             rows = []
             for d1, o1, d2, o2 in overlaps:
@@ -438,13 +444,16 @@ class GradedEngine:
                 lift, b = p ** (n - d1), o2 % p ** (n - d1)
                 head = o1 // p ** (d1 + d2 - n) * p ** d2  # a, shifted past o2
                 den = lcm(first.den, second.den)
-                terms = ([(self.normal_form(n, t * lift + b), c * (den // first.den), 0)
+                terms = ([(hit if (hit := memo.get(k := t * lift + b)) is not None
+                           else self.normal_form(n, k), c * (den // first.den), 0)
                           for t, c in first.nums.items()]
-                         + [(self.normal_form(n, head + t), -c * (den // second.den), 0)
+                         + [(hit if (hit := memo.get(k := head + t)) is not None
+                             else self.normal_form(n, k), -c * (den // second.den), 0)
                             for t, c in second.nums.items()])
                 rows.append(_combine(terms)[0])
             for rel in relations:
-                rows.append(_combine([(self.normal_form(n, i * p + j), c, 0)
+                rows.append(_combine([(hit if (hit := memo.get(k := i * p + j)) is not None
+                                       else self.normal_form(n, k), c, 0)
                                       for i, j, c in rel])[0])
         finally:
             self.forms.pop()
@@ -453,7 +462,7 @@ class GradedEngine:
     def _eliminate(self, n: int) -> RowSpace:
         """The reduced span of the degree-n relation rows: every relation
         multiple u r, u in B_{n-d}, on the columns u x_j."""
-        p = self.p
+        p, memo = self.p, self.forms[n - 1]
         relation_rows = []
         for d, rels in self.relations:
             if d > n:
@@ -461,28 +470,37 @@ class GradedEngine:
             shift = p ** (d - 1)
             for u in self.bases[n - d]:
                 for rel in rels:
-                    relation_rows.append(_combine([(self.normal_form(n - 1, u * shift + i), c, j)
-                                                   for i, j, c in rel], p)[0])
+                    relation_rows.append(_combine(
+                        [(hit if (hit := memo.get(k := u * shift + i)) is not None
+                          else self.normal_form(n - 1, k), c, j) for i, j, c in rel], p)[0])
         return _span(relation_rows)
 
     def normal_form(self, n: int, index: int) -> ScaledVec:
         """NF of the degree-n word of base-p index `index`, on the indices of
         B_n; degrees up to n must exist.  The returned vector is shared with
-        the memo: do not mutate it."""
+        the memo: do not mutate it.  The engine's own loops read a memo hit
+        in place and call this on a miss only; a zero vector is falsy, so a
+        hit is a value that is not None."""
         memo = self.forms[n]
         nf = memo.get(index)
         if nf is None:
-            prefix_index, j = divmod(index, self.p)
-            prefix = self.normal_form(n - 1, prefix_index)
+            p = self.p
+            prefix_index, j = divmod(index, p)
+            below = self.forms[n - 1]
+            prefix = below.get(prefix_index)
+            if prefix is None:
+                prefix = self.normal_form(n - 1, prefix_index)
             if prefix_index not in prefix.nums:
-                nums, den = _combine([(self.normal_form(n, i * self.p + j), c, 0)
+                nums, den = _combine([(hit if (hit := memo.get(k := i * p + j)) is not None
+                                       else self.normal_form(n, k), c, 0)
                                       for i, c in prefix.nums.items()])
                 nf = ScaledVec(nums, den * prefix.den)
             else:  # a normal prefix: head.o, o an obstruction of degree d <= n
                 d, o = next((d, index % q) for d, q, obstructions in self.rules
                             if index % q in obstructions)
                 rule = self.forms[d][o]
-                nums, den = _combine([(self.normal_form(n, index - o + t), c, 0)
+                nums, den = _combine([(hit if (hit := memo.get(k := index - o + t)) is not None
+                                       else self.normal_form(n, k), c, 0)
                                       for t, c in rule.nums.items()])
                 nf = ScaledVec(nums, den * rule.den)
             memo[index] = nf
@@ -751,13 +769,26 @@ def _e1_orbits(p: int, seeds) -> List[List[Tuple[Word, object]]]:
             for seed in seeds for k in range(p)]
 
 
+def _clifford_relations(p: int, avec: Tuple) -> List[List[Tuple[Word, object]]]:
+    """The relations of cliffordC(p, *avec): the e1-orbits of the seeds
+    a0 {x_i, x_{-i}} - a_i x_0^2, 1 <= i <= (p-1)/2."""
+    a0 = avec[0]
+    return _e1_orbits(p, [[((i, -i), a0), ((-i, i), a0), ((0, 0), -avec[i])]
+                          for i in range(1, (p - 1) // 2 + 1)])
+
+
+def _fiber_relations(A, B) -> List[List[Tuple[Word, object]]]:
+    """The relations of `curve_fiber(A, B)`."""
+    seed = [((0, 0), A * B), ((1, -1), A * A), ((2, -2), -B * B)]
+    return _commutators(5) + _e1_orbits(5, [seed])
+
+
 def curve_fiber(A, B) -> Presentation:
     """The fiber (A:B) of the pencil of quadrics on p = 5 letters: the
     commutators and the e1-orbit of the homogeneous seed
     A B x_k^2 + A^2 x_{1+k} x_{-1+k} - B^2 x_{2+k} x_{-2+k}.  (a:1) is
     curveCa(a); the cusp fibers (1:0) and (0:1) are cycles of five lines."""
-    seed = [((0, 0), A * B), ((1, -1), A * A), ((2, -2), -B * B)]
-    return _finalize(5, _commutators(5) + _e1_orbits(5, [seed]), "fiber", (A, B))
+    return _finalize(5, _fiber_relations(A, B), "fiber", (A, B))
 
 
 #: the catalog families over a prime of the caller's choice, p their first argument
@@ -824,17 +855,14 @@ def make_presentation(kind: str, *args, cap: Optional[int] = None) -> Presentati
         p = args[0]
         require_odd_prime(p)
         avec = _coerce_params(args[1:], (p + 1) // 2, f"cliffordC over p={p}")
-        a0 = avec[0]
-        seeds = [[((i, -i), a0), ((-i, i), a0), ((0, 0), -avec[i])]
-                 for i in range(1, (p - 1) // 2 + 1)]
-        return _finalize(p, _e1_orbits(p, seeds), "cliffordC", (p,) + avec)
+        return _finalize(p, _clifford_relations(p, avec), "cliffordC", (p,) + avec)
 
     if kind == "sklyanin5":
         a, b = _coerce_params(args, 2, kind)
-        return replace(make_presentation("cliffordC", 5, 1, a, b), kind=kind, params=(a, b))
+        return _finalize(5, _clifford_relations(5, (Fraction(1), a, b)), kind, (a, b))
 
     if kind == "curveCa":
         (a,) = _coerce_params(args, 1, kind)
-        return replace(curve_fiber(a, Fraction(1)), kind=kind, params=(a,))
+        return _finalize(5, _fiber_relations(a, Fraction(1)), kind, (a,))
 
     raise InputError(f"unknown presentation kind {kind!r}")

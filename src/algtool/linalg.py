@@ -1,15 +1,23 @@
 """Sparse exact row reduction and float rank decisions.
 
 `RowSpace` is the one exact elimination: an incrementally built reduced
-row-echelon space of sparse vectors over Q or Q(w).  Vectors go in as maps
-from columns to int, Fraction or Cyclotomic values.  The graded engine
+row-echelon space of sparse vectors over Q or Q(w).  The graded engine
 builds one per eliminated degree and keeps only what it reads off it (the
 normal words and the obstruction tails); a kernel, such as the quadratic
 dual's R-perp, and membership in an ideal are read off its normal forms.
 
+Vectors go in as numerators: dicts from columns to int values over Q, or
+to Cyclotomic values over Q(w), with no zero value.  Neither `insert` nor
+`reduce` copies or checks them.  A caller holding Fractions clears them
+with `integral` first (a row's span does not change; a residue is read
+over the denominator `integral` returns).  The graded engine clears each
+relation once and builds every row as numerators.  Each call owns the
+dict it is given and works on it in place: `insert` stores it as the new
+row, and `reduce` returns it as the residue's numerators.
+
 Storage follows the recipe of `Cyclotomic` (integer numerators over one
 denominator; W. Hart, "ANTIC", 2015) with fraction-free elimination (E. H.
-Bareiss, Math. Comp. 22, 1968).  A row with rational entries is stored as a
+Bareiss, Math. Comp. 22, 1968).  A row with int entries is stored as a
 primitive integer vector: content 1, positive pivot entry.  A row with Q(w)
 entries is stored with pivot entry 1.  No stored row contains another row's
 pivot column.  So each stored row is the reduced row-echelon row of its
@@ -17,13 +25,15 @@ pivot times a positive scalar fixed by the row's field, and the stored rows
 of a space built from vectors of one field do not depend on the insertion
 order.
 
-Reducing a vector is a single ascending pass over its support.  At a pivot
-column where the residue has value v and the row has pivot entry d, the
-residue is multiplied by d/g and (v/g) times the row is subtracted, with
-g = gcd(v, d) over Z and g = 1 for a Q(w) value.  One gcd at the end puts
-the residue in lowest terms.  The residue, a `ScaledVec` of numerators over
-one positive denominator, is the canonical normal form modulo the space,
-supported on non-pivot columns only.
+Reducing a vector is a single ascending pass over the pivot columns in its
+support, the only columns that take work: a stored row is zero at every
+other pivot column, so subtracting it neither makes nor changes another
+pivot entry of the residue.  At a pivot column where the residue has value
+v and the row has pivot entry d, the residue is multiplied by d/g and (v/g)
+times the row is subtracted, with g = gcd(v, d) over Z and g = 1 for a Q(w)
+value.  One gcd at the end puts the residue in lowest terms.  The residue,
+a `ScaledVec` of numerators over one positive denominator, is the canonical
+normal form modulo the space, supported on non-pivot columns only.
 
 Numeric matrices have two numpy routines, each taking a single matrix or a
 stack of them: `rank_float` (an SVD count, one SVD call per stack) and
@@ -44,8 +54,6 @@ from math import gcd, lcm
 from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
-
-from .cyclotomic import Cyclotomic
 
 SparseVec = Dict[int, object]
 #: The default relative singular-value cutoff of the float ranks.
@@ -83,8 +91,8 @@ def printed(x: float) -> float:
 
 
 def _content(values) -> Optional[int]:
-    """gcd of the values over Z; None when one of them is a field element (a
-    Cyclotomic or a Fraction), which divides every other value."""
+    """gcd of the values over Z; None when one of them is a Cyclotomic, a
+    field element, which divides every other value."""
     try:
         return gcd(*values)
     except TypeError:
@@ -149,6 +157,10 @@ class _PivotOneRows(Mapping):
     def __contains__(self, pivot) -> bool:
         return pivot in self._rows
 
+    def keys(self):
+        """The pivot columns, as the stored rows' own keys view."""
+        return self._rows.keys()
+
     def __iter__(self):
         return iter(self._rows)
 
@@ -158,13 +170,13 @@ class _PivotOneRows(Mapping):
 
 def _make_primitive(row: SparseVec, pivot: int) -> None:
     """Scale a nonzero row in place to its stored form: over Z content 1 and a
-    positive pivot entry, with a Q(w) (or Fraction) entry pivot entry 1.  A
-    field row whose pivot entry equals 1 already keeps its other entries."""
+    positive pivot entry, over Q(w) pivot entry 1.  A Q(w) row whose pivot
+    entry equals 1 already keeps its other entries."""
     lead = row[pivot]
     g = _content(row.values())
     if g is None:
         if lead != 1:
-            inv = lead.inverse() if type(lead) is Cyclotomic else Fraction(1) / lead
+            inv = lead.inverse()
             for c, v in row.items():
                 row[c] = v * inv
         row[pivot] = 1
@@ -206,13 +218,13 @@ class RowSpace:
         returns the factor the residue was multiplied by on the way."""
         rows = self._rows
         scale = 1
-        for c in sorted(residue):
-            v = residue.get(c)
-            if v is None:
-                continue
-            row = rows.get(c)
-            if row is None:
-                continue
+        # Only the residue's pivot columns take work, and they are known up
+        # front: a stored row is zero at every other pivot column (reduced
+        # echelon form), so subtracting it never makes or changes another
+        # pivot entry of the residue.
+        for c in sorted(residue.keys() & rows.keys()):
+            v = residue.pop(c)
+            row = rows[c]
             d = row[c]
             if d != 1:
                 v, d = _cofactors(v, d)
@@ -220,7 +232,6 @@ class RowSpace:
                     scale *= d
                     for col in residue:
                         residue[col] *= d
-            del residue[c]
             for col, w in row.items():
                 if col == c:
                     continue
@@ -233,13 +244,15 @@ class RowSpace:
         return scale
 
     def reduce(self, vec: SparseVec) -> ScaledVec:
-        """Canonical residue of vec modulo the row space."""
-        residue, den = integral(vec)
-        return ScaledVec(residue, den * self._eliminate(residue))
+        """Canonical residue of vec modulo the row space.  vec holds integral
+        numerators with no zero value (module docstring); it is reduced in
+        place and becomes the residue's numerators."""
+        return ScaledVec(vec, self._eliminate(vec))
 
-    def insert(self, vec: SparseVec) -> bool:
-        """Add vec to the space; returns True when the rank grew."""
-        row, _den = integral(vec)
+    def insert(self, row: SparseVec) -> bool:
+        """Add row to the space; returns True when the rank grew.  row holds
+        integral numerators with no zero value (module docstring); it is
+        reduced in place and, when the rank grows, stored as it is."""
         self._eliminate(row)
         if not row:
             return False

@@ -141,7 +141,8 @@ def criterion_3_charseries(seed: int = 0) -> CheckResult:
     ok &= got == [Cyclotomic.from_rational(3, v) for v in (1, 0, 0, 1)]
 
     # centre rows equal w^(k n) H_n (tested across both primes)
-    for pres, rep, n in ((poly3, rep3, 4), (make_presentation("cycle", 5), rep5, 4)):
+    cycle5 = make_presentation("cycle", 5)
+    for pres, rep, n in ((poly3, rep3, 4), (cycle5, rep5, 4)):
         hilb = hilbert(pres, n)
         for k in range(1, pres.p):
             got = character_coeffs(pres, HeisenbergElement(pres.p, 0, 0, k), rep, n)
@@ -149,7 +150,6 @@ def criterion_3_charseries(seed: int = 0) -> CheckResult:
             ok &= got == want
     details["centre_rows"] = ok
 
-    cycle5 = make_presentation("cycle", 5)
     non_central_ok = True
     for g, _size in conjugacy_classes(5):
         if g.is_central():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from algtool.cyclotomic import Cyclotomic
 from algtool.gradedalg import GradedEngine
 from algtool.linalg import RowSpace
 
@@ -38,13 +39,16 @@ class RowSourceLog:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """A `RowSourceLog` of the row sources of every engine from here on."""
+    """A `RowSourceLog` of the row sources of every engine from here on.
+    Every row inserted meanwhile must keep the `RowSpace` input contract:
+    int or Cyclotomic numerators, none of them zero."""
     log = RowSourceLog()
     inserts = [0]
     insert = RowSpace.insert
 
     def counting(space, vec):
         inserts[0] += 1
+        assert all(type(v) in (int, Cyclotomic) and v for v in vec.values()), vec
         return insert(space, vec)
 
     def recording(method, source):

@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 
 from algtool.cyclotomic import Cyclotomic
 from algtool.heisenberg import HeisenbergElement, SimpleRep
-from algtool.linalg import RowSpace
+from algtool.linalg import RowSpace, integral
 
 
 def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
@@ -25,7 +25,7 @@ def nullspace_exact(rows: Sequence[Sequence]) -> List[list]:
     n = len(rows[0])
     space = RowSpace()
     for row in rows:
-        space.insert({c: v for c, v in enumerate(row) if v})
+        space.insert(integral(dict(enumerate(row)))[0])
     pivots = space.rows
     zero = 0 * rows[0][0]
     one = zero + 1

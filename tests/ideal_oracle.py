@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 from algtool.cyclotomic import Cyclotomic
 from algtool.gradedalg import Presentation, word_to_index
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
-from algtool.linalg import RowSpace
+from algtool.linalg import RowSpace, integral
 
 _PIECES: Dict[Tuple[Presentation, int], RowSpace] = {}
 
@@ -56,12 +56,12 @@ def ideal_piece(pres: Presentation, n: int) -> RowSpace:
         for pivot in sorted(prev.rows):
             row = prev.rows[pivot]
             for g in range(p):
-                space.insert({g * shift + idx: c for idx, c in row.items()})
+                space.insert(integral({g * shift + idx: c for idx, c in row.items()})[0])
             for g in range(p):
-                space.insert({idx * p + g: c for idx, c in row.items()})
+                space.insert(integral({idx * p + g: c for idx, c in row.items()})[0])
         for rel in pres.relations:
             if len(next(iter(rel))[0]) == n:
-                space.insert({word_to_index(w, p): c for w, c in rel})
+                space.insert(integral({word_to_index(w, p): c for w, c in rel})[0])
     _PIECES[key] = space
     return space
 
@@ -104,7 +104,7 @@ def quotient_trace(pres: Presentation, g: HeisenbergElement, rep: SimpleRep,
         if w in space.rows:
             continue
         target = shift_back[w]
-        v = space.reduce({target: one}).get(w)
+        v = space.reduce(integral({target: one})[0]).get(w)
         if v:
             phase = (rep.index * (n * g.k + g.b * digitsum[w])) % p
             total = total + Cyclotomic.zeta(p, phase) * v

@@ -12,7 +12,7 @@ import numpy as np
 
 from algtool.clifford import Draw
 from algtool.cyclotomic import Cyclotomic
-from algtool.linalg import RowSpace, minors_float
+from algtool.linalg import RowSpace, integral, minors_float
 from algtool.shioda5 import s15_matrix
 
 
@@ -20,7 +20,7 @@ def rank_below_3(point: Sequence[Cyclotomic]) -> bool:
     """Whether the S15 matrix at the point has rank <= 2."""
     space = RowSpace()
     for row in s15_matrix().eval(list(point)):
-        space.insert(dict(enumerate(row)))
+        space.insert(integral(dict(enumerate(row)))[0])
     return space.rank < 3
 
 

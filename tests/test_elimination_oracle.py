@@ -22,7 +22,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.linalg import RowSpace
+from algtool.linalg import RowSpace, ScaledVec, integral
 from heisenberg_reference import nullspace_exact
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -183,8 +183,16 @@ def filled(rows, order_seed: int) -> RowSpace:
     random.Random(order_seed).shuffle(order)
     space = RowSpace()
     for row in order:
-        space.insert(dict(row))
+        space.insert(integral(row)[0])
     return space
+
+
+def reduced(space: RowSpace, vec) -> ScaledVec:
+    """The residue of a vector of Fractions: the residue of its numerators
+    over their common denominator."""
+    nums, den = integral(vec)
+    residue = space.reduce(nums)
+    return ScaledVec(residue.nums, residue.den * den)
 
 
 @seed(20141222)
@@ -205,7 +213,7 @@ def test_rowspace_matches_sympy_rref(data, order_seed, query):
     for c, num, den in query:
         if c < n and num:
             vec[c] = vec.get(c, 0) + Fraction(num, den)
-    residue = space.reduce(vec)
+    residue = reduced(space, vec)
     # numerators over one positive denominator, in lowest terms
     assert residue.den > 0 and gcd(residue.den, *residue.nums.values()) == 1
     assert not set(residue) & set(pivots)

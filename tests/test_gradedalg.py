@@ -18,7 +18,7 @@ from algtool.gradedalg import (Presentation, character_coeffs,
                                make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from algtool.koszul import quadratic_dual
-from algtool.linalg import RowSpace, ScaledVec
+from algtool.linalg import RowSpace, ScaledVec, integral
 from test_table_bytes import QW_TABLE, QW_TABLE_DIGEST, table_digest
 
 
@@ -39,7 +39,7 @@ def brute_force_ideal_rank(pres, n):
                     for w, c in rel:
                         word = left + w + right
                         vec[word_to_index(word, p)] = c
-                    space.insert(vec)
+                    space.insert(integral(vec)[0])
     return space.rank
 
 
@@ -212,6 +212,35 @@ def test_make_presentation_counts():
         make_presentation("unknown-kind", 5)
 
 
+@pytest.mark.parametrize("args", [
+    ("polynomial", 3), ("cycle", 5), ("sklyanin3", 1, 2, -3), ("cliffordC", 5, 1, 1, 2),
+    ("sklyanin5", 1, 3), ("sklyanin5", Cyclotomic.zeta(5), 2), ("curveCa", 2),
+    ("curveCa", Cyclotomic(5, [1, 3])),
+], ids=lambda args: ",".join(map(str, args)))
+def test_a_catalog_presentation_is_validated_once(args, monkeypatch):
+    """Each catalog call builds one `Presentation`: its relations are checked
+    (and over Q(w) coerced) once.  sklyanin5 keeps the relations of
+    cliffordC(5, 1, a, b) and curveCa those of the fiber (a:1)."""
+    calls = []
+    post_init = Presentation.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting)
+    pres = make_presentation(*args)
+    assert len(calls) == 1
+    kind, *params = args
+    if kind == "sklyanin5":
+        assert pres.relations == make_presentation("cliffordC", 5, 1, *params).relations
+    if kind == "curveCa":
+        assert pres.relations == gradedalg.curve_fiber(params[0], Fraction(1)).relations
+    if kind in ("sklyanin5", "curveCa"):
+        assert (pres.kind, pres.params) == (kind, tuple(params))
+        assert pres.label() == f"{kind}({':'.join(map(str, params))})"
+
+
 def test_sklyanin5_relations_have_constant_index_sum():
     pres = make_presentation("sklyanin5", 3, 7)
     for rel in pres.relations:
@@ -226,7 +255,7 @@ def test_sklyanin3_commutator_point_is_polynomial_ring():
     def span(pres):
         space = RowSpace()
         for rel in pres.relations:
-            space.insert({word_to_index(w, 3): c for w, c in rel})
+            space.insert(integral({word_to_index(w, 3): c for w, c in rel})[0])
         return space
 
     assert span(sk).rows == span(poly).rows
@@ -430,7 +459,7 @@ def test_in_ideal_agrees_with_the_ideal_oracle(args):
         for w, c in tensor:
             i = word_to_index(w, p)
             vec[i] = vec.get(i, 0 * one) + c
-        return not ideal_oracle.ideal_piece(pres, n).reduce(vec)
+        return not ideal_oracle.ideal_piece(pres, n).reduce(integral(vec)[0])
 
     def word(n):
         return tuple(rng.randrange(p) for _ in range(n))

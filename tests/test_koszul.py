@@ -11,13 +11,13 @@ from algtool.gradedalg import (Presentation, hilbert, make_presentation,
                                make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep
 from algtool.koszul import koszul_identity_check, quadratic_dual
-from algtool.linalg import RowSpace, ScaledVec
+from algtool.linalg import RowSpace, ScaledVec, integral
 
 
 def relation_span(pres):
     space = RowSpace()
     for rel in pres.relations:
-        space.insert({word_to_index(w, pres.p): c for w, c in rel})
+        space.insert(integral({word_to_index(w, pres.p): c for w, c in rel})[0])
     return space
 
 

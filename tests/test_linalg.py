@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from algtool.cyclotomic import Cyclotomic
-from algtool.linalg import RowSpace, minors_float, rank_float
+from algtool.linalg import RowSpace, integral, minors_float, rank_float
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_minors
 from heisenberg_reference import nullspace_exact
 from rank_reference import minors_det, rank_one
@@ -16,11 +16,11 @@ from rank_reference import minors_det, rank_one
 
 def test_rowspace_reduce_and_rank():
     space = RowSpace()
-    assert space.insert({0: Fraction(1), 2: Fraction(2)})
-    assert space.insert({1: Fraction(3)})
-    assert not space.insert({0: Fraction(2), 1: Fraction(3), 2: Fraction(4)})
+    assert space.insert(integral({0: Fraction(1), 2: Fraction(2)})[0])
+    assert space.insert(integral({1: Fraction(3)})[0])
+    assert not space.insert(integral({0: Fraction(2), 1: Fraction(3), 2: Fraction(4)})[0])
     assert space.rank == 2
-    residue = space.reduce({0: Fraction(1), 3: Fraction(1)})
+    residue = space.reduce(integral({0: Fraction(1), 3: Fraction(1)})[0])
     assert set(residue) == {2, 3}
 
 
@@ -31,7 +31,7 @@ def test_rowspace_rref_rows_contain_no_foreign_pivots():
         vec = {rng.randint(0, 9): Fraction(rng.randint(-4, 4)) for _ in range(4)}
         vec = {k: v for k, v in vec.items() if v}
         if vec:
-            space.insert(vec)
+            space.insert(integral(vec)[0])
     pivots = set(space.rows)
     for pivot, row in sorted(space.rows.items()):
         assert row[pivot] == 1
@@ -47,10 +47,10 @@ def test_rowspace_same_space_under_insertion_order():
     s1, s2 = RowSpace(), RowSpace()
     for v in vecs:
         if v:
-            s1.insert(dict(v))
+            s1.insert(integral(v)[0])
     for v in reversed(vecs):
         if v:
-            s2.insert(dict(v))
+            s2.insert(integral(v)[0])
     assert s1.rows == s2.rows
 
 
@@ -64,12 +64,12 @@ def test_rowspace_same_space_across_row_fields():
     r = {0: Fraction(2), 2: Fraction(-1)}  # 2 (a - b)
     s1, s2 = RowSpace(), RowSpace()
     for v in (a, b):
-        s1.insert(v)
+        s1.insert(integral(v)[0])
     for v in (r, b):
-        s2.insert(v)
+        s2.insert(integral(v)[0])
     assert s1.rows == s2.rows
     assert s1.rows[0] == s2.rows[0] == {0: 1, 2: Fraction(-1, 2)}
-    s2.insert({3: Fraction(1)})
+    s2.insert(integral({3: Fraction(1)})[0])
     assert s1.rows != s2.rows
 
 

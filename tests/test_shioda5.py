@@ -18,7 +18,7 @@ from algtool.shioda5 import (_entry_monomials, _minor_jacobians, _on_s15, _withi
                              base_orbit, ca_orbit_check, ca_relations, cusp_cycles,
                              cycle_fiber_equivalence, s15_matrix, s15_minors,
                              singular_points_check, thirty_points,
-                             two_torsion_check, x_vars)
+                             TwoTorsionReport, two_torsion_check, x_vars)
 from heisenberg_reference import normalize_projective
 from rank_reference import minors_det
 from shioda5_reference import rank_below_3, two_torsion_per_point
@@ -116,6 +116,21 @@ def test_two_torsion_check_passes_on_every_seed():
         report = two_torsion_check(20, seed=seed)
         assert report.ok(), (seed, report)
         assert report.control_residual > 1.6e-4
+
+
+def test_two_torsion_verdict_cutoffs():
+    # each cutoff (residual 1e-7, control 1e-5) against values 300 times
+    # above and below it, so that either cutoff scaled by 10^3 or 10^-3
+    # flips one verdict
+    def ok(residual: float, control: float) -> bool:
+        return TwoTorsionReport(20, 80, Residual(residual), Residual(control)).ok()
+
+    low_residual, high_residual = 1e-7 / 300, 1e-7 * 300
+    low_control, high_control = 1e-5 / 300, 1e-5 * 300
+    assert ok(low_residual, high_control)
+    assert not ok(high_residual, high_control)
+    assert not ok(low_residual, low_control)
+    assert not ok(high_residual, low_control)
 
 
 def test_two_torsion_stack_is_the_per_point_eval():

@@ -21,7 +21,8 @@ from algtool.minortables import CoefficientTable, _generic_form, minor_tables
 from algtool.poly import MultiPoly, PolyMatrix, PolyRing, mat_det, mat_minors
 from algtool.selftest import criterion_9_determinism
 from algtool.shioda5 import base_orbit, ca_relations
-from algtool.sklyanin2 import (CurvePoint, _block_rank, _degree_pieces, _mutual_span, _orbit_stack,
+from algtool.sklyanin2 import (CurvePoint, SecantReport, _block_rank, _degree_pieces,
+                               _mutual_span, _orbit_stack,
                                check_onedim_bound, cprime_residual, curve_points_on_grid,
                                curve_singularity_report, eliminate_t,
                                minor_ideal_checks, onedim_reps,
@@ -601,6 +602,16 @@ def test_secant_check(near_one_point):
     assert abs(report.lam) > 1e-12
     assert report.jac_degree == 5 and report.det_degree == 5
     assert report.ok(1e-7) and not report.ok(report.residual)
+
+
+def test_secant_verdict_lam_cutoff():
+    # |lam| against 300 times above and below its 1e-12 cutoff, so that the
+    # cutoff scaled by 10^3 or 10^-3 flips one verdict
+    def ok(lam: complex) -> bool:
+        return SecantReport(1j, lam, Residual(1e-10), 5, 5).ok(1e-7)
+
+    assert ok(1e-12 * 300) and ok(-1e-12 * 300j)
+    assert not ok(1e-12 / 300) and not ok(0j)
 
 
 def test_onedim_reps_122():
