@@ -20,10 +20,11 @@ suffix of length d-1 is in B_{d-1} (the prefix is, by construction) are the
 of I in that order.  `_build` keeps B_d and the tail NF_d(o) of each rule
 o -> NF_d(o), the residue of o modulo the space, and drops the space.
 
-One memo per degree holds NF by word index.  A word u x_j with u not
-normal has NF(u x_j) = sum_i c_i NF(b_i x_j) for NF(u) = sum_i c_i b_i.  A
-word with a normal prefix that is not normal ends in an obstruction o of
-some degree d <= n (leading words are closed under extension, so its
+One memo per degree holds NF by word index: the tails of its rules, and
+the forms looked up since.  A word u x_j with u not normal has NF(u x_j) =
+sum_i c_i NF(b_i x_j) for NF(u) = sum_i c_i b_i.  A word with a normal
+prefix is normal, its own unit vector, unless it ends in an obstruction o
+of some degree d <= n (leading words are closed under extension, so its
 suffix of length n-1 is either normal, and the word an obstruction, or
 again a leading word with a normal prefix).  Then NF(head.o) =
 sum_t c_t NF(head.t) over the terms c_t t of NF_d(o), since head.(o -
@@ -321,8 +322,8 @@ class GradedEngine:
         self.bases: List[List[int]] = [[0]]             # indices of B_n, ascending
         # (d, p**d, obstructions of degree d) for each eliminated degree d that has some
         self.rules: List[Tuple[int, int, frozenset]] = []
-        # memo of NF per degree, by word index: a normal word is its own unit
-        # vector, and an obstruction o of degree n starts out as the tail NF_n(o)
+        # memo of NF per degree, by word index: it starts out as the tails
+        # NF_n(o) of the obstructions o of degree n, and keeps each form looked up
         self.forms: List[Dict[int, ScaledVec]] = [{0: ScaledVec({0: self.unit})}]
         # the obstructions by each proper prefix and suffix, keyed (length, index),
         # as (degree, rank in the rule's order, obstruction, tail is non-zero)
@@ -354,9 +355,6 @@ class GradedEngine:
         suffixes = set(self.bases[n - 1])
         candidates = [c for u in self.bases[n - 1] for c in range(u * p, u * p + p)
                       if c % q in suffixes]
-        # each candidate as its own unit vector: the memo of degree n keeps
-        # those of B_n, beside the tails of the new obstructions
-        units = {c: ScaledVec({c: self.unit}) for c in candidates}
         overlaps = self._overlaps(n)
         relations = next((rels for d, rels in self.relations if d == n), [])
         if overlaps or relations:
@@ -368,7 +366,7 @@ class GradedEngine:
             multiple_terms = sum(len(self.bases[n - d]) * sum(map(len, rels))
                                  for d, rels in self.relations if d <= n)
             if OVERLAP_WEIGHT * overlap_terms < multiple_terms:
-                space = self._resolve(n, units, overlaps, relations)
+                space = self._resolve(n, overlaps, relations)
             else:
                 space = self._eliminate(n)
             pivots = space.rows.keys()
@@ -376,17 +374,14 @@ class GradedEngine:
             if obstructions:
                 self.rules.append((n, q * p, obstructions))
                 tails = {o: space.reduce({o: self.unit}) for o in obstructions}
-                for o in obstructions:  # B_n first, then the tails, in that order
-                    del units[o]
-                units.update(tails)
                 self.bases.append([c for c in candidates if c not in pivots])
-                self.forms.append(units)
+                self.forms.append(tails)
                 self._file_overlaps(n, tails)
                 return
         # no new obstruction (and with no rows built every ambiguity of the
         # rules resolves: diamond lemma): B_n are the candidates
         self.bases.append(candidates)
-        self.forms.append(units)
+        self.forms.append({})
 
     def _file_overlaps(self, d: int, tails: Dict[int, ScaledVec]) -> None:
         """Index the new obstructions of degree d by their proper prefixes and
@@ -429,13 +424,12 @@ class GradedEngine:
                 found.append((d1, o1, d2, o2))
         return found
 
-    def _resolve(self, n: int, units: Dict[int, ScaledVec], overlaps, relations) -> RowSpace:
+    def _resolve(self, n: int, overlaps, relations) -> RowSpace:
         """The reduced span of the overlap rows NF(tail(o1) b) - NF(a tail(o2))
-        and the degree-n relations, all reduced by the rules below n with the
-        candidates, the keys of `units`, taken as normal words."""
+        and the degree-n relations, all reduced by the rules below n: degree n
+        has no rule yet, so `normal_form` takes each candidate as normal."""
         p = self.p
-        # the memo of degree n for this step only: each candidate is its own NF
-        memo = dict(units)
+        memo = {}  # the memo of degree n for this step only
         self.forms.append(memo)
         try:
             rows = []
@@ -477,32 +471,36 @@ class GradedEngine:
 
     def normal_form(self, n: int, index: int) -> ScaledVec:
         """NF of the degree-n word of base-p index `index`, on the indices of
-        B_n; degrees up to n must exist.  The returned vector is shared with
-        the memo: do not mutate it.  The engine's own loops read a memo hit
-        in place and call this on a miss only; a zero vector is falsy, so a
-        hit is a value that is not None."""
+        B_n, by the memo rule of the module docstring with the rules of
+        degree d <= n only; degrees up to n must exist.  The returned vector
+        is shared with the memo: do not mutate it.  The engine's own loops
+        read a memo hit in place and call this on a miss only; a zero vector
+        is falsy, so a hit is a value that is not None."""
         memo = self.forms[n]
         nf = memo.get(index)
         if nf is None:
             p = self.p
             prefix_index, j = divmod(index, p)
-            below = self.forms[n - 1]
-            prefix = below.get(prefix_index)
+            prefix = self.forms[n - 1].get(prefix_index)
             if prefix is None:
                 prefix = self.normal_form(n - 1, prefix_index)
-            if prefix_index not in prefix.nums:
-                nums, den = _combine([(hit if (hit := memo.get(k := i * p + j)) is not None
+            if prefix_index not in prefix.nums:  # NF(u x_j) = sum_i c_i NF(b_i x_j)
+                vec, stride, shift = prefix, p, j
+            else:  # a normal prefix: head.o for an obstruction o of degree d <= n, if any
+                vec, stride = None, 1
+                for d, q, obstructions in self.rules:  # by ascending degree
+                    if d > n:  # a longer obstruction may share the index by leading 0s
+                        break
+                    if (o := index % q) in obstructions:
+                        vec, shift = self.forms[d][o], index - o
+                        break
+            if vec is None:  # no obstruction suffix: the word is normal
+                nf = ScaledVec({index: self.unit})
+            else:
+                nums, den = _combine([(hit if (hit := memo.get(k := t * stride + shift)) is not None
                                        else self.normal_form(n, k), c, 0)
-                                      for i, c in prefix.nums.items()])
-                nf = ScaledVec(nums, den * prefix.den)
-            else:  # a normal prefix: head.o, o an obstruction of degree d <= n
-                d, o = next((d, index % q) for d, q, obstructions in self.rules
-                            if index % q in obstructions)
-                rule = self.forms[d][o]
-                nums, den = _combine([(hit if (hit := memo.get(k := index - o + t)) is not None
-                                       else self.normal_form(n, k), c, 0)
-                                      for t, c in rule.nums.items()])
-                nf = ScaledVec(nums, den * rule.den)
+                                      for t, c in vec.nums.items()])
+                nf = ScaledVec(nums, den * vec.den)
             memo[index] = nf
         return nf
 

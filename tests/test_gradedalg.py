@@ -18,7 +18,7 @@ from algtool.gradedalg import (Presentation, character_coeffs,
                                make_presentation, make_relation, word_to_index)
 from algtool.heisenberg import HeisenbergElement, SimpleRep, conjugacy_classes
 from algtool.koszul import quadratic_dual
-from algtool.linalg import RowSpace, ScaledVec, integral
+from algtool.linalg import RowSpace, integral
 from test_table_bytes import QW_TABLE, QW_TABLE_DIGEST, table_digest
 
 
@@ -167,7 +167,7 @@ def test_vanishing_rows_cost_no_normal_forms(args):
     p = table_pres.p
     character_table(table_pres, SimpleRep(p, 1), p - 1)
     hilbert(hilbert_pres, p - 1)
-    # the memo holds every normal form met, columns (mu_n) included, per degree
+    # the memo holds the tails and every normal form looked up, per degree
     assert ([forms.keys() for forms in table_pres.engine.forms]
             == [forms.keys() for forms in hilbert_pres.engine.forms])
 
@@ -771,6 +771,30 @@ def test_deep_tables_fit_the_default_recursion_limit(args, top, series):
     assert character_table(pres, SimpleRep(pres.p, 1), top).hilbert_row() == series
 
 
+def test_normal_form_nesting_does_not_grow_with_the_degree(monkeypatch):
+    # a normal word is found normal through its prefixes, which no memo holds
+    # beforehand; cycle(5) gets rules in every degree, and to degree 47, the
+    # last within the default cap, the calls nest no deeper than to degree 12
+    normal_form, depth = gradedalg.GradedEngine.normal_form, [0, 0]
+
+    def nesting(self, n, index):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return normal_form(self, n, index)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(gradedalg.GradedEngine, "normal_form", nesting)
+    deepest = []
+    for top in (12, 47):
+        depth[1] = 0
+        series = hilbert(make_presentation("cycle", 5), top)
+        assert series == [1] + [5 * n for n in range(1, top + 1)]
+        deepest.append(depth[1])
+    assert deepest[0] == deepest[1] <= 3
+
+
 def test_no_row_space_outlives_grow(eliminations):
     # sklyanin3(1, 2, -3) takes relation multiples in every degree from 2,
     # cycle(5) overlap rows in every degree from 3
@@ -786,9 +810,44 @@ def test_no_row_space_outlives_grow(eliminations):
     kept = relations.engine._eliminate(3)
     assert eliminations.calls[-1][-1]() is kept
     engine = overlaps.engine
-    units = {c: ScaledVec({c: engine.unit}) for c in engine.bases[3]}
-    kept = engine._resolve(3, units, engine._overlaps(3), [])
+    kept = engine._resolve(3, engine._overlaps(3), [])
     assert eliminations.calls[-1][-1]() is kept
+
+
+def test_normal_forms_try_no_longer_rule():
+    # the e1-orbit of x0^2 + x1 x4: the normal word x4 x3 x1 has index 116,
+    # and so has the degree-4 obstruction x0 x4 x3 x1, whose leading letter
+    # is 0; a rule lookup that tried longer rules would rewrite a normal word
+    pres = Presentation(5, tuple(make_relation([((k, k), 1), (((1 + k) % 5, (4 + k) % 5), 1)])
+                                 for k in range(5)))
+    engine = pres.engine
+    engine.grow(4)
+    assert engine.rules[-1][:2] == (4, 625) and 116 in engine.rules[-1][2]
+    assert 116 in engine.bases[3]
+    assert dict(engine.normal_form(3, 116)) == {116: 1}
+    for n in range(5):
+        piece = ideal_oracle.ideal_piece(pres, n)
+        for w in range(5 ** n):
+            assert dict(engine.normal_form(n, w)) == dict(piece.reduce({w: 1})), (n, w)
+
+
+def test_the_memo_holds_tails_and_forms_looked_up():
+    # a normal word is its own NF on demand: the polynomial ring has no rule
+    # above degree 2, and hilbert looks up no form of degree 3 or more
+    pres = make_presentation("polynomial", 5)
+    hilbert(pres, 8)
+    assert [len(pres.engine.forms[n]) for n in range(3, 9)] == [0] * 6
+    # cycle(5) gets rules in every degree, and the memo of each degree holds
+    # the tail of every one of its obstructions
+    pres = make_presentation("cycle", 5)
+    hilbert(pres, 6)
+    engine = pres.engine
+    assert [d for d, _q, _obs in engine.rules] == [2, 3, 4, 5, 6]
+    for d, _q, obstructions in engine.rules:
+        assert obstructions <= engine.forms[d].keys()
+        for o in obstructions:
+            residue = ideal_oracle.ideal_piece(pres, d).reduce({o: 1})
+            assert dict(engine.forms[d][o]) == dict(residue), (d, o)
 
 
 @pytest.mark.parametrize("args,top,sources,bound", [

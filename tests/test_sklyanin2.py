@@ -123,6 +123,11 @@ def test_curve_point_validation():
     with pytest.raises(ValueError):
         CurvePoint(1.0, 1.0, cprime_residual(1.0, 1.0))  # -5, not on curve
     CurvePoint(Fraction(2), Fraction(2), Fraction(0))  # exact, accepted
+    # a float residual 300 times above and below its 1e-10 bound, so that the
+    # bound scaled by 10^3 or 10^-3 flips one verdict
+    with pytest.raises(ValueError):
+        CurvePoint(1.0, 1.0, 3e-8)
+    CurvePoint(1.0, 1.0, 3.3e-13)
 
 
 def test_point_module_check(near_one_point):
@@ -602,6 +607,17 @@ def test_secant_check(near_one_point):
     assert abs(report.lam) > 1e-12
     assert report.jac_degree == 5 and report.det_degree == 5
     assert report.ok(1e-7) and not report.ok(report.residual)
+
+
+def test_secant_pole_guard_on_both_sides(monkeypatch):
+    # |t| 300 times above and below the 1e-12 pole guard, so that the guard
+    # scaled by 10^3 or 10^-3 flips one verdict
+    for t in (3e-10, 3e-10j):
+        monkeypatch.setattr(sklyanin2, "_require_t", lambda a, b, t=t: complex(t))
+        assert secant_check((1.0, 2.0)).t == t
+    monkeypatch.setattr(sklyanin2, "_require_t", lambda a, b: complex(-3.3e-15))
+    with pytest.raises(PoleError):
+        secant_check((1.0, 2.0))
 
 
 def test_secant_verdict_lam_cutoff():
